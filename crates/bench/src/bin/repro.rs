@@ -20,12 +20,17 @@
 //! repro campaign --resume j.jsonl      # skip completed injections, continue
 //! repro campaign --injections 400      # override the plan size
 //! repro campaign --kernel fse          # only showcase kernels matching 'fse'
-//! repro campaign --dispatch step       # step|block|threaded|traced execution
+//! repro campaign --dispatch step       # step|traced execution of this process
 //! repro campaign --isolation process   # worker subprocesses (SIGKILL watchdogs)
 //! repro campaign --heartbeat-ms 200    # worker idle-heartbeat interval
 //! repro campaign --deadline-ms 60000   # per-injection wall deadline (process mode)
 //! repro campaign --max-respawns 3      # crash-loop budget per worker slot
 //! ```
+//!
+//! Reports are byte-identical under both dispatch modes, so `--dispatch`
+//! is a local choice outside the campaign identity: journals, worker
+//! handshakes and submits do not carry it, and process and remote
+//! workers always run traced.
 //!
 //! Sharding flags (fault-tolerant split campaigns — DESIGN.md §12):
 //!
@@ -170,7 +175,7 @@ fn run_campaign_command(args: &[String], preset: &Preset) {
         campaign.dispatch = Dispatch::parse(d).unwrap_or_else(|| {
             fail(
                 "argument parsing",
-                format!("--dispatch wants step|block|threaded|traced, got '{d}'"),
+                format!("--dispatch wants step|traced, got '{d}'"),
             )
         });
     }
@@ -522,14 +527,6 @@ fn run_submit_command(args: &[String]) {
         campaign.seed = n
             .parse()
             .unwrap_or_else(|_| fail("argument parsing", format!("--seed wants a u64, got '{n}'")));
-    }
-    if let Some(d) = flag_value(args, "--dispatch") {
-        campaign.dispatch = Dispatch::parse(d).unwrap_or_else(|| {
-            fail(
-                "argument parsing",
-                format!("--dispatch wants step|block|threaded|traced, got '{d}'"),
-            )
-        });
     }
     // The submitted kernel must resolve inside the *coordinator's*
     // preset; `--quick` here only picks which showcase registry the

@@ -48,11 +48,14 @@ pub struct CampaignConfig {
     /// keeps campaigns fully deterministic; the instruction-budget
     /// watchdog already bounds every replay.
     pub wall: Option<Duration>,
-    /// Execution dispatch strategy for the golden run and every
-    /// replay. Campaign results are bit-identical across all modes (a
-    /// regression test asserts it); this exists to measure the
-    /// dispatch speedups and to isolate suspected batching bugs by
-    /// dropping back to [`Dispatch::Step`].
+    /// Execution dispatch strategy for the golden run and every replay
+    /// of a local run: the in-process runners and the supervisor's
+    /// thread pool. Campaign results are bit-identical across both
+    /// modes (a regression test asserts it), so dispatch is a local
+    /// choice outside the campaign identity: journals, handshakes and
+    /// submits never carry it, and process and remote workers always
+    /// run [`Dispatch::Traced`]. [`Dispatch::Step`] is the oracle for
+    /// isolating a suspected trace bug.
     pub dispatch: Dispatch,
     /// Watchdog escalation factor. A replay first runs under the soft
     /// instruction budget (`2·golden + 10000` minus the injection
@@ -452,41 +455,25 @@ mod tests {
         // The execution-mode contract extended to a full seeded
         // campaign: golden run, checkpoint ladder, every injected
         // replay, and the classified outcomes must not depend on how
-        // execution is dispatched — per-instruction stepping, block
-        // batching, threaded code, or superblock traces.
+        // execution is dispatched — per-instruction stepping or
+        // superblock traces.
         let kernels = nfp_workloads::fse_kernels(&Preset::quick()).expect("kernels");
-        let base = CampaignConfig {
-            injections: 30,
-            seed: 0xb10c,
-            checkpoints: 4,
-            ..CampaignConfig::default()
-        };
-        let step = run_campaign(
-            &kernels[0],
-            Mode::Float,
-            &CampaignConfig {
-                dispatch: Dispatch::Step,
-                ..base.clone()
-            },
-        )
-        .unwrap();
-        for dispatch in [Dispatch::Block, Dispatch::Threaded, Dispatch::Traced] {
-            let fast = run_campaign(
-                &kernels[0],
-                Mode::Float,
-                &CampaignConfig {
-                    dispatch,
-                    ..base.clone()
-                },
-            )
-            .unwrap();
-            assert_eq!(fast.golden_instret, step.golden_instret, "{dispatch}");
-            assert_eq!(fast.report, step.report, "{dispatch}");
-            for (x, y) in fast.records.iter().zip(&step.records) {
-                assert_eq!(x.fault, y.fault, "{dispatch}");
-                assert_eq!(x.outcome, y.outcome, "{dispatch}");
-                assert_eq!(x.category, y.category, "{dispatch}");
-            }
+        let [step, fast] = Dispatch::ALL.map(|dispatch| {
+            let cfg = CampaignConfig {
+                injections: 30,
+                seed: 0xb10c,
+                checkpoints: 4,
+                dispatch,
+                ..CampaignConfig::default()
+            };
+            run_campaign(&kernels[0], Mode::Float, &cfg).unwrap()
+        });
+        assert_eq!(fast.golden_instret, step.golden_instret);
+        assert_eq!(fast.report, step.report);
+        for (x, y) in fast.records.iter().zip(&step.records) {
+            assert_eq!(x.fault, y.fault);
+            assert_eq!(x.outcome, y.outcome);
+            assert_eq!(x.category, y.category);
         }
     }
 

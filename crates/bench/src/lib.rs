@@ -24,6 +24,7 @@ pub mod campaign;
 mod crc;
 pub mod evaluation;
 mod flatjson;
+mod identity;
 mod net;
 pub mod reports;
 pub mod serve;

@@ -175,8 +175,11 @@ pub(crate) fn send_err(addr: &str, e: std::io::Error) -> NfpError {
 // ---------------------------------------------------------------------
 
 /// Protocol version of the TCP control frames (join/submit). Lease
-/// frames carry the worker protocol's own version.
-pub(crate) const NET_VERSION: u64 = 1;
+/// frames carry the worker protocol's own version. v2: submits and
+/// leases no longer carry `dispatch`, so a v1 peer, whose parsers
+/// require it, is refused at the join or submit instead of failing
+/// partway through a lease.
+pub(crate) const NET_VERSION: u64 = 2;
 
 /// A worker announcing itself to the coordinator.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -409,23 +412,29 @@ mod tests {
             wid: 0x8140_3000_0001,
         };
         assert_eq!(parse_join(&render_join(&join)).unwrap(), join);
-        let bad = "{\"v\":2,\"kind\":\"join\",\"preset\":\"quick\",\"reconnects\":0}";
-        let err = parse_join(bad).unwrap_err();
-        assert!(
-            matches!(&err, NfpError::ProtocolViolation { detail } if detail.contains("version mismatch")),
-            "{err}"
-        );
+        // v1 is the version whose leases still carried `dispatch`.
+        for old in [1, 99] {
+            let bad =
+                format!("{{\"v\":{old},\"kind\":\"join\",\"preset\":\"quick\",\"reconnects\":0}}");
+            let err = parse_join(&bad).unwrap_err();
+            assert!(
+                matches!(&err, NfpError::ProtocolViolation { detail } if detail.contains("version mismatch")),
+                "v{old}: {err}"
+            );
+        }
         // Garbage and wrong-kind frames are violations, not panics.
         assert!(parse_join("not json").is_err());
-        assert!(parse_join("{\"v\":1,\"kind\":\"hb\"}").is_err());
+        assert!(parse_join(&format!("{{\"v\":{NET_VERSION},\"kind\":\"hb\"}}")).is_err());
     }
 
     #[test]
     fn join_without_a_wid_defaults_to_the_unattributable_zero() {
-        // Hand-crafted and pre-audit joins carry no wid; they parse
-        // fine and land as wid 0 (which the blacklist never targets).
-        let old = "{\"v\":1,\"kind\":\"join\",\"preset\":\"quick\",\"reconnects\":2}";
-        let join = parse_join(old).unwrap();
+        // Hand-crafted joins may carry no wid; they parse fine and land
+        // as wid 0 (which the blacklist never targets).
+        let old = format!(
+            "{{\"v\":{NET_VERSION},\"kind\":\"join\",\"preset\":\"quick\",\"reconnects\":2}}"
+        );
+        let join = parse_join(&old).unwrap();
         assert_eq!(join.wid, 0);
         assert_eq!(join.reconnects, 2);
     }

@@ -36,6 +36,7 @@ use crate::cache::ResultCache;
 use crate::campaign::{assemble, report_campaign, CampaignConfig, CampaignRig, InjectionRecord};
 use crate::evaluation::Mode;
 use crate::flatjson::{esc, parse_flat, Obj};
+use crate::identity::Identity;
 use crate::net::{
     parse_join, render_note, render_reject, render_report_chunk, send_err, write_frame,
     FrameReader, JoinFrame, Recv, BYE_FRAME, END_FRAME, HB_FRAME, NET_VERSION,
@@ -463,28 +464,15 @@ impl LiveEntry {
 }
 
 /// The idempotency key a submission is cached and deduplicated under:
-/// every binding field of the campaign except the client label and the
-/// shard count (campaign reports are shard-invariant by the merge
-/// discipline, and the golden instruction length is itself a
-/// deterministic function of these fields — recomputing it is the very
-/// simulation the cache exists to avoid, and the records-file header
-/// still enforces the full golden binding on every durable run).
+/// the campaign identity plus `allow_partial`, and nothing else — not
+/// the client label, not the shard count (campaign reports are
+/// shard-invariant by the merge discipline). The golden instruction
+/// length is itself a deterministic function of the identity —
+/// recomputing it is the very simulation the cache exists to avoid, and
+/// the records-file header still enforces the full golden binding on
+/// every durable run.
 pub(crate) fn campaign_key(req: &CampaignRequest) -> String {
-    format!(
-        "{}|{}|{}|{}|{}|{}|{}|{}|{}",
-        esc(&req.kernel),
-        req.mode.suffix(),
-        req.campaign.injections,
-        req.campaign.seed,
-        req.campaign.checkpoints,
-        req.campaign.dispatch.as_str(),
-        req.campaign.escalation,
-        req.campaign.wall.map_or_else(
-            || "none".to_string(),
-            |d| (d.as_millis() as u64).to_string()
-        ),
-        req.allow_partial,
-    )
+    format!("{}|{}", req.identity().render(), req.allow_partial)
 }
 
 // ---------------------------------------------------------------------
@@ -620,7 +608,8 @@ pub struct CampaignRequest {
     pub kernel: String,
     /// Float or fixed variant.
     pub mode: Mode,
-    /// The campaign parameters (plan size, seed, dispatch, ...).
+    /// The campaign parameters (plan size, seed, ...). Its `dispatch`
+    /// is not sent: the coordinator and its workers run traced.
     pub campaign: CampaignConfig,
     /// Shards to split the plan into; `0` lets the coordinator pick
     /// one shard per live worker.
@@ -630,29 +619,44 @@ pub struct CampaignRequest {
     pub allow_partial: bool,
 }
 
+impl CampaignRequest {
+    pub(crate) fn identity(&self) -> Identity {
+        Identity::of(&self.kernel, self.mode, &self.campaign)
+    }
+
+    /// The request as the body of a flat JSON object, shared by the
+    /// submit frame and the service journal's submit event.
+    pub(crate) fn render_fields(&self) -> String {
+        format!(
+            "\"client\":\"{}\",{},\"shards\":{},\"allow_partial\":{}",
+            esc(&self.client),
+            self.identity().render(),
+            self.shards,
+            self.allow_partial
+        )
+    }
+
+    /// Parses a request out of a flat object; `Err` names the first
+    /// missing or out-of-range field.
+    pub(crate) fn from_obj(obj: &Obj) -> Result<CampaignRequest, &'static str> {
+        let client = obj.str("client").ok_or("client")?.to_string();
+        let id = Identity::parse(obj)?;
+        let shards = obj.u64("shards").ok_or("shards")?;
+        Ok(CampaignRequest {
+            client,
+            campaign: id.config(),
+            kernel: id.kernel,
+            mode: id.mode,
+            shards: u32::try_from(shards).map_err(|_| "shards")?,
+            allow_partial: obj.bool("allow_partial").ok_or("allow_partial")?,
+        })
+    }
+}
+
 pub(crate) fn render_submit(req: &CampaignRequest) -> String {
     format!(
-        concat!(
-            "{{\"v\":{},\"kind\":\"submit\",\"client\":\"{}\",\"kernel\":\"{}\",",
-            "\"mode\":\"{}\",\"injections\":{},\"seed\":{},\"checkpoints\":{},",
-            "\"dispatch\":\"{}\",\"escalation\":{},\"wall_ms\":{},\"shards\":{},",
-            "\"allow_partial\":{}}}"
-        ),
-        NET_VERSION,
-        esc(&req.client),
-        esc(&req.kernel),
-        req.mode.suffix(),
-        req.campaign.injections,
-        req.campaign.seed,
-        req.campaign.checkpoints,
-        req.campaign.dispatch.as_str(),
-        req.campaign.escalation,
-        req.campaign.wall.map_or_else(
-            || "null".to_string(),
-            |d| (d.as_millis() as u64).to_string()
-        ),
-        req.shards,
-        req.allow_partial,
+        "{{\"v\":{NET_VERSION},\"kind\":\"submit\",{}}}",
+        req.render_fields()
     )
 }
 
@@ -670,45 +674,7 @@ pub(crate) fn parse_submit(line: &str) -> Result<CampaignRequest, NfpError> {
     if obj.str("kind") != Some("submit") {
         return Err(violation("frame is not a submit"));
     }
-    let field = |k: &str| violation(format!("submit lacks \"{k}\""));
-    Ok(CampaignRequest {
-        client: obj
-            .str("client")
-            .ok_or_else(|| field("client"))?
-            .to_string(),
-        kernel: obj
-            .str("kernel")
-            .ok_or_else(|| field("kernel"))?
-            .to_string(),
-        mode: obj
-            .str("mode")
-            .and_then(Mode::from_suffix)
-            .ok_or_else(|| violation("submit names an unknown mode"))?,
-        campaign: CampaignConfig {
-            injections: usize::try_from(obj.u64("injections").ok_or_else(|| field("injections"))?)
-                .map_err(|_| violation("submit injection count overflows usize"))?,
-            seed: obj.u64("seed").ok_or_else(|| field("seed"))?,
-            checkpoints: usize::try_from(
-                obj.u64("checkpoints").ok_or_else(|| field("checkpoints"))?,
-            )
-            .map_err(|_| violation("submit checkpoint count overflows usize"))?,
-            wall: obj
-                .opt_u64("wall_ms")
-                .ok_or_else(|| field("wall_ms"))?
-                .map(Duration::from_millis),
-            dispatch: obj
-                .str("dispatch")
-                .and_then(nfp_sim::Dispatch::parse)
-                .ok_or_else(|| violation("submit names an unknown dispatch"))?,
-            escalation: u32::try_from(obj.u64("escalation").ok_or_else(|| field("escalation"))?)
-                .map_err(|_| violation("submit escalation overflows u32"))?,
-        },
-        shards: u32::try_from(obj.u64("shards").ok_or_else(|| field("shards"))?)
-            .map_err(|_| violation("submit shard count overflows u32"))?,
-        allow_partial: obj
-            .bool("allow_partial")
-            .ok_or_else(|| field("allow_partial"))?,
-    })
+    CampaignRequest::from_obj(&obj).map_err(|k| violation(format!("submit lacks \"{k}\"")))
 }
 
 // ---------------------------------------------------------------------
@@ -3234,7 +3200,7 @@ mod tests {
                 seed: 0xfeed_5eed,
                 checkpoints: 8,
                 wall: Some(Duration::from_millis(750)),
-                dispatch: nfp_sim::Dispatch::Traced,
+                dispatch: nfp_sim::Dispatch::Step,
                 escalation: 2,
             },
             shards: 4,
@@ -3248,7 +3214,9 @@ mod tests {
         assert_eq!(parsed.campaign.seed, req.campaign.seed);
         assert_eq!(parsed.campaign.checkpoints, req.campaign.checkpoints);
         assert_eq!(parsed.campaign.wall, req.campaign.wall);
-        assert_eq!(parsed.campaign.dispatch, req.campaign.dispatch);
+        // Dispatch is local: it is not sent, and the coordinator runs
+        // traced.
+        assert_eq!(parsed.campaign.dispatch, nfp_sim::Dispatch::Traced);
         assert_eq!(parsed.campaign.escalation, req.campaign.escalation);
         assert_eq!(parsed.shards, req.shards);
         assert_eq!(parsed.allow_partial, req.allow_partial);
@@ -3276,13 +3244,20 @@ mod tests {
             shards: 0,
             allow_partial: false,
         };
-        let v99 = render_submit(&req).replacen("\"v\":1", "\"v\":99", 1);
-        let err = parse_submit(&v99).unwrap_err();
-        assert!(
-            matches!(&err, NfpError::ProtocolViolation { detail }
-                if detail.contains("version mismatch")),
-            "{err}"
-        );
+        // v1 is the version whose submits still carried `dispatch`.
+        for old in [1, 99] {
+            let frame = render_submit(&req).replacen(
+                &format!("\"v\":{NET_VERSION}"),
+                &format!("\"v\":{old}"),
+                1,
+            );
+            let err = parse_submit(&frame).unwrap_err();
+            assert!(
+                matches!(&err, NfpError::ProtocolViolation { detail }
+                    if detail.contains("version mismatch")),
+                "v{old}: {err}"
+            );
+        }
         assert!(parse_submit("garbage").is_err());
         assert!(parse_submit(HB_FRAME).is_err());
     }
@@ -3306,11 +3281,13 @@ mod tests {
             shards: 4,
             allow_partial: false,
         };
-        // Who asks and how the work is split don't change the report
-        // bytes, so they must not change the key.
+        // Who asks, how the work is split and how it is dispatched
+        // don't change the report bytes, so they must not change the
+        // key.
         let mut same = req.clone();
         same.client = "tenant-b".to_string();
         same.shards = 0;
+        same.campaign.dispatch = nfp_sim::Dispatch::Step;
         assert_eq!(campaign_key(&req), campaign_key(&same));
         // Anything the report depends on must change the key.
         for tweak in [
@@ -3320,7 +3297,6 @@ mod tests {
             |r: &mut CampaignRequest| r.campaign.seed += 1,
             |r: &mut CampaignRequest| r.campaign.checkpoints += 1,
             |r: &mut CampaignRequest| r.campaign.wall = Some(Duration::from_millis(10)),
-            |r: &mut CampaignRequest| r.campaign.dispatch = nfp_sim::Dispatch::Step,
             |r: &mut CampaignRequest| r.campaign.escalation += 1,
             |r: &mut CampaignRequest| r.allow_partial = true,
         ] {
@@ -3392,14 +3368,15 @@ mod tests {
         Lease {
             hello: WorkerHello {
                 header: JournalHeader {
-                    kernel: "k".to_string(),
-                    mode: "float",
-                    injections: 8,
-                    seed: 1,
-                    checkpoints: 2,
-                    dispatch: nfp_sim::Dispatch::Traced,
-                    escalation: 2,
-                    wall_ms: None,
+                    id: Identity {
+                        kernel: "k".to_string(),
+                        mode: Mode::Float,
+                        injections: 8,
+                        seed: 1,
+                        checkpoints: 2,
+                        escalation: 2,
+                        wall_ms: None,
+                    },
                     golden_instret: 100,
                     shard_index: shard,
                     shard_count: 4,

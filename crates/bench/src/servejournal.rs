@@ -22,9 +22,7 @@
 //! each shard completion and deleted once the campaign's fin event
 //! lands here — so the service journal stays O(events), not O(plan).
 
-use crate::campaign::CampaignConfig;
 use crate::crc::crc32;
-use crate::evaluation::Mode;
 use crate::flatjson::{esc, parse_flat, Obj};
 use crate::serve::CampaignRequest;
 use crate::supervisor::with_crc;
@@ -34,10 +32,10 @@ use std::fs::{File, OpenOptions};
 use std::io::{BufRead, BufReader, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
-use std::time::Duration;
 
-/// Journal schema version. Bump on any incompatible rendering change.
-const SERVICE_V: u64 = 1;
+/// Journal schema version. Bump on any incompatible rendering change
+/// (v2: submit events no longer carry `dispatch`).
+const SERVICE_V: u64 = 2;
 /// The `kind` tag on line 1 that distinguishes a service journal from
 /// the (header-compatible) campaign journals sitting next to it.
 const SERVICE_KIND: &str = "nfp-serve-journal";
@@ -56,28 +54,8 @@ fn start_base() -> String {
 
 fn submit_base(cid: u64, req: &CampaignRequest, golden_instret: u64) -> String {
     format!(
-        concat!(
-            "{{\"ev\":\"submit\",\"cid\":{},\"client\":\"{}\",\"kernel\":\"{}\",",
-            "\"mode\":\"{}\",\"injections\":{},\"seed\":{},\"checkpoints\":{},",
-            "\"dispatch\":\"{}\",\"escalation\":{},\"wall_ms\":{},\"shards\":{},",
-            "\"allow_partial\":{},\"golden_instret\":{}}}"
-        ),
-        cid,
-        esc(&req.client),
-        esc(&req.kernel),
-        req.mode.suffix(),
-        req.campaign.injections,
-        req.campaign.seed,
-        req.campaign.checkpoints,
-        req.campaign.dispatch.as_str(),
-        req.campaign.escalation,
-        req.campaign.wall.map_or_else(
-            || "null".to_string(),
-            |d| (d.as_millis() as u64).to_string()
-        ),
-        req.shards,
-        req.allow_partial,
-        golden_instret,
+        "{{\"ev\":\"submit\",\"cid\":{cid},{},\"golden_instret\":{golden_instret}}}",
+        req.render_fields()
     )
 }
 
@@ -317,21 +295,7 @@ fn verified(obj: &Obj, base: &str) -> bool {
 
 fn parse_submit_event(obj: &Obj) -> Option<(u64, CampaignRequest, u64)> {
     let cid = obj.u64("cid")?;
-    let req = CampaignRequest {
-        client: obj.str("client")?.to_string(),
-        kernel: obj.str("kernel")?.to_string(),
-        mode: Mode::from_suffix(obj.str("mode")?)?,
-        campaign: CampaignConfig {
-            injections: usize::try_from(obj.u64("injections")?).ok()?,
-            seed: obj.u64("seed")?,
-            checkpoints: usize::try_from(obj.u64("checkpoints")?).ok()?,
-            wall: obj.opt_u64("wall_ms")?.map(Duration::from_millis),
-            dispatch: nfp_sim::Dispatch::parse(obj.str("dispatch")?)?,
-            escalation: u32::try_from(obj.u64("escalation")?).ok()?,
-        },
-        shards: u32::try_from(obj.u64("shards")?).ok()?,
-        allow_partial: obj.bool("allow_partial")?,
-    };
+    let req = CampaignRequest::from_obj(obj).ok()?;
     let golden = obj.u64("golden_instret")?;
     Some((cid, req, golden))
 }
@@ -564,8 +528,11 @@ pub(crate) fn load_service_journal(path: &Path) -> Result<ServiceState, NfpError
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::campaign::CampaignConfig;
+    use crate::evaluation::Mode;
     use crate::shards::quarantined_path;
     use proptest::prelude::*;
+    use std::time::Duration;
 
     fn tmp(name: &str) -> PathBuf {
         std::env::temp_dir().join(format!(
@@ -724,9 +691,16 @@ mod tests {
         std::fs::write(&path, "").unwrap();
         let err = load_service_journal(&path).unwrap_err();
         assert!(err.to_string().contains("journal is empty"), "{err}");
-        std::fs::write(&path, "{\"v\":1,\"kind\":\"nfp-campaign-journal\"}\n").unwrap();
-        let err = load_service_journal(&path).unwrap_err();
-        assert!(err.to_string().contains("not a service journal"), "{err}");
+        // v1 is the version whose submit events still carried
+        // `dispatch`.
+        for header in [
+            "{\"v\":1,\"kind\":\"nfp-campaign-journal\"}\n",
+            "{\"v\":1,\"kind\":\"nfp-serve-journal\"}\n",
+        ] {
+            std::fs::write(&path, header).unwrap();
+            let err = load_service_journal(&path).unwrap_err();
+            assert!(err.to_string().contains("not a service journal"), "{err}");
+        }
         std::fs::remove_file(&path).unwrap();
     }
 

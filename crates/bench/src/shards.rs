@@ -32,7 +32,7 @@ use crate::backoff::backoff_sleep;
 use crate::campaign::{assemble, CampaignConfig, CampaignResult, CampaignRig, InjectionRecord};
 use crate::evaluation::Mode;
 use crate::supervisor::{
-    load_journal, parse_header, run_supervised, JournalHeader, SupervisorConfig, SupervisorOutcome,
+    load_journal, run_supervised, JournalHeader, SupervisorConfig, SupervisorOutcome,
 };
 use nfp_core::NfpError;
 use nfp_sim::fault::plan;
@@ -454,7 +454,8 @@ pub fn run_sharded(
 }
 
 /// Reads a journal's first line and returns the campaign identity it
-/// claims: kernel name, mode, and the reconstructed [`CampaignConfig`].
+/// claims: kernel name, mode, and the reconstructed [`CampaignConfig`]
+/// (under traced dispatch, which no journal records).
 /// The claim is *not* trusted — [`merge_journals`] re-derives the
 /// golden run and cross-checks every binding field — but it lets the
 /// CLI merge a journal set without re-stating the campaign flags.
@@ -469,22 +470,9 @@ pub fn peek_campaign(path: &Path) -> Result<(String, Mode, CampaignConfig), NfpE
     std::io::BufReader::new(file)
         .read_line(&mut first)
         .map_err(|e| err(format!("read failed: {e}")))?;
-    let h =
-        parse_header(&first).ok_or_else(|| err("missing or corrupt header line".to_string()))?;
-    let mode =
-        Mode::from_suffix(h.mode).ok_or_else(|| err("header names an unknown mode".to_string()))?;
-    let campaign = CampaignConfig {
-        injections: usize::try_from(h.injections)
-            .map_err(|_| err("injection count overflows usize".to_string()))?,
-        seed: h.seed,
-        checkpoints: usize::try_from(h.checkpoints)
-            .map_err(|_| err("checkpoint count overflows usize".to_string()))?,
-        wall: h.wall_ms.map(Duration::from_millis),
-        dispatch: h.dispatch,
-        escalation: u32::try_from(h.escalation)
-            .map_err(|_| err("escalation overflows u32".to_string()))?,
-    };
-    Ok((h.kernel, mode, campaign))
+    let id = JournalHeader::parse(&first).map_err(err)?.id;
+    let campaign = id.config();
+    Ok((id.kernel, id.mode, campaign))
 }
 
 /// Coalesces the `None` runs of a slot table into `(start, end)` ranges.
@@ -542,8 +530,7 @@ pub fn merge_journals(
         std::io::BufReader::new(file)
             .read_line(&mut first)
             .map_err(|e| merge_err(format!("read failed: {e}")))?;
-        let claimed = parse_header(&first)
-            .ok_or_else(|| merge_err("missing or corrupt header line".to_string()))?;
+        let claimed = JournalHeader::parse(&first).map_err(merge_err)?;
         if claimed.shard_count == 0 || claimed.shard_index >= claimed.shard_count {
             return Err(merge_err(format!(
                 "header claims shard {} of {}",

@@ -59,7 +59,8 @@ use crate::backoff::{backoff_sleep, TICK};
 use crate::campaign::{assemble, CampaignConfig, CampaignResult, CampaignRig, InjectionRecord};
 use crate::crc::{crc32, crc32_finish, crc32_update, CRC_INIT};
 use crate::evaluation::Mode;
-use crate::flatjson::{esc, parse_flat, Obj};
+use crate::flatjson::{parse_flat, Obj};
+use crate::identity::{self, Field, Identity};
 use crate::shards::{shard_range, ShardSpec};
 use crate::worker::{
     check_index, parse_reply, read_frame, render_hello, render_run, Reply, WorkerHello,
@@ -67,7 +68,7 @@ use crate::worker::{
 };
 use nfp_core::{HarnessCause, NfpError, Outcome};
 use nfp_sim::fault::plan;
-use nfp_sim::{Dispatch, DispatchStats, Fault, FaultTarget, SimError};
+use nfp_sim::{DispatchStats, Fault, FaultTarget, SimError};
 use nfp_sparc::Category;
 use nfp_workloads::Kernel;
 use std::io::{BufRead, Seek, Write};
@@ -235,28 +236,26 @@ pub struct SupervisorOutcome {
 // Journal header and records.
 // ---------------------------------------------------------------------
 
-/// The campaign identity a journal is bound to. Every field must match
+/// The binding a journal is bound to: the campaign [`Identity`], the
+/// golden run's length, and the shard slice. Every field must match
 /// for a resume (or a merge) to proceed. The shard fields bind a
 /// journal to one contiguous slice of the fault plan: a sequential
 /// journal is shard 0 of 1 covering the whole plan, and a merge rejects
 /// any journal whose claimed range disagrees with the deterministic
-/// split its `shard_index`/`shard_count` imply.
+/// split its `shard_index`/`shard_count` imply. The worker hello (and
+/// with it the remote lease) carries the same fields.
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) struct JournalHeader {
-    pub(crate) kernel: String,
-    pub(crate) mode: &'static str,
-    pub(crate) injections: u64,
-    pub(crate) seed: u64,
-    pub(crate) checkpoints: u64,
-    pub(crate) dispatch: Dispatch,
-    pub(crate) escalation: u64,
-    pub(crate) wall_ms: Option<u64>,
+    pub(crate) id: Identity,
     pub(crate) golden_instret: u64,
     pub(crate) shard_index: u32,
     pub(crate) shard_count: u32,
     pub(crate) range_start: u64,
     pub(crate) range_end: u64,
 }
+
+/// The `kind` tag on a campaign journal's first line.
+const JOURNAL_KIND: &str = "nfp-campaign-journal";
 
 impl JournalHeader {
     pub(crate) fn bind(
@@ -269,14 +268,7 @@ impl JournalHeader {
         let spec = shard.unwrap_or(ShardSpec { index: 0, count: 1 });
         let (start, end) = shard_range(cfg.injections, spec.index, spec.count);
         JournalHeader {
-            kernel: kernel.name.to_string(),
-            mode: mode.suffix(),
-            injections: cfg.injections as u64,
-            seed: cfg.seed,
-            checkpoints: cfg.checkpoints as u64,
-            dispatch: cfg.dispatch,
-            escalation: cfg.escalation.max(1) as u64,
-            wall_ms: cfg.wall.map(|d| d.as_millis() as u64),
+            id: Identity::of(&kernel.name, mode, cfg),
             golden_instret,
             shard_index: spec.index,
             shard_count: spec.count.max(1),
@@ -295,124 +287,85 @@ impl JournalHeader {
     /// two leases of different shards of one campaign share the rig
     /// and the fault plan, costing one golden run instead of two.
     pub(crate) fn same_campaign(&self, other: &JournalHeader) -> bool {
-        self.kernel == other.kernel
-            && self.mode == other.mode
-            && self.injections == other.injections
-            && self.seed == other.seed
-            && self.checkpoints == other.checkpoints
-            && self.dispatch == other.dispatch
-            && self.escalation == other.escalation
-            && self.wall_ms == other.wall_ms
-            && self.golden_instret == other.golden_instret
+        self.id == other.id && self.golden_instret == other.golden_instret
+    }
+
+    /// The binding fields in wire order: the identity first.
+    fn fields(&self) -> Vec<Field> {
+        let mut fields = self.id.fields().to_vec();
+        fields.extend([
+            ("golden_instret", self.golden_instret.to_string()),
+            ("shard_index", self.shard_index.to_string()),
+            ("shard_count", self.shard_count.to_string()),
+            ("range_start", self.range_start.to_string()),
+            ("range_end", self.range_end.to_string()),
+        ]);
+        fields
+    }
+
+    /// The binding fields as the body of a flat JSON object, shared by
+    /// the journal header line and the worker hello.
+    pub(crate) fn render_fields(&self) -> String {
+        identity::render(&self.fields())
     }
 
     pub(crate) fn render(&self) -> String {
         format!(
-            concat!(
-                "{{\"v\":1,\"kind\":\"nfp-campaign-journal\",\"kernel\":\"{}\",",
-                "\"mode\":\"{}\",\"injections\":{},\"seed\":{},\"checkpoints\":{},",
-                "\"dispatch\":\"{}\",\"escalation\":{},\"wall_ms\":{},\"golden_instret\":{},",
-                "\"shard_index\":{},\"shard_count\":{},\"range_start\":{},\"range_end\":{}}}"
-            ),
-            esc(&self.kernel),
-            self.mode,
-            self.injections,
-            self.seed,
-            self.checkpoints,
-            self.dispatch.as_str(),
-            self.escalation,
-            self.wall_ms.map_or("null".to_string(), |n| n.to_string()),
-            self.golden_instret,
-            self.shard_index,
-            self.shard_count,
-            self.range_start,
-            self.range_end,
+            "{{\"v\":1,\"kind\":\"{JOURNAL_KIND}\",{}}}",
+            self.render_fields()
         )
     }
 
-    /// Validates a parsed header line against this campaign, naming the
-    /// first mismatching field.
-    pub(crate) fn check(&self, path: &str, line: &str) -> Result<(), NfpError> {
-        let corrupt = |reason: &str| NfpError::Journal {
-            path: path.to_string(),
-            reason: reason.to_string(),
-        };
-        let obj = Obj(parse_flat(line).ok_or_else(|| corrupt("missing or corrupt header line"))?);
-        if obj.str("kind") != Some("nfp-campaign-journal") {
-            return Err(corrupt("not a campaign journal (bad \"kind\")"));
+    /// Parses the binding fields out of a flat object, ignoring any
+    /// other key (a header written before dispatch left the identity
+    /// still carries `"dispatch"`). `Err` names the first field that is
+    /// missing or out of range.
+    pub(crate) fn from_obj(obj: &Obj) -> Result<JournalHeader, &'static str> {
+        let num = |k: &'static str| obj.u64(k).ok_or(k);
+        let num32 = |k: &'static str| u32::try_from(num(k)?).map_err(|_| k);
+        Ok(JournalHeader {
+            id: Identity::parse(obj)?,
+            golden_instret: num("golden_instret")?,
+            shard_index: num32("shard_index")?,
+            shard_count: num32("shard_count")?,
+            range_start: num("range_start")?,
+            range_end: num("range_end")?,
+        })
+    }
+
+    /// Parses a journal header line without validating it against any
+    /// campaign — the merge path uses this to discover which campaign
+    /// (and which shard) a journal *claims* to belong to before
+    /// cross-checking the claim. `Err` is the reason, for the caller's
+    /// error type.
+    pub(crate) fn parse(line: &str) -> Result<JournalHeader, String> {
+        let obj = Obj(parse_flat(line).ok_or("missing or corrupt header line")?);
+        if obj.str("kind") != Some(JOURNAL_KIND) {
+            return Err("not a campaign journal (bad \"kind\")".to_string());
         }
         if obj.u64("v") != Some(1) {
-            return Err(corrupt("unsupported journal version"));
+            return Err("unsupported journal version".to_string());
         }
-        let mismatch = |field: &'static str, journal: String, campaign: String| {
-            Err(NfpError::JournalMismatch {
+        JournalHeader::from_obj(&obj).map_err(|field| format!("header lacks {field}"))
+    }
+
+    /// Validates a header line against this campaign, naming the first
+    /// mismatching field.
+    pub(crate) fn check(&self, path: &str, line: &str) -> Result<(), NfpError> {
+        let journal = JournalHeader::parse(line).map_err(|reason| NfpError::Journal {
+            path: path.to_string(),
+            reason,
+        })?;
+        match identity::first_mismatch(&journal.fields(), &self.fields()) {
+            Some((field, journal, campaign)) => Err(NfpError::JournalMismatch {
                 path: path.to_string(),
                 field,
                 journal,
                 campaign,
-            })
-        };
-        macro_rules! check_field {
-            ($field:literal, $got:expr, $want:expr) => {{
-                let got = $got.ok_or_else(|| corrupt(concat!("header lacks ", $field)))?;
-                if got != $want {
-                    return mismatch($field, format!("{:?}", got), format!("{:?}", $want));
-                }
-            }};
+            }),
+            None => Ok(()),
         }
-        check_field!("kernel", obj.str("kernel"), self.kernel.as_str());
-        check_field!("mode", obj.str("mode"), self.mode);
-        check_field!("injections", obj.u64("injections"), self.injections);
-        check_field!("seed", obj.u64("seed"), self.seed);
-        check_field!("checkpoints", obj.u64("checkpoints"), self.checkpoints);
-        check_field!("dispatch", obj.str("dispatch"), self.dispatch.as_str());
-        check_field!("escalation", obj.u64("escalation"), self.escalation);
-        check_field!("wall_ms", obj.opt_u64("wall_ms"), self.wall_ms);
-        check_field!(
-            "golden_instret",
-            obj.u64("golden_instret"),
-            self.golden_instret
-        );
-        check_field!(
-            "shard_index",
-            obj.u64("shard_index"),
-            u64::from(self.shard_index)
-        );
-        check_field!(
-            "shard_count",
-            obj.u64("shard_count"),
-            u64::from(self.shard_count)
-        );
-        check_field!("range_start", obj.u64("range_start"), self.range_start);
-        check_field!("range_end", obj.u64("range_end"), self.range_end);
-        Ok(())
     }
-}
-
-/// Parses a journal header line into a [`JournalHeader`] without
-/// validating it against any campaign — the merge path uses this to
-/// discover which campaign (and which shard) a journal *claims* to
-/// belong to before cross-checking the claim.
-pub(crate) fn parse_header(line: &str) -> Option<JournalHeader> {
-    let obj = Obj(parse_flat(line)?);
-    if obj.str("kind") != Some("nfp-campaign-journal") || obj.u64("v") != Some(1) {
-        return None;
-    }
-    Some(JournalHeader {
-        kernel: obj.str("kernel")?.to_string(),
-        mode: Mode::from_suffix(obj.str("mode")?)?.suffix(),
-        injections: obj.u64("injections")?,
-        seed: obj.u64("seed")?,
-        checkpoints: obj.u64("checkpoints")?,
-        dispatch: Dispatch::parse(obj.str("dispatch")?)?,
-        escalation: obj.u64("escalation")?,
-        wall_ms: obj.opt_u64("wall_ms")?,
-        golden_instret: obj.u64("golden_instret")?,
-        shard_index: u32::try_from(obj.u64("shard_index")?).ok()?,
-        shard_count: u32::try_from(obj.u64("shard_count")?).ok()?,
-        range_start: obj.u64("range_start")?,
-        range_end: obj.u64("range_end")?,
-    })
 }
 
 /// `(kind, a, b)` encoding of a fault target for the journal.
@@ -1707,14 +1660,15 @@ mod tests {
 
     fn test_header() -> JournalHeader {
         JournalHeader {
-            kernel: "fse_distance".to_string(),
-            mode: "float",
-            injections: 100,
-            seed: 1,
-            checkpoints: 16,
-            dispatch: Dispatch::Traced,
-            escalation: 2,
-            wall_ms: None,
+            id: Identity {
+                kernel: "fse_distance".to_string(),
+                mode: Mode::Float,
+                injections: 100,
+                seed: 1,
+                checkpoints: 16,
+                escalation: 2,
+                wall_ms: None,
+            },
             golden_instret: 5000,
             shard_index: 0,
             shard_count: 1,
@@ -1727,7 +1681,7 @@ mod tests {
     fn header_mismatch_names_the_field() {
         let header = test_header();
         let mut other = header.clone();
-        other.seed = 2;
+        other.id.seed = 2;
         let line = other.render();
         match header.check("j.jsonl", &line) {
             Err(NfpError::JournalMismatch { field, .. }) => assert_eq!(field, "seed"),
@@ -1762,9 +1716,9 @@ mod tests {
         header.shard_count = 4;
         header.range_start = 50;
         header.range_end = 75;
-        assert_eq!(parse_header(&header.render()), Some(header));
-        assert_eq!(parse_header("{\"v\":1,\"kind\":\"other\"}"), None);
-        assert_eq!(parse_header("not json"), None);
+        assert_eq!(JournalHeader::parse(&header.render()), Ok(header));
+        assert!(JournalHeader::parse("{\"v\":1,\"kind\":\"other\"}").is_err());
+        assert!(JournalHeader::parse("not json").is_err());
     }
 
     #[test]

@@ -32,7 +32,6 @@
 
 use crate::backoff::{backoff_sleep, splitmix64};
 use crate::campaign::{CampaignConfig, CampaignRig, InjectionRecord};
-use crate::evaluation::Mode;
 use crate::flatjson::{esc, parse_flat, Obj};
 use crate::net::{render_join, write_frame, FrameReader, JoinFrame, Recv};
 use crate::supervisor::{
@@ -41,7 +40,7 @@ use crate::supervisor::{
 };
 use nfp_core::{NfpError, Outcome};
 use nfp_sim::fault::plan;
-use nfp_sim::{Dispatch, Fault};
+use nfp_sim::Fault;
 use nfp_sparc::Category;
 use nfp_workloads::Preset;
 use std::io::{BufRead, Read, Write};
@@ -162,27 +161,9 @@ pub(crate) struct WorkerHello {
 
 pub(crate) fn render_hello(h: &WorkerHello) -> String {
     format!(
-        concat!(
-            "{{\"v\":1,\"kind\":\"hello\",\"kernel\":\"{}\",\"mode\":\"{}\",",
-            "\"preset\":\"{}\",\"injections\":{},\"seed\":{},\"checkpoints\":{},",
-            "\"dispatch\":\"{}\",\"escalation\":{},\"wall_ms\":{},\"golden_instret\":{},",
-            "\"shard_index\":{},\"shard_count\":{},\"range_start\":{},\"range_end\":{},",
-            "\"heartbeat_ms\":{},\"spin_at\":{},\"abort_at\":{}}}"
-        ),
-        esc(&h.header.kernel),
-        h.header.mode,
+        "{{\"v\":1,\"kind\":\"hello\",{},\"preset\":\"{}\",\"heartbeat_ms\":{},\"spin_at\":{},\"abort_at\":{}}}",
+        h.header.render_fields(),
         h.preset.name(),
-        h.header.injections,
-        h.header.seed,
-        h.header.checkpoints,
-        h.header.dispatch.as_str(),
-        h.header.escalation,
-        opt_u64_json(h.header.wall_ms),
-        h.header.golden_instret,
-        h.header.shard_index,
-        h.header.shard_count,
-        h.header.range_start,
-        h.header.range_end,
         h.heartbeat_ms,
         opt_u64_json(h.spin_at),
         opt_u64_json(h.abort_at),
@@ -207,40 +188,11 @@ pub(crate) fn parse_hello(line: &str) -> Result<WorkerHello, NfpError> {
         }
     }
     let field = |k: &str| violation(format!("hello lacks \"{k}\""));
-    let mode = Mode::from_suffix(obj.str("mode").ok_or_else(|| field("mode"))?)
-        .ok_or_else(|| violation("hello names an unknown mode"))?;
+    let header = JournalHeader::from_obj(&obj).map_err(field)?;
     let preset = WorkerPreset::from_name(obj.str("preset").ok_or_else(|| field("preset"))?)
         .ok_or_else(|| violation("hello names an unknown preset"))?;
     Ok(WorkerHello {
-        header: JournalHeader {
-            kernel: obj
-                .str("kernel")
-                .ok_or_else(|| field("kernel"))?
-                .to_string(),
-            mode: mode.suffix(),
-            injections: obj.u64("injections").ok_or_else(|| field("injections"))?,
-            seed: obj.u64("seed").ok_or_else(|| field("seed"))?,
-            checkpoints: obj.u64("checkpoints").ok_or_else(|| field("checkpoints"))?,
-            dispatch: obj
-                .str("dispatch")
-                .and_then(Dispatch::parse)
-                .ok_or_else(|| field("dispatch"))?,
-            escalation: obj.u64("escalation").ok_or_else(|| field("escalation"))?,
-            wall_ms: obj.opt_u64("wall_ms").ok_or_else(|| field("wall_ms"))?,
-            golden_instret: obj
-                .u64("golden_instret")
-                .ok_or_else(|| field("golden_instret"))?,
-            shard_index: obj
-                .u64("shard_index")
-                .and_then(|n| u32::try_from(n).ok())
-                .ok_or_else(|| field("shard_index"))?,
-            shard_count: obj
-                .u64("shard_count")
-                .and_then(|n| u32::try_from(n).ok())
-                .ok_or_else(|| field("shard_count"))?,
-            range_start: obj.u64("range_start").ok_or_else(|| field("range_start"))?,
-            range_end: obj.u64("range_end").ok_or_else(|| field("range_end"))?,
-        },
+        header,
         preset,
         heartbeat_ms: obj
             .u64("heartbeat_ms")
@@ -420,19 +372,6 @@ fn worker_main() -> Result<(), NfpError> {
         return Ok(());
     };
     let hello = parse_hello(&line)?;
-    let campaign = campaign_of(&hello.header)?;
-    let kernels = nfp_workloads::all_kernels(&hello.preset.build())?;
-    let kernel = kernels
-        .iter()
-        .find(|k| k.name == hello.header.kernel)
-        .ok_or_else(|| {
-            violation(format!(
-                "hello names kernel {:?}, which the {} preset does not contain",
-                hello.header.kernel,
-                hello.preset.name()
-            ))
-        })?;
-    let mode = Mode::from_suffix(hello.header.mode).ok_or_else(|| violation("bad mode"))?;
 
     // Heartbeats start before the (potentially slow) rig build so the
     // supervisor's liveness watchdog covers the handshake too. The
@@ -452,7 +391,12 @@ fn worker_main() -> Result<(), NfpError> {
         });
     }
 
-    let (mut rig, space) = CampaignRig::prepare(kernel, mode, &campaign)?;
+    let ConnectRig {
+        mut rig,
+        campaign,
+        faults,
+        ..
+    } = build_rig(&hello)?;
     if rig.golden_instret != hello.header.golden_instret {
         return Err(violation(format!(
             "golden instruction count mismatch: supervisor expects {}, this worker's rig ran {} \
@@ -460,7 +404,6 @@ fn worker_main() -> Result<(), NfpError> {
             hello.header.golden_instret, rig.golden_instret
         )));
     }
-    let faults = plan(&space, campaign.injections, campaign.seed);
     emit(&render_ready(rig.golden_instret));
 
     loop {
@@ -489,21 +432,6 @@ fn worker_main() -> Result<(), NfpError> {
         busy.store(false, Ordering::Relaxed);
         emit(&render_done(index, &replayed?));
     }
-}
-
-/// Reconstructs the [`CampaignConfig`] a hello's binding fields name.
-fn campaign_of(header: &JournalHeader) -> Result<CampaignConfig, NfpError> {
-    Ok(CampaignConfig {
-        injections: usize::try_from(header.injections)
-            .map_err(|_| violation("hello injection count overflows usize"))?,
-        seed: header.seed,
-        checkpoints: usize::try_from(header.checkpoints)
-            .map_err(|_| violation("hello checkpoint count overflows usize"))?,
-        wall: header.wall_ms.map(Duration::from_millis),
-        dispatch: header.dispatch,
-        escalation: u32::try_from(header.escalation)
-            .map_err(|_| violation("hello escalation overflows u32"))?,
-    })
 }
 
 // ---------------------------------------------------------------------
@@ -550,9 +478,9 @@ impl Drop for Alive {
     }
 }
 
-/// The deterministic campaign state a connected worker keeps between
-/// leases: rebuilding rig and plan costs a golden run, so consecutive
-/// leases of the same campaign reuse them.
+/// The deterministic campaign state a hello names. A connected worker
+/// keeps it between leases: rebuilding rig and plan costs a golden
+/// run, so consecutive leases of the same campaign reuse them.
 struct ConnectRig {
     header: JournalHeader,
     preset: WorkerPreset,
@@ -562,20 +490,20 @@ struct ConnectRig {
 }
 
 fn build_rig(hello: &WorkerHello) -> Result<ConnectRig, NfpError> {
-    let campaign = campaign_of(&hello.header)?;
+    let id = &hello.header.id;
+    let campaign = id.config();
     let kernels = nfp_workloads::all_kernels(&hello.preset.build())?;
     let kernel = kernels
         .iter()
-        .find(|k| k.name == hello.header.kernel)
+        .find(|k| k.name == id.kernel)
         .ok_or_else(|| {
             violation(format!(
-                "lease names kernel {:?}, which the {} preset does not contain",
-                hello.header.kernel,
+                "hello names kernel {:?}, which the {} preset does not contain",
+                id.kernel,
                 hello.preset.name()
             ))
         })?;
-    let mode = Mode::from_suffix(hello.header.mode).ok_or_else(|| violation("bad mode"))?;
-    let (rig, space) = CampaignRig::prepare(kernel, mode, &campaign)?;
+    let (rig, space) = CampaignRig::prepare(kernel, id.mode, &campaign)?;
     let faults = plan(&space, campaign.injections, campaign.seed);
     Ok(ConnectRig {
         header: hello.header.clone(),
@@ -859,7 +787,7 @@ fn execute_lease(
         *cache = None;
         eprintln!(
             "worker: building rig for '{}' ({} injections, seed {:#x})",
-            hello.header.kernel, hello.header.injections, hello.header.seed
+            hello.header.id.kernel, hello.header.id.injections, hello.header.id.seed
         );
         *cache = Some(build_rig(hello).map_err(LeaseFail::Fatal)?);
     }
@@ -978,14 +906,15 @@ mod tests {
     fn hello() -> WorkerHello {
         WorkerHello {
             header: JournalHeader {
-                kernel: "fse_img00".to_string(),
-                mode: "float",
-                injections: 24,
-                seed: 0xfeed_5eed,
-                checkpoints: 8,
-                dispatch: Dispatch::Traced,
-                escalation: 2,
-                wall_ms: Some(400),
+                id: crate::identity::Identity {
+                    kernel: "fse_img00".to_string(),
+                    mode: crate::evaluation::Mode::Float,
+                    injections: 24,
+                    seed: 0xfeed_5eed,
+                    checkpoints: 8,
+                    escalation: 2,
+                    wall_ms: Some(400),
+                },
                 golden_instret: 123_456,
                 shard_index: 1,
                 shard_count: 4,

@@ -219,7 +219,7 @@ fn fake_worker_that_tears_its_lease_costs_nothing_but_a_retry() {
         std::thread::spawn(move || {
             let mut s = TcpStream::connect(&addr).expect("connect saboteur");
             s.set_read_timeout(Some(Duration::from_millis(50))).unwrap();
-            let join = b"{\"v\":1,\"kind\":\"join\",\"preset\":\"quick\",\"reconnects\":0}";
+            let join = b"{\"v\":2,\"kind\":\"join\",\"preset\":\"quick\",\"reconnects\":0}";
             s.write_all(&(join.len() as u32).to_be_bytes())
                 .and_then(|()| s.write_all(join))
                 .expect("send join");

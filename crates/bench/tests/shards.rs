@@ -114,15 +114,31 @@ fn four_shard_merge_is_byte_identical_to_sequential() {
         );
     }
 
-    // The journal set merges offline too, recovered via peek_campaign.
-    let (name, mode, peeked) = peek_campaign(&shard_journal_path(&base, 0, 4)).unwrap();
-    assert_eq!(name, k.name);
-    assert_eq!(mode, Mode::Float);
-    assert_eq!(peeked.injections, 24);
-    assert_eq!(peeked.seed, 0xfeed_5eed);
+    // The journal set merges offline too, recovered via peek_campaign —
+    // also once every header is rewritten into the format written while
+    // dispatch was part of the campaign identity, with a "dispatch" key
+    // naming a mode that no longer exists.
     let paths: Vec<PathBuf> = (0..4).map(|i| shard_journal_path(&base, i, 4)).collect();
-    let merged = merge_journals(&k, mode, &peeked, &paths, false).unwrap();
-    assert_identical(&merged.result, &baseline);
+    for parent_format in [false, true] {
+        if parent_format {
+            for path in &paths {
+                rewrite(path, |text| {
+                    text.replacen(
+                        "\"escalation\":",
+                        "\"dispatch\":\"block\",\"escalation\":",
+                        1,
+                    )
+                });
+            }
+        }
+        let (name, mode, peeked) = peek_campaign(&paths[0]).unwrap();
+        assert_eq!(name, k.name);
+        assert_eq!(mode, Mode::Float);
+        assert_eq!(peeked.injections, 24);
+        assert_eq!(peeked.seed, 0xfeed_5eed);
+        let merged = merge_journals(&k, mode, &peeked, &paths, false).unwrap();
+        assert_identical(&merged.result, &baseline);
+    }
     scrub(&base, 4);
 }
 
@@ -271,24 +287,19 @@ fn exhausted_shard_fails_the_campaign_or_degrades_under_allow_partial() {
 #[test]
 fn dispatch_modes_produce_byte_identical_sharded_reports() {
     // The dispatch differential contract at full campaign scale: a
-    // sharded campaign executed with threaded or traced dispatch must
-    // merge to a report byte-identical to undisturbed sequential
-    // same-seed runs under per-instruction stepping and block
-    // batching. Superblock traces in particular must not perturb a
-    // single injection outcome even when flips land mid-trace.
+    // sharded campaign executed under either dispatch mode must merge
+    // to a report byte-identical to an undisturbed sequential same-seed
+    // run under per-instruction stepping. Superblock traces in
+    // particular must not perturb a single injection outcome even when
+    // flips land mid-trace.
     let k = kernel();
-    let seq_in = |dispatch: Dispatch| {
-        let mut c = campaign(24);
-        c.dispatch = dispatch;
-        let mut cfg = SupervisorConfig::new(c);
-        cfg.workers = Some(1);
-        run_supervised(&k, Mode::Float, &cfg).unwrap().result
-    };
-    let step = seq_in(Dispatch::Step);
-    let block = seq_in(Dispatch::Block);
-    assert_identical(&block, &step);
+    let mut c = campaign(24);
+    c.dispatch = Dispatch::Step;
+    let mut seq = SupervisorConfig::new(c);
+    seq.workers = Some(1);
+    let step = run_supervised(&k, Mode::Float, &seq).unwrap().result;
 
-    for dispatch in [Dispatch::Threaded, Dispatch::Traced] {
+    for dispatch in Dispatch::ALL {
         let (mut cfg, base) = sharded(&format!("dispatch_{dispatch}"), 24, 4);
         cfg.supervisor.campaign.dispatch = dispatch;
         scrub(&base, 4);
@@ -296,11 +307,12 @@ fn dispatch_modes_produce_byte_identical_sharded_reports() {
         assert!(outcome.missing_ranges.is_empty(), "{dispatch}");
         assert_identical(&outcome.result, &step);
 
-        // The shard journals themselves bind to the dispatch mode and
-        // merge offline to the same report.
+        // Dispatch is outside the campaign identity: the shard journals
+        // do not record it, and merge offline under traced dispatch to
+        // the same report.
         let paths: Vec<PathBuf> = (0..4).map(|i| shard_journal_path(&base, i, 4)).collect();
         let (_, mode, peeked) = peek_campaign(&paths[0]).unwrap();
-        assert_eq!(peeked.dispatch, dispatch);
+        assert_eq!(peeked.dispatch, Dispatch::Traced);
         let merged = merge_journals(&k, mode, &peeked, &paths, false).unwrap();
         assert_identical(&merged.result, &step);
         scrub(&base, 4);

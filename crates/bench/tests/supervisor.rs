@@ -67,26 +67,46 @@ fn kill_and_resume_yields_identical_report() {
         write!(f, "{{\"i\":9999,\"at\":12").unwrap();
     }
 
-    let mut resuming = supervisor(campaign(96));
-    resuming.journal = Some(journal.clone());
-    resuming.resume = true;
-    let resumed = run_supervised(&k, Mode::Float, &resuming).unwrap();
-    assert_eq!(resumed.resumed, 31);
-    assert_eq!(resumed.completed, 96);
-    assert!(!resumed.aborted);
+    // The same journal with its header in the format written before
+    // dispatch left the campaign identity (which still carries a
+    // "dispatch" key) must resume identically.
+    let parent = tmp_journal("resume_parent");
+    let text = std::fs::read_to_string(&journal).unwrap();
+    std::fs::write(&parent, with_parent_header(&text)).unwrap();
 
-    // The merged result is byte-identical to the uninterrupted run.
-    assert_eq!(resumed.result.records, baseline.result.records);
-    assert_eq!(resumed.result.report, baseline.result.report);
-    assert_eq!(
-        resumed.result.report.render(),
-        baseline.result.report.render()
-    );
-    assert_eq!(
-        resumed.result.golden_instret,
-        baseline.result.golden_instret
-    );
-    let _ = std::fs::remove_file(&journal);
+    for path in [journal, parent] {
+        let mut resuming = supervisor(campaign(96));
+        resuming.journal = Some(path.clone());
+        resuming.resume = true;
+        let resumed = run_supervised(&k, Mode::Float, &resuming).unwrap();
+        assert_eq!(resumed.resumed, 31);
+        assert_eq!(resumed.completed, 96);
+        assert!(!resumed.aborted);
+
+        // The merged result is byte-identical to the uninterrupted run.
+        assert_eq!(resumed.result.records, baseline.result.records);
+        assert_eq!(resumed.result.report, baseline.result.report);
+        assert_eq!(
+            resumed.result.report.render(),
+            baseline.result.report.render()
+        );
+        assert_eq!(
+            resumed.result.golden_instret,
+            baseline.result.golden_instret
+        );
+        let _ = std::fs::remove_file(&path);
+    }
+}
+
+/// Rewrites a journal's header into the format written while dispatch
+/// was part of the campaign identity: the same fields plus a
+/// `"dispatch"` key, here naming a mode that no longer exists.
+fn with_parent_header(text: &str) -> String {
+    text.replacen(
+        "\"escalation\":",
+        "\"dispatch\":\"block\",\"escalation\":",
+        1,
+    )
 }
 
 #[test]

@@ -1,6 +1,8 @@
 //! Basic-block segmentation of the predecoded instruction stream, and
-//! the per-block category summaries behind block-batched NFP
-//! accounting.
+//! the per-block category summaries behind one-commit-per-block NFP
+//! accounting: superblock traces are built on this segmentation, and
+//! the traced run loop's straight-line fallback commits its runs from
+//! these prefix sums.
 //!
 //! The paper's counters are per-instruction, but their *values* only
 //! depend on which instructions retired — so over a straight-line run
@@ -19,11 +21,11 @@
 //! The cache is a pure function of the predecoded image, so
 //! [`Machine::patch_code_word`](crate::Machine::patch_code_word) (and
 //! with it every fault-injection code flip and undo) invalidates it;
-//! the next batched run rebuilds it.
+//! the next traced run rebuilds it.
 
 use nfp_sparc::{Category, CategoryCounts, Instr};
 
-/// Per-image acceleration structure for block-batched execution.
+/// Per-image straight-line run ends and category prefix sums.
 #[derive(Debug, Clone)]
 pub struct BlockCache {
     /// `ender[i]` = index of the first block-ending instruction at or
@@ -90,7 +92,7 @@ impl BlockCache {
 /// statically known CTI target inside the image, and every block-ender
 /// fall-through — two slots past a CTI (skipping its delay slot), but
 /// only *one* past `t<cond>`, which has no delay slot (an untaken soft
-/// trap continues at the very next word). The block-batched run loop
+/// trap continues at the very next word). The straight-line fallback
 /// handles arbitrary entry points via [`BlockCache::run_end`], but
 /// superblock trace formation seeds its trace heads from this set, so
 /// a missed leader means a never-traced block.

@@ -159,12 +159,12 @@ pub enum StepOut {
     SoftTrap(u32),
 }
 
-/// Failure of a linear-dispatch execution path ([`exec_linear`] or a
-/// predecoded threaded-dispatch entry): either a genuine architectural
-/// [`Trap`], or a routing violation — a block-ending instruction
-/// reached a path that only handles straight-line instructions, which
-/// means the block-structure tables (block cache or dispatch table)
-/// are inconsistent with the instruction stream. The machine layer
+/// Failure of a predecoded threaded-dispatch entry (run straight-line
+/// or inside a trace): either a genuine architectural [`Trap`], or a
+/// routing violation — a block-ending instruction reached a path that
+/// only handles straight-line instructions, which means the
+/// block-structure tables (block cache or dispatch table) are
+/// inconsistent with the instruction stream. The machine layer
 /// surfaces the latter as a typed `SimError` instead of panicking.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum ExecError {
@@ -287,19 +287,7 @@ pub fn step<O: Observer>(
                 out = StepOut::SoftTrap(n);
             }
         }
-        // The arms above cover every block-ending instruction, so the
-        // linear path cannot report `NotLinear` here; map it to an
-        // illegal-instruction trap defensively rather than panicking
-        // (mirrors the `BusFault::ImageOverlap` mapping above).
-        _ => exec_linear::<true>(cpu, bus, instr, fpu_enabled, pc, &mut info).map_err(
-            |e| match e {
-                ExecError::Trap(t) => t,
-                ExecError::NotLinear { pc } => Trap::Illegal {
-                    pc,
-                    word: nfp_sparc::encode(*instr),
-                },
-            },
-        )?,
+        _ => exec_linear(cpu, bus, instr, fpu_enabled, pc, &mut info)?,
     }
 
     cpu.pc = next_pc;
@@ -310,48 +298,41 @@ pub fn step<O: Observer>(
 
 /// Executes one *linear* instruction — anything that is neither a CTI
 /// nor `t<cond>` (see [`Instr::ends_block`]), so control flow past it
-/// is always sequential. `pc` is the instruction's own address, used
-/// only for trap payloads; `cpu.pc`/`cpu.npc` are neither read nor
-/// written here. [`step`] commits them for the stepping path, and the
-/// machine's block-batched run loop calls this directly, committing
-/// `pc`/`npc` once per block.
+/// is always sequential — and fills `info` for the observer. `pc` is
+/// the instruction's own address, used only for trap payloads;
+/// `cpu.pc`/`cpu.npc` are neither read nor written here, [`step`]
+/// commits them.
 ///
 /// On a trap, no architectural state has been committed beyond what the
 /// faulting instruction legitimately wrote before faulting (nothing:
 /// every arm validates before writing), so the caller can re-present
 /// the same instruction after recovery.
 #[inline]
-pub(crate) fn exec_linear<const OBSERVE: bool>(
+fn exec_linear(
     cpu: &mut Cpu,
     bus: &mut Bus,
     instr: &Instr,
     fpu_enabled: bool,
     pc: u32,
     info: &mut ExecInfo,
-) -> Result<(), ExecError> {
+) -> Result<(), Trap> {
     match *instr {
         Instr::Sethi { rd, imm22 } => {
             let v = imm22 << 10;
             cpu.set(rd, v);
-            if OBSERVE {
-                info.result_ones = v.count_ones();
-            }
+            info.result_ones = v.count_ones();
         }
         Instr::Alu { op, rd, rs1, op2 } => {
             let a = cpu.get(rs1);
             let b = operand_value(cpu, op2);
             let r = exec_alu(cpu, op, a, b, pc)?;
             cpu.set(rd, r);
-            if OBSERVE {
-                info.result_ones = r.count_ones();
-            }
+            info.result_ones = r.count_ones();
         }
         Instr::RdY { rd } => {
             let y = cpu.y;
             cpu.set(rd, y);
-            if OBSERVE {
-                info.result_ones = y.count_ones();
-            }
+            info.result_ones = y.count_ones();
         }
         Instr::WrY { rs1, op2 } => {
             cpu.y = cpu.get(rs1) ^ operand_value(cpu, op2);
@@ -362,7 +343,7 @@ pub(crate) fn exec_linear<const OBSERVE: bool>(
             let a = cpu.get(rs1);
             let b = operand_value(cpu, op2);
             if !cpu.window_save() {
-                return Err(Trap::WindowOverflow { pc }.into());
+                return Err(Trap::WindowOverflow { pc });
             }
             cpu.set(rd, a.wrapping_add(b));
         }
@@ -370,7 +351,7 @@ pub(crate) fn exec_linear<const OBSERVE: bool>(
             let a = cpu.get(rs1);
             let b = operand_value(cpu, op2);
             if !cpu.window_restore() {
-                return Err(Trap::WindowUnderflow { pc }.into());
+                return Err(Trap::WindowUnderflow { pc });
             }
             cpu.set(rd, a.wrapping_add(b));
         }
@@ -385,9 +366,7 @@ pub(crate) fn exec_linear<const OBSERVE: bool>(
             op2,
         } => {
             let addr = cpu.get(rs1).wrapping_add(operand_value(cpu, op2));
-            if OBSERVE {
-                info.mem_addr = Some(addr);
-            }
+            info.mem_addr = Some(addr);
             let map = |e| fault_to_trap(pc, e);
             // Every arm writes its own destination so the doubleword
             // pair needs no early exit past the shared commit.
@@ -400,9 +379,7 @@ pub(crate) fn exec_linear<const OBSERVE: bool>(
                         v
                     };
                     cpu.set(rd, v);
-                    if OBSERVE {
-                        info.result_ones = v.count_ones();
-                    }
+                    info.result_ones = v.count_ones();
                 }
                 MemSize::Half => {
                     let v = bus.load16(addr).map_err(map)? as u32;
@@ -412,66 +389,50 @@ pub(crate) fn exec_linear<const OBSERVE: bool>(
                         v
                     };
                     cpu.set(rd, v);
-                    if OBSERVE {
-                        info.result_ones = v.count_ones();
-                    }
+                    info.result_ones = v.count_ones();
                 }
                 MemSize::Word => {
                     let v = bus.load32(addr).map_err(map)?;
                     cpu.set(rd, v);
-                    if OBSERVE {
-                        info.result_ones = v.count_ones();
-                    }
+                    info.result_ones = v.count_ones();
                 }
                 MemSize::Double => {
                     if rd.num() % 2 != 0 {
-                        return Err(Trap::OddIntPair { pc }.into());
+                        return Err(Trap::OddIntPair { pc });
                     }
                     let v = bus.load64(addr).map_err(map)?;
                     cpu.set(rd, (v >> 32) as u32);
                     cpu.set(nfp_sparc::Reg::new(rd.num() + 1), v as u32);
-                    if OBSERVE {
-                        info.result_ones = v.count_ones();
-                    }
+                    info.result_ones = v.count_ones();
                 }
             }
         }
         Instr::Store { size, rd, rs1, op2 } => {
             let addr = cpu.get(rs1).wrapping_add(operand_value(cpu, op2));
-            if OBSERVE {
-                info.mem_addr = Some(addr);
-            }
+            info.mem_addr = Some(addr);
             let map = |e| fault_to_trap(pc, e);
             let v = cpu.get(rd);
             match size {
                 MemSize::Byte => {
                     bus.store8(addr, v as u8).map_err(map)?;
-                    if OBSERVE {
-                        info.result_ones = v.count_ones();
-                    }
+                    info.result_ones = v.count_ones();
                 }
                 MemSize::Half => {
                     bus.store16(addr, v as u16).map_err(map)?;
-                    if OBSERVE {
-                        info.result_ones = v.count_ones();
-                    }
+                    info.result_ones = v.count_ones();
                 }
                 MemSize::Word => {
                     bus.store32(addr, v).map_err(map)?;
-                    if OBSERVE {
-                        info.result_ones = v.count_ones();
-                    }
+                    info.result_ones = v.count_ones();
                 }
                 MemSize::Double => {
                     if rd.num() % 2 != 0 {
-                        return Err(Trap::OddIntPair { pc }.into());
+                        return Err(Trap::OddIntPair { pc });
                     }
                     let lo = cpu.get(nfp_sparc::Reg::new(rd.num() + 1));
                     let dv = ((v as u64) << 32) | lo as u64;
                     bus.store64(addr, dv).map_err(map)?;
-                    if OBSERVE {
-                        info.result_ones = dv.count_ones();
-                    }
+                    info.result_ones = dv.count_ones();
                 }
             }
         }
@@ -482,29 +443,23 @@ pub(crate) fn exec_linear<const OBSERVE: bool>(
             op2,
         } => {
             if !fpu_enabled {
-                return Err(Trap::FpDisabled { pc }.into());
+                return Err(Trap::FpDisabled { pc });
             }
             let addr = cpu.get(rs1).wrapping_add(operand_value(cpu, op2));
-            if OBSERVE {
-                info.mem_addr = Some(addr);
-            }
+            info.mem_addr = Some(addr);
             let map = |e| fault_to_trap(pc, e);
             if double {
                 if !rd.is_even() {
-                    return Err(Trap::OddFpPair { pc }.into());
+                    return Err(Trap::OddFpPair { pc });
                 }
                 let v = bus.load64(addr).map_err(map)?;
                 cpu.fset(rd, (v >> 32) as u32);
                 cpu.fset(nfp_sparc::FReg::new(rd.num() + 1), v as u32);
-                if OBSERVE {
-                    info.result_ones = v.count_ones();
-                }
+                info.result_ones = v.count_ones();
             } else {
                 let v = bus.load32(addr).map_err(map)?;
                 cpu.fset(rd, v);
-                if OBSERVE {
-                    info.result_ones = v.count_ones();
-                }
+                info.result_ones = v.count_ones();
             }
         }
         Instr::StoreF {
@@ -514,47 +469,41 @@ pub(crate) fn exec_linear<const OBSERVE: bool>(
             op2,
         } => {
             if !fpu_enabled {
-                return Err(Trap::FpDisabled { pc }.into());
+                return Err(Trap::FpDisabled { pc });
             }
             let addr = cpu.get(rs1).wrapping_add(operand_value(cpu, op2));
-            if OBSERVE {
-                info.mem_addr = Some(addr);
-            }
+            info.mem_addr = Some(addr);
             let map = |e| fault_to_trap(pc, e);
             if double {
                 if !rd.is_even() {
-                    return Err(Trap::OddFpPair { pc }.into());
+                    return Err(Trap::OddFpPair { pc });
                 }
                 let hi = cpu.fget(rd) as u64;
                 let lo = cpu.fget(nfp_sparc::FReg::new(rd.num() + 1)) as u64;
                 let v = (hi << 32) | lo;
                 bus.store64(addr, v).map_err(map)?;
-                if OBSERVE {
-                    info.result_ones = v.count_ones();
-                }
+                info.result_ones = v.count_ones();
             } else {
                 let v = cpu.fget(rd);
                 bus.store32(addr, v).map_err(map)?;
-                if OBSERVE {
-                    info.result_ones = v.count_ones();
-                }
+                info.result_ones = v.count_ones();
             }
         }
         Instr::FpOp { op, rd, rs1, rs2 } => {
             if !fpu_enabled {
-                return Err(Trap::FpDisabled { pc }.into());
+                return Err(Trap::FpDisabled { pc });
             }
-            exec_fpop::<OBSERVE>(cpu, op, rd, rs1, rs2, pc, info)?;
+            exec_fpop(cpu, op, rd, rs1, rs2, pc, info)?;
         }
         Instr::FCmp {
             double, rs1, rs2, ..
         } => {
             if !fpu_enabled {
-                return Err(Trap::FpDisabled { pc }.into());
+                return Err(Trap::FpDisabled { pc });
             }
             let rel = if double {
                 if !rs1.is_even() || !rs2.is_even() {
-                    return Err(Trap::OddFpPair { pc }.into());
+                    return Err(Trap::OddFpPair { pc });
                 }
                 compare(cpu.fget_d(rs1), cpu.fget_d(rs2))
             } else {
@@ -563,21 +512,24 @@ pub(crate) fn exec_linear<const OBSERVE: bool>(
             cpu.fcc = rel;
         }
         Instr::Unimp { const22 } => {
-            return Err(Trap::Illegal { pc, word: const22 }.into());
+            return Err(Trap::Illegal { pc, word: const22 });
         }
         Instr::Illegal { word } => {
-            return Err(Trap::Illegal { pc, word }.into());
+            return Err(Trap::Illegal { pc, word });
         }
-        // CTIs and `t<cond>` belong to `step`; reaching here with one
-        // means the block-structure tables disagree with the
-        // instruction stream. Surface it as a typed error — the
-        // machine layer reports it as `SimError::DispatchViolation`.
+        // `step` executes CTIs and `t<cond>` itself and never passes
+        // them here; should one arrive, it traps as illegal rather than
+        // panicking (mirrors the `BusFault::ImageOverlap` mapping
+        // above).
         Instr::Branch { .. }
         | Instr::FBranch { .. }
         | Instr::Call { .. }
         | Instr::Jmpl { .. }
         | Instr::Ticc { .. } => {
-            return Err(ExecError::NotLinear { pc });
+            return Err(Trap::Illegal {
+                pc,
+                word: nfp_sparc::encode(*instr),
+            });
         }
     }
     Ok(())
@@ -723,7 +675,7 @@ fn f64_to_i32(v: f64) -> i32 {
 }
 
 #[inline]
-pub(crate) fn exec_fpop<const OBSERVE: bool>(
+fn exec_fpop(
     cpu: &mut Cpu,
     op: FpOp,
     rd: nfp_sparc::FReg,
@@ -746,18 +698,14 @@ pub(crate) fn exec_fpop<const OBSERVE: bool>(
         FAbsS => cpu.fset(rd, cpu.fget(rs2) & 0x7fff_ffff),
         FSqrtS => {
             let v = cpu.fget_s(rs2);
-            if OBSERVE {
-                info.fpu_rs2_bits = Some(v.to_bits() as u64);
-            }
+            info.fpu_rs2_bits = Some(v.to_bits() as u64);
             cpu.fset_s(rd, v.sqrt());
         }
         FSqrtD => {
             need_even(rs2)?;
             need_even(rd)?;
             let v = cpu.fget_d(rs2);
-            if OBSERVE {
-                info.fpu_rs2_bits = Some(v.to_bits());
-            }
+            info.fpu_rs2_bits = Some(v.to_bits());
             cpu.fset_d(rd, v.sqrt());
         }
         FAddS => cpu.fset_s(rd, cpu.fget_s(rs1) + cpu.fget_s(rs2)),
@@ -765,9 +713,7 @@ pub(crate) fn exec_fpop<const OBSERVE: bool>(
         FMulS => cpu.fset_s(rd, cpu.fget_s(rs1) * cpu.fget_s(rs2)),
         FDivS => {
             let b = cpu.fget_s(rs2);
-            if OBSERVE {
-                info.fpu_rs2_bits = Some(b.to_bits() as u64);
-            }
+            info.fpu_rs2_bits = Some(b.to_bits() as u64);
             cpu.fset_s(rd, cpu.fget_s(rs1) / b);
         }
         FAddD => {
@@ -793,9 +739,7 @@ pub(crate) fn exec_fpop<const OBSERVE: bool>(
             need_even(rs2)?;
             need_even(rd)?;
             let b = cpu.fget_d(rs2);
-            if OBSERVE {
-                info.fpu_rs2_bits = Some(b.to_bits());
-            }
+            info.fpu_rs2_bits = Some(b.to_bits());
             cpu.fset_d(rd, cpu.fget_d(rs1) / b);
         }
         FsMulD => {

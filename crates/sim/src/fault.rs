@@ -14,8 +14,9 @@
 //! patch the predecoded image and return an [`Undo`] that must be
 //! applied before the machine is reused. Code flips and undos route
 //! through [`Machine::patch_code_word`], which also invalidates the
-//! block-batched accounting cache, so campaigns run safely in block
-//! mode: the next run re-segments the (possibly corrupted) image.
+//! block cache, dispatch table and traces, so campaigns run safely
+//! under traced dispatch: the next run re-segments the (possibly
+//! corrupted) image.
 
 use crate::machine::{Machine, SimError};
 use nfp_sparc::cond::FccValue;
@@ -533,7 +534,7 @@ mod tests {
         // Both the flip and its undo go through `patch_code_word`,
         // which must drop the block cache: a stale per-block category
         // summary would silently miscount every instruction of the
-        // patched block under block-batched accounting.
+        // patched block under one-commit-per-block accounting.
         let mut a = Assembler::new(RAM_BASE);
         a.mov(6, Reg::l(0));
         a.label("loop");

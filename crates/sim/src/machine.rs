@@ -9,7 +9,7 @@
 use crate::blocks::BlockCache;
 use crate::bus::{Bus, BusFault, RamSnapshot, RAM_BASE};
 use crate::cpu::Cpu;
-use crate::exec::{exec_linear, step, ExecError, ExecInfo, NullObserver, Observer, StepOut, Trap};
+use crate::exec::{step, ExecError, NullObserver, Observer, StepOut, Trap};
 use crate::threaded::{build_trace, run_tops, ThreadedCache, TraceCache, TraceHalt, TraceSlot};
 use nfp_sparc::{decode, Category, CategoryCounts, Instr};
 use std::time::{Duration, Instant};
@@ -38,48 +38,36 @@ pub enum TrapPolicy {
     Recover,
 }
 
-/// How the run loop executes instructions. Every mode is bit-identical
-/// to [`Dispatch::Step`] (the architectural reference, enforced by the
-/// differential suites); they differ only in speed. Observed runs
-/// ([`Machine::run_observed`]) always step regardless of this setting,
-/// because an [`Observer`] needs every [`ExecInfo`].
+/// How the run loop executes instructions. Both modes are
+/// bit-identical (enforced by the differential suites); they differ
+/// only in speed. Observed runs ([`Machine::run_observed`]) always
+/// step regardless of this setting, because an [`Observer`] needs
+/// every [`ExecInfo`](crate::ExecInfo).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Dispatch {
     /// Architectural reference: fetch, match, and account one
     /// instruction at a time.
     Step,
-    /// Block-batched accounting (DESIGN.md §8): straight-line runs
-    /// execute through `exec_linear` with one counter/pc commit per
-    /// block.
-    Block,
-    /// Threaded-code dispatch: straight-line runs execute through the
-    /// predecoded function-pointer table — one indirect call per
-    /// instruction, zero decode or match (DESIGN.md §13).
-    Threaded,
-    /// Threaded dispatch plus superblock traces: basic blocks chained
-    /// across statically-predicted branches and delay slots, so hot
-    /// loop iterations retire without returning to the dispatcher;
-    /// side-exit guards fall back to the step path (DESIGN.md §13).
+    /// Superblock traces over the threaded dispatch table: basic
+    /// blocks chained across statically-predicted branches and delay
+    /// slots, so hot loop iterations retire without returning to the
+    /// dispatcher. Straight-line runs outside a trace go through the
+    /// table one indirect call per instruction; side-exit guards and
+    /// block-ending instructions fall back to the step path
+    /// (DESIGN.md §13).
     #[default]
     Traced,
 }
 
 impl Dispatch {
-    /// All modes, in reference-first order (differential suites sweep
+    /// Both modes, in reference-first order (differential suites sweep
     /// this).
-    pub const ALL: [Dispatch; 4] = [
-        Dispatch::Step,
-        Dispatch::Block,
-        Dispatch::Threaded,
-        Dispatch::Traced,
-    ];
+    pub const ALL: [Dispatch; 2] = [Dispatch::Step, Dispatch::Traced];
 
-    /// Stable lowercase name (CLI flags, journal headers).
+    /// Stable lowercase name (the `--dispatch` flag).
     pub fn as_str(self) -> &'static str {
         match self {
             Dispatch::Step => "step",
-            Dispatch::Block => "block",
-            Dispatch::Threaded => "threaded",
             Dispatch::Traced => "traced",
         }
     }
@@ -108,12 +96,12 @@ pub struct MachineConfig {
     pub count_categories: bool,
     /// Trap handling policy (see [`TrapPolicy`]).
     pub trap_policy: TrapPolicy,
-    /// Execution strategy for unobserved runs (see [`Dispatch`]). All
-    /// modes are bit-identical; the step path remains the reference
-    /// and is used automatically whenever an [`Observer`] is attached,
-    /// at block-ending instructions, in delay slots, outside the
-    /// loaded image, and to re-present instructions after a mid-block
-    /// trap.
+    /// Execution strategy for unobserved runs (see [`Dispatch`]). Both
+    /// modes are bit-identical, so this is a local speed choice that no
+    /// result depends on; the step path remains the reference and is
+    /// used automatically whenever an [`Observer`] is attached, at
+    /// block-ending instructions, in delay slots, outside the loaded
+    /// image, and to re-present instructions after a mid-block trap.
     pub dispatch: Dispatch,
 }
 
@@ -304,21 +292,37 @@ pub struct Machine {
     config: MachineConfig,
     code_base: u32,
     code: Vec<(Instr, Category)>,
-    /// Block summaries over `code`; `None` when stale (image loaded or
-    /// patched since the last build) — rebuilt lazily by the next
-    /// batched run.
-    blocks: Option<BlockCache>,
-    /// Threaded dispatch table over `code`; invalidated exactly like
-    /// `blocks` (pure function of the predecoded image), rebuilt
-    /// lazily by the next threaded/traced run.
-    threaded: Option<ThreadedCache>,
-    /// Superblock traces keyed by block-leader index; invalidated
-    /// exactly like `blocks`, rebuilt lazily per trace head.
-    traces: Option<TraceCache>,
+    /// Traced dispatch's structures over `code`; `None` when stale
+    /// (image loaded or patched since the last build) — rebuilt lazily
+    /// by the next traced run.
+    fast: Option<FastPath>,
     counts: CategoryCounts,
     instret: u64,
     trap_stats: TrapStats,
     dispatch_stats: DispatchStats,
+}
+
+/// Everything traced dispatch derives from the predecoded image, so
+/// all of it goes stale together.
+struct FastPath {
+    /// Block summaries: the traces' segmentation, and the straight-line
+    /// fallback's run ends and counts.
+    blocks: BlockCache,
+    /// Threaded dispatch table, one op per image instruction.
+    table: ThreadedCache,
+    /// Superblock traces keyed by block-leader index, built lazily per
+    /// trace head.
+    traces: TraceCache,
+}
+
+impl FastPath {
+    fn build(code: &[(Instr, Category)], base: u32, fpu: bool) -> Self {
+        FastPath {
+            blocks: BlockCache::build(code),
+            table: ThreadedCache::build(code, base, fpu),
+            traces: TraceCache::new(code, base),
+        }
+    }
 }
 
 /// How many instructions each dispatch path retired (diagnostics for
@@ -328,7 +332,9 @@ pub struct Machine {
 pub struct DispatchStats {
     /// Retired inside superblock traces.
     pub traced: u64,
-    /// Retired in straight-line batches (threaded or linear).
+    /// Retired in straight-line runs through the threaded dispatch
+    /// table outside any trace (a block with no trace, or one whose
+    /// trace does not fit the remaining budget).
     pub batched: u64,
     /// Retired on the per-instruction step path.
     pub stepped: u64,
@@ -343,9 +349,7 @@ impl Machine {
             config,
             code_base: RAM_BASE,
             code: Vec::new(),
-            blocks: None,
-            threaded: None,
-            traces: None,
+            fast: None,
             counts: CategoryCounts::new(),
             instret: 0,
             trap_stats: TrapStats::default(),
@@ -410,9 +414,7 @@ impl Machine {
                 (i, c)
             })
             .collect();
-        self.blocks = None;
-        self.threaded = None;
-        self.traces = None;
+        self.fast = None;
         self.cpu.pc = base;
         self.cpu.npc = base.wrapping_add(4);
         // Stack: top of RAM minus a red zone, 8-byte aligned.
@@ -473,13 +475,11 @@ impl Machine {
         self.code[index] = (i, i.category());
         // The patched word may create or remove a block boundary, so
         // every cached block summary, dispatch-table entry, and trace
-        // crossing it is stale; drop all three derived caches and let
-        // the next batched run rebuild them. This is the invalidation
+        // crossing it is stale; drop them all and let the next traced
+        // run rebuild them. This is the invalidation
         // that keeps fault-injection code flips bit-identical across
         // dispatch modes.
-        self.blocks = None;
-        self.threaded = None;
-        self.traces = None;
+        self.fast = None;
         Ok(old)
     }
 
@@ -513,9 +513,7 @@ impl Machine {
             });
         }
         self.code[index] = entry;
-        self.blocks = None;
-        self.threaded = None;
-        self.traces = None;
+        self.fast = None;
         Ok(())
     }
 
@@ -601,8 +599,9 @@ impl Machine {
     }
 
     /// Runs with a per-instruction [`Observer`] (the detailed hardware
-    /// model attaches here). An observer needs every [`ExecInfo`], so
-    /// this path always steps instruction by instruction, regardless of
+    /// model attaches here). An observer needs every
+    /// [`ExecInfo`](crate::ExecInfo), so this path always steps
+    /// instruction by instruction, regardless of
     /// [`MachineConfig::dispatch`].
     pub fn run_observed<O: Observer>(
         &mut self,
@@ -630,7 +629,7 @@ impl Machine {
     /// Replays execution until the dynamic instruction count reaches
     /// `target`. Used by fault campaigns to position the machine at an
     /// injection point; the program halting first is an error
-    /// ([`SimError::HaltedEarly`]). Block batching clamps its batches
+    /// ([`SimError::HaltedEarly`]). Traced dispatch clamps its batches
     /// to the remaining budget, so the machine stops at *exactly*
     /// `target` retired instructions — a fault plan aimed at an
     /// instant inside a block still injects at the precise instruction.
@@ -665,23 +664,13 @@ impl Machine {
         let fpu = self.config.fpu_enabled;
         let recover = self.config.trap_policy == TrapPolicy::Recover;
         let limit = self.instret.saturating_add(max_instrs);
-        let batched = dispatch != Dispatch::Step;
-        let threaded = matches!(dispatch, Dispatch::Threaded | Dispatch::Traced);
-        if batched && self.blocks.is_none() && !self.code.is_empty() {
-            self.blocks = Some(BlockCache::build(&self.code));
-        }
-        if threaded && self.threaded.is_none() && !self.code.is_empty() {
-            self.threaded = Some(ThreadedCache::build(&self.code, self.code_base, fpu));
-        }
-        if dispatch == Dispatch::Traced && self.traces.is_none() && !self.code.is_empty() {
-            self.traces = Some(TraceCache::new(&self.code, self.code_base));
+        let traced = dispatch == Dispatch::Traced;
+        if traced && self.fast.is_none() && !self.code.is_empty() {
+            self.fast = Some(FastPath::build(&self.code, self.code_base, fpu));
         }
         // Next instret at which an armed wall-clock deadline is
         // consulted (batches can jump past exact interval multiples).
         let mut wall_check_at = self.instret;
-        // Scratch record for the batched path; exec_linear fills it and
-        // nobody reads it (no observer is attached when batching).
-        let mut scratch = ExecInfo::new(0, Instr::NOP, Category::Nop);
         loop {
             if self.instret >= limit {
                 return Err(if watchdog {
@@ -702,7 +691,7 @@ impl Machine {
                     wall_check_at = self.instret + WALL_CHECK_INTERVAL;
                 }
             }
-            if batched {
+            if traced {
                 let pc = self.cpu.pc;
                 let idx = pc.wrapping_sub(self.code_base) as usize / 4;
                 // Batch only from a sequential state (npc = pc + 4)
@@ -713,94 +702,70 @@ impl Machine {
                     && idx < self.code.len()
                     && self.cpu.npc == pc.wrapping_add(4)
                 {
-                    // Traced mode: try a superblock first. Traces are
-                    // built lazily at block-leader indices; a trace is
-                    // only entered when it fits whole in the remaining
-                    // budget, so run_until() exactness is unaffected.
-                    if dispatch == Dispatch::Traced {
-                        let traces = self.traces.as_mut().expect("built above");
-                        if traces.is_head(idx) {
-                            if traces.is_untried(idx) {
-                                let slot = build_trace(
-                                    &self.code,
-                                    self.code_base,
-                                    self.blocks.as_ref().expect("built above"),
-                                    self.threaded.as_ref().expect("built above").ops(),
-                                    fpu,
-                                    idx,
-                                );
-                                traces.set(idx, slot);
-                            }
-                            if let TraceSlot::Present(trace) = traces.slot(idx) {
-                                if (trace.len() as u64) <= limit - self.instret {
-                                    let halt = trace.run(&mut self.cpu, &mut self.bus);
-                                    // (retired ops, pc/npc to set, error)
-                                    let (retired, state, err) = match halt {
-                                        TraceHalt::Completed => {
-                                            let e = trace.end_pc();
-                                            (trace.len(), Some((e, e.wrapping_add(4))), None)
-                                        }
-                                        // The guard wrote the side-exit
-                                        // pc/npc itself.
-                                        TraceHalt::Exited { retired } => (retired, None, None),
-                                        TraceHalt::Trapped { at, err } => {
-                                            (at, Some(trace.meta(at)), Some(err))
-                                        }
-                                    };
-                                    let delta = trace.counts_upto(retired);
-                                    self.instret += retired as u64;
-                                    self.dispatch_stats.traced += retired as u64;
-                                    if counting {
-                                        self.counts = self.counts.merged(&delta);
+                    // Try a superblock first. Traces are built lazily
+                    // at block-leader indices; a trace is only entered
+                    // when it fits whole in the remaining budget, so
+                    // run_until() exactness is unaffected.
+                    let fast = self.fast.as_mut().expect("built above");
+                    if fast.traces.is_head(idx) {
+                        if fast.traces.is_untried(idx) {
+                            let slot = build_trace(
+                                &self.code,
+                                self.code_base,
+                                &fast.blocks,
+                                fast.table.ops(),
+                                fpu,
+                                idx,
+                            );
+                            fast.traces.set(idx, slot);
+                        }
+                        if let TraceSlot::Present(trace) = fast.traces.slot(idx) {
+                            if (trace.len() as u64) <= limit - self.instret {
+                                let halt = trace.run(&mut self.cpu, &mut self.bus);
+                                // (retired ops, pc/npc to set, error)
+                                let (retired, state, err) = match halt {
+                                    TraceHalt::Completed => {
+                                        let e = trace.end_pc();
+                                        (trace.len(), Some((e, e.wrapping_add(4))), None)
                                     }
-                                    if let Some((p, n)) = state {
-                                        self.cpu.pc = p;
-                                        self.cpu.npc = n;
+                                    // The guard wrote the side-exit
+                                    // pc/npc itself.
+                                    TraceHalt::Exited { retired } => (retired, None, None),
+                                    TraceHalt::Trapped { at, err } => {
+                                        (at, Some(trace.meta(at)), Some(err))
                                     }
-                                    if let Some(e) = err {
-                                        self.settle(e, recover)?;
-                                    }
-                                    continue;
+                                };
+                                let delta = trace.counts_upto(retired);
+                                self.instret += retired as u64;
+                                self.dispatch_stats.traced += retired as u64;
+                                if counting {
+                                    self.counts = self.counts.merged(&delta);
                                 }
+                                if let Some((p, n)) = state {
+                                    self.cpu.pc = p;
+                                    self.cpu.npc = n;
+                                }
+                                if let Some(e) = err {
+                                    self.settle(e, recover)?;
+                                }
+                                continue;
                             }
                         }
                     }
-                    let run_end = self.blocks.as_ref().expect("built above").run_end(idx);
+                    let run_end = fast.blocks.run_end(idx);
                     // Clamp to the budget so run_until() still stops at
                     // an exact instruction count mid-block.
                     let take = ((run_end - idx) as u64).min(limit - self.instret) as usize;
                     let end = idx + take;
                     if end > idx {
-                        let mut j = idx;
-                        let mut pending: Option<ExecError> = None;
-                        if threaded {
-                            // Threaded dispatch: one predecoded op per
-                            // instruction, zero decode or re-match —
-                            // hot kinds inlined at the dispatch site,
-                            // the tail through the table's fn pointer.
-                            let tops = self.threaded.as_ref().expect("built above").ops();
-                            let (done, err) =
-                                run_tops(&tops[idx..end], &mut self.cpu, &mut self.bus);
-                            j += done;
-                            pending = err;
-                        } else {
-                            let mut ipc = pc;
-                            for (instr, _) in &self.code[idx..end] {
-                                if let Err(e) = exec_linear::<false>(
-                                    &mut self.cpu,
-                                    &mut self.bus,
-                                    instr,
-                                    fpu,
-                                    ipc,
-                                    &mut scratch,
-                                ) {
-                                    pending = Some(e);
-                                    break;
-                                }
-                                j += 1;
-                                ipc = ipc.wrapping_add(4);
-                            }
-                        }
+                        // Straight-line run through the dispatch table:
+                        // one predecoded op per instruction, zero
+                        // decode or re-match — hot kinds inlined at the
+                        // dispatch site, the tail through the table's
+                        // fn pointer.
+                        let (done, pending) =
+                            run_tops(&fast.table.ops()[idx..end], &mut self.cpu, &mut self.bus);
+                        let j = idx + done;
                         // Commit the completed prefix [idx, j) in one
                         // batch: linear execution leaves pc/npc
                         // untouched, so on a trap the machine state is
@@ -811,11 +776,7 @@ impl Machine {
                             self.instret += (j - idx) as u64;
                             self.dispatch_stats.batched += (j - idx) as u64;
                             if counting {
-                                let delta = self
-                                    .blocks
-                                    .as_ref()
-                                    .expect("built above")
-                                    .range_counts(idx, j);
+                                let delta = fast.blocks.range_counts(idx, j);
                                 self.counts = self.counts.merged(&delta);
                             }
                             self.cpu.pc = self.code_base.wrapping_add((j as u32) * 4);
@@ -895,24 +856,21 @@ impl Machine {
     /// simulating a fault-flipped or inconsistent dispatch table.
     /// Returns `false` (and does nothing) if the index is out of range
     /// or names a block-ending instruction (whose entry is *expected*
-    /// to be non-linear). The trace cache is dropped so traces rebuild
-    /// from the corrupted table — a corrupted entry mid-superblock
-    /// must surface identically. The corruption lasts until the next
-    /// image load or code patch rebuilds the caches.
+    /// to be non-linear). The traces are reset so they rebuild from
+    /// the corrupted table — a corrupted entry mid-superblock must
+    /// surface identically. The corruption lasts until the next image
+    /// load or code patch rebuilds the caches.
     #[doc(hidden)]
     pub fn test_corrupt_dispatch(&mut self, index: usize) -> bool {
         if index >= self.code.len() || self.code[index].0.ends_block() {
             return false;
         }
-        if self.threaded.is_none() {
-            self.threaded = Some(ThreadedCache::build(
-                &self.code,
-                self.code_base,
-                self.config.fpu_enabled,
-            ));
-        }
-        self.threaded.as_mut().expect("built above").corrupt(index);
-        self.traces = None;
+        let fpu = self.config.fpu_enabled;
+        let fast = self
+            .fast
+            .get_or_insert_with(|| FastPath::build(&self.code, self.code_base, fpu));
+        fast.table.corrupt(index);
+        fast.traces = TraceCache::new(&self.code, self.code_base);
         true
     }
 
@@ -1336,11 +1294,11 @@ mod tests {
         assert_eq!(r.exit_code, 9);
     }
 
-    /// Runs `words` once per dispatch mode — step, block, threaded,
-    /// traced — under the same policy and budget, and asserts every
-    /// observable agrees with the stepping reference: the run/error
-    /// result, retired-instruction count, category counters, full CPU
-    /// state, and RAM contents.
+    /// Runs `words` once per dispatch mode under the same policy and
+    /// budget, and asserts every observable of the traced run agrees
+    /// with the stepping reference: the run/error result,
+    /// retired-instruction count, category counters, full CPU state,
+    /// and RAM contents.
     fn assert_modes_agree(words: &[u32], policy: TrapPolicy, budget: u64) {
         let observe = |dispatch: Dispatch| {
             let mut m = Machine::boot(words);
@@ -1356,14 +1314,12 @@ mod tests {
             )
         };
         let stepped = observe(Dispatch::Step);
-        for d in [Dispatch::Block, Dispatch::Threaded, Dispatch::Traced] {
-            let fast = observe(d);
-            assert_eq!(stepped.0, fast.0, "{d}: run result diverged");
-            assert_eq!(stepped.1, fast.1, "{d}: instret diverged");
-            assert_eq!(stepped.2, fast.2, "{d}: category counts diverged");
-            assert_eq!(stepped.3, fast.3, "{d}: CPU state diverged");
-            assert_eq!(stepped.4, fast.4, "{d}: RAM contents diverged");
-        }
+        let fast = observe(Dispatch::Traced);
+        assert_eq!(stepped.0, fast.0, "run result diverged");
+        assert_eq!(stepped.1, fast.1, "instret diverged");
+        assert_eq!(stepped.2, fast.2, "category counts diverged");
+        assert_eq!(stepped.3, fast.3, "CPU state diverged");
+        assert_eq!(stepped.4, fast.4, "RAM contents diverged");
     }
 
     fn memory_loop_program() -> Vec<u32> {
@@ -1490,10 +1446,11 @@ mod tests {
             let res = m.run(10_000).unwrap();
             (res.instret, res.counts, res.words)
         };
-        let stepped = observe(Dispatch::Step);
-        for d in [Dispatch::Block, Dispatch::Threaded, Dispatch::Traced] {
-            assert_eq!(observe(d), stepped, "{d}: patched run diverged");
-        }
+        assert_eq!(
+            observe(Dispatch::Traced),
+            observe(Dispatch::Step),
+            "patched run diverged"
+        );
     }
 
     #[test]
@@ -1508,18 +1465,23 @@ mod tests {
     #[test]
     fn corrupted_dispatch_entry_is_a_typed_error() {
         let words = memory_loop_program();
-        for d in [Dispatch::Threaded, Dispatch::Traced] {
+        // Word 5 is the console `st` in the loop body — a linear
+        // instruction whose corrupted entry claims otherwise. A large
+        // budget enters the 14-op trace at head 0 and meets the entry
+        // inside it; a budget of 6 is too short for that trace, so the
+        // straight-line fallback (`run_tops`) retires words 0..5 and
+        // meets the entry there.
+        for (budget, path, retired) in [(10_000, "trace", (5, 0)), (6, "run_tops", (0, 5))] {
             let mut m = Machine::boot(&words);
-            m.set_dispatch(d);
-            // Word 5 is the console `st` in the loop body — a linear
-            // instruction whose corrupted entry claims otherwise.
             assert!(m.test_corrupt_dispatch(5));
-            match m.run(10_000) {
+            match m.run(budget) {
                 Err(SimError::DispatchViolation { pc }) => {
-                    assert_eq!(pc, RAM_BASE + 5 * 4, "{d}");
+                    assert_eq!(pc, RAM_BASE + 5 * 4, "{path}");
                 }
-                other => panic!("{d}: expected DispatchViolation, got {other:?}"),
+                other => panic!("{path}: expected DispatchViolation, got {other:?}"),
             }
+            let stats = m.dispatch_stats();
+            assert_eq!((stats.traced, stats.batched), retired, "{path}");
         }
     }
 

@@ -5,10 +5,10 @@
 //! Attaching any [`Observer`] (via
 //! [`Machine::run_observed`](crate::Machine::run_observed)) forces the
 //! run loop onto the per-instruction step path regardless of
-//! [`MachineConfig::dispatch`](crate::MachineConfig::dispatch): the
-//! batched dispatch modes skip the per-instruction [`ExecInfo`]
-//! plumbing these observers depend on, so observed runs trade speed
-//! for a complete event stream.
+//! [`MachineConfig::dispatch`](crate::MachineConfig::dispatch): traced
+//! dispatch skips the per-instruction [`ExecInfo`] plumbing these
+//! observers depend on, so observed runs trade speed for a complete
+//! event stream.
 
 use crate::exec::{ExecInfo, Observer};
 use nfp_sparc::disasm;

@@ -1,16 +1,15 @@
 //! Threaded-code dispatch and superblock traces — the zero-decode hot
-//! path behind [`Dispatch::Threaded`](crate::Dispatch::Threaded) and
-//! [`Dispatch::Traced`](crate::Dispatch::Traced).
+//! path behind [`Dispatch::Traced`](crate::Dispatch::Traced).
 //!
-//! Block-batched accounting (DESIGN.md §8) removed the per-instruction
-//! counter commit, but `exec_linear` still re-matches the instruction
-//! enum on every retirement. This module predecodes each image
-//! instruction into a `(fn pointer, DecodedOp)` pair — the classic
-//! threaded-code idiom — so the hot loop is one indirect call per
-//! instruction with zero decode or match: all operand shapes
-//! (immediate vs register, load width, signedness, ALU opcode) are
-//! burned into the function pointer via const generics at predecode
-//! time.
+//! The step path re-matches the instruction enum on every retirement.
+//! This module predecodes each image instruction into a
+//! `(fn pointer, DecodedOp)` pair — the classic threaded-code idiom —
+//! so the hot loop is one indirect call per instruction with zero
+//! decode or match: all operand shapes (immediate vs register, load
+//! width, signedness, ALU opcode) are burned into the function pointer
+//! via const generics at predecode time. Straight-line runs outside a
+//! trace ([`run_tops`]) take one commit per block, with counts from the
+//! block cache's prefix sums (DESIGN.md §8).
 //!
 //! On top of the flat dispatch table, [`TraceCache`] forms
 //! **superblocks**: instruction traces that chain basic blocks across
@@ -210,7 +209,8 @@ fn op2_val<const IMM: bool>(cpu: &Cpu, op: &DecodedOp) -> u32 {
 }
 
 // ---------------------------------------------------------------------------
-// Linear exec functions (mirrors of `exec_linear`'s arms, OBSERVE = false)
+// Linear exec functions (mirrors of `exec_linear`'s arms, minus the
+// observer record)
 // ---------------------------------------------------------------------------
 
 fn exec_nop(_cpu: &mut Cpu, _bus: &mut Bus, _op: &DecodedOp) -> Result<Flow, ExecError> {
@@ -1370,7 +1370,7 @@ pub(crate) enum TraceSlot {
     /// Not yet attempted.
     Untried,
     /// Attempted, but no chaining opportunity was found (single block);
-    /// the plain threaded-block path is already optimal there.
+    /// the straight-line [`run_tops`] path is already optimal there.
     Absent,
     /// A formed superblock.
     Present(Box<Trace>),

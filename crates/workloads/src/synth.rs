@@ -223,7 +223,7 @@ pub enum ProgramShape {
 
 /// Generates a deterministic pseudo-random SPARC V8 program of roughly
 /// `body` instructions for differential testing of simulator execution
-/// modes (stepped vs block-batched accounting must agree bit-exactly
+/// modes (stepped vs traced dispatch must agree bit-exactly
 /// on any program, so the generator favours coverage over sense:
 /// integer ALU traffic with and without condition codes, aligned
 /// loads/stores of every size — including doubleword pairs — to a

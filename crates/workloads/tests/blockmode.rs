@@ -1,9 +1,9 @@
 //! Differential validation of batched NFP accounting: on real
-//! workload kernels and on randomly generated SPARC programs, every
-//! accelerated dispatch mode — block batching, threaded code, and
-//! superblock traces — must be bit-identical to per-instruction
-//! stepping: category counters, dynamic instruction count, exit
-//! status, CPU registers, and RAM contents.
+//! workload kernels and on randomly generated SPARC programs, traced
+//! dispatch — superblock traces over the threaded dispatch table, with
+//! its straight-line fallback — must be bit-identical to
+//! per-instruction stepping: category counters, dynamic instruction
+//! count, exit status, CPU registers, and RAM contents.
 
 use nfp_cc::FloatMode;
 use nfp_sim::fault::{inject, plan, undo, FaultSpace};
@@ -34,43 +34,25 @@ fn observe(
 }
 
 fn assert_kernel_modes_agree(kernel: &nfp_workloads::Kernel, mode: FloatMode) {
-    let stepped = observe(
-        machine_for(kernel, mode).expect("machine"),
-        Dispatch::Step,
-        KERNEL_BUDGET,
-    );
-    for dispatch in [Dispatch::Block, Dispatch::Threaded, Dispatch::Traced] {
-        let batched = observe(
+    let [stepped, traced] = Dispatch::ALL.map(|dispatch| {
+        observe(
             machine_for(kernel, mode).expect("machine"),
             dispatch,
             KERNEL_BUDGET,
-        );
-        assert_eq!(
-            stepped.0, batched.0,
-            "{} [{mode:?}] {dispatch}: run result diverged",
-            kernel.name
-        );
-        assert_eq!(
-            stepped.1, batched.1,
-            "{} [{mode:?}] {dispatch}: instret diverged",
-            kernel.name
-        );
-        assert_eq!(
-            stepped.2, batched.2,
-            "{} [{mode:?}] {dispatch}: category counts diverged",
-            kernel.name
-        );
-        assert_eq!(
-            stepped.3, batched.3,
-            "{} [{mode:?}] {dispatch}: CPU state diverged",
-            kernel.name
-        );
-        assert_eq!(
-            stepped.4, batched.4,
-            "{} [{mode:?}] {dispatch}: RAM diverged",
-            kernel.name
-        );
-    }
+        )
+    });
+    let name = &kernel.name;
+    assert_eq!(
+        stepped.0, traced.0,
+        "{name} [{mode:?}]: run result diverged"
+    );
+    assert_eq!(stepped.1, traced.1, "{name} [{mode:?}]: instret diverged");
+    assert_eq!(
+        stepped.2, traced.2,
+        "{name} [{mode:?}]: category counts diverged"
+    );
+    assert_eq!(stepped.3, traced.3, "{name} [{mode:?}]: CPU state diverged");
+    assert_eq!(stepped.4, traced.4, "{name} [{mode:?}]: RAM diverged");
 }
 
 #[test]
@@ -93,17 +75,15 @@ fn boot_synthetic(words: &[u32], policy: TrapPolicy) -> Machine {
     m
 }
 
-/// Asserts all accelerated modes match stepping on `words`.
+/// Asserts traced dispatch matches stepping on `words`.
 fn assert_synthetic_agrees(
     words: &[u32],
     policy: TrapPolicy,
     budget: u64,
 ) -> Result<(), TestCaseError> {
     let stepped = observe(boot_synthetic(words, policy), Dispatch::Step, budget);
-    for dispatch in [Dispatch::Block, Dispatch::Threaded, Dispatch::Traced] {
-        let batched = observe(boot_synthetic(words, policy), dispatch, budget);
-        prop_assert_eq!(&stepped, &batched, "{} diverged from step", dispatch);
-    }
+    let traced = observe(boot_synthetic(words, policy), Dispatch::Traced, budget);
+    prop_assert_eq!(stepped, traced, "traced diverged from step");
     Ok(())
 }
 
@@ -111,8 +91,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// Random straight-line programs: every instruction is batchable,
-    /// so this pins the pure block/threaded accounting paths
-    /// (including the doubleword memory traffic the generator emits).
+    /// so this pins the straight-line fallback's accounting (including
+    /// the doubleword memory traffic the generator emits).
     #[test]
     fn straight_line_programs_agree(body in 4usize..120, seed in 0u64..10_000) {
         let words = random_program(body, seed, ProgramShape::StraightLine).expect("program");
@@ -184,10 +164,7 @@ proptest! {
                 format!("{:?}", m.bus.snapshot_ram()),
             )
         };
-        let stepped = observe_faulted(Dispatch::Step);
-        for dispatch in [Dispatch::Block, Dispatch::Threaded, Dispatch::Traced] {
-            prop_assert_eq!(&stepped, &observe_faulted(dispatch), "{} diverged", dispatch);
-        }
+        prop_assert_eq!(observe_faulted(Dispatch::Step), observe_faulted(Dispatch::Traced));
     }
 }
 
