@@ -9,7 +9,7 @@
 //! resembles real code rather than a homogeneous loop.
 
 use crate::calibration::Calibration;
-use crate::model::{ClassCounter, Paper};
+use crate::model::{count_classes, Paper};
 use nfp_sim::{Machine, MachineConfig, SimError};
 use nfp_sparc::asm::Assembler;
 use nfp_sparc::cond::ICond;
@@ -184,9 +184,8 @@ pub fn validate(
         ..MachineConfig::default()
     });
     machine.load_image(nfp_sim::RAM_BASE, &words)?;
-    let mut counter = ClassCounter::new(Paper);
-    machine.run_observed(1_000_000_000, &mut counter)?;
-    let estimate = cal.model.estimate(counter.counts());
+    let (_, counts) = count_classes(&mut machine, &Paper, 1_000_000_000)?;
+    let estimate = cal.model.estimate(&counts);
     // Measured pass.
     let mut machine = Machine::new(MachineConfig {
         ram_size: 1 << 20,

@@ -9,8 +9,10 @@
 //!    testbed with differential reference/test kernels —
 //!    [`calibration::calibrate`] regenerates Table I.
 //! 2. **Count** instructions per class on the fast ISS —
-//!    [`model::ClassCounter`] attached to an `nfp_sim::Machine`, or the
-//!    simulator's built-in Table I counters.
+//!    [`model::count_classes`], which reads the simulator's built-in
+//!    Table I counters after a traced run, and attaches a
+//!    [`model::ClassCounter`] observer only for classifiers whose
+//!    classes are not unions of Table I categories.
 //! 3. **Estimate** `Ê = Σ e_c·n_c`, `T̂ = Σ t_c·n_c` —
 //!    [`model::CostModel::estimate`] (Eq. 1).
 //! 4. **Evaluate** against testbed measurements with
@@ -31,5 +33,7 @@ pub use calibration::{calibrate, calibrate_class, Calibration, ClassCalibration,
 pub use consistency::{check_structure, validate, Finding, Severity, Validation};
 pub use dse::{fpu_tradeoff, FpuTradeoff, KernelNfp};
 pub use error::{relative_error, ErrorSummary, NfpError};
-pub use model::{paper_table1, ClassCounter, Classifier, Coarse, CostModel, Estimate, Fine, Paper};
+pub use model::{
+    count_classes, paper_table1, ClassCounter, Classifier, Coarse, CostModel, Estimate, Fine, Paper,
+};
 pub use vulnerability::{HarnessCause, Outcome, OutcomeCounts, VulnerabilityReport, OUTCOME_COUNT};

@@ -6,13 +6,24 @@
 //! uses nine classes (Table I); the [`Coarse`] and [`Fine`]
 //! classifiers exist for the granularity ablation (what happens with
 //! one class, or with integer multiply/divide split out).
+//!
+//! [`count_classes`] is the counting pass: it reads the simulator's
+//! built-in Table I counters after an unobserved (traced) run whenever
+//! the classifier's classes are unions of Table I categories, and
+//! attaches a [`ClassCounter`] observer, which steps, only when they
+//! are not.
 
-use nfp_sim::{ExecInfo, Observer};
+use nfp_sim::{ExecInfo, Machine, Observer, RunResult, SimError};
 use nfp_sparc::{AluOp, Category, Instr, CATEGORY_COUNT};
 
 /// Maps instructions onto model classes. Classification must be
 /// static (a property of the decoded instruction), because the ISS
 /// counts instructions without dynamic context.
+///
+/// A classifier whose classes are unions of Table I categories says so
+/// through [`Classifier::category_class`]; [`count_classes`] then folds
+/// the simulator's own category counters into classes instead of
+/// observing every instruction.
 pub trait Classifier {
     /// Number of classes.
     fn class_count(&self) -> usize;
@@ -20,6 +31,13 @@ pub trait Classifier {
     fn classify(&self, instr: &Instr) -> usize;
     /// Human-readable class name.
     fn class_name(&self, class: usize) -> &'static str;
+    /// The class of every instruction in Table I `category`, or `None`
+    /// (the default) when instructions of one category can fall into
+    /// different classes. Where it returns `Some(c)`, `classify` must
+    /// return `c` for every instruction of that category.
+    fn category_class(&self, _category: Category) -> Option<usize> {
+        None
+    }
 }
 
 /// The paper's nine Table I categories.
@@ -35,6 +53,9 @@ impl Classifier for Paper {
     }
     fn class_name(&self, class: usize) -> &'static str {
         Category::ALL[class].name()
+    }
+    fn category_class(&self, category: Category) -> Option<usize> {
+        Some(category.index())
     }
 }
 
@@ -53,11 +74,15 @@ impl Classifier for Coarse {
     fn class_name(&self, _class: usize) -> &'static str {
         "Any instruction"
     }
+    fn category_class(&self, _category: Category) -> Option<usize> {
+        Some(0)
+    }
 }
 
 /// Eleven classes: Table I with integer multiply and divide split out
 /// of "Integer Arithmetic" (they have very different latencies on the
-/// iterative LEON3 units).
+/// iterative LEON3 units). Its classes are not unions of categories, so
+/// [`count_classes`] counts it through a stepping [`ClassCounter`].
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Fine;
 
@@ -121,6 +146,47 @@ impl<C: Classifier> Observer for ClassCounter<C> {
     #[inline]
     fn observe(&mut self, info: &ExecInfo) {
         self.counts[self.classifier.classify(&info.instr)] += 1;
+    }
+}
+
+/// Runs `machine` for at most `max_instrs` instructions and counts what
+/// it retires per class of `classifier` — the paper's counting pass.
+///
+/// If every Table I category maps to a class
+/// ([`Classifier::category_class`]) and the machine keeps its category
+/// counters ([`MachineConfig::count_categories`]), this is an
+/// unobserved [`Machine::run`] at the machine's dispatch (traced by
+/// default) whose [`RunResult::counts`] are folded into classes.
+/// Otherwise a [`ClassCounter`] is attached through
+/// [`Machine::run_observed`], which steps. Both give the same counts.
+///
+/// [`MachineConfig::count_categories`]: nfp_sim::MachineConfig::count_categories
+pub fn count_classes<C: Classifier + Clone>(
+    machine: &mut Machine,
+    classifier: &C,
+    max_instrs: u64,
+) -> Result<(RunResult, Vec<u64>), SimError> {
+    let classes: Option<Vec<usize>> = Category::ALL
+        .iter()
+        .map(|&c| classifier.category_class(c))
+        .collect();
+    match classes {
+        Some(classes) if machine.config().count_categories => {
+            // The machine's counters span its whole life; count only
+            // this run, as an observer attached now would.
+            let before = *machine.counts();
+            let run = machine.run(max_instrs)?;
+            let mut counts = vec![0; classifier.class_count()];
+            for (category, n) in run.counts.diff(&before).iter() {
+                counts[classes[category.index()]] += n;
+            }
+            Ok((run, counts))
+        }
+        _ => {
+            let mut counter = ClassCounter::new(classifier.clone());
+            let run = machine.run_observed(max_instrs, &mut counter)?;
+            Ok((run, counter.counts))
+        }
     }
 }
 
@@ -235,6 +301,20 @@ mod tests {
         let c = Coarse;
         assert_eq!(c.classify(&add()), 0);
         assert_eq!(c.classify(&Instr::NOP), 0);
+    }
+
+    #[test]
+    fn category_classes_agree_with_classify() {
+        for (i, &cat) in Category::ALL.iter().enumerate() {
+            assert_eq!(Paper.category_class(cat), Some(i), "{cat}");
+            assert_eq!(Coarse.category_class(cat), Some(0), "{cat}");
+            assert_eq!(Fine.category_class(cat), None, "{cat}");
+        }
+        for instr in [add(), mul(), Instr::NOP] {
+            let cat = instr.category();
+            assert_eq!(Paper.category_class(cat), Some(Paper.classify(&instr)));
+            assert_eq!(Coarse.category_class(cat), Some(Coarse.classify(&instr)));
+        }
     }
 
     #[test]

@@ -2,8 +2,8 @@
 //! by the E6 ablation: each must calibrate successfully and behave
 //! sensibly on a known workload.
 
-use nfp_core::{calibrate, ClassCounter, Classifier, Coarse, Fine, Paper};
-use nfp_sim::{Machine, RAM_BASE};
+use nfp_core::{calibrate, count_classes, ClassCounter, Classifier, Coarse, Fine, Paper};
+use nfp_sim::{Machine, MachineConfig, RAM_BASE};
 use nfp_sparc::asm::Assembler;
 use nfp_sparc::cond::ICond;
 use nfp_sparc::{AluOp, Instr, Operand, Reg};
@@ -131,4 +131,45 @@ fn class_counter_matches_builtin_category_counters() {
         assert_eq!(run.counts[*cat], n, "{cat}");
     }
     let _ = Instr::NOP; // keep the import meaningful under cfg changes
+}
+
+/// `count_classes` on `machine`, checked against a stepping
+/// `ClassCounter` run; returns whether the counting run stepped every
+/// instruction (the observer path).
+fn counted_by_observer<C: Classifier + Copy>(
+    mut machine: Machine,
+    classifier: C,
+    words: &[u32],
+) -> bool {
+    let (run, counts) = count_classes(&mut machine, &classifier, 10_000_000).unwrap();
+    assert_eq!(counts, counts_for(classifier, words));
+    assert_eq!(counts.iter().sum::<u64>(), run.instret);
+    machine.dispatch_stats().stepped == run.instret
+}
+
+#[test]
+fn count_classes_steps_only_without_a_category_mapping() {
+    let words = mul_loop(500);
+    // Paper and Coarse fold the built-in counters of a traced run.
+    assert!(!counted_by_observer(Machine::boot(&words), Paper, &words));
+    assert!(!counted_by_observer(Machine::boot(&words), Coarse, &words));
+    // Fine splits Integer Arithmetic, so it needs the observer.
+    assert!(counted_by_observer(Machine::boot(&words), Fine, &words));
+    // Without built-in counters there is nothing to fold: observe
+    // rather than report zeros.
+    let mut uncounted = Machine::new(MachineConfig {
+        count_categories: false,
+        ..MachineConfig::default()
+    });
+    uncounted.load_image(RAM_BASE, &words).unwrap();
+    assert!(counted_by_observer(uncounted, Paper, &words));
+}
+
+#[test]
+fn count_classes_counts_only_its_own_run() {
+    let words = mul_loop(500);
+    let mut machine = Machine::boot(&words);
+    machine.run_until(1_000).unwrap();
+    let (run, counts) = count_classes(&mut machine, &Paper, 10_000_000).unwrap();
+    assert_eq!(counts.iter().sum::<u64>(), run.instret - 1_000);
 }

@@ -121,18 +121,27 @@ fn umbrella_crate_reexports_work_together() {
 fn parallel_sweep_matches_sequential() {
     let eval = eval();
     let preset = Preset::quick();
-    let kernels: Vec<_> = hevc_kernels(&preset)
+    // The parallel sweep runs its testbed passes longest first. The FSE
+    // soft-float variant is the longest and comes last in plan order,
+    // so the two orders differ and results must still land in plan
+    // order.
+    let mut kernels: Vec<_> = hevc_kernels(&preset)
         .expect("kernels")
         .into_iter()
         .take(2)
         .collect();
+    kernels.extend(fse_kernels(&preset).expect("kernels").into_iter().take(1));
     let seq = eval.run_all(&kernels).expect("sequential");
     let par = eval.run_all_parallel(&kernels).expect("parallel");
+    let longest = seq.iter().max_by_key(|r| r.instret).expect("results");
+    assert_eq!(longest.name, seq.last().expect("results").name);
     assert_eq!(seq.len(), par.len());
     for (a, b) in seq.iter().zip(&par) {
         assert_eq!(a.name, b.name);
+        assert_eq!(a.instret, b.instret);
         assert_eq!(a.counts, b.counts);
         assert_eq!(a.estimate, b.estimate);
         assert_eq!(a.measured, b.measured);
+        assert_eq!(a.totals, b.totals);
     }
 }
