@@ -22,7 +22,7 @@
 //! repro campaign --kernel fse          # only showcase kernels matching 'fse'
 //! repro campaign --dispatch step       # step|traced execution of this process
 //! repro campaign --isolation process   # worker subprocesses (SIGKILL watchdogs)
-//! repro campaign --heartbeat-ms 200    # worker idle-heartbeat interval
+//! repro campaign --heartbeat-ms 200    # worker heartbeat interval
 //! repro campaign --deadline-ms 60000   # per-injection wall deadline (process mode)
 //! repro campaign --max-respawns 3      # crash-loop budget per worker slot
 //! ```
@@ -583,9 +583,10 @@ fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let command = args.first().map(String::as_str).unwrap_or("all");
 
-    // The hidden worker subcommand speaks the supervisor protocol on
-    // stdin/stdout (or, with --connect, the TCP lease protocol) and
-    // must never run any of the reporting machinery.
+    // The hidden worker subcommand serves campaign leases — to the
+    // supervisor's process pool over stdin/stdout, or with --connect to
+    // a coordinator over TCP — and must never run any of the reporting
+    // machinery.
     if command == "worker" {
         if let Some(addr) = flag_value(&args, "--connect") {
             let max_retries = flag_value(&args, "--max-retries")

@@ -40,25 +40,22 @@ pub(crate) fn esc(s: &str) -> String {
 /// "protocol violation".
 pub(crate) fn parse_flat(line: &str) -> Option<Vec<(String, Jv)>> {
     let mut c = line.trim().chars().peekable();
-    let mut out = Vec::new();
+    let mut out: Vec<(String, Jv)> = Vec::new();
     if c.next()? != '{' {
         return None;
     }
-    loop {
-        match c.peek()? {
-            '}' => {
-                c.next();
-                break;
-            }
-            ',' => {
-                c.next();
-            }
-            _ => {}
-        }
-        if *c.peek()? != '"' {
+    // Members are separated by exactly one comma, and a key appears at
+    // most once: `Obj::get` returns the first match, so a repeated key
+    // would let a later value hide behind an earlier one.
+    let mut more = c.peek() != Some(&'}');
+    if !more {
+        c.next();
+    }
+    while more {
+        let key = parse_string(&mut c)?;
+        if out.iter().any(|(k, _)| *k == key) {
             return None;
         }
-        let key = parse_string(&mut c)?;
         if c.next()? != ':' {
             return None;
         }
@@ -79,6 +76,11 @@ pub(crate) fn parse_flat(line: &str) -> Option<Vec<(String, Jv)>> {
             _ => return None,
         };
         out.push((key, val));
+        more = match c.next()? {
+            ',' => true,
+            '}' => false,
+            _ => return None,
+        };
     }
     // Trailing garbage after the closing brace is a malformed line.
     if c.next().is_some() {
@@ -195,7 +197,10 @@ mod tests {
             "{\"i\":1",
             "{\"i\":18446744073709551616}", // u64 overflow
             "not json at all",
-            "{\"i\":-1}", // signed numbers are outside the grammar
+            "{\"i\":-1}",       // signed numbers are outside the grammar
+            "{\"a\":1\"b\":2}", // members need a comma between them
+            "{,\"a\":1}",
+            "{\"a\":1,\"a\":2}", // a repeated key is ambiguous
         ] {
             assert!(parse_flat(bad).is_none(), "accepted: {bad:?}");
         }

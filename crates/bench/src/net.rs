@@ -1,14 +1,12 @@
-//! Length-prefixed framing for the remote dispatch layer.
+//! Length-prefixed framing for every worker, coordinator and client
+//! stream, over TCP and over a worker process's pipes alike.
 //!
-//! The stdin/stdout worker protocol ([`crate::worker`]) frames by
-//! newline because pipes deliver whole writes in order and die with
-//! their process. TCP guarantees neither: reads time out mid-frame,
-//! peers vanish mid-byte, and a hostile (or merely broken) peer can
-//! claim an absurd length. So the wire carries `[u32 big-endian
-//! length][flat-JSON payload]` frames with the same 64 KiB cap the
-//! line protocol enforces, and [`FrameReader`] keeps partial state
-//! across read timeouts: a deadline firing mid-frame is an [`Recv::
-//! Idle`] tick, never a desynchronized stream.
+//! Reads time out mid-frame, peers vanish mid-byte, and a hostile (or
+//! merely broken) peer can claim an absurd length. So the wire carries
+//! `[u32 big-endian length][flat-JSON payload]` frames capped at 64 KiB,
+//! and [`FrameReader`] keeps partial state across read timeouts: a
+//! deadline firing mid-frame is an [`Recv::Idle`] tick, never a
+//! desynchronized stream.
 //!
 //! Every malformation — oversized length prefix, truncated stream,
 //! non-UTF-8 payload — is a typed [`NfpError::ProtocolViolation`];
@@ -20,9 +18,9 @@ use crate::worker::WorkerPreset;
 use nfp_core::NfpError;
 use std::io::{ErrorKind, Read, Write};
 
-/// Maximum frame payload, matching the line protocol's `MAX_LINE`: no
-/// legitimate hello, record, or report chunk comes close, and anything
-/// larger is a protocol violation rather than an allocation.
+/// Maximum frame payload: no legitimate hello, record, or report chunk
+/// comes close, and anything larger is a protocol violation rather
+/// than an allocation.
 pub(crate) const MAX_FRAME: usize = 64 * 1024;
 
 /// Shorthand for the typed violation error.
@@ -145,7 +143,8 @@ impl FrameReader {
     }
 }
 
-/// Writes one frame (length prefix + payload) and flushes. An
+/// Writes one frame (length prefix + payload) in a single write and
+/// flushes, so a writer killed mid-stream leaves whole frames behind. An
 /// oversized payload is refused before a byte hits the wire — the
 /// receiver would only reject it anyway.
 pub(crate) fn write_frame(w: &mut impl Write, payload: &str) -> std::io::Result<()> {
@@ -155,8 +154,10 @@ pub(crate) fn write_frame(w: &mut impl Write, payload: &str) -> std::io::Result<
             format!("refusing to send oversized frame ({} bytes)", payload.len()),
         ));
     }
-    w.write_all(&(payload.len() as u32).to_be_bytes())?;
-    w.write_all(payload.as_bytes())?;
+    let mut frame = Vec::with_capacity(4 + payload.len());
+    frame.extend_from_slice(&(payload.len() as u32).to_be_bytes());
+    frame.extend_from_slice(payload.as_bytes());
+    w.write_all(&frame)?;
     w.flush()
 }
 
@@ -169,13 +170,13 @@ pub(crate) fn send_err(addr: &str, e: std::io::Error) -> NfpError {
 }
 
 // ---------------------------------------------------------------------
-// Control frames specific to the TCP layer. Leases reuse the worker
-// hello frame verbatim; records and fins reuse the journal line
-// renderings; the rest of the conversation is below.
+// Control frames. Leases are the worker hello frame; records and fins
+// reuse the journal line renderings; the rest of the conversation is
+// below.
 // ---------------------------------------------------------------------
 
-/// Protocol version of the TCP control frames (join/submit). Lease
-/// frames carry the worker protocol's own version. v2: submits and
+/// Protocol version of the control frames (join/submit). Lease frames
+/// carry the worker hello's own version. v2: submits and
 /// leases no longer carry `dispatch`, so a v1 peer, whose parsers
 /// require it, is refused at the join or submit instead of failing
 /// partway through a lease.
@@ -241,7 +242,7 @@ pub(crate) fn parse_join(line: &str) -> Result<JoinFrame, NfpError> {
 /// Coordinator → peer/client: "shutting down / lease stream over".
 pub(crate) const BYE_FRAME: &str = "{\"kind\":\"bye\"}";
 
-/// Bidirectional liveness tick, shared with the line protocol.
+/// Bidirectional liveness tick.
 pub(crate) const HB_FRAME: &str = "{\"kind\":\"hb\"}";
 
 /// Coordinator → client: a progress/footer line for the client's

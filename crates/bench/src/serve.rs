@@ -1,14 +1,15 @@
 //! The remote dispatch coordinator (`repro serve`) and its client.
 //!
-//! [`Server`] listens on TCP and speaks the framed protocol of
-//! [`crate::net`] with two kinds of peers: **workers** (`repro worker
-//! --connect`) that join, receive shard leases, and stream back
-//! journal-identical record lines, and **clients** (`repro submit`)
-//! that submit a campaign and receive the report. The coordinator
-//! trusts no peer: every record line re-verifies its CRC and its
-//! fault-plan binding, every shard must close with a plan-order digest
-//! that the coordinator recomputes, and a peer that violates the
-//! protocol is retired, never argued with.
+//! [`Server`] listens on TCP and speaks the length-framed protocol of
+//! the crate's `net` module with two kinds of peers: **workers**
+//! (`repro worker --connect`) that join, receive shard leases, and
+//! stream back journal-identical record lines, and **clients** (`repro
+//! submit`) that submit a campaign and receive the report. The
+//! coordinator trusts no peer: each lease stream goes through the
+//! checker the supervisor's process pool uses too — every record line
+//! re-verifies its CRC and its fault-plan binding, and every shard must
+//! close with a plan-order digest that the checker recomputes — and a
+//! peer that violates the protocol is retired, never argued with.
 //!
 //! Robustness model (DESIGN.md §14):
 //!
@@ -18,8 +19,8 @@
 //!   flag, and the accept loop is non-blocking.
 //! * **Leases, not assignments.** A shard lease is revocable: when the
 //!   holder goes silent or dies the shard re-enters the queue after a
-//!   capped jittered backoff ([`crate::backoff`]), and an optional
-//!   straggler deadline dispatches a speculative duplicate —
+//!   capped jittered backoff (the crate's `backoff` module), and an
+//!   optional straggler deadline dispatches a speculative duplicate —
 //!   first-valid-wins, which is safe because campaigns are
 //!   deterministic.
 //! * **Admission control.** A bounded number of campaigns run
@@ -45,12 +46,10 @@ use crate::reports::{report_campaign_footer, CampaignFooter};
 use crate::servejournal::{load_service_journal, records_path, OpenCampaign, ServiceJournal};
 use crate::shards::{clear_range, missing_ranges_of, quarantined_path, ShardSpec};
 use crate::supervisor::{
-    fin_line, load_journal, parse_fin, parse_record, range_digest, record_line, run_supervised,
-    FinRecord, JournalHeader, SupervisorConfig, WorkerIsolation,
+    fin_line, load_journal, range_digest, record_line, run_supervised, FinRecord, JournalHeader,
+    LeaseCheck, LeaseRecords, Step, SupervisorConfig, WorkerIsolation,
 };
-use crate::worker::{
-    parse_reply, render_error, render_hello, tcp_connect, Reply, WorkerHello, WorkerPreset,
-};
+use crate::worker::{render_error, render_hello, tcp_connect, WorkerHello, WorkerPreset};
 use nfp_core::NfpError;
 use nfp_sim::fault::plan;
 use nfp_sim::Fault;
@@ -101,10 +100,6 @@ fn lock<'a, T>(m: &'a Mutex<T>) -> std::sync::MutexGuard<'a, T> {
 
 /// One leased-record slot table, indexed by plan position.
 type Slots = Vec<Option<(InjectionRecord, u32)>>;
-
-/// Validated records of one completed lease: plan index, record, and
-/// the attempt count the worker reported.
-type LeaseRecords = Vec<(usize, InjectionRecord, u32)>;
 
 // ---------------------------------------------------------------------
 // Configuration and summary.
@@ -1115,11 +1110,11 @@ struct LeaseFail {
     revoked: bool,
 }
 
-/// Runs one lease on a connected peer: send the shard hello, verify
-/// the golden-count echo, accept CRC-checked in-range records, and
-/// demand a digest-valid fin. `Ok(None)` means the coordinator began
-/// shutting down mid-lease. Every wait inside is bounded by the idle
-/// deadline and the overall lease timeout.
+/// Runs one lease on a connected peer: send the shard hello, then feed
+/// every frame the peer sends to the lease checker until a fin seals
+/// the range. `Ok(None)` means the coordinator began shutting down
+/// mid-lease. Every wait inside is bounded by the idle deadline and the
+/// overall lease timeout.
 fn run_lease(
     stream: &mut TcpStream,
     reader: &mut FrameReader,
@@ -1131,13 +1126,11 @@ fn run_lease(
     if let Err(e) = write_frame(stream, &render_hello(&lease.hello)) {
         return fail(format!("lease write failed: {e}"), false);
     }
-    let range = lease.hello.header.range();
     let idle_limit = idle_limit(ctx.cfg.heartbeat);
     let deadline = Instant::now() + ctx.cfg.lease_timeout;
     let mut last_heard = Instant::now();
     let mut last_beat = Instant::now();
-    let mut got_ready = false;
-    let mut slots: Slots = vec![None; lease.faults.len()];
+    let mut check = LeaseCheck::new(&lease.hello.header, &lease.faults);
     loop {
         if hub.shutdown.load(Ordering::SeqCst) {
             return Ok(None);
@@ -1183,142 +1176,16 @@ fn run_lease(
             Ok(Recv::Frame(line)) => line,
         };
         last_heard = Instant::now();
-        let Some(obj) = parse_flat(&line).map(Obj) else {
-            hub.reject_frame();
-            return fail("unparseable frame mid-lease".to_string(), false);
-        };
-        if obj.get("fin").is_some() {
-            if !got_ready {
-                hub.reject_frame();
-                return fail("fin before the ready handshake".to_string(), false);
-            }
-            let Some(fin) = parse_fin(&line) else {
-                hub.reject_frame();
-                return fail("corrupt or checksum-failed fin".to_string(), false);
-            };
-            return match check_fin(&fin, range, &slots) {
-                Ok(()) => Ok(Some(collect_range(slots, range))),
-                Err(e) => {
-                    hub.reject_frame();
-                    fail(e.to_string(), false)
-                }
-            };
-        } else if obj.get("crc").is_some() {
-            if !got_ready {
-                hub.reject_frame();
-                return fail("record before the ready handshake".to_string(), false);
-            }
-            if let Err(e) = accept_record(&line, range, &lease.faults, &mut slots) {
+        match check.feed(&line) {
+            Ok(Step::More | Step::Ready) => {}
+            Ok(Step::Fin(records)) => return Ok(Some(records)),
+            Ok(Step::Error(detail)) => return fail(format!("peer reported: {detail}"), false),
+            Err(e) => {
                 hub.reject_frame();
                 return fail(e.to_string(), false);
             }
-        } else {
-            match parse_reply(&line) {
-                Ok(Reply::Hb) => {}
-                Ok(Reply::Ready { golden_instret }) => {
-                    if got_ready {
-                        hub.reject_frame();
-                        return fail("duplicate ready".to_string(), false);
-                    }
-                    if golden_instret != lease.hello.header.golden_instret {
-                        return fail(
-                            format!(
-                                "golden instruction count mismatch: coordinator expects {}, \
-                                 peer's rig ran {golden_instret}",
-                                lease.hello.header.golden_instret
-                            ),
-                            false,
-                        );
-                    }
-                    got_ready = true;
-                }
-                Ok(Reply::Error { detail }) => {
-                    return fail(format!("peer reported: {detail}"), false)
-                }
-                Ok(Reply::Done { .. }) => {
-                    hub.reject_frame();
-                    return fail(
-                        "stdin-protocol done frame on the TCP transport".to_string(),
-                        false,
-                    );
-                }
-                Err(e) => {
-                    hub.reject_frame();
-                    return fail(e.to_string(), false);
-                }
-            }
         }
     }
-}
-
-/// Validates one streamed record line against the lease: CRC (inside
-/// [`parse_record`]), leased range, no duplicates, and the exact fault
-/// the deterministic plan holds at that index. Distrust is the default:
-/// a remote peer's bytes prove themselves or the lease dies.
-fn accept_record(
-    line: &str,
-    range: (usize, usize),
-    faults: &[Fault],
-    slots: &mut Slots,
-) -> Result<usize, NfpError> {
-    let (index, rec, attempts) =
-        parse_record(line).ok_or_else(|| violation("corrupt or checksum-failed record line"))?;
-    if index < range.0 || index >= range.1 {
-        return Err(violation(format!(
-            "record {index} is outside the leased range {}..{}",
-            range.0, range.1
-        )));
-    }
-    if slots[index].is_some() {
-        return Err(violation(format!("duplicate record for injection {index}")));
-    }
-    if rec.fault != faults[index] {
-        return Err(violation(format!(
-            "record {index} does not match the deterministic fault plan"
-        )));
-    }
-    slots[index] = Some((rec, attempts));
-    Ok(index)
-}
-
-/// Validates a shard fin against what actually arrived: the claimed
-/// range, the record count, full coverage, and the plan-order digest.
-fn check_fin(fin: &FinRecord, range: (usize, usize), slots: &Slots) -> Result<(), NfpError> {
-    let (start, end) = range;
-    if (fin.range_start, fin.range_end) != (start as u64, end as u64) {
-        return Err(violation(format!(
-            "fin claims range {}..{} but the lease covers {start}..{end}",
-            fin.range_start, fin.range_end
-        )));
-    }
-    if fin.records != (end - start) as u64 {
-        return Err(violation(format!(
-            "fin claims {} records but the lease covers {}",
-            fin.records,
-            end - start
-        )));
-    }
-    if let Some(missing) = (start..end).find(|&i| slots[i].is_none()) {
-        return Err(violation(format!(
-            "fin arrived before record {missing} of the leased range"
-        )));
-    }
-    if fin.digest != range_digest(slots, range) {
-        return Err(violation(
-            "fin digest disagrees with the records it claims to cover",
-        ));
-    }
-    Ok(())
-}
-
-fn collect_range(slots: Slots, range: (usize, usize)) -> LeaseRecords {
-    slots
-        .into_iter()
-        .enumerate()
-        .skip(range.0)
-        .take(range.1 - range.0)
-        .filter_map(|(i, s)| s.map(|(rec, attempts)| (i, rec, attempts)))
-        .collect()
 }
 
 // ---------------------------------------------------------------------
@@ -1896,7 +1763,7 @@ impl RecordsFile {
             records: n as u64,
             range_start: 0,
             range_end: n as u64,
-            digest: range_digest(slots, (0, n)),
+            digest: range_digest(0, slots),
         };
         writeln!(self.file, "{}", fin_line(&fin))
             .and_then(|()| self.file.flush())
@@ -2995,7 +2862,6 @@ pub fn submit_campaign_retry(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::supervisor::{fin_line, record_line};
     use nfp_core::Outcome;
     use nfp_sim::FaultTarget;
 
@@ -3070,121 +2936,6 @@ mod tests {
         // The queue place converted; abandoning it now is a no-op.
         adm.abandon_queue("b");
         adm.finish();
-    }
-
-    // -- record acceptance (the distrust boundary) --------------------
-
-    #[test]
-    fn corrupt_or_checksum_failed_records_are_refused() {
-        let faults: Vec<Fault> = (0..4).map(fault).collect();
-        let mut slots: Slots = vec![None; 4];
-        let good = record_line(1, &record(1), 1);
-        let tampered = good.replace("\"at\":101", "\"at\":102");
-        for bad in ["not json", "{\"i\":1}", tampered.as_str()] {
-            let err = accept_record(bad, (0, 4), &faults, &mut slots).unwrap_err();
-            assert!(
-                matches!(&err, NfpError::ProtocolViolation { detail }
-                    if detail.contains("corrupt or checksum-failed")),
-                "{bad:?} → {err}"
-            );
-        }
-        assert!(slots.iter().all(Option::is_none));
-    }
-
-    #[test]
-    fn out_of_range_and_interleaved_records_are_refused() {
-        let faults: Vec<Fault> = (0..8).map(fault).collect();
-        let mut slots: Slots = vec![None; 8];
-        // The lease covers 2..4; a record for 5 belongs to another
-        // shard — out-of-order/interleaved shard output is a violation.
-        let err =
-            accept_record(&record_line(5, &record(5), 1), (2, 4), &faults, &mut slots).unwrap_err();
-        assert!(
-            matches!(&err, NfpError::ProtocolViolation { detail }
-                if detail.contains("outside the leased range")),
-            "{err}"
-        );
-        // In-range is fine, in either order within the range.
-        accept_record(&record_line(3, &record(3), 1), (2, 4), &faults, &mut slots).unwrap();
-        accept_record(&record_line(2, &record(2), 1), (2, 4), &faults, &mut slots).unwrap();
-    }
-
-    #[test]
-    fn duplicate_records_are_refused() {
-        let faults: Vec<Fault> = (0..4).map(fault).collect();
-        let mut slots: Slots = vec![None; 4];
-        let line = record_line(1, &record(1), 1);
-        accept_record(&line, (0, 4), &faults, &mut slots).unwrap();
-        let err = accept_record(&line, (0, 4), &faults, &mut slots).unwrap_err();
-        assert!(
-            matches!(&err, NfpError::ProtocolViolation { detail } if detail.contains("duplicate")),
-            "{err}"
-        );
-    }
-
-    #[test]
-    fn plan_binding_mismatches_are_refused() {
-        let faults: Vec<Fault> = (0..4).map(fault).collect();
-        let mut slots: Slots = vec![None; 4];
-        // A record whose CRC is fine but whose fault is not what the
-        // deterministic plan holds at that index: a confused (or
-        // malicious) worker answering some other campaign.
-        let line = record_line(1, &record(2), 1);
-        let err = accept_record(&line, (0, 4), &faults, &mut slots).unwrap_err();
-        assert!(
-            matches!(&err, NfpError::ProtocolViolation { detail }
-                if detail.contains("deterministic fault plan")),
-            "{err}"
-        );
-    }
-
-    // -- fin validation -----------------------------------------------
-
-    fn filled_slots(range: (usize, usize), len: usize) -> Slots {
-        let mut slots: Slots = vec![None; len];
-        for (i, slot) in slots.iter_mut().enumerate().take(range.1).skip(range.0) {
-            *slot = Some((record(i as u64), 1));
-        }
-        slots
-    }
-
-    #[test]
-    fn fin_validation_demands_range_count_coverage_and_digest() {
-        let range = (2, 6);
-        let slots = filled_slots(range, 8);
-        let good = FinRecord {
-            records: 4,
-            range_start: 2,
-            range_end: 6,
-            digest: range_digest(&slots, range),
-        };
-        check_fin(&good, range, &slots).unwrap();
-        // Wrong range.
-        let bad = FinRecord {
-            range_start: 0,
-            ..good
-        };
-        assert!(check_fin(&bad, range, &slots).is_err());
-        // Wrong count.
-        let bad = FinRecord { records: 3, ..good };
-        assert!(check_fin(&bad, range, &slots).is_err());
-        // Wrong digest.
-        let bad = FinRecord {
-            digest: good.digest ^ 1,
-            ..good
-        };
-        assert!(check_fin(&bad, range, &slots).is_err());
-        // A gap in coverage (fin before every record arrived).
-        let mut torn = filled_slots(range, 8);
-        torn[4] = None;
-        let err = check_fin(&good, range, &torn).unwrap_err();
-        assert!(
-            matches!(&err, NfpError::ProtocolViolation { detail } if detail.contains("record 4")),
-            "{err}"
-        );
-        // And the round-tripped wire rendering still parses and checks.
-        let fin = parse_fin(&fin_line(&good)).unwrap();
-        check_fin(&fin, range, &slots).unwrap();
     }
 
     // -- submit frames ------------------------------------------------

@@ -326,53 +326,27 @@ pub fn run_sharded(
                 if states[idx].done.is_some() || states[idx].lost {
                     continue; // late loser of a speculation race
                 }
-                match result {
-                    Ok(o) if !o.aborted => {
-                        kills += o.kills;
-                        respawns += o.respawns;
-                        states[idx].done = Some(path);
-                        done_flags[idx].store(true, Ordering::Relaxed);
-                    }
+                // A failed or interrupted attempt burns a retry, then
+                // either loses the shard or re-dispatches it: an
+                // interrupted one resumes its journal, a failed one
+                // starts a fresh journal at the canonical path.
+                let (resume, detail) = match result {
                     Ok(o) => {
-                        // Interrupted mid-run with a valid journal on
-                        // disk (the simulated-SIGKILL hook): resume it.
                         kills += o.kills;
                         respawns += o.respawns;
-                        if states[idx].in_flight > 0 {
-                            continue; // a duplicate attempt is still going
-                        }
-                        states[idx].retries += 1;
-                        total_retries += 1;
-                        if states[idx].retries > cfg.shard_retries {
-                            let (start, end) = shard_range(injections, shard, cfg.shards);
-                            let lost = NfpError::ShardLost {
-                                shard,
-                                start: start as u64,
-                                end: end as u64,
-                                detail: "interrupted on every attempt".to_string(),
-                            };
-                            if !cfg.allow_partial {
-                                return Err(lost);
-                            }
-                            eprintln!("shards: {lost}; continuing under --allow-partial");
-                            states[idx].lost = true;
+                        if !o.aborted {
+                            states[idx].done = Some(path);
+                            done_flags[idx].store(true, Ordering::Relaxed);
                             continue;
                         }
-                        eprintln!(
-                            "shards: shard {shard} interrupted; re-dispatching with resume \
-                             (retry {} of {})",
-                            states[idx].retries, cfg.shard_retries
-                        );
-                        let attempt = states[idx].attempts;
-                        dispatch(shard, path, true, attempt);
-                        states[idx].attempts += 1;
-                        states[idx].in_flight += 1;
-                        states[idx].started = Instant::now();
+                        // Interrupted mid-run with a valid journal on
+                        // disk (the simulated-SIGKILL hook).
+                        (true, "interrupted on every attempt".to_string())
                     }
                     Err(e) => {
                         // A lost/torn/corrupt attempt: move the journal
                         // aside (evidence, and a clean path for the
-                        // fresh attempt) and re-dispatch from scratch.
+                        // fresh attempt).
                         let q = quarantined_path(&path);
                         let _ = std::fs::rename(&path, &q);
                         eprintln!(
@@ -380,34 +354,43 @@ pub fn run_sharded(
                              to {}",
                             q.display()
                         );
-                        if states[idx].in_flight > 0 {
-                            continue; // a duplicate attempt is still going
-                        }
-                        states[idx].retries += 1;
-                        total_retries += 1;
-                        if states[idx].retries > cfg.shard_retries {
-                            let (start, end) = shard_range(injections, shard, cfg.shards);
-                            let lost = NfpError::ShardLost {
-                                shard,
-                                start: start as u64,
-                                end: end as u64,
-                                detail: e.to_string(),
-                            };
-                            if !cfg.allow_partial {
-                                return Err(lost);
-                            }
-                            eprintln!("shards: {lost}; continuing under --allow-partial");
-                            states[idx].lost = true;
-                            continue;
-                        }
-                        let attempt = states[idx].attempts;
-                        let fresh = shard_journal_path(&base, shard, cfg.shards);
-                        dispatch(shard, fresh, false, attempt);
-                        states[idx].attempts += 1;
-                        states[idx].in_flight += 1;
-                        states[idx].started = Instant::now();
+                        (false, e.to_string())
                     }
+                };
+                if states[idx].in_flight > 0 {
+                    continue; // a duplicate attempt is still going
                 }
+                states[idx].retries += 1;
+                total_retries += 1;
+                if states[idx].retries > cfg.shard_retries {
+                    let (start, end) = shard_range(injections, shard, cfg.shards);
+                    let lost = NfpError::ShardLost {
+                        shard,
+                        start: start as u64,
+                        end: end as u64,
+                        detail,
+                    };
+                    if !cfg.allow_partial {
+                        return Err(lost);
+                    }
+                    eprintln!("shards: {lost}; continuing under --allow-partial");
+                    states[idx].lost = true;
+                    continue;
+                }
+                let journal = if resume {
+                    eprintln!(
+                        "shards: shard {shard} interrupted; re-dispatching with resume \
+                         (retry {} of {})",
+                        states[idx].retries, cfg.shard_retries
+                    );
+                    path
+                } else {
+                    shard_journal_path(&base, shard, cfg.shards)
+                };
+                dispatch(shard, journal, resume, states[idx].attempts);
+                states[idx].attempts += 1;
+                states[idx].in_flight += 1;
+                states[idx].started = Instant::now();
             }
             Err(mpsc::RecvTimeoutError::Timeout) => {}
             Err(mpsc::RecvTimeoutError::Disconnected) => break, // unreachable: tx lives here

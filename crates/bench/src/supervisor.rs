@@ -31,18 +31,21 @@
 //!   the remaining workers absorb its share of the plan: the pool
 //!   degrades in parallelism, never in coverage.
 //! * **Process isolation** — [`WorkerIsolation::Process`] moves each
-//!   replay slot into a `repro worker` subprocess driven over the
-//!   line-delimited JSON protocol of [`crate::worker`]. Threads cannot
+//!   replay slot into a `repro worker` subprocess that speaks the lease
+//!   protocol of [`crate::worker`] over its stdin and stdout, one
+//!   injection per lease, and every frame it sends goes through the
+//!   same lease checker the remote coordinator uses. Threads cannot
 //!   survive an `abort()`, a segfault, or a replay that wedges inside
 //!   native code; processes can. A worker that dies takes only its
-//!   in-flight injection with it; one that goes heartbeat-silent while
-//!   idle or overruns its per-injection deadline is SIGKILLed. Either
-//!   way the injection is retried once on a freshly spawned process and
-//!   quarantined on a second failure — exactly the panic-isolation
-//!   semantics, lifted to process granularity. Respawns back off
-//!   exponentially (capped, with deterministic seeded jitter so wall
-//!   clocks never leak into results); a slot that keeps crash-looping
-//!   retires and the pool degrades in parallelism, never in coverage.
+//!   in-flight injection with it; one that goes heartbeat-silent before
+//!   a lease's `ready`, overruns its per-injection deadline, or sends a
+//!   frame the checker refuses is SIGKILLed. Either way the injection
+//!   is retried once on a freshly spawned process and quarantined on a
+//!   second failure — exactly the panic-isolation semantics, lifted to
+//!   process granularity. Respawns back off exponentially (capped, with
+//!   deterministic seeded jitter so wall clocks never leak into
+//!   results); a slot that keeps crash-looping retires and the pool
+//!   degrades in parallelism, never in coverage.
 //!   Journals and reports are byte-compatible with thread mode: the
 //!   same seed yields the same report regardless of isolation mode or
 //!   kill/respawn interleaving.
@@ -61,11 +64,9 @@ use crate::crc::{crc32, crc32_finish, crc32_update, CRC_INIT};
 use crate::evaluation::Mode;
 use crate::flatjson::{parse_flat, Obj};
 use crate::identity::{self, Field, Identity};
+use crate::net::{parse_join, write_frame, FrameReader, Recv};
 use crate::shards::{shard_range, ShardSpec};
-use crate::worker::{
-    check_index, parse_reply, read_frame, render_hello, render_run, Reply, WorkerHello,
-    WorkerPreset,
-};
+use crate::worker::{render_hello, WorkerHello, WorkerPreset};
 use nfp_core::{HarnessCause, NfpError, Outcome};
 use nfp_sim::fault::plan;
 use nfp_sim::{DispatchStats, Fault, FaultTarget, SimError};
@@ -86,8 +87,8 @@ pub enum WorkerIsolation {
     /// isolation per replay. No defence against aborts, segfaults, or
     /// runaway native loops inside a replay.
     Thread,
-    /// One `repro worker` subprocess per slot, driven over
-    /// line-delimited JSON on stdin/stdout. A worker that dies, goes
+    /// One `repro worker` subprocess per slot, leased one injection at
+    /// a time over its stdin and stdout. A worker that dies, goes
     /// heartbeat-silent, or overruns its injection deadline is
     /// SIGKILLed and respawned with capped exponential backoff; the
     /// in-flight injection is retried once on a fresh process and then
@@ -118,13 +119,14 @@ pub struct SupervisorConfig {
     /// mismatch.
     pub preset: WorkerPreset,
     /// Heartbeat emission interval for worker processes. Workers
-    /// heartbeat between replays (and during rig preparation), never
-    /// mid-replay, so an idle silence longer than a few intervals means
-    /// the worker is dead or wedged.
+    /// heartbeat from a side thread, replays included, so a silence of
+    /// ten intervals (at least 2 s) before a lease's `ready` means the
+    /// worker is dead or wedged.
     pub heartbeat: Duration,
-    /// Per-injection wall deadline for worker processes. A replay still
-    /// in flight past the deadline gets its worker SIGKILLed and the
-    /// injection is retried on a fresh process. `None` relies on the
+    /// Per-injection wall deadline for worker processes, counted from
+    /// the lease's `ready`. A replay still in flight past the deadline
+    /// gets its worker SIGKILLed and the injection is retried on a
+    /// fresh process. `None` relies on the
     /// guest watchdog (and [`CampaignConfig::wall`]) to bound replays.
     pub deadline: Option<Duration>,
     /// Consecutive worker-process failures (kills, deaths, failed
@@ -516,20 +518,185 @@ pub(crate) fn parse_fin(line: &str) -> Option<FinRecord> {
     Some(fin)
 }
 
-/// The order-independent digest a shard's summary record must carry:
-/// CRC-32 over the canonical rendering of every completed record in
-/// `range`, each followed by `\n`, in plan order (journal write order is
-/// a race artefact; plan order is not).
-pub(crate) fn range_digest(slots: &[Option<(InjectionRecord, u32)>], range: (usize, usize)) -> u32 {
+/// The order-independent digest a range's summary record must carry:
+/// CRC-32 over the canonical rendering of every completed record of
+/// `slots` — the table of the range that starts at plan index `start`
+/// — each followed by `\n`, in plan order (journal write order is a
+/// race artefact; plan order is not).
+pub(crate) fn range_digest(start: usize, slots: &[Option<(InjectionRecord, u32)>]) -> u32 {
     let mut state = CRC_INIT;
-    for (offset, slot) in slots[range.0..range.1].iter().enumerate() {
+    for (offset, slot) in slots.iter().enumerate() {
         if let Some((rec, attempts)) = slot {
-            let base = record_line_base(range.0 + offset, rec, *attempts);
+            let base = record_line_base(start + offset, rec, *attempts);
             state = crc32_update(state, base.as_bytes());
             state = crc32_update(state, b"\n");
         }
     }
     crc32_finish(state)
+}
+
+// ---------------------------------------------------------------------
+// Record and fin checks, and the lease-stream checker built on them.
+// ---------------------------------------------------------------------
+
+/// Files one CRC-verified record into `slots`, the table of the plan
+/// range that starts at `start`: the index must fall inside the range
+/// and be new there, and the fault must be the one the deterministic
+/// plan holds at that index, so neither a worker nor a journal can
+/// substitute results. `Err` is the reason, for the caller's error
+/// type.
+pub(crate) fn file_record(
+    (index, rec, attempts): (usize, InjectionRecord, u32),
+    faults: &[Fault],
+    start: usize,
+    slots: &mut [Option<(InjectionRecord, u32)>],
+) -> Result<(), String> {
+    let Some(slot) = index.checked_sub(start).and_then(|k| slots.get_mut(k)) else {
+        return Err(format!(
+            "record {index} is outside the range {start}..{}",
+            start + slots.len()
+        ));
+    };
+    if slot.is_some() {
+        return Err(format!("duplicate record for injection {index}"));
+    }
+    if rec.fault != faults[index] {
+        return Err(format!(
+            "record {index} disagrees with the deterministic fault plan (record: {}, plan: {})",
+            rec.fault, faults[index]
+        ));
+    }
+    *slot = Some((rec, attempts));
+    Ok(())
+}
+
+/// Checks a fin against the table of the range it seals (see
+/// [`file_record`]): the claimed range, a count equal to the range's
+/// length, full coverage, and the plan-order digest. `Err` is the
+/// reason.
+pub(crate) fn check_fin(
+    fin: &FinRecord,
+    start: usize,
+    slots: &[Option<(InjectionRecord, u32)>],
+) -> Result<(), String> {
+    let end = start + slots.len();
+    if (fin.range_start, fin.range_end) != (start as u64, end as u64) {
+        return Err(format!(
+            "fin covers {}..{} but the range is {start}..{end}",
+            fin.range_start, fin.range_end
+        ));
+    }
+    if fin.records != slots.len() as u64 {
+        return Err(format!(
+            "fin claims {} records for a range of {}",
+            fin.records,
+            slots.len()
+        ));
+    }
+    if let Some(k) = slots.iter().position(Option::is_none) {
+        return Err(format!("fin arrived before record {}", start + k));
+    }
+    if fin.digest != range_digest(start, slots) {
+        return Err("fin digest disagrees with the records it covers".to_string());
+    }
+    Ok(())
+}
+
+/// Validated records of one range: plan index, record, and the attempt
+/// count the worker reported.
+pub(crate) type LeaseRecords = Vec<(usize, InjectionRecord, u32)>;
+
+/// What one frame of a lease stream meant, once [`LeaseCheck`] took it.
+#[derive(Debug)]
+pub(crate) enum Step {
+    /// A heartbeat or a record: keep reading.
+    More,
+    /// The worker built the campaign's rig; its records may follow.
+    Ready,
+    /// The fin sealed the range: its records, in plan order.
+    Fin(LeaseRecords),
+    /// The worker reported a fatal error, in its own words.
+    Error(String),
+}
+
+/// The one validator of a worker's lease stream, free of I/O: the
+/// coordinator's peer sessions and the supervisor's process slots feed
+/// it every frame a worker sends for a lease. Heartbeats may come at
+/// any time; `ready` comes once and must echo the golden instruction
+/// count; each record must verify and file into the range (see
+/// [`file_record`]); a fin that seals the range (see [`check_fin`])
+/// ends the lease. Anything else, or anything out of that order, is a
+/// typed [`NfpError::ProtocolViolation`].
+pub(crate) struct LeaseCheck<'a> {
+    golden_instret: u64,
+    faults: &'a [Fault],
+    start: usize,
+    slots: Vec<Option<(InjectionRecord, u32)>>,
+    ready: bool,
+}
+
+impl<'a> LeaseCheck<'a> {
+    /// A checker for the lease `header` binds, over the campaign's
+    /// fault plan.
+    pub(crate) fn new(header: &JournalHeader, faults: &'a [Fault]) -> Self {
+        let (start, end) = header.range();
+        LeaseCheck {
+            golden_instret: header.golden_instret,
+            faults,
+            start,
+            slots: vec![None; end.saturating_sub(start)],
+            ready: false,
+        }
+    }
+
+    /// Takes the stream's next frame.
+    pub(crate) fn feed(&mut self, frame: &str) -> Result<Step, NfpError> {
+        let violation = |detail: String| NfpError::ProtocolViolation { detail };
+        let obj = Obj(parse_flat(frame)
+            .ok_or_else(|| violation(format!("unparseable frame from the worker: {frame:?}")))?);
+        let is_fin = obj.get("fin").is_some();
+        if is_fin || obj.get("crc").is_some() {
+            let what = if is_fin { "fin" } else { "record" };
+            if !self.ready {
+                return Err(violation(format!("{what} before the ready handshake")));
+            }
+            if is_fin {
+                let fin = parse_fin(frame)
+                    .ok_or_else(|| violation("corrupt or checksum-failed fin".to_string()))?;
+                check_fin(&fin, self.start, &self.slots).map_err(violation)?;
+                let records = std::mem::take(&mut self.slots)
+                    .into_iter()
+                    .zip(self.start..)
+                    .filter_map(|(slot, i)| slot.map(|(rec, attempts)| (i, rec, attempts)))
+                    .collect();
+                return Ok(Step::Fin(records));
+            }
+            let record = parse_record(frame)
+                .ok_or_else(|| violation("corrupt or checksum-failed record".to_string()))?;
+            file_record(record, self.faults, self.start, &mut self.slots).map_err(violation)?;
+            return Ok(Step::More);
+        }
+        match obj.str("kind") {
+            Some("hb") => Ok(Step::More),
+            Some("ready") if self.ready => Err(violation("duplicate ready".to_string())),
+            Some("ready") => match obj.u64("golden_instret") {
+                Some(got) if got == self.golden_instret => {
+                    self.ready = true;
+                    Ok(Step::Ready)
+                }
+                got => Err(violation(format!(
+                    "golden instruction count mismatch: the campaign's golden run retired {}, \
+                     the worker's rig ran {got:?} — worker binary or preset skew",
+                    self.golden_instret
+                ))),
+            },
+            Some("error") => obj
+                .str("detail")
+                .map(|detail| Step::Error(detail.to_string()))
+                .ok_or_else(|| violation("error frame lacks its detail".to_string())),
+            other => Err(violation(format!("unknown frame kind {other:?}"))),
+        }
+    }
 }
 
 /// What survived journal validation. Records are written directly into
@@ -548,12 +715,13 @@ pub(crate) struct LoadedJournal {
     pub(crate) restored: usize,
 }
 
-/// Streams a journal line-by-line, verifying each record's CRC and plan
-/// binding, and fills `slots` (indexed by absolute plan index) with the
-/// completed records. A torn final line is tolerated and excluded from
-/// `intact_len`; corruption anywhere else — a failed CRC, an
-/// out-of-range index, a duplicate, a record after the summary, or a
-/// summary that disagrees with the records — is a hard error.
+/// Streams a journal line-by-line and fills `slots` (indexed by
+/// absolute plan index) with its records, under the same record and
+/// fin checks a lease stream gets ([`file_record`], [`check_fin`]) over
+/// the header's bound range. A torn final line is tolerated and
+/// excluded from `intact_len`; corruption anywhere else — a failed CRC,
+/// an out-of-range index, a duplicate, a record after the summary, or a
+/// summary that does not seal the range — is a hard error.
 pub(crate) fn load_journal(
     path: &Path,
     header: &JournalHeader,
@@ -567,7 +735,8 @@ pub(crate) fn load_journal(
     };
     let file = std::fs::File::open(path)
         .map_err(|e| journal_err(format!("cannot open for resume: {e}")))?;
-    let range = header.range();
+    let (start, end) = header.range();
+    let table = &mut slots[start..end];
     let mut reader = std::io::BufReader::new(file);
     let mut line = String::new();
     let mut offset = 0u64;
@@ -606,49 +775,15 @@ pub(crate) fn load_journal(
                 "record at line {lineno} appears after the shard summary"
             )));
         }
-        if let Some((index, rec, attempts)) = parse_record(&line) {
-            if index < range.0 || index >= range.1 {
-                return Err(journal_err(format!(
-                    "record at line {lineno} indexes injection {index}, outside this journal's \
-                     bound range {}..{}",
-                    range.0, range.1
-                )));
-            }
-            if rec.fault != faults[index] {
-                return Err(journal_err(format!(
-                    "record at line {lineno} disagrees with the fault plan for injection \
-                     {index} (journal: {}, plan: {}) — wrong seed or stale journal",
-                    rec.fault, faults[index]
-                )));
-            }
-            if slots[index].is_some() {
-                return Err(journal_err(format!(
-                    "duplicate record for injection {index} at line {lineno}"
-                )));
-            }
-            slots[index] = Some((rec, attempts));
+        if let Some(record) = parse_record(&line) {
+            file_record(record, faults, start, table)
+                .map_err(|reason| journal_err(format!("record at line {lineno}: {reason}")))?;
             restored += 1;
             intact_len = offset;
         } else if let Some(summary) = parse_fin(&line) {
-            if (summary.range_start, summary.range_end) != (range.0 as u64, range.1 as u64) {
-                return Err(journal_err(format!(
-                    "shard summary at line {lineno} covers {}..{} but the header binds \
-                     {}..{}",
-                    summary.range_start, summary.range_end, range.0, range.1
-                )));
-            }
-            let have = slots[range.0..range.1].iter().flatten().count() as u64;
-            if summary.records != have {
-                return Err(journal_err(format!(
-                    "shard summary claims {} records but the journal holds {have}",
-                    summary.records
-                )));
-            }
-            if summary.digest != range_digest(slots, range) {
-                return Err(journal_err(
-                    "shard summary digest disagrees with the records it covers".to_string(),
-                ));
-            }
+            check_fin(&summary, start, table).map_err(|reason| {
+                journal_err(format!("shard summary at line {lineno}: {reason}"))
+            })?;
             fin = Some(summary);
             intact_len = offset;
         } else {
@@ -738,6 +873,52 @@ pub(crate) fn replay_spinning(
     })
 }
 
+/// How [`replay_guarded`] ended.
+pub(crate) enum Replayed {
+    /// The replay classified the injection.
+    Record(InjectionRecord),
+    /// The replay panicked on its last attempt: quarantine the
+    /// injection. `text` is the panic payload; `rig_lost` means the rig
+    /// could not be rebuilt after the panic, so the caller has none to
+    /// go on with.
+    Panicked { text: String, rig_lost: bool },
+}
+
+/// Replays one injection under `catch_unwind` — the panic policy every
+/// replay slot shares, the supervisor's worker threads and the lease
+/// executor of a worker process alike. A panic rebuilds the rig (the
+/// panicked one may hold a half-armed fault or a mid-seek machine) and
+/// retries once; a second panic gives up so the caller can quarantine.
+/// `replay` gets the 1-based attempt number. Returns the verdict with
+/// the attempts it took; `Err` is the replay's own error, which no
+/// retry would change.
+pub(crate) fn replay_guarded(
+    rig: &mut CampaignRig,
+    mut replay: impl FnMut(&mut CampaignRig, u32) -> Result<InjectionRecord, NfpError>,
+    mut rebuild: impl FnMut() -> Result<CampaignRig, NfpError>,
+) -> Result<(Replayed, u32), NfpError> {
+    let mut attempts = 0;
+    loop {
+        attempts += 1;
+        match catch_unwind(AssertUnwindSafe(|| replay(rig, attempts))) {
+            Ok(run) => return run.map(|record| (Replayed::Record(record), attempts)),
+            Err(payload) => {
+                let text = panic_text(payload);
+                let rig_lost = match catch_unwind(AssertUnwindSafe(&mut rebuild)) {
+                    Ok(Ok(fresh)) => {
+                        *rig = fresh;
+                        false
+                    }
+                    _ => true,
+                };
+                if rig_lost || attempts >= 2 {
+                    return Ok((Replayed::Panicked { text, rig_lost }, attempts));
+                }
+            }
+        }
+    }
+}
+
 // ---------------------------------------------------------------------
 // The process-isolated worker pool.
 // ---------------------------------------------------------------------
@@ -748,21 +929,24 @@ pub(crate) fn replay_spinning(
 struct WorkerProc {
     child: Child,
     stdin: ChildStdin,
-    lines: mpsc::Receiver<Result<String, NfpError>>,
+    frames: mpsc::Receiver<Result<String, NfpError>>,
 }
 
-/// Why a slot failed to produce a live, handshaken worker process.
-enum SpawnFailure {
+/// Why a slot got no result out of a worker process.
+enum Lost {
     /// Deterministic — every respawn would hit it again, so the whole
     /// campaign fails (mirrors a thread worker's rig-prepare error).
     Fatal(NfpError),
-    /// This process is gone but a respawn may well succeed. `killed`
-    /// records whether the supervisor itself put the worker down.
-    Dead {
+    /// This process is gone (and reaped) but a respawn may well
+    /// succeed. `killed` records whether the supervisor itself put the
+    /// worker down.
+    Failed {
         cause: HarnessCause,
         detail: String,
         killed: bool,
     },
+    /// The campaign is stopping: neither a kill nor a death.
+    Stopped,
 }
 
 #[cfg(unix)]
@@ -785,18 +969,18 @@ fn kill_and_reap(child: &mut Child) -> Option<i32> {
 
 /// Reaps a worker found dead on its own (EOF on stdout) and classifies
 /// the death from its exit status.
-fn death_of(child: &mut Child) -> (HarnessCause, String) {
-    match child.wait() {
+fn death_of(child: &mut Child) -> Lost {
+    let (signal, detail) = match child.wait() {
         Ok(status) => (
-            HarnessCause::WorkerKilled {
-                signal: status_signal(&status),
-            },
+            status_signal(&status),
             format!("worker process died: {status}"),
         ),
-        Err(e) => (
-            HarnessCause::WorkerKilled { signal: None },
-            format!("worker process died (reap failed: {e})"),
-        ),
+        Err(e) => (None, format!("worker process died (reap failed: {e})")),
+    };
+    Lost::Failed {
+        cause: HarnessCause::WorkerKilled { signal },
+        detail,
+        killed: false,
     }
 }
 
@@ -839,242 +1023,189 @@ fn probe_worker(bin: &Path) -> bool {
     }
 }
 
-/// Spawns one worker process and walks it through the handshake: send
-/// the hello, accept heartbeats, take `ready`, and cross-check the
-/// golden instruction count. The handshake is policed by the idle
-/// watchdog — the worker heartbeats while it prepares its rig, so
-/// silence here always means a dead or wedged process.
-fn spawn_worker(
-    bin: &Path,
-    hello: &WorkerHello,
-    idle_timeout: Duration,
-    stop: &AtomicBool,
-) -> Result<WorkerProc, SpawnFailure> {
-    let dead = |cause: HarnessCause, detail: String, killed: bool| SpawnFailure::Dead {
-        cause,
-        detail,
-        killed,
-    };
+impl WorkerProc {
+    /// Waits for the worker's next frame. A frame the reader could not
+    /// decode is a protocol violation and the end of the stream is a
+    /// death; `limit` is the instant silence turns fatal, with the
+    /// cause and detail to report for it. Every failure reaps the
+    /// process.
+    fn next_frame(
+        &mut self,
+        limit: Option<(Instant, HarnessCause, String)>,
+        stop: &AtomicBool,
+    ) -> Result<String, Lost> {
+        loop {
+            if stop.load(Ordering::Relaxed) {
+                return Err(Lost::Stopped);
+            }
+            if let Some((at, cause, detail)) = &limit {
+                if Instant::now() >= *at {
+                    return Err(self.kill(*cause, detail.clone()));
+                }
+            }
+            match self.frames.recv_timeout(TICK) {
+                Ok(Ok(frame)) => return Ok(frame),
+                Ok(Err(e)) => return Err(self.kill(HarnessCause::ProtocolViolation, e.to_string())),
+                Err(mpsc::RecvTimeoutError::Timeout) => {}
+                Err(mpsc::RecvTimeoutError::Disconnected) => return Err(death_of(&mut self.child)),
+            }
+        }
+    }
+
+    /// SIGKILLs and reaps the worker, reporting why.
+    fn kill(&mut self, cause: HarnessCause, detail: String) -> Lost {
+        kill_and_reap(&mut self.child);
+        Lost::Failed {
+            cause,
+            detail,
+            killed: true,
+        }
+    }
+}
+
+/// Spawns one worker process and reads its join. The worker speaks
+/// first, so a complete first frame that is not a current-version join
+/// means the binary does not match this supervisor: a deterministic
+/// failure, like a golden-count mismatch. The wait is policed by the
+/// idle limit, and a worker that dies before its join is a death.
+fn spawn_worker(bin: &Path, idle: Duration, stop: &AtomicBool) -> Result<WorkerProc, Lost> {
     let mut child = Command::new(bin)
         .arg("worker")
         .stdin(Stdio::piped())
         .stdout(Stdio::piped())
         .spawn()
-        .map_err(|e| {
-            dead(
-                HarnessCause::WorkerKilled { signal: None },
-                format!("spawn of {} failed: {e}", bin.display()),
-                false,
-            )
+        .map_err(|e| Lost::Failed {
+            cause: HarnessCause::WorkerKilled { signal: None },
+            detail: format!("spawn of {} failed: {e}", bin.display()),
+            killed: false,
         })?;
-    let (Some(mut stdin), Some(stdout)) = (child.stdin.take(), child.stdout.take()) else {
+    let (Some(stdin), Some(mut stdout)) = (child.stdin.take(), child.stdout.take()) else {
         kill_and_reap(&mut child);
-        return Err(dead(
-            HarnessCause::WorkerKilled { signal: None },
-            "spawned worker came up without stdio pipes".to_string(),
-            true,
-        ));
+        return Err(Lost::Failed {
+            cause: HarnessCause::WorkerKilled { signal: None },
+            detail: "spawned worker came up without stdio pipes".to_string(),
+            killed: true,
+        });
     };
     // The reader thread is detached on purpose: it parks in a blocking
     // pipe read and exits on worker EOF, or on send failure once the
     // receiver is gone. Framing errors travel the channel as values.
-    let (line_tx, lines) = mpsc::channel();
+    let (tx, frames) = mpsc::channel();
     std::thread::spawn(move || {
-        let mut out = std::io::BufReader::new(stdout);
+        let mut reader = FrameReader::new("worker process");
         loop {
-            match read_frame(&mut out) {
-                Ok(Some(line)) => {
-                    if line_tx.send(Ok(line)).is_err() {
-                        return;
-                    }
-                }
-                Ok(None) => return,
+            let sent = match reader.recv(&mut stdout) {
+                Ok(Recv::Frame(frame)) => tx.send(Ok(frame)),
+                Ok(Recv::Idle) => Ok(()),
+                Ok(Recv::Eof) => return,
                 Err(e) => {
-                    let _ = line_tx.send(Err(e));
+                    let _ = tx.send(Err(e));
                     return;
                 }
+            };
+            if sent.is_err() {
+                return;
             }
         }
     });
-    if let Err(e) = writeln!(stdin, "{}", render_hello(hello)).and_then(|()| stdin.flush()) {
-        let signal = kill_and_reap(&mut child);
-        return Err(dead(
-            HarnessCause::WorkerKilled { signal },
-            format!("worker would not accept the hello: {e}"),
-            false,
-        ));
-    }
-    let mut last_line = Instant::now();
-    loop {
-        if stop.load(Ordering::Relaxed) {
-            kill_and_reap(&mut child);
-            return Err(dead(
-                HarnessCause::Unknown,
-                "campaign stopped during worker handshake".to_string(),
-                true,
-            ));
+    let mut w = WorkerProc {
+        child,
+        stdin,
+        frames,
+    };
+    let limit = (
+        Instant::now() + idle,
+        HarnessCause::HeartbeatTimeout,
+        format!(
+            "no join within {}ms of the spawn; worker SIGKILLed",
+            idle.as_millis()
+        ),
+    );
+    let frame = match w.next_frame(Some(limit), stop) {
+        Ok(frame) => frame,
+        Err(lost) => {
+            if matches!(lost, Lost::Stopped) {
+                kill_and_reap(&mut w.child);
+            }
+            return Err(lost);
         }
-        if last_line.elapsed() >= idle_timeout {
-            kill_and_reap(&mut child);
-            return Err(dead(
+    };
+    match parse_join(&frame) {
+        Ok(_) => Ok(w),
+        Err(e) => {
+            kill_and_reap(&mut w.child);
+            Err(Lost::Fatal(NfpError::ProtocolViolation {
+                detail: format!("worker binary does not match this supervisor: {e}"),
+            }))
+        }
+    }
+}
+
+/// Leases injection `index` to a live worker: one hello for the range
+/// `index..index+1`, then every frame through a [`LeaseCheck`]. Until
+/// `ready` the idle limit polices silence (the worker may be building
+/// its rig); from `ready` on only the per-injection deadline applies,
+/// so it times the replay alone. Returns the record and the attempts
+/// the worker reported for it.
+fn lease_one(
+    w: &mut WorkerProc,
+    ctx: &SlotCtx,
+    index: usize,
+    idle: Duration,
+) -> Result<(InjectionRecord, u32), Lost> {
+    let mut hello = ctx.hello.clone();
+    hello.header.range_start = index as u64;
+    hello.header.range_end = index as u64 + 1;
+    if let Err(e) = write_frame(&mut w.stdin, &render_hello(&hello)) {
+        let signal = kill_and_reap(&mut w.child);
+        return Err(Lost::Failed {
+            cause: HarnessCause::WorkerKilled { signal },
+            detail: format!("worker would not accept a lease: {e}"),
+            killed: false,
+        });
+    }
+    let mut check = LeaseCheck::new(&hello.header, ctx.faults);
+    let mut heard = Instant::now();
+    let mut ready: Option<Instant> = None;
+    loop {
+        let limit = match (ready, ctx.deadline) {
+            (None, _) => Some((
+                heard + idle,
                 HarnessCause::HeartbeatTimeout,
                 format!(
-                    "no heartbeat for {}ms during handshake; worker SIGKILLed",
-                    idle_timeout.as_millis()
+                    "no heartbeat for {}ms before ready; worker SIGKILLed",
+                    idle.as_millis()
                 ),
-                true,
-            ));
-        }
-        match lines.recv_timeout(TICK) {
-            Ok(Ok(line)) => {
-                last_line = Instant::now();
-                match parse_reply(&line) {
-                    Ok(Reply::Hb) => {}
-                    Ok(Reply::Ready { golden_instret }) => {
-                        if golden_instret != hello.header.golden_instret {
-                            kill_and_reap(&mut child);
-                            return Err(SpawnFailure::Fatal(NfpError::ProtocolViolation {
-                                detail: format!(
-                                    "worker rebuilt a different campaign: its golden run retired \
-                                     {golden_instret} instructions, the supervisor's retired {} — \
-                                     worker binary or preset skew",
-                                    hello.header.golden_instret
-                                ),
-                            }));
-                        }
-                        return Ok(WorkerProc {
-                            child,
-                            stdin,
-                            lines,
-                        });
-                    }
-                    Ok(Reply::Error { detail }) => {
-                        kill_and_reap(&mut child);
-                        return Err(SpawnFailure::Fatal(NfpError::Workload {
-                            what: "campaign worker".to_string(),
-                            reason: detail,
-                        }));
-                    }
-                    Ok(Reply::Done { .. }) => {
-                        kill_and_reap(&mut child);
-                        return Err(dead(
-                            HarnessCause::ProtocolViolation,
-                            "worker sent done before ready".to_string(),
-                            true,
-                        ));
-                    }
-                    Err(e) => {
-                        kill_and_reap(&mut child);
-                        return Err(dead(HarnessCause::ProtocolViolation, e.to_string(), true));
-                    }
-                }
+            )),
+            (Some(at), Some(d)) => Some((
+                at + d,
+                HarnessCause::DeadlineExceeded,
+                format!(
+                    "replay overran its {}ms deadline; worker SIGKILLed",
+                    d.as_millis()
+                ),
+            )),
+            (Some(_), None) => None,
+        };
+        let frame = w.next_frame(limit, ctx.stop)?;
+        heard = Instant::now();
+        match check.feed(&frame) {
+            Ok(Step::More) => {}
+            Ok(Step::Ready) => ready = Some(heard),
+            Ok(Step::Fin(mut records)) => {
+                let (_, record, attempts) = records
+                    .pop()
+                    .expect("a checked fin seals its one-injection range");
+                return Ok((record, attempts));
             }
-            Ok(Err(e)) => {
-                kill_and_reap(&mut child);
-                return Err(dead(HarnessCause::ProtocolViolation, e.to_string(), true));
-            }
-            Err(mpsc::RecvTimeoutError::Timeout) => {}
-            Err(mpsc::RecvTimeoutError::Disconnected) => {
-                let (cause, detail) = death_of(&mut child);
-                return Err(dead(cause, detail, false));
-            }
-        }
-    }
-}
-
-/// What [`await_done`] observed.
-enum Wait {
-    /// The in-flight injection, classified.
-    Done(InjectionRecord),
-    /// The worker failed (died, was killed, or lost protocol sync) and
-    /// has been reaped; `killed` says whether the supervisor initiated
-    /// the kill.
-    Failed {
-        cause: HarnessCause,
-        detail: String,
-        killed: bool,
-    },
-    /// The worker reported a deterministic campaign error.
-    Fatal(NfpError),
-    /// The supervisor is stopping; abandon the wait.
-    Stopping,
-}
-
-/// Waits for the `done` frame answering injection `expect`. Mid-replay
-/// the worker is heartbeat-silent *by design*, so the only things that
-/// may end the wait are the done frame itself, worker death, a protocol
-/// violation, the per-injection `deadline`, and the stop flag — idle
-/// silence is policed around replays (see [`spawn_worker`]), never
-/// during them.
-fn await_done(
-    w: &mut WorkerProc,
-    expect: usize,
-    deadline: Option<Duration>,
-    stop: &AtomicBool,
-) -> Wait {
-    let started = Instant::now();
-    let failed = |cause: HarnessCause, detail: String, killed: bool| Wait::Failed {
-        cause,
-        detail,
-        killed,
-    };
-    loop {
-        if stop.load(Ordering::Relaxed) {
-            return Wait::Stopping;
-        }
-        match w.lines.recv_timeout(TICK) {
-            Ok(Ok(line)) => match parse_reply(&line) {
-                Ok(Reply::Hb) => {}
-                Ok(Reply::Done { index, record }) => match check_index(index, expect) {
-                    Ok(()) => return Wait::Done(record),
-                    Err(e) => {
-                        kill_and_reap(&mut w.child);
-                        return failed(HarnessCause::ProtocolViolation, e.to_string(), true);
-                    }
-                },
-                Ok(Reply::Ready { .. }) => {
-                    kill_and_reap(&mut w.child);
-                    return failed(
-                        HarnessCause::ProtocolViolation,
-                        "unexpected ready frame mid-campaign".to_string(),
-                        true,
-                    );
-                }
-                Ok(Reply::Error { detail }) => {
-                    kill_and_reap(&mut w.child);
-                    return Wait::Fatal(NfpError::Workload {
-                        what: "campaign worker".to_string(),
-                        reason: detail,
-                    });
-                }
-                Err(e) => {
-                    kill_and_reap(&mut w.child);
-                    return failed(HarnessCause::ProtocolViolation, e.to_string(), true);
-                }
-            },
-            Ok(Err(e)) => {
+            Ok(Step::Error(reason)) => {
                 kill_and_reap(&mut w.child);
-                return failed(HarnessCause::ProtocolViolation, e.to_string(), true);
+                return Err(Lost::Fatal(NfpError::Workload {
+                    what: "campaign worker".to_string(),
+                    reason,
+                }));
             }
-            Err(mpsc::RecvTimeoutError::Timeout) => {
-                if let Some(d) = deadline {
-                    if started.elapsed() >= d {
-                        kill_and_reap(&mut w.child);
-                        return failed(
-                            HarnessCause::DeadlineExceeded,
-                            format!(
-                                "replay overran its {}ms deadline; worker SIGKILLed",
-                                d.as_millis()
-                            ),
-                            true,
-                        );
-                    }
-                }
-            }
-            Err(mpsc::RecvTimeoutError::Disconnected) => {
-                let (cause, detail) = death_of(&mut w.child);
-                return failed(cause, detail, false);
-            }
+            Err(e) => return Err(w.kill(HarnessCause::ProtocolViolation, e.to_string())),
         }
     }
 }
@@ -1096,15 +1227,15 @@ struct SlotCtx<'a> {
     respawns: &'a AtomicUsize,
 }
 
-/// Drives one process slot: claims plan indices, dispatches each to a
-/// (re)spawned worker, polices liveness, and reports results upstream.
-/// Per injection: retry once on a fresh process, quarantine on the
-/// second failure. Per slot: more than `max_respawns` *consecutive*
-/// process failures retires the slot (quarantining whatever was in
-/// flight) and the remaining slots absorb its share of the plan; any
-/// successful injection resets the count.
+/// Drives one process slot: claims plan indices, leases each to a
+/// (re)spawned worker, and reports results upstream. Per injection:
+/// retry once on a fresh process, quarantine on the second failure.
+/// Per slot: more than `max_respawns` *consecutive* process failures
+/// retires the slot (quarantining whatever was in flight) and the
+/// remaining slots absorb its share of the plan; any successful
+/// injection resets the count.
 fn drive_process_slot(ctx: &SlotCtx, tx: &mpsc::Sender<Msg>) {
-    let idle_timeout = (ctx.heartbeat * 10).max(Duration::from_secs(2));
+    let idle = (ctx.heartbeat * 10).max(Duration::from_secs(2));
     let mut proc: Option<WorkerProc> = None;
     let mut consecutive: u32 = 0;
 
@@ -1112,15 +1243,13 @@ fn drive_process_slot(ctx: &SlotCtx, tx: &mpsc::Sender<Msg>) {
         let Some(&index) = ctx.pending.get(ctx.next.fetch_add(1, Ordering::Relaxed)) else {
             break;
         };
-        let fault = ctx.faults[index];
         let mut attempts = 0u32;
 
-        // Each pass dispatches `index` once (or dies trying). Two
-        // failed dispatch attempts quarantine the injection — the
+        // Each pass either spawns a worker or leases `index` to the
+        // live one. Two failed leases quarantine the injection — the
         // panic-isolation retry policy at process granularity.
-        let verdict: Result<InjectionRecord, (HarnessCause, String)> = 'attempt: loop {
-            let w = match proc.as_mut() {
-                Some(w) => w,
+        let verdict: Result<(InjectionRecord, u32), (HarnessCause, String)> = 'attempt: loop {
+            let lost = match proc.as_mut() {
                 None => {
                     if consecutive > 0 {
                         ctx.respawns.fetch_add(1, Ordering::Relaxed);
@@ -1129,55 +1258,29 @@ fn drive_process_slot(ctx: &SlotCtx, tx: &mpsc::Sender<Msg>) {
                             break 'plan;
                         }
                     }
-                    match spawn_worker(ctx.bin, ctx.hello, idle_timeout, ctx.stop) {
-                        Ok(w) => proc.insert(w),
-                        Err(SpawnFailure::Fatal(error)) => {
-                            let _ = tx.send(Msg::Fatal { error });
-                            return;
-                        }
-                        Err(SpawnFailure::Dead {
-                            cause,
-                            detail,
-                            killed,
-                        }) => {
-                            if killed {
-                                ctx.kills.fetch_add(1, Ordering::Relaxed);
-                            }
-                            consecutive += 1;
-                            if consecutive > ctx.max_respawns {
-                                break 'attempt Err((cause, detail));
-                            }
+                    match spawn_worker(ctx.bin, idle, ctx.stop) {
+                        Ok(w) => {
+                            proc = Some(w);
                             continue 'attempt;
                         }
+                        Err(lost) => lost,
+                    }
+                }
+                Some(w) => {
+                    attempts += 1;
+                    match lease_one(w, ctx, index, idle) {
+                        Ok(done) => break 'attempt Ok(done),
+                        Err(lost) => lost,
                     }
                 }
             };
-
-            attempts += 1;
-            if let Err(e) =
-                writeln!(w.stdin, "{}", render_run(index)).and_then(|()| w.stdin.flush())
-            {
-                let signal = kill_and_reap(&mut w.child);
-                proc = None;
-                consecutive += 1;
-                let failure = (
-                    HarnessCause::WorkerKilled { signal },
-                    format!("worker would not accept a run dispatch: {e}"),
-                );
-                if attempts >= 2 || consecutive > ctx.max_respawns {
-                    break 'attempt Err(failure);
-                }
-                continue 'attempt;
-            }
-
-            match await_done(w, index, ctx.deadline, ctx.stop) {
-                Wait::Done(record) => break 'attempt Ok(record),
-                Wait::Stopping => break 'plan,
-                Wait::Fatal(error) => {
+            match lost {
+                Lost::Stopped => break 'plan,
+                Lost::Fatal(error) => {
                     let _ = tx.send(Msg::Fatal { error });
                     return;
                 }
-                Wait::Failed {
+                Lost::Failed {
                     cause,
                     detail,
                     killed,
@@ -1194,38 +1297,46 @@ fn drive_process_slot(ctx: &SlotCtx, tx: &mpsc::Sender<Msg>) {
             }
         };
 
-        match verdict {
-            Ok(record) => {
+        let (msg, retire) = match verdict {
+            Ok((record, worker_attempts)) => {
                 consecutive = 0;
-                let sent = tx.send(Msg::Done {
+                // A worker retries a panicking replay itself and
+                // quarantines it after a second panic; its attempts
+                // beyond the first add to the slot's.
+                let quarantine = (record.outcome == Outcome::HarnessFault).then(|| {
+                    (
+                        HarnessCause::Panic,
+                        "the replay panicked twice in the worker process".to_string(),
+                    )
+                });
+                let attempts = attempts.saturating_add(worker_attempts.saturating_sub(1));
+                let msg = Msg::Done {
                     index,
                     record,
                     attempts,
-                    quarantine: None,
-                });
-                if sent.is_err() {
-                    break;
-                }
+                    quarantine,
+                };
+                (msg, false)
             }
             Err((cause, detail)) => {
-                let retire = consecutive > ctx.max_respawns;
-                let sent = tx.send(Msg::Done {
+                let msg = Msg::Done {
                     index,
-                    record: quarantine_record(fault),
+                    record: quarantine_record(ctx.faults[index]),
                     attempts,
                     quarantine: Some((cause, detail)),
-                });
-                if retire {
-                    eprintln!(
-                        "supervisor: worker slot {} retired after {consecutive} consecutive \
-                         process failures; remaining slots absorb its share",
-                        ctx.slot
-                    );
-                }
-                if sent.is_err() || retire {
-                    break;
-                }
+                };
+                (msg, consecutive > ctx.max_respawns)
             }
+        };
+        if retire {
+            eprintln!(
+                "supervisor: worker slot {} retired after {consecutive} consecutive process \
+                 failures; remaining slots absorb its share",
+                ctx.slot
+            );
+        }
+        if tx.send(msg).is_err() || retire {
+            break;
         }
     }
     if let Some(w) = proc.take() {
@@ -1403,68 +1514,49 @@ pub fn run_supervised(
                         return;
                     };
                     let fault = faults[index];
-                    let mut attempts = 0u32;
-                    let msg = loop {
-                        attempts += 1;
-                        let force_panic = cfg
-                            .test_panic_at
-                            .is_some_and(|(i, n)| i == index && attempts <= n);
-                        let run = catch_unwind(AssertUnwindSafe(|| {
-                            if force_panic {
+                    let replayed = replay_guarded(
+                        &mut rig,
+                        |rig, attempt| {
+                            if cfg
+                                .test_panic_at
+                                .is_some_and(|(i, n)| i == index && attempt <= n)
+                            {
                                 panic!("supervisor test hook: forced panic on injection {index}");
                             }
                             if cfg.test_spin_at == Some(index) {
-                                replay_spinning(&mut rig, &fault, campaign.wall)
+                                replay_spinning(rig, &fault, campaign.wall)
                             } else {
                                 rig.run_one(&fault, campaign.wall)
                             }
-                        }));
-                        match run {
-                            Ok(Ok(record)) => {
-                                break Msg::Done {
-                                    index,
-                                    record,
-                                    attempts,
-                                    quarantine: None,
-                                }
-                            }
-                            Ok(Err(error)) => break Msg::Fatal { error },
-                            Err(payload) => {
-                                let text = panic_text(payload);
-                                // The panicked rig may hold a half-armed
-                                // fault or a mid-seek machine: replace it
-                                // before judging whether to retry.
-                                let rebuilt = catch_unwind(AssertUnwindSafe(|| {
-                                    CampaignRig::prepare(kernel, mode, campaign)
-                                }));
-                                let retired = match rebuilt {
-                                    Ok(Ok((fresh, _))) => {
-                                        rig = fresh;
-                                        false
-                                    }
-                                    _ => true,
-                                };
-                                if attempts >= 2 || retired {
-                                    let msg = Msg::Done {
-                                        index,
-                                        record: quarantine_record(fault),
-                                        attempts,
-                                        quarantine: Some((HarnessCause::Panic, text)),
-                                    };
-                                    if retired {
-                                        // No rig to continue with: hand the
-                                        // quarantined record over and retire;
-                                        // the surviving workers drain the
-                                        // rest of the plan.
-                                        let _ = tx.send(msg);
-                                        return;
-                                    }
-                                    break msg;
-                                }
-                            }
+                        },
+                        || CampaignRig::prepare(kernel, mode, campaign).map(|(fresh, _)| fresh),
+                    );
+                    let (msg, retire) = match replayed {
+                        Ok((Replayed::Record(record), attempts)) => {
+                            let msg = Msg::Done {
+                                index,
+                                record,
+                                attempts,
+                                quarantine: None,
+                            };
+                            (msg, false)
                         }
+                        Ok((Replayed::Panicked { text, rig_lost }, attempts)) => {
+                            let msg = Msg::Done {
+                                index,
+                                record: quarantine_record(fault),
+                                attempts,
+                                quarantine: Some((HarnessCause::Panic, text)),
+                            };
+                            // With no rig to continue with, hand the
+                            // quarantined record over and retire; the
+                            // surviving workers drain the rest of the
+                            // plan.
+                            (msg, rig_lost)
+                        }
+                        Err(error) => (Msg::Fatal { error }, false),
                     };
-                    if tx.send(msg).is_err() {
+                    if tx.send(msg).is_err() || retire {
                         return;
                     }
                 }
@@ -1545,7 +1637,7 @@ pub fn run_supervised(
                 records: (range.1 - range.0) as u64,
                 range_start: range.0 as u64,
                 range_end: range.1 as u64,
-                digest: range_digest(&slots, range),
+                digest: range_digest(range.0, &slots[range.0..range.1]),
             };
             let io = writeln!(file, "{}", fin_line(&fin)).and_then(|()| file.flush());
             io.map_err(|e| NfpError::Journal {
@@ -1590,6 +1682,8 @@ pub fn run_supervised(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::net::HB_FRAME;
+    use crate::worker::{render_error, render_ready};
 
     #[test]
     fn flat_json_roundtrips_records() {
@@ -1774,5 +1868,269 @@ mod tests {
         // Tampering with a count field trips the CRC.
         let tampered = line.replace("\"records\":25", "\"records\":24");
         assert_eq!(parse_fin(&tampered), None);
+    }
+
+    // -- the lease checker (the distrust boundary) --------------------
+
+    fn fault(i: u64) -> Fault {
+        Fault {
+            at: 100 + i,
+            target: FaultTarget::IntReg {
+                index: (i % 8) as u8,
+                bit: (i % 32) as u8,
+            },
+        }
+    }
+
+    fn record(i: u64) -> InjectionRecord {
+        InjectionRecord {
+            fault: fault(i),
+            category: None,
+            outcome: Outcome::Masked,
+        }
+    }
+
+    fn plan_of(n: u64) -> Vec<Fault> {
+        (0..n).map(fault).collect()
+    }
+
+    fn lease(start: u64, end: u64) -> JournalHeader {
+        JournalHeader {
+            range_start: start,
+            range_end: end,
+            ..test_header()
+        }
+    }
+
+    /// A checker for the lease `start..end`, past its `ready`.
+    fn ready_check(faults: &[Fault], start: u64, end: u64) -> LeaseCheck<'_> {
+        let header = lease(start, end);
+        let mut check = LeaseCheck::new(&header, faults);
+        let ready = check.feed(&render_ready(header.golden_instret));
+        assert!(matches!(ready, Ok(Step::Ready)), "{ready:?}");
+        check
+    }
+
+    fn refused(got: Result<Step, NfpError>) -> String {
+        match got {
+            Err(NfpError::ProtocolViolation { detail }) => detail,
+            other => panic!("expected a ProtocolViolation, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn corrupt_or_checksum_failed_records_are_refused() {
+        let faults = plan_of(4);
+        let good = record_line(1, &record(1), 1);
+        let tampered = good.replace("\"at\":101", "\"at\":102");
+        let mut check = ready_check(&faults, 0, 4);
+        let detail = refused(check.feed(&tampered));
+        assert!(detail.contains("corrupt or checksum-failed"), "{detail}");
+        assert!(check.slots.iter().all(Option::is_none));
+    }
+
+    #[test]
+    fn out_of_range_and_interleaved_records_are_refused() {
+        // The lease covers 2..4; a record for 5 belongs to another
+        // shard — out-of-order/interleaved shard output is a violation.
+        let faults = plan_of(8);
+        let mut check = ready_check(&faults, 2, 4);
+        let detail = refused(check.feed(&record_line(5, &record(5), 1)));
+        assert!(detail.contains("outside the range 2..4"), "{detail}");
+        // In-range is fine, in either order within the range.
+        let mut check = ready_check(&faults, 2, 4);
+        for i in [3, 2] {
+            let fed = check.feed(&record_line(i, &record(i as u64), 1));
+            assert!(matches!(fed, Ok(Step::More)), "{fed:?}");
+        }
+    }
+
+    #[test]
+    fn duplicate_records_are_refused() {
+        let faults = plan_of(4);
+        let mut check = ready_check(&faults, 0, 4);
+        let line = record_line(1, &record(1), 1);
+        assert!(matches!(check.feed(&line), Ok(Step::More)));
+        let detail = refused(check.feed(&line));
+        assert!(detail.contains("duplicate record"), "{detail}");
+    }
+
+    #[test]
+    fn plan_binding_mismatches_are_refused() {
+        // A record whose CRC is fine but whose fault is not what the
+        // deterministic plan holds at that index: a confused (or
+        // malicious) worker answering some other campaign.
+        let faults = plan_of(4);
+        let mut check = ready_check(&faults, 0, 4);
+        let detail = refused(check.feed(&record_line(1, &record(2), 1)));
+        assert!(detail.contains("deterministic fault plan"), "{detail}");
+    }
+
+    #[test]
+    fn fin_validation_demands_range_count_coverage_and_digest() {
+        let slots: Vec<Option<(InjectionRecord, u32)>> =
+            (2..6).map(|i| Some((record(i), 1))).collect();
+        let good = FinRecord {
+            records: 4,
+            range_start: 2,
+            range_end: 6,
+            digest: range_digest(2, &slots),
+        };
+        check_fin(&good, 2, &slots).unwrap();
+        // Wrong range.
+        let bad = FinRecord {
+            range_start: 0,
+            ..good
+        };
+        assert!(check_fin(&bad, 2, &slots).is_err());
+        // Wrong count.
+        let bad = FinRecord { records: 3, ..good };
+        assert!(check_fin(&bad, 2, &slots).is_err());
+        // Wrong digest.
+        let bad = FinRecord {
+            digest: good.digest ^ 1,
+            ..good
+        };
+        assert!(check_fin(&bad, 2, &slots).is_err());
+        // A gap in coverage (fin before every record arrived).
+        let mut torn = slots.clone();
+        torn[2] = None;
+        let err = check_fin(&good, 2, &torn).unwrap_err();
+        assert!(err.contains("record 4"), "{err}");
+        // And the round-tripped wire rendering still parses and checks.
+        let fin = parse_fin(&fin_line(&good)).unwrap();
+        check_fin(&fin, 2, &slots).unwrap();
+    }
+
+    #[test]
+    fn a_checked_stream_returns_its_ranges_records() {
+        let faults = plan_of(8);
+        let mut check = ready_check(&faults, 2, 5);
+        let mut slots = vec![None; 3];
+        // Heartbeats may come anywhere, and records in any order.
+        for i in [4, 2, 3] {
+            assert!(matches!(check.feed(HB_FRAME), Ok(Step::More)));
+            let fed = check.feed(&record_line(i, &record(i as u64), 1));
+            assert!(matches!(fed, Ok(Step::More)), "{fed:?}");
+            slots[i - 2] = Some((record(i as u64), 1));
+        }
+        let fin = FinRecord {
+            records: 3,
+            range_start: 2,
+            range_end: 5,
+            digest: range_digest(2, &slots),
+        };
+        match check.feed(&fin_line(&fin)) {
+            Ok(Step::Fin(records)) => {
+                let want: LeaseRecords = (2..5).map(|i| (i, record(i as u64), 1)).collect();
+                assert_eq!(records, want);
+            }
+            other => panic!("expected the range's records, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn frames_out_of_order_are_protocol_violations() {
+        let faults = plan_of(4);
+        let header = lease(0, 4);
+        let fin = fin_line(&FinRecord {
+            records: 4,
+            range_start: 0,
+            range_end: 4,
+            digest: 0,
+        });
+        for (frame, want) in [
+            (
+                record_line(1, &record(1), 1),
+                "record before the ready handshake",
+            ),
+            (fin, "fin before the ready handshake"),
+        ] {
+            let mut check = LeaseCheck::new(&header, &faults);
+            let detail = refused(check.feed(&frame));
+            assert!(detail.contains(want), "{detail}");
+        }
+        let mut check = ready_check(&faults, 0, 4);
+        let detail = refused(check.feed(&render_ready(header.golden_instret)));
+        assert!(detail.contains("duplicate ready"), "{detail}");
+    }
+
+    #[test]
+    fn a_golden_count_mismatch_is_a_protocol_violation() {
+        let faults = plan_of(4);
+        let header = lease(0, 4);
+        let mut check = LeaseCheck::new(&header, &faults);
+        let detail = refused(check.feed(&render_ready(header.golden_instret + 1)));
+        assert!(
+            detail.contains("golden instruction count mismatch"),
+            "{detail}"
+        );
+        assert!(refused(check.feed("{\"kind\":\"ready\"}")).contains("mismatch"));
+    }
+
+    #[test]
+    fn unknown_or_unparseable_frames_are_protocol_violations() {
+        let faults = plan_of(4);
+        for (frame, want) in [
+            ("{\"kind\":\"warp\"}", "unknown frame kind"),
+            ("{\"i\":1}", "unknown frame kind"),
+            (
+                "{\"kind\":\"done\",\"i\":3,\"outcome\":\"SDC\"}",
+                "unknown frame kind",
+            ),
+            ("{\"kind\":\"done\",\"i\":3", "unparseable"),
+            ("not json", "unparseable"),
+        ] {
+            let mut check = ready_check(&faults, 0, 4);
+            let detail = refused(check.feed(frame));
+            assert!(detail.contains(want), "{frame:?}: {detail}");
+        }
+    }
+
+    #[test]
+    fn error_frames_return_the_workers_detail() {
+        let faults = plan_of(4);
+        let nasty = "panic: \"quoted\"\nwith newline";
+        let mut check = LeaseCheck::new(&lease(0, 4), &faults);
+        match check.feed(&render_error(nasty)) {
+            Ok(Step::Error(detail)) => assert_eq!(detail, nasty),
+            other => panic!("expected the worker's error, got {other:?}"),
+        }
+        assert!(refused(check.feed("{\"kind\":\"error\"}")).contains("detail"));
+    }
+
+    #[test]
+    fn load_journal_rejects_a_fin_short_of_its_range() {
+        // Records 0..3 of a journal bound to 0..4, sealed by a fin whose
+        // count and digest match the records present: the fin claims a
+        // complete range that is not.
+        let faults = plan_of(4);
+        let header = lease(0, 4);
+        let slots: Vec<Option<(InjectionRecord, u32)>> =
+            (0..4).map(|i| (i < 3).then(|| (record(i), 1))).collect();
+        let fin = FinRecord {
+            records: 3,
+            range_start: 0,
+            range_end: 4,
+            digest: range_digest(0, &slots),
+        };
+        let mut text = format!("{}\n", header.render());
+        for i in 0..3 {
+            text.push_str(&format!("{}\n", record_line(i, &record(i as u64), 1)));
+        }
+        text.push_str(&format!("{}\n", fin_line(&fin)));
+        let path = std::env::temp_dir().join(format!("nfp_short_fin_{}.jsonl", std::process::id()));
+        std::fs::write(&path, text).unwrap();
+        let mut table = vec![None; 4];
+        let got = load_journal(&path, &header, &faults, &mut table);
+        let _ = std::fs::remove_file(&path);
+        match got {
+            Err(NfpError::Journal { reason, .. }) => {
+                assert!(reason.contains("shard summary at line 5"), "{reason}");
+                assert!(reason.contains("claims 3 records"), "{reason}");
+            }
+            Err(other) => panic!("expected a journal error, got {other}"),
+            Ok(_) => panic!("a fin short of its range loaded"),
+        }
     }
 }

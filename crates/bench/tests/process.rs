@@ -9,8 +9,11 @@ use nfp_bench::{
 };
 use nfp_core::{HarnessCause, Outcome};
 use nfp_workloads::{fse_kernels, Kernel, Preset};
+use std::io::{Read, Write};
 use std::path::PathBuf;
-use std::time::Duration;
+use std::process::{Child, ChildStdout, Command, Stdio};
+use std::sync::mpsc;
+use std::time::{Duration, Instant};
 
 fn kernel() -> Kernel {
     fse_kernels(&Preset::quick())
@@ -206,4 +209,94 @@ fn missing_worker_binary_falls_back_to_thread_mode() {
 
     let baseline = run_supervised(&k, Mode::Float, &thread_supervisor(campaign(16))).unwrap();
     assert_records_match(&outcome, &baseline, None);
+}
+
+/// Pumps a piped worker's stdout frames into a channel, so no read can
+/// hang a test.
+fn frames_of(mut out: ChildStdout) -> mpsc::Receiver<String> {
+    let (tx, rx) = mpsc::channel();
+    std::thread::spawn(move || loop {
+        let mut len = [0u8; 4];
+        if out.read_exact(&mut len).is_err() {
+            return;
+        }
+        let mut payload = vec![0u8; u32::from_be_bytes(len) as usize];
+        if out.read_exact(&mut payload).is_err() {
+            return;
+        }
+        if tx
+            .send(String::from_utf8_lossy(&payload).into_owned())
+            .is_err()
+        {
+            return;
+        }
+    });
+    rx
+}
+
+fn exit_code_within(child: &mut Child, within: Duration) -> i32 {
+    let deadline = Instant::now() + within;
+    loop {
+        if let Some(status) = child.try_wait().expect("poll the worker") {
+            return status.code().expect("an exit code, not a signal");
+        }
+        if Instant::now() >= deadline {
+            let _ = child.kill();
+            let _ = child.wait();
+            panic!("worker did not exit within {within:?}");
+        }
+        std::thread::sleep(Duration::from_millis(20));
+    }
+}
+
+#[test]
+fn piped_worker_joins_first_fails_bad_leases_and_exits_on_eof() {
+    let spawn = || {
+        let mut child = Command::new(env!("CARGO_BIN_EXE_repro"))
+            .arg("worker")
+            .stdin(Stdio::piped())
+            .stdout(Stdio::piped())
+            .stderr(Stdio::null())
+            .spawn()
+            .expect("spawn repro worker");
+        let frames = frames_of(child.stdout.take().expect("piped stdout"));
+        let join = frames
+            .recv_timeout(Duration::from_secs(10))
+            .expect("a first frame");
+        assert!(join.contains("\"kind\":\"join\""), "first frame: {join}");
+        (child, frames)
+    };
+
+    // Closing stdin after the join is a clean exit.
+    let (mut child, _frames) = spawn();
+    drop(child.stdin.take());
+    assert_eq!(exit_code_within(&mut child, Duration::from_secs(5)), 0);
+
+    // A lease naming a kernel the preset lacks is deterministic: the
+    // worker answers with an error frame and exits 1.
+    let (mut child, frames) = spawn();
+    let hello = "{\"v\":1,\"kind\":\"hello\",\"kernel\":\"no_such_kernel\",\"mode\":\"float\",\
+                 \"injections\":4,\"seed\":1,\"checkpoints\":16,\"escalation\":2,\"wall_ms\":null,\
+                 \"golden_instret\":1,\"shard_index\":0,\"shard_count\":1,\"range_start\":0,\
+                 \"range_end\":1,\"preset\":\"quick\",\"heartbeat_ms\":200,\"spin_at\":null,\
+                 \"abort_at\":null}";
+    let mut stdin = child.stdin.take().expect("piped stdin");
+    stdin
+        .write_all(&(hello.len() as u32).to_be_bytes())
+        .and_then(|()| stdin.write_all(hello.as_bytes()))
+        .and_then(|()| stdin.flush())
+        .expect("send the hello");
+    let reply = loop {
+        let frame = frames
+            .recv_timeout(Duration::from_secs(60))
+            .expect("a reply to the hello");
+        if frame != "{\"kind\":\"hb\"}" {
+            break frame;
+        }
+    };
+    assert!(
+        reply.contains("\"kind\":\"error\"") && reply.contains("no_such_kernel"),
+        "reply: {reply}"
+    );
+    assert_eq!(exit_code_within(&mut child, Duration::from_secs(10)), 1);
 }

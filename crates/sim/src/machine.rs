@@ -148,7 +148,7 @@ pub struct Watchdog {
     /// Maximum further instructions to execute.
     pub max_instrs: u64,
     /// Optional wall-clock deadline, checked every
-    /// [`WALL_CHECK_INTERVAL`] instructions.
+    /// `WALL_CHECK_INTERVAL` instructions.
     pub wall: Option<Duration>,
 }
 
@@ -484,7 +484,7 @@ impl Machine {
     }
 
     /// The predecoded `(instruction, category)` entry at `index` — the
-    /// exact pair [`Machine::fetch`] would serve — or `None` out of
+    /// exact pair `Machine::fetch` would serve — or `None` out of
     /// range. Fault injection captures this before a code patch so the
     /// undo can restore it verbatim via [`Machine::set_code_entry`].
     pub fn code_entry(&self, index: usize) -> Option<(Instr, Category)> {
