@@ -8,9 +8,11 @@
 //! * the detailed hardware model (the CAS-like slow/accurate end).
 //!
 //! Plus the dispatch-mode comparison: the same FSE kernel under
-//! per-instruction stepping and superblock traces, measured directly
-//! and recorded to `BENCH_sim.json` at the workspace root (CI uploads
-//! it as an artifact and gates on traced-dispatch regressions).
+//! per-instruction stepping and superblock traces, and with the
+//! hardware-model observer attached under the default dispatch (the
+//! testbed pass), measured directly and recorded to `BENCH_sim.json`
+//! at the workspace root (CI uploads it as an artifact and gates on
+//! traced-dispatch and observed-run regressions).
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use nfp_bench::{
@@ -83,8 +85,9 @@ fn bench_sim_layers(c: &mut Criterion) {
 }
 
 /// Median-of-N wall time of one full kernel run in every dispatch
-/// mode, returning the per-mode seconds (in `Dispatch::ALL` order)
-/// plus the common instret.
+/// mode, then with the hardware-model observer under the default
+/// dispatch; returns the seconds (`Dispatch::ALL` order, then the
+/// observed leg) plus the common instret.
 ///
 /// The reps are interleaved round-robin across the modes rather than
 /// run as per-mode blocks: on shared/contended runners the available
@@ -92,9 +95,9 @@ fn bench_sim_layers(c: &mut Criterion) {
 /// entire mode's sample inside one drift phase, skewing the cross-mode
 /// ratios that the CI gate consumes. Round-robin spreads every mode
 /// across the same phases so the drift cancels out of the ratios.
-fn time_modes(kernel: &Kernel, reps: usize) -> ([f64; Dispatch::ALL.len()], u64) {
-    let mut times = [(); Dispatch::ALL.len()].map(|()| Vec::with_capacity(reps));
-    let mut instret = [0u64; Dispatch::ALL.len()];
+fn time_modes(kernel: &Kernel, reps: usize) -> ([f64; 3], u64) {
+    let mut times = [(); 3].map(|()| Vec::with_capacity(reps));
+    let mut instret = [0u64; 3];
     for _ in 0..reps {
         for (i, &dispatch) in Dispatch::ALL.iter().enumerate() {
             let mut machine = machine_for(kernel, FloatMode::Hard).expect("machine");
@@ -103,6 +106,11 @@ fn time_modes(kernel: &Kernel, reps: usize) -> ([f64; Dispatch::ALL.len()], u64)
             instret[i] = machine.run(u64::MAX).unwrap().instret;
             times[i].push(start.elapsed().as_secs_f64());
         }
+        let mut machine = machine_for(kernel, FloatMode::Hard).expect("machine");
+        let mut obs = HwObserver::new(HwModel::default());
+        let start = Instant::now();
+        instret[2] = machine.run_observed(u64::MAX, &mut obs).unwrap().instret;
+        times[2].push(start.elapsed().as_secs_f64());
     }
     assert!(
         instret.iter().all(|&n| n == instret[0]),
@@ -306,16 +314,18 @@ fn bench_dispatch_and_campaigns(_c: &mut Criterion) {
         .into_iter()
         .next()
         .unwrap();
-    // Two modes at 10 reps cost the kernel runs four modes at 5 did,
-    // and the extra reps steady the ratio the CI gate reads.
+    // Ten interleaved reps of each leg steady the ratios the CI gate
+    // reads.
     let reps = 10;
-    let ([step_s, traced_s], instret) = time_modes(&kernel, reps);
+    let ([step_s, traced_s, hw_observed_s], instret) = time_modes(&kernel, reps);
     let step_mips = instret as f64 / step_s / 1e6;
     let traced_mips = instret as f64 / traced_s / 1e6;
+    let hw_observed_mips = instret as f64 / hw_observed_s / 1e6;
     let traced_speedup = step_s / traced_s;
     for (label, secs, mips) in [
         ("dispatch/step", step_s, step_mips),
         ("dispatch/traced", traced_s, traced_mips),
+        ("dispatch/hw_observed", hw_observed_s, hw_observed_mips),
     ] {
         println!(
             "{:<40} {:>12.3} ms/iter  {:>10.1} Melem/s",
@@ -439,6 +449,7 @@ fn bench_dispatch_and_campaigns(_c: &mut Criterion) {
          \"step_seconds\": {:.6},\n  \"traced_seconds\": {:.6},\n  \
          \"step_mips\": {:.1},\n  \"traced_mips\": {:.1},\n  \
          \"traced_speedup\": {:.3},\n  \
+         \"hw_observed_seconds\": {:.6},\n  \"hw_observed_mips\": {:.1},\n  \
          \"supervised_nojournal_seconds\": {:.6},\n  \
          \"supervised_journal_seconds\": {:.6},\n  \
          \"journal_overhead\": {:.3},\n  \
@@ -461,6 +472,8 @@ fn bench_dispatch_and_campaigns(_c: &mut Criterion) {
         step_mips,
         traced_mips,
         traced_speedup,
+        hw_observed_s,
+        hw_observed_mips,
         nojournal_s,
         journal_s,
         journal_overhead,

@@ -5,8 +5,10 @@
 //! ISS through [`count_classes`]; for the paper's classifier that is a
 //! traced run read out through the simulator's Table I counters, the
 //! "ISS + mechanistic model" point of Fig. 1. The testbed pass runs the
-//! variant again on the virtual board, whose hardware observer steps,
-//! so it is the longer of the two. [`Evaluation::run_all_parallel`]
+//! variant again on the virtual board, whose hardware observer runs
+//! inside the same traces but charges a cycle and energy cost per
+//! instruction, so it is the longer of the two.
+//! [`Evaluation::run_all_parallel`]
 //! counts every variant first and then starts the testbed passes
 //! longest first, so the long soft-float variants do not leave a
 //! thread idle at the end of the sweep.
@@ -162,8 +164,8 @@ impl Evaluation {
     /// model (for the granularity ablation). The counting pass goes
     /// through [`count_classes`]: a traced run for classifiers whose
     /// classes are unions of Table I categories ([`Paper`],
-    /// [`nfp_core::Coarse`]), a stepping observer otherwise
-    /// ([`nfp_core::Fine`]). Either way it checks the exit code and the
+    /// [`nfp_core::Coarse`]), a traced run with a counting observer
+    /// otherwise ([`nfp_core::Fine`]). Either way it checks the exit code and the
     /// emitted words before the testbed pass runs.
     pub fn run_kernel_with<C: Classifier + Clone>(
         &self,

@@ -11,8 +11,8 @@
 //! 2. **Count** instructions per class on the fast ISS —
 //!    [`model::count_classes`], which reads the simulator's built-in
 //!    Table I counters after a traced run, and attaches a
-//!    [`model::ClassCounter`] observer only for classifiers whose
-//!    classes are not unions of Table I categories.
+//!    [`model::ClassCounter`] observer (which runs traced too) only for
+//!    classifiers whose classes are not unions of Table I categories.
 //! 3. **Estimate** `Ê = Σ e_c·n_c`, `T̂ = Σ t_c·n_c` —
 //!    [`model::CostModel::estimate`] (Eq. 1).
 //! 4. **Evaluate** against testbed measurements with

@@ -10,8 +10,8 @@
 //! [`count_classes`] is the counting pass: it reads the simulator's
 //! built-in Table I counters after an unobserved (traced) run whenever
 //! the classifier's classes are unions of Table I categories, and
-//! attaches a [`ClassCounter`] observer, which steps, only when they
-//! are not.
+//! attaches a [`ClassCounter`] observer only when they are not. Both
+//! paths run at the machine's dispatch, traced by default.
 
 use nfp_sim::{ExecInfo, Machine, Observer, RunResult, SimError};
 use nfp_sparc::{AluOp, Category, Instr, CATEGORY_COUNT};
@@ -158,7 +158,8 @@ impl<C: Classifier> Observer for ClassCounter<C> {
 /// unobserved [`Machine::run`] at the machine's dispatch (traced by
 /// default) whose [`RunResult::counts`] are folded into classes.
 /// Otherwise a [`ClassCounter`] is attached through
-/// [`Machine::run_observed`], which steps. Both give the same counts.
+/// [`Machine::run_observed`], which dispatches the same way and calls
+/// the counter once per retired instruction. Both give the same counts.
 ///
 /// [`MachineConfig::count_categories`]: nfp_sim::MachineConfig::count_categories
 pub fn count_classes<C: Classifier + Clone>(

@@ -5,9 +5,11 @@
 //! [`step`] executes one predecoded instruction, updating CPU and bus
 //! state and advancing the `pc`/`npc` pair (SPARC's delay-slot
 //! architecture). An [`Observer`] receives an [`ExecInfo`] record per
-//! instruction; the detailed hardware model in `nfp-testbed` uses it to
-//! charge context-dependent cycle and energy costs, while the plain ISS
-//! runs with the zero-cost [`NullObserver`].
+//! retired instruction; the detailed hardware model in `nfp-testbed`
+//! uses it to charge context-dependent cycle and energy costs, while
+//! the plain ISS runs with the zero-cost [`NullObserver`]. `step`
+//! builds the reference records; traced dispatch builds the same
+//! records inside its superblock interpreter (`threaded.rs`).
 
 use crate::bus::{Bus, BusFault};
 use crate::cpu::Cpu;
@@ -100,7 +102,7 @@ impl std::fmt::Display for Trap {
 impl std::error::Error for Trap {}
 
 /// Per-instruction execution record handed to an [`Observer`].
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct ExecInfo {
     /// Address of the executed instruction.
     pub pc: u32,
@@ -114,10 +116,15 @@ pub struct ExecInfo {
     /// Whether a control transfer was taken (branches only).
     pub branch_taken: Option<bool>,
     /// Raw bits of the second source operand of an FPU divide or
-    /// square root (its magnitude drives iteration count on real FPUs).
+    /// square root (its magnitude drives iteration count on real FPUs);
+    /// single-precision bits are widened to `u64`.
     pub fpu_rs2_bits: Option<u64>,
     /// Population count of the primary result value — a proxy for
-    /// datapath toggling, used by the energy model.
+    /// datapath toggling, used by the energy model: the computed ALU
+    /// result (also when `rd` is `%g0`), the loaded or stored value
+    /// (64 bits for doublewords), or the value of `sethi` and `rd %y`;
+    /// 0 for FP arithmetic, `fcmp`, `save`, `restore`, `wr %y`,
+    /// `flush` and control transfers.
     pub result_ones: u32,
 }
 
@@ -135,7 +142,17 @@ impl ExecInfo {
     }
 }
 
-/// Receives one [`ExecInfo`] per executed instruction.
+/// Receives one [`ExecInfo`] per retired instruction.
+///
+/// The contract, which both dispatch modes keep: only retired
+/// instructions are observed, in retirement order. An instruction
+/// that traps is not observed (a window trap absorbed under
+/// [`TrapPolicy::Recover`](crate::TrapPolicy::Recover) is observed
+/// when its retry retires), nor is an annulled delay slot, nor a
+/// misaligned access the recovery model skips (which still counts in
+/// `instret`). [`Dispatch::Step`](crate::Dispatch::Step) and
+/// [`Dispatch::Traced`](crate::Dispatch::Traced) hand the observer
+/// identical records.
 pub trait Observer {
     /// Called after each instruction's architectural effects complete.
     fn observe(&mut self, info: &ExecInfo);

@@ -10,7 +10,9 @@ use crate::blocks::BlockCache;
 use crate::bus::{Bus, BusFault, RamSnapshot, RAM_BASE};
 use crate::cpu::Cpu;
 use crate::exec::{step, ExecError, NullObserver, Observer, StepOut, Trap};
-use crate::threaded::{build_trace, run_tops, ThreadedCache, TraceCache, TraceHalt, TraceSlot};
+use crate::threaded::{
+    build_trace, run_tops, Observed, ThreadedCache, TraceCache, TraceHalt, TraceSlot,
+};
 use nfp_sparc::{decode, Category, CategoryCounts, Instr};
 use std::time::{Duration, Instant};
 
@@ -38,11 +40,11 @@ pub enum TrapPolicy {
     Recover,
 }
 
-/// How the run loop executes instructions. Both modes are
-/// bit-identical (enforced by the differential suites); they differ
-/// only in speed. Observed runs ([`Machine::run_observed`]) always
-/// step regardless of this setting, because an [`Observer`] needs
-/// every [`ExecInfo`](crate::ExecInfo).
+/// How the run loop executes instructions, observed
+/// ([`Machine::run_observed`]) or not. Both modes are bit-identical,
+/// down to every [`ExecInfo`](crate::ExecInfo) an [`Observer`]
+/// receives (enforced by the differential suites); they differ only in
+/// speed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Dispatch {
     /// Architectural reference: fetch, match, and account one
@@ -52,9 +54,10 @@ pub enum Dispatch {
     /// blocks chained across statically-predicted branches and delay
     /// slots, so hot loop iterations retire without returning to the
     /// dispatcher. Straight-line runs outside a trace go through the
-    /// table one indirect call per instruction; side-exit guards and
-    /// block-ending instructions fall back to the step path
-    /// (DESIGN.md §13).
+    /// table one indirect call per instruction; block-ending
+    /// instructions outside a trace fall back to the step path
+    /// (DESIGN.md §13). Every path reports each retired instruction to
+    /// an attached observer.
     #[default]
     Traced,
 }
@@ -96,12 +99,13 @@ pub struct MachineConfig {
     pub count_categories: bool,
     /// Trap handling policy (see [`TrapPolicy`]).
     pub trap_policy: TrapPolicy,
-    /// Execution strategy for unobserved runs (see [`Dispatch`]). Both
-    /// modes are bit-identical, so this is a local speed choice that no
-    /// result depends on; the step path remains the reference and is
-    /// used automatically whenever an [`Observer`] is attached, at
-    /// block-ending instructions, in delay slots, outside the loaded
-    /// image, and to re-present instructions after a mid-block trap.
+    /// Execution strategy of every run, observed or not (see
+    /// [`Dispatch`]). Both modes are bit-identical, so this is a local
+    /// speed choice that no result depends on; the step path remains
+    /// the reference, and traced dispatch uses it at block-ending
+    /// instructions outside a trace, in delay slots, outside the
+    /// loaded image, and to re-present instructions after a mid-block
+    /// trap.
     pub dispatch: Dispatch,
 }
 
@@ -589,26 +593,20 @@ impl Machine {
     /// instructions have executed, without an observer (fast path,
     /// dispatched per [`MachineConfig::dispatch`]).
     pub fn run(&mut self, max_instrs: u64) -> Result<RunResult, SimError> {
-        self.run_inner(
-            max_instrs,
-            None,
-            false,
-            self.config.dispatch,
-            &mut NullObserver,
-        )
+        self.run_inner(max_instrs, None, false, &mut NullObserver)
     }
 
     /// Runs with a per-instruction [`Observer`] (the detailed hardware
-    /// model attaches here). An observer needs every
-    /// [`ExecInfo`](crate::ExecInfo), so this path always steps
-    /// instruction by instruction, regardless of
-    /// [`MachineConfig::dispatch`].
+    /// model attaches here), dispatched per [`MachineConfig::dispatch`]
+    /// like [`Machine::run`]. The observer receives one
+    /// [`ExecInfo`](crate::ExecInfo) per retired instruction, the same
+    /// records in the same order under either dispatch mode.
     pub fn run_observed<O: Observer>(
         &mut self,
         max_instrs: u64,
         obs: &mut O,
     ) -> Result<RunResult, SimError> {
-        self.run_inner(max_instrs, None, false, Dispatch::Step, obs)
+        self.run_inner(max_instrs, None, false, obs)
     }
 
     /// Runs under a [`Watchdog`]: budget or deadline expiry yields
@@ -617,13 +615,7 @@ impl Machine {
     /// than a harness misconfiguration.
     pub fn run_watchdog(&mut self, wd: &Watchdog) -> Result<RunResult, SimError> {
         let deadline = wd.wall.map(|d| Instant::now() + d);
-        self.run_inner(
-            wd.max_instrs,
-            deadline,
-            true,
-            self.config.dispatch,
-            &mut NullObserver,
-        )
+        self.run_inner(wd.max_instrs, deadline, true, &mut NullObserver)
     }
 
     /// Replays execution until the dynamic instruction count reaches
@@ -637,13 +629,7 @@ impl Machine {
         if target <= self.instret {
             return Ok(());
         }
-        match self.run_inner(
-            target - self.instret,
-            None,
-            false,
-            self.config.dispatch,
-            &mut NullObserver,
-        ) {
+        match self.run_inner(target - self.instret, None, false, &mut NullObserver) {
             Err(SimError::BudgetExhausted { .. }) => Ok(()),
             Ok(_) => Err(SimError::HaltedEarly {
                 instret: self.instret,
@@ -657,14 +643,13 @@ impl Machine {
         max_instrs: u64,
         deadline: Option<Instant>,
         watchdog: bool,
-        dispatch: Dispatch,
         obs: &mut O,
     ) -> Result<RunResult, SimError> {
         let counting = self.config.count_categories;
         let fpu = self.config.fpu_enabled;
         let recover = self.config.trap_policy == TrapPolicy::Recover;
         let limit = self.instret.saturating_add(max_instrs);
-        let traced = dispatch == Dispatch::Traced;
+        let traced = self.config.dispatch == Dispatch::Traced;
         if traced && self.fast.is_none() && !self.code.is_empty() {
             self.fast = Some(FastPath::build(&self.code, self.code_base, fpu));
         }
@@ -721,7 +706,15 @@ impl Machine {
                         }
                         if let TraceSlot::Present(trace) = fast.traces.slot(idx) {
                             if (trace.len() as u64) <= limit - self.instret {
-                                let halt = trace.run(&mut self.cpu, &mut self.bus);
+                                let halt = trace.run(
+                                    &mut self.cpu,
+                                    &mut self.bus,
+                                    &mut Observed {
+                                        obs: &mut *obs,
+                                        code: &self.code,
+                                        base: self.code_base,
+                                    },
+                                );
                                 // (retired ops, pc/npc to set, error)
                                 let (retired, state, err) = match halt {
                                     TraceHalt::Completed => {
@@ -763,8 +756,16 @@ impl Machine {
                         // decode or re-match — hot kinds inlined at the
                         // dispatch site, the tail through the table's
                         // fn pointer.
-                        let (done, pending) =
-                            run_tops(&fast.table.ops()[idx..end], &mut self.cpu, &mut self.bus);
+                        let (done, pending) = run_tops(
+                            &fast.table.ops()[idx..end],
+                            &mut self.cpu,
+                            &mut self.bus,
+                            &mut Observed {
+                                obs: &mut *obs,
+                                code: &self.code,
+                                base: self.code_base,
+                            },
+                        );
                         let j = idx + done;
                         // Commit the completed prefix [idx, j) in one
                         // batch: linear execution leaves pc/npc
@@ -1294,32 +1295,67 @@ mod tests {
         assert_eq!(r.exit_code, 9);
     }
 
-    /// Runs `words` once per dispatch mode under the same policy and
-    /// budget, and asserts every observable of the traced run agrees
-    /// with the stepping reference: the run/error result,
+    /// Folds every field of every observed record, in order, into one
+    /// hash, plus a count.
+    #[derive(Default)]
+    struct Fingerprint {
+        hasher: std::collections::hash_map::DefaultHasher,
+        count: u64,
+    }
+
+    impl Observer for Fingerprint {
+        fn observe(&mut self, info: &crate::ExecInfo) {
+            use std::hash::Hash;
+            info.hash(&mut self.hasher);
+            self.count += 1;
+        }
+    }
+
+    impl Fingerprint {
+        fn value(&self) -> (u64, u64) {
+            use std::hash::Hasher;
+            (self.hasher.finish(), self.count)
+        }
+    }
+
+    /// Runs `words` under the same policy and budget three ways — the
+    /// stepping reference with a [`Fingerprint`] attached, and traced
+    /// dispatch without and with one — and asserts every observable of
+    /// the traced runs agrees with the reference: the run/error result,
     /// retired-instruction count, category counters, full CPU state,
-    /// and RAM contents.
+    /// RAM contents, and the observed record stream.
     fn assert_modes_agree(words: &[u32], policy: TrapPolicy, budget: u64) {
-        let observe = |dispatch: Dispatch| {
+        let observe = |dispatch: Dispatch, observed: bool| {
             let mut m = Machine::boot(words);
             m.set_trap_policy(policy);
             m.set_dispatch(dispatch);
-            let res = m.run(budget);
+            let mut fp = Fingerprint::default();
+            let res = if observed {
+                m.run_observed(budget, &mut fp)
+            } else {
+                m.run(budget)
+            };
             (
                 format!("{res:?}"),
                 m.instret(),
                 *m.counts(),
                 format!("{:?}", m.cpu),
                 format!("{:?}", m.bus.snapshot_ram()),
+                observed.then(|| fp.value()),
             )
         };
-        let stepped = observe(Dispatch::Step);
-        let fast = observe(Dispatch::Traced);
-        assert_eq!(stepped.0, fast.0, "run result diverged");
-        assert_eq!(stepped.1, fast.1, "instret diverged");
-        assert_eq!(stepped.2, fast.2, "category counts diverged");
-        assert_eq!(stepped.3, fast.3, "CPU state diverged");
-        assert_eq!(stepped.4, fast.4, "RAM contents diverged");
+        let stepped = observe(Dispatch::Step, true);
+        for observed in [false, true] {
+            let fast = observe(Dispatch::Traced, observed);
+            assert_eq!(stepped.0, fast.0, "run result diverged");
+            assert_eq!(stepped.1, fast.1, "instret diverged");
+            assert_eq!(stepped.2, fast.2, "category counts diverged");
+            assert_eq!(stepped.3, fast.3, "CPU state diverged");
+            assert_eq!(stepped.4, fast.4, "RAM contents diverged");
+            if observed {
+                assert_eq!(stepped.5, fast.5, "observed records diverged");
+            }
+        }
     }
 
     fn memory_loop_program() -> Vec<u32> {
@@ -1377,6 +1413,124 @@ mod tests {
         let words = a.finish().unwrap();
         assert_modes_agree(&words, TrapPolicy::Recover, 1_000);
         assert_modes_agree(&words, TrapPolicy::Abort, 1_000);
+    }
+
+    /// A loop that retires, inside one superblock, every op kind whose
+    /// record carries more than its pc: `sethi` and `ld` into `%g0`,
+    /// `cmp`, sub-word stores of a wide register, doublewords, `rd` and
+    /// `wr %y`, a multiply, FP loads, stores, divides and square roots,
+    /// `fcmp` with a guarded `fb`, `ba`, `bn`, an inlined `call`, and a
+    /// `save`/`restore` pair; then a misaligned load (skipped under
+    /// recovery) and a window overflow.
+    fn every_op_kind_program() -> Vec<u32> {
+        use nfp_sparc::{FCond, FReg, FpOp, MemSize};
+        let mut a = Assembler::new(RAM_BASE);
+        let f = FReg::new;
+        a.set32(RAM_BASE + 0x2000, Reg::l(1));
+        a.set32(0x8765_4321, Reg::l(3));
+        a.mov(5, Reg::l(2));
+        a.label("loop");
+        a.push(Instr::Sethi {
+            rd: G0,
+            imm22: 0x2_a5a5,
+        });
+        a.alu(AluOp::SubCc, Reg::l(3), Operand::Reg(Reg::l(2)), G0);
+        a.st(MemSize::Byte, Reg::l(3), Reg::l(1), 0);
+        a.st(MemSize::Half, Reg::l(3), Reg::l(1), 2);
+        a.st(MemSize::Double, Reg::l(2), Reg::l(1), 8);
+        a.ld(MemSize::Double, false, Reg::l(1), 8, Reg::l(4));
+        a.ld(MemSize::Word, false, Reg::l(1), 8, G0);
+        a.ld(MemSize::Byte, true, Reg::l(1), 0, Reg::l(6));
+        a.alu(AluOp::UMul, Reg::l(3), Operand::Reg(Reg::l(3)), Reg::l(7));
+        a.push(Instr::RdY { rd: Reg::o(1) });
+        a.push(Instr::WrY {
+            rs1: Reg::l(2),
+            op2: Operand::Imm(3),
+        });
+        a.push(Instr::LoadF {
+            double: false,
+            rd: f(1),
+            rs1: Reg::l(1),
+            op2: Operand::Imm(0),
+        });
+        a.lddf(Reg::l(1), 8, f(2));
+        a.fpop(FpOp::FiToD, f(0), f(1), f(4));
+        a.fpop(FpOp::FDivD, f(4), f(2), f(6));
+        a.fpop(FpOp::FSqrtD, f(0), f(6), f(8));
+        a.fpop(FpOp::FDivS, f(1), f(1), f(10));
+        a.fpop(FpOp::FSqrtS, f(0), f(10), f(11));
+        a.fpop(FpOp::FAddD, f(6), f(8), f(12));
+        a.stdf(f(12), Reg::l(1), 16);
+        a.push(Instr::StoreF {
+            double: false,
+            rd: f(11),
+            rs1: Reg::l(1),
+            op2: Operand::Imm(24),
+        });
+        a.push(Instr::FCmp {
+            double: true,
+            exception: false,
+            rs1: f(6),
+            rs2: f(8),
+        });
+        a.fb(FCond::G, "fwd");
+        a.nop();
+        a.label("fwd");
+        a.b(ICond::N, "never");
+        a.nop();
+        a.ba("over");
+        a.alu(AluOp::Add, Reg::l(3), 7, Reg::l(3));
+        a.label("never");
+        a.nop();
+        a.label("over");
+        a.call("leaf");
+        a.nop();
+        a.alu(AluOp::SubCc, Reg::l(2), 1, Reg::l(2));
+        a.b(ICond::Ne, "loop");
+        a.alu(AluOp::Add, Reg::l(1), 32, Reg::l(1));
+        a.set32(RAM_BASE + 0x101, Reg::l(0));
+        a.ld(MemSize::Word, false, Reg::l(0), 0, Reg::l(5));
+        for _ in 0..crate::cpu::NWINDOWS {
+            a.push(Instr::Save {
+                rd: G0,
+                rs1: G0,
+                op2: Operand::Imm(0),
+            });
+        }
+        a.mov(0, Reg::o(0));
+        a.ta(0);
+        a.nop();
+        a.label("leaf");
+        a.push(Instr::Save {
+            rd: G0,
+            rs1: G0,
+            op2: Operand::Imm(0),
+        });
+        a.push(Instr::Restore {
+            rd: G0,
+            rs1: G0,
+            op2: Operand::Imm(0),
+        });
+        a.retl();
+        a.nop();
+        a.finish().unwrap()
+    }
+
+    #[test]
+    fn observed_records_match_step_on_every_op_kind() {
+        let words = every_op_kind_program();
+        for policy in [TrapPolicy::Abort, TrapPolicy::Recover] {
+            assert_modes_agree(&words, policy, 100_000);
+            for budget in 0..120 {
+                assert_modes_agree(&words, policy, budget);
+            }
+        }
+        // The loop body really does retire inside superblocks.
+        let mut m = Machine::boot(&words);
+        m.set_trap_policy(TrapPolicy::Recover);
+        m.run_observed(100_000, &mut Fingerprint::default())
+            .unwrap();
+        assert!(m.dispatch_stats().traced > 100, "{:?}", m.dispatch_stats());
     }
 
     #[test]

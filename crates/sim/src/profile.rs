@@ -2,13 +2,13 @@
 //! be folded over a symbol table into a per-function profile, and a
 //! bounded execution tracer for debugging.
 //!
-//! Attaching any [`Observer`] (via
-//! [`Machine::run_observed`](crate::Machine::run_observed)) forces the
-//! run loop onto the per-instruction step path regardless of
-//! [`MachineConfig::dispatch`](crate::MachineConfig::dispatch): traced
-//! dispatch skips the per-instruction [`ExecInfo`] plumbing these
-//! observers depend on, so observed runs trade speed for a complete
-//! event stream.
+//! Attach them with
+//! [`Machine::run_observed`](crate::Machine::run_observed). Observed
+//! runs dispatch per
+//! [`MachineConfig::dispatch`](crate::MachineConfig::dispatch) like
+//! unobserved ones: superblock traces hand the observer the same
+//! [`ExecInfo`] stream the step path does (see [`Observer`]), so a
+//! profile costs a call per instruction, not a slower interpreter.
 
 use crate::exec::{ExecInfo, Observer};
 use nfp_sparc::disasm;
@@ -170,9 +170,9 @@ mod tests {
 
     #[test]
     fn observers_see_every_instruction_despite_batched_dispatch() {
-        // Dispatch defaults to traced, but observed runs must still
-        // step: a histogram that missed batched instructions would
-        // undercount silently.
+        // Dispatch defaults to traced, and observed runs retire inside
+        // traces too: a histogram that missed batched instructions
+        // would undercount silently.
         let words = loop_program(25);
         let mut m = Machine::boot(&words);
         assert_eq!(
@@ -184,6 +184,7 @@ mod tests {
         let r = m.run_observed(100_000, &mut hist).unwrap();
         assert_eq!(hist.total(), r.instret, "one observation per retirement");
         assert_eq!(hist.count_at(RAM_BASE + 8), 25);
+        assert!(m.dispatch_stats().traced > 0, "the loop ran traced");
     }
 
     #[test]

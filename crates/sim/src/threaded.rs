@@ -26,13 +26,20 @@
 //! [`Machine::patch_code_word`](crate::Machine::patch_code_word) (and
 //! with it every fault-injection code flip and undo) drops it, and the
 //! next run rebuilds from the patched stream.
+//!
+//! Observers run inside this interpreter: the run loops are generic
+//! over the [`Observer`], and each retired op hands it the
+//! [`ExecInfo`] `exec::step` would build — the image entry at the op's
+//! pc plus the operand-dependent fields the op's arm records. Under
+//! [`NullObserver`](crate::NullObserver) that bookkeeping is dead code,
+//! so unobserved runs keep the bare loop.
 
 use std::collections::HashSet;
 
 use crate::blocks::{leaders, BlockCache};
 use crate::bus::Bus;
 use crate::cpu::Cpu;
-use crate::exec::{compare, exec_alu, fault_to_trap, ExecError, Trap};
+use crate::exec::{compare, exec_alu, fault_to_trap, ExecError, ExecInfo, Observer, Trap};
 use nfp_sparc::cond::FccValue;
 use nfp_sparc::{
     AluOp, Category, CategoryCounts, FCond, FReg, FpOp, ICond, Instr, MemSize, Operand, Reg,
@@ -67,12 +74,17 @@ pub(crate) type ExecFn = fn(&mut Cpu, &mut Bus, &DecodedOp) -> Result<Flow, Exec
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 #[repr(u8)]
 pub(crate) enum OpKind {
-    /// Execute through the fn pointer (FP, window ops, trap stubs).
+    /// Execute through the fn pointer. Only a corrupted entry
+    /// ([`ThreadedCache::corrupt`]) carries it, and it always errors,
+    /// so it is never reported to an observer as retired.
     #[default]
     Generic,
-    /// Retires with no architectural effect (`nop`, `flush`, and
-    /// in-trace retired `ba`).
+    /// Retires with no architectural effect (`nop`, `flush`, `sethi`
+    /// into `%g0`); `imm` is the value a `sethi` computes (else 0).
     Nop,
+    /// In-trace `ba`/`ba,a`/`fba`/`fba,a`: the successor is inlined, so
+    /// retiring the branch has no architectural effect.
+    Retire,
     /// `sethi` with a live destination; `imm` is precomputed.
     Sethi,
     /// Integer ALU, immediate form; `aux` is the `AluOp` discriminant.
@@ -209,8 +221,7 @@ fn op2_val<const IMM: bool>(cpu: &Cpu, op: &DecodedOp) -> u32 {
 }
 
 // ---------------------------------------------------------------------------
-// Linear exec functions (mirrors of `exec_linear`'s arms, minus the
-// observer record)
+// Linear exec functions (mirrors of `exec_linear`'s arms)
 // ---------------------------------------------------------------------------
 
 fn exec_nop(_cpu: &mut Cpu, _bus: &mut Bus, _op: &DecodedOp) -> Result<Flow, ExecError> {
@@ -337,15 +348,17 @@ fn exec_restore_c<const IMM: bool>(
 
 /// `SIZE`: 0 = byte, 1 = half, 2 = word, 3 = doubleword (odd-`rd`
 /// doublewords are routed to [`exec_odd_int_pair`] at predecode).
+/// Returns the effective address and the loaded value, extended as it
+/// lands in the register (what an observer counts).
 #[inline(always)]
-fn exec_load_c<const SIZE: u8, const SIGNED: bool, const IMM: bool>(
+fn load_c<const SIZE: u8, const SIGNED: bool, const IMM: bool>(
     cpu: &mut Cpu,
     bus: &mut Bus,
     op: &DecodedOp,
-) -> Result<Flow, ExecError> {
+) -> Result<(u32, u64), ExecError> {
     let addr = cpu.get(reg(op.rs1)).wrapping_add(op2_val::<IMM>(cpu, op));
     let map = |e| ExecError::Trap(fault_to_trap(op.pc, e));
-    match SIZE {
+    let v = match SIZE {
         0 => {
             let v = bus.load8(addr).map_err(map)? as u32;
             let v = if SIGNED {
@@ -354,6 +367,7 @@ fn exec_load_c<const SIZE: u8, const SIGNED: bool, const IMM: bool>(
                 v
             };
             cpu.set(reg(op.rd), v);
+            v as u64
         }
         1 => {
             let v = bus.load16(addr).map_err(map)? as u32;
@@ -363,40 +377,93 @@ fn exec_load_c<const SIZE: u8, const SIGNED: bool, const IMM: bool>(
                 v
             };
             cpu.set(reg(op.rd), v);
+            v as u64
         }
         2 => {
             let v = bus.load32(addr).map_err(map)?;
             cpu.set(reg(op.rd), v);
+            v as u64
         }
         _ => {
             let v = bus.load64(addr).map_err(map)?;
             cpu.set(reg(op.rd), (v >> 32) as u32);
             cpu.set(reg(op.rd + 1), v as u32);
+            v
         }
-    }
-    Ok(Flow::Next)
+    };
+    Ok((addr, v))
 }
 
+fn exec_load_c<const SIZE: u8, const SIGNED: bool, const IMM: bool>(
+    cpu: &mut Cpu,
+    bus: &mut Bus,
+    op: &DecodedOp,
+) -> Result<Flow, ExecError> {
+    load_c::<SIZE, SIGNED, IMM>(cpu, bus, op).map(|_| Flow::Next)
+}
+
+/// Returns the effective address and the value an observer counts:
+/// the whole source register for sub-doubleword stores (as
+/// `exec::step` counts it), the register pair for `std`.
 #[inline(always)]
+fn store_c<const SIZE: u8, const IMM: bool>(
+    cpu: &mut Cpu,
+    bus: &mut Bus,
+    op: &DecodedOp,
+) -> Result<(u32, u64), ExecError> {
+    let addr = cpu.get(reg(op.rs1)).wrapping_add(op2_val::<IMM>(cpu, op));
+    let map = |e| ExecError::Trap(fault_to_trap(op.pc, e));
+    let v = cpu.get(reg(op.rd));
+    let counted = match SIZE {
+        0 => {
+            bus.store8(addr, v as u8).map_err(map)?;
+            v as u64
+        }
+        1 => {
+            bus.store16(addr, v as u16).map_err(map)?;
+            v as u64
+        }
+        2 => {
+            bus.store32(addr, v).map_err(map)?;
+            v as u64
+        }
+        _ => {
+            let lo = cpu.get(reg(op.rd + 1));
+            let dv = ((v as u64) << 32) | lo as u64;
+            bus.store64(addr, dv).map_err(map)?;
+            dv
+        }
+    };
+    Ok((addr, counted))
+}
+
 fn exec_store_c<const SIZE: u8, const IMM: bool>(
     cpu: &mut Cpu,
     bus: &mut Bus,
     op: &DecodedOp,
 ) -> Result<Flow, ExecError> {
+    store_c::<SIZE, IMM>(cpu, bus, op).map(|_| Flow::Next)
+}
+
+/// Returns the effective address and the loaded bits.
+#[inline(always)]
+fn loadf_c<const DOUBLE: bool, const IMM: bool>(
+    cpu: &mut Cpu,
+    bus: &mut Bus,
+    op: &DecodedOp,
+) -> Result<(u32, u64), ExecError> {
     let addr = cpu.get(reg(op.rs1)).wrapping_add(op2_val::<IMM>(cpu, op));
     let map = |e| ExecError::Trap(fault_to_trap(op.pc, e));
-    let v = cpu.get(reg(op.rd));
-    match SIZE {
-        0 => bus.store8(addr, v as u8).map_err(map)?,
-        1 => bus.store16(addr, v as u16).map_err(map)?,
-        2 => bus.store32(addr, v).map_err(map)?,
-        _ => {
-            let lo = cpu.get(reg(op.rd + 1));
-            let dv = ((v as u64) << 32) | lo as u64;
-            bus.store64(addr, dv).map_err(map)?;
-        }
+    if DOUBLE {
+        let v = bus.load64(addr).map_err(map)?;
+        cpu.fset(freg(op.rd), (v >> 32) as u32);
+        cpu.fset(freg(op.rd + 1), v as u32);
+        Ok((addr, v))
+    } else {
+        let v = bus.load32(addr).map_err(map)?;
+        cpu.fset(freg(op.rd), v);
+        Ok((addr, v as u64))
     }
-    Ok(Flow::Next)
 }
 
 fn exec_loadf_c<const DOUBLE: bool, const IMM: bool>(
@@ -404,17 +471,29 @@ fn exec_loadf_c<const DOUBLE: bool, const IMM: bool>(
     bus: &mut Bus,
     op: &DecodedOp,
 ) -> Result<Flow, ExecError> {
+    loadf_c::<DOUBLE, IMM>(cpu, bus, op).map(|_| Flow::Next)
+}
+
+/// Returns the effective address and the stored bits.
+#[inline(always)]
+fn storef_c<const DOUBLE: bool, const IMM: bool>(
+    cpu: &mut Cpu,
+    bus: &mut Bus,
+    op: &DecodedOp,
+) -> Result<(u32, u64), ExecError> {
     let addr = cpu.get(reg(op.rs1)).wrapping_add(op2_val::<IMM>(cpu, op));
     let map = |e| ExecError::Trap(fault_to_trap(op.pc, e));
     if DOUBLE {
-        let v = bus.load64(addr).map_err(map)?;
-        cpu.fset(freg(op.rd), (v >> 32) as u32);
-        cpu.fset(freg(op.rd + 1), v as u32);
+        let hi = cpu.fget(freg(op.rd)) as u64;
+        let lo = cpu.fget(freg(op.rd + 1)) as u64;
+        let v = (hi << 32) | lo;
+        bus.store64(addr, v).map_err(map)?;
+        Ok((addr, v))
     } else {
-        let v = bus.load32(addr).map_err(map)?;
-        cpu.fset(freg(op.rd), v);
+        let v = cpu.fget(freg(op.rd));
+        bus.store32(addr, v).map_err(map)?;
+        Ok((addr, v as u64))
     }
-    Ok(Flow::Next)
 }
 
 fn exec_storef_c<const DOUBLE: bool, const IMM: bool>(
@@ -422,17 +501,7 @@ fn exec_storef_c<const DOUBLE: bool, const IMM: bool>(
     bus: &mut Bus,
     op: &DecodedOp,
 ) -> Result<Flow, ExecError> {
-    let addr = cpu.get(reg(op.rs1)).wrapping_add(op2_val::<IMM>(cpu, op));
-    let map = |e| ExecError::Trap(fault_to_trap(op.pc, e));
-    if DOUBLE {
-        let hi = cpu.fget(freg(op.rd)) as u64;
-        let lo = cpu.fget(freg(op.rd + 1)) as u64;
-        bus.store64(addr, (hi << 32) | lo).map_err(map)?;
-    } else {
-        let v = cpu.fget(freg(op.rd));
-        bus.store32(addr, v).map_err(map)?;
-    }
-    Ok(Flow::Next)
+    storef_c::<DOUBLE, IMM>(cpu, bus, op).map(|_| Flow::Next)
 }
 
 // --- floating point (operand evenness is validated at predecode) ---
@@ -792,7 +861,72 @@ fn stub_err(op: &DecodedOp) -> ExecError {
     }
 }
 
-/// Executes one threaded op, inlining the hot kinds at the call site.
+/// An [`Observer`] plus the predecoded image that the ops' pcs index:
+/// everything traced dispatch needs to hand the observer the
+/// [`ExecInfo`] `exec::step` builds for the same retirement.
+pub(crate) struct Observed<'a, O> {
+    pub obs: &'a mut O,
+    pub code: &'a [(Instr, Category)],
+    pub base: u32,
+}
+
+/// The operand-dependent fields of an op's [`ExecInfo`].
+#[derive(Default)]
+struct Effect {
+    mem_addr: Option<u32>,
+    branch_taken: Option<bool>,
+    fpu_rs2_bits: Option<u64>,
+    result_ones: u32,
+}
+
+impl Effect {
+    /// Records a memory access: effective address and the value moved.
+    #[inline(always)]
+    fn mem(&mut self, (addr, v): (u32, u64)) {
+        self.mem_addr = Some(addr);
+        self.result_ones = v.count_ones();
+    }
+}
+
+impl<O: Observer> Observed<'_, O> {
+    /// Reports the op at `pc` as retired. `instr` and `category` come
+    /// from the image entry, so a guard or an in-trace `ba`/`call`
+    /// reports its branch. Everything here is pure and panic-free, so
+    /// for [`NullObserver`](crate::NullObserver) it is dead code.
+    #[inline(always)]
+    fn retire(&mut self, pc: u32, fx: Effect) {
+        let idx = pc.wrapping_sub(self.base) as usize / 4;
+        if let Some(&(instr, category)) = self.code.get(idx) {
+            self.obs.observe(&ExecInfo {
+                pc,
+                instr,
+                category,
+                mem_addr: fx.mem_addr,
+                branch_taken: fx.branch_taken,
+                fpu_rs2_bits: fx.fpu_rs2_bits,
+                result_ones: fx.result_ones,
+            });
+        }
+    }
+}
+
+/// The divisor or radicand bits `exec::step` reports for `fsqrt` and
+/// `fdiv`, read before the op writes `rd`. Single-precision bits are
+/// widened; the register pair of a double is even (checked at
+/// predecode), and `freg` masks keep every read in bounds.
+#[inline(always)]
+fn fp_rs2_bits(cpu: &Cpu, op: &DecodedOp) -> Option<u64> {
+    match FP_OPS.get(op.aux as usize)? {
+        FpOp::FSqrtS | FpOp::FDivS => Some(cpu.fget(freg(op.rs2)) as u64),
+        FpOp::FSqrtD | FpOp::FDivD => {
+            Some(((cpu.fget(freg(op.rs2)) as u64) << 32) | cpu.fget(freg(op.rs2 + 1)) as u64)
+        }
+        _ => None,
+    }
+}
+
+/// Executes one threaded op, inlining the hot kinds at the call site,
+/// and reports it to the observer once it retires.
 ///
 /// A pure fn-pointer loop pays a call/ret plus an opaque optimization
 /// barrier on every instruction; measured on the FSE kernel that is
@@ -802,116 +936,208 @@ fn stub_err(op: &DecodedOp) -> ExecError {
 /// target each, falling back to the indirect call for the long tail.
 ///
 /// Each inline arm calls the *same* function its table pointer names
-/// (or its const-generic instantiation), and both the pointer and the
-/// tag are chosen by the same predecode arm, so the two dispatch
-/// roads cannot diverge semantically. A corrupted table entry
-/// ([`ThreadedCache::corrupt`]) carries the default `Generic` tag and
-/// therefore still reaches its routing-violation stub.
+/// (or the const-generic instantiation that pointer wraps), and both
+/// the pointer and the tag are chosen by the same predecode arm, so
+/// the two dispatch roads cannot diverge semantically. A corrupted
+/// table entry ([`ThreadedCache::corrupt`]) carries the default
+/// `Generic` tag and therefore still reaches its routing-violation
+/// stub.
+///
+/// The [`Effect`] each arm records is what `exec_linear` puts in the
+/// op's [`ExecInfo`]: computed results and loaded or stored values
+/// for `result_ones` (even into `%g0`), effective addresses, guard
+/// outcomes, and `fsqrt`/`fdiv` operands. An op that errors is not
+/// reported.
 #[inline(always)]
-fn exec_top(t: &TOp, cpu: &mut Cpu, bus: &mut Bus) -> Result<Flow, ExecError> {
+fn exec_top<O: Observer>(
+    t: &TOp,
+    cpu: &mut Cpu,
+    bus: &mut Bus,
+    obs: &mut Observed<'_, O>,
+) -> Result<Flow, ExecError> {
     let op = &t.op;
-    match op.kind {
-        OpKind::Generic => (t.exec)(cpu, bus, op),
-        OpKind::Nop => Ok(Flow::Next),
-        OpKind::Sethi => exec_sethi(cpu, bus, op),
+    let mut fx = Effect::default();
+    let flow = match op.kind {
+        OpKind::Generic => (t.exec)(cpu, bus, op)?,
+        OpKind::Nop => {
+            fx.result_ones = op.imm.count_ones();
+            Flow::Next
+        }
+        OpKind::Retire => {
+            fx.branch_taken = Some(true);
+            Flow::Next
+        }
+        OpKind::Sethi => {
+            fx.result_ones = op.imm.count_ones();
+            exec_sethi(cpu, bus, op)?
+        }
         OpKind::AluImm => {
             let a = cpu.get(reg(op.rs1));
             let r = exec_alu(cpu, ALU_OPS[op.aux as usize], a, op.imm, op.pc)?;
             cpu.set(reg(op.rd), r);
-            Ok(Flow::Next)
+            fx.result_ones = r.count_ones();
+            Flow::Next
         }
         OpKind::AluReg => {
             let a = cpu.get(reg(op.rs1));
             let b = cpu.get(reg(op.rs2));
             let r = exec_alu(cpu, ALU_OPS[op.aux as usize], a, b, op.pc)?;
             cpu.set(reg(op.rd), r);
-            Ok(Flow::Next)
+            fx.result_ones = r.count_ones();
+            Flow::Next
         }
-        OpKind::LoadImm => match op.aux {
-            0 => exec_load_c::<0, false, true>(cpu, bus, op),
-            1 => exec_load_c::<1, false, true>(cpu, bus, op),
-            2 => exec_load_c::<2, false, true>(cpu, bus, op),
-            3 => exec_load_c::<3, false, true>(cpu, bus, op),
-            4 => exec_load_c::<0, true, true>(cpu, bus, op),
-            _ => exec_load_c::<1, true, true>(cpu, bus, op),
-        },
-        OpKind::LoadReg => match op.aux {
-            0 => exec_load_c::<0, false, false>(cpu, bus, op),
-            1 => exec_load_c::<1, false, false>(cpu, bus, op),
-            2 => exec_load_c::<2, false, false>(cpu, bus, op),
-            3 => exec_load_c::<3, false, false>(cpu, bus, op),
-            4 => exec_load_c::<0, true, false>(cpu, bus, op),
-            _ => exec_load_c::<1, true, false>(cpu, bus, op),
-        },
-        OpKind::StoreImm => match op.aux {
-            0 => exec_store_c::<0, true>(cpu, bus, op),
-            1 => exec_store_c::<1, true>(cpu, bus, op),
-            2 => exec_store_c::<2, true>(cpu, bus, op),
-            _ => exec_store_c::<3, true>(cpu, bus, op),
-        },
-        OpKind::StoreReg => match op.aux {
-            0 => exec_store_c::<0, false>(cpu, bus, op),
-            1 => exec_store_c::<1, false>(cpu, bus, op),
-            2 => exec_store_c::<2, false>(cpu, bus, op),
-            _ => exec_store_c::<3, false>(cpu, bus, op),
-        },
-        OpKind::GuardTaken => guard_taken::<false>(cpu, bus, op),
-        OpKind::GuardTakenAnnul => guard_taken::<true>(cpu, bus, op),
-        OpKind::GuardUntaken => guard_untaken(cpu, bus, op),
-        OpKind::GuardFTaken => guard_ftaken::<false>(cpu, bus, op),
-        OpKind::GuardFTakenAnnul => guard_ftaken::<true>(cpu, bus, op),
-        OpKind::GuardFUntaken => guard_funtaken(cpu, bus, op),
-        OpKind::CallLink => exec_call_link(cpu, bus, op),
-        OpKind::RdY => exec_rdy(cpu, bus, op),
-        OpKind::WrYImm => exec_wry_c::<true>(cpu, bus, op),
-        OpKind::WrYReg => exec_wry_c::<false>(cpu, bus, op),
-        OpKind::SaveImm => exec_save_c::<true>(cpu, bus, op),
-        OpKind::SaveReg => exec_save_c::<false>(cpu, bus, op),
-        OpKind::RestoreImm => exec_restore_c::<true>(cpu, bus, op),
-        OpKind::RestoreReg => exec_restore_c::<false>(cpu, bus, op),
+        OpKind::LoadImm => {
+            let done = match op.aux {
+                0 => load_c::<0, false, true>(cpu, bus, op),
+                1 => load_c::<1, false, true>(cpu, bus, op),
+                2 => load_c::<2, false, true>(cpu, bus, op),
+                3 => load_c::<3, false, true>(cpu, bus, op),
+                4 => load_c::<0, true, true>(cpu, bus, op),
+                _ => load_c::<1, true, true>(cpu, bus, op),
+            }?;
+            fx.mem(done);
+            Flow::Next
+        }
+        OpKind::LoadReg => {
+            let done = match op.aux {
+                0 => load_c::<0, false, false>(cpu, bus, op),
+                1 => load_c::<1, false, false>(cpu, bus, op),
+                2 => load_c::<2, false, false>(cpu, bus, op),
+                3 => load_c::<3, false, false>(cpu, bus, op),
+                4 => load_c::<0, true, false>(cpu, bus, op),
+                _ => load_c::<1, true, false>(cpu, bus, op),
+            }?;
+            fx.mem(done);
+            Flow::Next
+        }
+        OpKind::StoreImm => {
+            let done = match op.aux {
+                0 => store_c::<0, true>(cpu, bus, op),
+                1 => store_c::<1, true>(cpu, bus, op),
+                2 => store_c::<2, true>(cpu, bus, op),
+                _ => store_c::<3, true>(cpu, bus, op),
+            }?;
+            fx.mem(done);
+            Flow::Next
+        }
+        OpKind::StoreReg => {
+            let done = match op.aux {
+                0 => store_c::<0, false>(cpu, bus, op),
+                1 => store_c::<1, false>(cpu, bus, op),
+                2 => store_c::<2, false>(cpu, bus, op),
+                _ => store_c::<3, false>(cpu, bus, op),
+            }?;
+            fx.mem(done);
+            Flow::Next
+        }
+        // A predicted-taken guard falls through when the branch is
+        // taken; a predicted-untaken one when it is not.
+        OpKind::GuardTaken => {
+            let f = guard_taken::<false>(cpu, bus, op)?;
+            fx.branch_taken = Some(f == Flow::Next);
+            f
+        }
+        OpKind::GuardTakenAnnul => {
+            let f = guard_taken::<true>(cpu, bus, op)?;
+            fx.branch_taken = Some(f == Flow::Next);
+            f
+        }
+        OpKind::GuardUntaken => {
+            let f = guard_untaken(cpu, bus, op)?;
+            fx.branch_taken = Some(f == Flow::Exit);
+            f
+        }
+        OpKind::GuardFTaken => {
+            let f = guard_ftaken::<false>(cpu, bus, op)?;
+            fx.branch_taken = Some(f == Flow::Next);
+            f
+        }
+        OpKind::GuardFTakenAnnul => {
+            let f = guard_ftaken::<true>(cpu, bus, op)?;
+            fx.branch_taken = Some(f == Flow::Next);
+            f
+        }
+        OpKind::GuardFUntaken => {
+            let f = guard_funtaken(cpu, bus, op)?;
+            fx.branch_taken = Some(f == Flow::Exit);
+            f
+        }
+        OpKind::CallLink => {
+            fx.branch_taken = Some(true);
+            exec_call_link(cpu, bus, op)?
+        }
+        OpKind::RdY => {
+            fx.result_ones = cpu.y.count_ones();
+            exec_rdy(cpu, bus, op)?
+        }
+        OpKind::WrYImm => exec_wry_c::<true>(cpu, bus, op)?,
+        OpKind::WrYReg => exec_wry_c::<false>(cpu, bus, op)?,
+        OpKind::SaveImm => exec_save_c::<true>(cpu, bus, op)?,
+        OpKind::SaveReg => exec_save_c::<false>(cpu, bus, op)?,
+        OpKind::RestoreImm => exec_restore_c::<true>(cpu, bus, op)?,
+        OpKind::RestoreReg => exec_restore_c::<false>(cpu, bus, op)?,
         OpKind::LoadFImm => {
-            if op.aux != 0 {
-                exec_loadf_c::<true, true>(cpu, bus, op)
+            let done = if op.aux != 0 {
+                loadf_c::<true, true>(cpu, bus, op)
             } else {
-                exec_loadf_c::<false, true>(cpu, bus, op)
-            }
+                loadf_c::<false, true>(cpu, bus, op)
+            }?;
+            fx.mem(done);
+            Flow::Next
         }
         OpKind::LoadFReg => {
-            if op.aux != 0 {
-                exec_loadf_c::<true, false>(cpu, bus, op)
+            let done = if op.aux != 0 {
+                loadf_c::<true, false>(cpu, bus, op)
             } else {
-                exec_loadf_c::<false, false>(cpu, bus, op)
-            }
+                loadf_c::<false, false>(cpu, bus, op)
+            }?;
+            fx.mem(done);
+            Flow::Next
         }
         OpKind::StoreFImm => {
-            if op.aux != 0 {
-                exec_storef_c::<true, true>(cpu, bus, op)
+            let done = if op.aux != 0 {
+                storef_c::<true, true>(cpu, bus, op)
             } else {
-                exec_storef_c::<false, true>(cpu, bus, op)
-            }
+                storef_c::<false, true>(cpu, bus, op)
+            }?;
+            fx.mem(done);
+            Flow::Next
         }
         OpKind::StoreFReg => {
-            if op.aux != 0 {
-                exec_storef_c::<true, false>(cpu, bus, op)
+            let done = if op.aux != 0 {
+                storef_c::<true, false>(cpu, bus, op)
             } else {
-                exec_storef_c::<false, false>(cpu, bus, op)
-            }
+                storef_c::<false, false>(cpu, bus, op)
+            }?;
+            fx.mem(done);
+            Flow::Next
         }
-        OpKind::Fp => exec_fp_aux(cpu, bus, op),
-        OpKind::FCmpS => exec_fcmps(cpu, bus, op),
-        OpKind::FCmpD => exec_fcmpd(cpu, bus, op),
-        OpKind::Stub => Err(stub_err(op)),
-    }
+        OpKind::Fp => {
+            fx.fpu_rs2_bits = fp_rs2_bits(cpu, op);
+            exec_fp_aux(cpu, bus, op)?
+        }
+        OpKind::FCmpS => exec_fcmps(cpu, bus, op)?,
+        OpKind::FCmpD => exec_fcmpd(cpu, bus, op)?,
+        OpKind::Stub => return Err(stub_err(op)),
+    };
+    obs.retire(op.pc, fx);
+    Ok(flow)
 }
 
 /// Runs a linear slice of the dispatch table until every op retires or
-/// one errors out. Returns the retired-op count and the stopping
-/// error, if any. Outlined from the machine run loop for the same
-/// register-allocation reason as [`Trace::run`].
+/// one errors out, reporting each retired op to `obs`. Returns the
+/// retired-op count and the stopping error, if any. Outlined from the
+/// machine run loop for the same register-allocation reason as
+/// [`Trace::run`], once per observer type.
 #[inline(never)]
-pub(crate) fn run_tops(tops: &[TOp], cpu: &mut Cpu, bus: &mut Bus) -> (usize, Option<ExecError>) {
+pub(crate) fn run_tops<O: Observer>(
+    tops: &[TOp],
+    cpu: &mut Cpu,
+    bus: &mut Bus,
+    obs: &mut Observed<'_, O>,
+) -> (usize, Option<ExecError>) {
     for (k, t) in tops.iter().enumerate() {
-        if let Err(e) = exec_top(t, cpu, bus) {
+        if let Err(e) = exec_top(t, cpu, bus, obs) {
             return (k, Some(e));
         }
     }
@@ -1025,12 +1251,14 @@ fn top_for(instr: Instr, pc: u32, fpu: bool) -> TOp {
     let mut d = DecodedOp::at(pc);
     let exec: ExecFn = match instr {
         Instr::Sethi { rd, imm22 } => {
+            // `exec::step` counts the computed value even when it
+            // is discarded, so `imm` holds it for the observer.
+            d.imm = imm22 << 10;
             if rd.is_zero() {
                 d.kind = OpKind::Nop;
                 exec_nop
             } else {
                 d.rd = rd.num();
-                d.imm = imm22 << 10;
                 d.kind = OpKind::Sethi;
                 exec_sethi
             }
@@ -1345,16 +1573,23 @@ impl Trace {
         self.prefix[k]
     }
 
-    /// Executes the trace. The caller commits instret/counts/pc/npc
-    /// from the returned halt; this loop touches only cpu/bus state.
+    /// Executes the trace, reporting each retired op to `obs`. The
+    /// caller commits instret/counts/pc/npc from the returned halt;
+    /// this loop touches only cpu/bus state and the observer.
     ///
-    /// Deliberately not inlined: the loop body carries the whole
-    /// inline-dispatch match, and folding that into the machine's
-    /// (large) run loop measurably degrades its register allocation.
+    /// Deliberately not inlined, once per observer type: the loop body
+    /// carries the whole inline-dispatch match, and folding that into
+    /// the machine's (large) run loop measurably degrades its register
+    /// allocation.
     #[inline(never)]
-    pub fn run(&self, cpu: &mut Cpu, bus: &mut Bus) -> TraceHalt {
+    pub fn run<O: Observer>(
+        &self,
+        cpu: &mut Cpu,
+        bus: &mut Bus,
+        obs: &mut Observed<'_, O>,
+    ) -> TraceHalt {
         for (k, t) in self.ops.iter().enumerate() {
-            match exec_top(t, cpu, bus) {
+            match exec_top(t, cpu, bus, obs) {
                 Ok(Flow::Next) => {}
                 Ok(Flow::Exit) => return TraceHalt::Exited { retired: k + 1 },
                 Err(err) => return TraceHalt::Trapped { at: k, err },
@@ -1503,7 +1738,7 @@ pub(crate) fn build_trace(
                         TOp {
                             exec: exec_retire,
                             op: DecodedOp {
-                                kind: OpKind::Nop,
+                                kind: OpKind::Retire,
                                 ..DecodedOp::at(epc)
                             },
                         },
@@ -1582,7 +1817,7 @@ pub(crate) fn build_trace(
                         TOp {
                             exec: exec_retire,
                             op: DecodedOp {
-                                kind: OpKind::Nop,
+                                kind: OpKind::Retire,
                                 ..DecodedOp::at(epc)
                             },
                         },

@@ -54,6 +54,12 @@ struct Cost {
 }
 
 impl HwModel {
+    /// Static (leakage) energy of an instruction taking `cycles`.
+    fn static_energy_j(&self, cycles: u64) -> f64 {
+        let time_s = cycles as f64 / self.clock_hz;
+        self.static_power_w * time_s
+    }
+
     /// Base cost of an instruction before context effects.
     fn base_cost(&self, info: &ExecInfo) -> Cost {
         // Dynamic energies are tuned so that dynamic + static·time +
@@ -155,22 +161,35 @@ pub struct HwTotals {
     pub row_misses: u64,
 }
 
+/// Cycle counts below this have their static-energy term precomputed
+/// (the default model charges at most 37: a load plus a row miss).
+const STATIC_TABLE_CYCLES: usize = 64;
+
 /// The per-instruction observer that drives the hardware model. This
 /// plays the role of the cycle-level simulation the paper's Fig. 1
-/// places at the slow/accurate end of the spectrum.
+/// places at the slow/accurate end of the spectrum. Attached through
+/// `Machine::run_observed`, it runs inside the simulator's superblock
+/// traces under the default dispatch, seeing exactly the records the
+/// step path would produce.
 pub struct HwObserver {
     model: HwModel,
     totals: HwTotals,
     open_row: Option<u32>,
+    /// `static_j[c]` = the static-energy term of a `c`-cycle
+    /// instruction, computed with the same expression as the fallback
+    /// in [`HwObserver::observe`], so totals do not change by a bit.
+    static_j: [f64; STATIC_TABLE_CYCLES],
 }
 
 impl HwObserver {
     /// Creates an observer with all counters zeroed.
     pub fn new(model: HwModel) -> Self {
+        let static_j = std::array::from_fn(|c| model.static_energy_j(c as u64));
         HwObserver {
             model,
             totals: HwTotals::default(),
             open_row: None,
+            static_j,
         }
     }
 
@@ -203,11 +222,17 @@ impl Observer for HwObserver {
                 self.open_row = Some(row);
             }
         }
-        let time_s = cost.cycles as f64 / self.model.clock_hz;
+        // A table lookup instead of a division per instruction; the
+        // model's fields are public, so a cost past the table falls
+        // back to the same formula.
+        let slot = usize::try_from(cost.cycles).ok();
+        let static_j = match slot.and_then(|c| self.static_j.get(c)) {
+            Some(&j) => j,
+            None => self.model.static_energy_j(cost.cycles),
+        };
         self.totals.cycles += cost.cycles;
-        self.totals.energy_j += cost.dynamic_j
-            + info.result_ones as f64 * self.model.toggle_j_per_bit
-            + self.model.static_power_w * time_s;
+        self.totals.energy_j +=
+            cost.dynamic_j + info.result_ones as f64 * self.model.toggle_j_per_bit + static_j;
         self.totals.instret += 1;
     }
 }

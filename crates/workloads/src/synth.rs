@@ -219,6 +219,17 @@ pub enum ProgramShape {
     /// the very last word: the edge case where batched execution must
     /// hand over to the step path exactly at the image boundary.
     CtiTail,
+    /// Branchy, plus the instructions whose observer records carry
+    /// more than an address and a result: FP double arithmetic
+    /// (including `fdivd` and `fsqrtd`, and their single forms) on
+    /// operands loaded from the scratch window, `fcmpd` and FP
+    /// branches, `cmp` and `sethi` into `%g0`, `rd`/`wr %y`, `save`
+    /// and `restore` (paired, and alone so windows over- and
+    /// underflow), and `call`s of a leaf that returns with `retl`.
+    /// The scratch window's base lives in `%g4`, which no other
+    /// instruction writes, so it survives window changes. Run with
+    /// the FPU enabled.
+    Mixed,
 }
 
 /// Generates a deterministic pseudo-random SPARC V8 program of roughly
@@ -236,8 +247,8 @@ pub fn random_program(
     shape: ProgramShape,
 ) -> Result<Vec<u32>, nfp_core::NfpError> {
     use nfp_sparc::asm::Assembler;
-    use nfp_sparc::cond::ICond;
-    use nfp_sparc::{AluOp, MemSize, Operand, Reg};
+    use nfp_sparc::cond::{FCond, ICond};
+    use nfp_sparc::{AluOp, FReg, FpOp, Instr, MemSize, Operand, Reg};
 
     let base = 0x4000_0000u32; // nfp_sim::RAM_BASE, kept literal to
                                // avoid a dependency cycle in docs
@@ -253,8 +264,10 @@ pub fn random_program(
         .collect();
     let reg = |rng: &mut StdRng| pool[rng.gen_range(0usize..pool.len())];
 
+    let mixed = shape == ProgramShape::Mixed;
+    let base_reg = if mixed { Reg::g(4) } else { Reg::l(7) };
     // Prologue: scratch window base and a few seeded values.
-    a.set32(scratch, Reg::l(7));
+    a.set32(scratch, base_reg);
     for i in 0..4 {
         a.mov(rng.gen_range(-512i32..512), Reg::l(i));
     }
@@ -280,17 +293,27 @@ pub fn random_program(
         ICond::A,
     ];
 
+    const FCONDS: [FCond; 6] = [FCond::E, FCond::Ne, FCond::L, FCond::G, FCond::U, FCond::A];
+    // Even FP registers name double pairs; any register is a single.
+    let even_f = |rng: &mut StdRng| FReg::new(rng.gen_range(0u8..8) * 2);
+    let any_f = |rng: &mut StdRng| FReg::new(rng.gen_range(0u8..16));
+
     let branchy = shape != ProgramShape::StraightLine;
+    // Only `Mixed` draws its extra rolls, so the other shapes keep
+    // their exact output.
+    let rolls = if mixed { 15 } else { 10 };
     let mut k = 0usize;
     while k < body {
         a.label(&format!("b{k}"));
-        let roll = rng.gen_range(0u32..10);
+        let roll = rng.gen_range(0u32..rolls);
         match roll {
             // Branch plus its delay slot (two body slots).
             0 | 1 if branchy && k + 1 < body => {
                 let cond = CONDS[rng.gen_range(0usize..CONDS.len())];
                 let target = format!("b{}", rng.gen_range(0usize..body));
-                if rng.gen_range(0u32..4) == 0 {
+                if mixed && rng.gen_range(0u32..3) == 0 {
+                    a.fb(FCONDS[rng.gen_range(0usize..FCONDS.len())], &target);
+                } else if rng.gen_range(0u32..4) == 0 {
                     a.b_a(cond, &target);
                 } else {
                     a.b(cond, &target);
@@ -322,7 +345,7 @@ pub fn random_program(
                     reg(&mut rng)
                 };
                 let signed = size != MemSize::Double && rng.gen_range(0u32..2) == 0;
-                a.ld(size, signed, Reg::l(7), off as i32, rd);
+                a.ld(size, signed, base_reg, off as i32, rd);
             }
             4 | 5 => {
                 // Aligned store to the scratch window.
@@ -338,8 +361,140 @@ pub fn random_program(
                 } else {
                     reg(&mut rng)
                 };
-                a.st(size, rd, Reg::l(7), off as i32);
+                a.st(size, rd, base_reg, off as i32);
             }
+            // FP loads from the scratch window.
+            10 => {
+                if rng.gen_range(0u32..2) == 0 {
+                    let off = rng.gen_range(0i32..32) * 8;
+                    a.lddf(base_reg, off, even_f(&mut rng));
+                } else {
+                    a.push(Instr::LoadF {
+                        double: false,
+                        rd: any_f(&mut rng),
+                        rs1: base_reg,
+                        op2: Operand::Imm(rng.gen_range(0i32..64) * 4),
+                    });
+                }
+            }
+            // FP arithmetic, compares included.
+            11 => {
+                const FP: [FpOp; 8] = [
+                    FpOp::FAddD,
+                    FpOp::FSubD,
+                    FpOp::FMulD,
+                    FpOp::FDivD,
+                    FpOp::FSqrtD,
+                    FpOp::FDivS,
+                    FpOp::FSqrtS,
+                    FpOp::FiToD,
+                ];
+                match rng.gen_range(0usize..FP.len() + 1) {
+                    i if i < FP.len() => {
+                        let op = FP[i];
+                        let (rs1, rs2, rd) = match op {
+                            FpOp::FDivS | FpOp::FSqrtS => {
+                                (any_f(&mut rng), any_f(&mut rng), any_f(&mut rng))
+                            }
+                            FpOp::FiToD => (FReg::new(0), any_f(&mut rng), even_f(&mut rng)),
+                            _ => (even_f(&mut rng), even_f(&mut rng), even_f(&mut rng)),
+                        };
+                        a.fpop(op, rs1, rs2, rd);
+                    }
+                    _ => {
+                        a.push(Instr::FCmp {
+                            double: true,
+                            exception: false,
+                            rs1: even_f(&mut rng),
+                            rs2: even_f(&mut rng),
+                        });
+                    }
+                }
+            }
+            // FP stores, and results discarded into `%g0`.
+            12 => match rng.gen_range(0u32..4) {
+                0 => {
+                    let off = rng.gen_range(0i32..32) * 8;
+                    a.stdf(even_f(&mut rng), base_reg, off);
+                }
+                1 => {
+                    a.push(Instr::StoreF {
+                        double: false,
+                        rd: any_f(&mut rng),
+                        rs1: base_reg,
+                        op2: Operand::Imm(rng.gen_range(0i32..64) * 4),
+                    });
+                }
+                2 => {
+                    let op = [AluOp::SubCc, AluOp::AndCc][rng.gen_range(0usize..2)];
+                    let rs1 = reg(&mut rng);
+                    if rng.gen_range(0u32..2) == 0 {
+                        a.alu(op, rs1, Operand::Reg(reg(&mut rng)), Reg::g(0));
+                    } else {
+                        a.alu(op, rs1, rng.gen_range(-64i32..64), Reg::g(0));
+                    }
+                }
+                _ => {
+                    a.push(Instr::Sethi {
+                        rd: Reg::g(0),
+                        imm22: rng.gen_range(0u32..1 << 22),
+                    });
+                }
+            },
+            // The Y register.
+            13 => {
+                if rng.gen_range(0u32..2) == 0 {
+                    a.push(Instr::WrY {
+                        rs1: reg(&mut rng),
+                        op2: Operand::Imm(rng.gen_range(-64i32..64)),
+                    });
+                } else {
+                    a.push(Instr::RdY { rd: reg(&mut rng) });
+                }
+            }
+            // Register windows and calls.
+            14 => match rng.gen_range(0u32..6) {
+                0 => {
+                    a.push(Instr::Save {
+                        rd: Reg::o(6),
+                        rs1: Reg::o(6),
+                        op2: Operand::Imm(-96),
+                    });
+                }
+                1 => {
+                    a.push(Instr::Restore {
+                        rd: Reg::g(0),
+                        rs1: Reg::g(0),
+                        op2: Operand::Imm(0),
+                    });
+                }
+                4 | 5 if k + 1 < body => {
+                    // The call and its delay slot take two body slots;
+                    // the leaf follows the exit.
+                    a.call("leaf");
+                    a.label(&format!("b{}", k + 1));
+                    let (rd, rs1) = (reg(&mut rng), reg(&mut rng));
+                    a.alu(AluOp::Add, rs1, rng.gen_range(-32i32..32), rd);
+                    k += 2;
+                    continue;
+                }
+                _ => {
+                    // A balanced pair: the new window reads the
+                    // caller's outs as ins, and `restore` writes its
+                    // sum back into the caller's window.
+                    a.push(Instr::Save {
+                        rd: Reg::o(6),
+                        rs1: Reg::o(6),
+                        op2: Operand::Imm(-96),
+                    });
+                    a.alu(AluOp::Add, Reg::i(rng.gen_range(0u8..4)), 3, Reg::l(1));
+                    a.push(Instr::Restore {
+                        rd: Reg::o(rng.gen_range(0u8..4)),
+                        rs1: Reg::l(1),
+                        op2: Operand::Imm(1),
+                    });
+                }
+            },
             _ => {
                 let op = ALU_OPS[rng.gen_range(0usize..ALU_OPS.len())];
                 let (rd, rs1) = (reg(&mut rng), reg(&mut rng));
@@ -368,6 +523,13 @@ pub fn random_program(
             a.ta(0);
             a.nop();
         }
+    }
+    if mixed {
+        a.label("leaf");
+        a.push(Instr::RdY { rd: Reg::o(2) });
+        a.alu(AluOp::Xor, Reg::o(1), Operand::Reg(Reg::o(2)), Reg::o(3));
+        a.retl();
+        a.alu(AluOp::Add, Reg::o(0), 1, Reg::o(0));
     }
     a.finish().map_err(|e| nfp_core::NfpError::Workload {
         what: format!("synthetic program (seed {seed:#x})"),
@@ -424,6 +586,7 @@ mod tests {
             ProgramShape::StraightLine,
             ProgramShape::Branchy,
             ProgramShape::CtiTail,
+            ProgramShape::Mixed,
         ] {
             let a = random_program(40, 11, shape).expect("program");
             let b = random_program(40, 11, shape).expect("program");

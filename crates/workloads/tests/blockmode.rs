@@ -3,56 +3,95 @@
 //! dispatch — superblock traces over the threaded dispatch table, with
 //! its straight-line fallback — must be bit-identical to
 //! per-instruction stepping: category counters, dynamic instruction
-//! count, exit status, CPU registers, and RAM contents.
+//! count, exit status, CPU registers, and RAM contents. With an
+//! observer attached, both modes must also hand it the same record
+//! stream.
 
 use nfp_cc::FloatMode;
 use nfp_sim::fault::{inject, plan, undo, FaultSpace};
 use nfp_sim::machine::TrapPolicy;
-use nfp_sim::{Dispatch, Machine, RAM_BASE};
+use nfp_sim::{Dispatch, ExecInfo, Machine, Observer, RAM_BASE};
 use nfp_workloads::synth::{random_program, ProgramShape};
 use nfp_workloads::{fse_kernels, hevc_kernels, machine_for, Preset, KERNEL_BUDGET};
 use proptest::prelude::*;
+use std::hash::{Hash, Hasher};
+
+/// Folds every field of every observed record, in order, into one
+/// hash, plus a count.
+#[derive(Default)]
+struct Fingerprint {
+    hasher: std::collections::hash_map::DefaultHasher,
+    count: u64,
+}
+
+impl Observer for Fingerprint {
+    fn observe(&mut self, info: &ExecInfo) {
+        info.hash(&mut self.hasher);
+        self.count += 1;
+    }
+}
+
+/// What one run of a machine shows: the result, instret, category
+/// counts, CPU state, RAM, and — for an observed run — the
+/// fingerprint of the records the observer saw.
+type Observation = (String, u64, String, String, String, Option<(u64, u64)>);
 
 /// Runs `m` under `budget` and folds everything observable about the
-/// final machine state into a comparable tuple. Errors (traps, budget
-/// exhaustion) are part of the observation: all modes must fail the
-/// same way at the same instant.
-fn observe(
-    mut m: Machine,
-    dispatch: Dispatch,
-    budget: u64,
-) -> (String, u64, String, String, String) {
+/// final machine state into a comparable tuple, with a [`Fingerprint`]
+/// attached when `observed`. Errors (traps, budget exhaustion) are
+/// part of the observation: all modes must fail the same way at the
+/// same instant.
+fn observe(mut m: Machine, dispatch: Dispatch, observed: bool, budget: u64) -> Observation {
     m.set_dispatch(dispatch);
-    let res = m.run(budget);
+    let mut fp = Fingerprint::default();
+    let res = if observed {
+        m.run_observed(budget, &mut fp)
+    } else {
+        m.run(budget)
+    };
     (
         format!("{res:?}"),
         m.instret(),
         format!("{:?}", m.counts()),
         format!("{:?}", m.cpu),
         format!("{:?}", m.bus.snapshot_ram()),
+        observed.then(|| (fp.hasher.finish(), fp.count)),
     )
 }
 
+/// The three runs every comparison makes: the observed stepping
+/// reference, then traced dispatch without and with the observer.
+const RUNS: [(Dispatch, bool); 3] = [
+    (Dispatch::Step, true),
+    (Dispatch::Traced, false),
+    (Dispatch::Traced, true),
+];
+
+/// Asserts a traced observation matches the stepping reference; the
+/// fingerprints are compared when the traced run was observed.
+fn assert_matches_reference(reference: &Observation, traced: &Observation, what: &str) {
+    assert_eq!(reference.0, traced.0, "{what}: run result diverged");
+    assert_eq!(reference.1, traced.1, "{what}: instret diverged");
+    assert_eq!(reference.2, traced.2, "{what}: category counts diverged");
+    assert_eq!(reference.3, traced.3, "{what}: CPU state diverged");
+    assert_eq!(reference.4, traced.4, "{what}: RAM diverged");
+    if traced.5.is_some() {
+        assert_eq!(reference.5, traced.5, "{what}: observed records diverged");
+    }
+}
+
 fn assert_kernel_modes_agree(kernel: &nfp_workloads::Kernel, mode: FloatMode) {
-    let [stepped, traced] = Dispatch::ALL.map(|dispatch| {
+    let [reference, traced, observed] = RUNS.map(|(dispatch, observed)| {
         observe(
             machine_for(kernel, mode).expect("machine"),
             dispatch,
+            observed,
             KERNEL_BUDGET,
         )
     });
-    let name = &kernel.name;
-    assert_eq!(
-        stepped.0, traced.0,
-        "{name} [{mode:?}]: run result diverged"
-    );
-    assert_eq!(stepped.1, traced.1, "{name} [{mode:?}]: instret diverged");
-    assert_eq!(
-        stepped.2, traced.2,
-        "{name} [{mode:?}]: category counts diverged"
-    );
-    assert_eq!(stepped.3, traced.3, "{name} [{mode:?}]: CPU state diverged");
-    assert_eq!(stepped.4, traced.4, "{name} [{mode:?}]: RAM diverged");
+    let what = format!("{} [{mode:?}]", kernel.name);
+    assert_matches_reference(&reference, &traced, &what);
+    assert_matches_reference(&reference, &observed, &format!("{what} observed"));
 }
 
 #[test]
@@ -66,7 +105,9 @@ fn fse_kernel_is_bit_identical_across_modes() {
 #[test]
 fn hevc_kernel_is_bit_identical_across_modes() {
     let kernels = hevc_kernels(&Preset::quick()).expect("kernels");
-    assert_kernel_modes_agree(&kernels[0], FloatMode::Hard);
+    for mode in [FloatMode::Hard, FloatMode::Soft] {
+        assert_kernel_modes_agree(&kernels[0], mode);
+    }
 }
 
 fn boot_synthetic(words: &[u32], policy: TrapPolicy) -> Machine {
@@ -75,17 +116,28 @@ fn boot_synthetic(words: &[u32], policy: TrapPolicy) -> Machine {
     m
 }
 
-/// Asserts traced dispatch matches stepping on `words`.
+/// Asserts traced dispatch, with and without an observer, matches
+/// observed stepping on `words`.
 fn assert_synthetic_agrees(
     words: &[u32],
     policy: TrapPolicy,
     budget: u64,
 ) -> Result<(), TestCaseError> {
-    let stepped = observe(boot_synthetic(words, policy), Dispatch::Step, budget);
-    let traced = observe(boot_synthetic(words, policy), Dispatch::Traced, budget);
-    prop_assert_eq!(stepped, traced, "traced diverged from step");
+    let [reference, mut traced, observed] = RUNS.map(|(dispatch, observed)| {
+        observe(boot_synthetic(words, policy), dispatch, observed, budget)
+    });
+    // The unobserved run has no records to compare.
+    traced.5 = reference.5;
+    prop_assert_eq!(&reference, &traced, "traced diverged from step");
+    prop_assert_eq!(
+        &reference,
+        &observed,
+        "observed traced run diverged from step"
+    );
     Ok(())
 }
+
+const POLICIES: [TrapPolicy; 2] = [TrapPolicy::Abort, TrapPolicy::Recover];
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
@@ -96,7 +148,9 @@ proptest! {
     #[test]
     fn straight_line_programs_agree(body in 4usize..120, seed in 0u64..10_000) {
         let words = random_program(body, seed, ProgramShape::StraightLine).expect("program");
-        assert_synthetic_agrees(&words, TrapPolicy::Abort, 5_000)?;
+        for policy in POLICIES {
+            assert_synthetic_agrees(&words, policy, 5_000)?;
+        }
     }
 
     /// Random branchy programs under both trap policies: annulled
@@ -116,7 +170,21 @@ proptest! {
     #[test]
     fn cti_tail_programs_agree(body in 2usize..60, seed in 0u64..10_000) {
         let words = random_program(body, seed, ProgramShape::CtiTail).expect("program");
-        assert_synthetic_agrees(&words, TrapPolicy::Abort, 5_000)?;
+        for policy in POLICIES {
+            assert_synthetic_agrees(&words, policy, 5_000)?;
+        }
+    }
+
+    /// Random programs mixing FP arithmetic, `%g0` destinations, the Y
+    /// register, register windows and calls into the branchy shape:
+    /// every field an observer reads must come out of a trace exactly
+    /// as stepping builds it, under both trap policies.
+    #[test]
+    fn mixed_programs_agree(body in 4usize..120, seed in 0u64..10_000) {
+        let words = random_program(body, seed, ProgramShape::Mixed).expect("program");
+        for policy in POLICIES {
+            assert_synthetic_agrees(&words, policy, 5_000)?;
+        }
     }
 
     /// SEU flips landing mid-superblock: split the run at an arbitrary
@@ -139,7 +207,8 @@ proptest! {
             fp: true,
         };
         let faults = plan(&space, 1, fault_seed);
-        let observe_faulted = |dispatch: Dispatch| {
+        // The second half runs with or without an observer.
+        let observe_faulted = |(dispatch, observed): (Dispatch, bool)| {
             let mut m = boot_synthetic(&words, TrapPolicy::Recover);
             m.set_dispatch(dispatch);
             // First half: stop exactly at the flip instant, even if it
@@ -151,7 +220,12 @@ proptest! {
                     armed.push(inject(&mut m, f).expect("in-bounds injection"));
                 }
             }
-            let res = m.run(5_000);
+            let mut fp = Fingerprint::default();
+            let res = if observed {
+                m.run_observed(5_000, &mut fp)
+            } else {
+                m.run(5_000)
+            };
             for a in &armed {
                 undo(&mut m, a).expect("undo patches back");
             }
@@ -162,9 +236,13 @@ proptest! {
                 format!("{:?}", m.counts()),
                 format!("{:?}", m.cpu),
                 format!("{:?}", m.bus.snapshot_ram()),
+                observed.then(|| (fp.hasher.finish(), fp.count)),
             )
         };
-        prop_assert_eq!(observe_faulted(Dispatch::Step), observe_faulted(Dispatch::Traced));
+        let [reference, mut traced, observed] = RUNS.map(observe_faulted);
+        traced.6 = reference.6;
+        prop_assert_eq!(&reference, &traced, "traced diverged from step");
+        prop_assert_eq!(&reference, &observed, "observed traced run diverged from step");
     }
 }
 

@@ -122,14 +122,9 @@ fn main() -> ExitCode {
         tracer: &mut tracer,
     };
 
-    let result = match machine.run_observed(100_000_000_000, &mut multi) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("mcc: runtime error: {e}");
-            return ExitCode::from(1);
-        }
-    };
+    let result = machine.run_observed(100_000_000_000, &mut multi);
 
+    // The trace leads up to a runtime error, so print it either way.
     if trace_n > 0 {
         println!(
             "-- trace (first {} of {}) --",
@@ -140,6 +135,13 @@ fn main() -> ExitCode {
             println!("{line}");
         }
     }
+    let result = match result {
+        Ok(r) => r,
+        Err(e) => {
+            eprintln!("mcc: runtime error: {e}");
+            return ExitCode::from(1);
+        }
+    };
     println!(
         "exit code {}; {} instructions executed",
         result.exit_code, result.instret
