@@ -1,8 +1,8 @@
 //! Hand-rolled flat JSON (the workspace deliberately has no serde).
 //!
 //! One grammar serves both durable artefacts and live wire traffic: the
-//! campaign journal ([`crate::supervisor`]) and the worker-process
-//! protocol ([`crate::worker`]) exchange single-line objects whose
+//! journals ([`crate::journal`]) and the worker protocol
+//! ([`crate::worker`]) exchange single-line objects whose
 //! values are unsigned numbers, strings, bools, or null — nothing
 //! nested, nothing signed, nothing floating.
 

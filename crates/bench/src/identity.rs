@@ -11,7 +11,7 @@
 //! Every artefact that names a campaign carries exactly these,
 //! rendered and parsed here: the journal header and the worker hello
 //! (which is also the remote lease) through
-//! [`JournalHeader`](crate::supervisor::JournalHeader), the submit
+//! [`JournalHeader`](crate::journal::JournalHeader), the submit
 //! frame and the service journal's submit event through
 //! [`CampaignRequest`], and the result-cache key. Dispatch is not
 //! among them: reports are byte-identical under both dispatch modes,

@@ -25,6 +25,7 @@ mod crc;
 pub mod evaluation;
 mod flatjson;
 mod identity;
+mod journal;
 mod net;
 pub mod reports;
 pub mod serve;

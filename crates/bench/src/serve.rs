@@ -38,25 +38,22 @@ use crate::campaign::{assemble, report_campaign, CampaignConfig, CampaignRig, In
 use crate::evaluation::Mode;
 use crate::flatjson::{esc, parse_flat, Obj};
 use crate::identity::Identity;
+use crate::journal::{quarantine, CampaignJournal, JournalHeader, LeaseCheck, LeaseRecords, Step};
 use crate::net::{
     parse_join, render_note, render_reject, render_report_chunk, send_err, write_frame,
     FrameReader, JoinFrame, Recv, BYE_FRAME, END_FRAME, HB_FRAME, NET_VERSION,
 };
 use crate::reports::{report_campaign_footer, CampaignFooter};
 use crate::servejournal::{load_service_journal, records_path, OpenCampaign, ServiceJournal};
-use crate::shards::{clear_range, missing_ranges_of, quarantined_path, ShardSpec};
-use crate::supervisor::{
-    fin_line, load_journal, range_digest, record_line, run_supervised, FinRecord, JournalHeader,
-    LeaseCheck, LeaseRecords, Step, SupervisorConfig, WorkerIsolation,
-};
+use crate::shards::{clear_range, missing_ranges_of, ShardSpec};
+use crate::supervisor::{run_supervised, SupervisorConfig, WorkerIsolation};
 use crate::worker::{render_error, render_hello, tcp_connect, WorkerHello, WorkerPreset};
 use nfp_core::NfpError;
 use nfp_sim::fault::plan;
 use nfp_sim::Fault;
 use nfp_workloads::{all_kernels, Kernel};
 use std::collections::{HashMap, VecDeque};
-use std::fs::{File, OpenOptions};
-use std::io::{ErrorKind, Seek, SeekFrom, Write};
+use std::io::ErrorKind;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -727,11 +724,7 @@ impl Server {
                             // The journal is evidence, not an oracle:
                             // set it aside and start clean rather than
                             // trusting a corrupt record.
-                            let q = quarantined_path(path);
-                            std::fs::rename(path, &q).map_err(|io| NfpError::Journal {
-                                path: path.display().to_string(),
-                                reason: format!("cannot quarantine corrupt journal: {io}"),
-                            })?;
+                            let q = quarantine(path)?;
                             eprintln!("serve: service journal quarantined to {}: {e}", q.display());
                             ServiceJournal::create(path)?
                         }
@@ -1622,161 +1615,35 @@ struct ClientLink {
     reader: FrameReader,
 }
 
-/// The per-campaign durable record store: a supervisor-format journal
-/// (binding header + CRC'd records + fin) next to the service journal,
-/// appended in bulk at each shard completion and deleted once the
-/// campaign's fin lands in the service journal — so disk stays
-/// O(campaigns in flight), not O(history).
-struct RecordsFile {
-    path: PathBuf,
-    file: File,
-    /// The rendered binding header, kept for [`RecordsFile::rewrite`].
-    header_line: String,
-    /// Plan indices already persisted (the supervisor loader rejects
-    /// duplicates, so appends must be exactly-once).
-    journaled: Vec<bool>,
-    /// True when the loaded file already carried its fin record.
-    sealed: bool,
-}
-
-fn records_err(path: &Path, reason: String) -> NfpError {
-    NfpError::Journal {
-        path: path.display().to_string(),
-        reason,
-    }
-}
-
-impl RecordsFile {
-    /// Opens (resuming) or creates the records file, prefilling
-    /// `slots` from every intact record. A corrupt file is quarantined
-    /// aside and restarted empty — re-simulation over trust.
-    fn open(
-        path: PathBuf,
-        header: &JournalHeader,
-        faults: &[Fault],
-        slots: &mut Slots,
-    ) -> Result<RecordsFile, NfpError> {
-        let header_line = header.render();
-        let mut journaled = vec![false; slots.len()];
-        if path.exists() {
-            match load_journal(&path, header, faults, slots) {
-                Ok(loaded) => {
-                    let mut file = OpenOptions::new()
-                        .read(true)
-                        .write(true)
-                        .open(&path)
-                        .map_err(|e| records_err(&path, format!("cannot reopen: {e}")))?;
-                    file.set_len(loaded.intact_len)
-                        .and_then(|_| file.seek(SeekFrom::End(0)))
-                        .map_err(|e| {
-                            records_err(&path, format!("cannot truncate torn tail: {e}"))
-                        })?;
-                    for (flag, slot) in journaled.iter_mut().zip(slots.iter()) {
-                        *flag = slot.is_some();
-                    }
-                    return Ok(RecordsFile {
-                        path,
-                        file,
-                        header_line,
-                        journaled,
-                        sealed: loaded.fin.is_some(),
-                    });
-                }
-                Err(e) => {
-                    let quarantine = quarantined_path(&path);
-                    let _ = std::fs::rename(&path, &quarantine);
-                    eprintln!(
-                        "serve: records journal quarantined to {}: {e}",
-                        quarantine.display()
-                    );
-                    slots.iter_mut().for_each(|s| *s = None);
-                }
+/// Opens a campaign's records file: a campaign journal next to the
+/// service journal, appended at each shard completion and deleted once
+/// the campaign's fin lands in the service journal — so disk stays
+/// O(campaigns in flight), not O(history). An existing file is resumed,
+/// prefilling `slots` from every intact record; a corrupt one is
+/// quarantined aside and restarted empty — re-simulation over trust.
+fn open_records(
+    path: &Path,
+    header: &JournalHeader,
+    faults: &[Fault],
+    slots: &mut Slots,
+) -> Result<CampaignJournal, NfpError> {
+    if path.exists() {
+        match CampaignJournal::resume(path, header, faults, slots) {
+            Ok((records, _)) => return Ok(records),
+            Err(e) => {
+                let q = quarantine(path)?;
+                eprintln!("serve: records journal quarantined to {}: {e}", q.display());
+                slots.fill(None);
             }
         }
-        let mut file =
-            File::create(&path).map_err(|e| records_err(&path, format!("cannot create: {e}")))?;
-        writeln!(file, "{header_line}")
-            .and_then(|()| file.flush())
-            .map_err(|e| records_err(&path, format!("cannot write header: {e}")))?;
-        Ok(RecordsFile {
-            path,
-            file,
-            header_line,
-            journaled,
-            sealed: false,
-        })
     }
-
-    /// Rewrites the whole file from the surviving slots: header first,
-    /// then every retained record. The invalidation path must go
-    /// through here — the supervisor loader hard-errors on duplicate
-    /// indices, so a convicted worker's records have to leave the file
-    /// before their ranges are re-persisted. The matching `invalidate`
-    /// service-journal event is written *before* this rewrite, so a
-    /// crash between the two still drops the distrusted records on
-    /// resume (restoration is gated on the journaled shard_done set).
-    fn rewrite(&mut self, slots: &Slots) -> Result<(), NfpError> {
-        self.file
-            .set_len(0)
-            .and_then(|()| self.file.seek(SeekFrom::Start(0)))
-            .map_err(|e| records_err(&self.path, format!("cannot truncate for rewrite: {e}")))?;
-        writeln!(self.file, "{}", self.header_line)
-            .map_err(|e| records_err(&self.path, format!("cannot rewrite header: {e}")))?;
-        self.journaled.iter_mut().for_each(|f| *f = false);
-        self.sealed = false;
-        for (index, slot) in slots.iter().enumerate() {
-            if let Some((rec, attempts)) = slot {
-                writeln!(self.file, "{}", record_line(index, rec, *attempts))
-                    .map_err(|e| records_err(&self.path, format!("rewrite failed: {e}")))?;
-                self.journaled[index] = true;
-            }
-        }
-        self.file
-            .flush()
-            .map_err(|e| records_err(&self.path, format!("rewrite flush failed: {e}")))
-    }
-
-    /// Appends (and flushes) every not-yet-persisted record in `range`.
-    fn persist_range(&mut self, slots: &Slots, range: (usize, usize)) -> Result<(), NfpError> {
-        for (index, slot) in slots.iter().enumerate().take(range.1).skip(range.0) {
-            if self.journaled[index] {
-                continue;
-            }
-            if let Some((rec, attempts)) = slot {
-                writeln!(self.file, "{}", record_line(index, rec, *attempts))
-                    .map_err(|e| records_err(&self.path, format!("append failed: {e}")))?;
-                self.journaled[index] = true;
-            }
-        }
-        self.file
-            .flush()
-            .map_err(|e| records_err(&self.path, format!("flush failed: {e}")))
-    }
-
-    /// Seals a complete run with the whole-range fin record.
-    fn seal(&mut self, slots: &Slots) -> Result<(), NfpError> {
-        if self.sealed {
-            return Ok(());
-        }
-        let n = slots.len();
-        let fin = FinRecord {
-            records: n as u64,
-            range_start: 0,
-            range_end: n as u64,
-            digest: range_digest(0, slots),
-        };
-        writeln!(self.file, "{}", fin_line(&fin))
-            .and_then(|()| self.file.flush())
-            .map_err(|e| records_err(&self.path, format!("cannot write fin: {e}")))?;
-        self.sealed = true;
-        Ok(())
-    }
+    CampaignJournal::create(path, header)
 }
 
 /// Durable bookkeeping of one journaled campaign run.
 struct DurableRun {
     cid: u64,
-    records: RecordsFile,
+    records: CampaignJournal,
 }
 
 /// Closes out the durable state of a finished (or terminally failed)
@@ -1787,12 +1654,11 @@ fn close_durable(run: Option<DurableRun>, complete_slots: Option<&Slots>, ctx: &
     if let Some(slots) = complete_slots {
         let _ = run.records.seal(slots);
     }
+    drop(run.records);
     if let Some(journal) = &ctx.journal {
         let _ = journal.fin(run.cid);
+        let _ = std::fs::remove_file(records_path(journal.path(), run.cid));
     }
-    let path = run.records.path.clone();
-    drop(run);
-    let _ = std::fs::remove_file(path);
 }
 
 /// Persists a completed shard's records and journals the completion.
@@ -1808,7 +1674,7 @@ fn persist_shard(
     let Some(run) = durable_run.as_mut() else {
         return Ok(());
     };
-    match run.records.persist_range(slots, range) {
+    match run.records.append(slots, range) {
         Ok(()) => {
             if let Some(journal) = &ctx.journal {
                 let _ = journal.shard_done(run.cid, shard);
@@ -1966,10 +1832,13 @@ fn arbitrate_shard(
     t.audit = AuditPhase::Clear;
     t.abandoned.store(true, Ordering::SeqCst);
     if let Some(run) = durable_run.as_mut() {
+        // The `invalidate` events went to the service journal first, so
+        // a crash before this rewrite still drops the convict's records
+        // on resume: restoration is gated on the journaled shard set.
         if rewrite_needed {
             run.records.rewrite(slots)?;
         }
-        run.records.persist_range(slots, range)?;
+        run.records.append(slots, range)?;
         if let (Some(cid), Some(journal)) = (env.cid, &ctx.journal) {
             let _ = journal.shard_done(cid, shard);
         }
@@ -2030,7 +1899,10 @@ fn drive_campaign(
 
     let mut slots: Slots = vec![None; faults.len()];
     let header = JournalHeader::bind(kernel, req.mode, &campaign, rig.golden_instret, None);
-    let mut durable_run: Option<DurableRun> = match (&ctx.journal, &durable) {
+    // A journaled run is bound to a campaign id: a fresh one for a new
+    // submit, journaled once the golden run bound it, or the journaled
+    // one on a resume.
+    let durable_cid = match (&ctx.journal, &durable) {
         (None, _) | (_, Durable::No) => None,
         (Some(journal), Durable::Fresh) => {
             let cid = ctx.next_cid.fetch_add(1, Ordering::SeqCst);
@@ -2039,25 +1911,14 @@ fn drive_campaign(
             if let Err(e) = journal.submit(cid, &resolved, rig.golden_instret) {
                 return fatal(e.to_string());
             }
-            match RecordsFile::open(
-                records_path(journal.path(), cid),
-                &header,
-                &faults,
-                &mut slots,
-            ) {
-                Ok(records) => Some(DurableRun { cid, records }),
-                Err(e) => {
-                    let _ = journal.fin(cid);
-                    return fatal(e.to_string());
-                }
-            }
+            Some(cid)
         }
         (
             Some(journal),
             Durable::Resumed {
                 cid,
                 golden_instret,
-                done_shards,
+                ..
             },
         ) => {
             if rig.golden_instret != *golden_instret {
@@ -2068,51 +1929,50 @@ fn drive_campaign(
                     rig.golden_instret
                 ));
             }
-            match RecordsFile::open(
-                records_path(journal.path(), *cid),
-                &header,
-                &faults,
-                &mut slots,
-            ) {
-                Ok(mut records) => {
-                    // Restoration is gated on the journaled shard_done
-                    // set (net of `invalidate` events): records of a
-                    // shard never journaled as done — including a
-                    // convicted worker's ranges when the crash landed
-                    // between the invalidate event and the records-file
-                    // rewrite — are distrusted, dropped, and re-run.
-                    let mut dropped = 0usize;
-                    for shard in 0..count {
-                        if done_shards.contains(&shard) {
-                            continue;
-                        }
-                        let range = ShardSpec {
-                            index: shard,
-                            count,
-                        }
-                        .range(campaign.injections);
-                        dropped += clear_range(&mut slots, range);
-                    }
-                    if dropped > 0 {
-                        eprintln!(
-                            "serve: {label}: {dropped} record(s) of never-completed or \
-                             invalidated shards dropped on resume"
-                        );
-                        if let Err(e) = records.rewrite(&slots) {
-                            let _ = journal.fin(*cid);
-                            return fatal(e.to_string());
-                        }
-                    }
-                    Some(DurableRun { cid: *cid, records })
-                }
-                Err(e) => {
-                    let _ = journal.fin(*cid);
-                    return fatal(e.to_string());
-                }
-            }
+            Some(*cid)
         }
     };
-    let durable_cid = durable_run.as_ref().map(|r| r.cid);
+    let mut durable_run: Option<DurableRun> = None;
+    if let (Some(cid), Some(journal)) = (durable_cid, &ctx.journal) {
+        let path = records_path(journal.path(), cid);
+        let opened = open_records(&path, &header, &faults, &mut slots).and_then(|mut records| {
+            if let Durable::Resumed { done_shards, .. } = &durable {
+                // Restoration is gated on the journaled shard_done set
+                // (net of `invalidate` events): records of a shard never
+                // journaled as done — including a convicted worker's
+                // ranges when the crash landed between the invalidate
+                // event and the records-file rewrite — are distrusted,
+                // dropped, and re-run.
+                let mut dropped = 0usize;
+                for shard in 0..count {
+                    if done_shards.contains(&shard) {
+                        continue;
+                    }
+                    let range = ShardSpec {
+                        index: shard,
+                        count,
+                    }
+                    .range(campaign.injections);
+                    dropped += clear_range(&mut slots, range);
+                }
+                if dropped > 0 {
+                    eprintln!(
+                        "serve: {label}: {dropped} record(s) of never-completed or \
+                         invalidated shards dropped on resume"
+                    );
+                    records.rewrite(&slots)?;
+                }
+            }
+            Ok(records)
+        });
+        match opened {
+            Ok(records) => durable_run = Some(DurableRun { cid, records }),
+            Err(e) => {
+                let _ = journal.fin(cid);
+                return fatal(e.to_string());
+            }
+        }
+    }
     let restored = slots.iter().filter(|s| s.is_some()).count();
     if restored > 0 {
         eprintln!(

@@ -9,29 +9,30 @@
 //! rebuild the hub (in-flight campaigns, completed shards, restart
 //! count) from the journal alone.
 //!
-//! The record discipline is the one `supervisor.rs` established: line 1
-//! is a binding header, every event line carries a CRC-32 of its
-//! canonical rendering (so a flipped bit in a value *or* in the CRC
-//! itself is caught), a newline-less final line is the torn tail of a
-//! mid-write kill and is truncated on resume, and corruption anywhere
-//! else is a hard typed [`NfpError::Journal`] naming the line.
+//! The file is written and read under the crate's one journal
+//! discipline ([`crate::journal`]): line 1 is a binding header, every
+//! event line carries a CRC-32 of its canonical rendering (so a flipped
+//! bit in a value *or* in the CRC itself is caught), a newline-less
+//! final line is the torn tail of a mid-write kill and is truncated on
+//! resume, and corruption anywhere else is a hard typed
+//! [`NfpError::Journal`] naming the line. This module adds the event
+//! vocabulary, the typed appends and the state rebuild.
 //!
 //! Per-campaign *records* live outside this file: each accepted submit
-//! gets a sibling journal at `<path>.c<cid>` in the exact supervisor
-//! journal format (header + CRC'd records + fin), written in bulk at
-//! each shard completion and deleted once the campaign's fin event
-//! lands here — so the service journal stays O(events), not O(plan).
+//! gets a sibling campaign journal at `<path>.c<cid>` (header + CRC'd
+//! records + fin, written by the same campaign-journal writer as the
+//! supervisor's), appended at each shard completion and deleted once
+//! the campaign's fin event lands here — so the service journal stays
+//! O(events), not O(plan).
 
 use crate::crc::crc32;
 use crate::flatjson::{esc, parse_flat, Obj};
+use crate::journal::{journal_err, read_journal, with_crc, JournalWriter};
 use crate::serve::CampaignRequest;
-use crate::supervisor::with_crc;
 use nfp_core::NfpError;
 use std::collections::HashSet;
-use std::fs::{File, OpenOptions};
-use std::io::{BufRead, BufReader, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
-use std::sync::Mutex;
+use std::sync::{Mutex, PoisonError};
 
 /// Journal schema version. Bump on any incompatible rendering change
 /// (v2: submit events no longer carry `dispatch`).
@@ -110,45 +111,26 @@ fn drain_base() -> String {
 /// appends so records land whole.
 pub(crate) struct ServiceJournal {
     path: PathBuf,
-    file: Mutex<File>,
-}
-
-fn journal_io(path: &Path, detail: String) -> NfpError {
-    NfpError::Journal {
-        path: path.display().to_string(),
-        reason: detail,
-    }
+    file: Mutex<JournalWriter>,
 }
 
 impl ServiceJournal {
     /// Creates (truncating) a fresh journal with its header line.
     pub(crate) fn create(path: &Path) -> Result<ServiceJournal, NfpError> {
-        let mut file = File::create(path)
-            .map_err(|e| journal_io(path, format!("cannot create service journal: {e}")))?;
-        writeln!(file, "{}", header_line())
-            .and_then(|()| file.sync_data())
-            .map_err(|e| journal_io(path, format!("cannot write service journal header: {e}")))?;
-        Ok(ServiceJournal {
-            path: path.to_path_buf(),
-            file: Mutex::new(file),
-        })
+        JournalWriter::create(path, &header_line()).map(|file| ServiceJournal::over(path, file))
     }
 
     /// Reopens an existing journal for appending, first truncating the
     /// torn tail a loader identified (`intact_len` bytes survive).
     pub(crate) fn resume(path: &Path, intact_len: u64) -> Result<ServiceJournal, NfpError> {
-        let mut file = OpenOptions::new()
-            .read(true)
-            .write(true)
-            .open(path)
-            .map_err(|e| journal_io(path, format!("cannot reopen service journal: {e}")))?;
-        file.set_len(intact_len)
-            .and_then(|_| file.seek(SeekFrom::End(0)))
-            .map_err(|e| journal_io(path, format!("cannot truncate torn tail: {e}")))?;
-        Ok(ServiceJournal {
+        JournalWriter::reopen(path, intact_len).map(|file| ServiceJournal::over(path, file))
+    }
+
+    fn over(path: &Path, file: JournalWriter) -> ServiceJournal {
+        ServiceJournal {
             path: path.to_path_buf(),
             file: Mutex::new(file),
-        })
+        }
     }
 
     /// The journal's own path (per-campaign records files derive from
@@ -157,11 +139,12 @@ impl ServiceJournal {
         &self.path
     }
 
+    /// Appends one event. Each append is one line-file write, so a
+    /// panicking peer thread cannot leave the file torn: recover a
+    /// poisoned lock rather than poisoning every later append.
     fn append(&self, base: String) -> Result<(), NfpError> {
-        let mut file = self.file.lock().unwrap_or_else(PoisonedLock::recover);
-        writeln!(file, "{}", with_crc(base))
-            .and_then(|()| file.flush())
-            .map_err(|e| journal_io(&self.path, format!("append failed: {e}")))
+        let mut file = self.file.lock().unwrap_or_else(PoisonError::into_inner);
+        file.append([with_crc(base)])
     }
 
     pub(crate) fn start(&self) -> Result<(), NfpError> {
@@ -228,16 +211,6 @@ impl ServiceJournal {
     }
 }
 
-/// `PoisonError` recovery shim: journal appends are single `writeln!`
-/// calls, so a panicking peer thread cannot leave the file torn —
-/// recover the guard rather than poisoning every later append.
-struct PoisonedLock;
-impl PoisonedLock {
-    fn recover<T>(e: std::sync::PoisonError<T>) -> T {
-        e.into_inner()
-    }
-}
-
 /// The per-campaign records journal sitting next to a service journal:
 /// `serve.journal` → `serve.journal.c7` for campaign id 7.
 pub(crate) fn records_path(journal: &Path, cid: u64) -> PathBuf {
@@ -267,7 +240,7 @@ pub(crate) struct OpenCampaign {
 }
 
 /// Hub state rebuilt from an intact service journal prefix.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub(crate) struct ServiceState {
     /// Byte length of the intact prefix (everything past it is a torn
     /// mid-write tail, truncated by [`ServiceJournal::resume`]).
@@ -306,79 +279,37 @@ fn parse_submit_event(obj: &Obj) -> Option<(u64, CampaignRequest, u64)> {
 /// corruption anywhere else is a hard [`NfpError::Journal`] naming the
 /// line, so the caller can quarantine the file rather than trust it.
 pub(crate) fn load_service_journal(path: &Path) -> Result<ServiceState, NfpError> {
-    let shown = path.display().to_string();
-    let journal_err = |reason: String| NfpError::Journal {
-        path: shown.clone(),
-        reason,
-    };
-    let file = File::open(path).map_err(|e| journal_err(format!("cannot open for resume: {e}")))?;
-    let mut reader = BufReader::new(file);
-    let mut line = String::new();
-    let mut offset = 0u64;
-    let mut lineno = 0usize;
-    let mut state = ServiceState {
-        intact_len: 0,
-        starts: 0,
-        drained: false,
-        next_cid: 0,
-        open: Vec::new(),
-        evictions: 0,
-        bans: Vec::new(),
-    };
+    let mut state = ServiceState::default();
     let mut finished: HashSet<u64> = HashSet::new();
-    loop {
-        line.clear();
-        let n = reader
-            .read_line(&mut line)
-            .map_err(|e| journal_err(format!("read failed at byte {offset}: {e}")))?;
-        if n == 0 {
-            break;
-        }
-        offset += n as u64;
-        lineno += 1;
-        if !line.ends_with('\n') {
-            // A newline-less final line is the torn tail of a mid-write
-            // kill (events are appended and flushed whole): drop it and
-            // resume from the intact prefix.
-            let at_eof = reader.fill_buf().map_or(true, <[u8]>::is_empty);
-            if at_eof {
-                break;
-            }
-            return Err(journal_err(format!("corrupt record at line {lineno}")));
-        }
-        if lineno == 1 {
-            let ok = parse_flat(&line).map(Obj).is_some_and(|obj| {
-                obj.str("kind") == Some(SERVICE_KIND) && obj.u64("v") == Some(SERVICE_V)
-            });
-            if !ok {
-                return Err(journal_err(
-                    "not a service journal (bad or missing header)".to_string(),
-                ));
-            }
-            state.intact_len = offset;
-            continue;
-        }
-        let corrupt = || journal_err(format!("corrupt record at line {lineno}"));
-        let obj = Obj(parse_flat(&line).ok_or_else(corrupt)?);
+    let header = |line: &str| {
+        let ok = parse_flat(line).map(Obj).is_some_and(|obj| {
+            obj.str("kind") == Some(SERVICE_KIND) && obj.u64("v") == Some(SERVICE_V)
+        });
+        ok.then_some(())
+            .ok_or_else(|| journal_err(path, "not a service journal (bad or missing header)"))
+    };
+    let events = |lineno, line: &str| {
+        let corrupt = || format!("corrupt record at line {lineno}");
+        let obj = Obj(parse_flat(line).ok_or_else(corrupt)?);
         let ev = obj.str("ev").ok_or_else(corrupt)?.to_string();
         if state.drained && ev != "start" {
-            return Err(journal_err(format!(
+            return Err(format!(
                 "record at line {lineno} appears after a clean drain"
-            )));
+            ));
         }
         // Events that bind a campaign id must name one the journal has
         // seen submitted and not yet finished.
-        let live_cid = |cid: Option<u64>| -> Result<u64, NfpError> {
+        let live_cid = |cid: Option<u64>| -> Result<u64, String> {
             let cid = cid.ok_or_else(corrupt)?;
             if finished.contains(&cid) {
-                return Err(journal_err(format!(
+                return Err(format!(
                     "record at line {lineno} appears after campaign {cid} finished"
-                )));
+                ));
             }
             if !state.open.iter().any(|c| c.cid == cid) {
-                return Err(journal_err(format!(
+                return Err(format!(
                     "record at line {lineno} names unknown campaign {cid}"
-                )));
+                ));
             }
             Ok(cid)
         };
@@ -396,9 +327,9 @@ pub(crate) fn load_service_journal(path: &Path) -> Result<ServiceState, NfpError
                     return Err(corrupt());
                 }
                 if finished.contains(&cid) || state.open.iter().any(|c| c.cid == cid) {
-                    return Err(journal_err(format!(
+                    return Err(format!(
                         "duplicate submit for campaign {cid} at line {lineno}"
-                    )));
+                    ));
                 }
                 state.next_cid = state.next_cid.max(cid + 1);
                 state.open.push(OpenCampaign {
@@ -445,9 +376,9 @@ pub(crate) fn load_service_journal(path: &Path) -> Result<ServiceState, NfpError
                     .find(|c| c.cid == cid)
                     .expect("live_cid checked membership");
                 if open.done_shards.contains(&shard) {
-                    return Err(journal_err(format!(
+                    return Err(format!(
                         "duplicate shard {shard} completion for campaign {cid} at line {lineno}"
-                    )));
+                    ));
                 }
                 open.done_shards.push(shard);
             }
@@ -478,9 +409,9 @@ pub(crate) fn load_service_journal(path: &Path) -> Result<ServiceState, NfpError
                     return Err(corrupt());
                 }
                 if !matches!(verdict, "pass" | "convict" | "inconclusive") {
-                    return Err(journal_err(format!(
+                    return Err(format!(
                         "record at line {lineno} carries unknown audit verdict '{verdict}'"
-                    )));
+                    ));
                 }
                 // Verdicts are evidence, not state: done/undone shard
                 // state is carried by `shard` and `invalidate` events.
@@ -517,11 +448,10 @@ pub(crate) fn load_service_journal(path: &Path) -> Result<ServiceState, NfpError
             }
             _ => return Err(corrupt()),
         }
-        state.intact_len = offset;
-    }
-    if lineno == 0 {
-        return Err(journal_err("journal is empty (no header)".to_string()));
-    }
+        Ok(())
+    };
+    let ((), intact_len) = read_journal(path, header, Some(events))?;
+    state.intact_len = intact_len;
     Ok(state)
 }
 
@@ -530,8 +460,10 @@ mod tests {
     use super::*;
     use crate::campaign::CampaignConfig;
     use crate::evaluation::Mode;
-    use crate::shards::quarantined_path;
+    use crate::journal::quarantined_path;
     use proptest::prelude::*;
+    use std::fs::OpenOptions;
+    use std::io::Write;
     use std::time::Duration;
 
     fn tmp(name: &str) -> PathBuf {
@@ -692,10 +624,12 @@ mod tests {
         let err = load_service_journal(&path).unwrap_err();
         assert!(err.to_string().contains("journal is empty"), "{err}");
         // v1 is the version whose submit events still carried
-        // `dispatch`.
+        // `dispatch`. A torn header is what a kill inside `create`'s
+        // header write leaves.
         for header in [
             "{\"v\":1,\"kind\":\"nfp-campaign-journal\"}\n",
             "{\"v\":1,\"kind\":\"nfp-serve-journal\"}\n",
+            "{\"v\":2,\"kind\":\"nfp-se",
         ] {
             std::fs::write(&path, header).unwrap();
             let err = load_service_journal(&path).unwrap_err();
@@ -825,5 +759,81 @@ mod tests {
             quarantined_path(&base),
             PathBuf::from("/tmp/serve.journal.quarantined")
         );
+    }
+
+    /// Lines the service journal rendered before its writer moved onto
+    /// the shared line file, kept as literals: journals on disk are made
+    /// of these.
+    const GOLDEN: [&str; 13] = [
+        "{\"v\":2,\"kind\":\"nfp-serve-journal\"}",
+        "{\"ev\":\"start\",\"crc\":3102034005}",
+        "{\"ev\":\"submit\",\"cid\":3,\"client\":\"unit \\\"client\\\"\",\"kernel\":\"fse\",\"mode\":\"float\",\"injections\":40,\"seed\":65261,\"checkpoints\":4,\"escalation\":2,\"wall_ms\":120000,\"shards\":4,\"allow_partial\":false,\"golden_instret\":777,\"crc\":3782956935}",
+        "{\"ev\":\"lease\",\"cid\":3,\"shard\":1,\"attempt\":2,\"crc\":2415546616}",
+        "{\"ev\":\"return\",\"cid\":3,\"shard\":1,\"ok\":true,\"crc\":3102662133}",
+        "{\"ev\":\"return\",\"cid\":3,\"shard\":2,\"ok\":false,\"crc\":1391228864}",
+        "{\"ev\":\"shard\",\"cid\":3,\"shard\":1,\"crc\":525206055}",
+        "{\"ev\":\"audit\",\"cid\":3,\"shard\":1,\"wid\":97,\"verdict\":\"convict\",\"crc\":3024160413}",
+        "{\"ev\":\"ban\",\"wid\":97,\"strikes\":2,\"crc\":3707492367}",
+        "{\"ev\":\"invalidate\",\"cid\":3,\"shard\":1,\"crc\":663721135}",
+        "{\"ev\":\"evict\",\"key\":\"fse|float|40\",\"bytes\":1234,\"crc\":2864592672}",
+        "{\"ev\":\"fin\",\"cid\":3,\"crc\":4205271608}",
+        "{\"ev\":\"drain\",\"crc\":1517092656}",
+    ];
+
+    #[test]
+    fn service_events_render_byte_for_byte() {
+        let path = tmp("golden");
+        let j = ServiceJournal::create(&path).unwrap();
+        j.start().unwrap();
+        j.submit(3, &request(), 777).unwrap();
+        j.lease(3, 1, 2).unwrap();
+        j.lease_return(3, 1, true).unwrap();
+        j.lease_return(3, 2, false).unwrap();
+        j.shard_done(3, 1).unwrap();
+        j.audit(3, 1, 97, "convict").unwrap();
+        j.ban(97, 2).unwrap();
+        j.invalidate(3, 1).unwrap();
+        j.evict("fse|float|40", 1234).unwrap();
+        j.fin(3).unwrap();
+        j.drain().unwrap();
+        let text = std::fs::read_to_string(&path).unwrap();
+        assert_eq!(text.lines().collect::<Vec<_>>(), GOLDEN);
+        // And the loader accepts every golden line.
+        std::fs::write(&path, GOLDEN.map(|line| format!("{line}\n")).concat()).unwrap();
+        let state = load_service_journal(&path).unwrap();
+        assert_eq!((state.starts, state.next_cid, state.evictions), (1, 4, 1));
+        assert!(state.drained && state.open.is_empty());
+        assert_eq!(state.bans, vec![(97, 2)]);
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn every_cut_of_a_service_journal_restores_its_complete_events() {
+        let path = tmp("every_cut");
+        let j = ServiceJournal::create(&path).unwrap();
+        j.start().unwrap();
+        j.submit(0, &request(), 777).unwrap();
+        j.lease(0, 0, 1).unwrap();
+        j.lease_return(0, 0, false).unwrap();
+        j.lease(0, 0, 2).unwrap();
+        j.lease_return(0, 0, true).unwrap();
+        j.shard_done(0, 0).unwrap();
+        j.audit(0, 0, 41, "pass").unwrap();
+        j.shard_done(0, 1).unwrap();
+        j.audit(0, 1, 97, "convict").unwrap();
+        j.ban(97, 1).unwrap();
+        j.invalidate(0, 1).unwrap();
+        j.evict("fse|float|40", 1234).unwrap();
+        j.fin(0).unwrap();
+        j.drain().unwrap();
+        j.start().unwrap();
+        j.submit(1, &request(), 777).unwrap();
+        let text = std::fs::read_to_string(&path).unwrap();
+        std::fs::remove_file(&path).unwrap();
+        crate::journal::tests::check_every_cut("service", &text, |p| {
+            let s = load_service_journal(p)?;
+            let restored = (s.starts, s.drained, s.next_cid, s.open, s.evictions, s.bans);
+            Ok((s.intact_len, format!("{restored:?}")))
+        });
     }
 }

@@ -31,13 +31,11 @@
 use crate::backoff::backoff_sleep;
 use crate::campaign::{assemble, CampaignConfig, CampaignResult, CampaignRig, InjectionRecord};
 use crate::evaluation::Mode;
-use crate::supervisor::{
-    load_journal, run_supervised, JournalHeader, SupervisorConfig, SupervisorOutcome,
-};
+use crate::journal::{journal_err, load_journal, quarantine, read_journal, JournalHeader};
+use crate::supervisor::{run_supervised, SupervisorConfig, SupervisorOutcome};
 use nfp_core::NfpError;
 use nfp_sim::fault::plan;
 use nfp_workloads::Kernel;
-use std::io::BufRead;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc};
@@ -185,14 +183,6 @@ pub fn shard_journal_path(base: &Path, index: u32, count: u32) -> PathBuf {
 /// (first valid result wins; both paths must exist simultaneously).
 fn spec_journal_path(base: &Path, index: u32, count: u32) -> PathBuf {
     base.with_extension(format!("shard{index}of{count}.spec.jsonl"))
-}
-
-/// Where a failed shard journal is moved so a fresh attempt can start
-/// from a clean path without destroying the evidence.
-pub(crate) fn quarantined_path(path: &Path) -> PathBuf {
-    let mut os = path.as_os_str().to_os_string();
-    os.push(".quarantined");
-    PathBuf::from(os)
 }
 
 /// Per-shard orchestration state.
@@ -347,13 +337,11 @@ pub fn run_sharded(
                         // A lost/torn/corrupt attempt: move the journal
                         // aside (evidence, and a clean path for the
                         // fresh attempt).
-                        let q = quarantined_path(&path);
-                        let _ = std::fs::rename(&path, &q);
-                        eprintln!(
-                            "shards: shard {shard} attempt failed ({e}); journal quarantined \
-                             to {}",
-                            q.display()
+                        let aside = quarantine(&path).map_or_else(
+                            |q| q.to_string(),
+                            |q| format!("journal quarantined to {}", q.display()),
                         );
+                        eprintln!("shards: shard {shard} attempt failed ({e}); {aside}");
                         (false, e.to_string())
                     }
                 };
@@ -443,19 +431,26 @@ pub fn run_sharded(
 /// golden run and cross-checks every binding field — but it lets the
 /// CLI merge a journal set without re-stating the campaign flags.
 pub fn peek_campaign(path: &Path) -> Result<(String, Mode, CampaignConfig), NfpError> {
-    let shown = path.display().to_string();
-    let err = |reason: String| NfpError::ShardMerge {
-        path: shown.clone(),
-        reason,
-    };
-    let file = std::fs::File::open(path).map_err(|e| err(format!("cannot open: {e}")))?;
-    let mut first = String::new();
-    std::io::BufReader::new(file)
-        .read_line(&mut first)
-        .map_err(|e| err(format!("read failed: {e}")))?;
-    let id = JournalHeader::parse(&first).map_err(err)?.id;
+    let id = claimed_header(path)?.id;
     let campaign = id.config();
     Ok((id.kernel, id.mode, campaign))
+}
+
+/// The header a journal *claims*, read without validating it against
+/// any campaign. Every error is a [`NfpError::ShardMerge`].
+fn claimed_header(path: &Path) -> Result<JournalHeader, NfpError> {
+    let parse = |line: &str| JournalHeader::parse(line).map_err(|reason| journal_err(path, reason));
+    let header_only = None::<fn(usize, &str) -> Result<(), String>>;
+    let (claimed, _) = read_journal(path, parse, header_only).map_err(as_merge_error)?;
+    Ok(claimed)
+}
+
+/// A journal error, reported as the merge's.
+fn as_merge_error(e: NfpError) -> NfpError {
+    match e {
+        NfpError::Journal { path, reason } => NfpError::ShardMerge { path, reason },
+        other => other,
+    }
 }
 
 /// Coalesces the `None` runs of a slot table into `(start, end)` ranges.
@@ -508,12 +503,7 @@ pub fn merge_journals(
             path: shown.clone(),
             reason,
         };
-        let file = std::fs::File::open(path).map_err(|e| merge_err(format!("cannot open: {e}")))?;
-        let mut first = String::new();
-        std::io::BufReader::new(file)
-            .read_line(&mut first)
-            .map_err(|e| merge_err(format!("read failed: {e}")))?;
-        let claimed = JournalHeader::parse(&first).map_err(merge_err)?;
+        let claimed = claimed_header(path)?;
         if claimed.shard_count == 0 || claimed.shard_index >= claimed.shard_count {
             return Err(merge_err(format!(
                 "header claims shard {} of {}",
@@ -544,7 +534,8 @@ pub fn merge_journals(
 
         // The expected header is *recomputed* from the campaign and the
         // claimed shard identity — so a tampered range, seed, or any
-        // other binding field fails here with the field named.
+        // other binding field fails the loader's header check with the
+        // field named.
         let expected = JournalHeader::bind(
             kernel,
             mode,
@@ -555,15 +546,11 @@ pub fn merge_journals(
                 count: claimed.shard_count,
             }),
         );
-        expected.check(&shown, &first)?;
 
         // Stream the records into the shared slot table. The loader
         // verifies per-record CRCs, fault-plan agreement, in-range
         // indices, duplicates, and the shard summary's count/digest.
-        let loaded = load_journal(path, &expected, &faults, &mut slots).map_err(|e| match e {
-            NfpError::Journal { path, reason } => NfpError::ShardMerge { path, reason },
-            other => other,
-        })?;
+        let loaded = load_journal(path, &expected, &faults, &mut slots).map_err(as_merge_error)?;
         if loaded.fin.is_none() && !allow_partial {
             return Err(merge_err(
                 "journal lacks its shard summary record — the shard never completed \
@@ -595,6 +582,7 @@ pub fn merge_journals(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::journal::quarantined_path;
 
     #[test]
     fn split_is_contiguous_disjoint_and_exhaustive() {

@@ -27,7 +27,8 @@
 //! `ready` echoes the golden instruction count as a cross-check,
 //! records are journal-identical lines with their CRC, and the fin's
 //! plan-order digest seals the range. The receiving side runs every
-//! frame through the one lease checker of [`crate::supervisor`].
+//! frame through the one lease checker, next to the journal codec in
+//! the crate's `journal` module.
 //! Heartbeats come from a side thread and continue through replays, so
 //! only a frozen or dead worker ever goes silent.
 //!
@@ -36,11 +37,9 @@
 use crate::backoff::{backoff_sleep, splitmix64};
 use crate::campaign::{CampaignConfig, CampaignRig, InjectionRecord};
 use crate::flatjson::{esc, parse_flat, Obj};
+use crate::journal::{fin_line, record_line, FinRecord, JournalHeader};
 use crate::net::{render_join, write_frame, FrameReader, JoinFrame, Recv, HB_FRAME};
-use crate::supervisor::{
-    fin_line, quarantine_record, range_digest, record_line, replay_guarded, replay_spinning,
-    FinRecord, JournalHeader, Replayed,
-};
+use crate::supervisor::{quarantine_record, replay_guarded, replay_spinning, Replayed};
 use nfp_core::{NfpError, Outcome};
 use nfp_sim::fault::plan;
 use nfp_sim::Fault;
@@ -663,13 +662,7 @@ fn execute_lease<W: Write>(
         send_or(&record_line(index, &record, attempts), "send record")?;
         *slot = Some((record, attempts));
     }
-    let fin = FinRecord {
-        records: (end - start) as u64,
-        range_start: start as u64,
-        range_end: end as u64,
-        digest: range_digest(start, &slots),
-    };
-    send_or(&fin_line(&fin), "send fin")?;
+    send_or(&fin_line(&FinRecord::seal(start, &slots)), "send fin")?;
     Ok(())
 }
 

@@ -386,34 +386,41 @@ fn sigkilled_coordinator_preserves_the_blacklist_and_the_report() {
 
 #[test]
 fn corrupt_service_journal_is_quarantined_not_trusted() {
-    let dir = scratch("quarantine");
-    let journal = dir.join("serve.journal");
-    std::fs::write(&journal, "this is not a service journal\n").expect("write garbage");
-    let cfg = ServeConfig {
-        journal: Some(journal.clone()),
-        resume: true,
-        // A zero-campaign budget makes run() return immediately: the
-        // test only cares about the bind-time journal handling.
-        campaigns: Some(0),
-        ..serve_config(200)
-    };
-    let (_, server) = spawn_server(cfg);
-    let summary = server.join().expect("server thread");
-    assert_eq!(summary.campaigns, 0);
-    // The garbage was set aside, not deleted, and a fresh journal took
-    // its place — evidence is preserved, state is not trusted.
-    let quarantined = dir.join("serve.journal.quarantined");
-    assert!(quarantined.exists(), "no quarantine file");
-    assert_eq!(
-        std::fs::read_to_string(&quarantined).expect("quarantined bytes"),
-        "this is not a service journal\n"
-    );
-    let fresh = std::fs::read_to_string(&journal).expect("fresh journal");
-    assert!(
-        fresh.contains("nfp-serve-journal"),
-        "fresh journal lacks a header: {fresh:?}"
-    );
-    let _ = std::fs::remove_dir_all(&dir);
+    // Garbage, and the torn header a kill inside the first header write
+    // leaves: neither may be appended to.
+    for (case, bytes) in [
+        ("quarantine", "this is not a service journal\n"),
+        ("quarantine-torn-header", "{\"v\":2,\"kind\":\"nfp-se"),
+    ] {
+        let dir = scratch(case);
+        let journal = dir.join("serve.journal");
+        std::fs::write(&journal, bytes).expect("write garbage");
+        let cfg = ServeConfig {
+            journal: Some(journal.clone()),
+            resume: true,
+            // A zero-campaign budget makes run() return immediately: the
+            // test only cares about the bind-time journal handling.
+            campaigns: Some(0),
+            ..serve_config(200)
+        };
+        let (_, server) = spawn_server(cfg);
+        let summary = server.join().expect("server thread");
+        assert_eq!(summary.campaigns, 0);
+        // The garbage was set aside, not deleted, and a fresh journal took
+        // its place — evidence is preserved, state is not trusted.
+        let quarantined = dir.join("serve.journal.quarantined");
+        assert!(quarantined.exists(), "no quarantine file");
+        assert_eq!(
+            std::fs::read_to_string(&quarantined).expect("quarantined bytes"),
+            bytes
+        );
+        let fresh = std::fs::read_to_string(&journal).expect("fresh journal");
+        assert!(
+            fresh.contains("nfp-serve-journal"),
+            "fresh journal lacks a header: {fresh:?}"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }
 
 #[test]

@@ -79,7 +79,8 @@ pub enum NfpError {
         /// `injections 120..160 of fse_img00_float`.
         job: String,
     },
-    /// A campaign journal could not be read, written, or parsed.
+    /// A journal — a campaign journal, a coordinator's records file or
+    /// its service journal — could not be read, written, or parsed.
     Journal {
         /// Journal path, for the message.
         path: String,
@@ -200,9 +201,7 @@ impl fmt::Display for NfpError {
             NfpError::WorkerLost { job } => {
                 write!(f, "parallel worker died without delivering '{job}'")
             }
-            NfpError::Journal { path, reason } => {
-                write!(f, "campaign journal '{path}': {reason}")
-            }
+            NfpError::Journal { path, reason } => write!(f, "journal '{path}': {reason}"),
             NfpError::JournalMismatch {
                 path,
                 field,
@@ -324,6 +323,14 @@ mod tests {
         assert_eq!(
             NfpError::Empty { what: "kernel set" }.to_string(),
             "nothing to summarise: kernel set is empty"
+        );
+        assert_eq!(
+            NfpError::Journal {
+                path: "run/serve.journal".to_string(),
+                reason: "not a service journal (bad or missing header)".to_string(),
+            }
+            .to_string(),
+            "journal 'run/serve.journal': not a service journal (bad or missing header)"
         );
     }
 
