@@ -52,7 +52,7 @@ use nfp_core::NfpError;
 use nfp_sim::fault::plan;
 use nfp_sim::Fault;
 use nfp_workloads::{all_kernels, Kernel};
-use std::collections::{HashMap, VecDeque};
+use std::collections::{BTreeSet, HashMap, VecDeque};
 use std::io::ErrorKind;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::{Path, PathBuf};
@@ -718,6 +718,7 @@ impl Server {
                             next_cid = state.next_cid;
                             resumed = state.open;
                             bans = state.bans;
+                            sweep_finished_records(path, &state.finished);
                             ServiceJournal::resume(path, state.intact_len)?
                         }
                         Err(e) => {
@@ -1658,6 +1659,22 @@ fn close_durable(run: Option<DurableRun>, complete_slots: Option<&Slots>, ctx: &
     if let Some(journal) = &ctx.journal {
         let _ = journal.fin(run.cid);
         let _ = std::fs::remove_file(records_path(journal.path(), run.cid));
+    }
+}
+
+/// Deletes the records files of the campaigns a resumed service journal
+/// shows finished. [`close_durable`] journals the fin before it deletes
+/// the file, so a kill in between leaves a file that nothing else would
+/// remove. A missing file is the normal case; any other error is logged
+/// and the coordinator starts anyway.
+fn sweep_finished_records(journal: &Path, finished: &BTreeSet<u64>) {
+    for &cid in finished {
+        let records = records_path(journal, cid);
+        if let Err(e) = std::fs::remove_file(&records) {
+            if e.kind() != ErrorKind::NotFound {
+                eprintln!("serve: could not delete {}: {e}", records.display());
+            }
+        }
     }
 }
 
@@ -2741,6 +2758,52 @@ mod tests {
             category: None,
             outcome: Outcome::Masked,
         }
+    }
+
+    // -- resume ------------------------------------------------------
+
+    #[test]
+    fn resume_deletes_the_records_files_of_finished_campaigns() {
+        let dir = std::env::temp_dir().join(format!("nfp_serve_sweep_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("serve.journal");
+        let req = CampaignRequest {
+            client: "tenant".to_string(),
+            kernel: "fse".to_string(),
+            mode: Mode::Float,
+            campaign: CampaignConfig::default(),
+            shards: 2,
+            allow_partial: false,
+        };
+        let journal = ServiceJournal::create(&path).unwrap();
+        journal.start().unwrap();
+        journal.submit(0, &req, 1).unwrap();
+        journal.fin(0).unwrap();
+        journal.submit(1, &req, 1).unwrap();
+        drop(journal);
+        // Campaign 0's coordinator was killed between its fin and the
+        // delete; campaign 1 is still open.
+        for cid in [0, 1] {
+            std::fs::write(records_path(&path, cid), "records\n").unwrap();
+        }
+        let server = Server::bind(ServeConfig {
+            listen: "127.0.0.1:0".to_string(),
+            journal: Some(path.clone()),
+            resume: true,
+            ..ServeConfig::default()
+        })
+        .unwrap();
+        assert!(
+            !records_path(&path, 0).exists(),
+            "finished campaign's file kept"
+        );
+        assert!(
+            records_path(&path, 1).exists(),
+            "open campaign's file deleted"
+        );
+        assert_eq!(server.resumed.len(), 1);
+        drop(server);
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     // -- admission ----------------------------------------------------

@@ -30,7 +30,7 @@ use crate::flatjson::{esc, parse_flat, Obj};
 use crate::journal::{journal_err, read_journal, with_crc, JournalWriter};
 use crate::serve::CampaignRequest;
 use nfp_core::NfpError;
-use std::collections::HashSet;
+use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
 use std::sync::{Mutex, PoisonError};
 
@@ -254,6 +254,8 @@ pub(crate) struct ServiceState {
     pub(crate) next_cid: u64,
     /// Campaigns submitted but not finished, oldest first.
     pub(crate) open: Vec<OpenCampaign>,
+    /// Ids of the campaigns the journal shows finished.
+    pub(crate) finished: BTreeSet<u64>,
     /// Cache evictions journaled across all starts.
     pub(crate) evictions: usize,
     /// Blacklisted workers as `(wid, strikes)`, last strike count per
@@ -280,7 +282,6 @@ fn parse_submit_event(obj: &Obj) -> Option<(u64, CampaignRequest, u64)> {
 /// line, so the caller can quarantine the file rather than trust it.
 pub(crate) fn load_service_journal(path: &Path) -> Result<ServiceState, NfpError> {
     let mut state = ServiceState::default();
-    let mut finished: HashSet<u64> = HashSet::new();
     let header = |line: &str| {
         let ok = parse_flat(line).map(Obj).is_some_and(|obj| {
             obj.str("kind") == Some(SERVICE_KIND) && obj.u64("v") == Some(SERVICE_V)
@@ -301,7 +302,7 @@ pub(crate) fn load_service_journal(path: &Path) -> Result<ServiceState, NfpError
         // seen submitted and not yet finished.
         let live_cid = |cid: Option<u64>| -> Result<u64, String> {
             let cid = cid.ok_or_else(corrupt)?;
-            if finished.contains(&cid) {
+            if state.finished.contains(&cid) {
                 return Err(format!(
                     "record at line {lineno} appears after campaign {cid} finished"
                 ));
@@ -326,7 +327,7 @@ pub(crate) fn load_service_journal(path: &Path) -> Result<ServiceState, NfpError
                 if !verified(&obj, &submit_base(cid, &req, golden)) {
                     return Err(corrupt());
                 }
-                if finished.contains(&cid) || state.open.iter().any(|c| c.cid == cid) {
+                if state.finished.contains(&cid) || state.open.iter().any(|c| c.cid == cid) {
                     return Err(format!(
                         "duplicate submit for campaign {cid} at line {lineno}"
                     ));
@@ -388,7 +389,7 @@ pub(crate) fn load_service_journal(path: &Path) -> Result<ServiceState, NfpError
                     return Err(corrupt());
                 }
                 state.open.retain(|c| c.cid != cid);
-                finished.insert(cid);
+                state.finished.insert(cid);
             }
             "evict" => {
                 let key = obj.str("key").ok_or_else(corrupt)?;

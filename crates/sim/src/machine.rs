@@ -11,7 +11,7 @@ use crate::bus::{Bus, BusFault, RamSnapshot, RAM_BASE};
 use crate::cpu::Cpu;
 use crate::exec::{step, ExecError, NullObserver, Observer, StepOut, Trap};
 use crate::threaded::{
-    build_trace, run_tops, Observed, ThreadedCache, TraceCache, TraceHalt, TraceSlot,
+    build_table, build_trace, run_tops, DecodedOp, Observed, TraceCache, TraceHalt, TraceSlot,
 };
 use nfp_sparc::{decode, Category, CategoryCounts, Instr};
 use std::time::{Duration, Instant};
@@ -50,14 +50,14 @@ pub enum Dispatch {
     /// Architectural reference: fetch, match, and account one
     /// instruction at a time.
     Step,
-    /// Superblock traces over the threaded dispatch table: basic
+    /// Superblock traces over the predecoded dispatch table: basic
     /// blocks chained across statically-predicted branches and delay
     /// slots, so hot loop iterations retire without returning to the
     /// dispatcher. Straight-line runs outside a trace go through the
-    /// table one indirect call per instruction; block-ending
-    /// instructions outside a trace fall back to the step path
-    /// (DESIGN.md §13). Every path reports each retired instruction to
-    /// an attached observer.
+    /// table one predecoded op per instruction, matched on its kind
+    /// tag; block-ending instructions outside a trace fall back to the
+    /// step path (DESIGN.md §13). Every path reports each retired
+    /// instruction to an attached observer.
     #[default]
     Traced,
 }
@@ -312,8 +312,8 @@ struct FastPath {
     /// Block summaries: the traces' segmentation, and the straight-line
     /// fallback's run ends and counts.
     blocks: BlockCache,
-    /// Threaded dispatch table, one op per image instruction.
-    table: ThreadedCache,
+    /// Dispatch table, one predecoded op per image instruction.
+    table: Vec<DecodedOp>,
     /// Superblock traces keyed by block-leader index, built lazily per
     /// trace head.
     traces: TraceCache,
@@ -323,7 +323,7 @@ impl FastPath {
     fn build(code: &[(Instr, Category)], base: u32, fpu: bool) -> Self {
         FastPath {
             blocks: BlockCache::build(code),
-            table: ThreadedCache::build(code, base, fpu),
+            table: build_table(code, base, fpu),
             traces: TraceCache::new(code, base),
         }
     }
@@ -698,7 +698,7 @@ impl Machine {
                                 &self.code,
                                 self.code_base,
                                 &fast.blocks,
-                                fast.table.ops(),
+                                &fast.table,
                                 fpu,
                                 idx,
                             );
@@ -753,11 +753,10 @@ impl Machine {
                     if end > idx {
                         // Straight-line run through the dispatch table:
                         // one predecoded op per instruction, zero
-                        // decode or re-match — hot kinds inlined at the
-                        // dispatch site, the tail through the table's
-                        // fn pointer.
+                        // decode or re-match — each executed by the
+                        // kind-tag match at the dispatch site.
                         let (done, pending) = run_tops(
-                            &fast.table.ops()[idx..end],
+                            &fast.table[idx..end],
                             &mut self.cpu,
                             &mut self.bus,
                             &mut Observed {
@@ -870,7 +869,8 @@ impl Machine {
         let fast = self
             .fast
             .get_or_insert_with(|| FastPath::build(&self.code, self.code_base, fpu));
-        fast.table.corrupt(index);
+        // A fresh entry is the routing-violation stub a block ender holds.
+        fast.table[index] = DecodedOp::at(fast.table[index].pc);
         fast.traces = TraceCache::new(&self.code, self.code_base);
         true
     }
@@ -1419,9 +1419,11 @@ mod tests {
     /// record carries more than its pc: `sethi` and `ld` into `%g0`,
     /// `cmp`, sub-word stores of a wide register, doublewords, `rd` and
     /// `wr %y`, a multiply, FP loads, stores, divides and square roots,
-    /// `fcmp` with a guarded `fb`, `ba`, `bn`, an inlined `call`, and a
-    /// `save`/`restore` pair; then a misaligned load (skipped under
-    /// recovery) and a window overflow.
+    /// `fcmp` with a guarded `fb`, `fba,a`, `ba`, `bn`, an inlined
+    /// `call`, a `save`/`restore` pair, and an inner loop closed by a
+    /// backward `fb,a` whose prediction holds on every iteration but
+    /// its last; then a misaligned load (skipped under recovery) and a
+    /// window overflow.
     fn every_op_kind_program() -> Vec<u32> {
         use nfp_sparc::{FCond, FReg, FpOp, MemSize};
         let mut a = Assembler::new(RAM_BASE);
@@ -1476,6 +1478,9 @@ mod tests {
         a.fb(FCond::G, "fwd");
         a.nop();
         a.label("fwd");
+        a.fb_a(FCond::A, "fwd2");
+        a.alu(AluOp::Add, Reg::l(3), 9, Reg::l(3)); // annulled
+        a.label("fwd2");
         a.b(ICond::N, "never");
         a.nop();
         a.ba("over");
@@ -1485,6 +1490,28 @@ mod tests {
         a.label("over");
         a.call("leaf");
         a.nop();
+        // Inner loop: f16 counts down from the outer counter by 1.0
+        // while it stays above 0.0.
+        a.st(MemSize::Word, Reg::l(2), Reg::l(1), 28);
+        a.push(Instr::LoadF {
+            double: false,
+            rd: f(14),
+            rs1: Reg::l(1),
+            op2: Operand::Imm(28),
+        });
+        a.fpop(FpOp::FiToD, f(0), f(14), f(16));
+        a.fpop(FpOp::FDivD, f(16), f(16), f(20));
+        a.fpop(FpOp::FSubD, f(16), f(16), f(22));
+        a.label("inner");
+        a.fpop(FpOp::FSubD, f(16), f(20), f(16));
+        a.push(Instr::FCmp {
+            double: true,
+            exception: false,
+            rs1: f(16),
+            rs2: f(22),
+        });
+        a.fb_a(FCond::G, "inner");
+        a.alu(AluOp::Add, Reg::l(6), 1, Reg::l(6)); // annulled on exit
         a.alu(AluOp::SubCc, Reg::l(2), 1, Reg::l(2));
         a.b(ICond::Ne, "loop");
         a.alu(AluOp::Add, Reg::l(1), 32, Reg::l(1));

@@ -2,12 +2,12 @@
 //! path behind [`Dispatch::Traced`](crate::Dispatch::Traced).
 //!
 //! The step path re-matches the instruction enum on every retirement.
-//! This module predecodes each image instruction into a
-//! `(fn pointer, DecodedOp)` pair — the classic threaded-code idiom —
-//! so the hot loop is one indirect call per instruction with zero
-//! decode or match: all operand shapes (immediate vs register, load
-//! width, signedness, ALU opcode) are burned into the function pointer
-//! via const generics at predecode time. Straight-line runs outside a
+//! This module predecodes each image instruction once into a 16-byte
+//! [`DecodedOp`] whose kind tag and `aux` selector carry every shape
+//! decision (immediate vs register, load width, signedness, ALU or FP
+//! opcode, FPU presence, register-pair evenness), so the hot loop is one
+//! match on the tag per instruction with zero decode and no indirect
+//! call ([`exec_top`]). Straight-line runs outside a
 //! trace ([`run_tops`]) take one commit per block, with counts from the
 //! block cache's prefix sums (DESIGN.md §8).
 //!
@@ -51,7 +51,7 @@ use nfp_sparc::{
 /// whole trace fits in the remaining instruction budget).
 pub(crate) const MAX_TRACE_OPS: usize = 256;
 
-/// Control-flow verdict of one threaded op.
+/// Control-flow verdict of one predecoded op.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Flow {
     /// Sequential: fall through to the next op in the table/trace.
@@ -61,24 +61,11 @@ pub(crate) enum Flow {
     Exit,
 }
 
-/// One threaded execution function. `DecodedOp` carries the operands;
-/// everything the shape of the instruction determines (opcode, operand
-/// form, width) is specialized into the function itself.
-pub(crate) type ExecFn = fn(&mut Cpu, &mut Bus, &DecodedOp) -> Result<Flow, ExecError>;
-
-/// Dispatch-kind tag mirroring the shape burned into the op's
-/// function pointer. The run loops inline the hottest kinds directly
-/// at the dispatch site (see [`exec_top`]); everything else — and any
-/// corrupted table entry, whose record defaults to `Generic` — goes
-/// through the indirect call, which stays the canonical semantic.
+/// Dispatch-kind tag: the shape of a predecoded op, which [`exec_top`]
+/// matches to execute it.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 #[repr(u8)]
 pub(crate) enum OpKind {
-    /// Execute through the fn pointer. Only a corrupted entry
-    /// ([`ThreadedCache::corrupt`]) carries it, and it always errors,
-    /// so it is never reported to an observer as retired.
-    #[default]
-    Generic,
     /// Retires with no architectural effect (`nop`, `flush`, `sethi`
     /// into `%g0`); `imm` is the value a `sethi` computes (else 0).
     Nop,
@@ -142,15 +129,18 @@ pub(crate) enum OpKind {
     /// `fcmpd`.
     FCmpD,
     /// Always-trapping entry; `aux` selects the error (see
-    /// [`stub_err`]).
+    /// [`stub_err`]). The default, so an entry whose kind is never set
+    /// is the routing-violation stub and cannot retire.
+    #[default]
     Stub,
 }
 
-/// Predecoded operand record. One fixed shape for every instruction
-/// keeps the dispatch table flat (`Vec<TOp>`), with fields reused per
-/// form: `imm` is the immediate operand, the precomputed `sethi`
-/// value, the branch target of an untaken-guard, or the raw word of an
-/// illegal instruction; `mask` is the guard truth-table.
+/// Predecoded op: one dispatch-table or trace entry. One fixed shape
+/// for every instruction keeps the table flat (`Vec<DecodedOp>`), with
+/// fields reused per form: `imm` is the immediate operand, the
+/// precomputed `sethi` value, the branch target of an untaken-guard, or
+/// the raw word of an illegal instruction; `mask` is the guard
+/// truth-table.
 #[derive(Debug, Clone, Copy, Default)]
 pub(crate) struct DecodedOp {
     /// The instruction's own address (trap payloads, guard exits).
@@ -171,30 +161,20 @@ pub(crate) struct DecodedOp {
     pub aux: u8,
 }
 
-/// `DecodedOp` is sized to pack two entries per 32-byte half cache
-/// line; `kind`/`aux` live in what used to be padding. Growing it is a
-/// measurable dispatch regression, so the layout is pinned here.
+/// `DecodedOp` is the dispatch-table and trace entry, sized to pack two
+/// entries per 32-byte half cache line; `kind`/`aux` live in what used
+/// to be padding. Growing it is a measurable dispatch regression, so the
+/// layout is pinned here.
 const _: () = assert!(std::mem::size_of::<DecodedOp>() == 16);
 
 impl DecodedOp {
-    fn at(pc: u32) -> Self {
+    /// The routing-violation stub at `pc` (the default kind, stub code
+    /// 0); predecode then sets the kind and operands of a real op.
+    pub(crate) fn at(pc: u32) -> Self {
         DecodedOp {
             pc,
             ..Default::default()
         }
-    }
-}
-
-/// A threaded op: the function pointer *is* the decoded instruction.
-#[derive(Clone, Copy)]
-pub(crate) struct TOp {
-    pub exec: ExecFn,
-    pub op: DecodedOp,
-}
-
-impl std::fmt::Debug for TOp {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("TOp").field("op", &self.op).finish()
     }
 }
 
@@ -221,21 +201,17 @@ fn op2_val<const IMM: bool>(cpu: &Cpu, op: &DecodedOp) -> u32 {
 }
 
 // ---------------------------------------------------------------------------
-// Linear exec functions (mirrors of `exec_linear`'s arms)
+// Linear op helpers (mirrors of `exec_linear`'s arms)
 // ---------------------------------------------------------------------------
 
-fn exec_nop(_cpu: &mut Cpu, _bus: &mut Bus, _op: &DecodedOp) -> Result<Flow, ExecError> {
-    Ok(Flow::Next)
-}
-
 #[inline(always)]
-fn exec_sethi(cpu: &mut Cpu, _bus: &mut Bus, op: &DecodedOp) -> Result<Flow, ExecError> {
+fn exec_sethi(cpu: &mut Cpu, op: &DecodedOp) -> Flow {
     cpu.set(reg(op.rd), op.imm);
-    Ok(Flow::Next)
+    Flow::Next
 }
 
-/// `AluOp` variants in declaration order, so `AluOp::X as u8` indexes
-/// back to the variant inside a const-generic context.
+/// `AluOp` variants in declaration order, so `AluOp::X as u8` stored in
+/// `aux` indexes back to the variant.
 const ALU_OPS: [AluOp; 31] = [
     AluOp::Add,
     AluOp::AddCc,
@@ -270,57 +246,18 @@ const ALU_OPS: [AluOp; 31] = [
     AluOp::SDivCc,
 ];
 
-#[inline(always)]
-fn exec_alu_c<const OP: u8, const IMM: bool>(
-    cpu: &mut Cpu,
-    _bus: &mut Bus,
-    op: &DecodedOp,
-) -> Result<Flow, ExecError> {
-    let a = cpu.get(reg(op.rs1));
-    let b = op2_val::<IMM>(cpu, op);
-    let r = exec_alu(cpu, ALU_OPS[OP as usize], a, b, op.pc)?;
-    cpu.set(reg(op.rd), r);
-    Ok(Flow::Next)
-}
-
-fn alu_fn(op: AluOp, imm: bool) -> ExecFn {
-    macro_rules! arms {
-        ($($v:ident),* $(,)?) => {
-            match (op, imm) {
-                $(
-                    (AluOp::$v, false) => exec_alu_c::<{ AluOp::$v as u8 }, false>,
-                    (AluOp::$v, true) => exec_alu_c::<{ AluOp::$v as u8 }, true>,
-                )*
-            }
-        };
-    }
-    arms!(
-        Add, AddCc, AddX, AddXCc, Sub, SubCc, SubX, SubXCc, And, AndCc, AndN, AndNCc, Or, OrCc,
-        OrN, OrNCc, Xor, XorCc, XNor, XNorCc, Sll, Srl, Sra, UMul, UMulCc, SMul, SMulCc, UDiv,
-        UDivCc, SDiv, SDivCc,
-    )
-}
-
-fn exec_rdy(cpu: &mut Cpu, _bus: &mut Bus, op: &DecodedOp) -> Result<Flow, ExecError> {
+fn exec_rdy(cpu: &mut Cpu, op: &DecodedOp) -> Flow {
     let y = cpu.y;
     cpu.set(reg(op.rd), y);
-    Ok(Flow::Next)
+    Flow::Next
 }
 
-fn exec_wry_c<const IMM: bool>(
-    cpu: &mut Cpu,
-    _bus: &mut Bus,
-    op: &DecodedOp,
-) -> Result<Flow, ExecError> {
+fn exec_wry_c<const IMM: bool>(cpu: &mut Cpu, op: &DecodedOp) -> Flow {
     cpu.y = cpu.get(reg(op.rs1)) ^ op2_val::<IMM>(cpu, op);
-    Ok(Flow::Next)
+    Flow::Next
 }
 
-fn exec_save_c<const IMM: bool>(
-    cpu: &mut Cpu,
-    _bus: &mut Bus,
-    op: &DecodedOp,
-) -> Result<Flow, ExecError> {
+fn exec_save_c<const IMM: bool>(cpu: &mut Cpu, op: &DecodedOp) -> Result<Flow, ExecError> {
     // Source operands are read in the OLD window, the result is
     // written in the NEW window.
     let a = cpu.get(reg(op.rs1));
@@ -332,11 +269,7 @@ fn exec_save_c<const IMM: bool>(
     Ok(Flow::Next)
 }
 
-fn exec_restore_c<const IMM: bool>(
-    cpu: &mut Cpu,
-    _bus: &mut Bus,
-    op: &DecodedOp,
-) -> Result<Flow, ExecError> {
+fn exec_restore_c<const IMM: bool>(cpu: &mut Cpu, op: &DecodedOp) -> Result<Flow, ExecError> {
     let a = cpu.get(reg(op.rs1));
     let b = op2_val::<IMM>(cpu, op);
     if !cpu.window_restore() {
@@ -347,7 +280,7 @@ fn exec_restore_c<const IMM: bool>(
 }
 
 /// `SIZE`: 0 = byte, 1 = half, 2 = word, 3 = doubleword (odd-`rd`
-/// doublewords are routed to [`exec_odd_int_pair`] at predecode).
+/// doublewords are predecoded to a trap stub).
 /// Returns the effective address and the loaded value, extended as it
 /// lands in the register (what an observer counts).
 #[inline(always)]
@@ -394,14 +327,6 @@ fn load_c<const SIZE: u8, const SIGNED: bool, const IMM: bool>(
     Ok((addr, v))
 }
 
-fn exec_load_c<const SIZE: u8, const SIGNED: bool, const IMM: bool>(
-    cpu: &mut Cpu,
-    bus: &mut Bus,
-    op: &DecodedOp,
-) -> Result<Flow, ExecError> {
-    load_c::<SIZE, SIGNED, IMM>(cpu, bus, op).map(|_| Flow::Next)
-}
-
 /// Returns the effective address and the value an observer counts:
 /// the whole source register for sub-doubleword stores (as
 /// `exec::step` counts it), the register pair for `std`.
@@ -437,14 +362,6 @@ fn store_c<const SIZE: u8, const IMM: bool>(
     Ok((addr, counted))
 }
 
-fn exec_store_c<const SIZE: u8, const IMM: bool>(
-    cpu: &mut Cpu,
-    bus: &mut Bus,
-    op: &DecodedOp,
-) -> Result<Flow, ExecError> {
-    store_c::<SIZE, IMM>(cpu, bus, op).map(|_| Flow::Next)
-}
-
 /// Returns the effective address and the loaded bits.
 #[inline(always)]
 fn loadf_c<const DOUBLE: bool, const IMM: bool>(
@@ -464,14 +381,6 @@ fn loadf_c<const DOUBLE: bool, const IMM: bool>(
         cpu.fset(freg(op.rd), v);
         Ok((addr, v as u64))
     }
-}
-
-fn exec_loadf_c<const DOUBLE: bool, const IMM: bool>(
-    cpu: &mut Cpu,
-    bus: &mut Bus,
-    op: &DecodedOp,
-) -> Result<Flow, ExecError> {
-    loadf_c::<DOUBLE, IMM>(cpu, bus, op).map(|_| Flow::Next)
 }
 
 /// Returns the effective address and the stored bits.
@@ -496,148 +405,64 @@ fn storef_c<const DOUBLE: bool, const IMM: bool>(
     }
 }
 
-fn exec_storef_c<const DOUBLE: bool, const IMM: bool>(
-    cpu: &mut Cpu,
-    bus: &mut Bus,
-    op: &DecodedOp,
-) -> Result<Flow, ExecError> {
-    storef_c::<DOUBLE, IMM>(cpu, bus, op).map(|_| Flow::Next)
-}
+/// `FpOp` variants in declaration order (same convention as
+/// [`ALU_OPS`]), so `FpOp::X as u8` stored in `aux` indexes back.
+const FP_OPS: [FpOp; 20] = [
+    FpOp::FMovS,
+    FpOp::FNegS,
+    FpOp::FAbsS,
+    FpOp::FSqrtS,
+    FpOp::FSqrtD,
+    FpOp::FAddS,
+    FpOp::FAddD,
+    FpOp::FSubS,
+    FpOp::FSubD,
+    FpOp::FMulS,
+    FpOp::FMulD,
+    FpOp::FDivS,
+    FpOp::FDivD,
+    FpOp::FsMulD,
+    FpOp::FiToS,
+    FpOp::FiToD,
+    FpOp::FsToI,
+    FpOp::FdToI,
+    FpOp::FsToD,
+    FpOp::FdToS,
+];
 
-// --- floating point (operand evenness is validated at predecode) ---
-
-macro_rules! fp_fn {
-    ($name:ident, |$cpu:ident, $op:ident| $body:expr) => {
-        fn $name($cpu: &mut Cpu, _bus: &mut Bus, $op: &DecodedOp) -> Result<Flow, ExecError> {
-            $body;
-            Ok(Flow::Next)
-        }
-    };
-}
-
-fp_fn!(exec_fmovs, |cpu, op| {
-    let v = cpu.fget(freg(op.rs2));
-    cpu.fset(freg(op.rd), v)
-});
-fp_fn!(exec_fnegs, |cpu, op| {
-    let v = cpu.fget(freg(op.rs2)) ^ 0x8000_0000;
-    cpu.fset(freg(op.rd), v)
-});
-fp_fn!(exec_fabss, |cpu, op| {
-    let v = cpu.fget(freg(op.rs2)) & 0x7fff_ffff;
-    cpu.fset(freg(op.rd), v)
-});
-fp_fn!(exec_fsqrts, |cpu, op| {
-    let v = cpu.fget_s(freg(op.rs2));
-    cpu.fset_s(freg(op.rd), v.sqrt())
-});
-fp_fn!(exec_fsqrtd, |cpu, op| {
-    let v = cpu.fget_d(freg(op.rs2));
-    cpu.fset_d(freg(op.rd), v.sqrt())
-});
-fp_fn!(exec_fadds, |cpu, op| {
-    let v = cpu.fget_s(freg(op.rs1)) + cpu.fget_s(freg(op.rs2));
-    cpu.fset_s(freg(op.rd), v)
-});
-fp_fn!(exec_fsubs, |cpu, op| {
-    let v = cpu.fget_s(freg(op.rs1)) - cpu.fget_s(freg(op.rs2));
-    cpu.fset_s(freg(op.rd), v)
-});
-fp_fn!(exec_fmuls, |cpu, op| {
-    let v = cpu.fget_s(freg(op.rs1)) * cpu.fget_s(freg(op.rs2));
-    cpu.fset_s(freg(op.rd), v)
-});
-fp_fn!(exec_fdivs, |cpu, op| {
-    let v = cpu.fget_s(freg(op.rs1)) / cpu.fget_s(freg(op.rs2));
-    cpu.fset_s(freg(op.rd), v)
-});
-fp_fn!(exec_faddd, |cpu, op| {
-    let v = cpu.fget_d(freg(op.rs1)) + cpu.fget_d(freg(op.rs2));
-    cpu.fset_d(freg(op.rd), v)
-});
-fp_fn!(exec_fsubd, |cpu, op| {
-    let v = cpu.fget_d(freg(op.rs1)) - cpu.fget_d(freg(op.rs2));
-    cpu.fset_d(freg(op.rd), v)
-});
-fp_fn!(exec_fmuld, |cpu, op| {
-    let v = cpu.fget_d(freg(op.rs1)) * cpu.fget_d(freg(op.rs2));
-    cpu.fset_d(freg(op.rd), v)
-});
-fp_fn!(exec_fdivd, |cpu, op| {
-    let v = cpu.fget_d(freg(op.rs1)) / cpu.fget_d(freg(op.rs2));
-    cpu.fset_d(freg(op.rd), v)
-});
-fp_fn!(exec_fsmuld, |cpu, op| {
-    let v = cpu.fget_s(freg(op.rs1)) as f64 * cpu.fget_s(freg(op.rs2)) as f64;
-    cpu.fset_d(freg(op.rd), v)
-});
-fp_fn!(exec_fitos, |cpu, op| {
-    let v = cpu.fget(freg(op.rs2)) as i32 as f32;
-    cpu.fset_s(freg(op.rd), v)
-});
-fp_fn!(exec_fitod, |cpu, op| {
-    let v = cpu.fget(freg(op.rs2)) as i32 as f64;
-    cpu.fset_d(freg(op.rd), v)
-});
-fp_fn!(exec_fstoi, |cpu, op| {
-    let v = cpu.fget_s(freg(op.rs2));
-    cpu.fset(freg(op.rd), (v as i32) as u32)
-});
-fp_fn!(exec_fdtoi, |cpu, op| {
-    let v = cpu.fget_d(freg(op.rs2));
-    cpu.fset(freg(op.rd), (v as i32) as u32)
-});
-fp_fn!(exec_fstod, |cpu, op| {
-    let v = cpu.fget_s(freg(op.rs2)) as f64;
-    cpu.fset_d(freg(op.rd), v)
-});
-fp_fn!(exec_fdtos, |cpu, op| {
-    let v = cpu.fget_d(freg(op.rs2)) as f32;
-    cpu.fset_s(freg(op.rd), v)
-});
-fp_fn!(exec_fcmps, |cpu, op| {
-    cpu.fcc = compare(
-        cpu.fget_s(freg(op.rs1)) as f64,
-        cpu.fget_s(freg(op.rs2)) as f64,
-    )
-});
-fp_fn!(exec_fcmpd, |cpu, op| {
-    cpu.fcc = compare(cpu.fget_d(freg(op.rs1)), cpu.fget_d(freg(op.rs2)))
-});
-
-// --- trap stubs: instructions whose predecoded form always traps ---
-
-#[cold]
-fn exec_fp_disabled(_cpu: &mut Cpu, _bus: &mut Bus, op: &DecodedOp) -> Result<Flow, ExecError> {
-    Err(Trap::FpDisabled { pc: op.pc }.into())
-}
-
-#[cold]
-fn exec_odd_fp_pair(_cpu: &mut Cpu, _bus: &mut Bus, op: &DecodedOp) -> Result<Flow, ExecError> {
-    Err(Trap::OddFpPair { pc: op.pc }.into())
-}
-
-#[cold]
-fn exec_odd_int_pair(_cpu: &mut Cpu, _bus: &mut Bus, op: &DecodedOp) -> Result<Flow, ExecError> {
-    Err(Trap::OddIntPair { pc: op.pc }.into())
-}
-
-#[cold]
-fn exec_illegal(_cpu: &mut Cpu, _bus: &mut Bus, op: &DecodedOp) -> Result<Flow, ExecError> {
-    Err(Trap::Illegal {
-        pc: op.pc,
-        word: op.imm,
+/// Executes an [`OpKind::Fp`] op: `aux` is the `FpOp` discriminant, and
+/// operand evenness is validated at predecode.
+///
+/// Kept out of the run loops: inlined into them, this match slowed
+/// `HwObserver` runs of quick-preset kernels by ~14%, while the call
+/// per FP op costs unobserved traced runs nothing measurable.
+#[inline(never)]
+fn exec_fp(cpu: &mut Cpu, op: &DecodedOp) -> Flow {
+    use FpOp::*;
+    let (rd, rs1, rs2) = (freg(op.rd), freg(op.rs1), freg(op.rs2));
+    match FP_OPS[op.aux as usize] {
+        FMovS => cpu.fset(rd, cpu.fget(rs2)),
+        FNegS => cpu.fset(rd, cpu.fget(rs2) ^ 0x8000_0000),
+        FAbsS => cpu.fset(rd, cpu.fget(rs2) & 0x7fff_ffff),
+        FSqrtS => cpu.fset_s(rd, cpu.fget_s(rs2).sqrt()),
+        FSqrtD => cpu.fset_d(rd, cpu.fget_d(rs2).sqrt()),
+        FAddS => cpu.fset_s(rd, cpu.fget_s(rs1) + cpu.fget_s(rs2)),
+        FAddD => cpu.fset_d(rd, cpu.fget_d(rs1) + cpu.fget_d(rs2)),
+        FSubS => cpu.fset_s(rd, cpu.fget_s(rs1) - cpu.fget_s(rs2)),
+        FSubD => cpu.fset_d(rd, cpu.fget_d(rs1) - cpu.fget_d(rs2)),
+        FMulS => cpu.fset_s(rd, cpu.fget_s(rs1) * cpu.fget_s(rs2)),
+        FMulD => cpu.fset_d(rd, cpu.fget_d(rs1) * cpu.fget_d(rs2)),
+        FDivS => cpu.fset_s(rd, cpu.fget_s(rs1) / cpu.fget_s(rs2)),
+        FDivD => cpu.fset_d(rd, cpu.fget_d(rs1) / cpu.fget_d(rs2)),
+        FsMulD => cpu.fset_d(rd, cpu.fget_s(rs1) as f64 * cpu.fget_s(rs2) as f64),
+        FiToS => cpu.fset_s(rd, cpu.fget(rs2) as i32 as f32),
+        FiToD => cpu.fset_d(rd, cpu.fget(rs2) as i32 as f64),
+        FsToI => cpu.fset(rd, cpu.fget_s(rs2) as i32 as u32),
+        FdToI => cpu.fset(rd, cpu.fget_d(rs2) as i32 as u32),
+        FsToD => cpu.fset_d(rd, cpu.fget_s(rs2) as f64),
+        FdToS => cpu.fset_s(rd, cpu.fget_d(rs2) as f32),
     }
-    .into())
-}
-
-/// Block-ending instructions (CTIs, `t<cond>`) must never be executed
-/// through the linear dispatch table; the table entry for them reports
-/// the routing violation as a typed error (never a panic), which the
-/// machine layer surfaces as `SimError::DispatchViolation`.
-#[cold]
-fn exec_not_linear(_cpu: &mut Cpu, _bus: &mut Bus, op: &DecodedOp) -> Result<Flow, ExecError> {
-    Err(ExecError::NotLinear { pc: op.pc })
+    Flow::Next
 }
 
 // ---------------------------------------------------------------------------
@@ -703,13 +528,9 @@ pub(crate) fn fcc_mask(cond: FCond) -> u16 {
 /// trace is only ever entered from a sequential state, so
 /// `npc = pc + 4` at the guard.
 #[inline(always)]
-fn guard_taken<const ANNUL: bool>(
-    cpu: &mut Cpu,
-    _bus: &mut Bus,
-    op: &DecodedOp,
-) -> Result<Flow, ExecError> {
+fn guard_taken<const ANNUL: bool>(cpu: &mut Cpu, op: &DecodedOp) -> Flow {
     if (op.mask >> icc_index(cpu)) & 1 != 0 {
-        return Ok(Flow::Next);
+        return Flow::Next;
     }
     not_taken_exit::<ANNUL>(cpu, op)
 }
@@ -719,29 +540,25 @@ fn guard_taken<const ANNUL: bool>(
 /// side-exits into the delay-slot-then-target state when taken.
 /// `op.imm` holds the branch target.
 #[inline(always)]
-fn guard_untaken(cpu: &mut Cpu, _bus: &mut Bus, op: &DecodedOp) -> Result<Flow, ExecError> {
+fn guard_untaken(cpu: &mut Cpu, op: &DecodedOp) -> Flow {
     if (op.mask >> icc_index(cpu)) & 1 == 0 {
-        return Ok(Flow::Next);
+        return Flow::Next;
     }
     taken_exit(cpu, op)
 }
 
 #[inline(always)]
-fn guard_ftaken<const ANNUL: bool>(
-    cpu: &mut Cpu,
-    _bus: &mut Bus,
-    op: &DecodedOp,
-) -> Result<Flow, ExecError> {
+fn guard_ftaken<const ANNUL: bool>(cpu: &mut Cpu, op: &DecodedOp) -> Flow {
     if (op.mask >> fcc_index(cpu)) & 1 != 0 {
-        return Ok(Flow::Next);
+        return Flow::Next;
     }
     not_taken_exit::<ANNUL>(cpu, op)
 }
 
 #[inline(always)]
-fn guard_funtaken(cpu: &mut Cpu, _bus: &mut Bus, op: &DecodedOp) -> Result<Flow, ExecError> {
+fn guard_funtaken(cpu: &mut Cpu, op: &DecodedOp) -> Flow {
     if (op.mask >> fcc_index(cpu)) & 1 == 0 {
-        return Ok(Flow::Next);
+        return Flow::Next;
     }
     taken_exit(cpu, op)
 }
@@ -751,7 +568,7 @@ fn guard_funtaken(cpu: &mut Cpu, _bus: &mut Bus, op: &DecodedOp) -> Result<Flow,
 /// non-annulling one executes it (`pc+4, pc+8`). Matches
 /// `apply_branch` in `exec.rs`.
 #[cold]
-fn not_taken_exit<const ANNUL: bool>(cpu: &mut Cpu, op: &DecodedOp) -> Result<Flow, ExecError> {
+fn not_taken_exit<const ANNUL: bool>(cpu: &mut Cpu, op: &DecodedOp) -> Flow {
     if ANNUL {
         cpu.pc = op.pc.wrapping_add(8);
         cpu.npc = op.pc.wrapping_add(12);
@@ -759,105 +576,48 @@ fn not_taken_exit<const ANNUL: bool>(cpu: &mut Cpu, op: &DecodedOp) -> Result<Fl
         cpu.pc = op.pc.wrapping_add(4);
         cpu.npc = op.pc.wrapping_add(8);
     }
-    Ok(Flow::Exit)
+    Flow::Exit
 }
 
 /// Taken side exit: a taken conditional branch always executes its
 /// delay slot (`pc+4`), then the target (`op.imm`).
 #[cold]
-fn taken_exit(cpu: &mut Cpu, op: &DecodedOp) -> Result<Flow, ExecError> {
+fn taken_exit(cpu: &mut Cpu, op: &DecodedOp) -> Flow {
     cpu.pc = op.pc.wrapping_add(4);
     cpu.npc = op.imm;
-    Ok(Flow::Exit)
-}
-
-/// `ba`/`ba,a`/`fba`/`fba,a` inside a trace: the transfer is
-/// unconditional and the successor blocks are inlined, so retiring the
-/// branch is a no-op.
-fn exec_retire(_cpu: &mut Cpu, _bus: &mut Bus, _op: &DecodedOp) -> Result<Flow, ExecError> {
-    Ok(Flow::Next)
+    Flow::Exit
 }
 
 /// `call` inside a trace: writes the return address (its own pc) to
 /// `%o7`; the target block is inlined after the delay slot.
 #[inline(always)]
-fn exec_call_link(cpu: &mut Cpu, _bus: &mut Bus, op: &DecodedOp) -> Result<Flow, ExecError> {
+fn exec_call_link(cpu: &mut Cpu, op: &DecodedOp) -> Flow {
     cpu.set(nfp_sparc::regs::O7, op.pc);
-    Ok(Flow::Next)
+    Flow::Next
 }
 
 // ---------------------------------------------------------------------------
 // Inline dispatch
 // ---------------------------------------------------------------------------
 
-/// `FpOp` variants in declaration order (same convention as
-/// [`ALU_OPS`]), so `FpOp::X as u8` stored in `aux` indexes back.
-const FP_OPS: [FpOp; 20] = [
-    FpOp::FMovS,
-    FpOp::FNegS,
-    FpOp::FAbsS,
-    FpOp::FSqrtS,
-    FpOp::FSqrtD,
-    FpOp::FAddS,
-    FpOp::FAddD,
-    FpOp::FSubS,
-    FpOp::FSubD,
-    FpOp::FMulS,
-    FpOp::FMulD,
-    FpOp::FDivS,
-    FpOp::FDivD,
-    FpOp::FsMulD,
-    FpOp::FiToS,
-    FpOp::FiToD,
-    FpOp::FsToI,
-    FpOp::FdToI,
-    FpOp::FsToD,
-    FpOp::FdToS,
-];
-
-/// Inline mirror of [`fpop_fn`]'s dispatch, keyed by the `aux` tag.
-#[inline(always)]
-fn exec_fp_aux(cpu: &mut Cpu, bus: &mut Bus, op: &DecodedOp) -> Result<Flow, ExecError> {
-    use FpOp::*;
-    match FP_OPS[op.aux as usize] {
-        FMovS => exec_fmovs(cpu, bus, op),
-        FNegS => exec_fnegs(cpu, bus, op),
-        FAbsS => exec_fabss(cpu, bus, op),
-        FSqrtS => exec_fsqrts(cpu, bus, op),
-        FSqrtD => exec_fsqrtd(cpu, bus, op),
-        FAddS => exec_fadds(cpu, bus, op),
-        FAddD => exec_faddd(cpu, bus, op),
-        FSubS => exec_fsubs(cpu, bus, op),
-        FSubD => exec_fsubd(cpu, bus, op),
-        FMulS => exec_fmuls(cpu, bus, op),
-        FMulD => exec_fmuld(cpu, bus, op),
-        FDivS => exec_fdivs(cpu, bus, op),
-        FDivD => exec_fdivd(cpu, bus, op),
-        FsMulD => exec_fsmuld(cpu, bus, op),
-        FiToS => exec_fitos(cpu, bus, op),
-        FiToD => exec_fitod(cpu, bus, op),
-        FsToI => exec_fstoi(cpu, bus, op),
-        FdToI => exec_fdtoi(cpu, bus, op),
-        FsToD => exec_fstod(cpu, bus, op),
-        FdToS => exec_fdtos(cpu, bus, op),
-    }
-}
-
-/// Error for an always-trapping table entry (`OpKind::Stub`): the
-/// same payloads the trap-stub exec fns carry, built inline so the
-/// hot loops never need their fn pointers.
+/// Error for an always-trapping entry (`OpKind::Stub`), by `aux` code.
+/// Code 0 is a routing violation: a block-ending instruction (CTI or
+/// `t<cond>`) reached through the table or a trace, which the machine
+/// surfaces as `SimError::DispatchViolation` (never a panic). Codes 1-3
+/// are the FPU-disabled, odd FP pair and odd integer pair traps, and 4
+/// an illegal instruction whose word is in `imm`.
 #[cold]
 fn stub_err(op: &DecodedOp) -> ExecError {
     match op.aux {
-        0 => Trap::Illegal {
+        0 => ExecError::NotLinear { pc: op.pc },
+        1 => Trap::FpDisabled { pc: op.pc }.into(),
+        2 => Trap::OddFpPair { pc: op.pc }.into(),
+        3 => Trap::OddIntPair { pc: op.pc }.into(),
+        _ => Trap::Illegal {
             pc: op.pc,
             word: op.imm,
         }
         .into(),
-        1 => Trap::FpDisabled { pc: op.pc }.into(),
-        2 => Trap::OddFpPair { pc: op.pc }.into(),
-        3 => Trap::OddIntPair { pc: op.pc }.into(),
-        _ => ExecError::NotLinear { pc: op.pc },
     }
 }
 
@@ -925,23 +685,16 @@ fn fp_rs2_bits(cpu: &Cpu, op: &DecodedOp) -> Option<u64> {
     }
 }
 
-/// Executes one threaded op, inlining the hot kinds at the call site,
-/// and reports it to the observer once it retires.
+/// Executes one predecoded op and reports it to the observer once it
+/// retires. This match is the only place a predecoded op executes: each
+/// arm is the op's semantics, inlined at the dispatch site except for
+/// the FP arithmetic ([`exec_fp`]).
 ///
-/// A pure fn-pointer loop pays a call/ret plus an opaque optimization
+/// A fn-pointer loop pays a call/ret plus an opaque optimization
 /// barrier on every instruction; measured on the FSE kernel that is
-/// slower than the block path's inlined match. The `OpKind` tag lets
-/// the run loops keep the flat predecoded table but burn the common
-/// shapes (ALU, integer load/store, `sethi`, guards) into one branch
-/// target each, falling back to the indirect call for the long tail.
-///
-/// Each inline arm calls the *same* function its table pointer names
-/// (or the const-generic instantiation that pointer wraps), and both
-/// the pointer and the tag are chosen by the same predecode arm, so
-/// the two dispatch roads cannot diverge semantically. A corrupted
-/// table entry ([`ThreadedCache::corrupt`]) carries the default
-/// `Generic` tag and therefore still reaches its routing-violation
-/// stub.
+/// slower than the block path's inlined match. Matching the one-byte
+/// `OpKind` tag keeps the flat predecoded table and gives every shape
+/// its own branch target (DESIGN.md §13).
 ///
 /// The [`Effect`] each arm records is what `exec_linear` puts in the
 /// op's [`ExecInfo`]: computed results and loaded or stored values
@@ -950,15 +703,13 @@ fn fp_rs2_bits(cpu: &Cpu, op: &DecodedOp) -> Option<u64> {
 /// reported.
 #[inline(always)]
 fn exec_top<O: Observer>(
-    t: &TOp,
+    op: &DecodedOp,
     cpu: &mut Cpu,
     bus: &mut Bus,
     obs: &mut Observed<'_, O>,
 ) -> Result<Flow, ExecError> {
-    let op = &t.op;
     let mut fx = Effect::default();
     let flow = match op.kind {
-        OpKind::Generic => (t.exec)(cpu, bus, op)?,
         OpKind::Nop => {
             fx.result_ones = op.imm.count_ones();
             Flow::Next
@@ -969,7 +720,7 @@ fn exec_top<O: Observer>(
         }
         OpKind::Sethi => {
             fx.result_ones = op.imm.count_ones();
-            exec_sethi(cpu, bus, op)?
+            exec_sethi(cpu, op)
         }
         OpKind::AluImm => {
             let a = cpu.get(reg(op.rs1));
@@ -1033,49 +784,49 @@ fn exec_top<O: Observer>(
         // A predicted-taken guard falls through when the branch is
         // taken; a predicted-untaken one when it is not.
         OpKind::GuardTaken => {
-            let f = guard_taken::<false>(cpu, bus, op)?;
+            let f = guard_taken::<false>(cpu, op);
             fx.branch_taken = Some(f == Flow::Next);
             f
         }
         OpKind::GuardTakenAnnul => {
-            let f = guard_taken::<true>(cpu, bus, op)?;
+            let f = guard_taken::<true>(cpu, op);
             fx.branch_taken = Some(f == Flow::Next);
             f
         }
         OpKind::GuardUntaken => {
-            let f = guard_untaken(cpu, bus, op)?;
+            let f = guard_untaken(cpu, op);
             fx.branch_taken = Some(f == Flow::Exit);
             f
         }
         OpKind::GuardFTaken => {
-            let f = guard_ftaken::<false>(cpu, bus, op)?;
+            let f = guard_ftaken::<false>(cpu, op);
             fx.branch_taken = Some(f == Flow::Next);
             f
         }
         OpKind::GuardFTakenAnnul => {
-            let f = guard_ftaken::<true>(cpu, bus, op)?;
+            let f = guard_ftaken::<true>(cpu, op);
             fx.branch_taken = Some(f == Flow::Next);
             f
         }
         OpKind::GuardFUntaken => {
-            let f = guard_funtaken(cpu, bus, op)?;
+            let f = guard_funtaken(cpu, op);
             fx.branch_taken = Some(f == Flow::Exit);
             f
         }
         OpKind::CallLink => {
             fx.branch_taken = Some(true);
-            exec_call_link(cpu, bus, op)?
+            exec_call_link(cpu, op)
         }
         OpKind::RdY => {
             fx.result_ones = cpu.y.count_ones();
-            exec_rdy(cpu, bus, op)?
+            exec_rdy(cpu, op)
         }
-        OpKind::WrYImm => exec_wry_c::<true>(cpu, bus, op)?,
-        OpKind::WrYReg => exec_wry_c::<false>(cpu, bus, op)?,
-        OpKind::SaveImm => exec_save_c::<true>(cpu, bus, op)?,
-        OpKind::SaveReg => exec_save_c::<false>(cpu, bus, op)?,
-        OpKind::RestoreImm => exec_restore_c::<true>(cpu, bus, op)?,
-        OpKind::RestoreReg => exec_restore_c::<false>(cpu, bus, op)?,
+        OpKind::WrYImm => exec_wry_c::<true>(cpu, op),
+        OpKind::WrYReg => exec_wry_c::<false>(cpu, op),
+        OpKind::SaveImm => exec_save_c::<true>(cpu, op)?,
+        OpKind::SaveReg => exec_save_c::<false>(cpu, op)?,
+        OpKind::RestoreImm => exec_restore_c::<true>(cpu, op)?,
+        OpKind::RestoreReg => exec_restore_c::<false>(cpu, op)?,
         OpKind::LoadFImm => {
             let done = if op.aux != 0 {
                 loadf_c::<true, true>(cpu, bus, op)
@@ -1114,10 +865,19 @@ fn exec_top<O: Observer>(
         }
         OpKind::Fp => {
             fx.fpu_rs2_bits = fp_rs2_bits(cpu, op);
-            exec_fp_aux(cpu, bus, op)?
+            exec_fp(cpu, op)
         }
-        OpKind::FCmpS => exec_fcmps(cpu, bus, op)?,
-        OpKind::FCmpD => exec_fcmpd(cpu, bus, op)?,
+        OpKind::FCmpS => {
+            cpu.fcc = compare(
+                cpu.fget_s(freg(op.rs1)) as f64,
+                cpu.fget_s(freg(op.rs2)) as f64,
+            );
+            Flow::Next
+        }
+        OpKind::FCmpD => {
+            cpu.fcc = compare(cpu.fget_d(freg(op.rs1)), cpu.fget_d(freg(op.rs2)));
+            Flow::Next
+        }
         OpKind::Stub => return Err(stub_err(op)),
     };
     obs.retire(op.pc, fx);
@@ -1131,82 +891,26 @@ fn exec_top<O: Observer>(
 /// [`Trace::run`], once per observer type.
 #[inline(never)]
 pub(crate) fn run_tops<O: Observer>(
-    tops: &[TOp],
+    ops: &[DecodedOp],
     cpu: &mut Cpu,
     bus: &mut Bus,
     obs: &mut Observed<'_, O>,
 ) -> (usize, Option<ExecError>) {
-    for (k, t) in tops.iter().enumerate() {
-        if let Err(e) = exec_top(t, cpu, bus, obs) {
+    for (k, op) in ops.iter().enumerate() {
+        if let Err(e) = exec_top(op, cpu, bus, obs) {
             return (k, Some(e));
         }
     }
-    (tops.len(), None)
+    (ops.len(), None)
 }
 
 // ---------------------------------------------------------------------------
-// Predecode: instruction -> threaded op
+// Predecode: instruction -> dispatch-table entry
 // ---------------------------------------------------------------------------
-
-fn load_fn(size: MemSize, signed: bool, imm: bool) -> ExecFn {
-    match (size, signed, imm) {
-        (MemSize::Byte, false, false) => exec_load_c::<0, false, false>,
-        (MemSize::Byte, false, true) => exec_load_c::<0, false, true>,
-        (MemSize::Byte, true, false) => exec_load_c::<0, true, false>,
-        (MemSize::Byte, true, true) => exec_load_c::<0, true, true>,
-        (MemSize::Half, false, false) => exec_load_c::<1, false, false>,
-        (MemSize::Half, false, true) => exec_load_c::<1, false, true>,
-        (MemSize::Half, true, false) => exec_load_c::<1, true, false>,
-        (MemSize::Half, true, true) => exec_load_c::<1, true, true>,
-        (MemSize::Word, _, false) => exec_load_c::<2, false, false>,
-        (MemSize::Word, _, true) => exec_load_c::<2, false, true>,
-        (MemSize::Double, _, false) => exec_load_c::<3, false, false>,
-        (MemSize::Double, _, true) => exec_load_c::<3, false, true>,
-    }
-}
-
-fn store_fn(size: MemSize, imm: bool) -> ExecFn {
-    match (size, imm) {
-        (MemSize::Byte, false) => exec_store_c::<0, false>,
-        (MemSize::Byte, true) => exec_store_c::<0, true>,
-        (MemSize::Half, false) => exec_store_c::<1, false>,
-        (MemSize::Half, true) => exec_store_c::<1, true>,
-        (MemSize::Word, false) => exec_store_c::<2, false>,
-        (MemSize::Word, true) => exec_store_c::<2, true>,
-        (MemSize::Double, false) => exec_store_c::<3, false>,
-        (MemSize::Double, true) => exec_store_c::<3, true>,
-    }
-}
-
-fn fpop_fn(op: FpOp) -> ExecFn {
-    use FpOp::*;
-    match op {
-        FMovS => exec_fmovs,
-        FNegS => exec_fnegs,
-        FAbsS => exec_fabss,
-        FSqrtS => exec_fsqrts,
-        FSqrtD => exec_fsqrtd,
-        FAddS => exec_fadds,
-        FAddD => exec_faddd,
-        FSubS => exec_fsubs,
-        FSubD => exec_fsubd,
-        FMulS => exec_fmuls,
-        FMulD => exec_fmuld,
-        FDivS => exec_fdivs,
-        FDivD => exec_fdivd,
-        FsMulD => exec_fsmuld,
-        FiToS => exec_fitos,
-        FiToD => exec_fitod,
-        FsToI => exec_fstoi,
-        FdToI => exec_fdtoi,
-        FsToD => exec_fstod,
-        FdToS => exec_fdtos,
-    }
-}
 
 /// True when `op`'s double-precision operands all name even registers
 /// (the evenness `exec_fpop` enforces at run time, hoisted to
-/// predecode; violators dispatch straight to [`exec_odd_fp_pair`]).
+/// predecode; violators become odd-FP-pair trap stubs).
 fn fp_even_ok(op: FpOp, rd: FReg, rs1: FReg, rs2: FReg) -> bool {
     use FpOp::*;
     match op {
@@ -1232,11 +936,7 @@ fn split_op2(op2: Operand, d: &mut DecodedOp) -> bool {
     }
 }
 
-/// Predecodes one instruction into its threaded op. Shape decisions
-/// that `exec_linear` makes per retirement — operand form, width,
-/// signedness, FPU presence, register-pair evenness — are made once
-/// here and burned into the function pointer.
-/// `SIZE` code used by the const-generic memory fns and `aux` tags:
+/// `SIZE` code used by the const-generic memory helpers and `aux` tags:
 /// 0 = byte, 1 = half, 2 = word, 3 = doubleword.
 fn size_code(size: MemSize) -> u8 {
     match size {
@@ -1247,71 +947,65 @@ fn size_code(size: MemSize) -> u8 {
     }
 }
 
-fn top_for(instr: Instr, pc: u32, fpu: bool) -> TOp {
+/// Predecodes one instruction into its dispatch-table entry. Shape
+/// decisions that `exec_linear` makes per retirement — operand form,
+/// width, signedness, FPU presence, register-pair evenness — are made
+/// once here and burned into the entry's `kind` and `aux` tags.
+fn op_for(instr: Instr, pc: u32, fpu: bool) -> DecodedOp {
     let mut d = DecodedOp::at(pc);
-    let exec: ExecFn = match instr {
+    d.kind = match instr {
         Instr::Sethi { rd, imm22 } => {
             // `exec::step` counts the computed value even when it
             // is discarded, so `imm` holds it for the observer.
             d.imm = imm22 << 10;
             if rd.is_zero() {
-                d.kind = OpKind::Nop;
-                exec_nop
+                OpKind::Nop
             } else {
                 d.rd = rd.num();
-                d.kind = OpKind::Sethi;
-                exec_sethi
+                OpKind::Sethi
             }
         }
         Instr::Alu { op, rd, rs1, op2 } => {
             d.rd = rd.num();
             d.rs1 = rs1.num();
-            let imm = split_op2(op2, &mut d);
-            d.kind = if imm { OpKind::AluImm } else { OpKind::AluReg };
             d.aux = op as u8;
-            alu_fn(op, imm)
+            if split_op2(op2, &mut d) {
+                OpKind::AluImm
+            } else {
+                OpKind::AluReg
+            }
         }
         Instr::RdY { rd } => {
             d.rd = rd.num();
-            d.kind = OpKind::RdY;
-            exec_rdy
+            OpKind::RdY
         }
         Instr::WrY { rs1, op2 } => {
             d.rs1 = rs1.num();
             if split_op2(op2, &mut d) {
-                d.kind = OpKind::WrYImm;
-                exec_wry_c::<true>
+                OpKind::WrYImm
             } else {
-                d.kind = OpKind::WrYReg;
-                exec_wry_c::<false>
+                OpKind::WrYReg
             }
         }
         Instr::Save { rd, rs1, op2 } => {
             d.rd = rd.num();
             d.rs1 = rs1.num();
             if split_op2(op2, &mut d) {
-                d.kind = OpKind::SaveImm;
-                exec_save_c::<true>
+                OpKind::SaveImm
             } else {
-                d.kind = OpKind::SaveReg;
-                exec_save_c::<false>
+                OpKind::SaveReg
             }
         }
         Instr::Restore { rd, rs1, op2 } => {
             d.rd = rd.num();
             d.rs1 = rs1.num();
             if split_op2(op2, &mut d) {
-                d.kind = OpKind::RestoreImm;
-                exec_restore_c::<true>
+                OpKind::RestoreImm
             } else {
-                d.kind = OpKind::RestoreReg;
-                exec_restore_c::<false>
+                OpKind::RestoreReg
             }
         }
-        Instr::Flush { .. } => {
-            d.kind = OpKind::Nop;
-            exec_nop
-        }
+        Instr::Flush { .. } => OpKind::Nop,
         Instr::Load {
             size,
             signed,
@@ -1323,20 +1017,18 @@ fn top_for(instr: Instr, pc: u32, fpu: bool) -> TOp {
             d.rs1 = rs1.num();
             let imm = split_op2(op2, &mut d);
             if size == MemSize::Double && rd.num() % 2 != 0 {
-                d.kind = OpKind::Stub;
                 d.aux = 3;
-                exec_odd_int_pair
+                OpKind::Stub
             } else {
-                d.kind = if imm {
+                // Signedness only exists below word width: word and
+                // doubleword loads take the unsigned helper.
+                let sgn = signed && matches!(size, MemSize::Byte | MemSize::Half);
+                d.aux = size_code(size) | (sgn as u8) << 2;
+                if imm {
                     OpKind::LoadImm
                 } else {
                     OpKind::LoadReg
-                };
-                // Signedness only exists below word width (mirrors
-                // `load_fn`, which maps word/double to SIGNED=false).
-                let sgn = signed && matches!(size, MemSize::Byte | MemSize::Half);
-                d.aux = size_code(size) | (sgn as u8) << 2;
-                load_fn(size, signed, imm)
+                }
             }
         }
         Instr::Store { size, rd, rs1, op2 } => {
@@ -1344,17 +1036,15 @@ fn top_for(instr: Instr, pc: u32, fpu: bool) -> TOp {
             d.rs1 = rs1.num();
             let imm = split_op2(op2, &mut d);
             if size == MemSize::Double && rd.num() % 2 != 0 {
-                d.kind = OpKind::Stub;
                 d.aux = 3;
-                exec_odd_int_pair
+                OpKind::Stub
             } else {
-                d.kind = if imm {
+                d.aux = size_code(size);
+                if imm {
                     OpKind::StoreImm
                 } else {
                     OpKind::StoreReg
-                };
-                d.aux = size_code(size);
-                store_fn(size, imm)
+                }
             }
         }
         Instr::LoadF {
@@ -1367,25 +1057,17 @@ fn top_for(instr: Instr, pc: u32, fpu: bool) -> TOp {
             d.rs1 = rs1.num();
             let imm = split_op2(op2, &mut d);
             if !fpu {
-                d.kind = OpKind::Stub;
                 d.aux = 1;
-                exec_fp_disabled
+                OpKind::Stub
             } else if double && !rd.is_even() {
-                d.kind = OpKind::Stub;
                 d.aux = 2;
-                exec_odd_fp_pair
+                OpKind::Stub
             } else {
-                d.kind = if imm {
+                d.aux = double as u8;
+                if imm {
                     OpKind::LoadFImm
                 } else {
                     OpKind::LoadFReg
-                };
-                d.aux = double as u8;
-                match (double, imm) {
-                    (false, false) => exec_loadf_c::<false, false>,
-                    (false, true) => exec_loadf_c::<false, true>,
-                    (true, false) => exec_loadf_c::<true, false>,
-                    (true, true) => exec_loadf_c::<true, true>,
                 }
             }
         }
@@ -1399,25 +1081,17 @@ fn top_for(instr: Instr, pc: u32, fpu: bool) -> TOp {
             d.rs1 = rs1.num();
             let imm = split_op2(op2, &mut d);
             if !fpu {
-                d.kind = OpKind::Stub;
                 d.aux = 1;
-                exec_fp_disabled
+                OpKind::Stub
             } else if double && !rd.is_even() {
-                d.kind = OpKind::Stub;
                 d.aux = 2;
-                exec_odd_fp_pair
+                OpKind::Stub
             } else {
-                d.kind = if imm {
+                d.aux = double as u8;
+                if imm {
                     OpKind::StoreFImm
                 } else {
                     OpKind::StoreFReg
-                };
-                d.aux = double as u8;
-                match (double, imm) {
-                    (false, false) => exec_storef_c::<false, false>,
-                    (false, true) => exec_storef_c::<false, true>,
-                    (true, false) => exec_storef_c::<true, false>,
-                    (true, true) => exec_storef_c::<true, true>,
                 }
             }
         }
@@ -1426,17 +1100,14 @@ fn top_for(instr: Instr, pc: u32, fpu: bool) -> TOp {
             d.rs1 = rs1.num();
             d.rs2 = rs2.num();
             if !fpu {
-                d.kind = OpKind::Stub;
                 d.aux = 1;
-                exec_fp_disabled
+                OpKind::Stub
             } else if !fp_even_ok(op, rd, rs1, rs2) {
-                d.kind = OpKind::Stub;
                 d.aux = 2;
-                exec_odd_fp_pair
+                OpKind::Stub
             } else {
-                d.kind = OpKind::Fp;
                 d.aux = op as u8;
-                fpop_fn(op)
+                OpKind::Fp
             }
         }
         Instr::FCmp {
@@ -1445,79 +1116,47 @@ fn top_for(instr: Instr, pc: u32, fpu: bool) -> TOp {
             d.rs1 = rs1.num();
             d.rs2 = rs2.num();
             if !fpu {
-                d.kind = OpKind::Stub;
                 d.aux = 1;
-                exec_fp_disabled
+                OpKind::Stub
             } else if double && (!rs1.is_even() || !rs2.is_even()) {
-                d.kind = OpKind::Stub;
                 d.aux = 2;
-                exec_odd_fp_pair
+                OpKind::Stub
             } else if double {
-                d.kind = OpKind::FCmpD;
-                exec_fcmpd
+                OpKind::FCmpD
             } else {
-                d.kind = OpKind::FCmpS;
-                exec_fcmps
+                OpKind::FCmpS
             }
         }
         Instr::Unimp { const22 } => {
             d.imm = const22;
-            d.kind = OpKind::Stub;
-            exec_illegal
+            d.aux = 4;
+            OpKind::Stub
         }
         Instr::Illegal { word } => {
             d.imm = word;
-            d.kind = OpKind::Stub;
-            exec_illegal
+            d.aux = 4;
+            OpKind::Stub
         }
-        // Block enders never execute through the linear table.
+        // Block enders never execute through the linear table: their
+        // entry stays the routing-violation stub.
         Instr::Branch { .. }
         | Instr::FBranch { .. }
         | Instr::Call { .. }
         | Instr::Jmpl { .. }
-        | Instr::Ticc { .. } => {
-            d.kind = OpKind::Stub;
-            d.aux = 4;
-            exec_not_linear
-        }
+        | Instr::Ticc { .. } => OpKind::Stub,
     };
-    TOp { exec, op: d }
+    d
 }
 
-/// Flat threaded dispatch table: one [`TOp`] per predecoded image
-/// instruction, same indexing as the image (`(pc - base) / 4`).
-#[derive(Debug)]
-pub(crate) struct ThreadedCache {
-    ops: Vec<TOp>,
-}
-
-impl ThreadedCache {
-    /// Predecodes the whole image. `fpu` is the machine's FPU
-    /// configuration, which is fixed for the machine's lifetime.
-    pub fn build(code: &[(Instr, Category)], base: u32, fpu: bool) -> Self {
-        let ops = code
-            .iter()
-            .enumerate()
-            .map(|(i, &(instr, _))| top_for(instr, base.wrapping_add((i as u32) * 4), fpu))
-            .collect();
-        ThreadedCache { ops }
-    }
-
-    pub fn ops(&self) -> &[TOp] {
-        &self.ops
-    }
-
-    /// Test hook: overwrites entry `index` with the routing-violation
-    /// stub, simulating a corrupted dispatch table. The machine must
-    /// surface execution of it as `SimError::DispatchViolation`, not a
-    /// panic.
-    pub fn corrupt(&mut self, index: usize) {
-        let pc = self.ops[index].op.pc;
-        self.ops[index] = TOp {
-            exec: exec_not_linear,
-            op: DecodedOp::at(pc),
-        };
-    }
+/// Predecodes the whole image into the flat dispatch table: one
+/// [`DecodedOp`] per image instruction, same indexing as the image
+/// (`(pc - base) / 4`). `fpu` is the machine's FPU configuration, which
+/// is fixed for the machine's lifetime.
+pub(crate) fn build_table(code: &[(Instr, Category)], base: u32, fpu: bool) -> Vec<DecodedOp> {
+    code.iter()
+        .enumerate()
+        .map(|(i, &(instr, _))| op_for(instr, base.wrapping_add((i as u32) * 4), fpu))
+        .collect()
 }
 
 // ---------------------------------------------------------------------------
@@ -1545,7 +1184,7 @@ pub(crate) enum TraceHalt {
 /// restoration and category prefix sums for one-commit accounting.
 #[derive(Debug)]
 pub(crate) struct Trace {
-    ops: Vec<TOp>,
+    ops: Vec<DecodedOp>,
     /// `meta[k]` = the `(pc, npc)` the stepping path would hold when
     /// about to execute op `k`; restored when op `k` traps.
     meta: Vec<(u32, u32)>,
@@ -1588,8 +1227,8 @@ impl Trace {
         bus: &mut Bus,
         obs: &mut Observed<'_, O>,
     ) -> TraceHalt {
-        for (k, t) in self.ops.iter().enumerate() {
-            match exec_top(t, cpu, bus, obs) {
+        for (k, op) in self.ops.iter().enumerate() {
+            match exec_top(op, cpu, bus, obs) {
                 Ok(Flow::Next) => {}
                 Ok(Flow::Exit) => return TraceHalt::Exited { retired: k + 1 },
                 Err(err) => return TraceHalt::Trapped { at: k, err },
@@ -1675,13 +1314,13 @@ pub(crate) fn build_trace(
     code: &[(Instr, Category)],
     base: u32,
     blocks: &BlockCache,
-    tops: &[TOp],
+    table: &[DecodedOp],
     fpu: bool,
     start: usize,
 ) -> TraceSlot {
     let n = code.len();
     let pc_of = |i: usize| base.wrapping_add((i as u32) * 4);
-    let mut ops: Vec<TOp> = Vec::new();
+    let mut ops: Vec<DecodedOp> = Vec::new();
     let mut meta: Vec<(u32, u32)> = Vec::new();
     let mut cats: Vec<Category> = Vec::new();
     let mut chained = 0usize;
@@ -1696,7 +1335,7 @@ pub(crate) fn build_trace(
                 end_pc = pc_of(i);
                 break 'build;
             }
-            ops.push(tops[i]);
+            ops.push(table[i]);
             meta.push((pc_of(i), pc_of(i).wrapping_add(4)));
             cats.push(code[i].1);
         }
@@ -1711,197 +1350,83 @@ pub(crate) fn build_trace(
             end_pc = epc;
             break;
         }
-        let ecat = code[e].1;
         // A taken chain inlines the delay slot, which must exist and
         // be linear (a CTI in a delay slot is left to the step path).
         let delay_ok = e + 1 < n && !code[e + 1].0.ends_block();
-        let mut push = |t: TOp, m: (u32, u32), c: Category| {
-            ops.push(t);
-            meta.push(m);
-            cats.push(c);
+        // A transfer's target, with its code index when in-image.
+        let dest = |disp: i32| {
+            let target = epc.wrapping_add((disp as u32).wrapping_mul(4));
+            let t = target.wrapping_sub(base) as usize / 4;
+            let t_ok = target.is_multiple_of(4) && target >= base && t < n;
+            (target, t_ok.then_some(t))
         };
-        let next = match code[e].0 {
+        let link = match code[e].0 {
             Instr::Branch {
                 cond,
                 annul,
                 disp22,
             } => {
-                let target = epc.wrapping_add((disp22 as u32).wrapping_mul(4));
-                let t = target.wrapping_sub(base) as usize / 4;
-                let t_ok = target.is_multiple_of(4) && target >= base && t < n;
-                if cond == ICond::A {
-                    if !t_ok || (!annul && !delay_ok) {
-                        end_pc = epc;
-                        break;
-                    }
-                    push(
-                        TOp {
-                            exec: exec_retire,
-                            op: DecodedOp {
-                                kind: OpKind::Retire,
-                                ..DecodedOp::at(epc)
-                            },
-                        },
-                        (epc, epc.wrapping_add(4)),
-                        ecat,
-                    );
-                    if !annul {
-                        // `ba` executes its delay slot; `ba,a` annuls
-                        // it (never retires, so never emitted).
-                        push(tops[e + 1], (pc_of(e + 1), target), code[e + 1].1);
-                    }
-                    chained += 1;
-                    t
-                } else if cond != ICond::N && target <= epc {
-                    // Backward conditional: predict taken (BTFN).
-                    if !t_ok || !delay_ok {
-                        end_pc = epc;
-                        break;
-                    }
-                    let mut gop = DecodedOp::at(epc);
-                    gop.mask = icc_mask(cond);
-                    let g: ExecFn = if annul {
-                        gop.kind = OpKind::GuardTakenAnnul;
-                        guard_taken::<true>
-                    } else {
-                        gop.kind = OpKind::GuardTaken;
-                        guard_taken::<false>
-                    };
-                    push(TOp { exec: g, op: gop }, (epc, epc.wrapping_add(4)), ecat);
-                    push(tops[e + 1], (pc_of(e + 1), target), code[e + 1].1);
-                    chained += 1;
-                    t
-                } else {
-                    // Forward (or never-taken) conditional: predict not
-                    // taken. The guard's taken-exit only writes
-                    // pc/npc, so an out-of-image target is fine.
-                    if !annul && !delay_ok {
-                        end_pc = epc;
-                        break;
-                    }
-                    let mut gop = DecodedOp::at(epc);
-                    gop.mask = icc_mask(cond);
-                    gop.imm = target;
-                    gop.kind = OpKind::GuardUntaken;
-                    push(
-                        TOp {
-                            exec: guard_untaken,
-                            op: gop,
-                        },
-                        (epc, epc.wrapping_add(4)),
-                        ecat,
-                    );
-                    if !annul {
-                        // Untaken non-annulling branch still executes
-                        // its delay slot.
-                        push(tops[e + 1], (pc_of(e + 1), pc_of(e + 2)), code[e + 1].1);
-                    }
-                    chained += 1;
-                    e + 2
-                }
+                let b = CondBranch {
+                    mask: icc_mask(cond),
+                    always: cond == ICond::A,
+                    never: cond == ICond::N,
+                    annul,
+                    guards: (
+                        OpKind::GuardTaken,
+                        OpKind::GuardTakenAnnul,
+                        OpKind::GuardUntaken,
+                    ),
+                };
+                chain_branch(b, e, epc, dest(disp22), delay_ok)
             }
             Instr::FBranch {
                 cond,
                 annul,
                 disp22,
             } if fpu => {
-                let target = epc.wrapping_add((disp22 as u32).wrapping_mul(4));
-                let t = target.wrapping_sub(base) as usize / 4;
-                let t_ok = target.is_multiple_of(4) && target >= base && t < n;
-                if cond == FCond::A {
-                    if !t_ok || (!annul && !delay_ok) {
-                        end_pc = epc;
-                        break;
-                    }
-                    push(
-                        TOp {
-                            exec: exec_retire,
-                            op: DecodedOp {
-                                kind: OpKind::Retire,
-                                ..DecodedOp::at(epc)
-                            },
-                        },
-                        (epc, epc.wrapping_add(4)),
-                        ecat,
-                    );
-                    if !annul {
-                        push(tops[e + 1], (pc_of(e + 1), target), code[e + 1].1);
-                    }
-                    chained += 1;
-                    t
-                } else if cond != FCond::N && target <= epc {
-                    if !t_ok || !delay_ok {
-                        end_pc = epc;
-                        break;
-                    }
-                    let mut gop = DecodedOp::at(epc);
-                    gop.mask = fcc_mask(cond);
-                    let g: ExecFn = if annul {
-                        gop.kind = OpKind::GuardFTakenAnnul;
-                        guard_ftaken::<true>
-                    } else {
-                        gop.kind = OpKind::GuardFTaken;
-                        guard_ftaken::<false>
-                    };
-                    push(TOp { exec: g, op: gop }, (epc, epc.wrapping_add(4)), ecat);
-                    push(tops[e + 1], (pc_of(e + 1), target), code[e + 1].1);
-                    chained += 1;
-                    t
-                } else {
-                    if !annul && !delay_ok {
-                        end_pc = epc;
-                        break;
-                    }
-                    let mut gop = DecodedOp::at(epc);
-                    gop.mask = fcc_mask(cond);
-                    gop.imm = target;
-                    gop.kind = OpKind::GuardFUntaken;
-                    push(
-                        TOp {
-                            exec: guard_funtaken,
-                            op: gop,
-                        },
-                        (epc, epc.wrapping_add(4)),
-                        ecat,
-                    );
-                    if !annul {
-                        push(tops[e + 1], (pc_of(e + 1), pc_of(e + 2)), code[e + 1].1);
-                    }
-                    chained += 1;
-                    e + 2
-                }
+                let b = CondBranch {
+                    mask: fcc_mask(cond),
+                    always: cond == FCond::A,
+                    never: cond == FCond::N,
+                    annul,
+                    guards: (
+                        OpKind::GuardFTaken,
+                        OpKind::GuardFTakenAnnul,
+                        OpKind::GuardFUntaken,
+                    ),
+                };
+                chain_branch(b, e, epc, dest(disp22), delay_ok)
             }
             Instr::Call { disp30 } => {
-                let target = epc.wrapping_add((disp30 as u32).wrapping_mul(4));
-                let t = target.wrapping_sub(base) as usize / 4;
-                let t_ok = target.is_multiple_of(4) && target >= base && t < n;
-                if !t_ok || !delay_ok {
-                    end_pc = epc;
-                    break;
-                }
-                push(
-                    TOp {
-                        exec: exec_call_link,
-                        op: DecodedOp {
-                            kind: OpKind::CallLink,
-                            ..DecodedOp::at(epc)
-                        },
+                let (target, t) = dest(disp30);
+                t.filter(|_| delay_ok).map(|next| Link {
+                    op: DecodedOp {
+                        kind: OpKind::CallLink,
+                        ..DecodedOp::at(epc)
                     },
-                    (epc, epc.wrapping_add(4)),
-                    ecat,
-                );
-                push(tops[e + 1], (pc_of(e + 1), target), code[e + 1].1);
-                chained += 1;
-                t
+                    delay_npc: Some(target),
+                    next,
+                })
             }
             // Dynamic targets (`jmpl`), software traps (`t<cond>`),
             // and FPU branches on a no-FPU machine (which trap): the
             // trace ends at the block boundary.
-            _ => {
-                end_pc = epc;
-                break;
-            }
+            _ => None,
         };
+        let Some(link) = link else {
+            end_pc = epc;
+            break;
+        };
+        ops.push(link.op);
+        meta.push((epc, epc.wrapping_add(4)));
+        cats.push(code[e].1);
+        if let Some(npc) = link.delay_npc {
+            ops.push(table[e + 1]);
+            meta.push((pc_of(e + 1), npc));
+            cats.push(code[e + 1].1);
+        }
+        chained += 1;
+        let next = link.next;
         if next >= n || visited.contains(&next) {
             // Off-image continuation or loop closure: the trace ends
             // in a sequential state at the next block's entry.
@@ -1927,6 +1452,88 @@ pub(crate) fn build_trace(
         prefix,
         end_pc,
     }))
+}
+
+/// A conditional branch of either family, `b<cond>` (icc) or
+/// `fb<cond>` (fcc), as the trace builder chains it.
+struct CondBranch {
+    /// Truth table of the condition ([`icc_mask`] or [`fcc_mask`]).
+    mask: u16,
+    /// `ba`/`fba`: taken whatever the condition codes hold.
+    always: bool,
+    /// `bn`/`fbn`: never taken.
+    never: bool,
+    annul: bool,
+    /// The family's guard kinds: predicted taken, predicted taken and
+    /// annulling, predicted untaken.
+    guards: (OpKind, OpKind, OpKind),
+}
+
+/// How a trace continues across a control transfer it chains: the op
+/// that retires the transfer, the `npc` its delay slot retires with
+/// (`None` when the slot is annulled and never retires), and the code
+/// index the trace continues at.
+struct Link {
+    op: DecodedOp,
+    delay_npc: Option<u32>,
+    next: usize,
+}
+
+/// Chains the conditional branch at code index `e` (address `epc`) to
+/// `target` (with its code index when in-image), or returns `None` when
+/// the trace must end at the branch. `delay_ok` says whether its delay
+/// slot can be inlined.
+fn chain_branch(
+    b: CondBranch,
+    e: usize,
+    epc: u32,
+    (target, t): (u32, Option<usize>),
+    delay_ok: bool,
+) -> Option<Link> {
+    let (taken, taken_annul, untaken) = b.guards;
+    let guard = |kind| DecodedOp {
+        kind,
+        mask: b.mask,
+        ..DecodedOp::at(epc)
+    };
+    if b.always {
+        let next = t.filter(|_| b.annul || delay_ok)?;
+        Some(Link {
+            op: DecodedOp {
+                kind: OpKind::Retire,
+                ..DecodedOp::at(epc)
+            },
+            // `ba` executes its delay slot; `ba,a` annuls it (never
+            // retires, so never emitted).
+            delay_npc: (!b.annul).then_some(target),
+            next,
+        })
+    } else if !b.never && target <= epc {
+        // Backward conditional: predict taken (BTFN).
+        let next = t.filter(|_| delay_ok)?;
+        Some(Link {
+            op: guard(if b.annul { taken_annul } else { taken }),
+            delay_npc: Some(target),
+            next,
+        })
+    } else {
+        // Forward (or never-taken) conditional: predict not taken. The
+        // guard's taken-exit only writes pc/npc, so an out-of-image
+        // target is fine.
+        if !b.annul && !delay_ok {
+            return None;
+        }
+        Some(Link {
+            op: DecodedOp {
+                imm: target,
+                ..guard(untaken)
+            },
+            // An untaken non-annulling branch still executes its delay
+            // slot.
+            delay_npc: (!b.annul).then_some(epc.wrapping_add(8)),
+            next: e + 2,
+        })
+    }
 }
 
 #[cfg(test)]
@@ -1989,9 +1596,9 @@ mod tests {
         a.ta(0);
         let code = predecode(&a.finish().unwrap());
         let blocks = BlockCache::build(&code);
-        let tc = ThreadedCache::build(&code, 0x4000_0000, true);
+        let table = build_table(&code, 0x4000_0000, true);
         // Head at the loop body (index 1, the backward target).
-        let slot = build_trace(&code, 0x4000_0000, &blocks, tc.ops(), true, 1);
+        let slot = build_trace(&code, 0x4000_0000, &blocks, &table, true, 1);
         let TraceSlot::Present(trace) = slot else {
             panic!("backward loop must form a trace, got {slot:?}");
         };
@@ -2012,8 +1619,8 @@ mod tests {
         a.ta(0);
         let code = predecode(&a.finish().unwrap());
         let blocks = BlockCache::build(&code);
-        let tc = ThreadedCache::build(&code, 0x4000_0000, true);
-        let slot = build_trace(&code, 0x4000_0000, &blocks, tc.ops(), true, 0);
+        let table = build_table(&code, 0x4000_0000, true);
+        let slot = build_trace(&code, 0x4000_0000, &blocks, &table, true, 0);
         assert!(matches!(slot, TraceSlot::Absent), "got {slot:?}");
     }
 
@@ -2025,8 +1632,8 @@ mod tests {
         a.b_a(ICond::A, "spin");
         let code = predecode(&a.finish().unwrap());
         let blocks = BlockCache::build(&code);
-        let tc = ThreadedCache::build(&code, 0x4000_0000, true);
-        let slot = build_trace(&code, 0x4000_0000, &blocks, tc.ops(), true, 0);
+        let table = build_table(&code, 0x4000_0000, true);
+        let slot = build_trace(&code, 0x4000_0000, &blocks, &table, true, 0);
         let TraceSlot::Present(trace) = slot else {
             panic!("self-loop must form a trace");
         };

@@ -4,16 +4,45 @@
 //! classification builds on.
 
 use nfp_sim::machine::TrapPolicy;
-use nfp_sim::{Machine, MachineConfig, SimError, Trap, RAM_BASE};
+use nfp_sim::{Dispatch, DispatchStats, Machine, MachineConfig, SimError, Trap, RAM_BASE};
 use nfp_sparc::asm::Assembler;
 use nfp_sparc::regs::G0;
-use nfp_sparc::{AluOp, FReg, FpOp, Instr, MemSize, Operand, Reg};
+use nfp_sparc::{AluOp, FReg, FpOp, ICond, Instr, MemSize, Operand, Reg};
 
-/// Runs `words` and returns the trap it must die with.
+/// Runs `words` under every dispatch mode, on a machine with or
+/// without the FPU, and asserts that the modes stop with the same
+/// error at the same `instret` and `pc`. Returns that error and the
+/// traced run's dispatch stats.
+fn error_in_every_mode(words: &[u32], fpu_enabled: bool) -> (SimError, DispatchStats) {
+    let mut outcomes = Vec::new();
+    let mut traced = DispatchStats::default();
+    for dispatch in Dispatch::ALL {
+        let mut m = Machine::new(MachineConfig {
+            fpu_enabled,
+            dispatch,
+            ..MachineConfig::default()
+        });
+        m.load_image(RAM_BASE, words).expect("image loads");
+        match m.run(10_000) {
+            Err(e) => outcomes.push((e, m.instret(), m.cpu.pc)),
+            Ok(r) => panic!("{dispatch}: expected an error, got {r:?}"),
+        }
+        if dispatch == Dispatch::Traced {
+            traced = m.dispatch_stats();
+        }
+    }
+    assert!(
+        outcomes.windows(2).all(|w| w[0] == w[1]),
+        "modes disagree on (error, instret, pc): {outcomes:?}"
+    );
+    (outcomes.swap_remove(0).0, traced)
+}
+
+/// Runs `words` under every dispatch mode and returns the trap it must
+/// die with; the modes must agree on the trap and on `instret`.
 fn trap_of(words: &[u32]) -> Trap {
-    let mut m = Machine::boot(words);
-    match m.run(10_000) {
-        Err(SimError::Trap(t)) => t,
+    match error_in_every_mode(words, true).0 {
+        SimError::Trap(t) => t,
         other => panic!("expected a trap, got {other:?}"),
     }
 }
@@ -202,13 +231,8 @@ fn fpu_disabled() {
         a.ta(0);
         a.nop();
     });
-    let mut m = Machine::new(MachineConfig {
-        fpu_enabled: false,
-        ..MachineConfig::default()
-    });
-    m.load_image(RAM_BASE, &words).unwrap();
-    let t = match m.run(100) {
-        Err(SimError::Trap(t)) => t,
+    let t = match error_in_every_mode(&words, false).0 {
+        SimError::Trap(t) => t,
         other => panic!("expected a trap, got {other:?}"),
     };
     assert_eq!(t, Trap::FpDisabled { pc: RAM_BASE });
@@ -261,6 +285,95 @@ fn odd_int_pair() {
         a.nop();
     });
     assert_eq!(trap_of(&std_), Trap::OddIntPair { pc: RAM_BASE });
+}
+
+#[test]
+fn always_trapping_ops_fail_alike_inside_a_trace() {
+    // Each shape predecodes to a trap stub. Placed in a loop body, it
+    // sits inside the superblock traced dispatch forms at the entry
+    // point, so the trace interpreter, not the straight-line fallback,
+    // meets it after the `mov` and `subcc` before it retire.
+    let (f0, f1, f2) = (FReg::new(0), FReg::new(1), FReg::new(2));
+    let fp_load = Instr::LoadF {
+        double: false,
+        rd: f0,
+        rs1: Reg::l(1),
+        op2: Operand::Imm(0),
+    };
+    let fp_store = Instr::StoreF {
+        double: false,
+        rd: f0,
+        rs1: Reg::l(1),
+        op2: Operand::Imm(0),
+    };
+    let fcmp = Instr::FCmp {
+        double: false,
+        exception: false,
+        rs1: f0,
+        rs2: f1,
+    };
+    let odd_pair = Instr::FpOp {
+        op: FpOp::FAddD,
+        rd: f1,
+        rs1: f0,
+        rs2: f2,
+    };
+    let ldd = Instr::Load {
+        size: MemSize::Double,
+        signed: false,
+        rd: Reg::l(3),
+        rs1: Reg::l(1),
+        op2: Operand::Imm(0),
+    };
+    let std_ = Instr::Store {
+        size: MemSize::Double,
+        rd: Reg::l(3),
+        rs1: Reg::l(1),
+        op2: Operand::Imm(0),
+    };
+    let pc = RAM_BASE + 8;
+    let fp_disabled = SimError::Trap(Trap::FpDisabled { pc });
+    let cases = [
+        (
+            Instr::Unimp { const22: 0x1234 },
+            true,
+            SimError::Trap(Trap::Illegal { pc, word: 0x1234 }),
+        ),
+        (
+            Instr::FpOp {
+                op: FpOp::FAddS,
+                rd: f2,
+                rs1: f0,
+                rs2: f1,
+            },
+            false,
+            fp_disabled.clone(),
+        ),
+        (fp_load, false, fp_disabled.clone()),
+        (fp_store, false, fp_disabled.clone()),
+        (fcmp, false, fp_disabled),
+        (odd_pair, true, SimError::Trap(Trap::OddFpPair { pc })),
+        (ldd, true, SimError::Trap(Trap::OddIntPair { pc })),
+        (std_, true, SimError::Trap(Trap::OddIntPair { pc })),
+    ];
+    for (op, fpu, want) in cases {
+        let words = asm(|a| {
+            a.mov(3, Reg::l(0));
+            a.label("loop");
+            a.alu(AluOp::SubCc, Reg::l(0), 1, Reg::l(0));
+            a.push(op);
+            a.b(ICond::Ne, "loop");
+            a.nop();
+            a.ta(0);
+            a.nop();
+        });
+        let (err, stats) = error_in_every_mode(&words, fpu);
+        assert_eq!(err, want, "{op:?}");
+        assert!(
+            stats.traced > 0,
+            "{op:?} was not met inside a trace: {stats:?}"
+        );
+    }
 }
 
 #[test]

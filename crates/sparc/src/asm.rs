@@ -198,6 +198,16 @@ impl Assembler {
         self
     }
 
+    /// Annulled FP conditional branch to a label.
+    pub fn fb_a(&mut self, cond: FCond, label: &str) -> &mut Self {
+        self.slots.push(Slot::FBranch {
+            cond,
+            annul: true,
+            label: label.to_string(),
+        });
+        self
+    }
+
     /// `ba` unconditional branch to a label.
     pub fn ba(&mut self, label: &str) -> &mut Self {
         self.b(ICond::A, label)

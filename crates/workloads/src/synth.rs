@@ -223,12 +223,12 @@ pub enum ProgramShape {
     /// more than an address and a result: FP double arithmetic
     /// (including `fdivd` and `fsqrtd`, and their single forms) on
     /// operands loaded from the scratch window, `fcmpd` and FP
-    /// branches, `cmp` and `sethi` into `%g0`, `rd`/`wr %y`, `save`
-    /// and `restore` (paired, and alone so windows over- and
-    /// underflow), and `call`s of a leaf that returns with `retl`.
-    /// The scratch window's base lives in `%g4`, which no other
-    /// instruction writes, so it survives window changes. Run with
-    /// the FPU enabled.
+    /// branches (annulled or not), `cmp` and `sethi` into `%g0`,
+    /// `rd`/`wr %y`, `save` and `restore` (paired, and alone so windows
+    /// over- and underflow), and `call`s of a leaf that returns with
+    /// `retl`. The scratch window's base lives in `%g4`, which no other
+    /// instruction writes, so it survives window changes. Run with the
+    /// FPU enabled.
     Mixed,
 }
 
@@ -312,7 +312,12 @@ pub fn random_program(
                 let cond = CONDS[rng.gen_range(0usize..CONDS.len())];
                 let target = format!("b{}", rng.gen_range(0usize..body));
                 if mixed && rng.gen_range(0u32..3) == 0 {
-                    a.fb(FCONDS[rng.gen_range(0usize..FCONDS.len())], &target);
+                    let fcond = FCONDS[rng.gen_range(0usize..FCONDS.len())];
+                    if rng.gen_range(0u32..4) == 0 {
+                        a.fb_a(fcond, &target);
+                    } else {
+                        a.fb(fcond, &target);
+                    }
                 } else if rng.gen_range(0u32..4) == 0 {
                     a.b_a(cond, &target);
                 } else {

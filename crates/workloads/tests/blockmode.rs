@@ -6,6 +6,8 @@
 //! count, exit status, CPU registers, and RAM contents. With an
 //! observer attached, both modes must also hand it the same record
 //! stream.
+//!
+//! CI runs this file a second time with `PROPTEST_CASES` elevated.
 
 use nfp_cc::FloatMode;
 use nfp_sim::fault::{inject, plan, undo, FaultSpace};
@@ -140,7 +142,7 @@ fn assert_synthetic_agrees(
 const POLICIES: [TrapPolicy; 2] = [TrapPolicy::Abort, TrapPolicy::Recover];
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
+    #![proptest_config(ProptestConfig::default())]
 
     /// Random straight-line programs: every instruction is batchable,
     /// so this pins the straight-line fallback's accounting (including
