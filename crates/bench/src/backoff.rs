@@ -1,6 +1,7 @@
 //! Capped, jittered, deterministic exponential backoff — shared by the
-//! supervisor's process-respawn loop, the shard orchestrator's
-//! re-dispatch loop, and the remote worker's reconnect loop.
+//! supervisor's process-respawn loop, the remote worker's reconnect
+//! loop, and the shard book, whose re-dispatch deadlines the
+//! coordinator and the sharded runner wait out without sleeping.
 //!
 //! Campaign results must never depend on wall clocks or global RNG
 //! state, so the jitter PRNG is SplitMix64 keyed on (campaign seed,
@@ -11,8 +12,8 @@
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Duration;
 
-/// Poll cadence for interruptible sleeps and the serve/shard event
-/// loops: long waits are chopped into ticks so a raised stop flag (or a
+/// Poll cadence for interruptible sleeps and the coordinator's accept
+/// loop: long waits are chopped into ticks so a raised stop flag (or a
 /// closed connection) is noticed within one tick.
 pub(crate) const TICK: Duration = Duration::from_millis(20);
 

@@ -19,6 +19,7 @@
 //! per-instruction-category vulnerability report.
 
 mod backoff;
+mod book;
 mod cache;
 pub mod campaign;
 mod crc;

@@ -17,12 +17,10 @@
 //!   silent peer loses its lease after an idle deadline, a slow peer
 //!   loses it at the lease timeout, admission waits poll a shutdown
 //!   flag, and the accept loop is non-blocking.
-//! * **Leases, not assignments.** A shard lease is revocable: when the
-//!   holder goes silent or dies the shard re-enters the queue after a
-//!   capped jittered backoff (the crate's `backoff` module), and an
-//!   optional straggler deadline dispatches a speculative duplicate —
-//!   first-valid-wins, which is safe because campaigns are
-//!   deterministic.
+//! * **Leases, not assignments.** A shard lease is revocable. The
+//!   crate's shard book decides what follows — a retry after its
+//!   backoff deadline, a speculative duplicate of a straggler, an
+//!   audit, a loss — and each campaign's thread here is only its shell.
 //! * **Admission control.** A bounded number of campaigns run
 //!   concurrently; each client may queue a bounded number more;
 //!   everything beyond that is refused with a typed
@@ -32,7 +30,8 @@
 //!   local pool ([`crate::supervisor`]), so a campaign never depends
 //!   on the network being healthy — only faster.
 
-use crate::backoff::{backoff_delay, splitmix64, TICK};
+use crate::backoff::{backoff_delay, TICK};
+use crate::book::{Action, Event, Policy, ShardBook, Why};
 use crate::cache::ResultCache;
 use crate::campaign::{assemble, report_campaign, CampaignConfig, CampaignRig, InjectionRecord};
 use crate::evaluation::Mode;
@@ -45,7 +44,7 @@ use crate::net::{
 };
 use crate::reports::{report_campaign_footer, CampaignFooter};
 use crate::servejournal::{load_service_journal, records_path, OpenCampaign, ServiceJournal};
-use crate::shards::{clear_range, missing_ranges_of, ShardSpec};
+use crate::shards::{clear_range, missing_ranges_of, shard_range, ShardSpec};
 use crate::supervisor::{run_supervised, SupervisorConfig, WorkerIsolation};
 use crate::worker::{render_error, render_hello, tcp_connect, WorkerHello, WorkerPreset};
 use nfp_core::NfpError;
@@ -229,35 +228,15 @@ struct Lease {
     faults: Arc<Vec<Fault>>,
     shard: u32,
     attempt: u32,
-    events: mpsc::Sender<LeaseEvent>,
+    /// Where the lease's start, return or failure goes: the owning
+    /// campaign's shard book.
+    events: mpsc::Sender<Event<LeaseRecords>>,
     /// Set by the owning campaign when the shard no longer needs this
     /// lease (completed elsewhere, campaign over): peers skip it.
     abandoned: Arc<AtomicBool>,
     /// Worker id that must NOT take this lease — an audit re-execution
     /// is only a second opinion when it comes from a disjoint worker.
     exclude: Option<u64>,
-}
-
-/// What a peer reports back to the owning campaign about a lease.
-enum LeaseEvent {
-    /// A peer picked the lease up.
-    Started { shard: u32 },
-    /// The leased range completed and validated (CRCs, plan binding,
-    /// fin digest). First valid result wins. `wid` attributes the
-    /// records to the producing worker for the audit tier (0 when the
-    /// peer sent no identity).
-    Done {
-        shard: u32,
-        wid: u64,
-        records: LeaseRecords,
-    },
-    /// The lease failed; `revoked` marks deadline revocations (silent
-    /// or overrunning peers) as opposed to deaths and violations.
-    Failed {
-        shard: u32,
-        detail: String,
-        revoked: bool,
-    },
 }
 
 /// One blacklisted worker: its conviction count and the instant its
@@ -277,6 +256,7 @@ fn parole_delay(strikes: u32) -> Duration {
 }
 
 /// Shared coordinator state.
+#[derive(Default)]
 struct Hub {
     queue: Mutex<VecDeque<Lease>>,
     shutdown: AtomicBool,
@@ -285,6 +265,8 @@ struct Hub {
     reconnects: AtomicUsize,
     frames_rejected: AtomicUsize,
     peers_retired: AtomicUsize,
+    /// Leases revoked from silent or overrunning peers.
+    leases_revoked: AtomicUsize,
     next_peer: AtomicU64,
     /// Audit-tier blacklist by worker id (never wid 0 — a peer that
     /// sent no identity cannot be attributed, so it is never banned).
@@ -294,43 +276,14 @@ struct Hub {
 }
 
 impl Hub {
-    fn new() -> Self {
-        Hub {
-            queue: Mutex::new(VecDeque::new()),
-            shutdown: AtomicBool::new(false),
-            live_peers: AtomicUsize::new(0),
-            peers_seen: AtomicUsize::new(0),
-            reconnects: AtomicUsize::new(0),
-            frames_rejected: AtomicUsize::new(0),
-            peers_retired: AtomicUsize::new(0),
-            next_peer: AtomicU64::new(0),
-            bans: Mutex::new(HashMap::new()),
-            convicted: AtomicUsize::new(0),
-        }
-    }
-
     /// Pops the next live lease the worker `wid` may take, discarding
     /// abandoned ones and skipping (but keeping, in order) leases that
     /// exclude this worker — an audit lease waits for a disjoint peer.
     fn pop_lease(&self, wid: u64) -> Option<Lease> {
         let mut q = lock(&self.queue);
-        let mut skipped: Vec<Lease> = Vec::new();
-        let mut found = None;
-        while let Some(lease) = q.pop_front() {
-            if lease.abandoned.load(Ordering::SeqCst) {
-                continue;
-            }
-            if lease.exclude.is_some_and(|x| x == wid) {
-                skipped.push(lease);
-                continue;
-            }
-            found = Some(lease);
-            break;
-        }
-        while let Some(lease) = skipped.pop() {
-            q.push_front(lease);
-        }
-        found
+        q.retain(|l| !l.abandoned.load(Ordering::SeqCst));
+        let at = q.iter().position(|l| l.exclude != Some(wid))?;
+        q.remove(at)
     }
 
     /// Records a conviction: the strike count increments and the
@@ -420,6 +373,7 @@ struct Ctx {
 
 /// One campaign in flight, shared between its leader thread and any
 /// follower clients that submitted the same key while it ran.
+#[derive(Default)]
 struct LiveEntry {
     state: Mutex<LiveState>,
     cv: Condvar,
@@ -432,22 +386,18 @@ struct LiveEntry {
     subscribers: AtomicUsize,
 }
 
+#[derive(Default)]
 enum LiveState {
+    #[default]
     Running,
-    Done { notes: Vec<String>, report: String },
+    Done {
+        notes: Vec<String>,
+        report: String,
+    },
     Failed(String),
 }
 
 impl LiveEntry {
-    fn new(resumed: bool) -> Self {
-        LiveEntry {
-            state: Mutex::new(LiveState::Running),
-            cv: Condvar::new(),
-            resumed,
-            subscribers: AtomicUsize::new(0),
-        }
-    }
-
     /// Publishes the terminal state and wakes every follower.
     fn publish(&self, state: LiveState) {
         *lock(&self.state) = state;
@@ -471,6 +421,7 @@ pub(crate) fn campaign_key(req: &CampaignRequest) -> String {
 // Admission control.
 // ---------------------------------------------------------------------
 
+#[derive(Default)]
 struct AdmissionState {
     inflight: usize,
     queued: HashMap<String, usize>,
@@ -504,10 +455,7 @@ impl Admission {
         Admission {
             max_inflight,
             max_queue,
-            state: Mutex::new(AdmissionState {
-                inflight: 0,
-                queued: HashMap::new(),
-            }),
+            state: Mutex::default(),
             cv: Condvar::new(),
         }
     }
@@ -744,7 +692,7 @@ impl Server {
                 resumed.len()
             );
         }
-        let hub = Hub::new();
+        let hub = Hub::default();
         for (wid, strikes) in bans {
             eprintln!(
                 "serve: resuming blacklist: worker {wid} blacklisted (strike {strikes}, parole \
@@ -801,7 +749,10 @@ impl Server {
         // the resumed run instead of racing it with a duplicate.
         for open in resumed {
             let key = campaign_key(&open.req);
-            let entry = Arc::new(LiveEntry::new(true));
+            let entry = Arc::new(LiveEntry {
+                resumed: true,
+                ..LiveEntry::default()
+            });
             lock(&ctx.live).insert(key.clone(), Arc::clone(&entry));
             let ctx = Arc::clone(&ctx);
             handles.push(std::thread::spawn(move || {
@@ -984,54 +935,25 @@ fn drive_peer(mut stream: TcpStream, mut reader: FrameReader, join: JoinFrame, c
         join.reconnects, join.wid
     );
 
-    let idle_limit = idle_limit(ctx.cfg.heartbeat);
-    let mut last_heard = Instant::now();
-    let mut last_beat = Instant::now();
+    let mut session = PeerClock::new();
     loop {
         if hub.shutdown.load(Ordering::SeqCst) {
             let _ = write_frame(&mut stream, BYE_FRAME);
             return;
         }
-        if last_beat.elapsed() >= ctx.cfg.heartbeat {
-            if let Err(e) = write_frame(&mut stream, HB_FRAME) {
-                hub.retire(&label, &format!("heartbeat write failed: {e}"));
-                return;
-            }
-            last_beat = Instant::now();
-        }
-        match reader.recv(&mut stream) {
-            Ok(Recv::Idle) => {
-                if last_heard.elapsed() > idle_limit {
-                    hub.retire(
-                        &label,
-                        &format!(
-                            "silent for {}ms while idle",
-                            last_heard.elapsed().as_millis()
-                        ),
-                    );
-                    return;
-                }
-            }
-            Ok(Recv::Frame(line)) => {
-                last_heard = Instant::now();
+        match session.poll(&mut stream, &mut reader, ctx, "while idle") {
+            Ok(None) => {}
+            Ok(Some(line)) if is_hb(&line) => {}
+            Ok(Some(line)) => {
                 let kind = parse_flat(&line)
                     .map(Obj)
                     .and_then(|o| o.str("kind").map(str::to_string));
-                if kind.as_deref() != Some("hb") {
-                    hub.reject_frame();
-                    hub.retire(&label, &format!("unexpected idle frame {kind:?}"));
-                    return;
-                }
-            }
-            Ok(Recv::Eof) => {
-                hub.retire(&label, "disconnected");
+                hub.reject_frame();
+                hub.retire(&label, &format!("unexpected idle frame {kind:?}"));
                 return;
             }
-            Err(e) => {
-                if matches!(e, NfpError::ProtocolViolation { .. }) {
-                    hub.reject_frame();
-                }
-                hub.retire(&label, &e.to_string());
+            Err(fail) => {
+                hub.retire(&label, &fail.detail);
                 return;
             }
         }
@@ -1050,39 +972,39 @@ fn drive_peer(mut stream: TcpStream, mut reader: FrameReader, join: JoinFrame, c
         let Some(lease) = hub.pop_lease(join.wid) else {
             continue;
         };
-        let _ = lease
-            .events
-            .send(LeaseEvent::Started { shard: lease.shard });
-        eprintln!(
-            "serve: shard {} leased to {label} (attempt {})",
-            lease.shard, lease.attempt
-        );
+        let (shard, attempt) = (lease.shard, lease.attempt);
+        let _ = lease.events.send(Event::Leased { shard, attempt });
+        eprintln!("serve: shard {shard} leased to {label} (attempt {attempt})");
+        let failed = |detail: String| Event::Failed {
+            shard,
+            attempt,
+            detail,
+        };
         match run_lease(&mut stream, &mut reader, &lease, ctx) {
             Ok(Some(records)) => {
-                let _ = lease.events.send(LeaseEvent::Done {
-                    shard: lease.shard,
+                let _ = lease.events.send(Event::Returned {
+                    shard,
+                    attempt,
                     wid: join.wid,
-                    records,
+                    // A conviction can land while the lease runs.
+                    banned: hub.banned(join.wid),
+                    stream: records,
                 });
-                last_heard = Instant::now();
-                last_beat = Instant::now();
+                session = PeerClock::new();
             }
             Ok(None) => {
                 // Shutdown mid-lease: hand the shard back and bow out.
-                let _ = lease.events.send(LeaseEvent::Failed {
-                    shard: lease.shard,
-                    detail: "coordinator shutting down".to_string(),
-                    revoked: false,
-                });
+                let _ = lease
+                    .events
+                    .send(failed("coordinator shutting down".to_string()));
                 let _ = write_frame(&mut stream, BYE_FRAME);
                 return;
             }
             Err(fail) => {
-                let _ = lease.events.send(LeaseEvent::Failed {
-                    shard: lease.shard,
-                    detail: fail.detail.clone(),
-                    revoked: fail.revoked,
-                });
+                if fail.revoked {
+                    hub.leases_revoked.fetch_add(1, Ordering::SeqCst);
+                }
+                let _ = lease.events.send(failed(fail.detail.clone()));
                 hub.retire(&label, &fail.detail);
                 return;
             }
@@ -1090,10 +1012,59 @@ fn drive_peer(mut stream: TcpStream, mut reader: FrameReader, join: JoinFrame, c
     }
 }
 
-/// A peer silent for ten heartbeat intervals (but at least two
-/// seconds) has lost its claim to liveness.
-fn idle_limit(heartbeat: Duration) -> Duration {
-    (heartbeat * 10).max(Duration::from_secs(2))
+/// When a peer session last heard from its peer, and last beat.
+struct PeerClock {
+    heard: Instant,
+    beat: Instant,
+}
+
+impl PeerClock {
+    fn new() -> Self {
+        PeerClock {
+            heard: Instant::now(),
+            beat: Instant::now(),
+        }
+    }
+
+    /// One tick of a peer session: a heartbeat every interval, then one
+    /// read. `Ok(None)` is a quiet tick; a peer silent for ten intervals
+    /// (but at least two seconds) has lost its claim to liveness, and
+    /// its failure is a revocation.
+    fn poll(
+        &mut self,
+        stream: &mut TcpStream,
+        reader: &mut FrameReader,
+        ctx: &Ctx,
+        during: &str,
+    ) -> Result<Option<String>, LeaseFail> {
+        let fail = |detail: String, revoked: bool| Err(LeaseFail { detail, revoked });
+        if self.beat.elapsed() >= ctx.cfg.heartbeat {
+            if let Err(e) = write_frame(stream, HB_FRAME) {
+                return fail(format!("heartbeat write failed {during}: {e}"), false);
+            }
+            self.beat = Instant::now();
+        }
+        match reader.recv(stream) {
+            Ok(Recv::Frame(line)) => {
+                self.heard = Instant::now();
+                Ok(Some(line))
+            }
+            Ok(Recv::Idle)
+                if self.heard.elapsed() > (ctx.cfg.heartbeat * 10).max(Duration::from_secs(2)) =>
+            {
+                let ms = self.heard.elapsed().as_millis();
+                fail(format!("peer silent for {ms}ms {during}"), true)
+            }
+            Ok(Recv::Idle) => Ok(None),
+            Ok(Recv::Eof) => fail(format!("peer closed the connection {during}"), false),
+            Err(e) => {
+                if matches!(e, NfpError::ProtocolViolation { .. }) {
+                    ctx.hub.reject_frame();
+                }
+                fail(e.to_string(), false)
+            }
+        }
+    }
 }
 
 /// Why a lease failed on this peer.
@@ -1120,10 +1091,8 @@ fn run_lease(
     if let Err(e) = write_frame(stream, &render_hello(&lease.hello)) {
         return fail(format!("lease write failed: {e}"), false);
     }
-    let idle_limit = idle_limit(ctx.cfg.heartbeat);
     let deadline = Instant::now() + ctx.cfg.lease_timeout;
-    let mut last_heard = Instant::now();
-    let mut last_beat = Instant::now();
+    let mut session = PeerClock::new();
     let mut check = LeaseCheck::new(&lease.hello.header, &lease.faults);
     loop {
         if hub.shutdown.load(Ordering::SeqCst) {
@@ -1139,37 +1108,9 @@ fn run_lease(
                 true,
             );
         }
-        if last_beat.elapsed() >= ctx.cfg.heartbeat {
-            if let Err(e) = write_frame(stream, HB_FRAME) {
-                return fail(format!("heartbeat write failed mid-lease: {e}"), false);
-            }
-            last_beat = Instant::now();
-        }
-        let line = match reader.recv(stream) {
-            Ok(Recv::Idle) => {
-                if last_heard.elapsed() > idle_limit {
-                    return fail(
-                        format!(
-                            "lease revoked: peer silent for {}ms mid-lease",
-                            last_heard.elapsed().as_millis()
-                        ),
-                        true,
-                    );
-                }
-                continue;
-            }
-            Ok(Recv::Eof) => {
-                return fail("peer closed the connection mid-lease".to_string(), false)
-            }
-            Err(e) => {
-                if matches!(e, NfpError::ProtocolViolation { .. }) {
-                    hub.reject_frame();
-                }
-                return fail(e.to_string(), false);
-            }
-            Ok(Recv::Frame(line)) => line,
+        let Some(line) = session.poll(stream, reader, ctx, "mid-lease")? else {
+            continue;
         };
-        last_heard = Instant::now();
         match check.feed(&line) {
             Ok(Step::More | Step::Ready) => {}
             Ok(Step::Fin(records)) => return Ok(Some(records)),
@@ -1185,84 +1126,6 @@ fn run_lease(
 // ---------------------------------------------------------------------
 // The campaign side: one thread per admitted submission.
 // ---------------------------------------------------------------------
-
-/// Audit posture of one shard (DESIGN.md §16).
-enum AuditPhase {
-    /// Not sampled (or already arbitrated): the first valid result
-    /// persists immediately.
-    Clear,
-    /// Sampled by the deterministic audit sampler: results are held
-    /// back until two disjoint workers agree — or the trusted local
-    /// pool arbitrates. `streams` holds the (wid, records) pairs that
-    /// arrived so far; `since` marks the first arrival, bounding how
-    /// long the coordinator waits for a second opinion.
-    Sampled {
-        streams: Vec<(u64, LeaseRecords)>,
-        since: Option<Instant>,
-    },
-}
-
-/// Audit-tier tallies of one campaign, for the footer.
-#[derive(Default)]
-struct AuditCounters {
-    ranges_audited: usize,
-    audits_passed: usize,
-    workers_convicted: usize,
-    ranges_invalidated: usize,
-}
-
-/// The deterministic, seed-driven audit sampler: whether `shard` of a
-/// campaign seeded `seed` gets a second opinion. A pure function, so a
-/// resumed coordinator — and every retry of the same shard — samples
-/// identically, and no clock or ambient randomness can influence which
-/// ranges are checked.
-fn audit_sampled(seed: u64, shard: u32, rate: f64) -> bool {
-    if rate <= 0.0 {
-        return false;
-    }
-    let x = splitmix64(seed ^ (u64::from(shard) << 32) ^ 0x00d1_7a5a_3713_e2c5);
-    ((x >> 11) as f64) / ((1u64 << 53) as f64) < rate
-}
-
-/// Whether two validated record streams for the same range agree.
-/// Attempt counts are deliberately ignored: an honest worker that
-/// retried a panicked replay reports `attempts: 2` where another
-/// reports `1`, and nobody gets convicted over retry bookkeeping.
-fn streams_match(a: &LeaseRecords, b: &LeaseRecords) -> bool {
-    a.len() == b.len()
-        && a.iter()
-            .zip(b)
-            .all(|((ia, ra, _), (ib, rb, _))| ia == ib && ra == rb)
-}
-
-/// Whether a remote stream agrees with the trusted local re-execution
-/// of `start..start+local.len()`. Same attempt-blindness as
-/// [`streams_match`].
-fn matches_local(stream: &LeaseRecords, start: usize, local: &[InjectionRecord]) -> bool {
-    stream.len() == local.len()
-        && stream
-            .iter()
-            .enumerate()
-            .all(|(k, (i, rec, _))| *i == start + k && rec == &local[k])
-}
-
-/// Per-shard dispatch state inside one campaign.
-struct Track {
-    done: bool,
-    lost: bool,
-    retries: u32,
-    attempts: u32,
-    in_flight: usize,
-    leased_at: Option<Instant>,
-    speculated: bool,
-    retry_at: Option<Instant>,
-    abandoned: Arc<AtomicBool>,
-    /// Worker id whose records currently fill this shard's range.
-    /// `None` for the trusted local pool and disk-restored records.
-    producer: Option<u64>,
-    /// Audit posture; see [`AuditPhase`].
-    audit: AuditPhase,
-}
 
 /// Handles one client submission end to end: drain gate, result-cache
 /// fast path, live-campaign deduplication, admission, then the
@@ -1315,7 +1178,7 @@ fn run_remote_campaign(
         match live.get(&key) {
             Some(entry) => (Arc::clone(entry), false),
             None => {
-                let entry = Arc::new(LiveEntry::new(false));
+                let entry = Arc::new(LiveEntry::default());
                 live.insert(key.clone(), Arc::clone(&entry));
                 (entry, true)
             }
@@ -1368,25 +1231,13 @@ fn run_remote_campaign(
                     abort_entry(&key, &entry, "coordinator shutting down", ctx);
                     return;
                 }
-                if last_beat.elapsed() >= CLIENT_BEAT {
-                    if write_frame(&mut client, HB_FRAME).is_err() {
-                        ctx.admission.abandon_queue(&req.client);
-                        abort_entry(&key, &entry, "client left the admission queue", ctx);
-                        return;
-                    }
-                    last_beat = Instant::now();
-                }
-                match creader.recv(&mut client) {
-                    Ok(Recv::Idle) => {}
-                    Ok(Recv::Frame(line)) if is_hb(&line) => {}
-                    _ => {
-                        // The queued client died or babbled: its place
-                        // goes back to the pool.
-                        ctx.admission.abandon_queue(&req.client);
-                        eprintln!("serve: {label} left the queue");
-                        abort_entry(&key, &entry, "client left the admission queue", ctx);
-                        return;
-                    }
+                if poll_client(&mut client, &mut creader, &mut last_beat) != Some(true) {
+                    // The queued client died or babbled: its place goes
+                    // back to the pool.
+                    ctx.admission.abandon_queue(&req.client);
+                    eprintln!("serve: {label} left the queue");
+                    abort_entry(&key, &entry, "client left the admission queue", ctx);
+                    return;
                 }
             }
         }
@@ -1459,21 +1310,29 @@ fn follow_live(
             let _ = write_frame(&mut client, &render_error("coordinator shutting down"));
             return;
         }
-        if last_beat.elapsed() >= CLIENT_BEAT {
-            if write_frame(&mut client, HB_FRAME).is_err() {
-                eprintln!("serve: {label} stopped following; the campaign continues");
-                return;
-            }
-            last_beat = Instant::now();
+        if poll_client(&mut client, &mut creader, &mut last_beat) != Some(true) {
+            eprintln!("serve: {label} stopped following; the campaign continues");
+            return;
         }
-        match creader.recv(&mut client) {
-            Ok(Recv::Idle) => {}
-            Ok(Recv::Frame(line)) if is_hb(&line) => {}
-            _ => {
-                eprintln!("serve: {label} stopped following; the campaign continues");
-                return;
-            }
-        }
+    }
+}
+
+/// One liveness step towards a waiting client: a heartbeat every
+/// [`CLIENT_BEAT`], then one read tick. `Some(false)`: it sent a frame
+/// that is not a heartbeat; `None`: it is gone.
+fn poll_client(
+    stream: &mut TcpStream,
+    reader: &mut FrameReader,
+    last_beat: &mut Instant,
+) -> Option<bool> {
+    if last_beat.elapsed() >= CLIENT_BEAT {
+        write_frame(stream, HB_FRAME).ok()?;
+        *last_beat = Instant::now();
+    }
+    match reader.recv(stream) {
+        Ok(Recv::Idle) => Some(true),
+        Ok(Recv::Frame(line)) => Some(is_hb(&line)),
+        Ok(Recv::Eof) | Err(_) => None,
     }
 }
 
@@ -1641,29 +1500,8 @@ fn open_records(
     CampaignJournal::create(path, header)
 }
 
-/// Durable bookkeeping of one journaled campaign run.
-struct DurableRun {
-    cid: u64,
-    records: CampaignJournal,
-}
-
-/// Closes out the durable state of a finished (or terminally failed)
-/// campaign: seal the records file when the run is complete, journal
-/// the service fin, and delete the records file.
-fn close_durable(run: Option<DurableRun>, complete_slots: Option<&Slots>, ctx: &Ctx) {
-    let Some(mut run) = run else { return };
-    if let Some(slots) = complete_slots {
-        let _ = run.records.seal(slots);
-    }
-    drop(run.records);
-    if let Some(journal) = &ctx.journal {
-        let _ = journal.fin(run.cid);
-        let _ = std::fs::remove_file(records_path(journal.path(), run.cid));
-    }
-}
-
 /// Deletes the records files of the campaigns a resumed service journal
-/// shows finished. [`close_durable`] journals the fin before it deletes
+/// shows finished. [`CampaignShell::close`] journals the fin before it deletes
 /// the file, so a kill in between leaves a file that nothing else would
 /// remove. A missing file is the normal case; any other error is logged
 /// and the coordinator starts anyway.
@@ -1678,199 +1516,233 @@ fn sweep_finished_records(journal: &Path, finished: &BTreeSet<u64>) {
     }
 }
 
-/// Persists a completed shard's records and journals the completion.
-/// On a write failure the durable state is closed out (best-effort)
-/// and the campaign dies — durability was promised.
-fn persist_shard(
-    durable_run: &mut Option<DurableRun>,
-    slots: &Slots,
-    range: (usize, usize),
-    shard: u32,
-    ctx: &Ctx,
-) -> Result<(), DriveFail> {
-    let Some(run) = durable_run.as_mut() else {
-        return Ok(());
-    };
-    match run.records.append(slots, range) {
-        Ok(()) => {
-            if let Some(journal) = &ctx.journal {
-                let _ = journal.shard_done(run.cid, shard);
-            }
-            Ok(())
-        }
-        Err(e) => {
-            close_durable(durable_run.take(), None, ctx);
-            Err(DriveFail::Fatal(e.to_string()))
-        }
-    }
-}
-
-/// Everything the audit arbitration needs that stays constant across
-/// one campaign run.
-struct AuditEnv<'a> {
+/// One campaign's side of the coordinator: executes the shard book's
+/// actions over the lease queue, the records file, the service journal
+/// and the trusted local pool.
+struct CampaignShell<'a> {
+    ctx: &'a Ctx,
     kernel: &'a Kernel,
     req: &'a CampaignRequest,
-    campaign: &'a CampaignConfig,
-    count: u32,
     label: &'a str,
     cid: Option<u64>,
-    ctx: &'a Ctx,
+    /// Each shard's lease hello; its header names the shard's range.
+    hellos: Vec<WorkerHello>,
+    faults: Arc<Vec<Fault>>,
+    events: mpsc::Sender<Event<LeaseRecords>>,
+    /// Per-shard cancellation flag, shared with the shard's leases.
+    abandoned: Vec<Arc<AtomicBool>>,
+    slots: Slots,
+    /// The records file of a durable campaign, bound to `cid`.
+    records: Option<CampaignJournal>,
+    /// Ranges were cleared since the records file was last rewritten.
+    cleared: bool,
+    kills: usize,
+    respawns: usize,
+    /// The campaign's epoch: the book's instants count from here.
+    clock: Instant,
 }
 
-/// The trusted tie-breaker: re-executes `shard` on the coordinator's
-/// own pool, journals a verdict for every held-back stream (`pass` for
-/// streams matching the local truth, `convict` for the rest), bans each
-/// convicted worker with capped-backoff parole, invalidates and clears
-/// every other range a convict returned, installs the local records,
-/// and persists the shard. Called with two disagreeing streams (the
-/// audit caught a liar), one stream (the second opinion never came —
-/// the caller journals `inconclusive` first), or none (plain local
-/// fallback). Returns `(kills, respawns, shards to re-dispatch)`.
-#[allow(clippy::too_many_arguments)]
-fn arbitrate_shard(
-    env: &AuditEnv<'_>,
-    shard: u32,
-    streams: Vec<(u64, LeaseRecords)>,
-    tracks: &mut [Track],
-    slots: &mut Slots,
-    durable_run: &mut Option<DurableRun>,
-    counters: &mut AuditCounters,
-) -> Result<(usize, usize, Vec<u32>), NfpError> {
-    let ctx = env.ctx;
-    let count = env.count;
-    let spec = ShardSpec {
-        index: shard,
-        count,
-    };
-    let range = spec.range(env.campaign.injections);
-    let mut sup = SupervisorConfig::new(env.campaign.clone());
-    sup.isolation = ctx.cfg.isolation;
-    sup.preset = ctx.cfg.preset;
-    sup.worker_bin = ctx.cfg.worker_bin.clone();
-    if sup.isolation == WorkerIsolation::Process {
-        sup.deadline = Some(Duration::from_secs(300));
+impl CampaignShell<'_> {
+    /// Appends a service-journal event of a durable campaign.
+    fn journal(&self, event: impl FnOnce(&ServiceJournal, u64) -> Result<(), NfpError>) {
+        if let (Some(cid), Some(journal)) = (self.cid, &self.ctx.journal) {
+            let _ = event(journal, cid);
+        }
     }
-    sup.shard = Some(spec);
-    let out = run_supervised(env.kernel, env.req.mode, &sup)?;
-    let local = out.result.records;
-    let mut redispatch: Vec<u32> = Vec::new();
-    let mut rewrite_needed = false;
-    for (wid, stream) in streams {
-        if matches_local(&stream, range.0, &local) {
-            counters.audits_passed += 1;
-            if let (Some(cid), Some(journal)) = (env.cid, &ctx.journal) {
-                let _ = journal.audit(cid, shard, wid, "pass");
-            }
-            eprintln!(
-                "serve: audit of shard {shard} of {}: worker {wid} agrees with the local truth",
-                env.label
-            );
-            continue;
+
+    /// Cancels every lease: peers never work for a finished campaign.
+    fn abandon_all(&self) {
+        for flag in &self.abandoned {
+            flag.store(true, Ordering::SeqCst);
         }
-        counters.workers_convicted += 1;
-        if let (Some(cid), Some(journal)) = (env.cid, &ctx.journal) {
-            let _ = journal.audit(cid, shard, wid, "convict");
+    }
+
+    /// Ends the campaign: cancel every lease and close out the durable
+    /// state so a restart does not retry it forever.
+    fn fatal(&mut self, detail: String) -> DriveFail {
+        self.abandon_all();
+        self.close(false);
+        DriveFail::Fatal(detail)
+    }
+
+    /// Closes out the durable state of a finished (or terminally failed)
+    /// campaign: seal the records file when the run is complete, journal
+    /// the service fin, and delete the records file.
+    fn close(&mut self, complete: bool) {
+        let (Some(mut records), Some(cid)) = (self.records.take(), self.cid) else {
+            return;
+        };
+        if complete {
+            let _ = records.seal(&self.slots);
         }
-        if wid == 0 {
-            eprintln!(
-                "serve: audit of shard {shard} of {}: an unattributable worker (wid 0) returned \
-                 falsified records — discarded, but there is no identity to blacklist",
-                env.label
-            );
-            continue;
+        drop(records);
+        if let Some(journal) = &self.ctx.journal {
+            let _ = journal.fin(cid);
+            let _ = std::fs::remove_file(records_path(journal.path(), cid));
         }
-        let strikes = ctx.hub.ban(wid);
-        if let Some(journal) = &ctx.journal {
-            let _ = journal.ban(wid, strikes);
-        }
-        eprintln!(
-            "serve: worker {wid} convicted of falsifying shard {shard} of {}; blacklisted \
-             (strike {strikes}, parole {}ms)",
-            env.label,
-            parole_delay(strikes).as_millis()
-        );
-        // Every other range the convict returned is now distrusted:
-        // journal the invalidation *first*, then drop the records and
-        // re-dispatch — a crash in between still drops them on resume.
-        for other in 0..count {
-            let t = &mut tracks[other as usize];
-            if other != shard && t.done && t.producer == Some(wid) {
-                if let (Some(cid), Some(journal)) = (env.cid, &ctx.journal) {
-                    let _ = journal.invalidate(cid, other);
-                }
-                clear_range(
-                    slots,
-                    ShardSpec {
-                        index: other,
-                        count,
+    }
+
+    /// Carries out the book's actions in order. An arbitration runs at
+    /// once, and what the book makes of it is carried out before the rest.
+    fn execute(
+        &mut self,
+        book: &mut ShardBook<LeaseRecords>,
+        actions: Vec<Action<LeaseRecords>>,
+    ) -> Result<(), DriveFail> {
+        let label = self.label;
+        for action in actions {
+            match action {
+                Action::Dispatch {
+                    shard,
+                    attempt,
+                    exclude,
+                    why,
+                } => {
+                    match why {
+                        Why::Fresh => {}
+                        Why::Audit => eprintln!(
+                            "serve: shard {shard} of {label} sampled for audit; re-dispatching \
+                             to a disjoint worker"
+                        ),
+                        Why::Speculate => eprintln!(
+                            "serve: shard {shard} straggling; dispatching a speculative duplicate"
+                        ),
                     }
-                    .range(env.campaign.injections),
-                );
-                t.done = false;
-                t.producer = None;
-                t.retries = 0;
-                t.retry_at = None;
-                // The completion set this flag; re-dispatches need a
-                // fresh one or their leases are stillborn.
-                t.abandoned = Arc::new(AtomicBool::new(false));
-                t.audit = if audit_sampled(env.campaign.seed, other, ctx.cfg.audit_rate) {
-                    AuditPhase::Sampled {
-                        streams: Vec::new(),
-                        since: None,
-                    }
-                } else {
-                    AuditPhase::Clear
-                };
-                counters.ranges_invalidated += 1;
-                rewrite_needed = true;
-                redispatch.push(other);
-                eprintln!(
-                    "serve: shard {other} of {} invalidated (returned by convicted worker \
-                     {wid}); re-dispatching",
-                    env.label
-                );
-            }
-            // Held-back streams from the convict are worthless too.
-            if let AuditPhase::Sampled { streams, since } = &mut t.audit {
-                streams.retain(|(w, _)| *w != wid);
-                if streams.is_empty() {
-                    *since = None;
+                    self.journal(|j, cid| j.lease(cid, shard, attempt));
+                    self.ctx.hub.push_lease(Lease {
+                        hello: self.hellos[shard as usize].clone(),
+                        faults: Arc::clone(&self.faults),
+                        shard,
+                        attempt,
+                        events: self.events.clone(),
+                        abandoned: Arc::clone(&self.abandoned[shard as usize]),
+                        exclude,
+                    });
                 }
+                Action::Accept { shard, stream, .. } => {
+                    for (i, rec, attempts) in stream {
+                        self.slots[i] = Some((rec, attempts));
+                    }
+                    eprintln!("serve: shard {shard} of {label} complete");
+                    self.persist(shard)?;
+                }
+                Action::Cancel { shard } => {
+                    // Later dispatches of the shard need a fresh flag, or
+                    // their leases are stillborn.
+                    let flag = &mut self.abandoned[shard as usize];
+                    flag.store(true, Ordering::SeqCst);
+                    *flag = Arc::new(AtomicBool::new(false));
+                }
+                Action::Arbitrate { shard } => {
+                    eprintln!("serve: shard {shard} of {label}: re-executing on the local pool");
+                    let truth = self.run_local(shard);
+                    let verdicts =
+                        book.on(self.clock.elapsed(), Event::Arbitrated { shard, truth });
+                    self.execute(book, verdicts)?;
+                }
+                Action::Verdict {
+                    shard,
+                    wid,
+                    verdict,
+                } => {
+                    // A convict is named only once its ban is journaled.
+                    self.journal(|j, cid| j.audit(cid, shard, wid, verdict));
+                    eprintln!(
+                        "serve: audit of shard {shard} of {label}: '{verdict}' for worker {wid}"
+                    );
+                }
+                Action::Ban { shard, wid } => {
+                    let strikes = self.ctx.hub.ban(wid);
+                    if let Some(journal) = &self.ctx.journal {
+                        let _ = journal.ban(wid, strikes);
+                    }
+                    eprintln!(
+                        "serve: worker {wid} convicted of falsifying records; blacklisted over \
+                         shard {shard} of {label} (strike {strikes}, parole {}ms)",
+                        parole_delay(strikes).as_millis()
+                    );
+                }
+                Action::Invalidate { shard, wid } => {
+                    // Journal the invalidation first, then drop the
+                    // records: a crash in between still drops them on
+                    // resume.
+                    self.journal(|j, cid| j.invalidate(cid, shard));
+                    clear_range(&mut self.slots, self.hellos[shard as usize].header.range());
+                    self.cleared = true;
+                    eprintln!(
+                        "serve: shard {shard} of {label} invalidated (returned by convicted \
+                         worker {wid}); re-dispatching"
+                    );
+                }
+                Action::Lose(e) => eprintln!("serve: {e}; continuing under --allow-partial"),
+                Action::Fail(e) => return Err(self.fatal(e.to_string())),
             }
         }
+        Ok(())
     }
-    // Install the local truth — the trusted pool needs no audit.
-    for (k, rec) in local.into_iter().enumerate() {
-        slots[range.0 + k] = Some((rec, 1));
-    }
-    let t = &mut tracks[shard as usize];
-    t.done = true;
-    t.producer = None;
-    t.audit = AuditPhase::Clear;
-    t.abandoned.store(true, Ordering::SeqCst);
-    if let Some(run) = durable_run.as_mut() {
-        // The `invalidate` events went to the service journal first, so
-        // a crash before this rewrite still drops the convict's records
-        // on resume: restoration is gated on the journaled shard set.
-        if rewrite_needed {
-            run.records.rewrite(slots)?;
+
+    /// Persists an accepted shard's records and journals the completion.
+    /// The `invalidate` events went to the service journal first, so a
+    /// crash before the records-file rewrite still drops a convict's
+    /// records on resume: restoration is gated on the journaled shard
+    /// set. A write failure ends the campaign — durability was promised.
+    fn persist(&mut self, shard: u32) -> Result<(), DriveFail> {
+        let cleared = std::mem::take(&mut self.cleared);
+        let Some(records) = self.records.as_mut() else {
+            return Ok(());
+        };
+        let range = self.hellos[shard as usize].header.range();
+        let rewritten = if cleared {
+            records.rewrite(&self.slots)
+        } else {
+            Ok(())
+        };
+        match rewritten.and_then(|()| records.append(&self.slots, range)) {
+            Ok(()) => {
+                self.journal(|j, cid| j.shard_done(cid, shard));
+                Ok(())
+            }
+            Err(e) => Err(self.fatal(e.to_string())),
         }
-        run.records.append(slots, range)?;
-        if let (Some(cid), Some(journal)) = (env.cid, &ctx.journal) {
-            let _ = journal.shard_done(cid, shard);
-        }
     }
-    Ok((out.kills, out.respawns, redispatch))
+
+    /// The trusted tie-breaker: re-executes `shard` on the coordinator's
+    /// own pool.
+    fn run_local(&mut self, shard: u32) -> Result<LeaseRecords, NfpError> {
+        let cfg = &self.ctx.cfg;
+        let mut sup = SupervisorConfig::new(self.req.campaign.clone());
+        sup.isolation = cfg.isolation;
+        sup.preset = cfg.preset;
+        sup.worker_bin = cfg.worker_bin.clone();
+        if sup.isolation == WorkerIsolation::Process {
+            sup.deadline = Some(Duration::from_secs(300));
+        }
+        sup.shard = Some(ShardSpec {
+            index: shard,
+            count: self.hellos.len() as u32,
+        });
+        let out = run_supervised(self.kernel, self.req.mode, &sup)
+            .inspect_err(|e| eprintln!("serve: local arbitration of shard {shard} failed: {e}"))?;
+        self.kills += out.kills;
+        self.respawns += out.respawns;
+        let start = self.hellos[shard as usize].header.range().0;
+        let records = out.result.records.into_iter().enumerate();
+        Ok(records.map(|(k, rec)| (start + k, rec, 1)).collect())
+    }
+}
+
+impl From<NfpError> for DriveFail {
+    fn from(e: NfpError) -> Self {
+        DriveFail::Fatal(e.to_string())
+    }
 }
 
 /// Executes one campaign end to end: plan it, split it into shard
-/// leases, ride the lease events (retry with backoff, revoke,
-/// speculate, degrade to the local pool), journaling every durable
-/// transition along the way. `link` carries the attached submit client
-/// when there is one; a journaled (or followed) campaign survives its
-/// client and keeps running headless so the result still lands in the
-/// cache. Exits abandon every outstanding lease so peers never work
-/// for a dead campaign.
+/// leases, and feed the lease events to the shard book, carrying out
+/// its decisions and journaling every durable transition. `link` is the
+/// attached submit client, if any; a journaled (or followed) campaign
+/// survives its client and runs on headless so the result still lands
+/// in the cache.
 fn drive_campaign(
     link: &mut Option<ClientLink>,
     req: &CampaignRequest,
@@ -1882,10 +1754,7 @@ fn drive_campaign(
     let fatal = |detail: String| Err(DriveFail::Fatal(detail));
     // Plan the campaign. The golden run here is the trust anchor every
     // remote result must re-derive (golden handshake, CRCs, digests).
-    let kernels = match all_kernels(&ctx.cfg.preset.build()) {
-        Ok(k) => k,
-        Err(e) => return fatal(e.to_string()),
-    };
+    let kernels = all_kernels(&ctx.cfg.preset.build())?;
     let Some(kernel) = kernels.iter().find(|k| k.name == req.kernel) else {
         return fatal(format!(
             "kernel '{}' is not in the {} preset",
@@ -1893,29 +1762,19 @@ fn drive_campaign(
             ctx.cfg.preset.name()
         ));
     };
-    let campaign = req.campaign.clone();
-    let (rig, space) = match CampaignRig::prepare(kernel, req.mode, &campaign) {
-        Ok(r) => r,
-        Err(e) => return fatal(e.to_string()),
-    };
+    let campaign = &req.campaign;
+    let (rig, space) = CampaignRig::prepare(kernel, req.mode, campaign)?;
     let faults = Arc::new(plan(&space, campaign.injections, campaign.seed));
-    let count = match &durable {
-        // A resumed submit already carries the resolved shard count.
-        Durable::Resumed { .. } => req.shards.max(1),
-        _ => {
-            let live_now = ctx.hub.live_peers.load(Ordering::SeqCst) as u32;
-            if req.shards == 0 {
-                live_now.max(1)
-            } else {
-                req.shards
-            }
-            .min(campaign.injections.max(1) as u32)
-            .max(1)
-        }
+    // No shard count asks for one shard per live peer; a resumed submit
+    // carries the count its first run resolved.
+    let wanted = match req.shards {
+        0 => ctx.hub.live_peers.load(Ordering::SeqCst) as u32,
+        n => n,
     };
+    let count = wanted.min(campaign.injections.max(1) as u32).max(1);
 
     let mut slots: Slots = vec![None; faults.len()];
-    let header = JournalHeader::bind(kernel, req.mode, &campaign, rig.golden_instret, None);
+    let bind = |shard| JournalHeader::bind(kernel, req.mode, campaign, rig.golden_instret, shard);
     // A journaled run is bound to a campaign id: a fresh one for a new
     // submit, journaled once the golden run bound it, or the journaled
     // one on a resume.
@@ -1925,9 +1784,7 @@ fn drive_campaign(
             let cid = ctx.next_cid.fetch_add(1, Ordering::SeqCst);
             let mut resolved = req.clone();
             resolved.shards = count;
-            if let Err(e) = journal.submit(cid, &resolved, rig.golden_instret) {
-                return fatal(e.to_string());
-            }
+            journal.submit(cid, &resolved, rig.golden_instret)?;
             Some(cid)
         }
         (
@@ -1949,41 +1806,36 @@ fn drive_campaign(
             Some(*cid)
         }
     };
-    let mut durable_run: Option<DurableRun> = None;
+    let mut records: Option<CampaignJournal> = None;
     if let (Some(cid), Some(journal)) = (durable_cid, &ctx.journal) {
         let path = records_path(journal.path(), cid);
-        let opened = open_records(&path, &header, &faults, &mut slots).and_then(|mut records| {
-            if let Durable::Resumed { done_shards, .. } = &durable {
-                // Restoration is gated on the journaled shard_done set
-                // (net of `invalidate` events): records of a shard never
-                // journaled as done — including a convicted worker's
-                // ranges when the crash landed between the invalidate
-                // event and the records-file rewrite — are distrusted,
-                // dropped, and re-run.
-                let mut dropped = 0usize;
-                for shard in 0..count {
-                    if done_shards.contains(&shard) {
-                        continue;
-                    }
-                    let range = ShardSpec {
-                        index: shard,
-                        count,
-                    }
-                    .range(campaign.injections);
-                    dropped += clear_range(&mut slots, range);
-                }
-                if dropped > 0 {
-                    eprintln!(
-                        "serve: {label}: {dropped} record(s) of never-completed or \
+        let opened =
+            open_records(&path, &bind(None), &faults, &mut slots).and_then(|mut records| {
+                if let Durable::Resumed { done_shards, .. } = &durable {
+                    // Restoration is gated on the journaled shard_done set
+                    // (net of `invalidate` events): records of a shard never
+                    // journaled as done — including a convicted worker's
+                    // ranges when the crash landed between the invalidate
+                    // event and the records-file rewrite — are distrusted,
+                    // dropped, and re-run.
+                    let dropped: usize = (0..count)
+                        .filter(|shard| !done_shards.contains(shard))
+                        .map(|shard| {
+                            clear_range(&mut slots, shard_range(campaign.injections, shard, count))
+                        })
+                        .sum();
+                    if dropped > 0 {
+                        eprintln!(
+                            "serve: {label}: {dropped} record(s) of never-completed or \
                          invalidated shards dropped on resume"
-                    );
-                    records.rewrite(&slots)?;
+                        );
+                        records.rewrite(&slots)?;
+                    }
                 }
-            }
-            Ok(records)
-        });
+                Ok(records)
+            });
         match opened {
-            Ok(records) => durable_run = Some(DurableRun { cid, records }),
+            Ok(opened) => records = Some(opened),
             Err(e) => {
                 let _ = journal.fin(cid);
                 return fatal(e.to_string());
@@ -1999,524 +1851,159 @@ fn drive_campaign(
         );
     }
 
-    let (ev_tx, ev_rx) = mpsc::channel::<LeaseEvent>();
-    let shard_range = |shard: u32| {
-        ShardSpec {
-            index: shard,
-            count,
-        }
-        .range(campaign.injections)
-    };
-    let mut tracks: Vec<Track> = (0..count)
-        .map(|shard| {
-            let (start, end) = shard_range(shard);
-            // A shard whose whole range was restored from the records
-            // file never re-dispatches (and was audited, or unsampled,
-            // before it was allowed to persist).
-            let done = (start..end).all(|i| slots[i].is_some());
-            Track {
-                done,
-                lost: false,
-                retries: 0,
-                attempts: 0,
-                in_flight: 0,
-                leased_at: None,
-                speculated: false,
-                retry_at: None,
-                abandoned: Arc::new(AtomicBool::new(false)),
-                producer: None,
-                audit: if !done && audit_sampled(campaign.seed, shard, ctx.cfg.audit_rate) {
-                    AuditPhase::Sampled {
-                        streams: Vec::new(),
-                        since: None,
-                    }
-                } else {
-                    AuditPhase::Clear
-                },
-            }
+    let hellos: Vec<WorkerHello> = (0..count)
+        .map(|index| WorkerHello {
+            header: bind(Some(ShardSpec { index, count })),
+            preset: ctx.cfg.preset,
+            heartbeat_ms: ctx.cfg.heartbeat.as_millis() as u64,
+            spin_at: None,
+            abort_at: None,
         })
         .collect();
-    let hello_for = |shard: u32| WorkerHello {
-        header: JournalHeader::bind(
-            kernel,
-            req.mode,
-            &campaign,
-            rig.golden_instret,
-            Some(ShardSpec {
-                index: shard,
-                count,
-            }),
-        ),
-        preset: ctx.cfg.preset,
-        heartbeat_ms: ctx.cfg.heartbeat.as_millis() as u64,
-        spin_at: None,
-        abort_at: None,
+    // A shard whose whole range was restored from the records file never
+    // re-dispatches (and was audited, or unsampled, before it was
+    // allowed to persist).
+    let done: Vec<bool> = hellos
+        .iter()
+        .map(|h| {
+            let (start, end) = h.header.range();
+            slots[start..end].iter().all(Option::is_some)
+        })
+        .collect();
+    let policy = Policy {
+        seed: campaign.seed,
+        injections: campaign.injections,
+        retries: ctx.cfg.shard_retries,
+        straggler: ctx.cfg.straggler,
+        allow_partial: req.allow_partial,
+        audit_rate: ctx.cfg.audit_rate,
+        patience: ctx.cfg.peer_grace.max(Duration::from_secs(2)),
     };
-    let dispatch = |t: &mut Track, shard: u32, exclude: Option<u64>| {
-        t.attempts += 1;
-        t.in_flight += 1;
-        t.leased_at = None;
-        if let (Some(cid), Some(journal)) = (durable_cid, &ctx.journal) {
-            let _ = journal.lease(cid, shard, t.attempts);
-        }
-        ctx.hub.push_lease(Lease {
-            hello: hello_for(shard),
-            faults: Arc::clone(&faults),
-            shard,
-            attempt: t.attempts,
-            events: ev_tx.clone(),
-            abandoned: Arc::clone(&t.abandoned),
-            exclude,
-        });
+    let (mut book, first) = ShardBook::open(policy, &done);
+    let (events, ev_rx) = mpsc::channel::<Event<LeaseRecords>>();
+    let mut shell = CampaignShell {
+        ctx,
+        kernel,
+        req,
+        label: &label,
+        cid: durable_cid,
+        hellos,
+        faults,
+        events,
+        abandoned: (0..count).map(|_| Arc::default()).collect(),
+        slots,
+        records,
+        cleared: false,
+        kills: 0,
+        respawns: 0,
+        clock: Instant::now(),
     };
-    let abandon_all = |tracks: &[Track]| {
-        for t in tracks {
-            t.abandoned.store(true, Ordering::SeqCst);
-        }
-    };
-    for (shard, t) in tracks.iter_mut().enumerate() {
-        if !t.done {
-            dispatch(t, shard as u32, None);
-        }
-    }
+    shell.execute(&mut book, first)?;
 
     // Ride the lease events. Counters snapshot the hub so the footer
     // reports this campaign's share of the network churn.
-    let started = Instant::now();
     let mut last_beat = Instant::now();
     let reconnects0 = ctx.hub.reconnects.load(Ordering::SeqCst);
     let rejected0 = ctx.hub.frames_rejected.load(Ordering::SeqCst);
     let retired0 = ctx.hub.peers_retired.load(Ordering::SeqCst);
-    let mut kills = 0usize;
-    let mut respawns = 0usize;
-    let mut revoked_n = 0usize;
+    let revoked0 = ctx.hub.leases_revoked.load(Ordering::SeqCst);
     let mut live_notes: Vec<String> = Vec::new();
-    let mut audit = AuditCounters::default();
-    let audit_patience = ctx.cfg.peer_grace.max(Duration::from_secs(2));
-    let env = AuditEnv {
-        kernel,
-        req,
-        campaign: &campaign,
-        count,
-        label: &label,
-        cid: durable_cid,
-        ctx,
-    };
-    // Runs the trusted tie-breaker for one shard and folds its outcome
-    // back into the loop state. A macro rather than a closure because
-    // the fatal path must `return` from `drive_campaign` itself.
-    macro_rules! arbitrate {
-        ($shard:expr, $streams:expr) => {{
-            let shard: u32 = $shard;
-            match arbitrate_shard(
-                &env,
-                shard,
-                $streams,
-                &mut tracks,
-                &mut slots,
-                &mut durable_run,
-                &mut audit,
-            ) {
-                Ok((k, r, again)) => {
-                    kills += k;
-                    respawns += r;
-                    for other in again {
-                        dispatch(&mut tracks[other as usize], other, None);
-                    }
-                }
-                Err(e) => {
-                    if req.allow_partial && !matches!(e, NfpError::Journal { .. }) {
-                        eprintln!("serve: local arbitration of shard {shard} failed: {e}");
-                        tracks[shard as usize].lost = true;
-                    } else {
-                        abandon_all(&tracks);
-                        close_durable(durable_run.take(), None, ctx);
-                        return fatal(e.to_string());
-                    }
-                }
-            }
-        }};
-    }
-    while !tracks.iter().all(|t| t.done || t.lost) {
+    while !book.finished() {
         match ev_rx.recv_timeout(Duration::from_millis(25)) {
-            Ok(LeaseEvent::Started { shard }) => {
-                tracks[shard as usize].leased_at = Some(Instant::now());
-            }
-            Ok(LeaseEvent::Done {
-                shard,
-                wid,
-                records,
-            }) => {
-                let s = shard as usize;
-                tracks[s].in_flight = tracks[s].in_flight.saturating_sub(1);
-                if let (Some(cid), Some(journal)) = (durable_cid, &ctx.journal) {
-                    let _ = journal.lease_return(cid, shard, true);
-                }
-                if tracks[s].done || tracks[s].lost {
-                    // Stale speculative duplicate: the first valid
-                    // stream won.
-                } else if wid != 0 && ctx.hub.banned(wid) {
-                    // A conviction landed while this lease was running:
-                    // nothing a blacklisted worker returns is accepted.
-                    eprintln!(
-                        "serve: discarding shard {shard} records from blacklisted worker {wid}"
-                    );
-                    if tracks[s].in_flight == 0 {
-                        tracks[s].retry_at = Some(Instant::now());
-                    }
-                } else {
-                    match std::mem::replace(&mut tracks[s].audit, AuditPhase::Clear) {
-                        AuditPhase::Clear => {
-                            let t = &mut tracks[s];
-                            t.done = true;
-                            t.producer = (wid != 0).then_some(wid);
-                            t.abandoned.store(true, Ordering::SeqCst);
-                            for (i, rec, attempts) in records {
-                                slots[i] = Some((rec, attempts));
-                            }
-                            eprintln!("serve: shard {shard} of {label} complete");
-                            if let Err(fail) = persist_shard(
-                                &mut durable_run,
-                                &slots,
-                                shard_range(shard),
-                                shard,
-                                ctx,
-                            ) {
-                                abandon_all(&tracks);
-                                return Err(fail);
-                            }
-                        }
-                        AuditPhase::Sampled { mut streams, since } => {
-                            if streams.len() == 1 && wid != 0 && streams[0].0 == wid {
-                                // The producer answered again (a
-                                // speculative duplicate landed on the
-                                // same peer): agreement with itself is
-                                // no second opinion — keep waiting.
-                                tracks[s].audit = AuditPhase::Sampled { streams, since };
-                            } else {
-                                streams.push((wid, records));
-                                if streams.len() < 2 {
-                                    audit.ranges_audited += 1;
-                                    eprintln!(
-                                        "serve: shard {shard} of {label} sampled for audit; \
-                                         re-dispatching to a disjoint worker"
-                                    );
-                                    tracks[s].audit = AuditPhase::Sampled {
-                                        streams,
-                                        since: Some(Instant::now()),
-                                    };
-                                    dispatch(&mut tracks[s], shard, (wid != 0).then_some(wid));
-                                } else if streams_match(&streams[0].1, &streams[1].1) {
-                                    let (w1, first) = streams.swap_remove(0);
-                                    let w2 = streams[0].0;
-                                    audit.audits_passed += 1;
-                                    if let (Some(cid), Some(journal)) = (durable_cid, &ctx.journal)
-                                    {
-                                        let _ = journal.audit(cid, shard, w1, "pass");
-                                    }
-                                    eprintln!(
-                                        "serve: audit of shard {shard} of {label} passed \
-                                         (workers {w1} and {w2} agree)"
-                                    );
-                                    let t = &mut tracks[s];
-                                    t.done = true;
-                                    t.producer = (w1 != 0).then_some(w1);
-                                    t.abandoned.store(true, Ordering::SeqCst);
-                                    for (i, rec, attempts) in first {
-                                        slots[i] = Some((rec, attempts));
-                                    }
-                                    if let Err(fail) = persist_shard(
-                                        &mut durable_run,
-                                        &slots,
-                                        shard_range(shard),
-                                        shard,
-                                        ctx,
-                                    ) {
-                                        abandon_all(&tracks);
-                                        return Err(fail);
-                                    }
-                                } else {
-                                    eprintln!(
-                                        "serve: audit of shard {shard} of {label} found \
-                                         disagreeing record streams (workers {} vs {}); \
-                                         re-executing on the trusted local pool",
-                                        streams[0].0, streams[1].0
-                                    );
-                                    arbitrate!(shard, streams);
-                                }
-                            }
-                        }
-                    }
-                }
-            }
-            Ok(LeaseEvent::Failed {
-                shard,
-                detail,
-                revoked,
-            }) => {
-                let t = &mut tracks[shard as usize];
-                t.in_flight = t.in_flight.saturating_sub(1);
-                if revoked {
-                    revoked_n += 1;
-                }
-                if let (Some(cid), Some(journal)) = (durable_cid, &ctx.journal) {
-                    let _ = journal.lease_return(cid, shard, false);
-                }
-                if !t.done && !t.lost {
-                    eprintln!("serve: shard {shard} lease failed ({detail})");
-                    if t.in_flight == 0 {
-                        t.retries += 1;
-                        if t.retries > ctx.cfg.shard_retries {
-                            let held = matches!(
-                                &t.audit,
-                                AuditPhase::Sampled { streams, .. } if !streams.is_empty()
-                            );
-                            if held {
-                                // The audit re-dispatch burned the
-                                // retry budget without producing a
-                                // second opinion: journal the verdict
-                                // and let the trusted pool arbitrate.
-                                let AuditPhase::Sampled { streams, .. } = std::mem::replace(
-                                    &mut tracks[shard as usize].audit,
-                                    AuditPhase::Clear,
-                                ) else {
-                                    unreachable!()
-                                };
-                                if let (Some(cid), Some(journal)) = (durable_cid, &ctx.journal) {
-                                    let _ = journal.audit(cid, shard, streams[0].0, "inconclusive");
-                                }
-                                eprintln!(
-                                    "serve: audit of shard {shard} of {label} inconclusive (no \
-                                     disjoint second opinion); re-executing on the trusted \
-                                     local pool"
-                                );
-                                arbitrate!(shard, streams);
-                            } else {
-                                let (start, end) = shard_range(shard);
-                                if req.allow_partial {
-                                    tracks[shard as usize].lost = true;
-                                    eprintln!(
-                                        "serve: shard {shard} lost after exhausting its \
-                                         re-dispatch budget"
-                                    );
-                                } else {
-                                    abandon_all(&tracks);
-                                    close_durable(durable_run.take(), None, ctx);
-                                    return fatal(
-                                        NfpError::ShardLost {
-                                            shard,
-                                            start: start as u64,
-                                            end: end as u64,
-                                            detail,
-                                        }
-                                        .to_string(),
-                                    );
-                                }
-                            }
-                        } else {
-                            t.retry_at = Some(
-                                Instant::now()
-                                    + backoff_delay(campaign.seed, shard as usize, t.retries),
+            Ok(event) => {
+                match &event {
+                    Event::Returned {
+                        shard, wid, banned, ..
+                    } => {
+                        shell.journal(|j, cid| j.lease_return(cid, *shard, true));
+                        if *banned {
+                            eprintln!(
+                                "serve: discarding shard {shard} from blacklisted worker {wid}"
                             );
                         }
                     }
+                    Event::Failed { shard, detail, .. } => {
+                        shell.journal(|j, cid| j.lease_return(cid, *shard, false));
+                        eprintln!("serve: shard {shard} lease failed ({detail})");
+                    }
+                    _ => {}
                 }
+                let actions = book.on(shell.clock.elapsed(), event);
+                shell.execute(&mut book, actions)?;
             }
             Err(mpsc::RecvTimeoutError::Timeout) => {}
-            // Unreachable: this function holds `ev_tx` until it returns.
+            // Unreachable: the shell holds a sender until this returns.
             Err(mpsc::RecvTimeoutError::Disconnected) => break,
         }
-
-        let now = Instant::now();
-        // Re-dispatch shards whose backoff expired.
-        for shard in 0..count {
-            let t = &mut tracks[shard as usize];
-            if t.done || t.lost || t.in_flight > 0 {
-                continue;
-            }
-            if t.retry_at.is_some_and(|at| now >= at) {
-                t.retry_at = None;
-                dispatch(t, shard, None);
-            }
-        }
-        // A sampled shard whose audit lease no disjoint worker claimed
-        // within the patience window falls to the trusted local pool:
-        // journal the inconclusive verdict and arbitrate. Without this
-        // a fleet where the producer is the only live peer would wait
-        // forever for a second opinion that cannot come.
-        for shard in 0..count {
-            let s = shard as usize;
-            if tracks[s].done || tracks[s].lost {
-                continue;
-            }
-            // A claimed, still-running audit lease gets its full lease
-            // timeout; a lease nobody claimed (`leased_at` never set)
-            // or a shard with nothing in flight at all (the second
-            // opinion was discarded, or came from the producer itself)
-            // is what patience is for.
-            if tracks[s].in_flight > 0 && tracks[s].leased_at.is_some() {
-                continue;
-            }
-            let stalled = matches!(
-                &tracks[s].audit,
-                AuditPhase::Sampled { streams, since: Some(at) }
-                    if !streams.is_empty() && at.elapsed() > audit_patience
-            );
-            if stalled {
-                let AuditPhase::Sampled { streams, .. } =
-                    std::mem::replace(&mut tracks[s].audit, AuditPhase::Clear)
-                else {
-                    unreachable!()
-                };
-                // Cancel the unclaimed audit lease; any later dispatch
-                // of this shard needs a fresh abandonment flag.
-                tracks[s].abandoned.store(true, Ordering::SeqCst);
-                tracks[s].abandoned = Arc::new(AtomicBool::new(false));
-                tracks[s].in_flight = 0;
-                if let (Some(cid), Some(journal)) = (durable_cid, &ctx.journal) {
-                    let _ = journal.audit(cid, shard, streams[0].0, "inconclusive");
-                }
-                eprintln!(
-                    "serve: audit of shard {shard} of {label} inconclusive after {}ms (no \
-                     disjoint worker claimed the re-execution); arbitrating locally",
-                    audit_patience.as_millis()
-                );
-                arbitrate!(shard, streams);
-            }
-        }
-        // Straggler speculation: duplicate a lease that has been held
-        // too long. Determinism makes first-valid-wins safe.
-        if let Some(limit) = ctx.cfg.straggler {
-            for shard in 0..count {
-                let t = &mut tracks[shard as usize];
-                if t.done || t.lost || t.speculated || t.in_flight == 0 {
-                    continue;
-                }
-                if t.leased_at.is_some_and(|at| at.elapsed() > limit) {
-                    t.speculated = true;
-                    eprintln!(
-                        "serve: shard {shard} straggling; dispatching a speculative duplicate"
-                    );
-                    dispatch(t, shard, None);
-                }
-            }
-        }
         // Graceful degradation: no live peers past the grace period
-        // means the network is not coming to help — run what remains
-        // on the local pool, byte-identically.
-        if ctx.hub.live_peers.load(Ordering::SeqCst) == 0 && started.elapsed() >= ctx.cfg.peer_grace
-        {
-            let pending = (0..count)
-                .filter(|&s| {
-                    let t = &tracks[s as usize];
-                    !t.done && !t.lost
-                })
-                .count();
-            if pending > 0 {
-                let note = format!(
-                    "no live peers after {}ms; falling back to the local worker pool for \
-                     {pending} shards",
-                    ctx.cfg.peer_grace.as_millis(),
-                );
-                eprintln!("serve: {note}");
-                if let Some(l) = link.as_mut() {
-                    let _ = write_frame(&mut l.stream, &render_note(&note));
-                }
-                live_notes.push(note);
-                abandon_all(&tracks);
-                // Arbitration handles both shapes: a shard holding a
-                // lone unaudited stream gets its inconclusive verdict
-                // journaled and the stream judged against the local
-                // truth; a clear shard is a plain local run. The loop
-                // re-scans because a conviction can invalidate shards
-                // that were already done when the scan started.
-                while let Some(shard) = (0..count).find(|&s| {
-                    let t = &tracks[s as usize];
-                    !t.done && !t.lost
-                }) {
-                    let streams = match std::mem::replace(
-                        &mut tracks[shard as usize].audit,
-                        AuditPhase::Clear,
-                    ) {
-                        AuditPhase::Sampled { streams, .. } => {
-                            if let Some((w, _)) = streams.first() {
-                                if let (Some(cid), Some(journal)) = (durable_cid, &ctx.journal) {
-                                    let _ = journal.audit(cid, shard, *w, "inconclusive");
-                                }
-                            }
-                            streams
-                        }
-                        AuditPhase::Clear => Vec::new(),
-                    };
-                    arbitrate!(shard, streams);
-                }
+        // means the network is not coming to help — the book sends what
+        // remains to the local pool, which runs it byte-identically.
+        let stranded = ctx.hub.live_peers.load(Ordering::SeqCst) == 0
+            && shell.clock.elapsed() >= ctx.cfg.peer_grace;
+        if stranded && book.pending() > 0 {
+            let note = format!(
+                "no live peers after {}ms; falling back to the local worker pool for {} shards",
+                ctx.cfg.peer_grace.as_millis(),
+                book.pending()
+            );
+            eprintln!("serve: {note}");
+            if let Some(l) = link.as_mut() {
+                let _ = write_frame(&mut l.stream, &render_note(&note));
             }
+            live_notes.push(note);
         }
+        let actions = book.on(shell.clock.elapsed(), Event::Tick { stranded });
+        shell.execute(&mut book, actions)?;
         // Client liveness. A journaled campaign — or one with
         // followers — outlives its client: detach and keep running
         // headless so the result lands in the cache for the session
         // to resume. Otherwise a dead client frees the workers.
-        let mut client_gone = false;
-        if let Some(l) = link.as_mut() {
-            if last_beat.elapsed() >= CLIENT_BEAT {
-                if write_frame(&mut l.stream, HB_FRAME).is_err() {
-                    client_gone = true;
-                } else {
-                    last_beat = Instant::now();
-                }
-            }
-            if !client_gone {
-                match l.reader.recv(&mut l.stream) {
-                    Ok(Recv::Idle) => {}
-                    Ok(Recv::Frame(line)) => {
-                        if !is_hb(&line) {
-                            ctx.hub.reject_frame();
-                        }
-                    }
-                    Ok(Recv::Eof) | Err(_) => client_gone = true,
-                }
-            }
+        let client = link
+            .as_mut()
+            .map(|l| poll_client(&mut l.stream, &mut l.reader, &mut last_beat));
+        if client == Some(Some(false)) {
+            ctx.hub.reject_frame();
         }
-        if client_gone {
+        if client == Some(None) {
             *link = None;
             if durable_cid.is_some() || entry.subscribers.load(Ordering::SeqCst) > 0 {
                 eprintln!("serve: {label} disconnected; the campaign continues headless");
             } else {
                 eprintln!("serve: {label} disconnected; abandoning the campaign");
-                abandon_all(&tracks);
+                shell.abandon_all();
                 return Err(DriveFail::Interrupted(
                     "client disconnected mid-campaign".to_string(),
                 ));
             }
         }
         if ctx.hub.shutdown.load(Ordering::SeqCst) {
-            abandon_all(&tracks);
+            shell.abandon_all();
             return Err(DriveFail::Interrupted(
                 "coordinator shutting down".to_string(),
             ));
         }
     }
     // Stale speculative leases must not outlive the campaign.
-    abandon_all(&tracks);
-
-    let missing = missing_ranges_of(&slots);
+    shell.abandon_all();
+    let missing = missing_ranges_of(&shell.slots);
     let complete = missing.is_empty();
-    close_durable(durable_run.take(), complete.then_some(&slots), ctx);
+    shell.close(complete);
+    let tally = book.tally();
     let footer = CampaignFooter {
-        kills,
-        respawns,
+        kills: shell.kills,
+        respawns: shell.respawns,
         shards: count,
-        shard_retries: tracks.iter().map(|t| t.retries as usize).sum(),
-        speculated: tracks.iter().filter(|t| t.speculated).count(),
+        shard_retries: tally.redispatched,
+        speculated: tally.speculated,
         missing_ranges: missing,
         reconnects: ctx.hub.reconnects.load(Ordering::SeqCst) - reconnects0,
-        leases_revoked: revoked_n,
+        leases_revoked: ctx.hub.leases_revoked.load(Ordering::SeqCst) - revoked0,
         frames_rejected: ctx.hub.frames_rejected.load(Ordering::SeqCst) - rejected0,
         peers_retired: ctx.hub.peers_retired.load(Ordering::SeqCst) - retired0,
-        ranges_audited: audit.ranges_audited,
-        audits_passed: audit.audits_passed,
-        workers_convicted: audit.workers_convicted,
-        ranges_invalidated: audit.ranges_invalidated,
+        ranges_audited: tally.audited,
+        audits_passed: tally.passed,
+        workers_convicted: tally.convicted,
+        ranges_invalidated: tally.invalidated,
         dispatch: Some(rig.machine.dispatch_stats()),
         cache_hits: ctx.cache_hits.load(Ordering::SeqCst),
         cache_misses: ctx.cache_misses.load(Ordering::SeqCst),
@@ -2524,8 +2011,8 @@ fn drive_campaign(
         sessions_resumed: ctx.sessions_resumed.load(Ordering::SeqCst),
         restarts: ctx.restarts,
     };
-    let records: Vec<InjectionRecord> = slots.into_iter().flatten().map(|(rec, _)| rec).collect();
-    let result = assemble(kernel, req.mode, &rig, records);
+    let records = shell.slots.into_iter().flatten().map(|(rec, _)| rec);
+    let result = assemble(kernel, req.mode, &rig, records.collect());
     eprintln!("serve: campaign '{}' for {label} assembled", result.name);
     Ok(DriveOutcome {
         live_notes,
@@ -2739,26 +2226,6 @@ pub fn submit_campaign_retry(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use nfp_core::Outcome;
-    use nfp_sim::FaultTarget;
-
-    fn fault(i: u64) -> Fault {
-        Fault {
-            at: 100 + i,
-            target: FaultTarget::IntReg {
-                index: (i % 8) as u8,
-                bit: (i % 32) as u8,
-            },
-        }
-    }
-
-    fn record(i: u64) -> InjectionRecord {
-        InjectionRecord {
-            fault: fault(i),
-            category: None,
-            outcome: Outcome::Masked,
-        }
-    }
 
     // -- resume ------------------------------------------------------
 
@@ -2983,29 +2450,6 @@ mod tests {
     // -- the audit tier -----------------------------------------------
 
     #[test]
-    fn audit_sampler_is_deterministic_and_rate_faithful() {
-        // Resume safety: the sample set is a pure function of
-        // (campaign seed, shard), so a restarted coordinator re-derives
-        // exactly the shards its predecessor had marked for audit.
-        for shard in 0..256 {
-            assert_eq!(
-                audit_sampled(0xfeed, shard, 0.25),
-                audit_sampled(0xfeed, shard, 0.25)
-            );
-        }
-        assert!((0..4096).all(|s| !audit_sampled(7, s, 0.0)));
-        assert!((0..4096).all(|s| audit_sampled(7, s, 1.0)));
-        let hits = (0..4096u32).filter(|&s| audit_sampled(7, s, 0.25)).count();
-        assert!((700..=1350).contains(&hits), "0.25 sampled {hits}/4096");
-        // Different seeds sample different sets.
-        let other = (0..4096u32).filter(|&s| audit_sampled(8, s, 0.25)).count();
-        assert!(
-            (0..4096u32).any(|s| audit_sampled(7, s, 0.25) != audit_sampled(8, s, 0.25)),
-            "seeds 7 and 8 picked identical sets ({hits} vs {other})"
-        );
-    }
-
-    #[test]
     fn parole_doubles_per_strike_and_caps() {
         assert_eq!(parole_delay(1), Duration::from_millis(500));
         assert_eq!(parole_delay(2), Duration::from_millis(1000));
@@ -3019,7 +2463,7 @@ mod tests {
 
     #[test]
     fn convictions_escalate_strikes_and_parole_gates_admission() {
-        let hub = Hub::new();
+        let hub = Hub::default();
         assert!(!hub.banned(5));
         assert_eq!(hub.ban(5), 1);
         assert_eq!(hub.ban(5), 2);
@@ -3038,7 +2482,11 @@ mod tests {
         assert!(!hub.banned(11));
     }
 
-    fn lease_to(shard: u32, exclude: Option<u64>, events: &mpsc::Sender<LeaseEvent>) -> Lease {
+    fn lease_to(
+        shard: u32,
+        exclude: Option<u64>,
+        events: &mpsc::Sender<Event<LeaseRecords>>,
+    ) -> Lease {
         Lease {
             hello: WorkerHello {
                 header: JournalHeader {
@@ -3073,8 +2521,8 @@ mod tests {
 
     #[test]
     fn audit_leases_wait_for_a_disjoint_worker() {
-        let hub = Hub::new();
-        let (tx, _rx) = mpsc::channel::<LeaseEvent>();
+        let hub = Hub::default();
+        let (tx, _rx) = mpsc::channel::<Event<LeaseRecords>>();
         hub.push_lease(lease_to(0, Some(7), &tx));
         hub.push_lease(lease_to(1, None, &tx));
         // The producer itself asks first: it must not be handed its own
@@ -3122,28 +2570,5 @@ mod tests {
             Instant::now() + Duration::from_secs(5),
         )
         .unwrap();
-    }
-
-    #[test]
-    fn matching_streams_ignore_attempt_counts() {
-        // An honest worker that needed a respawn mid-shard reports
-        // attempts > 1; the audit comparison must not convict it for
-        // that — only (index, record) content counts.
-        let a: LeaseRecords = vec![(0, record(0), 1), (1, record(1), 1)];
-        let b: LeaseRecords = vec![(0, record(0), 3), (1, record(1), 2)];
-        assert!(streams_match(&a, &b));
-        let local = vec![record(0), record(1)];
-        assert!(matches_local(&b, 0, &local));
-        assert!(!matches_local(&b, 1, &local));
-        // A flipped outcome is exactly what it must catch.
-        let mut lie = record(1);
-        lie.outcome = Outcome::Sdc;
-        let c: LeaseRecords = vec![(0, record(0), 1), (1, lie, 1)];
-        assert!(!streams_match(&a, &c));
-        assert!(!matches_local(&c, 0, &local));
-        // As is a silently shortened stream.
-        let d: LeaseRecords = vec![(0, record(0), 1)];
-        assert!(!streams_match(&a, &d));
-        assert!(!matches_local(&d, 0, &local));
     }
 }

@@ -18,17 +18,17 @@
 //!   slice of the plan. Distrusting a shard therefore costs one
 //!   streaming pass over its journal, not a re-simulation.
 //!
-//! [`run_sharded`] orchestrates: dispatch every shard, quarantine and
-//! re-dispatch the ones that fail (capped deterministic backoff, a
-//! retry budget per shard), speculatively duplicate stragglers, and
-//! finally [`merge_journals`] — which re-validates *everything* and
-//! rejects binding mismatches, CRC failures, range gaps/overlaps, and
-//! duplicate records with typed [`NfpError`]s. With
-//! [`ShardConfig::allow_partial`] a shard that exhausts its budget
-//! degrades the report to explicit missing ranges instead of failing
-//! the campaign.
+//! [`run_sharded`] is a shell around the crate's shard book, which makes
+//! every per-shard decision — a retry once its backoff deadline passes,
+//! a speculative duplicate of an attempt running past the straggler
+//! deadline, a loss, or with [`ShardConfig::allow_partial`] an explicit
+//! missing range — while the shell runs one supervised attempt thread
+//! per dispatch and quarantines failed journals. [`merge_journals`]
+//! then re-validates *everything* and rejects binding mismatches, CRC
+//! failures, range gaps/overlaps, and duplicate records with typed
+//! [`NfpError`]s.
 
-use crate::backoff::backoff_sleep;
+use crate::book::{Action, Event, Policy, ShardBook, Why};
 use crate::campaign::{assemble, CampaignConfig, CampaignResult, CampaignRig, InjectionRecord};
 use crate::evaluation::Mode;
 use crate::journal::{journal_err, load_journal, quarantine, read_journal, JournalHeader};
@@ -185,24 +185,6 @@ fn spec_journal_path(base: &Path, index: u32, count: u32) -> PathBuf {
     base.with_extension(format!("shard{index}of{count}.spec.jsonl"))
 }
 
-/// Per-shard orchestration state.
-struct ShardState {
-    /// Journal path of the first valid completed attempt.
-    done: Option<PathBuf>,
-    /// Set when the retry budget is exhausted under `allow_partial`.
-    lost: bool,
-    /// Failed or interrupted attempts charged against the budget.
-    retries: u32,
-    /// Total attempts dispatched (backoff ordinal and hook gate).
-    attempts: u32,
-    /// Attempts currently in flight (canonical plus speculative).
-    in_flight: usize,
-    /// Whether a speculative duplicate has been dispatched.
-    speculated: bool,
-    /// When the most recent attempt was dispatched.
-    started: Instant,
-}
-
 /// Runs a campaign as `cfg.shards` independent supervised sub-campaigns
 /// and merges their journals. Shards whose canonical journals already
 /// exist are resumed (a complete journal short-circuits immediately),
@@ -233,105 +215,113 @@ pub fn run_sharded(
         });
     }
     let campaign = &cfg.supervisor.campaign;
-    let injections = campaign.injections;
-    let seed = campaign.seed;
+    let count = cfg.shards;
 
-    let (tx, rx) = mpsc::channel::<(u32, PathBuf, Result<SupervisorOutcome, NfpError>)>();
-    let done_flags: Vec<Arc<AtomicBool>> = (0..cfg.shards)
-        .map(|_| Arc::new(AtomicBool::new(false)))
-        .collect();
-
-    // Attempts run on detached threads so a genuinely wedged shard can
-    // never hang the orchestrator: losers of a speculation race (and
-    // attempts outlasting an error return) die quietly when their send
-    // fails or their done flag short-circuits them.
-    let dispatch = |shard: u32, journal: PathBuf, resume: bool, attempt: u32| {
-        let kernel = kernel.clone();
-        let tx = tx.clone();
-        let done = Arc::clone(&done_flags[shard as usize]);
-        let mut sup = cfg.supervisor.clone();
-        sup.journal = Some(journal.clone());
-        sup.resume = resume;
-        sup.shard = Some(ShardSpec {
-            index: shard,
-            count: cfg.shards,
-        });
-        sup.test_abort_after = match cfg.test_abort_shard {
-            Some((s, after, first)) if s == shard && attempt < first => Some(after),
-            _ => None,
-        };
-        let stall = match cfg.test_stall_shard {
-            Some((s, d)) if s == shard && attempt == 0 => Some(d),
-            _ => None,
-        };
-        std::thread::spawn(move || {
-            if let Some(d) = stall {
-                std::thread::sleep(d);
-            }
-            if attempt > 0 {
-                // Deterministically jittered, capped — shard index
-                // doubles as the slot so crash-looping shards do not
-                // re-dispatch in lockstep.
-                backoff_sleep(seed, shard as usize, attempt, &AtomicBool::new(false));
-            }
-            if done.load(Ordering::Relaxed) {
-                return;
-            }
-            let outcome = run_supervised(&kernel, mode, &sup);
-            let _ = tx.send((shard, journal, outcome));
-        });
+    let (tx, rx) = mpsc::channel::<(u32, u32, PathBuf, Result<SupervisorOutcome, NfpError>)>();
+    let cancelled: Vec<Arc<AtomicBool>> = (0..count).map(|_| Arc::default()).collect();
+    let policy = Policy {
+        seed: campaign.seed,
+        injections: campaign.injections,
+        retries: cfg.shard_retries,
+        straggler: cfg.straggler,
+        allow_partial: cfg.allow_partial,
+        audit_rate: 0.0,
+        patience: Duration::ZERO,
     };
-
-    let mut states: Vec<ShardState> = (0..cfg.shards)
-        .map(|shard| {
-            let path = shard_journal_path(&base, shard, cfg.shards);
-            // An existing canonical journal is resumed: complete ones
-            // short-circuit inside the supervisor, torn ones continue
-            // from their intact prefix, corrupt ones fail the attempt
-            // and flow through quarantine + fresh re-dispatch below.
-            let resume = path.exists();
-            dispatch(shard, path, resume, 0);
-            ShardState {
-                done: None,
-                lost: false,
-                retries: 0,
-                attempts: 1,
-                in_flight: 1,
-                speculated: false,
-                started: Instant::now(),
-            }
-        })
-        .collect();
-
-    let mut kills = 0usize;
-    let mut respawns = 0usize;
-    let mut total_retries = 0usize;
-    let mut speculated = 0usize;
-
-    while states.iter().any(|s| s.done.is_none() && !s.lost) {
-        match rx.recv_timeout(Duration::from_millis(25)) {
-            Ok((shard, path, result)) => {
-                let idx = shard as usize;
-                states[idx].in_flight = states[idx].in_flight.saturating_sub(1);
-                if states[idx].done.is_some() || states[idx].lost {
-                    continue; // late loser of a speculation race
+    let (mut book, mut actions) = ShardBook::<PathBuf>::open(policy, &vec![false; count as usize]);
+    let clock = Instant::now();
+    let mut done: Vec<Option<PathBuf>> = vec![None; count as usize];
+    let (mut kills, mut respawns) = (0, 0);
+    loop {
+        for action in actions {
+            match action {
+                Action::Dispatch {
+                    shard,
+                    attempt,
+                    why,
+                    ..
+                } => {
+                    let journal = if why == Why::Speculate {
+                        eprintln!(
+                            "shards: shard {shard} straggling; speculative duplicate \
+                             dispatched (first valid result wins)"
+                        );
+                        let spec = spec_journal_path(&base, shard, count);
+                        let _ = std::fs::remove_file(&spec);
+                        spec
+                    } else {
+                        shard_journal_path(&base, shard, count)
+                    };
+                    let mut sup = cfg.supervisor.clone();
+                    // An existing canonical journal is resumed: complete
+                    // ones short-circuit inside the supervisor, torn or
+                    // interrupted ones continue from their intact prefix,
+                    // and corrupt ones fail the attempt, which quarantines
+                    // them aside for a fresh one.
+                    sup.resume = journal.exists();
+                    sup.journal = Some(journal.clone());
+                    sup.shard = Some(ShardSpec {
+                        index: shard,
+                        count,
+                    });
+                    // The test hooks number attempts from 0.
+                    let ordinal = attempt - 1;
+                    sup.test_abort_after = match cfg.test_abort_shard {
+                        Some((s, after, first)) if s == shard && ordinal < first => Some(after),
+                        _ => None,
+                    };
+                    let stall = match cfg.test_stall_shard {
+                        Some((s, d)) if s == shard && ordinal == 0 => Some(d),
+                        _ => None,
+                    };
+                    // Attempts run on detached threads so a wedged shard
+                    // can never hang the runner: losers of a speculation
+                    // race (and attempts outlasting an error return) die
+                    // quietly when their send fails or their shard
+                    // settled before they began.
+                    let (kernel, tx) = (kernel.clone(), tx.clone());
+                    let cancelled = Arc::clone(&cancelled[shard as usize]);
+                    std::thread::spawn(move || {
+                        if let Some(d) = stall {
+                            std::thread::sleep(d);
+                        }
+                        if !cancelled.load(Ordering::Relaxed) {
+                            let outcome = run_supervised(&kernel, mode, &sup);
+                            let _ = tx.send((shard, attempt, journal, outcome));
+                        }
+                    });
+                    // The attempt starts now: a retry has already waited
+                    // out its backoff deadline in the book.
+                    book.on(clock.elapsed(), Event::Leased { shard, attempt });
                 }
-                // A failed or interrupted attempt burns a retry, then
-                // either loses the shard or re-dispatches it: an
-                // interrupted one resumes its journal, a failed one
-                // starts a fresh journal at the canonical path.
-                let (resume, detail) = match result {
+                Action::Accept { shard, stream, .. } => done[shard as usize] = Some(stream),
+                Action::Cancel { shard } => {
+                    cancelled[shard as usize].store(true, Ordering::Relaxed)
+                }
+                Action::Lose(lost) => eprintln!("shards: {lost}; continuing under --allow-partial"),
+                Action::Fail(lost) => return Err(lost),
+                // Audits are the coordinator's: this runner samples none.
+                Action::Arbitrate { .. }
+                | Action::Verdict { .. }
+                | Action::Ban { .. }
+                | Action::Invalidate { .. } => {}
+            }
+        }
+        if book.finished() {
+            break;
+        }
+        actions = match rx.recv_timeout(Duration::from_millis(25)) {
+            // A late loser of a speculation race.
+            Ok((shard, ..)) if book.settled(shard) => Vec::new(),
+            Ok((shard, attempt, path, outcome)) => {
+                let failure = match outcome {
                     Ok(o) => {
                         kills += o.kills;
                         respawns += o.respawns;
-                        if !o.aborted {
-                            states[idx].done = Some(path);
-                            done_flags[idx].store(true, Ordering::Relaxed);
-                            continue;
-                        }
                         // Interrupted mid-run with a valid journal on
                         // disk (the simulated-SIGKILL hook).
-                        (true, "interrupted on every attempt".to_string())
+                        o.aborted
+                            .then(|| "interrupted on every attempt".to_string())
                     }
                     Err(e) => {
                         // A lost/torn/corrupt attempt: move the journal
@@ -342,83 +332,41 @@ pub fn run_sharded(
                             |q| format!("journal quarantined to {}", q.display()),
                         );
                         eprintln!("shards: shard {shard} attempt failed ({e}); {aside}");
-                        (false, e.to_string())
+                        Some(e.to_string())
                     }
                 };
-                if states[idx].in_flight > 0 {
-                    continue; // a duplicate attempt is still going
-                }
-                states[idx].retries += 1;
-                total_retries += 1;
-                if states[idx].retries > cfg.shard_retries {
-                    let (start, end) = shard_range(injections, shard, cfg.shards);
-                    let lost = NfpError::ShardLost {
+                let event = match failure {
+                    None => Event::Returned {
                         shard,
-                        start: start as u64,
-                        end: end as u64,
+                        attempt,
+                        wid: 0,
+                        banned: false,
+                        stream: path,
+                    },
+                    Some(detail) => Event::Failed {
+                        shard,
+                        attempt,
                         detail,
-                    };
-                    if !cfg.allow_partial {
-                        return Err(lost);
-                    }
-                    eprintln!("shards: {lost}; continuing under --allow-partial");
-                    states[idx].lost = true;
-                    continue;
-                }
-                let journal = if resume {
-                    eprintln!(
-                        "shards: shard {shard} interrupted; re-dispatching with resume \
-                         (retry {} of {})",
-                        states[idx].retries, cfg.shard_retries
-                    );
-                    path
-                } else {
-                    shard_journal_path(&base, shard, cfg.shards)
+                    },
                 };
-                dispatch(shard, journal, resume, states[idx].attempts);
-                states[idx].attempts += 1;
-                states[idx].in_flight += 1;
-                states[idx].started = Instant::now();
+                book.on(clock.elapsed(), event)
             }
-            Err(mpsc::RecvTimeoutError::Timeout) => {}
+            Err(mpsc::RecvTimeoutError::Timeout) => Vec::new(),
             Err(mpsc::RecvTimeoutError::Disconnected) => break, // unreachable: tx lives here
-        }
-        if let Some(limit) = cfg.straggler {
-            for shard in 0..cfg.shards {
-                let s = &mut states[shard as usize];
-                if s.done.is_none()
-                    && !s.lost
-                    && !s.speculated
-                    && s.in_flight > 0
-                    && s.started.elapsed() >= limit
-                {
-                    s.speculated = true;
-                    speculated += 1;
-                    let spec = spec_journal_path(&base, shard, cfg.shards);
-                    let _ = std::fs::remove_file(&spec);
-                    eprintln!(
-                        "shards: shard {shard} straggling past {}ms; speculative duplicate \
-                         dispatched (first valid result wins)",
-                        limit.as_millis()
-                    );
-                    let attempt = s.attempts;
-                    dispatch(shard, spec, false, attempt);
-                    s.attempts += 1;
-                    s.in_flight += 1;
-                }
-            }
-        }
+        };
+        actions.extend(book.on(clock.elapsed(), Event::Tick { stranded: false }));
     }
 
-    let paths: Vec<PathBuf> = states.iter().filter_map(|s| s.done.clone()).collect();
+    let paths: Vec<PathBuf> = done.into_iter().flatten().collect();
     let merged = merge_journals(kernel, mode, campaign, &paths, cfg.allow_partial)?;
+    let tally = book.tally();
     Ok(ShardOutcome {
         result: merged.result,
         shards: cfg.shards,
         kills,
         respawns,
-        shard_retries: total_retries,
-        speculated,
+        shard_retries: tally.redispatched,
+        speculated: tally.speculated,
         missing_ranges: merged.missing_ranges,
         dispatch: merged.dispatch,
     })
