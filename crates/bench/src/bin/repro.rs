@@ -117,11 +117,36 @@ fn flag_value<'a>(args: &'a [String], name: &str) -> Option<&'a str> {
         .map(String::as_str)
 }
 
-fn preset_from_args(args: &[String]) -> Preset {
+/// The value following `--flag` parsed as a `T`. A value that does not
+/// parse fails argument parsing: "`name` wants `what`, got '`value`'".
+fn parsed<T: std::str::FromStr>(args: &[String], name: &str, what: &str) -> Option<T> {
+    flag_value(args, name).map(|v| {
+        v.parse().unwrap_or_else(|_| {
+            fail(
+                "argument parsing",
+                format!("{name} wants {what}, got '{v}'"),
+            )
+        })
+    })
+}
+
+/// The value following `--flag` as a fraction in `0..=1`.
+fn fraction(args: &[String], name: &str) -> Option<f64> {
+    flag_value(args, name).map(|v| match v.parse::<f64>() {
+        Ok(x) if (0.0..=1.0).contains(&x) => x,
+        _ => fail(
+            "argument parsing",
+            format!("{name} wants a fraction in 0..=1, got '{v}'"),
+        ),
+    })
+}
+
+/// The workload preset `--quick` picks.
+fn worker_preset(args: &[String]) -> WorkerPreset {
     if args.iter().any(|a| a == "--quick") {
-        Preset::quick()
+        WorkerPreset::Quick
     } else {
-        Preset::paper()
+        WorkerPreset::Paper
     }
 }
 
@@ -163,13 +188,8 @@ fn run_results(eval: &Evaluation, kernels: &[Kernel]) -> Vec<KernelResult> {
 /// millions of instructions per injection.
 fn run_campaign_command(args: &[String], preset: &Preset) {
     let mut campaign = CampaignConfig::default();
-    if let Some(n) = flag_value(args, "--injections") {
-        campaign.injections = n.parse().unwrap_or_else(|_| {
-            fail(
-                "argument parsing",
-                format!("--injections wants a count, got '{n}'"),
-            )
-        });
+    if let Some(n) = parsed(args, "--injections", "a count") {
+        campaign.injections = n;
     }
     if let Some(d) = flag_value(args, "--dispatch") {
         campaign.dispatch = Dispatch::parse(d).unwrap_or_else(|| {
@@ -180,11 +200,7 @@ fn run_campaign_command(args: &[String], preset: &Preset) {
         });
     }
     let mut sup = SupervisorConfig::new(campaign);
-    sup.preset = if args.iter().any(|a| a == "--quick") {
-        WorkerPreset::Quick
-    } else {
-        WorkerPreset::Paper
-    };
+    sup.preset = worker_preset(args);
     if let Some(mode) = flag_value(args, "--isolation") {
         sup.isolation = match mode {
             "thread" => WorkerIsolation::Thread,
@@ -195,32 +211,17 @@ fn run_campaign_command(args: &[String], preset: &Preset) {
             ),
         };
     }
-    let ms_flag = |name: &str| {
-        flag_value(args, name).map(|v| {
-            v.parse::<u64>().unwrap_or_else(|_| {
-                fail(
-                    "argument parsing",
-                    format!("{name} wants milliseconds, got '{v}'"),
-                )
-            })
-        })
-    };
-    if let Some(ms) = ms_flag("--heartbeat-ms") {
+    if let Some(ms) = parsed::<u64>(args, "--heartbeat-ms", "milliseconds") {
         sup.heartbeat = Duration::from_millis(ms.max(1));
     }
-    sup.deadline = ms_flag("--deadline-ms").map(Duration::from_millis);
+    sup.deadline = parsed(args, "--deadline-ms", "milliseconds").map(Duration::from_millis);
     if sup.deadline.is_none() && sup.isolation == WorkerIsolation::Process {
         // Process isolation without any deadline cannot put down a
         // worker wedged mid-replay; default to a generous bound.
         sup.deadline = Some(Duration::from_secs(300));
     }
-    if let Some(n) = flag_value(args, "--max-respawns") {
-        sup.max_respawns = n.parse().unwrap_or_else(|_| {
-            fail(
-                "argument parsing",
-                format!("--max-respawns wants a count, got '{n}'"),
-            )
-        });
+    if let Some(n) = parsed(args, "--max-respawns", "a count") {
+        sup.max_respawns = n;
     }
     sup.journal = flag_value(args, "--journal").map(PathBuf::from);
     if let Some(path) = flag_value(args, "--resume") {
@@ -235,18 +236,8 @@ fn run_campaign_command(args: &[String], preset: &Preset) {
         sup.resume = true;
     }
 
-    let count_flag = |name: &str| {
-        flag_value(args, name).map(|v| {
-            v.parse::<u32>().unwrap_or_else(|_| {
-                fail(
-                    "argument parsing",
-                    format!("{name} wants a count, got '{v}'"),
-                )
-            })
-        })
-    };
-    let shards = count_flag("--shards");
-    let shard_index = count_flag("--shard-index");
+    let shards: Option<u32> = parsed(args, "--shards", "a count");
+    let shard_index: Option<u32> = parsed(args, "--shard-index", "a count");
     let allow_partial = args.iter().any(|a| a == "--allow-partial");
     match (shards, shard_index) {
         (Some(0), _) => fail("argument parsing", "--shards wants a nonzero count"),
@@ -275,8 +266,6 @@ fn run_campaign_command(args: &[String], preset: &Preset) {
         }
     }
 
-    // A journal binds to exactly one kernel+mode, so a multi-kernel
-    // sweep derives one journal per kernel from the given path.
     let base_journal = sup.journal.clone();
     for kernel in &kernels {
         // A journal binds to exactly one kernel+mode, so a multi-kernel
@@ -298,10 +287,10 @@ fn run_campaign_command(args: &[String], preset: &Preset) {
         if let (Some(count), None) = (shards, shard_index) {
             let mut cfg = ShardConfig::new(sup.clone(), count);
             cfg.supervisor.journal = journal;
-            if let Some(k) = count_flag("--shard-retries") {
+            if let Some(k) = parsed(args, "--shard-retries", "a count") {
                 cfg.shard_retries = k;
             }
-            if let Some(ms) = ms_flag("--straggler-ms") {
+            if let Some(ms) = parsed::<u64>(args, "--straggler-ms", "milliseconds") {
                 cfg.straggler = Some(Duration::from_millis(ms.max(1)));
             }
             cfg.allow_partial = allow_partial;
@@ -392,60 +381,32 @@ fn run_merge_command(args: &[String], preset: &Preset) {
 /// The `serve` subcommand: a remote dispatch coordinator. Workers dial
 /// in with `repro worker --connect`, clients with `repro submit`.
 fn run_serve_command(args: &[String]) {
-    let ms_flag = |name: &str| {
-        flag_value(args, name).map(|v| {
-            v.parse::<u64>().unwrap_or_else(|_| {
-                fail(
-                    "argument parsing",
-                    format!("{name} wants milliseconds, got '{v}'"),
-                )
-            })
-        })
-    };
-    let count_flag = |name: &str| {
-        flag_value(args, name).map(|v| {
-            v.parse::<usize>().unwrap_or_else(|_| {
-                fail(
-                    "argument parsing",
-                    format!("{name} wants a count, got '{v}'"),
-                )
-            })
-        })
-    };
+    let ms = |name: &str| parsed::<u64>(args, name, "milliseconds");
     let mut cfg = ServeConfig::default();
     if let Some(addr) = flag_value(args, "--listen") {
         cfg.listen = addr.to_string();
     }
-    cfg.preset = if args.iter().any(|a| a == "--quick") {
-        WorkerPreset::Quick
-    } else {
-        WorkerPreset::Paper
-    };
-    if let Some(n) = count_flag("--max-inflight") {
+    cfg.preset = worker_preset(args);
+    if let Some(n) = parsed(args, "--max-inflight", "a count") {
         cfg.max_inflight = n;
     }
-    if let Some(n) = count_flag("--max-queue") {
+    if let Some(n) = parsed(args, "--max-queue", "a count") {
         cfg.max_queued_per_client = n;
     }
-    if let Some(ms) = ms_flag("--peer-grace-ms") {
+    if let Some(ms) = ms("--peer-grace-ms") {
         cfg.peer_grace = Duration::from_millis(ms);
     }
-    if let Some(ms) = ms_flag("--lease-ms") {
+    if let Some(ms) = ms("--lease-ms") {
         cfg.lease_timeout = Duration::from_millis(ms.max(1));
     }
-    if let Some(ms) = ms_flag("--heartbeat-ms") {
+    if let Some(ms) = ms("--heartbeat-ms") {
         cfg.heartbeat = Duration::from_millis(ms.max(1));
     }
-    cfg.straggler = ms_flag("--straggler-ms").map(|ms| Duration::from_millis(ms.max(1)));
-    if let Some(n) = flag_value(args, "--shard-retries") {
-        cfg.shard_retries = n.parse().unwrap_or_else(|_| {
-            fail(
-                "argument parsing",
-                format!("--shard-retries wants a count, got '{n}'"),
-            )
-        });
+    cfg.straggler = ms("--straggler-ms").map(|ms| Duration::from_millis(ms.max(1)));
+    if let Some(n) = parsed(args, "--shard-retries", "a count") {
+        cfg.shard_retries = n;
     }
-    cfg.campaigns = count_flag("--campaigns");
+    cfg.campaigns = parsed(args, "--campaigns", "a count");
     cfg.journal = flag_value(args, "--journal").map(PathBuf::from);
     cfg.resume = args.iter().any(|a| a == "--resume");
     if cfg.resume && cfg.journal.is_none() {
@@ -455,7 +416,7 @@ fn run_serve_command(args: &[String]) {
         );
     }
     cfg.drain = flag_value(args, "--drain").map(PathBuf::from);
-    if let Some(n) = count_flag("--cache-cap-bytes") {
+    if let Some(n) = parsed(args, "--cache-cap-bytes", "a count") {
         cfg.cache_cap_bytes = n;
     }
     if let Some(mode) = flag_value(args, "--isolation") {
@@ -468,14 +429,7 @@ fn run_serve_command(args: &[String]) {
             ),
         };
     }
-    if let Some(v) = flag_value(args, "--audit-rate") {
-        let rate = v.parse::<f64>().unwrap_or(-1.0);
-        if !(0.0..=1.0).contains(&rate) {
-            fail(
-                "argument parsing",
-                format!("--audit-rate wants a fraction in 0..=1, got '{v}'"),
-            );
-        }
+    if let Some(rate) = fraction(args, "--audit-rate") {
         cfg.audit_rate = rate;
     }
     let server = Server::bind(cfg).unwrap_or_else(|e| fail("serve bind", e));
@@ -515,23 +469,16 @@ fn run_submit_command(args: &[String]) {
         fail("argument parsing", "submit wants --connect HOST:PORT");
     };
     let mut campaign = CampaignConfig::default();
-    if let Some(n) = flag_value(args, "--injections") {
-        campaign.injections = n.parse().unwrap_or_else(|_| {
-            fail(
-                "argument parsing",
-                format!("--injections wants a count, got '{n}'"),
-            )
-        });
+    if let Some(n) = parsed(args, "--injections", "a count") {
+        campaign.injections = n;
     }
-    if let Some(n) = flag_value(args, "--seed") {
-        campaign.seed = n
-            .parse()
-            .unwrap_or_else(|_| fail("argument parsing", format!("--seed wants a u64, got '{n}'")));
+    if let Some(seed) = parsed(args, "--seed", "a u64") {
+        campaign.seed = seed;
     }
     // The submitted kernel must resolve inside the *coordinator's*
     // preset; `--quick` here only picks which showcase registry the
     // name is resolved against for the error message locality.
-    let preset = preset_from_args(args);
+    let preset = worker_preset(args).build();
     let kernels = showcase_kernels(&preset);
     let filter = flag_value(args, "--kernel").unwrap_or("");
     let Some(kernel) = kernels.iter().find(|k| k.name.contains(filter)) else {
@@ -545,28 +492,10 @@ fn run_submit_command(args: &[String]) {
         kernel: kernel.name.clone(),
         mode: Mode::Float,
         campaign,
-        shards: flag_value(args, "--shards")
-            .map(|v| {
-                v.parse().unwrap_or_else(|_| {
-                    fail(
-                        "argument parsing",
-                        format!("--shards wants a count (0 = auto), got '{v}'"),
-                    )
-                })
-            })
-            .unwrap_or(0),
+        shards: parsed(args, "--shards", "a count (0 = auto)").unwrap_or(0),
         allow_partial: args.iter().any(|a| a == "--allow-partial"),
     };
-    let retries: u32 = flag_value(args, "--retry")
-        .map(|v| {
-            v.parse().unwrap_or_else(|_| {
-                fail(
-                    "argument parsing",
-                    format!("--retry wants a reconnect count, got '{v}'"),
-                )
-            })
-        })
-        .unwrap_or(0);
+    let retries = parsed(args, "--retry", "a reconnect count").unwrap_or(0);
     eprintln!(
         "  submitting {} ({} injections) to {addr}...",
         req.kernel, req.campaign.injections
@@ -589,40 +518,15 @@ fn main() {
     // machinery.
     if command == "worker" {
         if let Some(addr) = flag_value(&args, "--connect") {
-            let max_retries = flag_value(&args, "--max-retries")
-                .map(|v| {
-                    v.parse::<u32>().unwrap_or_else(|_| {
-                        fail(
-                            "argument parsing",
-                            format!("--max-retries wants a count, got '{v}'"),
-                        )
-                    })
-                })
-                .unwrap_or(8);
+            let max_retries = parsed(&args, "--max-retries", "a count").unwrap_or(8);
             // Test-only saboteur: with --lie-rate the worker returns
             // plausible, CRC-valid but falsified outcomes for a seeded
             // fraction of its injections — the adversary the audit
             // tier exists to convict. Never set this outside chaos
             // testing.
-            let lies = flag_value(&args, "--lie-rate").map(|v| {
-                let rate = v.parse::<f64>().unwrap_or(-1.0);
-                if !(0.0..=1.0).contains(&rate) {
-                    fail(
-                        "argument parsing",
-                        format!("--lie-rate wants a fraction in 0..=1, got '{v}'"),
-                    );
-                }
-                let seed = flag_value(&args, "--lie-seed")
-                    .map(|s| {
-                        s.parse::<u64>().unwrap_or_else(|_| {
-                            fail(
-                                "argument parsing",
-                                format!("--lie-seed wants an integer, got '{s}'"),
-                            )
-                        })
-                    })
-                    .unwrap_or(0);
-                nfp_bench::LiePlan { rate, seed }
+            let lies = fraction(&args, "--lie-rate").map(|rate| nfp_bench::LiePlan {
+                rate,
+                seed: parsed(&args, "--lie-seed", "an integer").unwrap_or(0),
             });
             std::process::exit(nfp_bench::run_worker_connect_with(addr, max_retries, lies));
         }
@@ -639,7 +543,7 @@ fn main() {
         return;
     }
 
-    let preset = preset_from_args(&args);
+    let preset = worker_preset(&args).build();
 
     // The campaign needs no calibration; it is also the long-running
     // mode where crash-safety flags apply, so it gets its own path.

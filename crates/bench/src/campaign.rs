@@ -24,7 +24,7 @@
 //! seed, same kernel, same counts — the basis for the campaign
 //! regression test.
 
-use crate::evaluation::Mode;
+use crate::evaluation::{collect_parallel_slots, run_pool, Mode};
 use nfp_core::{NfpError, Outcome, VulnerabilityReport};
 use nfp_sim::fault::{inject, plan, undo};
 use nfp_sim::machine::TrapPolicy;
@@ -325,15 +325,13 @@ pub fn run_campaign(
 /// Like [`run_campaign`] but sweeping injections across worker threads.
 /// Each worker replays the golden run on its own machine and processes
 /// a contiguous chunk of the (deterministic) fault plan; the merged
-/// result is identical to the sequential campaign's.
+/// result is identical to the sequential campaign's. A chunk whose
+/// worker panicked reports [`NfpError::WorkerLost`] naming the chunk.
 pub fn run_campaign_parallel(
     kernel: &Kernel,
     mode: Mode,
     cfg: &CampaignConfig,
 ) -> Result<CampaignResult, NfpError> {
-    use std::sync::Mutex;
-    type ChunkSlot = Mutex<Option<Result<Vec<InjectionRecord>, NfpError>>>;
-
     let (rig, space) = CampaignRig::prepare(kernel, mode, cfg)?;
     let faults = plan(&space, cfg.injections, cfg.seed);
     let workers = std::thread::available_parallelism()
@@ -342,38 +340,25 @@ pub fn run_campaign_parallel(
         .min(faults.len().max(1));
     let chunk_len = faults.len().div_ceil(workers.max(1)).max(1);
     let chunks: Vec<&[Fault]> = faults.chunks(chunk_len).collect();
-    let slots: Vec<ChunkSlot> = chunks.iter().map(|_| Mutex::new(None)).collect();
-
-    std::thread::scope(|scope| {
-        for (slot, chunk) in slots.iter().zip(&chunks) {
-            scope.spawn(move || {
-                let result = (|| {
-                    let (mut rig, _) = CampaignRig::prepare(kernel, mode, cfg)?;
-                    chunk.iter().map(|f| rig.run_one(f, cfg.wall)).collect()
-                })();
-                *slot
-                    .lock()
-                    .unwrap_or_else(std::sync::PoisonError::into_inner) = Some(result);
-            });
-        }
+    let names: Vec<String> = chunks
+        .iter()
+        .enumerate()
+        .map(|(i, chunk)| {
+            format!(
+                "campaign chunk {i} of {}_{} ({} injections)",
+                kernel.name,
+                mode.suffix(),
+                chunk.len()
+            )
+        })
+        .collect();
+    // One chunk per thread.
+    let done = run_pool(&chunks, chunks.len(), |chunk| {
+        let (mut rig, _) = CampaignRig::prepare(kernel, mode, cfg)?;
+        chunk.iter().map(|f| rig.run_one(f, cfg.wall)).collect()
     });
-
-    let mut records = Vec::with_capacity(faults.len());
-    for (i, slot) in slots.into_iter().enumerate() {
-        let chunk = slot
-            .into_inner()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .ok_or_else(|| NfpError::WorkerLost {
-                job: format!(
-                    "campaign chunk {i} of {}_{} ({} injections)",
-                    kernel.name,
-                    mode.suffix(),
-                    chunks.get(i).map_or(0, |c| c.len())
-                ),
-            })??;
-        records.extend(chunk);
-    }
-    Ok(assemble(kernel, mode, &rig, records))
+    let records: Vec<Vec<InjectionRecord>> = collect_parallel_slots(done, &names)?;
+    Ok(assemble(kernel, mode, &rig, records.concat()))
 }
 
 pub(crate) fn assemble(

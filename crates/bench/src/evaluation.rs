@@ -273,7 +273,7 @@ impl Evaluation {
 /// the jobs in slice order, and returns each job's result in the job's
 /// slot. A job that panics leaves its slot `None`, and its thread goes
 /// on to the next job.
-fn run_pool<J: Sync, T: Send>(
+pub(crate) fn run_pool<J: Sync, T: Send>(
     jobs: &[J],
     threads: usize,
     work: impl Fn(&J) -> T + Sync,
@@ -311,11 +311,11 @@ fn run_pool<J: Sync, T: Send>(
     slots
 }
 
-/// Drains the per-job result slots of [`Evaluation::run_all_parallel`]
-/// in plan order. An empty slot (its job panicked, or its worker died)
-/// reports [`NfpError::WorkerLost`] naming the kernel variant, so an
-/// operator knows exactly which job to rerun.
-fn collect_parallel_slots<T>(
+/// Drains the per-job result slots of [`run_pool`] in plan order. An
+/// empty slot (its job panicked, or its worker died) reports
+/// [`NfpError::WorkerLost`] naming the job (a kernel variant, a
+/// campaign chunk), so an operator knows exactly which job to rerun.
+pub(crate) fn collect_parallel_slots<T>(
     slots: Vec<Option<Result<T, NfpError>>>,
     names: &[String],
 ) -> Result<Vec<T>, NfpError> {

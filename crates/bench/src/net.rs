@@ -1,5 +1,6 @@
 //! Length-prefixed framing for every worker, coordinator and client
-//! stream, over TCP and over a worker process's pipes alike.
+//! stream, over TCP and over a worker process's pipes alike, and the
+//! one lease driver both campaign pools use.
 //!
 //! Reads time out mid-frame, peers vanish mid-byte, and a hostile (or
 //! merely broken) peer can claim an absurd length. So the wire carries
@@ -12,11 +13,26 @@
 //! non-UTF-8 payload — is a typed [`NfpError::ProtocolViolation`];
 //! transport failures are typed [`NfpError::Net`]. Nothing here
 //! panics, and nothing blocks past the socket's configured timeout.
+//!
+//! A [`Link`] carries one conversation's frames over a socket or a
+//! child's pipes, with a liveness clock (a beat and a silence limit,
+//! set per conversation) ticking every [`READ_TICK`]. [`drive_lease`]
+//! runs one lease over a link under the one liveness rule of DESIGN.md
+//! §11: silence ends the lease when it outlasts the link's limit,
+//! counted from the later of the hello and the last frame, and so does
+//! a deadline counted from the hello. Every way a conversation breaks
+//! is a [`Failure`] typed by its [`HarnessCause`].
 
 use crate::flatjson::{esc, parse_flat, Obj};
-use crate::worker::WorkerPreset;
-use nfp_core::NfpError;
+use crate::journal::{LeaseCheck, LeaseRecords, Step};
+use crate::worker::{render_hello, WorkerHello, WorkerPreset};
+use nfp_core::{HarnessCause, NfpError};
+use nfp_sim::Fault;
 use std::io::{ErrorKind, Read, Write};
+use std::net::TcpStream;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::mpsc;
+use std::time::{Duration, Instant};
 
 /// Maximum frame payload: no legitimate hello, record, or report chunk
 /// comes close, and anything larger is a protocol violation rather
@@ -24,7 +40,7 @@ use std::io::{ErrorKind, Read, Write};
 pub(crate) const MAX_FRAME: usize = 64 * 1024;
 
 /// Shorthand for the typed violation error.
-fn violation(detail: impl Into<String>) -> NfpError {
+pub(crate) fn violation(detail: impl Into<String>) -> NfpError {
     NfpError::ProtocolViolation {
         detail: detail.into(),
     }
@@ -161,14 +177,6 @@ pub(crate) fn write_frame(w: &mut impl Write, payload: &str) -> std::io::Result<
     w.flush()
 }
 
-/// Maps a frame-write failure to a typed transport error.
-pub(crate) fn send_err(addr: &str, e: std::io::Error) -> NfpError {
-    NfpError::Net {
-        addr: addr.to_string(),
-        detail: format!("write failed: {e}"),
-    }
-}
-
 // ---------------------------------------------------------------------
 // Control frames. Leases are the worker hello frame; records and fins
 // reuse the journal line renderings; the rest of the conversation is
@@ -268,6 +276,256 @@ pub(crate) fn render_reject(client: &str, reason: &str) -> String {
         esc(client),
         esc(reason)
     )
+}
+
+/// The `kind` a frame names, if it parses.
+pub(crate) fn frame_kind(frame: &str) -> Option<String> {
+    Obj(parse_flat(frame)?).str("kind").map(str::to_string)
+}
+
+// ---------------------------------------------------------------------
+// Links and the lease driver.
+// ---------------------------------------------------------------------
+
+/// Read timeout per poll: every conversation's tick.
+pub(crate) const READ_TICK: Duration = Duration::from_millis(50);
+
+/// Write timeout: a peer that cannot drain a few hundred bytes in this
+/// long is as good as gone.
+pub(crate) const WRITE_TIMEOUT: Duration = Duration::from_secs(5);
+
+/// Readies a connected socket for framed conversation: no Nagle delay,
+/// reads that return within a [`READ_TICK`], writes bounded by
+/// [`WRITE_TIMEOUT`]. Every socket of the crate is set up here.
+pub(crate) fn tick_socket(stream: &TcpStream) -> std::io::Result<()> {
+    let _ = stream.set_nodelay(true);
+    stream.set_read_timeout(Some(READ_TICK))?;
+    stream.set_write_timeout(Some(WRITE_TIMEOUT))
+}
+
+/// How long a worker that heartbeats every `heartbeat` may go silent:
+/// ten missed beats, and never less than two seconds.
+pub(crate) fn worker_silence(heartbeat: Duration) -> Duration {
+    (heartbeat * 10).max(Duration::from_secs(2))
+}
+
+/// Why a conversation or a lease broke, in the quarantine vocabulary:
+/// silence is a heartbeat timeout, an overrun lease a deadline, a
+/// refused frame a protocol violation, and a stream that ended or
+/// failed a dead worker (whose signal only the process pool can tell).
+#[derive(Debug)]
+pub(crate) struct Failure {
+    pub(crate) cause: HarnessCause,
+    pub(crate) detail: String,
+}
+
+impl Failure {
+    pub(crate) fn new(cause: HarnessCause, detail: impl Into<String>) -> Failure {
+        Failure {
+            cause,
+            detail: detail.into(),
+        }
+    }
+
+    /// A stream that ended or failed.
+    pub(crate) fn lost(detail: impl Into<String>) -> Failure {
+        Failure::new(HarnessCause::WorkerKilled { signal: None }, detail)
+    }
+}
+
+impl From<NfpError> for Failure {
+    fn from(e: NfpError) -> Failure {
+        match e {
+            NfpError::ProtocolViolation { detail } => {
+                Failure::new(HarnessCause::ProtocolViolation, detail)
+            }
+            NfpError::Net { detail, .. } => Failure::lost(detail),
+            e => Failure::lost(e.to_string()),
+        }
+    }
+}
+
+/// One conversation's frames over a socket or a child's pipes, with its
+/// liveness clock.
+pub(crate) struct Link {
+    /// One read of at most a [`READ_TICK`].
+    recv: Box<dyn FnMut() -> Result<Recv, NfpError> + Send>,
+    /// Where this side's frames go.
+    tx: Box<dyn Write + Send>,
+    /// Heartbeat interval towards the other side; `None` sends none.
+    beat: Option<Duration>,
+    /// How long the other side may say nothing; `None` waits for ever.
+    silence: Option<Duration>,
+    /// When the other side last sent a frame (or the clock restarted).
+    heard: Instant,
+    /// When this side last sent a frame.
+    sent: Instant,
+}
+
+impl Link {
+    fn over(
+        recv: impl FnMut() -> Result<Recv, NfpError> + Send + 'static,
+        tx: impl Write + Send + 'static,
+    ) -> Link {
+        let now = Instant::now();
+        Link {
+            recv: Box::new(recv),
+            tx: Box::new(tx),
+            beat: None,
+            silence: None,
+            heard: now,
+            sent: now,
+        }
+    }
+
+    /// A link over a connected socket, readied by [`tick_socket`].
+    pub(crate) fn tcp(stream: TcpStream, peer: impl Into<String>) -> std::io::Result<Link> {
+        tick_socket(&stream)?;
+        let (mut from, mut reader) = (stream.try_clone()?, FrameReader::new(peer));
+        Ok(Link::over(move || reader.recv(&mut from), stream))
+    }
+
+    /// A link over a child's pipes. Blocking pipe reads carry no
+    /// timeout, so a detached thread frames `from` into a channel: it
+    /// exits at the end of the stream, after a framing error (which it
+    /// passes on), or once the link is gone.
+    pub(crate) fn pipes(
+        mut from: impl Read + Send + 'static,
+        to: impl Write + Send + 'static,
+        peer: &str,
+    ) -> Link {
+        let (tx, rx) = mpsc::channel();
+        let mut reader = FrameReader::new(peer);
+        std::thread::spawn(move || loop {
+            let got = reader.recv(&mut from);
+            let more = matches!(got, Ok(Recv::Frame(_) | Recv::Idle));
+            if tx.send(got).is_err() || !more {
+                return;
+            }
+        });
+        Link::over(move || channel_recv(&rx), to)
+    }
+
+    /// Sets the conversation's beat and silence limit, and restarts the
+    /// clock.
+    pub(crate) fn pace(&mut self, beat: Option<Duration>, silence: Option<Duration>) {
+        self.beat = beat;
+        self.silence = silence;
+        self.heard = Instant::now();
+        self.sent = self.heard;
+    }
+
+    /// Sends one frame; any frame stands in for a due heartbeat.
+    pub(crate) fn send(&mut self, frame: &str) -> std::io::Result<()> {
+        write_frame(&mut self.tx, frame)?;
+        self.sent = Instant::now();
+        Ok(())
+    }
+
+    /// One tick: a heartbeat when one is due, then one read of at most
+    /// [`READ_TICK`]. `Ok(None)` is a quiet tick within the silence
+    /// limit.
+    pub(crate) fn poll(&mut self) -> Result<Option<String>, Failure> {
+        if self.beat.is_some_and(|beat| self.sent.elapsed() >= beat) {
+            self.send(HB_FRAME)
+                .map_err(|e| Failure::lost(format!("heartbeat write failed: {e}")))?;
+        }
+        match (self.recv)()? {
+            Recv::Frame(frame) => {
+                self.heard = Instant::now();
+                Ok(Some(frame))
+            }
+            Recv::Idle => match self.silence {
+                Some(limit) if self.heard.elapsed() > limit => Err(Failure::new(
+                    HarnessCause::HeartbeatTimeout,
+                    format!("silent for {}ms", self.heard.elapsed().as_millis()),
+                )),
+                _ => Ok(None),
+            },
+            Recv::Eof => Err(Failure::lost("the stream ended")),
+        }
+    }
+
+    /// Waits for the next frame; `Ok(None)` once `stop` is raised. A
+    /// stop flag publishes no data, so it is read with a relaxed load,
+    /// here and in [`drive_lease`].
+    pub(crate) fn next(&mut self, stop: &AtomicBool) -> Result<Option<String>, Failure> {
+        while !stop.load(Ordering::Relaxed) {
+            if let Some(frame) = self.poll()? {
+                return Ok(Some(frame));
+            }
+        }
+        Ok(None)
+    }
+
+    /// One tick of a conversation in which the other side owes nothing
+    /// but heartbeats: any other frame is a violation.
+    pub(crate) fn idle(&mut self) -> Result<(), Failure> {
+        match self.poll()?.map(|frame| frame_kind(&frame)) {
+            Some(kind) if kind.as_deref() != Some("hb") => Err(Failure::new(
+                HarnessCause::ProtocolViolation,
+                format!("unexpected frame {kind:?} while idle"),
+            )),
+            _ => Ok(()),
+        }
+    }
+}
+
+/// One read of frames a reader thread made: what it read, an idle tick
+/// after a [`READ_TICK`] without any, or the end once the thread is gone.
+fn channel_recv(rx: &mpsc::Receiver<Result<Recv, NfpError>>) -> Result<Recv, NfpError> {
+    match rx.recv_timeout(READ_TICK) {
+        Ok(got) => got,
+        Err(mpsc::RecvTimeoutError::Timeout) => Ok(Recv::Idle),
+        Err(mpsc::RecvTimeoutError::Disconnected) => Ok(Recv::Eof),
+    }
+}
+
+/// How a driven lease ended, short of a [`Failure`].
+#[derive(Debug)]
+pub(crate) enum LeaseEnd {
+    /// The fin sealed the range: its checked records, in plan order.
+    Fin(LeaseRecords),
+    /// `stop` was raised mid-lease.
+    Stopped,
+    /// The worker reported a fatal error, in its own words.
+    Error(String),
+}
+
+/// Runs one lease over `link`: sends `hello`, then feeds every frame
+/// the worker sends to the lease checker until a fin seals the range.
+/// The link's silence limit counts from the later of the hello and the
+/// worker's last frame; `deadline` counts from the hello.
+pub(crate) fn drive_lease(
+    link: &mut Link,
+    hello: &WorkerHello,
+    faults: &[Fault],
+    deadline: Option<Duration>,
+    stop: &AtomicBool,
+) -> Result<LeaseEnd, Failure> {
+    link.send(&render_hello(hello))
+        .map_err(|e| Failure::lost(format!("lease write failed: {e}")))?;
+    let leased = link.sent;
+    link.heard = leased;
+    let mut check = LeaseCheck::new(&hello.header, faults);
+    while !stop.load(Ordering::Relaxed) {
+        if let Some(limit) = deadline.filter(|&d| leased.elapsed() >= d) {
+            return Err(Failure::new(
+                HarnessCause::DeadlineExceeded,
+                format!(
+                    "lease still open after its {}ms deadline",
+                    limit.as_millis()
+                ),
+            ));
+        }
+        let Some(frame) = link.poll()? else { continue };
+        match check.feed(&frame)? {
+            Step::More | Step::Ready => {}
+            Step::Fin(records) => return Ok(LeaseEnd::Fin(records)),
+            Step::Error(detail) => return Ok(LeaseEnd::Error(detail)),
+        }
+    }
+    Ok(LeaseEnd::Stopped)
 }
 
 #[cfg(test)]
@@ -455,5 +713,218 @@ mod tests {
         let obj = Obj(parse_flat(&reject).unwrap());
         assert_eq!(obj.str("client"), Some("tenant-a"));
         assert_eq!(obj.str("reason"), Some("queue full"));
+    }
+
+    // -- the lease driver ---------------------------------------------
+
+    use crate::campaign::InjectionRecord;
+    use crate::evaluation::Mode;
+    use crate::identity::Identity;
+    use crate::journal::{fin_line, record_line, FinRecord, JournalHeader};
+    use crate::worker::{render_error, render_ready};
+    use nfp_core::Outcome;
+    use nfp_sim::FaultTarget;
+    use std::sync::{Arc, Mutex};
+
+    /// A writer whose bytes a test reads back as frames.
+    #[derive(Clone, Default)]
+    struct Sink(Arc<Mutex<Vec<u8>>>);
+
+    impl Write for Sink {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.0.lock().unwrap().extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    impl Sink {
+        fn frames(&self) -> Vec<String> {
+            let bytes = self.0.lock().unwrap().clone();
+            let (mut reader, mut stream) = (FrameReader::new("sink"), &bytes[..]);
+            std::iter::from_fn(|| match reader.recv(&mut stream) {
+                Ok(Recv::Frame(frame)) => Some(frame),
+                _ => None,
+            })
+            .collect()
+        }
+    }
+
+    /// A link whose frames come from the returned channel and whose
+    /// writes land in the returned sink; limits in milliseconds.
+    fn scripted(
+        beat_ms: Option<u64>,
+        silence_ms: Option<u64>,
+    ) -> (Link, mpsc::Sender<Result<Recv, NfpError>>, Sink) {
+        let (tx, rx) = mpsc::channel();
+        let sink = Sink::default();
+        let mut link = Link::over(move || channel_recv(&rx), sink.clone());
+        let ms = |ms: Option<u64>| ms.map(Duration::from_millis);
+        link.pace(ms(beat_ms), ms(silence_ms));
+        (link, tx, sink)
+    }
+
+    fn frame(text: &str) -> Result<Recv, NfpError> {
+        Ok(Recv::Frame(text.to_string()))
+    }
+
+    /// The lease `0..2` of a four-injection plan.
+    fn hello() -> WorkerHello {
+        WorkerHello {
+            header: JournalHeader {
+                id: Identity {
+                    kernel: "k".to_string(),
+                    mode: Mode::Float,
+                    injections: 4,
+                    seed: 1,
+                    checkpoints: 2,
+                    escalation: 2,
+                    wall_ms: None,
+                },
+                golden_instret: 500,
+                shard_index: 0,
+                shard_count: 2,
+                range_start: 0,
+                range_end: 2,
+            },
+            preset: WorkerPreset::Quick,
+            heartbeat_ms: 20,
+            spin_at: None,
+            abort_at: None,
+        }
+    }
+
+    fn faults() -> Vec<Fault> {
+        let fault = |i: u64| Fault {
+            at: 10 + i,
+            target: FaultTarget::IntReg {
+                index: 1,
+                bit: i as u8,
+            },
+        };
+        (0..4).map(fault).collect()
+    }
+
+    fn record(i: usize) -> InjectionRecord {
+        InjectionRecord {
+            fault: faults()[i],
+            category: None,
+            outcome: Outcome::Masked,
+        }
+    }
+
+    fn drive(link: &mut Link, deadline_ms: Option<u64>, stop: bool) -> Result<LeaseEnd, Failure> {
+        let deadline = deadline_ms.map(Duration::from_millis);
+        drive_lease(link, &hello(), &faults(), deadline, &AtomicBool::new(stop))
+    }
+
+    fn failure(got: Result<LeaseEnd, Failure>) -> Failure {
+        got.expect_err("the lease should have failed")
+    }
+
+    #[test]
+    fn a_checked_stream_returns_its_records() {
+        let (mut link, tx, sink) = scripted(None, Some(1_000));
+        let slots: Vec<_> = (0..2).map(|i| Some((record(i), 1))).collect();
+        tx.send(frame(&render_ready(500))).unwrap();
+        for i in 0..2 {
+            tx.send(frame(HB_FRAME)).unwrap();
+            tx.send(frame(&record_line(i, &record(i), 1))).unwrap();
+        }
+        tx.send(frame(&fin_line(&FinRecord::seal(0, &slots))))
+            .unwrap();
+        match drive(&mut link, Some(5_000), false) {
+            Ok(LeaseEnd::Fin(records)) => {
+                assert_eq!(records, vec![(0, record(0), 1), (1, record(1), 1)])
+            }
+            other => panic!("expected the range's records, got {other:?}"),
+        }
+        assert_eq!(sink.frames(), vec![render_hello(&hello())]);
+    }
+
+    #[test]
+    fn silence_before_and_after_ready_is_a_heartbeat_timeout() {
+        for ready in [false, true] {
+            let (mut link, tx, _) = scripted(None, Some(100));
+            if ready {
+                tx.send(frame(&render_ready(500))).unwrap();
+            }
+            let f = failure(drive(&mut link, Some(5_000), false));
+            assert_eq!(f.cause, HarnessCause::HeartbeatTimeout, "{}", f.detail);
+        }
+    }
+
+    #[test]
+    fn an_overrun_lease_exceeds_its_deadline_however_lively() {
+        let (mut link, tx, _) = scripted(None, Some(5_000));
+        // The worker beats every 10 ms until the link is gone.
+        std::thread::spawn(move || {
+            while tx.send(frame(HB_FRAME)).is_ok() {
+                std::thread::sleep(Duration::from_millis(10));
+            }
+        });
+        let f = failure(drive(&mut link, Some(200), false));
+        assert_eq!(f.cause, HarnessCause::DeadlineExceeded, "{}", f.detail);
+    }
+
+    #[test]
+    fn a_refused_record_or_a_torn_frame_is_a_protocol_violation() {
+        let (mut link, tx, _) = scripted(None, Some(1_000));
+        tx.send(frame(&record_line(0, &record(0), 1))).unwrap();
+        let f = failure(drive(&mut link, None, false));
+        assert_eq!(f.cause, HarnessCause::ProtocolViolation);
+        assert!(f.detail.contains("before the ready"), "{}", f.detail);
+        // A frame torn by the end of a pipe, framed by the reader thread.
+        let mut torn = 64u32.to_be_bytes().to_vec();
+        torn.extend_from_slice(b"{\"kind\"");
+        let mut link = Link::pipes(std::io::Cursor::new(torn), Sink::default(), "torn");
+        link.pace(None, Some(Duration::from_secs(1)));
+        let f = failure(drive(&mut link, None, false));
+        assert_eq!(f.cause, HarnessCause::ProtocolViolation);
+        assert!(f.detail.contains("truncated"), "{}", f.detail);
+    }
+
+    #[test]
+    fn the_end_of_the_stream_is_a_dead_worker() {
+        let (mut link, tx, _) = scripted(None, Some(1_000));
+        tx.send(frame(&render_ready(500))).unwrap();
+        drop(tx);
+        let f = failure(drive(&mut link, None, false));
+        assert_eq!(f.cause, HarnessCause::WorkerKilled { signal: None });
+    }
+
+    #[test]
+    fn an_error_frame_returns_the_workers_detail() {
+        let (mut link, tx, _) = scripted(None, Some(1_000));
+        tx.send(frame(&render_error("no such kernel"))).unwrap();
+        match drive(&mut link, None, false) {
+            Ok(LeaseEnd::Error(detail)) => assert_eq!(detail, "no such kernel"),
+            other => panic!("expected the worker's error, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn a_raised_stop_returns_no_result() {
+        let (mut link, _tx, _) = scripted(None, Some(1_000));
+        assert!(matches!(
+            drive(&mut link, None, true),
+            Ok(LeaseEnd::Stopped)
+        ));
+    }
+
+    #[test]
+    fn beats_are_written_only_where_the_conversation_has_a_beat() {
+        for beat in [Some(20), None] {
+            let (mut link, _tx, sink) = scripted(beat, None);
+            let f = failure(drive(&mut link, Some(300), false));
+            assert_eq!(f.cause, HarnessCause::DeadlineExceeded);
+            let frames = sink.frames();
+            assert_eq!(frames[0], render_hello(&hello()));
+            assert!(frames[1..].iter().all(|f| f == HB_FRAME), "{frames:?}");
+            assert_eq!(frames.len() > 1, beat.is_some(), "{frames:?}");
+        }
     }
 }

@@ -13,10 +13,11 @@
 //!
 //! Robustness model (DESIGN.md §14):
 //!
-//! * **Every wait is bounded.** Sockets carry read/write deadlines, a
-//!   silent peer loses its lease after an idle deadline, a slow peer
-//!   loses it at the lease timeout, admission waits poll a shutdown
-//!   flag, and the accept loop is non-blocking.
+//! * **Every wait is bounded.** Every conversation is a link of the
+//!   crate's `net` module with a read tick, a write timeout and its own
+//!   beat and silence limit, and one lease driver serves this
+//!   coordinator and the supervisor's process pool alike. Admission
+//!   waits poll a shutdown flag; the accept loop is non-blocking.
 //! * **Leases, not assignments.** A shard lease is revocable. The
 //!   crate's shard book decides what follows — a retry after its
 //!   backoff deadline, a speculative duplicate of a straggler, an
@@ -37,17 +38,18 @@ use crate::campaign::{assemble, report_campaign, CampaignConfig, CampaignRig, In
 use crate::evaluation::Mode;
 use crate::flatjson::{esc, parse_flat, Obj};
 use crate::identity::Identity;
-use crate::journal::{quarantine, CampaignJournal, JournalHeader, LeaseCheck, LeaseRecords, Step};
+use crate::journal::{quarantine, CampaignJournal, JournalHeader, LeaseRecords};
 use crate::net::{
-    parse_join, render_note, render_reject, render_report_chunk, send_err, write_frame,
-    FrameReader, JoinFrame, Recv, BYE_FRAME, END_FRAME, HB_FRAME, NET_VERSION,
+    drive_lease, frame_kind, parse_join, render_note, render_reject, render_report_chunk,
+    violation, worker_silence, Failure, JoinFrame, LeaseEnd, Link, BYE_FRAME, END_FRAME,
+    NET_VERSION,
 };
 use crate::reports::{report_campaign_footer, CampaignFooter};
 use crate::servejournal::{load_service_journal, records_path, OpenCampaign, ServiceJournal};
 use crate::shards::{clear_range, missing_ranges_of, shard_range, ShardSpec};
 use crate::supervisor::{run_supervised, SupervisorConfig, WorkerIsolation};
-use crate::worker::{render_error, render_hello, tcp_connect, WorkerHello, WorkerPreset};
-use nfp_core::NfpError;
+use crate::worker::{render_error, tcp_connect, WorkerHello, WorkerPreset};
+use nfp_core::{HarnessCause, NfpError};
 use nfp_sim::fault::plan;
 use nfp_sim::Fault;
 use nfp_workloads::{all_kernels, Kernel};
@@ -60,16 +62,9 @@ use std::sync::mpsc;
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
-/// Socket read deadline per poll: the coordinator's event-loop tick.
-const READ_TICK: Duration = Duration::from_millis(50);
-
-/// Socket write deadline: a peer that cannot drain a few hundred bytes
-/// in this long is as good as gone.
-const WRITE_TIMEOUT: Duration = Duration::from_secs(5);
-
-/// How long a fresh connection may dawdle before its first frame
+/// How long a fresh connection may stay silent before its first frame
 /// (join or submit) before the coordinator drops it.
-const FIRST_FRAME_DEADLINE: Duration = Duration::from_secs(5);
+const FIRST_FRAME_SILENCE: Duration = Duration::from_secs(5);
 
 /// Heartbeat interval towards a waiting client.
 const CLIENT_BEAT: Duration = Duration::from_secs(1);
@@ -83,12 +78,6 @@ const CLIENT_SILENCE: Duration = Duration::from_secs(60);
 /// a chunk (quotes, backslashes, newlines), so this stays far from
 /// [`crate::net::MAX_FRAME`].
 const REPORT_CHUNK: usize = 8 * 1024;
-
-fn violation(detail: impl Into<String>) -> NfpError {
-    NfpError::ProtocolViolation {
-        detail: detail.into(),
-    }
-}
 
 fn lock<'a, T>(m: &'a Mutex<T>) -> std::sync::MutexGuard<'a, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
@@ -329,8 +318,11 @@ impl Hub {
         q.push_back(lease);
     }
 
-    fn reject_frame(&self) {
-        self.frames_rejected.fetch_add(1, Ordering::SeqCst);
+    /// Counts a rejected frame when a conversation broke over one.
+    fn tally(&self, f: &Failure) {
+        if f.cause == HarnessCause::ProtocolViolation {
+            self.frames_rejected.fetch_add(1, Ordering::SeqCst);
+        }
     }
 
     /// Marks a peer retired — unless the server is shutting down, in
@@ -830,63 +822,35 @@ impl Server {
 /// a client submit — and hands it to the matching driver. Anything
 /// else (silence, garbage, a torn frame) costs the connection and
 /// nothing more.
-fn handle_connection(mut stream: TcpStream, addr: SocketAddr, ctx: &Ctx) {
+fn handle_connection(stream: TcpStream, addr: SocketAddr, ctx: &Ctx) {
     let label = addr.to_string();
-    let _ = stream.set_nodelay(true);
-    if stream.set_read_timeout(Some(READ_TICK)).is_err()
-        || stream.set_write_timeout(Some(WRITE_TIMEOUT)).is_err()
-    {
+    let Ok(mut link) = Link::tcp(stream, label.clone()) else {
         return;
-    }
-    let mut reader = FrameReader::new(label.clone());
-    let opened = Instant::now();
-    let first = loop {
-        match reader.recv(&mut stream) {
-            Ok(Recv::Frame(line)) => break line,
-            Ok(Recv::Idle) => {
-                if opened.elapsed() > FIRST_FRAME_DEADLINE {
-                    ctx.hub.reject_frame();
-                    eprintln!("serve: dropped {label}: no frame within the handshake deadline");
-                    return;
-                }
-            }
-            Ok(Recv::Eof) => return,
-            Err(e) => {
-                ctx.hub.reject_frame();
-                eprintln!("serve: dropped {label}: {e}");
-                return;
-            }
+    };
+    link.pace(None, Some(FIRST_FRAME_SILENCE));
+    let first = match link.next(&ctx.hub.shutdown) {
+        Ok(Some(frame)) => frame,
+        Ok(None) => return,
+        Err(f) => {
+            ctx.hub.tally(&f);
+            eprintln!("serve: dropped {label}: {}", f.detail);
+            return;
         }
     };
-    let kind = parse_flat(&first)
-        .map(Obj)
-        .and_then(|o| o.str("kind").map(str::to_string));
-    match kind.as_deref() {
+    let refused = match frame_kind(&first).as_deref() {
         Some("join") => match parse_join(&first) {
-            Ok(join) => drive_peer(stream, reader, join, ctx),
-            Err(e) => {
-                ctx.hub.reject_frame();
-                let _ = write_frame(&mut stream, &render_error(&e.to_string()));
-                eprintln!("serve: dropped {label}: {e}");
-            }
+            Ok(join) => return drive_peer(link, join, ctx),
+            Err(e) => e.to_string(),
         },
         Some("submit") => match parse_submit(&first) {
-            Ok(req) => run_remote_campaign(stream, reader, req, ctx),
-            Err(e) => {
-                ctx.hub.reject_frame();
-                let _ = write_frame(&mut stream, &render_error(&e.to_string()));
-                eprintln!("serve: dropped {label}: {e}");
-            }
+            Ok(req) => return run_remote_campaign(link, req, ctx),
+            Err(e) => e.to_string(),
         },
-        _ => {
-            ctx.hub.reject_frame();
-            let _ = write_frame(
-                &mut stream,
-                &render_error("first frame must be a join or a submit"),
-            );
-            eprintln!("serve: dropped {label}: first frame is neither join nor submit");
-        }
-    }
+        _ => "first frame must be a join or a submit".to_string(),
+    };
+    ctx.hub.frames_rejected.fetch_add(1, Ordering::SeqCst);
+    let _ = link.send(&render_error(&refused));
+    eprintln!("serve: dropped {label}: {refused}");
 }
 
 // ---------------------------------------------------------------------
@@ -902,13 +866,15 @@ impl Drop for PeerGuard<'_> {
     }
 }
 
-/// Drives one joined worker: heartbeats both ways, an idle deadline,
-/// and one lease at a time popped from the hub queue. Any violation,
-/// silence, or death retires the peer — its shard (if any) re-enters
-/// the queue via the lease's `Failed` event, and the worker's own
-/// reconnect backoff brings it back for a clean slate.
-fn drive_peer(mut stream: TcpStream, mut reader: FrameReader, join: JoinFrame, ctx: &Ctx) {
+/// Drives one joined worker: heartbeats both ways, the worker silence
+/// limit, and one lease at a time popped from the hub queue, each run
+/// by [`drive_lease`] under the lease deadline. Any violation, silence,
+/// or death retires the peer — its shard (if any) re-enters the queue
+/// via the lease's `Failed` event, and the worker's own reconnect
+/// backoff brings it back for a clean slate.
+fn drive_peer(mut link: Link, join: JoinFrame, ctx: &Ctx) {
     let hub = &ctx.hub;
+    let blacklisted = format!("worker {} is blacklisted", join.wid);
     // The blacklist gates admission: a convicted worker is turned away
     // at the door until its parole expires.
     if hub.banned(join.wid) {
@@ -916,10 +882,7 @@ fn drive_peer(mut stream: TcpStream, mut reader: FrameReader, join: JoinFrame, c
             "serve: refused worker {}: blacklisted pending parole",
             join.wid
         );
-        let _ = write_frame(
-            &mut stream,
-            &render_error(&format!("worker {} is blacklisted", join.wid)),
-        );
+        let _ = link.send(&render_error(&blacklisted));
         return;
     }
     let id = hub.next_peer.fetch_add(1, Ordering::SeqCst) + 1;
@@ -935,34 +898,21 @@ fn drive_peer(mut stream: TcpStream, mut reader: FrameReader, join: JoinFrame, c
         join.reconnects, join.wid
     );
 
-    let mut session = PeerClock::new();
+    let beat = ctx.cfg.heartbeat;
+    link.pace(Some(beat), Some(worker_silence(beat)));
     loop {
         if hub.shutdown.load(Ordering::SeqCst) {
-            let _ = write_frame(&mut stream, BYE_FRAME);
+            let _ = link.send(BYE_FRAME);
             return;
         }
-        match session.poll(&mut stream, &mut reader, ctx, "while idle") {
-            Ok(None) => {}
-            Ok(Some(line)) if is_hb(&line) => {}
-            Ok(Some(line)) => {
-                let kind = parse_flat(&line)
-                    .map(Obj)
-                    .and_then(|o| o.str("kind").map(str::to_string));
-                hub.reject_frame();
-                hub.retire(&label, &format!("unexpected idle frame {kind:?}"));
-                return;
-            }
-            Err(fail) => {
-                hub.retire(&label, &fail.detail);
-                return;
-            }
+        if let Err(f) = link.idle() {
+            hub.tally(&f);
+            hub.retire(&label, &format!("{} while idle", f.detail));
+            return;
         }
         // A conviction can land while the session is open: revoke it.
         if hub.banned(join.wid) {
-            let _ = write_frame(
-                &mut stream,
-                &render_error(&format!("worker {} is blacklisted", join.wid)),
-            );
+            let _ = link.send(&render_error(&blacklisted));
             hub.retire(
                 &label,
                 &format!("wid {} blacklisted after an audit conviction", join.wid),
@@ -980,8 +930,16 @@ fn drive_peer(mut stream: TcpStream, mut reader: FrameReader, join: JoinFrame, c
             attempt,
             detail,
         };
-        match run_lease(&mut stream, &mut reader, &lease, ctx) {
-            Ok(Some(records)) => {
+        let deadline = Some(ctx.cfg.lease_timeout);
+        let leased = drive_lease(
+            &mut link,
+            &lease.hello,
+            &lease.faults,
+            deadline,
+            &hub.shutdown,
+        );
+        let detail = match leased {
+            Ok(LeaseEnd::Fin(records)) => {
                 let _ = lease.events.send(Event::Returned {
                     shard,
                     attempt,
@@ -990,136 +948,32 @@ fn drive_peer(mut stream: TcpStream, mut reader: FrameReader, join: JoinFrame, c
                     banned: hub.banned(join.wid),
                     stream: records,
                 });
-                session = PeerClock::new();
+                continue;
             }
-            Ok(None) => {
+            Ok(LeaseEnd::Stopped) => {
                 // Shutdown mid-lease: hand the shard back and bow out.
                 let _ = lease
                     .events
                     .send(failed("coordinator shutting down".to_string()));
-                let _ = write_frame(&mut stream, BYE_FRAME);
+                let _ = link.send(BYE_FRAME);
                 return;
             }
-            Err(fail) => {
-                if fail.revoked {
+            Ok(LeaseEnd::Error(detail)) => format!("peer reported: {detail}"),
+            Err(f) => {
+                hub.tally(&f);
+                // A lease lost to a clock is revoked.
+                if matches!(
+                    f.cause,
+                    HarnessCause::HeartbeatTimeout | HarnessCause::DeadlineExceeded
+                ) {
                     hub.leases_revoked.fetch_add(1, Ordering::SeqCst);
                 }
-                let _ = lease.events.send(failed(fail.detail.clone()));
-                hub.retire(&label, &fail.detail);
-                return;
+                f.detail
             }
-        }
-    }
-}
-
-/// When a peer session last heard from its peer, and last beat.
-struct PeerClock {
-    heard: Instant,
-    beat: Instant,
-}
-
-impl PeerClock {
-    fn new() -> Self {
-        PeerClock {
-            heard: Instant::now(),
-            beat: Instant::now(),
-        }
-    }
-
-    /// One tick of a peer session: a heartbeat every interval, then one
-    /// read. `Ok(None)` is a quiet tick; a peer silent for ten intervals
-    /// (but at least two seconds) has lost its claim to liveness, and
-    /// its failure is a revocation.
-    fn poll(
-        &mut self,
-        stream: &mut TcpStream,
-        reader: &mut FrameReader,
-        ctx: &Ctx,
-        during: &str,
-    ) -> Result<Option<String>, LeaseFail> {
-        let fail = |detail: String, revoked: bool| Err(LeaseFail { detail, revoked });
-        if self.beat.elapsed() >= ctx.cfg.heartbeat {
-            if let Err(e) = write_frame(stream, HB_FRAME) {
-                return fail(format!("heartbeat write failed {during}: {e}"), false);
-            }
-            self.beat = Instant::now();
-        }
-        match reader.recv(stream) {
-            Ok(Recv::Frame(line)) => {
-                self.heard = Instant::now();
-                Ok(Some(line))
-            }
-            Ok(Recv::Idle)
-                if self.heard.elapsed() > (ctx.cfg.heartbeat * 10).max(Duration::from_secs(2)) =>
-            {
-                let ms = self.heard.elapsed().as_millis();
-                fail(format!("peer silent for {ms}ms {during}"), true)
-            }
-            Ok(Recv::Idle) => Ok(None),
-            Ok(Recv::Eof) => fail(format!("peer closed the connection {during}"), false),
-            Err(e) => {
-                if matches!(e, NfpError::ProtocolViolation { .. }) {
-                    ctx.hub.reject_frame();
-                }
-                fail(e.to_string(), false)
-            }
-        }
-    }
-}
-
-/// Why a lease failed on this peer.
-struct LeaseFail {
-    detail: String,
-    /// True for deadline revocations (the peer may be alive but too
-    /// silent or too slow); false for deaths and violations.
-    revoked: bool,
-}
-
-/// Runs one lease on a connected peer: send the shard hello, then feed
-/// every frame the peer sends to the lease checker until a fin seals
-/// the range. `Ok(None)` means the coordinator began shutting down
-/// mid-lease. Every wait inside is bounded by the idle deadline and the
-/// overall lease timeout.
-fn run_lease(
-    stream: &mut TcpStream,
-    reader: &mut FrameReader,
-    lease: &Lease,
-    ctx: &Ctx,
-) -> Result<Option<LeaseRecords>, LeaseFail> {
-    let hub = &ctx.hub;
-    let fail = |detail: String, revoked: bool| Err(LeaseFail { detail, revoked });
-    if let Err(e) = write_frame(stream, &render_hello(&lease.hello)) {
-        return fail(format!("lease write failed: {e}"), false);
-    }
-    let deadline = Instant::now() + ctx.cfg.lease_timeout;
-    let mut session = PeerClock::new();
-    let mut check = LeaseCheck::new(&lease.hello.header, &lease.faults);
-    loop {
-        if hub.shutdown.load(Ordering::SeqCst) {
-            return Ok(None);
-        }
-        if Instant::now() >= deadline {
-            return fail(
-                format!(
-                    "lease revoked: shard {} still open after the {}s lease deadline",
-                    lease.shard,
-                    ctx.cfg.lease_timeout.as_secs()
-                ),
-                true,
-            );
-        }
-        let Some(line) = session.poll(stream, reader, ctx, "mid-lease")? else {
-            continue;
         };
-        match check.feed(&line) {
-            Ok(Step::More | Step::Ready) => {}
-            Ok(Step::Fin(records)) => return Ok(Some(records)),
-            Ok(Step::Error(detail)) => return fail(format!("peer reported: {detail}"), false),
-            Err(e) => {
-                hub.reject_frame();
-                return fail(e.to_string(), false);
-            }
-        }
+        let _ = lease.events.send(failed(detail.clone()));
+        hub.retire(&label, &detail);
+        return;
     }
 }
 
@@ -1131,16 +985,13 @@ fn run_lease(
 /// fast path, live-campaign deduplication, admission, then the
 /// dispatch loop ([`drive_campaign`]) and result publication
 /// ([`finish_campaign`]).
-fn run_remote_campaign(
-    mut client: TcpStream,
-    mut creader: FrameReader,
-    req: CampaignRequest,
-    ctx: &Ctx,
-) {
+fn run_remote_campaign(mut client: Link, req: CampaignRequest, ctx: &Ctx) {
     let label = format!("client '{}'", req.client);
+    // A waiting client gets a beat; it owes nothing but heartbeats.
+    client.pace(Some(CLIENT_BEAT), None);
     if ctx.draining.load(Ordering::SeqCst) {
         let reason = "coordinator is draining; no new campaigns are admitted";
-        let _ = write_frame(&mut client, &render_reject(&req.client, reason));
+        let _ = client.send(&render_reject(&req.client, reason));
         eprintln!("serve: refused {label}: {reason}");
         return;
     }
@@ -1157,12 +1008,7 @@ fn run_remote_campaign(
             "result cache hit for campaign '{}' — returning the stored report",
             req.kernel
         );
-        match deliver(
-            &mut client,
-            &req.client,
-            std::slice::from_ref(&note),
-            &report,
-        ) {
+        match deliver(&mut client, &req.client, &[note], &report) {
             Ok(()) => {
                 ctx.served.fetch_add(1, Ordering::SeqCst);
             }
@@ -1199,7 +1045,7 @@ fn run_remote_campaign(
             );
         }
         entry.subscribers.fetch_add(1, Ordering::SeqCst);
-        follow_live(client, creader, &entry, ctx, &label);
+        follow_live(client, &entry, ctx, &label);
         entry.subscribers.fetch_sub(1, Ordering::SeqCst);
         return;
     }
@@ -1212,7 +1058,7 @@ fn run_remote_campaign(
                 NfpError::Admission { reason, .. } => reason.clone(),
                 other => other.to_string(),
             };
-            let _ = write_frame(&mut client, &render_reject(&req.client, &reason));
+            let _ = client.send(&render_reject(&req.client, &reason));
             eprintln!("serve: refused {label}: {reason}");
             abort_entry(&key, &entry, &format!("admission refused: {reason}"), ctx);
             return;
@@ -1220,20 +1066,20 @@ fn run_remote_campaign(
         Ok(Gate::Admitted) => {}
         Ok(Gate::Queued) => {
             eprintln!("serve: queued {label} behind the in-flight limit");
-            let mut last_beat = Instant::now();
             loop {
                 if ctx.admission.wait(&req.client, Duration::from_millis(100)) {
                     break;
                 }
                 if ctx.hub.shutdown.load(Ordering::SeqCst) {
                     ctx.admission.abandon_queue(&req.client);
-                    let _ = write_frame(&mut client, &render_error("coordinator shutting down"));
+                    let _ = client.send(&render_error("coordinator shutting down"));
                     abort_entry(&key, &entry, "coordinator shutting down", ctx);
                     return;
                 }
-                if poll_client(&mut client, &mut creader, &mut last_beat) != Some(true) {
+                if let Err(f) = client.idle() {
                     // The queued client died or babbled: its place goes
                     // back to the pool.
+                    ctx.hub.tally(&f);
                     ctx.admission.abandon_queue(&req.client);
                     eprintln!("serve: {label} left the queue");
                     abort_entry(&key, &entry, "client left the admission queue", ctx);
@@ -1254,10 +1100,7 @@ fn run_remote_campaign(
     } else {
         Durable::No
     };
-    let mut link = Some(ClientLink {
-        stream: client,
-        reader: creader,
-    });
+    let mut link = Some(client);
     let outcome = drive_campaign(&mut link, &req, &entry, durable, ctx);
     finish_campaign(outcome, link, &key, &entry, &label, ctx);
 }
@@ -1272,14 +1115,7 @@ fn abort_entry(key: &str, entry: &LiveEntry, detail: &str, ctx: &Ctx) {
 /// Rides an existing live campaign on behalf of a second client with
 /// the same key: heartbeat both ways until the leader publishes, then
 /// deliver the same notes and report (or the same failure).
-fn follow_live(
-    mut client: TcpStream,
-    mut creader: FrameReader,
-    entry: &LiveEntry,
-    ctx: &Ctx,
-    label: &str,
-) {
-    let mut last_beat = Instant::now();
+fn follow_live(mut client: Link, entry: &LiveEntry, ctx: &Ctx, label: &str) {
     loop {
         let published = {
             let guard = lock(&entry.state);
@@ -1301,77 +1137,50 @@ fn follow_live(
                 return;
             }
             Some(Err(detail)) => {
-                let _ = write_frame(&mut client, &render_error(&detail));
+                let _ = client.send(&render_error(&detail));
                 return;
             }
             None => {}
         }
         if ctx.hub.shutdown.load(Ordering::SeqCst) {
-            let _ = write_frame(&mut client, &render_error("coordinator shutting down"));
+            let _ = client.send(&render_error("coordinator shutting down"));
             return;
         }
-        if poll_client(&mut client, &mut creader, &mut last_beat) != Some(true) {
+        if let Err(f) = client.idle() {
+            ctx.hub.tally(&f);
             eprintln!("serve: {label} stopped following; the campaign continues");
             return;
         }
     }
 }
 
-/// One liveness step towards a waiting client: a heartbeat every
-/// [`CLIENT_BEAT`], then one read tick. `Some(false)`: it sent a frame
-/// that is not a heartbeat; `None`: it is gone.
-fn poll_client(
-    stream: &mut TcpStream,
-    reader: &mut FrameReader,
-    last_beat: &mut Instant,
-) -> Option<bool> {
-    if last_beat.elapsed() >= CLIENT_BEAT {
-        write_frame(stream, HB_FRAME).ok()?;
-        *last_beat = Instant::now();
-    }
-    match reader.recv(stream) {
-        Ok(Recv::Idle) => Some(true),
-        Ok(Recv::Frame(line)) => Some(is_hb(&line)),
-        Ok(Recv::Eof) | Err(_) => None,
-    }
-}
-
 /// Total write budget towards one client for the notes and the chunked
-/// report. Every frame write already carries [`WRITE_TIMEOUT`]; the
-/// budget bounds their *sum*, so a slow-loris client draining a few
-/// bytes per deadline cannot pin a coordinator thread (and the report
-/// buffers it holds) for more than this long.
+/// report. Every frame write already carries the link's write timeout
+/// ([`crate::net::WRITE_TIMEOUT`]); the budget bounds their *sum*, so a
+/// slow-loris client draining a few bytes per deadline cannot pin a
+/// coordinator thread (and the report buffers it holds) for more than
+/// this long.
 const CLIENT_WRITE_BUDGET: Duration = Duration::from_secs(30);
 
 /// Streams notes, the chunked report, and the end frame to a client,
 /// under [`CLIENT_WRITE_BUDGET`].
-fn deliver(
-    stream: &mut TcpStream,
-    client: &str,
-    notes: &[String],
-    report: &str,
-) -> Result<(), NfpError> {
-    deliver_by(
-        stream,
-        client,
-        notes,
-        report,
-        Instant::now() + CLIENT_WRITE_BUDGET,
-    )
+fn deliver(link: &mut Link, client: &str, notes: &[String], report: &str) -> Result<(), NfpError> {
+    let deadline = Instant::now() + CLIENT_WRITE_BUDGET;
+    deliver_by(link, client, notes, report, deadline)
 }
 
 /// [`deliver`] against an explicit deadline. Exhausting the budget is a
 /// typed [`NfpError::Admission`] refusal — the client was admitted, but
 /// it has stopped holding up its end of the conversation.
 fn deliver_by(
-    stream: &mut TcpStream,
+    link: &mut Link,
     client: &str,
     notes: &[String],
     report: &str,
     deadline: Instant,
 ) -> Result<(), NfpError> {
     let mut sent = 0usize;
-    let mut put = |stream: &mut TcpStream, frame: &str| -> Result<(), NfpError> {
+    let mut put = |frame: &str| -> Result<(), NfpError> {
         if Instant::now() >= deadline {
             return Err(NfpError::Admission {
                 client: client.to_string(),
@@ -1381,7 +1190,7 @@ fn deliver_by(
                 ),
             });
         }
-        write_frame(stream, frame).map_err(|e| NfpError::Net {
+        link.send(frame).map_err(|e| NfpError::Net {
             addr: client.to_string(),
             detail: format!("report write failed: {e}"),
         })?;
@@ -1389,7 +1198,7 @@ fn deliver_by(
         Ok(())
     };
     for note in notes {
-        put(stream, &render_note(note))?;
+        put(&render_note(note))?;
     }
     let mut rest = report;
     while !rest.is_empty() {
@@ -1398,10 +1207,10 @@ fn deliver_by(
             cut -= 1;
         }
         let (head, tail) = rest.split_at(cut);
-        put(stream, &render_report_chunk(head))?;
+        put(&render_report_chunk(head))?;
         rest = tail;
     }
-    put(stream, END_FRAME)
+    put(END_FRAME)
 }
 
 /// Re-runs a campaign the service journal recorded as open, headless:
@@ -1467,12 +1276,6 @@ struct DriveOutcome {
     report: String,
     /// No missing ranges: the report is cacheable.
     complete: bool,
-}
-
-/// A submit client attached to a campaign run.
-struct ClientLink {
-    stream: TcpStream,
-    reader: FrameReader,
 }
 
 /// Opens a campaign's records file: a campaign journal next to the
@@ -1744,7 +1547,7 @@ impl From<NfpError> for DriveFail {
 /// survives its client and runs on headless so the result still lands
 /// in the cache.
 fn drive_campaign(
-    link: &mut Option<ClientLink>,
+    link: &mut Option<Link>,
     req: &CampaignRequest,
     entry: &LiveEntry,
     durable: Durable,
@@ -1902,7 +1705,6 @@ fn drive_campaign(
 
     // Ride the lease events. Counters snapshot the hub so the footer
     // reports this campaign's share of the network churn.
-    let mut last_beat = Instant::now();
     let reconnects0 = ctx.hub.reconnects.load(Ordering::SeqCst);
     let rejected0 = ctx.hub.frames_rejected.load(Ordering::SeqCst);
     let retired0 = ctx.hub.peers_retired.load(Ordering::SeqCst);
@@ -1948,7 +1750,7 @@ fn drive_campaign(
             );
             eprintln!("serve: {note}");
             if let Some(l) = link.as_mut() {
-                let _ = write_frame(&mut l.stream, &render_note(&note));
+                let _ = l.send(&render_note(&note));
             }
             live_notes.push(note);
         }
@@ -1957,14 +1759,10 @@ fn drive_campaign(
         // Client liveness. A journaled campaign — or one with
         // followers — outlives its client: detach and keep running
         // headless so the result lands in the cache for the session
-        // to resume. Otherwise a dead client frees the workers.
-        let client = link
-            .as_mut()
-            .map(|l| poll_client(&mut l.stream, &mut l.reader, &mut last_beat));
-        if client == Some(Some(false)) {
-            ctx.hub.reject_frame();
-        }
-        if client == Some(None) {
+        // to resume. Otherwise a dead (or babbling) client frees the
+        // workers.
+        if let Some(Err(f)) = link.as_mut().map(Link::idle) {
+            ctx.hub.tally(&f);
             *link = None;
             if durable_cid.is_some() || entry.subscribers.load(Ordering::SeqCst) > 0 {
                 eprintln!("serve: {label} disconnected; the campaign continues headless");
@@ -2030,7 +1828,7 @@ fn drive_campaign(
 /// deliver to the attached client when one is still there.
 fn finish_campaign(
     outcome: Result<DriveOutcome, DriveFail>,
-    mut link: Option<ClientLink>,
+    mut link: Option<Link>,
     key: &str,
     entry: &LiveEntry,
     label: &str,
@@ -2060,7 +1858,7 @@ fn finish_campaign(
             lock(&ctx.live).remove(key);
             ctx.served.fetch_add(1, Ordering::SeqCst);
             if let Some(l) = link.as_mut() {
-                if let Err(e) = deliver(&mut l.stream, label, &out.footer_notes, &out.report) {
+                if let Err(e) = deliver(l, label, &out.footer_notes, &out.report) {
                     eprintln!(
                         "serve: {label} unreachable during the report ({e}); the result is cached"
                     );
@@ -2073,17 +1871,11 @@ fn finish_campaign(
             entry.publish(LiveState::Failed(detail.clone()));
             lock(&ctx.live).remove(key);
             if let Some(l) = link.as_mut() {
-                let _ = write_frame(&mut l.stream, &render_error(&detail));
+                let _ = l.send(&render_error(&detail));
             }
             eprintln!("serve: campaign for {label} failed: {detail}");
         }
     }
-}
-
-fn is_hb(line: &str) -> bool {
-    parse_flat(line)
-        .map(Obj)
-        .is_some_and(|o| o.str("kind") == Some("hb"))
 }
 
 // ---------------------------------------------------------------------
@@ -2120,38 +1912,22 @@ pub fn submit_campaign_with(
         addr: addr.to_string(),
         detail,
     };
-    let mut stream = tcp_connect(addr).map_err(net)?;
-    let _ = stream.set_nodelay(true);
-    stream
-        .set_read_timeout(Some(READ_TICK))
-        .map_err(|e| net(format!("set read timeout: {e}")))?;
-    stream
-        .set_write_timeout(Some(WRITE_TIMEOUT))
-        .map_err(|e| net(format!("set write timeout: {e}")))?;
-    write_frame(&mut stream, &render_submit(req)).map_err(|e| send_err(addr, e))?;
-    let mut reader = FrameReader::new(addr);
+    let stream = tcp_connect(addr).map_err(net)?;
+    let mut link = Link::tcp(stream, addr).map_err(|e| net(format!("socket setup: {e}")))?;
+    link.pace(None, Some(CLIENT_SILENCE));
+    link.send(&render_submit(req))
+        .map_err(|e| net(format!("write failed: {e}")))?;
     let mut report = String::new();
     let mut notes = Vec::new();
-    let mut last_heard = Instant::now();
     loop {
-        let line = match reader.recv(&mut stream)? {
-            Recv::Idle => {
-                if last_heard.elapsed() > CLIENT_SILENCE {
-                    return Err(net(format!(
-                        "coordinator silent for {}s",
-                        CLIENT_SILENCE.as_secs()
-                    )));
-                }
-                continue;
+        let line = match link.poll() {
+            Ok(Some(line)) => line,
+            Ok(None) => continue,
+            Err(f) if f.cause == HarnessCause::ProtocolViolation => {
+                return Err(violation(f.detail))
             }
-            Recv::Eof => {
-                return Err(net(
-                    "coordinator closed the connection before the report completed".to_string(),
-                ))
-            }
-            Recv::Frame(line) => line,
+            Err(f) => return Err(net(format!("coordinator: {}", f.detail))),
         };
-        last_heard = Instant::now();
         let obj = Obj(parse_flat(&line)
             .ok_or_else(|| violation(format!("unparseable frame from coordinator: {line:?}")))?);
         match obj.str("kind") {
@@ -2226,6 +2002,7 @@ pub fn submit_campaign_retry(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::net::HB_FRAME;
 
     // -- resume ------------------------------------------------------
 
@@ -2542,7 +2319,7 @@ mod tests {
     fn slow_clients_get_a_typed_admission_refusal() {
         let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
-        let mut stream = TcpStream::connect(addr).unwrap();
+        let mut stream = Link::tcp(TcpStream::connect(addr).unwrap(), "tenant-slow").unwrap();
         let (_peer, _) = listener.accept().unwrap();
         // An already-expired budget refuses before the first write, no
         // matter how cooperative the socket is.

@@ -30,40 +30,39 @@
 //! * **Process isolation** — [`WorkerIsolation::Process`] moves each
 //!   replay slot into a `repro worker` subprocess that speaks the lease
 //!   protocol of [`crate::worker`] over its stdin and stdout, one
-//!   injection per lease, and every frame it sends goes through the
-//!   same lease checker the remote coordinator uses. Threads cannot
+//!   injection per lease, driven by the lease driver the remote
+//!   coordinator uses (the crate's `net` module). Threads cannot
 //!   survive an `abort()`, a segfault, or a replay that wedges inside
 //!   native code; processes can. A worker that dies takes only its
-//!   in-flight injection with it; one that goes heartbeat-silent before
-//!   a lease's `ready`, overruns its per-injection deadline, or sends a
-//!   frame the checker refuses is SIGKILLed. Either way the injection
-//!   is retried once on a freshly spawned process and quarantined on a
-//!   second failure — exactly the panic-isolation semantics, lifted to
-//!   process granularity. Respawns back off exponentially (capped, with
-//!   deterministic seeded jitter so wall clocks never leak into
-//!   results); a slot that keeps crash-looping retires and the pool
-//!   degrades in parallelism, never in coverage.
-//!   Journals and reports are byte-compatible with thread mode: the
-//!   same seed yields the same report regardless of isolation mode or
-//!   kill/respawn interleaving.
+//!   in-flight injection with it; one that goes silent, overruns its
+//!   deadline, or sends a frame the checker refuses is SIGKILLed.
+//!   Either way the injection is retried once on a freshly spawned
+//!   process and quarantined on a second failed lease — exactly the
+//!   panic-isolation semantics, lifted to process granularity. A worker
+//!   lost before its join fails no lease. Respawns back off
+//!   exponentially (capped, with deterministic seeded jitter so wall
+//!   clocks never leak into results); a slot that keeps crash-looping
+//!   retires and hands its claim back, and the pool degrades in
+//!   parallelism, never in coverage. Journals and reports are
+//!   byte-compatible with thread mode.
 //!
 use crate::backoff::{backoff_sleep, TICK};
 use crate::campaign::{assemble, CampaignConfig, CampaignResult, CampaignRig, InjectionRecord};
 use crate::evaluation::Mode;
-use crate::journal::{CampaignJournal, JournalHeader, LeaseCheck, Step};
-use crate::net::{parse_join, write_frame, FrameReader, Recv};
+use crate::journal::{CampaignJournal, JournalHeader};
+use crate::net::{drive_lease, parse_join, worker_silence, Failure, LeaseEnd, Link};
 use crate::shards::ShardSpec;
-use crate::worker::{render_hello, WorkerHello, WorkerPreset};
+use crate::worker::{WorkerHello, WorkerPreset};
 use nfp_core::{HarnessCause, NfpError, Outcome};
 use nfp_sim::fault::plan;
 use nfp_sim::{DispatchStats, Fault, SimError};
 use nfp_workloads::Kernel;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
-use std::process::{Child, ChildStdin, Command, ExitStatus, Stdio};
+use std::process::{Child, Command, ExitStatus, Stdio};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::mpsc;
-use std::time::{Duration, Instant};
+use std::sync::{mpsc, Condvar, Mutex, PoisonError};
+use std::time::Duration;
 
 /// How the supervisor isolates its replay workers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -104,14 +103,14 @@ pub struct SupervisorConfig {
     /// mismatch.
     pub preset: WorkerPreset,
     /// Heartbeat emission interval for worker processes. Workers
-    /// heartbeat from a side thread, replays included, so a silence of
-    /// ten intervals (at least 2 s) before a lease's `ready` means the
-    /// worker is dead or wedged.
+    /// heartbeat from a side thread, rig builds and replays included,
+    /// so a silence of ten intervals (at least 2 s) at any point of a
+    /// lease means the worker is dead, frozen or wedged.
     pub heartbeat: Duration,
     /// Per-injection wall deadline for worker processes, counted from
-    /// the lease's `ready`. A replay still in flight past the deadline
-    /// gets its worker SIGKILLed and the injection is retried on a
-    /// fresh process. `None` relies on the
+    /// the lease's hello, so it also covers a fresh worker's rig build.
+    /// A lease still open past it gets its worker SIGKILLed and the
+    /// injection is retried on a fresh process. `None` relies on the
     /// guest watchdog (and [`CampaignConfig::wall`]) to bound replays.
     pub deadline: Option<Duration>,
     /// Consecutive worker-process failures (kills, deaths, failed
@@ -342,13 +341,85 @@ pub(crate) fn replay_guarded(
 // The process-isolated worker pool.
 // ---------------------------------------------------------------------
 
-/// A live worker subprocess: the child handle, its stdin, and a channel
-/// fed by a detached reader thread framing the child's stdout (blocking
-/// pipe reads cannot carry timeouts; a channel can).
+/// The plan indices a run owes, shared by its slots, one claim per slot
+/// at a time. A process slot that retires hands its claim back with the
+/// leases it has failed, and another slot finishes it: a claim is lost
+/// only when no slot is left to take it.
+struct Claims {
+    state: Mutex<ClaimState>,
+    /// Signalled whenever a claim is finished or handed back.
+    settled: Condvar,
+}
+
+struct ClaimState {
+    /// Unclaimed plan indices with the leases each has failed, the next
+    /// on top.
+    todo: Vec<(usize, u32)>,
+    /// Claims a slot is working on.
+    held: usize,
+    /// Process slots that have not retired.
+    live: usize,
+}
+
+impl Claims {
+    fn new(pending: &[usize], slots: usize) -> Self {
+        let todo = pending.iter().rev().map(|&index| (index, 0)).collect();
+        Claims {
+            state: Mutex::new(ClaimState {
+                todo,
+                held: 0,
+                live: slots,
+            }),
+            settled: Condvar::new(),
+        }
+    }
+
+    /// The next claim and the leases it has failed so far; `None` once
+    /// `stop` is raised or the run owes nothing. While another slot
+    /// holds a claim it may yet hand back, this waits.
+    fn take(&self, stop: &AtomicBool) -> Option<(usize, u32)> {
+        let mut s = self.state.lock().unwrap_or_else(PoisonError::into_inner);
+        while !stop.load(Ordering::Relaxed) {
+            if let Some(claim) = s.todo.pop() {
+                s.held += 1;
+                return Some(claim);
+            }
+            if s.held == 0 {
+                return None;
+            }
+            s = self
+                .settled
+                .wait_timeout(s, TICK)
+                .unwrap_or_else(PoisonError::into_inner)
+                .0;
+        }
+        None
+    }
+
+    /// The slot's claim is finished: its record went upstream.
+    fn done(&self) {
+        let mut s = self.state.lock().unwrap_or_else(PoisonError::into_inner);
+        s.held -= 1;
+        self.settled.notify_all();
+    }
+
+    /// Retires a process slot, handing back its claim unless it is
+    /// finished. Once no live slot is left, returns how many injections
+    /// the run still owes.
+    fn retire(&self, unfinished: Option<(usize, u32)>) -> Option<usize> {
+        let mut s = self.state.lock().unwrap_or_else(PoisonError::into_inner);
+        s.held -= 1;
+        s.live -= 1;
+        s.todo.extend(unfinished);
+        self.settled.notify_all();
+        (s.live == 0).then_some(s.todo.len())
+    }
+}
+
+/// A live worker subprocess and the link over its pipes.
 struct WorkerProc {
     child: Child,
-    stdin: ChildStdin,
-    frames: mpsc::Receiver<Result<String, NfpError>>,
+    link: Link,
 }
 
 /// Why a slot got no result out of a worker process.
@@ -357,13 +428,9 @@ enum Lost {
     /// campaign fails (mirrors a thread worker's rig-prepare error).
     Fatal(NfpError),
     /// This process is gone (and reaped) but a respawn may well
-    /// succeed. `killed` records whether the supervisor itself put the
+    /// succeed. The flag records whether the supervisor itself put the
     /// worker down.
-    Failed {
-        cause: HarnessCause,
-        detail: String,
-        killed: bool,
-    },
+    Failed(Failure, bool),
     /// The campaign is stopping: neither a kill nor a death.
     Stopped,
 }
@@ -379,28 +446,11 @@ fn status_signal(_status: &ExitStatus) -> Option<i32> {
     None
 }
 
-/// SIGKILLs a worker and reaps it, reporting the terminating signal
-/// (from the kill, or from whatever felled the child first).
-fn kill_and_reap(child: &mut Child) -> Option<i32> {
+/// SIGKILLs a worker (nothing happens to one already dead) and reaps
+/// it.
+fn kill_and_reap(child: &mut Child) -> std::io::Result<ExitStatus> {
     let _ = child.kill();
-    child.wait().ok().as_ref().and_then(status_signal)
-}
-
-/// Reaps a worker found dead on its own (EOF on stdout) and classifies
-/// the death from its exit status.
-fn death_of(child: &mut Child) -> Lost {
-    let (signal, detail) = match child.wait() {
-        Ok(status) => (
-            status_signal(&status),
-            format!("worker process died: {status}"),
-        ),
-        Err(e) => (None, format!("worker process died (reap failed: {e})")),
-    };
-    Lost::Failed {
-        cause: HarnessCause::WorkerKilled { signal },
-        detail,
-        killed: false,
-    }
+    child.wait()
 }
 
 /// Asks a worker to exit by closing its stdin, grants it a short grace
@@ -408,17 +458,16 @@ fn death_of(child: &mut Child) -> Lost {
 /// drained plan should not end with a gratuitous SIGKILL in the logs —
 /// and the kill matters on the unhappy one, where the worker is wedged
 /// mid-replay and will never see the EOF.
-fn shutdown(mut w: WorkerProc) {
-    drop(w.stdin);
+fn shutdown(WorkerProc { mut child, link }: WorkerProc) {
+    drop(link);
     for _ in 0..50 {
-        match w.child.try_wait() {
+        match child.try_wait() {
             Ok(Some(_)) => return,
             Ok(None) => std::thread::sleep(TICK),
             Err(_) => break,
         }
     }
-    let _ = w.child.kill();
-    let _ = w.child.wait();
+    let _ = kill_and_reap(&mut child);
 }
 
 /// Probes that worker subprocesses can be spawned at all. The probe
@@ -434,8 +483,7 @@ fn probe_worker(bin: &Path) -> bool {
     {
         Ok(mut child) => {
             drop(child.stdin.take());
-            let _ = child.kill();
-            let _ = child.wait();
+            let _ = kill_and_reap(&mut child);
             true
         }
         Err(_) => false,
@@ -443,116 +491,63 @@ fn probe_worker(bin: &Path) -> bool {
 }
 
 impl WorkerProc {
-    /// Waits for the worker's next frame. A frame the reader could not
-    /// decode is a protocol violation and the end of the stream is a
-    /// death; `limit` is the instant silence turns fatal, with the
-    /// cause and detail to report for it. Every failure reaps the
-    /// process.
-    fn next_frame(
-        &mut self,
-        limit: Option<(Instant, HarnessCause, String)>,
-        stop: &AtomicBool,
-    ) -> Result<String, Lost> {
-        loop {
-            if stop.load(Ordering::Relaxed) {
-                return Err(Lost::Stopped);
-            }
-            if let Some((at, cause, detail)) = &limit {
-                if Instant::now() >= *at {
-                    return Err(self.kill(*cause, detail.clone()));
-                }
-            }
-            match self.frames.recv_timeout(TICK) {
-                Ok(Ok(frame)) => return Ok(frame),
-                Ok(Err(e)) => return Err(self.kill(HarnessCause::ProtocolViolation, e.to_string())),
-                Err(mpsc::RecvTimeoutError::Timeout) => {}
-                Err(mpsc::RecvTimeoutError::Disconnected) => return Err(death_of(&mut self.child)),
-            }
+    /// Puts down a worker whose link broke. A stream that ended is the
+    /// worker's own death, classified from its exit status; any other
+    /// failure is answered with SIGKILL.
+    fn lost(&mut self, f: Failure) -> Lost {
+        let status = kill_and_reap(&mut self.child);
+        if !matches!(f.cause, HarnessCause::WorkerKilled { .. }) {
+            let detail = format!("{}; worker SIGKILLed", f.detail);
+            return Lost::Failed(Failure { detail, ..f }, true);
         }
-    }
-
-    /// SIGKILLs and reaps the worker, reporting why.
-    fn kill(&mut self, cause: HarnessCause, detail: String) -> Lost {
-        kill_and_reap(&mut self.child);
-        Lost::Failed {
-            cause,
-            detail,
-            killed: true,
-        }
+        let signal = status.as_ref().ok().and_then(status_signal);
+        let died = match status {
+            Ok(status) => format!("{}; worker process died: {status}", f.detail),
+            Err(e) => format!("{}; worker process died (reap failed: {e})", f.detail),
+        };
+        let cause = HarnessCause::WorkerKilled { signal };
+        Lost::Failed(Failure::new(cause, died), false)
     }
 }
 
-/// Spawns one worker process and reads its join. The worker speaks
-/// first, so a complete first frame that is not a current-version join
-/// means the binary does not match this supervisor: a deterministic
-/// failure, like a golden-count mismatch. The wait is policed by the
-/// idle limit, and a worker that dies before its join is a death.
-fn spawn_worker(bin: &Path, idle: Duration, stop: &AtomicBool) -> Result<WorkerProc, Lost> {
+/// Spawns one worker process and waits for its join under the worker
+/// silence limit. The worker speaks first, so a complete first frame
+/// that is not a current-version join means the binary does not match
+/// this supervisor: a deterministic failure, like a golden-count
+/// mismatch.
+fn spawn_worker(bin: &Path, silence: Duration, stop: &AtomicBool) -> Result<WorkerProc, Lost> {
     let mut child = Command::new(bin)
         .arg("worker")
         .stdin(Stdio::piped())
         .stdout(Stdio::piped())
         .spawn()
-        .map_err(|e| Lost::Failed {
-            cause: HarnessCause::WorkerKilled { signal: None },
-            detail: format!("spawn of {} failed: {e}", bin.display()),
-            killed: false,
+        .map_err(|e| {
+            let detail = format!("spawn of {} failed: {e}", bin.display());
+            Lost::Failed(Failure::lost(detail), false)
         })?;
-    let (Some(stdin), Some(mut stdout)) = (child.stdin.take(), child.stdout.take()) else {
-        kill_and_reap(&mut child);
-        return Err(Lost::Failed {
-            cause: HarnessCause::WorkerKilled { signal: None },
-            detail: "spawned worker came up without stdio pipes".to_string(),
-            killed: true,
-        });
+    let (Some(stdin), Some(stdout)) = (child.stdin.take(), child.stdout.take()) else {
+        let _ = kill_and_reap(&mut child);
+        let detail = "spawned worker came up without stdio pipes";
+        return Err(Lost::Failed(Failure::lost(detail), true));
     };
-    // The reader thread is detached on purpose: it parks in a blocking
-    // pipe read and exits on worker EOF, or on send failure once the
-    // receiver is gone. Framing errors travel the channel as values.
-    let (tx, frames) = mpsc::channel();
-    std::thread::spawn(move || {
-        let mut reader = FrameReader::new("worker process");
-        loop {
-            let sent = match reader.recv(&mut stdout) {
-                Ok(Recv::Frame(frame)) => tx.send(Ok(frame)),
-                Ok(Recv::Idle) => Ok(()),
-                Ok(Recv::Eof) => return,
-                Err(e) => {
-                    let _ = tx.send(Err(e));
-                    return;
-                }
-            };
-            if sent.is_err() {
-                return;
-            }
+    let mut link = Link::pipes(stdout, stdin, "worker process");
+    link.pace(None, Some(silence));
+    let mut w = WorkerProc { child, link };
+    let frame = match w.link.next(stop) {
+        Ok(Some(frame)) => frame,
+        Ok(None) => {
+            let _ = kill_and_reap(&mut w.child);
+            return Err(Lost::Stopped);
         }
-    });
-    let mut w = WorkerProc {
-        child,
-        stdin,
-        frames,
-    };
-    let limit = (
-        Instant::now() + idle,
-        HarnessCause::HeartbeatTimeout,
-        format!(
-            "no join within {}ms of the spawn; worker SIGKILLed",
-            idle.as_millis()
-        ),
-    );
-    let frame = match w.next_frame(Some(limit), stop) {
-        Ok(frame) => frame,
-        Err(lost) => {
-            if matches!(lost, Lost::Stopped) {
-                kill_and_reap(&mut w.child);
-            }
-            return Err(lost);
+        Err(f) => {
+            let detail = format!("before its join: {}", f.detail);
+            return Err(w.lost(Failure { detail, ..f }));
         }
     };
     match parse_join(&frame) {
         Ok(_) => Ok(w),
         Err(e) => {
-            kill_and_reap(&mut w.child);
+            let _ = kill_and_reap(&mut w.child);
             Err(Lost::Fatal(NfpError::ProtocolViolation {
                 detail: format!("worker binary does not match this supervisor: {e}"),
             }))
@@ -561,71 +556,33 @@ fn spawn_worker(bin: &Path, idle: Duration, stop: &AtomicBool) -> Result<WorkerP
 }
 
 /// Leases injection `index` to a live worker: one hello for the range
-/// `index..index+1`, then every frame through a [`LeaseCheck`]. Until
-/// `ready` the idle limit polices silence (the worker may be building
-/// its rig); from `ready` on only the per-injection deadline applies,
-/// so it times the replay alone. Returns the record and the attempts
-/// the worker reported for it.
+/// `index..index+1`, driven by [`drive_lease`] under the slot's
+/// deadline. Returns the record and the attempts the worker reported
+/// for it.
 fn lease_one(
     w: &mut WorkerProc,
     ctx: &SlotCtx,
     index: usize,
-    idle: Duration,
 ) -> Result<(InjectionRecord, u32), Lost> {
     let mut hello = ctx.hello.clone();
     hello.header.range_start = index as u64;
     hello.header.range_end = index as u64 + 1;
-    if let Err(e) = write_frame(&mut w.stdin, &render_hello(&hello)) {
-        let signal = kill_and_reap(&mut w.child);
-        return Err(Lost::Failed {
-            cause: HarnessCause::WorkerKilled { signal },
-            detail: format!("worker would not accept a lease: {e}"),
-            killed: false,
-        });
-    }
-    let mut check = LeaseCheck::new(&hello.header, ctx.faults);
-    let mut heard = Instant::now();
-    let mut ready: Option<Instant> = None;
-    loop {
-        let limit = match (ready, ctx.deadline) {
-            (None, _) => Some((
-                heard + idle,
-                HarnessCause::HeartbeatTimeout,
-                format!(
-                    "no heartbeat for {}ms before ready; worker SIGKILLed",
-                    idle.as_millis()
-                ),
-            )),
-            (Some(at), Some(d)) => Some((
-                at + d,
-                HarnessCause::DeadlineExceeded,
-                format!(
-                    "replay overran its {}ms deadline; worker SIGKILLed",
-                    d.as_millis()
-                ),
-            )),
-            (Some(_), None) => None,
-        };
-        let frame = w.next_frame(limit, ctx.stop)?;
-        heard = Instant::now();
-        match check.feed(&frame) {
-            Ok(Step::More) => {}
-            Ok(Step::Ready) => ready = Some(heard),
-            Ok(Step::Fin(mut records)) => {
-                let (_, record, attempts) = records
-                    .pop()
-                    .expect("a checked fin seals its one-injection range");
-                return Ok((record, attempts));
-            }
-            Ok(Step::Error(reason)) => {
-                kill_and_reap(&mut w.child);
-                return Err(Lost::Fatal(NfpError::Workload {
-                    what: "campaign worker".to_string(),
-                    reason,
-                }));
-            }
-            Err(e) => return Err(w.kill(HarnessCause::ProtocolViolation, e.to_string())),
+    match drive_lease(&mut w.link, &hello, ctx.faults, ctx.deadline, ctx.stop) {
+        Ok(LeaseEnd::Fin(mut records)) => {
+            let (_, record, attempts) = records
+                .pop()
+                .expect("a checked fin seals its one-injection range");
+            Ok((record, attempts))
         }
+        Ok(LeaseEnd::Stopped) => Err(Lost::Stopped),
+        Ok(LeaseEnd::Error(reason)) => {
+            let _ = kill_and_reap(&mut w.child);
+            Err(Lost::Fatal(NfpError::Workload {
+                what: "campaign worker".to_string(),
+                reason,
+            }))
+        }
+        Err(f) => Err(w.lost(f)),
     }
 }
 
@@ -638,9 +595,8 @@ struct SlotCtx<'a> {
     heartbeat: Duration,
     max_respawns: u32,
     slot: usize,
-    pending: &'a [usize],
+    claims: &'a Claims,
     faults: &'a [Fault],
-    next: &'a AtomicUsize,
     stop: &'a AtomicBool,
     kills: &'a AtomicUsize,
     respawns: &'a AtomicUsize,
@@ -648,26 +604,23 @@ struct SlotCtx<'a> {
 
 /// Drives one process slot: claims plan indices, leases each to a
 /// (re)spawned worker, and reports results upstream. Per injection:
-/// retry once on a fresh process, quarantine on the second failure.
-/// Per slot: more than `max_respawns` *consecutive* process failures
-/// retires the slot (quarantining whatever was in flight) and the
+/// retry once on a fresh process, quarantine after a second failed
+/// lease. A failed spawn, or a worker lost before its join, fails no
+/// lease; like every process failure it charges the slot's respawn
+/// budget. More than `max_respawns` *consecutive* failures retire the
+/// slot, handing back a claim that has not failed two leases, and the
 /// remaining slots absorb its share of the plan; any successful
 /// injection resets the count.
 fn drive_process_slot(ctx: &SlotCtx, tx: &mpsc::Sender<Msg>) {
-    let idle = (ctx.heartbeat * 10).max(Duration::from_secs(2));
+    let silence = worker_silence(ctx.heartbeat);
     let mut proc: Option<WorkerProc> = None;
     let mut consecutive: u32 = 0;
 
-    'plan: while !ctx.stop.load(Ordering::Relaxed) {
-        let Some(&index) = ctx.pending.get(ctx.next.fetch_add(1, Ordering::Relaxed)) else {
-            break;
-        };
-        let mut attempts = 0u32;
-
+    'plan: while let Some((index, mut attempts)) = ctx.claims.take(ctx.stop) {
         // Each pass either spawns a worker or leases `index` to the
         // live one. Two failed leases quarantine the injection — the
         // panic-isolation retry policy at process granularity.
-        let verdict: Result<(InjectionRecord, u32), (HarnessCause, String)> = 'attempt: loop {
+        let verdict: Result<(InjectionRecord, u32), Failure> = 'attempt: loop {
             let lost = match proc.as_mut() {
                 None => {
                     if consecutive > 0 {
@@ -677,7 +630,7 @@ fn drive_process_slot(ctx: &SlotCtx, tx: &mpsc::Sender<Msg>) {
                             break 'plan;
                         }
                     }
-                    match spawn_worker(ctx.bin, idle, ctx.stop) {
+                    match spawn_worker(ctx.bin, silence, ctx.stop) {
                         Ok(w) => {
                             proc = Some(w);
                             continue 'attempt;
@@ -687,7 +640,7 @@ fn drive_process_slot(ctx: &SlotCtx, tx: &mpsc::Sender<Msg>) {
                 }
                 Some(w) => {
                     attempts += 1;
-                    match lease_one(w, ctx, index, idle) {
+                    match lease_one(w, ctx, index) {
                         Ok(done) => break 'attempt Ok(done),
                         Err(lost) => lost,
                     }
@@ -699,24 +652,24 @@ fn drive_process_slot(ctx: &SlotCtx, tx: &mpsc::Sender<Msg>) {
                     let _ = tx.send(Msg::Fatal { error });
                     return;
                 }
-                Lost::Failed {
-                    cause,
-                    detail,
-                    killed,
-                } => {
+                Lost::Failed(f, killed) => {
                     if killed {
                         ctx.kills.fetch_add(1, Ordering::Relaxed);
                     }
                     proc = None;
                     consecutive += 1;
-                    if attempts >= 2 || consecutive > ctx.max_respawns {
-                        break 'attempt Err((cause, detail));
+                    if attempts >= 2 {
+                        break 'attempt Err(f);
+                    }
+                    if consecutive > ctx.max_respawns {
+                        retire_slot(ctx, tx, Some((index, attempts)), consecutive, &f);
+                        break 'plan;
                     }
                 }
             }
         };
 
-        let (msg, retire) = match verdict {
+        let (msg, retiring) = match verdict {
             Ok((record, worker_attempts)) => {
                 consecutive = 0;
                 // A worker retries a panicking replay itself and
@@ -735,31 +688,58 @@ fn drive_process_slot(ctx: &SlotCtx, tx: &mpsc::Sender<Msg>) {
                     attempts,
                     quarantine,
                 };
-                (msg, false)
+                (msg, None)
             }
-            Err((cause, detail)) => {
+            Err(f) => {
                 let msg = Msg::Done {
                     index,
                     record: quarantine_record(ctx.faults[index]),
                     attempts,
-                    quarantine: Some((cause, detail)),
+                    quarantine: Some((f.cause, f.detail.clone())),
                 };
-                (msg, consecutive > ctx.max_respawns)
+                (msg, (consecutive > ctx.max_respawns).then_some(f))
             }
         };
-        if retire {
-            eprintln!(
-                "supervisor: worker slot {} retired after {consecutive} consecutive process \
-                 failures; remaining slots absorb its share",
-                ctx.slot
-            );
+        let sent = tx.send(msg).is_ok();
+        match retiring {
+            Some(last) => {
+                retire_slot(ctx, tx, None, consecutive, &last);
+                break;
+            }
+            None => ctx.claims.done(),
         }
-        if tx.send(msg).is_err() || retire {
+        if !sent {
             break;
         }
     }
     if let Some(w) = proc.take() {
         shutdown(w);
+    }
+}
+
+/// Retires a process slot after `consecutive` failures, handing back
+/// `unfinished`. When no slot is left to finish the plan, the run fails
+/// naming the `last` failure.
+fn retire_slot(
+    ctx: &SlotCtx,
+    tx: &mpsc::Sender<Msg>,
+    unfinished: Option<(usize, u32)>,
+    consecutive: u32,
+    last: &Failure,
+) {
+    eprintln!(
+        "supervisor: worker slot {} retired after {consecutive} consecutive process failures; \
+         remaining slots absorb its share",
+        ctx.slot
+    );
+    if let Some(owed @ 1..) = ctx.claims.retire(unfinished) {
+        let job = format!(
+            "{owed} injections: every worker slot retired, the last after {}: {}",
+            last.cause, last.detail
+        );
+        let _ = tx.send(Msg::Fatal {
+            error: NfpError::WorkerLost { job },
+        });
     }
 }
 
@@ -869,7 +849,7 @@ pub fn run_supervised(
     let kills = AtomicUsize::new(0);
     let respawns = AtomicUsize::new(0);
 
-    let next = AtomicUsize::new(0);
+    let claims = Claims::new(&pending, workers);
     let stop = AtomicBool::new(false);
     let (tx, rx) = mpsc::channel::<Msg>();
 
@@ -880,7 +860,7 @@ pub fn run_supervised(
     std::thread::scope(|scope| {
         for slot in 0..workers {
             let tx = tx.clone();
-            let (next, stop, pending, faults) = (&next, &stop, &pending, &faults);
+            let (claims, stop, faults) = (&claims, &stop, &faults);
             if let Some(bin) = process_bin.as_deref() {
                 let ctx = SlotCtx {
                     bin,
@@ -890,9 +870,8 @@ pub fn run_supervised(
                     heartbeat: cfg.heartbeat,
                     max_respawns: cfg.max_respawns,
                     slot,
-                    pending,
+                    claims,
                     faults,
-                    next,
                     stop,
                     kills: &kills,
                     respawns: &respawns,
@@ -908,10 +887,7 @@ pub fn run_supervised(
                         return;
                     }
                 };
-                while !stop.load(Ordering::Relaxed) {
-                    let Some(&index) = pending.get(next.fetch_add(1, Ordering::Relaxed)) else {
-                        return;
-                    };
+                while let Some((index, _)) = claims.take(stop) {
                     let fault = faults[index];
                     let replayed = replay_guarded(
                         &mut rig,
@@ -955,7 +931,9 @@ pub fn run_supervised(
                         }
                         Err(error) => (Msg::Fatal { error }, false),
                     };
-                    if tx.send(msg).is_err() || retire {
+                    let sent = tx.send(msg).is_ok();
+                    claims.done();
+                    if !sent || retire {
                         return;
                     }
                 }

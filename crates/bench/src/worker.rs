@@ -38,7 +38,9 @@ use crate::backoff::{backoff_sleep, splitmix64};
 use crate::campaign::{CampaignConfig, CampaignRig, InjectionRecord};
 use crate::flatjson::{esc, parse_flat, Obj};
 use crate::journal::{fin_line, record_line, FinRecord, JournalHeader};
-use crate::net::{render_join, write_frame, FrameReader, JoinFrame, Recv, HB_FRAME};
+use crate::net::{
+    render_join, tick_socket, violation, write_frame, FrameReader, JoinFrame, Recv, HB_FRAME,
+};
 use crate::supervisor::{quarantine_record, replay_guarded, replay_spinning, Replayed};
 use nfp_core::{NfpError, Outcome};
 use nfp_sim::fault::plan;
@@ -85,12 +87,6 @@ impl WorkerPreset {
             WorkerPreset::Quick => Preset::quick(),
             WorkerPreset::Paper => Preset::paper(),
         }
-    }
-}
-
-fn violation(detail: impl Into<String>) -> NfpError {
-    NfpError::ProtocolViolation {
-        detail: detail.into(),
     }
 }
 
@@ -178,13 +174,6 @@ pub(crate) fn render_error(detail: &str) -> String {
 /// How long a connect attempt may block before it counts as a failed
 /// attempt (and backs off).
 const CONNECT_TIMEOUT: Duration = Duration::from_secs(5);
-
-/// Socket write deadline: a coordinator that cannot drain a few
-/// hundred bytes in this long is as good as gone.
-const WRITE_TIMEOUT: Duration = Duration::from_secs(5);
-
-/// Socket read deadline per poll — the worker's idle-loop tick.
-const READ_TICK: Duration = Duration::from_millis(50);
 
 /// How long the worker tolerates total coordinator silence while idle
 /// before it drops the connection and reconnects. The coordinator
@@ -451,12 +440,7 @@ fn connect_session(
         Ok(s) => s,
         Err(detail) => return lost(detail),
     };
-    let _ = stream.set_nodelay(true);
-    let writer = match stream
-        .set_read_timeout(Some(READ_TICK))
-        .and_then(|()| stream.set_write_timeout(Some(WRITE_TIMEOUT)))
-        .and_then(|()| stream.try_clone())
-    {
+    let writer = match tick_socket(&stream).and_then(|()| stream.try_clone()) {
         Ok(w) => Arc::new(Mutex::new(w)),
         Err(e) => return lost(format!("socket setup: {e}")),
     };

@@ -7,7 +7,7 @@
 use nfp_bench::{
     run_supervised, CampaignConfig, Mode, SupervisorConfig, SupervisorOutcome, WorkerIsolation,
 };
-use nfp_core::{HarnessCause, Outcome};
+use nfp_core::{HarnessCause, NfpError, Outcome};
 use nfp_workloads::{fse_kernels, Kernel, Preset};
 use std::io::{Read, Write};
 use std::path::PathBuf;
@@ -128,9 +128,9 @@ fn hung_worker_is_sigkilled_respawned_and_quarantined() {
     let k = kernel();
     // Unbounded escalation: the instruction budget can never classify
     // the spin on its own, and no wall deadline is set inside the
-    // replay either — the worker genuinely wedges, heartbeat-silent
-    // (it is mid-replay), and only the supervisor's per-injection
-    // deadline can put it down.
+    // replay either — the worker genuinely wedges mid-replay while its
+    // side thread keeps heartbeating, so silence never ends the lease
+    // and only the supervisor's per-injection deadline can put it down.
     let wedge = CampaignConfig {
         escalation: u32::MAX,
         ..campaign(48)
@@ -209,6 +209,43 @@ fn missing_worker_binary_falls_back_to_thread_mode() {
 
     let baseline = run_supervised(&k, Mode::Float, &thread_supervisor(campaign(16))).unwrap();
     assert_records_match(&outcome, &baseline, None);
+}
+
+#[test]
+#[cfg(unix)]
+fn workers_that_never_join_fail_the_run_typed_and_journal_nothing() {
+    // `/bin/false` spawns but exits before its join: every spawn of
+    // both slots fails, no worker is ever leased an injection, and the
+    // run fails naming that failure. Nothing it journals may read as a
+    // result on resume.
+    let k = kernel();
+    let journal = tmp_journal("never_joins");
+    let mut cfg = process_supervisor(campaign(16));
+    cfg.worker_bin = Some(PathBuf::from("/bin/false"));
+    cfg.journal = Some(journal.clone());
+    match run_supervised(&k, Mode::Float, &cfg) {
+        Err(NfpError::WorkerLost { job }) => {
+            assert!(job.contains("every worker slot retired"), "{job}");
+            assert!(job.contains("before its join"), "{job}");
+        }
+        other => panic!(
+            "expected a typed WorkerLost, got {:?}",
+            other.map(|o| o.completed)
+        ),
+    }
+    let text = std::fs::read_to_string(&journal).unwrap();
+    assert_eq!(text.lines().count(), 1, "more than a header:\n{text}");
+
+    let mut resuming = thread_supervisor(campaign(16));
+    resuming.journal = Some(journal.clone());
+    resuming.resume = true;
+    let resumed = run_supervised(&k, Mode::Float, &resuming).unwrap();
+    let clean = run_supervised(&k, Mode::Float, &thread_supervisor(campaign(16))).unwrap();
+    assert_eq!(resumed.resumed, 0);
+    assert!(resumed.quarantined.is_empty());
+    assert_eq!(resumed.result.records, clean.result.records);
+    assert_eq!(resumed.result.report.render(), clean.result.report.render());
+    let _ = std::fs::remove_file(&journal);
 }
 
 /// Pumps a piped worker's stdout frames into a channel, so no read can
