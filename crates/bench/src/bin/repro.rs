@@ -88,14 +88,16 @@
 //! Every failure exits nonzero with a message naming the stage that
 //! failed; a panic in this binary is a bug.
 
+use nfp_bench::evaluation::variants;
 use nfp_bench::{
     merge_journals, peek_campaign, report_ablation_calibration, report_ablation_categories,
-    report_campaign, report_campaign_footer, report_fig1, report_fig4, report_table1,
-    report_table3, report_table4, run_sharded, run_supervised, shard_journal_path,
+    report_cache_extension, report_campaign, report_campaign_footer, report_fig1, report_fig4,
+    report_table1, report_table3, report_table4, run_sharded, run_supervised, shard_journal_path,
     submit_campaign_retry, CampaignConfig, CampaignFooter, CampaignRequest, Evaluation,
     KernelResult, Mode, ServeConfig, Server, ShardConfig, ShardSpec, SupervisorConfig,
     WorkerIsolation, WorkerPreset,
 };
+use nfp_core::NfpError;
 use nfp_sim::Dispatch;
 use nfp_workloads::{all_kernels, fse_kernels, hevc_kernels, Kernel, Preset};
 use std::path::PathBuf;
@@ -171,16 +173,70 @@ fn showcase_kernels(preset: &Preset) -> Vec<Kernel> {
     vec![fse, hevc]
 }
 
-fn run_results(eval: &Evaluation, kernels: &[Kernel]) -> Vec<KernelResult> {
-    eprintln!(
-        "  running {} kernels x 2 variants across {} threads...",
-        kernels.len(),
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-    );
-    eval.run_all_parallel(kernels)
-        .unwrap_or_else(|e| fail("kernel sweep", e))
+/// One report of `repro`, rendered from the sweep.
+#[derive(Clone, Copy)]
+enum Section {
+    Table1,
+    Fig4,
+    /// Tables III and IV.
+    Table3,
+    Table4,
+    Fig1,
+    /// E6, model granularity.
+    Categories,
+    /// E7, calibration sensitivity.
+    Calibration,
+    /// E8, the cache extension.
+    Cache,
+}
+
+impl Section {
+    /// The sections `command` prints, in order, or `None` when it names
+    /// no report.
+    fn resolve(command: &str) -> Option<&'static [Section]> {
+        use Section::*;
+        Some(match command {
+            "all" => &[Table1, Fig4, Table3, Fig1, Categories, Calibration, Cache],
+            "table1" => &[Table1],
+            "fig4" => &[Fig4],
+            "table3" => &[Table3],
+            "table4" => &[Table4],
+            "fig1" => &[Fig1],
+            "ablation-categories" => &[Categories],
+            "ablation-calibration" => &[Calibration],
+            "cache" => &[Cache],
+            _ => return None,
+        })
+    }
+
+    /// The kernels this section reports on, in its plan order, and the
+    /// modes it runs them in.
+    fn plan(self, preset: &Preset) -> (Vec<Kernel>, &'static [Mode]) {
+        let registry = |kernels: Result<Vec<Kernel>, NfpError>| {
+            kernels.unwrap_or_else(|e| fail("kernel registry", e))
+        };
+        // The first `hevc` HEVC and `fse` FSE kernels: representative
+        // subsets keep E6's extra calibrations and E8's second board
+        // affordable.
+        let subset = |hevc: usize, fse: usize| -> Vec<Kernel> {
+            let hevc = registry(hevc_kernels(preset)).into_iter().take(hevc);
+            hevc.chain(registry(fse_kernels(preset)).into_iter().take(fse))
+                .collect()
+        };
+        match self {
+            Section::Table1 | Section::Calibration => (Vec::new(), &[]),
+            Section::Fig4 => (showcase_kernels(preset), &Mode::BOTH),
+            Section::Table3 | Section::Table4 => (registry(all_kernels(preset)), &Mode::BOTH),
+            Section::Fig1 => {
+                let Some(kernel) = registry(hevc_kernels(preset)).into_iter().next() else {
+                    fail("kernel selection", "preset contains no HEVC kernels");
+                };
+                (vec![kernel], &[Mode::Float])
+            }
+            Section::Categories => (subset(3, 2), &Mode::BOTH),
+            Section::Cache => (subset(3, 1), &Mode::BOTH),
+        }
+    }
 }
 
 /// The `campaign` subcommand: a supervised (journaled, panic-isolated)
@@ -254,6 +310,9 @@ fn run_campaign_command(args: &[String], preset: &Preset) {
             "--shards requires --journal (every shard journal derives from it)",
         );
     }
+    let shard_retries = parsed(args, "--shard-retries", "a count");
+    let straggler = parsed::<u64>(args, "--straggler-ms", "milliseconds")
+        .map(|ms| Duration::from_millis(ms.max(1)));
 
     let mut kernels = showcase_kernels(preset);
     if let Some(filter) = flag_value(args, "--kernel") {
@@ -287,12 +346,10 @@ fn run_campaign_command(args: &[String], preset: &Preset) {
         if let (Some(count), None) = (shards, shard_index) {
             let mut cfg = ShardConfig::new(sup.clone(), count);
             cfg.supervisor.journal = journal;
-            if let Some(k) = parsed(args, "--shard-retries", "a count") {
+            if let Some(k) = shard_retries {
                 cfg.shard_retries = k;
             }
-            if let Some(ms) = parsed::<u64>(args, "--straggler-ms", "milliseconds") {
-                cfg.straggler = Some(Duration::from_millis(ms.max(1)));
-            }
+            cfg.straggler = straggler;
             cfg.allow_partial = allow_partial;
             let outcome = run_sharded(kernel, Mode::Float, &cfg)
                 .unwrap_or_else(|e| fail(&format!("sharded campaign ({})", kernel.name), e));
@@ -559,99 +616,60 @@ fn main() {
         return;
     }
 
-    eprintln!("calibrating the cost model (Table II differential kernels)...");
-    let eval = Evaluation::new().unwrap_or_else(|e| fail("calibration", e));
-
-    let mut ran_any = false;
-    let want = |name: &str| command == name || command == "all";
-
-    if want("table1") {
-        ran_any = true;
-        println!("{}", report_table1(&eval));
-    }
-    if want("fig4") {
-        ran_any = true;
-        let kernels = showcase_kernels(&preset);
-        let results = run_results(&eval, &kernels);
-        println!("{}", report_fig4(&results));
-    }
-    if want("table3") {
-        ran_any = true;
-        let kernels = all_kernels(&preset).unwrap_or_else(|e| fail("kernel registry", e));
-        eprintln!(
-            "running {} kernels x 2 variants (this is the paper's full M = {} set)...",
-            kernels.len(),
-            kernels.len() * 2
-        );
-        let results = run_results(&eval, &kernels);
-        println!("{}", report_table3(&results));
-        println!("{}", report_table4(&results));
-    }
-    if want("table4") && command != "all" {
-        ran_any = true;
-        let kernels = all_kernels(&preset).unwrap_or_else(|e| fail("kernel registry", e));
-        let results = run_results(&eval, &kernels);
-        println!("{}", report_table4(&results));
-    }
-    if want("fig1") {
-        ran_any = true;
-        let kernels = hevc_kernels(&preset).unwrap_or_else(|e| fail("kernel registry", e));
-        let kernel = kernels
-            .first()
-            .unwrap_or_else(|| fail("kernel selection", "preset contains no HEVC kernels"));
-        let (text, _) = report_fig1(&eval, kernel).unwrap_or_else(|e| fail("fig1", e));
-        println!("{text}");
-    }
-    if want("ablation-categories") {
-        ran_any = true;
-        // A representative subset keeps the three-fold calibration and
-        // six-fold kernel sweep affordable.
-        let mut subset = Vec::new();
-        subset.extend(
-            hevc_kernels(&preset)
-                .unwrap_or_else(|e| fail("kernel registry", e))
-                .into_iter()
-                .take(3),
-        );
-        subset.extend(
-            fse_kernels(&preset)
-                .unwrap_or_else(|e| fail("kernel registry", e))
-                .into_iter()
-                .take(2),
-        );
-        let text = report_ablation_categories(&eval, &subset)
-            .unwrap_or_else(|e| fail("ablation-categories", e));
-        println!("{text}");
-    }
-    if want("ablation-calibration") {
-        ran_any = true;
-        let text = report_ablation_calibration(&eval.testbed)
-            .unwrap_or_else(|e| fail("ablation-calibration", e));
-        println!("{text}");
-    }
-    if want("cache") {
-        ran_any = true;
-        let mut subset = Vec::new();
-        subset.extend(
-            hevc_kernels(&preset)
-                .unwrap_or_else(|e| fail("kernel registry", e))
-                .into_iter()
-                .take(3),
-        );
-        subset.extend(
-            fse_kernels(&preset)
-                .unwrap_or_else(|e| fail("kernel registry", e))
-                .into_iter()
-                .take(1),
-        );
-        let text = nfp_bench::report_cache_extension(&subset)
-            .unwrap_or_else(|e| fail("cache extension", e));
-        println!("{text}");
-    }
-    if !ran_any {
+    let Some(sections) = Section::resolve(command) else {
         eprintln!(
             "unknown command `{command}`; expected table1|fig4|table3|table4|fig1|ablation-categories|ablation-calibration|cache|campaign|merge-journals|serve|submit|all"
         );
         std::process::exit(2);
+    };
+    let plans: Vec<_> = sections.iter().map(|&s| (s, s.plan(&preset))).collect();
+
+    eprintln!("calibrating the cost model (Table II differential kernels)...");
+    let eval = Evaluation::new().unwrap_or_else(|e| fail("calibration", e));
+
+    // One sweep on the paper's board simulates every variant the
+    // sections report on, once.
+    let mut seen = std::collections::HashSet::new();
+    let sweep_plan: Vec<(&Kernel, Mode)> = plans
+        .iter()
+        .flat_map(|(_, (kernels, modes))| variants(kernels, modes))
+        .filter(|&(kernel, mode)| seen.insert((&kernel.name, mode.suffix())))
+        .collect();
+    if !sweep_plan.is_empty() {
+        eprintln!(
+            "running {} kernel variants across {} threads...",
+            sweep_plan.len(),
+            std::thread::available_parallelism()
+                .map(|n| n.get())
+                .unwrap_or(1)
+        );
+    }
+    let sweep = eval
+        .run_variants(&sweep_plan)
+        .unwrap_or_else(|e| fail("kernel sweep", e));
+
+    for (section, (kernels, modes)) in &plans {
+        let results: Vec<KernelResult> = variants(kernels, modes)
+            .map(|(k, m)| {
+                let found = sweep.iter().find(|r| r.base_name == k.name && r.mode == m);
+                found.expect("the sweep ran every variant").clone()
+            })
+            .collect();
+        let text = match section {
+            Section::Table1 => report_table1(&eval),
+            Section::Fig4 => report_fig4(&results),
+            Section::Table3 => format!("{}\n{}", report_table3(&results), report_table4(&results)),
+            Section::Table4 => report_table4(&results),
+            Section::Fig1 => report_fig1(&eval, &kernels[0], &results[0])
+                .map(|(text, _)| text)
+                .unwrap_or_else(|e| fail("fig1", e)),
+            Section::Categories => report_ablation_categories(&eval, kernels, &results)
+                .unwrap_or_else(|e| fail("ablation-categories", e)),
+            Section::Calibration => report_ablation_calibration(&eval.testbed)
+                .unwrap_or_else(|e| fail("ablation-calibration", e)),
+            Section::Cache => report_cache_extension(kernels, &results)
+                .unwrap_or_else(|e| fail("cache extension", e)),
+        };
+        println!("{text}");
     }
 }

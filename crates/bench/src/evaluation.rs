@@ -1,24 +1,20 @@
-//! The evaluation pipeline: calibration, per-kernel counting,
-//! estimation, and ground-truth measurement.
+//! The evaluation pipeline: calibration, estimation, and ground-truth
+//! measurement.
 //!
-//! Every kernel variant takes two passes. The counting pass runs the
-//! ISS through [`count_classes`]; for the paper's classifier that is a
-//! traced run read out through the simulator's Table I counters, the
-//! "ISS + mechanistic model" point of Fig. 1. The testbed pass runs the
-//! variant again on the virtual board, whose hardware observer runs
-//! inside the same traces but charges a cycle and energy cost per
-//! instruction, so it is the longer of the two.
-//! [`Evaluation::run_all_parallel`]
-//! counts every variant first and then starts the testbed passes
-//! longest first, so the long soft-float variants do not leave a
-//! thread idle at the end of the sweep.
+//! Every kernel variant is simulated once, on the virtual board. The
+//! board's hardware observer runs inside the simulator's traces while
+//! the machine commits its Table I counters per block, so one
+//! [`Testbed::run`] gives the measurement, the exit code and emitted
+//! words the pipeline checks, and the Table I counts that Eq. 1 prices:
+//! the "ISS + mechanistic model" of Fig. 1, read out of the same
+//! simulation. [`Evaluation::run_variants`] starts the variants longest
+//! first by a key known before any run, so the long soft-float FSE
+//! variants do not leave a thread idle at the end of the sweep.
 
 use nfp_cc::FloatMode;
-use nfp_core::{
-    calibrate, count_classes, Calibration, Classifier, CostModel, Estimate, NfpError, Paper,
-};
+use nfp_core::{calibrate, Calibration, Estimate, NfpError, Paper};
 use nfp_testbed::{HwTotals, Measurement, Testbed};
-use nfp_workloads::{machine_for, Kernel, KERNEL_BUDGET};
+use nfp_workloads::{machine_for, Kernel, Workload, KERNEL_BUDGET};
 use std::cmp::Reverse;
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -70,7 +66,7 @@ pub struct KernelResult {
     pub base_name: String,
     /// Variant.
     pub mode: Mode,
-    /// Per-class instruction counts from the ISS.
+    /// Per-category (Table I) instruction counts of the testbed pass.
     pub counts: Vec<u64>,
     /// Model estimate (Eq. 1).
     pub estimate: Estimate,
@@ -94,12 +90,14 @@ impl KernelResult {
     }
 }
 
-/// What the counting pass learns about one kernel variant.
-struct Counted {
-    /// Per-class instruction counts.
-    counts: Vec<u64>,
-    /// Dynamic instruction count.
-    instret: u64,
+/// Every kernel of `kernels` in every mode of `modes`, in plan order.
+pub fn variants<'a>(
+    kernels: &'a [Kernel],
+    modes: &'a [Mode],
+) -> impl Iterator<Item = (&'a Kernel, Mode)> {
+    kernels
+        .iter()
+        .flat_map(move |k| modes.iter().map(move |&m| (k, m)))
 }
 
 /// `<kernel>_<float|fixed>`, the name of one kernel variant.
@@ -107,31 +105,20 @@ fn variant_name(kernel: &Kernel, mode: Mode) -> String {
     format!("{}_{}", kernel.name, mode.suffix())
 }
 
-/// The counting half of [`Evaluation::run_kernel_with`]: counts one
-/// variant per class of `classifier` and checks its exit code and
-/// emitted words.
-fn count_variant<C: Classifier + Clone>(
-    kernel: &Kernel,
-    mode: Mode,
-    classifier: &C,
-) -> Result<Counted, NfpError> {
-    let mut machine = machine_for(kernel, mode.float_mode())?;
-    let (run, counts) = count_classes(&mut machine, classifier, KERNEL_BUDGET)?;
-    if run.exit_code != 0 {
-        return Err(NfpError::KernelFailed {
-            kernel: variant_name(kernel, mode),
-            exit_code: run.exit_code,
-        });
-    }
-    if run.words != kernel.expected_words {
-        return Err(NfpError::OutputMismatch {
-            kernel: variant_name(kernel, mode),
-        });
-    }
-    Ok(Counted {
-        counts,
-        instret: run.instret,
-    })
+/// The order in which [`Evaluation::run_variants`] starts `variants`:
+/// longest first by a key known before any run, ties in plan order.
+/// Soft-float variants retire far more instructions than hard-float
+/// ones, and FSE more than HEVC: on the quick preset the soft-float FSE
+/// variants retire 66.5–67.7 M instructions and every other variant
+/// 2.7–5.9 M.
+fn start_order(variants: &[(&Kernel, Mode)]) -> Vec<usize> {
+    let mut order: Vec<usize> = (0..variants.len()).collect();
+    // Stable, so ties keep plan order.
+    order.sort_by_key(|&i| {
+        let (kernel, mode) = variants[i];
+        Reverse((mode == Mode::Fixed, kernel.workload == Workload::Fse))
+    });
+    order
 }
 
 /// A calibrated evaluation context.
@@ -153,118 +140,79 @@ impl Evaluation {
         })
     }
 
-    /// Runs one kernel variant through the full pipeline: ISS counting
-    /// pass (verifying functional output), estimation, and measured
-    /// testbed pass.
+    /// Runs one kernel variant through the pipeline in one simulation:
+    /// a [`Testbed::run`] on a fresh machine whose exit code and emitted
+    /// words are checked, whose Table I counts (the [`Paper`] classes)
+    /// Eq. 1 prices, and whose instruments give the measurement.
     pub fn run_kernel(&self, kernel: &Kernel, mode: Mode) -> Result<KernelResult, NfpError> {
-        self.run_kernel_with(kernel, mode, &Paper, &self.calibration.model)
-    }
-
-    /// Like [`Evaluation::run_kernel`] with an explicit classifier and
-    /// model (for the granularity ablation). The counting pass goes
-    /// through [`count_classes`]: a traced run for classifiers whose
-    /// classes are unions of Table I categories ([`Paper`],
-    /// [`nfp_core::Coarse`]), a traced run with a counting observer
-    /// otherwise ([`nfp_core::Fine`]). Either way it checks the exit code and the
-    /// emitted words before the testbed pass runs.
-    pub fn run_kernel_with<C: Classifier + Clone>(
-        &self,
-        kernel: &Kernel,
-        mode: Mode,
-        classifier: &C,
-        model: &CostModel,
-    ) -> Result<KernelResult, NfpError> {
-        let counted = count_variant(kernel, mode, classifier)?;
-        self.measure_variant(kernel, mode, &counted, model)
-    }
-
-    /// The testbed half of [`Evaluation::run_kernel_with`]: measures
-    /// one variant on the virtual board and sets the estimate `model`
-    /// makes from `counted` beside the measurement.
-    fn measure_variant(
-        &self,
-        kernel: &Kernel,
-        mode: Mode,
-        counted: &Counted,
-        model: &CostModel,
-    ) -> Result<KernelResult, NfpError> {
+        let name = variant_name(kernel, mode);
         let mut machine = machine_for(kernel, mode.float_mode())?;
         let measured = self.testbed.run(&mut machine, kernel.seed, KERNEL_BUDGET)?;
+        let run = &measured.run;
+        if run.exit_code != 0 {
+            return Err(NfpError::KernelFailed {
+                kernel: name,
+                exit_code: run.exit_code,
+            });
+        }
+        if run.words != kernel.expected_words {
+            return Err(NfpError::OutputMismatch { kernel: name });
+        }
+        // A fresh machine's counters hold this run alone, and the Paper
+        // classes are the Table I categories in order.
+        let counts = run.counts.as_array().to_vec();
         Ok(KernelResult {
-            name: variant_name(kernel, mode),
+            name,
             base_name: kernel.name.clone(),
             mode,
-            counts: counted.counts.clone(),
-            estimate: model.estimate(&counted.counts),
+            estimate: self.calibration.model.estimate(&counts),
+            counts,
             measured: measured.measurement,
             totals: measured.totals,
-            instret: counted.instret,
+            instret: run.instret,
         })
     }
 
     /// Runs every kernel in both variants (the paper's M = 2×|kernels|
     /// evaluation set).
     pub fn run_all(&self, kernels: &[Kernel]) -> Result<Vec<KernelResult>, NfpError> {
-        let mut results = Vec::with_capacity(kernels.len() * 2);
-        for kernel in kernels {
-            for mode in Mode::BOTH {
-                results.push(self.run_kernel(kernel, mode)?);
-            }
-        }
-        Ok(results)
+        variants(kernels, &Mode::BOTH)
+            .map(|(kernel, mode)| self.run_kernel(kernel, mode))
+            .collect()
     }
 
-    /// Like [`Evaluation::run_all`] but spread over
-    /// `available_parallelism()` worker threads (at most one per
-    /// variant), each variant on its own simulator instances.
-    ///
-    /// The sweep runs in two rounds. Round 1 counts every variant in
-    /// plan order. Round 2 runs the testbed passes in descending
-    /// counted `instret`, ties in plan order: the testbed pass costs
-    /// about the same per instruction for every variant, so starting
-    /// the longest first keeps the threads busy to the end. Results
-    /// come back in plan order, byte-identical to [`Evaluation::run_all`],
-    /// and on failure the error is the first one in plan order. A
-    /// variant whose job panicked reports [`NfpError::WorkerLost`].
+    /// Like [`Evaluation::run_all`] but spread over threads by
+    /// [`Evaluation::run_variants`].
     pub fn run_all_parallel(&self, kernels: &[Kernel]) -> Result<Vec<KernelResult>, NfpError> {
-        let jobs: Vec<(&Kernel, Mode)> = kernels
-            .iter()
-            .flat_map(|k| Mode::BOTH.map(|m| (k, m)))
-            .collect();
-        let names: Vec<String> = jobs.iter().map(|&(k, m)| variant_name(k, m)).collect();
+        self.run_variants(&variants(kernels, &Mode::BOTH).collect::<Vec<_>>())
+    }
+
+    /// Runs `variants` over `available_parallelism()` worker threads (at
+    /// most one per variant), each variant on its own simulator
+    /// instance, in one round that starts the longest variants first.
+    /// Results come back in plan order, each equal to its
+    /// [`Evaluation::run_kernel`], and on failure the error is the first
+    /// one in plan order. A variant whose job panicked reports
+    /// [`NfpError::WorkerLost`].
+    pub fn run_variants(
+        &self,
+        variants: &[(&Kernel, Mode)],
+    ) -> Result<Vec<KernelResult>, NfpError> {
         let threads = std::thread::available_parallelism()
             .map(|n| n.get())
             .unwrap_or(4)
-            .min(jobs.len().max(1));
-
-        let counted = run_pool(&jobs, threads, |&(kernel, mode)| {
-            count_variant(kernel, mode, &Paper)
+            .min(variants.len().max(1));
+        let order = start_order(variants);
+        let done = run_pool(&order, threads, |&i| {
+            let (kernel, mode) = variants[i];
+            self.run_kernel(kernel, mode)
         });
-        let mut longest_first: Vec<(usize, &Counted)> = counted
-            .iter()
-            .enumerate()
-            .filter_map(|(i, c)| match c {
-                Some(Ok(c)) => Some((i, c)),
-                _ => None,
-            })
-            .collect();
-        // Stable, so ties keep plan order.
-        longest_first.sort_by_key(|&(_, c)| Reverse(c.instret));
-        let measured = run_pool(&longest_first, threads, |&(i, counted)| {
-            let (kernel, mode) = jobs[i];
-            self.measure_variant(kernel, mode, counted, &self.calibration.model)
-        });
-
         let mut slots: Vec<Option<Result<KernelResult, NfpError>>> =
-            jobs.iter().map(|_| None).collect();
-        for (&(i, _), result) in longest_first.iter().zip(measured) {
+            variants.iter().map(|_| None).collect();
+        for (&i, result) in order.iter().zip(done) {
             slots[i] = result;
         }
-        for (slot, c) in slots.iter_mut().zip(counted) {
-            if let Some(Err(e)) = c {
-                *slot = Some(Err(e));
-            }
-        }
+        let names: Vec<String> = variants.iter().map(|&(k, m)| variant_name(k, m)).collect();
         collect_parallel_slots(slots, &names)
     }
 }
@@ -329,6 +277,7 @@ pub(crate) fn collect_parallel_slots<T>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use nfp_core::{count_classes, Classifier};
     use nfp_workloads::Preset;
 
     #[test]
@@ -391,13 +340,13 @@ mod tests {
         }
     }
 
-    /// `count_classes` for `classifier` against a stepping
-    /// `ClassCounter`, on a fresh machine each.
+    /// `count_classes` for `classifier` against a `ClassCounter`, on a
+    /// fresh machine each; returns the counts and instret they agree on.
     fn assert_counts_match_observer<C: Classifier + Clone>(
         kernel: &Kernel,
         mode: Mode,
         classifier: C,
-    ) {
+    ) -> (Vec<u64>, u64) {
         let name = variant_name(kernel, mode);
         let mut machine = machine_for(kernel, mode.float_mode()).unwrap();
         let (run, counts) = count_classes(&mut machine, &classifier, KERNEL_BUDGET).unwrap();
@@ -411,19 +360,61 @@ mod tests {
         assert_eq!(counts, counter.counts(), "{name}");
         assert_eq!(run.instret, observed.instret, "{name}");
         assert_eq!(run.words, kernel.expected_words, "{name}");
+        (counts, run.instret)
     }
 
     #[test]
     fn trace_speed_counts_equal_class_counter_counts() {
+        let eval = Evaluation::new().unwrap();
         let preset = Preset::quick();
         let hevc = nfp_workloads::hevc_kernels(&preset).expect("kernels");
         let fse = nfp_workloads::fse_kernels(&preset).expect("kernels");
         for kernel in [&hevc[0], &fse[0]] {
             for mode in Mode::BOTH {
-                assert_counts_match_observer(kernel, mode, Paper);
+                let (counts, instret) = assert_counts_match_observer(kernel, mode, Paper);
                 assert_counts_match_observer(kernel, mode, nfp_core::Coarse);
+                // The testbed pass is the counting pass: its counts are
+                // those of an unobserved run and of a ClassCounter run.
+                let r = eval.run_kernel(kernel, mode).unwrap();
+                assert_eq!(r.counts, counts, "{}", r.name);
+                assert_eq!(r.instret, instret, "{}", r.name);
             }
         }
+    }
+
+    #[test]
+    fn sweep_starts_soft_float_fse_first_and_keeps_plan_order_in_ties() {
+        let kernel = |name: &str, workload| Kernel {
+            name: name.to_string(),
+            workload,
+            input: Vec::new(),
+            expected_words: Vec::new(),
+            seed: 0,
+        };
+        let kernels = [
+            kernel("hevc_a", Workload::Hevc),
+            kernel("fse_b", Workload::Fse),
+            kernel("hevc_c", Workload::Hevc),
+            kernel("fse_d", Workload::Fse),
+        ];
+        let variants: Vec<(&Kernel, Mode)> = variants(&kernels, &Mode::BOTH).collect();
+        let started: Vec<String> = start_order(&variants)
+            .into_iter()
+            .map(|i| variant_name(variants[i].0, variants[i].1))
+            .collect();
+        assert_eq!(
+            started,
+            [
+                "fse_b_fixed",
+                "fse_d_fixed",
+                "hevc_a_fixed",
+                "hevc_c_fixed",
+                "fse_b_float",
+                "fse_d_float",
+                "hevc_a_float",
+                "hevc_c_float",
+            ]
+        );
     }
 
     #[test]

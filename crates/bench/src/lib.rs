@@ -1,9 +1,11 @@
 //! `nfp-bench`: the reproduction harness.
 //!
 //! [`Evaluation`] runs the paper's full workflow — calibrate the cost
-//! model (Table I), count instructions per kernel on the ISS, estimate
-//! with Eq. 1, measure ground truth on the virtual testbed — and the
-//! report functions render every table and figure of the paper:
+//! model (Table I), then simulate each kernel variant once on the
+//! virtual testbed, which measures ground truth while the ISS counts
+//! instructions per Table I category, and estimate from those counts
+//! with Eq. 1 — and the report functions render every table and figure
+//! of the paper, each that evaluates kernels from one such sweep:
 //!
 //! * [`report_table1`] — specific times/energies vs the paper's values;
 //! * [`report_fig4`]   — measured vs estimated for four showcase kernels;
@@ -11,7 +13,9 @@
 //! * [`report_table4`] — the FPU design trade-off;
 //! * [`report_fig1`]   — simulation-speed vs accuracy landscape;
 //! * [`report_ablation_categories`] / [`report_ablation_calibration`] —
-//!   additional ablations.
+//!   additional ablations;
+//! * [`report_cache_extension`] — the constant-cost model on a board
+//!   with a data cache.
 //!
 //! Beyond the paper, [`campaign`] adds SEU fault-injection campaigns:
 //! [`run_campaign`] replays a kernel under seeded single-bit flips and

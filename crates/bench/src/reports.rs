@@ -1,13 +1,13 @@
 //! Renders every table and figure of the paper as text, side by side
 //! with the paper's published numbers where applicable.
 
-use crate::evaluation::{Evaluation, KernelResult, Mode};
+use crate::evaluation::{variants, Evaluation, KernelResult, Mode};
 use nfp_core::{
-    calibrate, calibrate_class, count_classes, paper_table1, Coarse, ErrorSummary, Fine, NfpError,
-    Paper,
+    calibrate, calibrate_class, count_classes, fold_categories, paper_table1, Classifier, Coarse,
+    CostModel, ErrorSummary, Fine, NfpError, Paper,
 };
 use nfp_sim::MachineConfig;
-use nfp_testbed::{AreaModel, HwObserver, Testbed};
+use nfp_testbed::{AreaModel, CacheConfig, HwObserver, Testbed};
 use nfp_workloads::{machine_for, Kernel, KERNEL_BUDGET};
 use std::fmt::Write;
 
@@ -208,14 +208,17 @@ const FIG1_ROUNDS: usize = 5;
 /// Fig. 1: simulation speed vs non-functional-property accuracy for
 /// three simulator classes run on the same kernel: the detailed
 /// hardware model ("CAS-like", defines ground truth), the ISS with the
-/// mechanistic model (this paper; the pipeline's counting pass,
-/// [`count_classes`] with [`Paper`]), and the bare ISS (functional
-/// only). The three layers run back to back in each of five rounds, so
-/// drift in the host's speed hits all of them alike, and each reports
-/// its median speed.
+/// mechanistic model (this paper: a traced run whose Table I counters
+/// are read out afterwards, [`count_classes`] with [`Paper`]), and the
+/// bare ISS (functional only). The three layers run back to back in
+/// each of five rounds, so drift in the host's speed hits all of them
+/// alike, and each reports its median speed. Timing the layers is the
+/// figure; the mechanistic layer's NFP error is that of `result`, the
+/// sweep's result for `kernel`'s float variant.
 pub fn report_fig1(
     eval: &Evaluation,
     kernel: &Kernel,
+    result: &KernelResult,
 ) -> Result<(String, Vec<Fig1Point>), NfpError> {
     let mode = Mode::Float;
     let run_timed = |count: bool, detailed: bool| -> Result<f64, NfpError> {
@@ -249,8 +252,6 @@ pub fn report_fig1(
         Ok(instret as f64 / dt)
     };
 
-    // NFP accuracy of the mechanistic layer on this kernel.
-    let result = eval.run_kernel(kernel, mode)?;
     let model_err = result.time_error().abs().max(result.energy_error().abs());
 
     // (count, detailed) per layer, in the figure's order.
@@ -306,12 +307,67 @@ pub fn report_fig1(
     Ok((out, points))
 }
 
+/// Mean absolute energy and time errors of `results`; `what` names the
+/// set in the error when it is empty.
+fn mean_abs_errors(results: &[KernelResult], what: &'static str) -> Result<(f64, f64), NfpError> {
+    let mean_abs = |error: fn(&KernelResult) -> f64| {
+        let errors: Vec<f64> = results.iter().map(error).collect();
+        ErrorSummary::from_errors(&errors)
+            .map(|s| s.mean_abs)
+            .ok_or(NfpError::Empty { what })
+    };
+    Ok((
+        mean_abs(KernelResult::energy_error)?,
+        mean_abs(KernelResult::time_error)?,
+    ))
+}
+
 /// Ablation E6: estimation error as a function of category
 /// granularity (1 class / the paper's 9 / 11 with mul+div split).
+///
+/// `results` are the sweep's results for `kernels` in both modes, in
+/// plan order, and every row prices their measurements. The paper's
+/// row is the sweep's own estimate under `eval.calibration`; the coarse
+/// row folds the sweep's Table I counts into its one class
+/// ([`fold_categories`]); the fine row splits a category, so it counts
+/// each variant once more through [`count_classes`].
 pub fn report_ablation_categories(
     eval: &Evaluation,
     kernels: &[Kernel],
+    results: &[KernelResult],
 ) -> Result<String, NfpError> {
+    /// `classifier`'s row: every variant's counts priced by `model`.
+    fn row<C: Classifier + Clone>(
+        name: &str,
+        classifier: C,
+        model: &CostModel,
+        kernels: &[Kernel],
+        results: &[KernelResult],
+    ) -> Result<String, NfpError> {
+        let mut priced = Vec::with_capacity(results.len());
+        for ((kernel, mode), r) in variants(kernels, &Mode::BOTH).zip(results) {
+            let counts = match fold_categories(&classifier, &r.counts) {
+                Some(counts) => counts,
+                None => {
+                    let mut machine = machine_for(kernel, mode.float_mode())?;
+                    count_classes(&mut machine, &classifier, KERNEL_BUDGET)?.1
+                }
+            };
+            let estimate = model.estimate(&counts);
+            priced.push(KernelResult {
+                estimate,
+                ..r.clone()
+            });
+        }
+        let (energy, time) = mean_abs_errors(&priced, "ablation kernel errors")?;
+        let classes = classifier.class_count();
+        Ok(format!(
+            "{name:<28} {classes:>8} {:>9.2}% {:>9.2}%\n",
+            energy * 100.0,
+            time * 100.0
+        ))
+    }
+
     let mut out = String::new();
     writeln!(
         out,
@@ -324,44 +380,12 @@ pub fn report_ablation_categories(
         "Model", "classes", "energy", "time"
     )
     .unwrap();
-
-    macro_rules! run_with {
-        ($name:expr, $classifier:expr) => {{
-            let classifier = $classifier;
-            let cal = calibrate(&eval.testbed, &classifier, 0xcafe)?;
-            let mut e_errs = Vec::new();
-            let mut t_errs = Vec::new();
-            for kernel in kernels {
-                for mode in Mode::BOTH {
-                    let r = eval.run_kernel_with(kernel, mode, &classifier, &cal.model)?;
-                    e_errs.push(r.energy_error());
-                    t_errs.push(r.time_error());
-                }
-            }
-            let e = ErrorSummary::from_errors(&e_errs).ok_or(NfpError::Empty {
-                what: "ablation kernel errors",
-            })?;
-            let t = ErrorSummary::from_errors(&t_errs).ok_or(NfpError::Empty {
-                what: "ablation kernel errors",
-            })?;
-            writeln!(
-                out,
-                "{:<28} {:>8} {:>9.2}% {:>9.2}%",
-                $name,
-                classifier_class_count(&classifier),
-                e.mean_abs * 100.0,
-                t.mean_abs * 100.0
-            )
-            .unwrap();
-        }};
-    }
-    fn classifier_class_count<C: nfp_core::Classifier>(c: &C) -> usize {
-        c.class_count()
-    }
-
-    run_with!("single class (coarse)", Coarse);
-    run_with!("Table I categories (paper)", Paper);
-    run_with!("+ int mul/div split (fine)", Fine);
+    let coarse = calibrate(&eval.testbed, &Coarse, 0xcafe)?.model;
+    out += &row("single class (coarse)", Coarse, &coarse, kernels, results)?;
+    let paper = &eval.calibration.model;
+    out += &row("Table I categories (paper)", Paper, paper, kernels, results)?;
+    let fine = calibrate(&eval.testbed, &Fine, 0xcafe)?.model;
+    out += &row("+ int mul/div split (fine)", Fine, &fine, kernels, results)?;
     Ok(out)
 }
 
@@ -416,12 +440,16 @@ pub fn report_ablation_calibration(testbed: &Testbed) -> Result<String, NfpError
 }
 
 /// Extension E8: what happens to the constant-cost model when the core
-/// gains a data cache (the paper's stated future work). Calibrates and
-/// evaluates on a cacheless and on a cached board; with the cache,
-/// per-access memory cost becomes history-dependent and the Eq. 1
-/// assumption breaks down visibly.
-pub fn report_cache_extension(kernels: &[Kernel]) -> Result<String, NfpError> {
-    use nfp_testbed::CacheConfig;
+/// gains a data cache (the paper's stated future work). `cacheless` are
+/// the sweep's results for `kernels` in both modes on the paper's
+/// cacheless board; the cached row calibrates a board with a data cache
+/// and sweeps `kernels` on it. With the cache, per-access memory cost
+/// becomes history-dependent and the Eq. 1 assumption breaks down
+/// visibly.
+pub fn report_cache_extension(
+    kernels: &[Kernel],
+    cacheless: &[KernelResult],
+) -> Result<String, NfpError> {
     let mut out = String::new();
     writeln!(
         out,
@@ -434,39 +462,23 @@ pub fn report_cache_extension(kernels: &[Kernel]) -> Result<String, NfpError> {
         "Board configuration", "energy", "time"
     )
     .unwrap();
-    for (name, testbed) in [
-        ("cacheless (paper's config)", Testbed::new()),
-        (
-            "with 4 KiB D-cache",
-            Testbed::with_cache(CacheConfig::default()),
-        ),
+    let board = Testbed::with_cache(CacheConfig::default());
+    let cached = Evaluation {
+        calibration: calibrate(&board, &Paper, 0xcafe)?,
+        testbed: board,
+    }
+    .run_all_parallel(kernels)?;
+    for (name, results) in [
+        ("cacheless (paper's config)", cacheless),
+        ("with 4 KiB D-cache", &cached),
     ] {
-        let calibration = calibrate(&testbed, &Paper, 0xcafe)?;
-        let eval = Evaluation {
-            testbed,
-            calibration,
-        };
-        let mut e_errs = Vec::new();
-        let mut t_errs = Vec::new();
-        for kernel in kernels {
-            for mode in Mode::BOTH {
-                let r = eval.run_kernel(kernel, mode)?;
-                e_errs.push(r.energy_error());
-                t_errs.push(r.time_error());
-            }
-        }
-        let e = nfp_core::ErrorSummary::from_errors(&e_errs).ok_or(NfpError::Empty {
-            what: "cache-extension kernel errors",
-        })?;
-        let t = nfp_core::ErrorSummary::from_errors(&t_errs).ok_or(NfpError::Empty {
-            what: "cache-extension kernel errors",
-        })?;
+        let (energy, time) = mean_abs_errors(results, "cache-extension kernel errors")?;
         writeln!(
             out,
             "{:<30} {:>9.2}% {:>9.2}%",
             name,
-            e.mean_abs * 100.0,
-            t.mean_abs * 100.0
+            energy * 100.0,
+            time * 100.0
         )
         .unwrap();
     }

@@ -8,11 +8,15 @@
 //! 1. **Calibrate** per-class specific costs on the (virtual) hardware
 //!    testbed with differential reference/test kernels —
 //!    [`calibration::calibrate`] regenerates Table I.
-//! 2. **Count** instructions per class on the fast ISS —
-//!    [`model::count_classes`], which reads the simulator's built-in
-//!    Table I counters after a traced run, and attaches a
-//!    [`model::ClassCounter`] observer (which runs traced too) only for
-//!    classifiers whose classes are not unions of Table I categories.
+//! 2. **Count** instructions per class on the fast ISS. The simulator
+//!    commits its built-in Table I counters in every run, so the counts
+//!    are read out of a simulation that already ran (the pipeline reads
+//!    them from its one testbed pass per variant) and
+//!    [`model::fold_categories`] folds them into the classes of any
+//!    classifier whose classes are unions of Table I categories. Only a
+//!    classifier that splits a category needs a run of its own:
+//!    [`model::count_classes`] attaches a [`model::ClassCounter`]
+//!    observer for it, which runs traced too.
 //! 3. **Estimate** `Ê = Σ e_c·n_c`, `T̂ = Σ t_c·n_c` —
 //!    [`model::CostModel::estimate`] (Eq. 1).
 //! 4. **Evaluate** against testbed measurements with
@@ -34,6 +38,7 @@ pub use consistency::{check_structure, validate, Finding, Severity, Validation};
 pub use dse::{fpu_tradeoff, FpuTradeoff, KernelNfp};
 pub use error::{relative_error, ErrorSummary, NfpError};
 pub use model::{
-    count_classes, paper_table1, ClassCounter, Classifier, Coarse, CostModel, Estimate, Fine, Paper,
+    count_classes, fold_categories, paper_table1, ClassCounter, Classifier, Coarse, CostModel,
+    Estimate, Fine, Paper,
 };
 pub use vulnerability::{HarnessCause, Outcome, OutcomeCounts, VulnerabilityReport, OUTCOME_COUNT};

@@ -7,11 +7,17 @@
 //! classifiers exist for the granularity ablation (what happens with
 //! one class, or with integer multiply/divide split out).
 //!
-//! [`count_classes`] is the counting pass: it reads the simulator's
-//! built-in Table I counters after an unobserved (traced) run whenever
-//! the classifier's classes are unions of Table I categories, and
-//! attaches a [`ClassCounter`] observer only when they are not. Both
-//! paths run at the machine's dispatch, traced by default.
+//! The simulator commits its built-in Table I counters per block in
+//! every run, observed or not, so the counts Eq. 1 prices are read out
+//! of whatever simulation already ran: the pipeline takes them from the
+//! testbed pass. [`fold_categories`] turns them into the classes of any
+//! classifier whose classes are unions of Table I categories.
+//! [`count_classes`] is a counting run of its own, for the one
+//! classifier that needs it ([`Fine`]) and for machines without
+//! built-in counters: it folds the counters of an unobserved (traced)
+//! run where it can, and attaches a [`ClassCounter`] observer only
+//! where it cannot. Both paths run at the machine's dispatch, traced by
+//! default.
 
 use nfp_sim::{ExecInfo, Machine, Observer, RunResult, SimError};
 use nfp_sparc::{AluOp, Category, Instr, CATEGORY_COUNT};
@@ -21,8 +27,8 @@ use nfp_sparc::{AluOp, Category, Instr, CATEGORY_COUNT};
 /// counts instructions without dynamic context.
 ///
 /// A classifier whose classes are unions of Table I categories says so
-/// through [`Classifier::category_class`]; [`count_classes`] then folds
-/// the simulator's own category counters into classes instead of
+/// through [`Classifier::category_class`]; [`fold_categories`] then
+/// folds the simulator's own category counters into classes instead of
 /// observing every instruction.
 pub trait Classifier {
     /// Number of classes.
@@ -149,17 +155,30 @@ impl<C: Classifier> Observer for ClassCounter<C> {
     }
 }
 
+/// Folds per-category counts, indexed like [`Category::ALL`], into the
+/// classes of `classifier`, or `None` when some category has no single
+/// class ([`Classifier::category_class`]).
+pub fn fold_categories<C: Classifier>(classifier: &C, per_category: &[u64]) -> Option<Vec<u64>> {
+    let mut counts = vec![0; classifier.class_count()];
+    for (&category, &n) in Category::ALL.iter().zip(per_category) {
+        counts[classifier.category_class(category)?] += n;
+    }
+    Some(counts)
+}
+
 /// Runs `machine` for at most `max_instrs` instructions and counts what
-/// it retires per class of `classifier` — the paper's counting pass.
+/// it retires per class of `classifier`.
 ///
 /// If every Table I category maps to a class
 /// ([`Classifier::category_class`]) and the machine keeps its category
 /// counters ([`MachineConfig::count_categories`]), this is an
 /// unobserved [`Machine::run`] at the machine's dispatch (traced by
-/// default) whose [`RunResult::counts`] are folded into classes.
-/// Otherwise a [`ClassCounter`] is attached through
-/// [`Machine::run_observed`], which dispatches the same way and calls
-/// the counter once per retired instruction. Both give the same counts.
+/// default) whose [`RunResult::counts`] are folded into classes by
+/// [`fold_categories`]. Otherwise a [`ClassCounter`] is attached
+/// through [`Machine::run_observed`], which dispatches the same way and
+/// calls the counter once per retired instruction. Both give the same
+/// counts. A simulation that already ran, such as the testbed pass,
+/// needs no second run: fold its [`RunResult::counts`] instead.
 ///
 /// [`MachineConfig::count_categories`]: nfp_sim::MachineConfig::count_categories
 pub fn count_classes<C: Classifier + Clone>(
@@ -167,28 +186,21 @@ pub fn count_classes<C: Classifier + Clone>(
     classifier: &C,
     max_instrs: u64,
 ) -> Result<(RunResult, Vec<u64>), SimError> {
-    let classes: Option<Vec<usize>> = Category::ALL
+    let folds = Category::ALL
         .iter()
-        .map(|&c| classifier.category_class(c))
-        .collect();
-    match classes {
-        Some(classes) if machine.config().count_categories => {
-            // The machine's counters span its whole life; count only
-            // this run, as an observer attached now would.
-            let before = *machine.counts();
-            let run = machine.run(max_instrs)?;
-            let mut counts = vec![0; classifier.class_count()];
-            for (category, n) in run.counts.diff(&before).iter() {
-                counts[classes[category.index()]] += n;
-            }
-            Ok((run, counts))
-        }
-        _ => {
-            let mut counter = ClassCounter::new(classifier.clone());
-            let run = machine.run_observed(max_instrs, &mut counter)?;
-            Ok((run, counter.counts))
-        }
+        .all(|&c| classifier.category_class(c).is_some());
+    if !folds || !machine.config().count_categories {
+        let mut counter = ClassCounter::new(classifier.clone());
+        let run = machine.run_observed(max_instrs, &mut counter)?;
+        return Ok((run, counter.counts));
     }
+    // The machine's counters span its whole life; count only this run,
+    // as an observer attached now would.
+    let before = *machine.counts();
+    let run = machine.run(max_instrs)?;
+    let counts = fold_categories(classifier, run.counts.diff(&before).as_array())
+        .expect("every category maps to a class");
+    Ok((run, counts))
 }
 
 /// The calibrated model: specific time and energy per class
@@ -316,6 +328,20 @@ mod tests {
             assert_eq!(Paper.category_class(cat), Some(Paper.classify(&instr)));
             assert_eq!(Coarse.category_class(cat), Some(Coarse.classify(&instr)));
         }
+    }
+
+    #[test]
+    fn fold_categories_sums_categories_into_classes() {
+        let per_category: Vec<u64> = (1..=CATEGORY_COUNT as u64).collect();
+        assert_eq!(
+            fold_categories(&Paper, &per_category),
+            Some(per_category.clone())
+        );
+        assert_eq!(
+            fold_categories(&Coarse, &per_category),
+            Some(vec![per_category.iter().sum()])
+        );
+        assert_eq!(fold_categories(&Fine, &per_category), None);
     }
 
     #[test]
