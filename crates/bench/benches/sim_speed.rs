@@ -8,9 +8,9 @@
 //! * the detailed hardware model (the CAS-like slow/accurate end).
 //!
 //! Plus the dispatch-mode comparison: the same FSE kernel under
-//! per-instruction stepping and superblock traces, and with the
-//! hardware-model observer attached under the default dispatch (the
-//! testbed pass), measured directly and recorded to `BENCH_sim.json`
+//! per-instruction stepping and superblock traces, and on the testbed
+//! (`Testbed::run`, the hardware ledger under the default dispatch),
+//! measured directly and recorded to `BENCH_sim.json`
 //! at the workspace root (CI uploads it as an artifact and gates on
 //! traced-dispatch and observed-run regressions).
 
@@ -22,7 +22,7 @@ use nfp_bench::{
 };
 use nfp_cc::FloatMode;
 use nfp_sim::{Dispatch, Machine, MachineConfig};
-use nfp_testbed::{HwModel, HwObserver};
+use nfp_testbed::Testbed;
 use nfp_workloads::{fse_kernels, hevc_kernels, machine_for, Kernel, Preset, INPUT_BASE};
 use std::time::Instant;
 
@@ -72,12 +72,15 @@ fn bench_sim_layers(c: &mut Criterion) {
         })
     });
 
+    let testbed = Testbed::new();
     group.bench_function("detailed_hw_model", |b| {
         b.iter(|| {
             let mut machine = machine_for(&kernel, FloatMode::Hard).expect("machine");
-            let mut obs = HwObserver::new(HwModel::default());
-            machine.run_observed(u64::MAX, &mut obs).unwrap();
-            obs.totals().cycles
+            testbed
+                .run(&mut machine, kernel.seed, u64::MAX)
+                .unwrap()
+                .totals
+                .cycles
         })
     });
 
@@ -85,9 +88,9 @@ fn bench_sim_layers(c: &mut Criterion) {
 }
 
 /// Median-of-N wall time of one full kernel run in every dispatch
-/// mode, then with the hardware-model observer under the default
-/// dispatch; returns the seconds (`Dispatch::ALL` order, then the
-/// observed leg) plus the common instret.
+/// mode, then on the testbed (`Testbed::run`: the hardware ledger under
+/// the default dispatch); returns the seconds (`Dispatch::ALL` order,
+/// then the observed leg) plus the common instret.
 ///
 /// The reps are interleaved round-robin across the modes rather than
 /// run as per-mode blocks: on shared/contended runners the available
@@ -98,6 +101,7 @@ fn bench_sim_layers(c: &mut Criterion) {
 fn time_modes(kernel: &Kernel, reps: usize) -> ([f64; 3], u64) {
     let mut times = [(); 3].map(|()| Vec::with_capacity(reps));
     let mut instret = [0u64; 3];
+    let testbed = Testbed::new();
     for _ in 0..reps {
         for (i, &dispatch) in Dispatch::ALL.iter().enumerate() {
             let mut machine = machine_for(kernel, FloatMode::Hard).expect("machine");
@@ -107,9 +111,12 @@ fn time_modes(kernel: &Kernel, reps: usize) -> ([f64; 3], u64) {
             times[i].push(start.elapsed().as_secs_f64());
         }
         let mut machine = machine_for(kernel, FloatMode::Hard).expect("machine");
-        let mut obs = HwObserver::new(HwModel::default());
         let start = Instant::now();
-        instret[2] = machine.run_observed(u64::MAX, &mut obs).unwrap().instret;
+        instret[2] = testbed
+            .run(&mut machine, kernel.seed, u64::MAX)
+            .unwrap()
+            .run
+            .instret;
         times[2].push(start.elapsed().as_secs_f64());
     }
     assert!(

@@ -660,10 +660,10 @@ fn main() {
             Section::Fig4 => report_fig4(&results),
             Section::Table3 => format!("{}\n{}", report_table3(&results), report_table4(&results)),
             Section::Table4 => report_table4(&results),
-            Section::Fig1 => report_fig1(&eval, &kernels[0], &results[0])
-                .map(|(text, _)| text)
-                .unwrap_or_else(|e| fail("fig1", e)),
-            Section::Categories => report_ablation_categories(&eval, kernels, &results)
+            Section::Fig1 => {
+                report_fig1(&eval, &kernels[0], &results[0]).unwrap_or_else(|e| fail("fig1", e))
+            }
+            Section::Categories => report_ablation_categories(&eval, &results)
                 .unwrap_or_else(|e| fail("ablation-categories", e)),
             Section::Calibration => report_ablation_calibration(&eval.testbed)
                 .unwrap_or_else(|e| fail("ablation-calibration", e)),

@@ -1,13 +1,13 @@
 //! Renders every table and figure of the paper as text, side by side
 //! with the paper's published numbers where applicable.
 
-use crate::evaluation::{variants, Evaluation, KernelResult, Mode};
+use crate::evaluation::{Evaluation, KernelResult, Mode};
 use nfp_core::{
     calibrate, calibrate_class, count_classes, fold_categories, paper_table1, Classifier, Coarse,
     CostModel, ErrorSummary, Fine, NfpError, Paper,
 };
 use nfp_sim::MachineConfig;
-use nfp_testbed::{AreaModel, CacheConfig, HwObserver, Testbed};
+use nfp_testbed::{AreaModel, CacheConfig, Testbed};
 use nfp_workloads::{machine_for, Kernel, KERNEL_BUDGET};
 use std::fmt::Write;
 
@@ -191,35 +191,25 @@ pub fn report_table4(results: &[KernelResult]) -> String {
     out
 }
 
-/// One point of the Fig. 1 landscape.
-#[derive(Debug, Clone)]
-pub struct Fig1Point {
-    /// Simulator class.
-    pub name: &'static str,
-    /// Simulated instructions per host second.
-    pub mips: f64,
-    /// NFP estimation error of this layer (None = no NFP at all).
-    pub accuracy: Option<f64>,
-}
-
 /// Rounds over which [`report_fig1`] times each layer.
 const FIG1_ROUNDS: usize = 5;
 
 /// Fig. 1: simulation speed vs non-functional-property accuracy for
 /// three simulator classes run on the same kernel: the detailed
-/// hardware model ("CAS-like", defines ground truth), the ISS with the
-/// mechanistic model (this paper: a traced run whose Table I counters
-/// are read out afterwards, [`count_classes`] with [`Paper`]), and the
-/// bare ISS (functional only). The three layers run back to back in
-/// each of five rounds, so drift in the host's speed hits all of them
-/// alike, and each reports its median speed. Timing the layers is the
-/// figure; the mechanistic layer's NFP error is that of `result`, the
-/// sweep's result for `kernel`'s float variant.
+/// hardware model ("CAS-like", defines ground truth: the pipeline's own
+/// testbed pass, [`Testbed::run`]), the ISS with the mechanistic model
+/// (this paper: a traced run whose Table I counters are read out
+/// afterwards, [`count_classes`] with [`Paper`]), and the bare ISS
+/// (functional only). The three layers run back to back in each of
+/// five rounds, so drift in the host's speed hits all of them alike,
+/// and each reports its median speed. Timing the layers is the figure;
+/// the mechanistic layer's NFP error is that of `result`, the sweep's
+/// result for `kernel`'s float variant.
 pub fn report_fig1(
     eval: &Evaluation,
     kernel: &Kernel,
     result: &KernelResult,
-) -> Result<(String, Vec<Fig1Point>), NfpError> {
+) -> Result<String, NfpError> {
     let mode = Mode::Float;
     let run_timed = |count: bool, detailed: bool| -> Result<f64, NfpError> {
         let mut machine = machine_for(kernel, mode.float_mode())?;
@@ -239,8 +229,8 @@ pub fn report_fig1(
         }
         let start = std::time::Instant::now();
         let instret = if detailed {
-            let mut obs = HwObserver::new(eval.testbed.hw.clone());
-            machine.run_observed(KERNEL_BUDGET, &mut obs)?.instret
+            let measured = eval.testbed.run(&mut machine, kernel.seed, KERNEL_BUDGET)?;
+            measured.run.instret
         } else if count {
             count_classes(&mut machine, &Paper, KERNEL_BUDGET)?
                 .0
@@ -254,36 +244,19 @@ pub fn report_fig1(
 
     let model_err = result.time_error().abs().max(result.energy_error().abs());
 
-    // (count, detailed) per layer, in the figure's order.
-    let layers = [(false, true), (true, false), (false, false)];
+    // (name, NFP error, count, detailed) per layer, in the figure's
+    // order.
+    let layers = [
+        ("detailed HW model (CAS-like)", Some(0.0), true, true),
+        ("ISS + mechanistic model", Some(model_err), true, false),
+        ("bare ISS (functional only)", None, false, false),
+    ];
     let mut samples = layers.map(|_| Vec::with_capacity(FIG1_ROUNDS));
     for _ in 0..FIG1_ROUNDS {
-        for (speeds, &(count, detailed)) in samples.iter_mut().zip(&layers) {
+        for (speeds, &(_, _, count, detailed)) in samples.iter_mut().zip(&layers) {
             speeds.push(run_timed(count, detailed)?);
         }
     }
-    let [mips_detailed, mips_model, mips_bare] = samples.map(|mut speeds| {
-        speeds.sort_by(f64::total_cmp);
-        speeds[FIG1_ROUNDS / 2]
-    });
-
-    let points = vec![
-        Fig1Point {
-            name: "detailed HW model (CAS-like)",
-            mips: mips_detailed,
-            accuracy: Some(0.0),
-        },
-        Fig1Point {
-            name: "ISS + mechanistic model",
-            mips: mips_model,
-            accuracy: Some(model_err),
-        },
-        Fig1Point {
-            name: "bare ISS (functional only)",
-            mips: mips_bare,
-            accuracy: None,
-        },
-    ];
     let mut out = String::new();
     writeln!(
         out,
@@ -297,14 +270,16 @@ pub fn report_fig1(
         "Simulator", "speed [MIPS]", "NFP error"
     )
     .unwrap();
-    for p in &points {
-        let acc = match p.accuracy {
+    for ((name, accuracy, ..), mut speeds) in layers.into_iter().zip(samples) {
+        speeds.sort_by(f64::total_cmp);
+        let mips = speeds[FIG1_ROUNDS / 2];
+        let acc = match accuracy {
             Some(e) => format!("{:.2}%", e * 100.0),
             None => "n/a (no NFP)".to_string(),
         };
-        writeln!(out, "{:<32} {:>14.1} {:>18}", p.name, p.mips / 1e6, acc).unwrap();
+        writeln!(out, "{:<32} {:>14.1} {:>18}", name, mips / 1e6, acc).unwrap();
     }
-    Ok((out, points))
+    Ok(out)
 }
 
 /// Mean absolute energy and time errors of `results`; `what` names the
@@ -325,47 +300,43 @@ fn mean_abs_errors(results: &[KernelResult], what: &'static str) -> Result<(f64,
 /// Ablation E6: estimation error as a function of category
 /// granularity (1 class / the paper's 9 / 11 with mul+div split).
 ///
-/// `results` are the sweep's results for `kernels` in both modes, in
-/// plan order, and every row prices their measurements. The paper's
-/// row is the sweep's own estimate under `eval.calibration`; the coarse
-/// row folds the sweep's Table I counts into its one class
-/// ([`fold_categories`]); the fine row splits a category, so it counts
-/// each variant once more through [`count_classes`].
+/// `results` are the sweep's results, and every row prices their
+/// measurements. The paper's row is the sweep's own estimate under
+/// `eval.calibration`; the coarse row folds the sweep's Table I counts
+/// into its one class ([`fold_categories`]); the fine row splits
+/// "Integer Arithmetic" by the multiplies and divides the testbed
+/// counted ([`Fine::split`]). No row simulates a variant again.
 pub fn report_ablation_categories(
     eval: &Evaluation,
-    kernels: &[Kernel],
     results: &[KernelResult],
 ) -> Result<String, NfpError> {
-    /// `classifier`'s row: every variant's counts priced by `model`.
-    fn row<C: Classifier + Clone>(
+    /// A row: every result's `counts` priced by `model`, which has a
+    /// row per class.
+    fn row(
         name: &str,
-        classifier: C,
         model: &CostModel,
-        kernels: &[Kernel],
         results: &[KernelResult],
+        counts: impl Fn(&KernelResult) -> Vec<u64>,
     ) -> Result<String, NfpError> {
-        let mut priced = Vec::with_capacity(results.len());
-        for ((kernel, mode), r) in variants(kernels, &Mode::BOTH).zip(results) {
-            let counts = match fold_categories(&classifier, &r.counts) {
-                Some(counts) => counts,
-                None => {
-                    let mut machine = machine_for(kernel, mode.float_mode())?;
-                    count_classes(&mut machine, &classifier, KERNEL_BUDGET)?.1
-                }
-            };
-            let estimate = model.estimate(&counts);
-            priced.push(KernelResult {
-                estimate,
+        let priced: Vec<KernelResult> = results
+            .iter()
+            .map(|r| KernelResult {
+                estimate: model.estimate(&counts(r)),
                 ..r.clone()
-            });
-        }
+            })
+            .collect();
         let (energy, time) = mean_abs_errors(&priced, "ablation kernel errors")?;
-        let classes = classifier.class_count();
+        let classes = model.time_s.len();
         Ok(format!(
             "{name:<28} {classes:>8} {:>9.2}% {:>9.2}%\n",
             energy * 100.0,
             time * 100.0
         ))
+    }
+    /// The Table I counts folded into a classifier whose classes are
+    /// unions of categories.
+    fn fold(classifier: &impl Classifier) -> impl Fn(&KernelResult) -> Vec<u64> + '_ {
+        |r| fold_categories(classifier, &r.counts).expect("classes are unions of categories")
     }
 
     let mut out = String::new();
@@ -381,11 +352,13 @@ pub fn report_ablation_categories(
     )
     .unwrap();
     let coarse = calibrate(&eval.testbed, &Coarse, 0xcafe)?.model;
-    out += &row("single class (coarse)", Coarse, &coarse, kernels, results)?;
+    out += &row("single class (coarse)", &coarse, results, fold(&Coarse))?;
     let paper = &eval.calibration.model;
-    out += &row("Table I categories (paper)", Paper, paper, kernels, results)?;
+    out += &row("Table I categories (paper)", paper, results, fold(&Paper))?;
     let fine = calibrate(&eval.testbed, &Fine, 0xcafe)?.model;
-    out += &row("+ int mul/div split (fine)", Fine, &fine, kernels, results)?;
+    out += &row("+ int mul/div split (fine)", &fine, results, |r| {
+        Fine::split(&r.counts, r.totals.int_mul, r.totals.int_div)
+    })?;
     Ok(out)
 }
 

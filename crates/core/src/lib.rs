@@ -13,8 +13,10 @@
 //!    are read out of a simulation that already ran (the pipeline reads
 //!    them from its one testbed pass per variant) and
 //!    [`model::fold_categories`] folds them into the classes of any
-//!    classifier whose classes are unions of Table I categories. Only a
-//!    classifier that splits a category needs a run of its own:
+//!    classifier whose classes are unions of Table I categories;
+//!    [`model::Fine::split`] splits integer multiply and divide out
+//!    with the counts the testbed pass also keeps. A classifier that
+//!    splits a category otherwise needs a run of its own:
 //!    [`model::count_classes`] attaches a [`model::ClassCounter`]
 //!    observer for it, which runs traced too.
 //! 3. **Estimate** `Ê = Σ e_c·n_c`, `T̂ = Σ t_c·n_c` —

@@ -11,16 +11,16 @@
 //! every run, observed or not, so the counts Eq. 1 prices are read out
 //! of whatever simulation already ran: the pipeline takes them from the
 //! testbed pass. [`fold_categories`] turns them into the classes of any
-//! classifier whose classes are unions of Table I categories.
-//! [`count_classes`] is a counting run of its own, for the one
-//! classifier that needs it ([`Fine`]) and for machines without
-//! built-in counters: it folds the counters of an unobserved (traced)
-//! run where it can, and attaches a [`ClassCounter`] observer only
-//! where it cannot. Both paths run at the machine's dispatch, traced by
-//! default.
+//! classifier whose classes are unions of Table I categories, and
+//! [`Fine::split`] into [`Fine`]'s, with the integer multiply and
+//! divide counts the testbed's hardware ledger keeps. [`count_classes`]
+//! is a counting run of its own on a machine of its own: it folds the
+//! counters of an unobserved (traced) run where it can, and attaches a
+//! [`ClassCounter`] observer only where it cannot. Both paths run at
+//! the machine's dispatch, traced by default.
 
 use nfp_sim::{ExecInfo, Machine, Observer, RunResult, SimError};
-use nfp_sparc::{AluOp, Category, Instr, CATEGORY_COUNT};
+use nfp_sparc::{Category, Instr, CATEGORY_COUNT};
 
 /// Maps instructions onto model classes. Classification must be
 /// static (a property of the decoded instruction), because the ISS
@@ -30,6 +30,11 @@ use nfp_sparc::{AluOp, Category, Instr, CATEGORY_COUNT};
 /// through [`Classifier::category_class`]; [`fold_categories`] then
 /// folds the simulator's own category counters into classes instead of
 /// observing every instruction.
+///
+/// The implementations here mark `classify` `#[inline]`: a
+/// [`ClassCounter`] calls it once per retired instruction inside the
+/// simulator's traces, where an outlined call cost about a third of a
+/// counted run's speed.
 pub trait Classifier {
     /// Number of classes.
     fn class_count(&self) -> usize;
@@ -54,6 +59,7 @@ impl Classifier for Paper {
     fn class_count(&self) -> usize {
         CATEGORY_COUNT
     }
+    #[inline]
     fn classify(&self, instr: &Instr) -> usize {
         instr.category().index()
     }
@@ -74,6 +80,7 @@ impl Classifier for Coarse {
     fn class_count(&self) -> usize {
         1
     }
+    #[inline]
     fn classify(&self, _instr: &Instr) -> usize {
         0
     }
@@ -88,9 +95,23 @@ impl Classifier for Coarse {
 /// Eleven classes: Table I with integer multiply and divide split out
 /// of "Integer Arithmetic" (they have very different latencies on the
 /// iterative LEON3 units). Its classes are not unions of categories, so
-/// [`count_classes`] counts it through a stepping [`ClassCounter`].
+/// [`count_classes`] counts it through a [`ClassCounter`]; a run that
+/// counted its multiplies and divides, such as the testbed pass, folds
+/// into it with [`Fine::split`] instead.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Fine;
+
+impl Fine {
+    /// [`Fine`] counts of a run from its per-category counts (indexed
+    /// like [`Category::ALL`]) and its integer multiply and divide
+    /// counts, which "Integer Arithmetic" includes.
+    pub fn split(per_category: &[u64], int_mul: u64, int_div: u64) -> Vec<u64> {
+        let mut counts = per_category.to_vec();
+        counts[Category::IntArith.index()] -= int_mul + int_div;
+        counts.extend([int_mul, int_div]);
+        counts
+    }
+}
 
 /// Class indices of [`Fine`] beyond the paper's nine.
 pub const FINE_INT_MUL: usize = 9;
@@ -101,15 +122,13 @@ impl Classifier for Fine {
     fn class_count(&self) -> usize {
         CATEGORY_COUNT + 2
     }
+    #[inline]
     fn classify(&self, instr: &Instr) -> usize {
-        if let Instr::Alu { op, .. } = instr {
-            match op {
-                AluOp::UMul | AluOp::UMulCc | AluOp::SMul | AluOp::SMulCc => return FINE_INT_MUL,
-                AluOp::UDiv | AluOp::UDivCc | AluOp::SDiv | AluOp::SDivCc => return FINE_INT_DIV,
-                _ => {}
-            }
+        match instr {
+            Instr::Alu { op, .. } if op.is_mul() => FINE_INT_MUL,
+            Instr::Alu { op, .. } if op.is_div() => FINE_INT_DIV,
+            _ => instr.category().index(),
         }
-        instr.category().index()
     }
     fn class_name(&self, class: usize) -> &'static str {
         match class {
@@ -265,7 +284,7 @@ pub fn paper_table1() -> CostModel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use nfp_sparc::{Operand, Reg};
+    use nfp_sparc::{AluOp, Operand, Reg};
 
     fn add() -> Instr {
         Instr::Alu {
@@ -307,6 +326,17 @@ mod tests {
         };
         assert_eq!(f.classify(&div), FINE_INT_DIV);
         assert_eq!(f.class_name(FINE_INT_MUL), "Integer Multiply");
+    }
+
+    #[test]
+    fn fine_split_moves_mul_div_out_of_integer_arithmetic() {
+        let per_category: Vec<u64> = (1..=CATEGORY_COUNT as u64).map(|n| n * 10).collect();
+        let fine = Fine::split(&per_category, 3, 2);
+        assert_eq!(fine.len(), Fine.class_count());
+        assert_eq!(fine[Category::IntArith.index()], 5);
+        assert_eq!((fine[FINE_INT_MUL], fine[FINE_INT_DIV]), (3, 2));
+        assert_eq!(fine[1..CATEGORY_COUNT], per_category[1..]);
+        assert_eq!(fine.iter().sum::<u64>(), per_category.iter().sum::<u64>());
     }
 
     #[test]

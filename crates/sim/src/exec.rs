@@ -5,16 +5,17 @@
 //! [`step`] executes one predecoded instruction, updating CPU and bus
 //! state and advancing the `pc`/`npc` pair (SPARC's delay-slot
 //! architecture). An [`Observer`] receives an [`ExecInfo`] record per
-//! retired instruction; the detailed hardware model in `nfp-testbed`
-//! uses it to charge context-dependent cycle and energy costs, while
-//! the plain ISS runs with the zero-cost [`NullObserver`]. `step`
-//! builds the reference records; traced dispatch builds the same
-//! records inside its superblock interpreter (`threaded.rs`).
+//! retired instruction, while the plain ISS runs with the zero-cost
+//! [`NullObserver`]. `step` builds the reference records; traced
+//! dispatch builds the same records inside its superblock interpreter
+//! (`threaded.rs`) or, for a ledger observer such as the detailed
+//! hardware model in `nfp-testbed`, hands it batch sums and per-event
+//! hooks that add up to the same counts (see [`Observer`]).
 
 use crate::bus::{Bus, BusFault};
 use crate::cpu::Cpu;
 use nfp_sparc::cond::{FccValue, ICond};
-use nfp_sparc::{AluOp, Category, FpOp, Instr, MemSize, Operand};
+use nfp_sparc::{AluOp, Category, CategoryCounts, FpOp, Instr, MemSize, Operand};
 
 /// Execution-time fault. On real hardware these vector into trap
 /// handlers; the bare-metal simulator surfaces them as errors, except
@@ -142,7 +143,8 @@ impl ExecInfo {
     }
 }
 
-/// Receives one [`ExecInfo`] per retired instruction.
+/// Receives every retired instruction, either as one [`ExecInfo`]
+/// record each or, for a *ledger* observer, as sums.
 ///
 /// The contract, which both dispatch modes keep: only retired
 /// instructions are observed, in retirement order. An instruction
@@ -151,11 +153,64 @@ impl ExecInfo {
 /// when its retry retires), nor is an annulled delay slot, nor a
 /// misaligned access the recovery model skips (which still counts in
 /// `instret`). [`Dispatch::Step`](crate::Dispatch::Step) and
-/// [`Dispatch::Traced`](crate::Dispatch::Traced) hand the observer
-/// identical records.
+/// [`Dispatch::Traced`](crate::Dispatch::Traced) hand a record
+/// observer identical records.
+///
+/// A ledger observer ([`Observer::LEDGER`]) needs only what a
+/// record's category does not fix. Instructions retired on the step
+/// path still reach it as records through [`Observer::observe`].
+/// Instructions retired inside a superblock trace or a straight-line
+/// run reach it as two kinds of call:
+///
+/// * one [`Observer::retire_batch`] per trace or run, with the
+///   category counts of the ops that retired (from the prefix sums
+///   the machine keeps for its own counters) and their [`Residue`];
+/// * per event, [`Observer::mem_access`] for every retired load or
+///   store and [`Observer::fpu_operand`] for every retired FPU divide
+///   or square root, in retirement order.
+///
+/// Each field of those calls is a sum or a field of the records
+/// stepping builds for the same instructions, so a ledger that prices
+/// both the same way gets the same integers under either dispatch.
 pub trait Observer {
-    /// Called after each instruction's architectural effects complete.
+    /// Whether this observer takes ledger hooks instead of a record
+    /// per instruction inside traces. Fixed per type, so the traced
+    /// interpreter is compiled for one protocol or the other.
+    const LEDGER: bool = false;
+
+    /// Called after each instruction's architectural effects complete;
+    /// for a ledger, only for instructions retired on the step path.
     fn observe(&mut self, info: &ExecInfo);
+
+    /// Ledger hook: a load (`store == false`) or store at `addr`
+    /// retired, in retirement order; the record's `mem_addr`.
+    #[inline(always)]
+    fn mem_access(&mut self, _addr: u32, _store: bool) {}
+
+    /// Ledger hook: an FPU divide or square root (`category`) retired,
+    /// with the operand bits its record's `fpu_rs2_bits` would hold.
+    #[inline(always)]
+    fn fpu_operand(&mut self, _category: Category, _bits: u64) {}
+
+    /// Ledger hook: a batch of ops retired inside one trace or
+    /// straight-line run, with their category counts and residue.
+    #[inline(always)]
+    fn retire_batch(&mut self, _counts: &CategoryCounts, _residue: &Residue) {}
+}
+
+/// What a ledger observer learns about a batch of retired ops beyond
+/// their category counts: sums over their records that the traced
+/// interpreter keeps in loop locals.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Residue {
+    /// Σ `result_ones`.
+    pub ones: u64,
+    /// Jumps whose record says `branch_taken == Some(false)`.
+    pub untaken: u64,
+    /// Integer multiplies ([`AluOp::is_mul`]).
+    pub int_mul: u64,
+    /// Integer divides ([`AluOp::is_div`]).
+    pub int_div: u64,
 }
 
 /// Observer that does nothing; the compiler removes all record

@@ -36,7 +36,7 @@ pub(crate) mod threaded;
 pub use blocks::BlockCache;
 pub use bus::{Bus, ConsoleDevice, Device, RamSnapshot, RAM_BASE};
 pub use cpu::{Cpu, INT_REG_SPACE, NWINDOWS};
-pub use exec::{ExecInfo, NullObserver, Observer, Trap};
+pub use exec::{ExecInfo, NullObserver, Observer, Residue, Trap};
 pub use fault::{Fault, FaultRng, FaultSpace, FaultTarget};
 pub use machine::{
     Checkpoint, Dispatch, DispatchStats, ExitReason, Machine, MachineConfig, RunResult, SimError,

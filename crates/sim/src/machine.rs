@@ -715,17 +715,18 @@ impl Machine {
                                         base: self.code_base,
                                     },
                                 );
-                                // (retired ops, pc/npc to set, error)
-                                let (retired, state, err) = match halt {
+                                let retired = halt.retired(trace.len());
+                                // (pc/npc to set, error)
+                                let (state, err) = match halt {
                                     TraceHalt::Completed => {
                                         let e = trace.end_pc();
-                                        (trace.len(), Some((e, e.wrapping_add(4))), None)
+                                        (Some((e, e.wrapping_add(4))), None)
                                     }
                                     // The guard wrote the side-exit
                                     // pc/npc itself.
-                                    TraceHalt::Exited { retired } => (retired, None, None),
+                                    TraceHalt::Exited { .. } => (None, None),
                                     TraceHalt::Trapped { at, err } => {
-                                        (at, Some(trace.meta(at)), Some(err))
+                                        (Some(trace.meta(at)), Some(err))
                                     }
                                 };
                                 let delta = trace.counts_upto(retired);
@@ -756,7 +757,10 @@ impl Machine {
                         // decode or re-match — each executed by the
                         // kind-tag match at the dispatch site.
                         let (done, pending) = run_tops(
-                            &fast.table[idx..end],
+                            &fast.table,
+                            &fast.blocks,
+                            idx,
+                            end,
                             &mut self.cpu,
                             &mut self.bus,
                             &mut Observed {

@@ -28,18 +28,22 @@
 //! next run rebuilds from the patched stream.
 //!
 //! Observers run inside this interpreter: the run loops are generic
-//! over the [`Observer`], and each retired op hands it the
-//! [`ExecInfo`] `exec::step` would build — the image entry at the op's
-//! pc plus the operand-dependent fields the op's arm records. Under
-//! [`NullObserver`](crate::NullObserver) that bookkeeping is dead code,
-//! so unobserved runs keep the bare loop.
+//! over the [`Observer`], and each retired op hands a record observer
+//! the [`ExecInfo`] `exec::step` would build — the image entry at the
+//! op's pc plus the operand-dependent fields the op's arm records. A
+//! ledger observer ([`Observer::LEDGER`]) instead gets the fields'
+//! sums, kept in loop locals and committed once per trace or run with
+//! the retired ops' prefix-sum category counts, and a hook per memory
+//! access and per FPU divide or square root (DESIGN.md §13). Under
+//! [`NullObserver`](crate::NullObserver) all of that bookkeeping is
+//! dead code, so unobserved runs keep the bare loop.
 
 use std::collections::HashSet;
 
 use crate::blocks::{leaders, BlockCache};
 use crate::bus::Bus;
 use crate::cpu::Cpu;
-use crate::exec::{compare, exec_alu, fault_to_trap, ExecError, ExecInfo, Observer, Trap};
+use crate::exec::{compare, exec_alu, fault_to_trap, ExecError, ExecInfo, Observer, Residue, Trap};
 use nfp_sparc::cond::FccValue;
 use nfp_sparc::{
     AluOp, Category, CategoryCounts, FCond, FReg, FpOp, ICond, Instr, MemSize, Operand, Reg,
@@ -622,7 +626,7 @@ fn stub_err(op: &DecodedOp) -> ExecError {
 }
 
 /// An [`Observer`] plus the predecoded image that the ops' pcs index:
-/// everything traced dispatch needs to hand the observer the
+/// everything traced dispatch needs to hand a record observer the
 /// [`ExecInfo`] `exec::step` builds for the same retirement.
 pub(crate) struct Observed<'a, O> {
     pub obs: &'a mut O,
@@ -639,20 +643,12 @@ struct Effect {
     result_ones: u32,
 }
 
-impl Effect {
-    /// Records a memory access: effective address and the value moved.
-    #[inline(always)]
-    fn mem(&mut self, (addr, v): (u32, u64)) {
-        self.mem_addr = Some(addr);
-        self.result_ones = v.count_ones();
-    }
-}
-
 impl<O: Observer> Observed<'_, O> {
-    /// Reports the op at `pc` as retired. `instr` and `category` come
-    /// from the image entry, so a guard or an in-trace `ba`/`call`
-    /// reports its branch. Everything here is pure and panic-free, so
-    /// for [`NullObserver`](crate::NullObserver) it is dead code.
+    /// Reports the op at `pc` as retired to a record observer.
+    /// `instr` and `category` come from the image entry, so a guard or
+    /// an in-trace `ba`/`call` reports its branch. Everything here is
+    /// pure and panic-free, so for
+    /// [`NullObserver`](crate::NullObserver) it is dead code.
     #[inline(always)]
     fn retire(&mut self, pc: u32, fx: Effect) {
         let idx = pc.wrapping_sub(self.base) as usize / 4;
@@ -668,19 +664,111 @@ impl<O: Observer> Observed<'_, O> {
             });
         }
     }
+
+    /// Hands a ledger observer one trace's or straight-line run's
+    /// batch: the category counts of its retired ops, which `counts`
+    /// reads from prefix sums, and the residue its loop kept.
+    #[inline(always)]
+    fn commit(&mut self, counts: impl FnOnce() -> CategoryCounts, res: &Residue) {
+        if O::LEDGER {
+            self.obs.retire_batch(&counts(), res);
+        }
+    }
 }
 
-/// The divisor or radicand bits `exec::step` reports for `fsqrt` and
-/// `fdiv`, read before the op writes `rd`. Single-precision bits are
-/// widened; the register pair of a double is even (checked at
-/// predecode), and `freg` masks keep every read in bounds.
-#[inline(always)]
-fn fp_rs2_bits(cpu: &Cpu, op: &DecodedOp) -> Option<u64> {
-    match FP_OPS.get(op.aux as usize)? {
-        FpOp::FSqrtS | FpOp::FDivS => Some(cpu.fget(freg(op.rs2)) as u64),
-        FpOp::FSqrtD | FpOp::FDivD => {
-            Some(((cpu.fget(freg(op.rs2)) as u64) << 32) | cpu.fget(freg(op.rs2 + 1)) as u64)
+/// One op's retirement as its arm in [`exec_top`] reports it: into the
+/// [`Effect`] of the record a record observer gets or, for a ledger
+/// ([`Observer::LEDGER`]), into the loop's [`Residue`] and the ledger's
+/// per-event hooks. The choice is a constant of the observer type, so
+/// each type's loop carries only its own bookkeeping.
+struct Retiring<'r, 'a, O> {
+    obs: &'r mut Observed<'a, O>,
+    res: &'r mut Residue,
+    fx: Effect,
+}
+
+impl<O: Observer> Retiring<'_, '_, O> {
+    /// A result value with `ones` set bits.
+    #[inline(always)]
+    fn ones(&mut self, ones: u32) {
+        if O::LEDGER {
+            self.res.ones += ones as u64;
+        } else {
+            self.fx.result_ones = ones;
         }
+    }
+
+    /// An integer ALU op (`aux` is its `AluOp` discriminant) computed
+    /// `r`.
+    #[inline(always)]
+    fn alu(&mut self, aux: u8, r: u32) {
+        self.ones(r.count_ones());
+        if O::LEDGER {
+            let op = ALU_OPS[aux as usize];
+            self.res.int_mul += op.is_mul() as u64;
+            self.res.int_div += op.is_div() as u64;
+        }
+    }
+
+    /// A load or store: its effective address and the value moved.
+    #[inline(always)]
+    fn mem(&mut self, (addr, v): (u32, u64), store: bool) {
+        if O::LEDGER {
+            self.obs.obs.mem_access(addr, store);
+            self.res.ones += v.count_ones() as u64;
+        } else {
+            self.fx.mem_addr = Some(addr);
+            self.fx.result_ones = v.count_ones();
+        }
+    }
+
+    /// A jump's outcome.
+    #[inline(always)]
+    fn branch(&mut self, taken: bool) {
+        if O::LEDGER {
+            self.res.untaken += !taken as u64;
+        } else {
+            self.fx.branch_taken = Some(taken);
+        }
+    }
+
+    /// An FP arithmetic op about to execute: `fsqrt` and `fdiv` report
+    /// their operand (an FP op cannot fail once it runs).
+    #[inline(always)]
+    fn fp(&mut self, cpu: &Cpu, op: &DecodedOp) {
+        let Some((category, bits)) = fp_rs2_bits(cpu, op) else {
+            return;
+        };
+        if O::LEDGER {
+            self.obs.obs.fpu_operand(category, bits);
+        } else {
+            self.fx.fpu_rs2_bits = Some(bits);
+        }
+    }
+
+    /// The op at `pc` retired.
+    #[inline(always)]
+    fn retire(self, pc: u32) {
+        if !O::LEDGER {
+            self.obs.retire(pc, self.fx);
+        }
+    }
+}
+
+/// The category and the divisor or radicand bits `exec::step` reports
+/// for `fsqrt` and `fdiv`, read before the op writes `rd`.
+/// Single-precision bits are widened; the register pair of a double is
+/// even (checked at predecode), and `freg` masks keep every read in
+/// bounds.
+#[inline(always)]
+fn fp_rs2_bits(cpu: &Cpu, op: &DecodedOp) -> Option<(Category, u64)> {
+    let single = || cpu.fget(freg(op.rs2)) as u64;
+    let double = || ((cpu.fget(freg(op.rs2)) as u64) << 32) | cpu.fget(freg(op.rs2 + 1)) as u64;
+    match FP_OPS.get(op.aux as usize)? {
+        FpOp::FSqrtS => Some((Category::FpuSqrt, single())),
+        FpOp::FDivS => Some((Category::FpuDiv, single())),
+        FpOp::FSqrtD => Some((Category::FpuSqrt, double())),
+        FpOp::FDivD => Some((Category::FpuDiv, double())),
         _ => None,
     }
 }
@@ -696,37 +784,42 @@ fn fp_rs2_bits(cpu: &Cpu, op: &DecodedOp) -> Option<u64> {
 /// `OpKind` tag keeps the flat predecoded table and gives every shape
 /// its own branch target (DESIGN.md §13).
 ///
-/// The [`Effect`] each arm records is what `exec_linear` puts in the
-/// op's [`ExecInfo`]: computed results and loaded or stored values
+/// What each arm reports ([`Retiring`]) is what `exec_linear` puts in
+/// the op's [`ExecInfo`]: computed results and loaded or stored values
 /// for `result_ones` (even into `%g0`), effective addresses, guard
-/// outcomes, and `fsqrt`/`fdiv` operands. An op that errors is not
-/// reported.
+/// outcomes, and `fsqrt`/`fdiv` operands. An op that errors reports
+/// nothing.
 #[inline(always)]
 fn exec_top<O: Observer>(
     op: &DecodedOp,
     cpu: &mut Cpu,
     bus: &mut Bus,
     obs: &mut Observed<'_, O>,
+    res: &mut Residue,
 ) -> Result<Flow, ExecError> {
-    let mut fx = Effect::default();
+    let mut rt = Retiring {
+        obs,
+        res,
+        fx: Effect::default(),
+    };
     let flow = match op.kind {
         OpKind::Nop => {
-            fx.result_ones = op.imm.count_ones();
+            rt.ones(op.imm.count_ones());
             Flow::Next
         }
         OpKind::Retire => {
-            fx.branch_taken = Some(true);
+            rt.branch(true);
             Flow::Next
         }
         OpKind::Sethi => {
-            fx.result_ones = op.imm.count_ones();
+            rt.ones(op.imm.count_ones());
             exec_sethi(cpu, op)
         }
         OpKind::AluImm => {
             let a = cpu.get(reg(op.rs1));
             let r = exec_alu(cpu, ALU_OPS[op.aux as usize], a, op.imm, op.pc)?;
             cpu.set(reg(op.rd), r);
-            fx.result_ones = r.count_ones();
+            rt.alu(op.aux, r);
             Flow::Next
         }
         OpKind::AluReg => {
@@ -734,7 +827,7 @@ fn exec_top<O: Observer>(
             let b = cpu.get(reg(op.rs2));
             let r = exec_alu(cpu, ALU_OPS[op.aux as usize], a, b, op.pc)?;
             cpu.set(reg(op.rd), r);
-            fx.result_ones = r.count_ones();
+            rt.alu(op.aux, r);
             Flow::Next
         }
         OpKind::LoadImm => {
@@ -746,7 +839,7 @@ fn exec_top<O: Observer>(
                 4 => load_c::<0, true, true>(cpu, bus, op),
                 _ => load_c::<1, true, true>(cpu, bus, op),
             }?;
-            fx.mem(done);
+            rt.mem(done, false);
             Flow::Next
         }
         OpKind::LoadReg => {
@@ -758,7 +851,7 @@ fn exec_top<O: Observer>(
                 4 => load_c::<0, true, false>(cpu, bus, op),
                 _ => load_c::<1, true, false>(cpu, bus, op),
             }?;
-            fx.mem(done);
+            rt.mem(done, false);
             Flow::Next
         }
         OpKind::StoreImm => {
@@ -768,7 +861,7 @@ fn exec_top<O: Observer>(
                 2 => store_c::<2, true>(cpu, bus, op),
                 _ => store_c::<3, true>(cpu, bus, op),
             }?;
-            fx.mem(done);
+            rt.mem(done, true);
             Flow::Next
         }
         OpKind::StoreReg => {
@@ -778,47 +871,47 @@ fn exec_top<O: Observer>(
                 2 => store_c::<2, false>(cpu, bus, op),
                 _ => store_c::<3, false>(cpu, bus, op),
             }?;
-            fx.mem(done);
+            rt.mem(done, true);
             Flow::Next
         }
         // A predicted-taken guard falls through when the branch is
         // taken; a predicted-untaken one when it is not.
         OpKind::GuardTaken => {
             let f = guard_taken::<false>(cpu, op);
-            fx.branch_taken = Some(f == Flow::Next);
+            rt.branch(f == Flow::Next);
             f
         }
         OpKind::GuardTakenAnnul => {
             let f = guard_taken::<true>(cpu, op);
-            fx.branch_taken = Some(f == Flow::Next);
+            rt.branch(f == Flow::Next);
             f
         }
         OpKind::GuardUntaken => {
             let f = guard_untaken(cpu, op);
-            fx.branch_taken = Some(f == Flow::Exit);
+            rt.branch(f == Flow::Exit);
             f
         }
         OpKind::GuardFTaken => {
             let f = guard_ftaken::<false>(cpu, op);
-            fx.branch_taken = Some(f == Flow::Next);
+            rt.branch(f == Flow::Next);
             f
         }
         OpKind::GuardFTakenAnnul => {
             let f = guard_ftaken::<true>(cpu, op);
-            fx.branch_taken = Some(f == Flow::Next);
+            rt.branch(f == Flow::Next);
             f
         }
         OpKind::GuardFUntaken => {
             let f = guard_funtaken(cpu, op);
-            fx.branch_taken = Some(f == Flow::Exit);
+            rt.branch(f == Flow::Exit);
             f
         }
         OpKind::CallLink => {
-            fx.branch_taken = Some(true);
+            rt.branch(true);
             exec_call_link(cpu, op)
         }
         OpKind::RdY => {
-            fx.result_ones = cpu.y.count_ones();
+            rt.ones(cpu.y.count_ones());
             exec_rdy(cpu, op)
         }
         OpKind::WrYImm => exec_wry_c::<true>(cpu, op),
@@ -833,7 +926,7 @@ fn exec_top<O: Observer>(
             } else {
                 loadf_c::<false, true>(cpu, bus, op)
             }?;
-            fx.mem(done);
+            rt.mem(done, false);
             Flow::Next
         }
         OpKind::LoadFReg => {
@@ -842,7 +935,7 @@ fn exec_top<O: Observer>(
             } else {
                 loadf_c::<false, false>(cpu, bus, op)
             }?;
-            fx.mem(done);
+            rt.mem(done, false);
             Flow::Next
         }
         OpKind::StoreFImm => {
@@ -851,7 +944,7 @@ fn exec_top<O: Observer>(
             } else {
                 storef_c::<false, true>(cpu, bus, op)
             }?;
-            fx.mem(done);
+            rt.mem(done, true);
             Flow::Next
         }
         OpKind::StoreFReg => {
@@ -860,11 +953,11 @@ fn exec_top<O: Observer>(
             } else {
                 storef_c::<false, false>(cpu, bus, op)
             }?;
-            fx.mem(done);
+            rt.mem(done, true);
             Flow::Next
         }
         OpKind::Fp => {
-            fx.fpu_rs2_bits = fp_rs2_bits(cpu, op);
+            rt.fp(cpu, op);
             exec_fp(cpu, op)
         }
         OpKind::FCmpS => {
@@ -880,28 +973,35 @@ fn exec_top<O: Observer>(
         }
         OpKind::Stub => return Err(stub_err(op)),
     };
-    obs.retire(op.pc, fx);
+    rt.retire(op.pc);
     Ok(flow)
 }
 
-/// Runs a linear slice of the dispatch table until every op retires or
-/// one errors out, reporting each retired op to `obs`. Returns the
-/// retired-op count and the stopping error, if any. Outlined from the
-/// machine run loop for the same register-allocation reason as
-/// [`Trace::run`], once per observer type.
+/// Runs the straight-line slice `[start, end)` of the dispatch table
+/// until every op retires or one errors out, reporting each retired op
+/// to `obs`; a ledger gets the batch's counts from `blocks`' prefix
+/// sums. Returns the retired-op count and the stopping error, if any.
+/// Outlined from the machine run loop for the same register-allocation
+/// reason as [`Trace::run`], once per observer type.
 #[inline(never)]
 pub(crate) fn run_tops<O: Observer>(
-    ops: &[DecodedOp],
+    table: &[DecodedOp],
+    blocks: &BlockCache,
+    start: usize,
+    end: usize,
     cpu: &mut Cpu,
     bus: &mut Bus,
     obs: &mut Observed<'_, O>,
 ) -> (usize, Option<ExecError>) {
-    for (k, op) in ops.iter().enumerate() {
-        if let Err(e) = exec_top(op, cpu, bus, obs) {
+    let mut res = Residue::default();
+    for (k, op) in table[start..end].iter().enumerate() {
+        if let Err(e) = exec_top(op, cpu, bus, obs, &mut res) {
+            obs.commit(|| blocks.range_counts(start, start + k), &res);
             return (k, Some(e));
         }
     }
-    (ops.len(), None)
+    obs.commit(|| blocks.range_counts(start, end), &res);
+    (end - start, None)
 }
 
 // ---------------------------------------------------------------------------
@@ -1178,6 +1278,17 @@ pub(crate) enum TraceHalt {
     Trapped { at: usize, err: ExecError },
 }
 
+impl TraceHalt {
+    /// Ops of a `len`-op trace that retired before this halt.
+    pub fn retired(&self, len: usize) -> usize {
+        match *self {
+            TraceHalt::Completed => len,
+            TraceHalt::Exited { retired } => retired,
+            TraceHalt::Trapped { at, .. } => at,
+        }
+    }
+}
+
 /// A superblock: a straight-line op sequence spanning one or more
 /// basic blocks chained across predicted branches. Bookkeeping
 /// parallels the block cache — per-op architectural state for trap
@@ -1212,9 +1323,11 @@ impl Trace {
         self.prefix[k]
     }
 
-    /// Executes the trace, reporting each retired op to `obs`. The
-    /// caller commits instret/counts/pc/npc from the returned halt;
-    /// this loop touches only cpu/bus state and the observer.
+    /// Executes the trace, reporting each retired op to `obs`; a
+    /// ledger gets the retired ops' counts from the trace's prefix
+    /// sums. The caller commits instret/counts/pc/npc from the
+    /// returned halt; this loop touches only cpu/bus state and the
+    /// observer.
     ///
     /// Deliberately not inlined, once per observer type: the loop body
     /// carries the whole inline-dispatch match, and folding that into
@@ -1227,14 +1340,29 @@ impl Trace {
         bus: &mut Bus,
         obs: &mut Observed<'_, O>,
     ) -> TraceHalt {
+        let mut res = Residue::default();
         for (k, op) in self.ops.iter().enumerate() {
-            match exec_top(op, cpu, bus, obs) {
+            match exec_top(op, cpu, bus, obs, &mut res) {
                 Ok(Flow::Next) => {}
-                Ok(Flow::Exit) => return TraceHalt::Exited { retired: k + 1 },
-                Err(err) => return TraceHalt::Trapped { at: k, err },
+                Ok(Flow::Exit) => {
+                    return self.halt(obs, &res, TraceHalt::Exited { retired: k + 1 });
+                }
+                Err(err) => return self.halt(obs, &res, TraceHalt::Trapped { at: k, err }),
             }
         }
-        TraceHalt::Completed
+        self.halt(obs, &res, TraceHalt::Completed)
+    }
+
+    /// Commits a ledger's batch for the ops retired before `halt`.
+    #[inline(always)]
+    fn halt<O: Observer>(
+        &self,
+        obs: &mut Observed<'_, O>,
+        res: &Residue,
+        halt: TraceHalt,
+    ) -> TraceHalt {
+        obs.commit(|| self.prefix[halt.retired(self.len())], res);
+        halt
     }
 }
 

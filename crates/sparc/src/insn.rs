@@ -80,6 +80,23 @@ pub enum AluOp {
 }
 
 impl AluOp {
+    /// True for the integer multiplies (`umul`, `smul` and their `cc`
+    /// forms), which the iterative LEON3 multiplier runs longer than
+    /// simple ALU operations.
+    #[inline(always)]
+    pub fn is_mul(self) -> bool {
+        use AluOp::*;
+        matches!(self, UMul | UMulCc | SMul | SMulCc)
+    }
+
+    /// True for the integer divides (`udiv`, `sdiv` and their `cc`
+    /// forms).
+    #[inline(always)]
+    pub fn is_div(self) -> bool {
+        use AluOp::*;
+        matches!(self, UDiv | UDivCc | SDiv | SDivCc)
+    }
+
     /// True if the operation writes the integer condition codes.
     pub fn sets_cc(self) -> bool {
         use AluOp::*;

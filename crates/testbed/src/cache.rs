@@ -10,9 +10,15 @@
 //! becomes strongly context-dependent — and the constant-cost
 //! mechanistic model degrades, quantifying exactly why the paper
 //! excluded caches from its first model (extension experiment E8).
+//!
+//! The cache is the one part of the board whose state every access
+//! changes, so [`CachedHwObserver`] runs each retired access through
+//! it, in retirement order, from the simulator's memory hook. Its price
+//! stays a ledger: the cacheless [`crate::Ledger`] plus the counts of
+//! load hits and load misses, evaluated once per run.
 
-use nfp_sim::{ExecInfo, Observer};
-use nfp_sparc::Category;
+use nfp_sim::{ExecInfo, Observer, Residue};
+use nfp_sparc::{Category, CategoryCounts};
 
 /// Direct-mapped cache geometry and timing.
 #[derive(Debug, Clone)]
@@ -103,18 +109,25 @@ impl Cache {
     }
 }
 
-/// An observer wrapping [`crate::HwObserver`]'s accounting with a data
+/// Dynamic energy a load hit saves against the SDRAM access, in
+/// joules.
+pub const HIT_SAVED_J: f64 = 140.0e-9;
+/// Dynamic energy of a load miss's line fill, in joules.
+pub const FILL_J: f64 = 30.0e-9;
+
+/// An observer wrapping [`crate::HwObserver`]'s ledger with a data
 /// cache: loads that hit cost [`CacheConfig::hit_cycles`] instead of
 /// the SDRAM access; misses cost the SDRAM access plus the fill
 /// penalty. Non-memory instructions are charged exactly like the
-/// cacheless model.
+/// cacheless model. Like the cacheless observer it is a ledger: the
+/// cache sees every access through [`Observer::mem_access`] (or a
+/// stepped record's address), and the run's price adds the load hits
+/// and misses it counted to the cacheless ledger's.
 pub struct CachedHwObserver {
     inner: crate::HwObserver,
     cache: Cache,
-    /// Extra cycles accumulated (may be negative in effect: hits are
-    /// *cheaper* than the base model, tracked via a separate credit).
-    adjustment_cycles: i64,
-    adjustment_energy_j: f64,
+    load_hits: u64,
+    load_misses: u64,
 }
 
 impl CachedHwObserver {
@@ -123,20 +136,33 @@ impl CachedHwObserver {
         CachedHwObserver {
             inner: crate::HwObserver::new(hw),
             cache: Cache::new(cache),
-            adjustment_cycles: 0,
-            adjustment_energy_j: 0.0,
+            load_hits: 0,
+            load_misses: 0,
         }
     }
 
-    /// Ground-truth totals with the cache adjustment applied.
+    /// The cacheless ledger underneath.
+    pub fn ledger(&self) -> &crate::Ledger {
+        self.inner.ledger()
+    }
+
+    /// Ground-truth totals with the cache adjustment applied: each load
+    /// hit credits the SDRAM access it avoided, each load miss adds the
+    /// line fill. Leakage stays that of the cacheless cycles.
     pub fn totals(&self) -> crate::HwTotals {
-        let base = *self.inner.totals();
-        let cycles = (base.cycles as i64 + self.adjustment_cycles).max(0) as u64;
+        let base = self.inner.totals();
+        let config = &self.cache.config;
+        let hits = self.load_hits as i64;
+        let misses = self.load_misses as i64;
+        // A hit replaces the SDRAM access, a load's base cycles.
+        let sdram = crate::CostClass::Load.price().cycles as i64;
+        let adjustment_cycles =
+            misses * config.miss_fill_cycles as i64 - hits * (sdram - config.hit_cycles as i64);
+        let adjustment_energy_j = misses as f64 * FILL_J - hits as f64 * HIT_SAVED_J;
         crate::HwTotals {
-            cycles,
-            energy_j: (base.energy_j + self.adjustment_energy_j).max(0.0),
-            instret: base.instret,
-            row_misses: base.row_misses,
+            cycles: (base.cycles as i64 + adjustment_cycles).max(0) as u64,
+            energy_j: (base.energy_j + adjustment_energy_j).max(0.0),
+            ..base
         }
     }
 
@@ -144,28 +170,46 @@ impl CachedHwObserver {
     pub fn cache(&self) -> &Cache {
         &self.cache
     }
+
+    /// Runs one retired access through the cache; loads count as hits
+    /// or misses for the run's price.
+    #[inline(always)]
+    fn access(&mut self, addr: u32, store: bool) {
+        let hit = self.cache.access(addr, !store);
+        if !store {
+            if hit {
+                self.load_hits += 1;
+            } else {
+                self.load_misses += 1;
+            }
+        }
+    }
 }
 
 impl Observer for CachedHwObserver {
-    #[inline]
+    const LEDGER: bool = true;
+
     fn observe(&mut self, info: &ExecInfo) {
         self.inner.observe(info);
         if let Some(addr) = info.mem_addr {
-            let is_load = info.category == Category::MemLoad;
-            let hit = self.cache.access(addr, is_load);
-            if is_load {
-                if hit {
-                    // A hit replaces the ~34-cycle SDRAM access with a
-                    // short cache access: credit the difference.
-                    let saved = 34i64 - self.cache.config.hit_cycles as i64;
-                    self.adjustment_cycles -= saved;
-                    self.adjustment_energy_j -= 140.0e-9;
-                } else {
-                    self.adjustment_cycles += self.cache.config.miss_fill_cycles as i64;
-                    self.adjustment_energy_j += 30.0e-9;
-                }
-            }
+            self.access(addr, info.category == Category::MemStore);
         }
+    }
+
+    #[inline(always)]
+    fn mem_access(&mut self, addr: u32, store: bool) {
+        self.inner.mem_access(addr, store);
+        self.access(addr, store);
+    }
+
+    #[inline(always)]
+    fn fpu_operand(&mut self, category: Category, bits: u64) {
+        self.inner.fpu_operand(category, bits);
+    }
+
+    #[inline(always)]
+    fn retire_batch(&mut self, counts: &CategoryCounts, residue: &Residue) {
+        self.inner.retire_batch(counts, residue);
     }
 }
 

@@ -1,4 +1,5 @@
-//! Detailed hardware model of the cacheless LEON3-class core.
+//! Detailed hardware model of the cacheless LEON3-class core, kept as
+//! an exact integer ledger.
 //!
 //! Cycle and energy cost of each instruction depends on *context*, the
 //! way it does on the real board:
@@ -12,12 +13,27 @@
 //! * every instruction's energy has a data-dependent toggling term and
 //!   a static-leakage share proportional to its duration.
 //!
+//! Each of those costs is a fixed price times a count. An instruction's
+//! [`CostClass`] (its Table I category, with integer multiply and
+//! divide split out and jumps split by outcome) fixes its base
+//! [`Price`]; the context adds row misses, the FPU's operand-dependent
+//! extra cycles, toggled bits and leakage on top. So the board never
+//! adds up a cost per instruction: [`HwObserver`] keeps a [`Ledger`] of
+//! integer counts, and [`Ledger::totals`] prices them once per run
+//! (EnergyAnalyzer's static costs times execution counts, with the
+//! context effects as a residue on top, like the inter-instruction
+//! overhead of Zotos et al.; PAPERS.md). Integer sums do not depend on
+//! how they are grouped, so the totals are the same whether the
+//! simulator hands the ledger one record per instruction (stepping) or
+//! one batch per superblock trace plus its memory accesses and FPU
+//! operands (traced dispatch; see [`nfp_sim::Observer`]).
+//!
 //! All parameters are chosen so that differential calibration (paper
 //! Table II) recovers per-category costs close to the paper's Table I
 //! at the LEON3's 50 MHz clock.
 
-use nfp_sim::{ExecInfo, Observer};
-use nfp_sparc::{AluOp, Category, Instr};
+use nfp_sim::{ExecInfo, Observer, Residue};
+use nfp_sparc::{Category, CategoryCounts, Instr};
 
 /// Static configuration of the modelled hardware.
 #[derive(Debug, Clone)]
@@ -46,109 +62,134 @@ impl Default for HwModel {
     }
 }
 
-/// Per-instruction dynamic energies in joules, by cost class.
-#[derive(Debug, Clone, Copy)]
-struct Cost {
-    cycles: u64,
-    dynamic_j: f64,
+/// Dynamic energy of an SDRAM row activate/precharge, in joules.
+pub const ROW_MISS_J: f64 = 9.0e-9;
+
+/// Number of [`CostClass`]es.
+pub const COST_CLASSES: usize = 12;
+
+/// What fixes an instruction's base price: its Table I category, with
+/// integer multiply and divide split out of "Integer Arithmetic" and
+/// jumps split by whether they were taken.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum CostClass {
+    /// Integer arithmetic other than multiply and divide, and `sethi`.
+    IntSimple,
+    /// Integer multiply ([`nfp_sparc::AluOp::is_mul`]).
+    IntMul,
+    /// Integer divide ([`nfp_sparc::AluOp::is_div`]).
+    IntDiv,
+    /// A jump that was taken.
+    JumpTaken,
+    /// A conditional branch that was not taken.
+    JumpUntaken,
+    /// Memory load.
+    Load,
+    /// Memory store.
+    Store,
+    /// The canonical `nop`.
+    Nop,
+    /// Table I's "Other".
+    Other,
+    /// FPU arithmetic.
+    FpuArith,
+    /// FPU divide, before its operand-dependent extra cycles.
+    FpuDiv,
+    /// FPU square root, before its operand-dependent extra cycles.
+    FpuSqrt,
 }
 
-impl HwModel {
-    /// Static (leakage) energy of an instruction taking `cycles`.
-    fn static_energy_j(&self, cycles: u64) -> f64 {
-        let time_s = cycles as f64 / self.clock_hz;
-        self.static_power_w * time_s
-    }
+/// Base cycles and dynamic energy of one instruction of a class,
+/// before context effects.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Price {
+    /// Clock cycles.
+    pub cycles: u64,
+    /// Dynamic energy in joules.
+    pub dynamic_j: f64,
+}
 
-    /// Base cost of an instruction before context effects.
-    fn base_cost(&self, info: &ExecInfo) -> Cost {
-        // Dynamic energies are tuned so that dynamic + static·time +
-        // toggling averages near the paper's Table I specific
-        // energies; cycle counts correspond to its specific times at
-        // 50 MHz.
+impl CostClass {
+    /// Every class, in the order of [`Ledger::class_counts`].
+    pub const ALL: [CostClass; COST_CLASSES] = [
+        CostClass::IntSimple,
+        CostClass::IntMul,
+        CostClass::IntDiv,
+        CostClass::JumpTaken,
+        CostClass::JumpUntaken,
+        CostClass::Load,
+        CostClass::Store,
+        CostClass::Nop,
+        CostClass::Other,
+        CostClass::FpuArith,
+        CostClass::FpuDiv,
+        CostClass::FpuSqrt,
+    ];
+
+    /// The class of a retired instruction's record. A jump record
+    /// without an outcome counts as taken.
+    pub fn of(info: &ExecInfo) -> CostClass {
         match info.category {
             Category::IntArith => match info.instr {
-                Instr::Alu { op, .. } => match op {
-                    AluOp::UMul | AluOp::UMulCc | AluOp::SMul | AluOp::SMulCc => Cost {
-                        cycles: 4,
-                        dynamic_j: 17.0e-9,
-                    },
-                    AluOp::UDiv | AluOp::UDivCc | AluOp::SDiv | AluOp::SDivCc => Cost {
-                        cycles: 20,
-                        dynamic_j: 60.0e-9,
-                    },
-                    _ => Cost {
-                        cycles: 2,
-                        dynamic_j: 9.5e-9,
-                    },
-                },
-                // sethi
-                _ => Cost {
-                    cycles: 2,
-                    dynamic_j: 9.5e-9,
-                },
+                Instr::Alu { op, .. } if op.is_mul() => CostClass::IntMul,
+                Instr::Alu { op, .. } if op.is_div() => CostClass::IntDiv,
+                _ => CostClass::IntSimple,
             },
-            Category::Jump => {
-                let taken = info.branch_taken.unwrap_or(true);
-                if taken {
-                    Cost {
-                        cycles: 12,
-                        dynamic_j: 50.0e-9,
-                    }
-                } else {
-                    Cost {
-                        cycles: 10,
-                        dynamic_j: 42.0e-9,
-                    }
-                }
-            }
-            Category::MemLoad => Cost {
-                cycles: 34,
-                dynamic_j: 156.0e-9,
-            },
-            Category::MemStore => Cost {
-                cycles: 19,
-                dynamic_j: 126.0e-9,
-            },
-            Category::Nop => Cost {
-                cycles: 2,
-                dynamic_j: 8.0e-9,
-            },
-            Category::Other => Cost {
-                cycles: 2,
-                dynamic_j: 8.5e-9,
-            },
-            Category::FpuArith => Cost {
-                cycles: 2,
-                dynamic_j: 9.0e-9,
-            },
-            Category::FpuDiv => {
-                // SRT-style divider: latency depends on the divisor
-                // mantissa (quotient digit selection retries).
-                let extra = info
-                    .fpu_rs2_bits
-                    .map(|bits| ((bits & 0xf_ffff_ffff_ffff).count_ones() as u64) / 9)
-                    .unwrap_or(2);
-                Cost {
-                    cycles: 18 + extra, // 18..=23
-                    dynamic_j: 360.0e-9 + extra as f64 * 9.0e-9,
-                }
-            }
-            Category::FpuSqrt => {
-                let extra = info
-                    .fpu_rs2_bits
-                    .map(|bits| ((bits & 0xf_ffff_ffff_ffff).count_ones() as u64) / 13)
-                    .unwrap_or(2);
-                Cost {
-                    cycles: 29 + extra, // 29..=33
-                    dynamic_j: 20.0e-9 + extra as f64 * 2.0e-9,
-                }
-            }
+            Category::Jump if info.branch_taken == Some(false) => CostClass::JumpUntaken,
+            Category::Jump => CostClass::JumpTaken,
+            Category::MemLoad => CostClass::Load,
+            Category::MemStore => CostClass::Store,
+            Category::Nop => CostClass::Nop,
+            Category::Other => CostClass::Other,
+            Category::FpuArith => CostClass::FpuArith,
+            Category::FpuDiv => CostClass::FpuDiv,
+            Category::FpuSqrt => CostClass::FpuSqrt,
         }
+    }
+
+    /// The class's base price. Dynamic energies are tuned so that
+    /// dynamic + static·time + toggling averages near the paper's
+    /// Table I specific energies; cycle counts correspond to its
+    /// specific times at 50 MHz.
+    pub const fn price(self) -> Price {
+        let (cycles, dynamic_j) = match self {
+            CostClass::IntSimple => (2, 9.5e-9),
+            CostClass::IntMul => (4, 17.0e-9),
+            CostClass::IntDiv => (20, 60.0e-9),
+            CostClass::JumpTaken => (12, 50.0e-9),
+            CostClass::JumpUntaken => (10, 42.0e-9),
+            CostClass::Load => (34, 156.0e-9),
+            CostClass::Store => (19, 126.0e-9),
+            CostClass::Nop => (2, 8.0e-9),
+            CostClass::Other => (2, 8.5e-9),
+            CostClass::FpuArith => (2, 9.0e-9),
+            // SRT-style divider, 18..=23 cycles with the extra ones.
+            CostClass::FpuDiv => (18, 360.0e-9),
+            // 29..=33 cycles with the extra ones.
+            CostClass::FpuSqrt => (29, 20.0e-9),
+        };
+        Price { cycles, dynamic_j }
     }
 }
 
-/// Accumulated ground-truth totals for one run.
+/// Operand-dependent extra cycles of an FPU divide (`FpuDiv`: quotient
+/// digit selection retries on the divisor mantissa) or square root
+/// (`FpuSqrt`); zero for any other category.
+pub fn fpu_extra_cycles(category: Category, bits: u64) -> u64 {
+    let ones = (bits & 0xf_ffff_ffff_ffff).count_ones() as u64;
+    match category {
+        Category::FpuDiv => ones / 9,
+        Category::FpuSqrt => ones / 13,
+        _ => 0,
+    }
+}
+
+/// Dynamic energy of one FPU divide extra cycle, in joules.
+pub const FDIV_EXTRA_J: f64 = 9.0e-9;
+/// Dynamic energy of one FPU square-root extra cycle, in joules.
+pub const FSQRT_EXTRA_J: f64 = 2.0e-9;
+
+/// Ground-truth totals for one run.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct HwTotals {
     /// Total clock cycles consumed.
@@ -159,43 +200,169 @@ pub struct HwTotals {
     pub instret: u64,
     /// Memory accesses that missed the open row (model introspection).
     pub row_misses: u64,
+    /// Integer multiplies retired, which Table I counts under
+    /// "Integer Arithmetic".
+    pub int_mul: u64,
+    /// Integer divides retired, likewise.
+    pub int_div: u64,
 }
 
-/// Cycle counts below this have their static-energy term precomputed
-/// (the default model charges at most 37: a load plus a row miss).
-const STATIC_TABLE_CYCLES: usize = 64;
+/// The exact integer record of one run on the board: every count the
+/// price of the run depends on. Counts only grow, and each is a sum
+/// over retired instructions, so a ledger fed records one at a time
+/// equals one fed batches of the same instructions.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Ledger {
+    /// Instructions per Table I category.
+    counts: CategoryCounts,
+    /// Of the jumps, those not taken.
+    untaken: u64,
+    /// Of the integer arithmetic, the multiplies and the divides.
+    int_mul: u64,
+    int_div: u64,
+    /// Σ set bits of the instructions' result values.
+    ones: u64,
+    /// Memory accesses that left the open SDRAM row.
+    row_misses: u64,
+    /// Σ operand-dependent extra cycles of FPU divides and square
+    /// roots.
+    fdiv_extra: u64,
+    fsqrt_extra: u64,
+}
 
-/// The per-instruction observer that drives the hardware model. This
-/// plays the role of the cycle-level simulation the paper's Fig. 1
-/// places at the slow/accurate end of the spectrum. Attached through
-/// `Machine::run_observed`, it runs inside the simulator's superblock
-/// traces under the default dispatch, seeing exactly the records the
-/// step path would produce.
+impl Ledger {
+    /// Adds one retired instruction's record, except its memory access
+    /// and FPU operand, which the observer prices through its state.
+    fn record(&mut self, info: &ExecInfo) {
+        self.counts.bump(info.category);
+        self.ones += info.result_ones as u64;
+        match CostClass::of(info) {
+            CostClass::IntMul => self.int_mul += 1,
+            CostClass::IntDiv => self.int_div += 1,
+            CostClass::JumpUntaken => self.untaken += 1,
+            _ => {}
+        }
+    }
+
+    /// Adds a batch of retired instructions.
+    fn batch(&mut self, counts: &CategoryCounts, residue: &Residue) {
+        self.counts = self.counts.merged(counts);
+        self.ones += residue.ones;
+        self.untaken += residue.untaken;
+        self.int_mul += residue.int_mul;
+        self.int_div += residue.int_div;
+    }
+
+    /// Adds an FPU divide's or square root's extra cycles.
+    #[inline(always)]
+    fn fpu_operand(&mut self, category: Category, bits: u64) {
+        let extra = fpu_extra_cycles(category, bits);
+        match category {
+            Category::FpuDiv => self.fdiv_extra += extra,
+            Category::FpuSqrt => self.fsqrt_extra += extra,
+            _ => {}
+        }
+    }
+
+    /// Instructions per cost class, in [`CostClass::ALL`] order.
+    pub fn class_counts(&self) -> [u64; COST_CLASSES] {
+        let c = &self.counts;
+        [
+            c[Category::IntArith] - self.int_mul - self.int_div,
+            self.int_mul,
+            self.int_div,
+            c[Category::Jump] - self.untaken,
+            self.untaken,
+            c[Category::MemLoad],
+            c[Category::MemStore],
+            c[Category::Nop],
+            c[Category::Other],
+            c[Category::FpuArith],
+            c[Category::FpuDiv],
+            c[Category::FpuSqrt],
+        ]
+    }
+
+    /// Clock cycles under `model`: base cycles per class, the FPU's
+    /// extra cycles and the row-miss penalties.
+    pub fn cycles(&self, model: &HwModel) -> u64 {
+        let base: u64 = CostClass::ALL
+            .iter()
+            .zip(self.class_counts())
+            .map(|(class, n)| n * class.price().cycles)
+            .sum();
+        base + self.fdiv_extra + self.fsqrt_extra + self.row_misses * model.row_miss_cycles
+    }
+
+    /// Energy in joules under `model`: dynamic energy per class and per
+    /// extra cycle and row miss, toggled bits, and leakage over
+    /// [`Ledger::cycles`].
+    pub fn energy_j(&self, model: &HwModel) -> f64 {
+        let dynamic: f64 = CostClass::ALL
+            .iter()
+            .zip(self.class_counts())
+            .map(|(class, n)| n as f64 * class.price().dynamic_j)
+            .sum();
+        let context = self.fdiv_extra as f64 * FDIV_EXTRA_J
+            + self.fsqrt_extra as f64 * FSQRT_EXTRA_J
+            + self.row_misses as f64 * ROW_MISS_J
+            + self.ones as f64 * model.toggle_j_per_bit;
+        let leakage = model.static_power_w * (self.cycles(model) as f64 / model.clock_hz);
+        dynamic + context + leakage
+    }
+
+    /// The run's totals under `model`.
+    pub fn totals(&self, model: &HwModel) -> HwTotals {
+        HwTotals {
+            cycles: self.cycles(model),
+            energy_j: self.energy_j(model),
+            instret: self.counts.total(),
+            row_misses: self.row_misses,
+            int_mul: self.int_mul,
+            int_div: self.int_div,
+        }
+    }
+}
+
+/// The observer that drives the hardware model. This plays the role of
+/// the cycle-level simulation the paper's Fig. 1 places at the
+/// slow/accurate end of the spectrum. Attached through
+/// `Machine::run_observed`, it is a ledger ([`Observer::LEDGER`]):
+/// inside the simulator's superblock traces it takes one batch per
+/// trace plus a call per memory access and FPU divide or square root,
+/// and on the step path one record per instruction.
 pub struct HwObserver {
     model: HwModel,
-    totals: HwTotals,
+    ledger: Ledger,
     open_row: Option<u32>,
-    /// `static_j[c]` = the static-energy term of a `c`-cycle
-    /// instruction, computed with the same expression as the fallback
-    /// in [`HwObserver::observe`], so totals do not change by a bit.
-    static_j: [f64; STATIC_TABLE_CYCLES],
+    /// `log2(row_bytes)` when the row size is a power of two, so the
+    /// row of an access is a shift rather than a division.
+    row_shift: Option<u32>,
 }
 
 impl HwObserver {
     /// Creates an observer with all counters zeroed.
     pub fn new(model: HwModel) -> Self {
-        let static_j = std::array::from_fn(|c| model.static_energy_j(c as u64));
+        let row_shift = model
+            .row_bytes
+            .is_power_of_two()
+            .then(|| model.row_bytes.trailing_zeros());
         HwObserver {
             model,
-            totals: HwTotals::default(),
+            ledger: Ledger::default(),
             open_row: None,
-            static_j,
+            row_shift,
         }
     }
 
-    /// The totals accumulated so far.
-    pub fn totals(&self) -> &HwTotals {
-        &self.totals
+    /// The counts so far.
+    pub fn ledger(&self) -> &Ledger {
+        &self.ledger
+    }
+
+    /// The totals so far, priced from the ledger.
+    pub fn totals(&self) -> HwTotals {
+        self.ledger.totals(&self.model)
     }
 
     /// The model parameters in use.
@@ -205,35 +372,43 @@ impl HwObserver {
 
     /// True elapsed time in seconds at the modelled clock.
     pub fn time_s(&self) -> f64 {
-        self.totals.cycles as f64 / self.model.clock_hz
+        self.ledger.cycles(&self.model) as f64 / self.model.clock_hz
     }
 }
 
 impl Observer for HwObserver {
-    #[inline]
+    const LEDGER: bool = true;
+
     fn observe(&mut self, info: &ExecInfo) {
-        let mut cost = self.model.base_cost(info);
+        self.ledger.record(info);
         if let Some(addr) = info.mem_addr {
-            let row = addr / self.model.row_bytes;
-            if self.open_row != Some(row) {
-                cost.cycles += self.model.row_miss_cycles;
-                cost.dynamic_j += 9.0e-9; // row activate/precharge
-                self.totals.row_misses += 1;
-                self.open_row = Some(row);
-            }
+            self.mem_access(addr, info.category == Category::MemStore);
         }
-        // A table lookup instead of a division per instruction; the
-        // model's fields are public, so a cost past the table falls
-        // back to the same formula.
-        let slot = usize::try_from(cost.cycles).ok();
-        let static_j = match slot.and_then(|c| self.static_j.get(c)) {
-            Some(&j) => j,
-            None => self.model.static_energy_j(cost.cycles),
+        if let Some(bits) = info.fpu_rs2_bits {
+            self.ledger.fpu_operand(info.category, bits);
+        }
+    }
+
+    #[inline(always)]
+    fn mem_access(&mut self, addr: u32, _store: bool) {
+        let row = match self.row_shift {
+            Some(shift) => addr >> shift,
+            None => addr / self.model.row_bytes,
         };
-        self.totals.cycles += cost.cycles;
-        self.totals.energy_j +=
-            cost.dynamic_j + info.result_ones as f64 * self.model.toggle_j_per_bit + static_j;
-        self.totals.instret += 1;
+        if self.open_row != Some(row) {
+            self.ledger.row_misses += 1;
+            self.open_row = Some(row);
+        }
+    }
+
+    #[inline(always)]
+    fn fpu_operand(&mut self, category: Category, bits: u64) {
+        self.ledger.fpu_operand(category, bits);
+    }
+
+    #[inline(always)]
+    fn retire_batch(&mut self, counts: &CategoryCounts, residue: &Residue) {
+        self.ledger.batch(counts, residue);
     }
 }
 
@@ -241,7 +416,7 @@ impl Observer for HwObserver {
 mod tests {
     use super::*;
     use nfp_sparc::regs::G0;
-    use nfp_sparc::{Operand, Reg};
+    use nfp_sparc::{AluOp, Operand, Reg};
 
     fn info(instr: Instr) -> ExecInfo {
         ExecInfo {
@@ -253,6 +428,15 @@ mod tests {
             fpu_rs2_bits: None,
             result_ones: 0,
         }
+    }
+
+    /// Base cycles plus the FPU's extra cycles of one record, as the
+    /// ledger prices it apart from row misses.
+    fn cycles_of(info: &ExecInfo) -> u64 {
+        let extra = info
+            .fpu_rs2_bits
+            .map_or(0, |bits| fpu_extra_cycles(info.category, bits));
+        CostClass::of(info).price().cycles + extra
     }
 
     fn add_instr() -> Instr {
@@ -276,22 +460,21 @@ mod tests {
 
     #[test]
     fn multiply_and_divide_cost_more_than_add() {
-        let model = HwModel::default();
-        let mul = model.base_cost(&info(Instr::Alu {
+        let mul = cycles_of(&info(Instr::Alu {
             op: AluOp::UMul,
             rd: Reg::o(0),
             rs1: Reg::o(1),
             op2: Operand::Imm(3),
         }));
-        let div = model.base_cost(&info(Instr::Alu {
+        let div = cycles_of(&info(Instr::Alu {
             op: AluOp::SDiv,
             rd: Reg::o(0),
             rs1: Reg::o(1),
             op2: Operand::Imm(3),
         }));
-        let add = model.base_cost(&info(add_instr()));
-        assert!(mul.cycles > add.cycles);
-        assert!(div.cycles > mul.cycles);
+        let add = cycles_of(&info(add_instr()));
+        assert!(mul > add);
+        assert!(div > mul);
     }
 
     #[test]
@@ -323,8 +506,21 @@ mod tests {
     }
 
     #[test]
+    fn row_size_need_not_be_a_power_of_two() {
+        // 1000-byte rows: 0..999 is row 0, 1000.. row 1.
+        let model = HwModel {
+            row_bytes: 1000,
+            ..HwModel::default()
+        };
+        let mut obs = HwObserver::new(model);
+        for addr in [0, 996, 1000, 1996] {
+            obs.mem_access(addr, false);
+        }
+        assert_eq!(obs.totals().row_misses, 2);
+    }
+
+    #[test]
     fn branch_taken_costs_more() {
-        let model = HwModel::default();
         let mut taken = info(Instr::Branch {
             cond: nfp_sparc::ICond::A,
             annul: false,
@@ -333,12 +529,11 @@ mod tests {
         taken.branch_taken = Some(true);
         let mut untaken = taken;
         untaken.branch_taken = Some(false);
-        assert!(model.base_cost(&taken).cycles > model.base_cost(&untaken).cycles);
+        assert!(cycles_of(&taken) > cycles_of(&untaken));
     }
 
     #[test]
     fn fpu_divide_latency_depends_on_operand() {
-        let model = HwModel::default();
         let fdiv = Instr::FpOp {
             op: nfp_sparc::FpOp::FDivD,
             rd: nfp_sparc::FReg::new(0),
@@ -349,12 +544,12 @@ mod tests {
         a.fpu_rs2_bits = Some(2.0f64.to_bits()); // mantissa zero
         let mut b = a;
         b.fpu_rs2_bits = Some((1.0f64 / 3.0).to_bits()); // dense mantissa
-        assert!(model.base_cost(&b).cycles > model.base_cost(&a).cycles);
+        assert!(cycles_of(&b) > cycles_of(&a));
         // Range check: 18..=23 cycles.
         for bits in [0u64, u64::MAX, 0x5555_5555_5555_5555] {
             let mut i = a;
             i.fpu_rs2_bits = Some(bits);
-            let c = model.base_cost(&i).cycles;
+            let c = cycles_of(&i);
             assert!((18..=23).contains(&c), "{c}");
         }
     }
@@ -383,16 +578,85 @@ mod tests {
         // Sanity link to the paper: specific time of a load should be
         // near 700 ns and of an integer add near 40-45 ns.
         let model = HwModel::default();
-        let add_t = model.base_cost(&info(add_instr())).cycles as f64 / model.clock_hz;
+        let add_t = cycles_of(&info(add_instr())) as f64 / model.clock_hz;
         assert!((38e-9..50e-9).contains(&add_t));
-        let load = model.base_cost(&info(Instr::Load {
+        let load = cycles_of(&info(Instr::Load {
             size: nfp_sparc::MemSize::Word,
             signed: false,
             rd: Reg::o(0),
             rs1: G0,
             op2: Operand::Imm(0),
         }));
-        let load_t = load.cycles as f64 / model.clock_hz;
+        let load_t = load as f64 / model.clock_hz;
         assert!((650e-9..750e-9).contains(&load_t));
+    }
+
+    #[test]
+    fn a_batch_prices_like_its_records() {
+        // An untaken branch, a multiply, a divide, an add and a load,
+        // as records and as one batch plus the load's access.
+        let records = [
+            {
+                let mut b = info(Instr::Branch {
+                    cond: nfp_sparc::ICond::E,
+                    annul: false,
+                    disp22: 4,
+                });
+                b.branch_taken = Some(false);
+                b
+            },
+            info(Instr::Alu {
+                op: AluOp::SMulCc,
+                rd: Reg::o(0),
+                rs1: Reg::o(1),
+                op2: Operand::Imm(3),
+            }),
+            info(Instr::Alu {
+                op: AluOp::UDiv,
+                rd: Reg::o(0),
+                rs1: Reg::o(1),
+                op2: Operand::Imm(3),
+            }),
+            {
+                let mut a = info(add_instr());
+                a.result_ones = 7;
+                a
+            },
+            {
+                let mut l = info(Instr::Load {
+                    size: nfp_sparc::MemSize::Word,
+                    signed: false,
+                    rd: Reg::o(0),
+                    rs1: G0,
+                    op2: Operand::Imm(0),
+                });
+                l.mem_addr = Some(0x4000_2000);
+                l.result_ones = 5;
+                l
+            },
+        ];
+        let mut stepped = HwObserver::new(HwModel::default());
+        let mut counts = CategoryCounts::new();
+        for r in &records {
+            stepped.observe(r);
+            counts.bump(r.category);
+        }
+        let mut batched = HwObserver::new(HwModel::default());
+        batched.mem_access(0x4000_2000, false);
+        batched.retire_batch(
+            &counts,
+            &Residue {
+                ones: 12,
+                untaken: 1,
+                int_mul: 1,
+                int_div: 1,
+            },
+        );
+        assert_eq!(stepped.ledger(), batched.ledger());
+        assert_eq!(stepped.totals(), batched.totals());
+        assert_eq!(
+            stepped.ledger().class_counts(),
+            [1, 1, 1, 0, 1, 1, 0, 0, 0, 0, 0, 0]
+        );
     }
 }

@@ -6,13 +6,18 @@
 //! Cyclone IV FPGA, a power meter for energy, and `clock()` for time
 //! (Section V). This crate substitutes that hardware with
 //!
-//! * [`hw`] — a detailed per-instruction cycle and energy model with
-//!   the *context effects* real hardware exhibits and the paper's
-//!   mechanistic model deliberately ignores (SDRAM row locality,
-//!   taken/untaken branch asymmetry, operand-dependent FPU divide and
-//!   square-root latency, data-dependent datapath toggling, static
-//!   leakage), attached to the functional simulator as an
-//!   [`nfp_sim::Observer`];
+//! * [`hw`] — a detailed cycle and energy model with the *context
+//!   effects* real hardware exhibits and the paper's mechanistic model
+//!   deliberately ignores (SDRAM row locality, taken/untaken branch
+//!   asymmetry, operand-dependent FPU divide and square-root latency,
+//!   data-dependent datapath toggling, static leakage), attached to the
+//!   functional simulator as an [`nfp_sim::Observer`]. It keeps an
+//!   exact integer [`Ledger`] of what each run retired (counts per
+//!   cost class, row misses, toggled bits, FPU extra cycles) and
+//!   prices it once per run, so traced and stepped runs give the same
+//!   totals bit for bit;
+//! * [`cache`] — the optional data cache of extension E8, a second
+//!   ledger observer;
 //! * [`measure`] — the measurement chain: a power meter with finite
 //!   sampling rate, gain error and noise, and a `clock()` with tick
 //!   granularity;
@@ -32,5 +37,5 @@ pub mod measure;
 
 pub use area::{AreaModel, Component};
 pub use cache::{Cache, CacheConfig, CachedHwObserver};
-pub use hw::{HwModel, HwObserver, HwTotals};
+pub use hw::{CostClass, HwModel, HwObserver, HwTotals, Ledger, Price, COST_CLASSES};
 pub use measure::{MeasuredRun, Measurement, MeterConfig, Testbed};

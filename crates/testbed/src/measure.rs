@@ -116,7 +116,7 @@ impl Testbed {
             None => {
                 let mut observer = HwObserver::new(self.hw.clone());
                 let run = machine.run_observed(max_instrs, &mut observer)?;
-                (run, *observer.totals())
+                (run, observer.totals())
             }
             Some(cache) => {
                 let mut observer = CachedHwObserver::new(self.hw.clone(), cache.clone());
@@ -197,6 +197,7 @@ mod tests {
             energy_j: 0.5,
             instret: 10_000_000,
             row_misses: 0,
+            ..HwTotals::default()
         };
         let a = tb.measure(&totals, 7);
         let b = tb.measure(&totals, 7);
@@ -213,12 +214,14 @@ mod tests {
             energy_j: 0.005,
             instret: 100_000,
             row_misses: 0,
+            ..HwTotals::default()
         };
         let long = HwTotals {
             cycles: 500_000_000, // 10 s
             energy_j: 5.0,
             instret: 100_000_000,
             row_misses: 0,
+            ..HwTotals::default()
         };
         let rel_err = |totals: &HwTotals| {
             let mut worst: f64 = 0.0;
@@ -239,6 +242,7 @@ mod tests {
             energy_j: 0.05,
             instret: 1_000_000,
             row_misses: 0,
+            ..HwTotals::default()
         };
         let true_t = totals.cycles as f64 / tb.hw.clock_hz;
         for seed in 0..100 {

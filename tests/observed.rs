@@ -1,8 +1,8 @@
 //! Ground truth under traced dispatch: the testbed pass attaches the
-//! hardware-model observer, which retires inside superblock traces
-//! under the default dispatch. Its totals must not move by a bit — not
-//! against the stepping reference, and not against the values the
-//! step-only testbed produced before observed runs were traced.
+//! hardware-model observer, a ledger that takes batches inside
+//! superblock traces under the default dispatch and records on the
+//! step path. Its totals must not move by a bit — not against the
+//! stepping reference, and not against the pinned values.
 
 use nfp_repro::cc::FloatMode;
 use nfp_repro::sim::{Dispatch, Machine};
@@ -32,13 +32,16 @@ fn measure(
 }
 
 /// `(cycles, energy_j bits, instret, row_misses)` of the cacheless
-/// testbed, as the step-only observer path computed them.
+/// testbed. The integers are those the step-only, per-instruction
+/// observer computed; the energies are the ledger's, priced once per
+/// run from its counts, which differ from that observer's
+/// per-instruction f64 sums by 4e-12 to 2.5e-10 relative.
 const PINNED: [(&str, FloatMode, u64, u64, u64, u64); 4] = [
     (
         "hevc_gradpan_intra_qp10",
         FloatMode::Hard,
         37515992,
-        0x3fd045838e8de006,
+        0x3fd045838e8e226b,
         2692553,
         300909,
     ),
@@ -46,7 +49,7 @@ const PINNED: [(&str, FloatMode, u64, u64, u64, u64); 4] = [
         "hevc_gradpan_intra_qp10",
         FloatMode::Soft,
         62864892,
-        0x3fdb82d2a74d7c61,
+        0x3fdb82d2a74b98ba,
         4664591,
         303735,
     ),
@@ -54,7 +57,7 @@ const PINNED: [(&str, FloatMode, u64, u64, u64, u64); 4] = [
         "fse_img00",
         FloatMode::Hard,
         61726365,
-        0x3fdaae9452d09212,
+        0x3fdaae9452cf5a16,
         3613195,
         672198,
     ),
@@ -62,7 +65,7 @@ const PINNED: [(&str, FloatMode, u64, u64, u64, u64); 4] = [
         "fse_img00",
         FloatMode::Soft,
         898834237,
-        0x40191e05d4271706,
+        0x40191e05d40c7f94,
         67671989,
         1341973,
     ),
