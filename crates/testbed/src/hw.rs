@@ -335,23 +335,15 @@ pub struct HwObserver {
     model: HwModel,
     ledger: Ledger,
     open_row: Option<u32>,
-    /// `log2(row_bytes)` when the row size is a power of two, so the
-    /// row of an access is a shift rather than a division.
-    row_shift: Option<u32>,
 }
 
 impl HwObserver {
     /// Creates an observer with all counters zeroed.
     pub fn new(model: HwModel) -> Self {
-        let row_shift = model
-            .row_bytes
-            .is_power_of_two()
-            .then(|| model.row_bytes.trailing_zeros());
         HwObserver {
             model,
             ledger: Ledger::default(),
             open_row: None,
-            row_shift,
         }
     }
 
@@ -391,10 +383,7 @@ impl Observer for HwObserver {
 
     #[inline(always)]
     fn mem_access(&mut self, addr: u32, _store: bool) {
-        let row = match self.row_shift {
-            Some(shift) => addr >> shift,
-            None => addr / self.model.row_bytes,
-        };
+        let row = addr / self.model.row_bytes;
         if self.open_row != Some(row) {
             self.ledger.row_misses += 1;
             self.open_row = Some(row);
@@ -502,20 +491,6 @@ mod tests {
         let third = obs.totals().cycles - first - second;
         assert!(first > second);
         assert_eq!(first, third);
-        assert_eq!(obs.totals().row_misses, 2);
-    }
-
-    #[test]
-    fn row_size_need_not_be_a_power_of_two() {
-        // 1000-byte rows: 0..999 is row 0, 1000.. row 1.
-        let model = HwModel {
-            row_bytes: 1000,
-            ..HwModel::default()
-        };
-        let mut obs = HwObserver::new(model);
-        for addr in [0, 996, 1000, 1996] {
-            obs.mem_access(addr, false);
-        }
         assert_eq!(obs.totals().row_misses, 2);
     }
 
