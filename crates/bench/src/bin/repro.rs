@@ -92,13 +92,14 @@ use nfp_bench::evaluation::variants;
 use nfp_bench::{
     merge_journals, peek_campaign, report_ablation_calibration, report_ablation_categories,
     report_cache_extension, report_campaign, report_campaign_footer, report_fig1, report_fig4,
-    report_table1, report_table3, report_table4, run_sharded, run_supervised, shard_journal_path,
-    submit_campaign_retry, CampaignConfig, CampaignFooter, CampaignRequest, Evaluation,
-    KernelResult, Mode, ServeConfig, Server, ShardConfig, ShardSpec, SupervisorConfig,
+    report_table1, report_table3, report_table4, run_sharded, run_supervised, run_variants,
+    shard_journal_path, submit_campaign_retry, CampaignConfig, CampaignFooter, CampaignRequest,
+    Evaluation, KernelResult, Mode, ServeConfig, Server, ShardConfig, ShardSpec, SupervisorConfig,
     WorkerIsolation, WorkerPreset,
 };
 use nfp_core::NfpError;
 use nfp_sim::Dispatch;
+use nfp_testbed::{CacheConfig, Testbed};
 use nfp_workloads::{all_kernels, fse_kernels, hevc_kernels, Kernel, Preset};
 use std::path::PathBuf;
 use std::time::Duration;
@@ -173,6 +174,15 @@ fn showcase_kernels(preset: &Preset) -> Vec<Kernel> {
     vec![fse, hevc]
 }
 
+/// A board the sweep runs variants on.
+#[derive(Clone, Copy, PartialEq, Eq, Hash)]
+enum Board {
+    /// The paper's cacheless board.
+    Paper,
+    /// E8's board with a 4 KiB data cache.
+    Cached,
+}
+
 /// One report of `repro`, rendered from the sweep.
 #[derive(Clone, Copy)]
 enum Section {
@@ -209,9 +219,9 @@ impl Section {
         })
     }
 
-    /// The kernels this section reports on, in its plan order, and the
-    /// modes it runs them in.
-    fn plan(self, preset: &Preset) -> (Vec<Kernel>, &'static [Mode]) {
+    /// The kernels this section reports on, in its plan order, the
+    /// modes it runs them in, and the boards it runs those variants on.
+    fn plan(self, preset: &Preset) -> (Vec<Kernel>, &'static [Mode], &'static [Board]) {
         let registry = |kernels: Result<Vec<Kernel>, NfpError>| {
             kernels.unwrap_or_else(|e| fail("kernel registry", e))
         };
@@ -223,18 +233,21 @@ impl Section {
             hevc.chain(registry(fse_kernels(preset)).into_iter().take(fse))
                 .collect()
         };
+        let paper: &[Board] = &[Board::Paper];
         match self {
-            Section::Table1 | Section::Calibration => (Vec::new(), &[]),
-            Section::Fig4 => (showcase_kernels(preset), &Mode::BOTH),
-            Section::Table3 | Section::Table4 => (registry(all_kernels(preset)), &Mode::BOTH),
+            Section::Table1 | Section::Calibration => (Vec::new(), &[], &[]),
+            Section::Fig4 => (showcase_kernels(preset), &Mode::BOTH, paper),
+            Section::Table3 | Section::Table4 => {
+                (registry(all_kernels(preset)), &Mode::BOTH, paper)
+            }
             Section::Fig1 => {
                 let Some(kernel) = registry(hevc_kernels(preset)).into_iter().next() else {
                     fail("kernel selection", "preset contains no HEVC kernels");
                 };
-                (vec![kernel], &[Mode::Float])
+                (vec![kernel], &[Mode::Float], paper)
             }
-            Section::Categories => (subset(3, 2), &Mode::BOTH),
-            Section::Cache => (subset(3, 1), &Mode::BOTH),
+            Section::Categories => (subset(3, 2), &Mode::BOTH, paper),
+            Section::Cache => (subset(3, 1), &Mode::BOTH, &[Board::Paper, Board::Cached]),
         }
     }
 }
@@ -626,14 +639,30 @@ fn main() {
 
     eprintln!("calibrating the cost model (Table II differential kernels)...");
     let eval = Evaluation::new().unwrap_or_else(|e| fail("calibration", e));
-
-    // One sweep on the paper's board simulates every variant the
-    // sections report on, once.
-    let mut seen = std::collections::HashSet::new();
-    let sweep_plan: Vec<(&Kernel, Mode)> = plans
+    let cached = plans
         .iter()
-        .flat_map(|(_, (kernels, modes))| variants(kernels, modes))
-        .filter(|&(kernel, mode)| seen.insert((&kernel.name, mode.suffix())))
+        .any(|(_, (_, _, boards))| boards.contains(&Board::Cached))
+        .then(|| {
+            eprintln!("calibrating the board with a data cache...");
+            Evaluation::for_board(Testbed::with_cache(CacheConfig::default()))
+                .unwrap_or_else(|e| fail("cached-board calibration", e))
+        });
+    let on = |board| match board {
+        Board::Paper => &eval,
+        Board::Cached => cached.as_ref().expect("calibrated when a plan names it"),
+    };
+
+    // One sweep simulates every variant the sections report on, once
+    // per board.
+    let mut seen = std::collections::HashSet::new();
+    let sweep_plan: Vec<(Board, &Kernel, Mode)> = plans
+        .iter()
+        .flat_map(|(_, (kernels, modes, boards))| {
+            boards.iter().flat_map(move |&board| {
+                variants(kernels, modes).map(move |(kernel, mode)| (board, kernel, mode))
+            })
+        })
+        .filter(|&(board, kernel, mode)| seen.insert((board, &kernel.name, mode.suffix())))
         .collect();
     if !sweep_plan.is_empty() {
         eprintln!(
@@ -644,17 +673,23 @@ fn main() {
                 .unwrap_or(1)
         );
     }
-    let sweep = eval
-        .run_variants(&sweep_plan)
-        .unwrap_or_else(|e| fail("kernel sweep", e));
-
-    for (section, (kernels, modes)) in &plans {
-        let results: Vec<KernelResult> = variants(kernels, modes)
+    let jobs: Vec<_> = sweep_plan.iter().map(|&(b, k, m)| (on(b), k, m)).collect();
+    let sweep = run_variants(&jobs).unwrap_or_else(|e| fail("kernel sweep", e));
+    // A section's results on `board`, in its plan order.
+    let results_on = |board: Board, kernels: &[Kernel], modes: &[Mode]| -> Vec<KernelResult> {
+        variants(kernels, modes)
             .map(|(k, m)| {
-                let found = sweep.iter().find(|r| r.base_name == k.name && r.mode == m);
-                found.expect("the sweep ran every variant").clone()
+                let found = sweep_plan
+                    .iter()
+                    .zip(&sweep)
+                    .find(|((b, ..), r)| *b == board && r.base_name == k.name && r.mode == m);
+                found.expect("the sweep ran every variant").1.clone()
             })
-            .collect();
+            .collect()
+    };
+
+    for (section, (kernels, modes, _)) in &plans {
+        let results = results_on(Board::Paper, kernels, modes);
         let text = match section {
             Section::Table1 => report_table1(&eval),
             Section::Fig4 => report_fig4(&results),
@@ -667,8 +702,10 @@ fn main() {
                 .unwrap_or_else(|e| fail("ablation-categories", e)),
             Section::Calibration => report_ablation_calibration(&eval.testbed)
                 .unwrap_or_else(|e| fail("ablation-calibration", e)),
-            Section::Cache => report_cache_extension(kernels, &results)
-                .unwrap_or_else(|e| fail("cache extension", e)),
+            Section::Cache => {
+                report_cache_extension(&results, &results_on(Board::Cached, kernels, modes))
+                    .unwrap_or_else(|e| fail("cache extension", e))
+            }
         };
         println!("{text}");
     }

@@ -7,9 +7,10 @@
 //! [`Testbed::run`] gives the measurement, the exit code and emitted
 //! words the pipeline checks, and the Table I counts that Eq. 1 prices:
 //! the "ISS + mechanistic model" of Fig. 1, read out of the same
-//! simulation. [`Evaluation::run_variants`] starts the variants longest
-//! first by a key known before any run, so the long soft-float FSE
-//! variants do not leave a thread idle at the end of the sweep.
+//! simulation. [`run_variants`] runs the variants of any number of
+//! boards in one round, longest first by a key known before any run,
+//! so the long soft-float FSE variants do not leave a thread idle at
+//! the end of the sweep.
 
 use nfp_cc::FloatMode;
 use nfp_core::{calibrate, Calibration, Estimate, NfpError, Paper};
@@ -105,7 +106,7 @@ fn variant_name(kernel: &Kernel, mode: Mode) -> String {
     format!("{}_{}", kernel.name, mode.suffix())
 }
 
-/// The order in which [`Evaluation::run_variants`] starts `variants`:
+/// The order in which [`run_variants`] starts `variants`:
 /// longest first by a key known before any run, ties in plan order.
 /// Soft-float variants retire far more instructions than hard-float
 /// ones, and FSE more than HEVC: on the quick preset the soft-float FSE
@@ -121,6 +122,10 @@ fn start_order(variants: &[(&Kernel, Mode)]) -> Vec<usize> {
     order
 }
 
+/// The seed every calibration of the pipeline draws its instrument
+/// noise from.
+pub(crate) const CALIBRATION_SEED: u64 = 0xcafe;
+
 /// A calibrated evaluation context.
 pub struct Evaluation {
     /// The virtual board.
@@ -130,10 +135,15 @@ pub struct Evaluation {
 }
 
 impl Evaluation {
-    /// Calibrates the paper's nine-class model on a fresh testbed.
+    /// Calibrates the paper's nine-class model on the paper's cacheless
+    /// board.
     pub fn new() -> Result<Self, NfpError> {
-        let testbed = Testbed::new();
-        let calibration = calibrate(&testbed, &Paper, 0xcafe)?;
+        Self::for_board(Testbed::new())
+    }
+
+    /// Calibrates the paper's nine-class model on `testbed`.
+    pub fn for_board(testbed: Testbed) -> Result<Self, NfpError> {
+        let calibration = calibrate(&testbed, &Paper, CALIBRATION_SEED)?;
         Ok(Evaluation {
             testbed,
             calibration,
@@ -182,39 +192,40 @@ impl Evaluation {
     }
 
     /// Like [`Evaluation::run_all`] but spread over threads by
-    /// [`Evaluation::run_variants`].
+    /// [`run_variants`].
     pub fn run_all_parallel(&self, kernels: &[Kernel]) -> Result<Vec<KernelResult>, NfpError> {
-        self.run_variants(&variants(kernels, &Mode::BOTH).collect::<Vec<_>>())
+        let jobs: Vec<_> = variants(kernels, &Mode::BOTH)
+            .map(|(kernel, mode)| (self, kernel, mode))
+            .collect();
+        run_variants(&jobs)
     }
+}
 
-    /// Runs `variants` over `available_parallelism()` worker threads (at
-    /// most one per variant), each variant on its own simulator
-    /// instance, in one round that starts the longest variants first.
-    /// Results come back in plan order, each equal to its
-    /// [`Evaluation::run_kernel`], and on failure the error is the first
-    /// one in plan order. A variant whose job panicked reports
-    /// [`NfpError::WorkerLost`].
-    pub fn run_variants(
-        &self,
-        variants: &[(&Kernel, Mode)],
-    ) -> Result<Vec<KernelResult>, NfpError> {
-        let threads = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(4)
-            .min(variants.len().max(1));
-        let order = start_order(variants);
-        let done = run_pool(&order, threads, |&i| {
-            let (kernel, mode) = variants[i];
-            self.run_kernel(kernel, mode)
-        });
-        let mut slots: Vec<Option<Result<KernelResult, NfpError>>> =
-            variants.iter().map(|_| None).collect();
-        for (&i, result) in order.iter().zip(done) {
-            slots[i] = result;
-        }
-        let names: Vec<String> = variants.iter().map(|&(k, m)| variant_name(k, m)).collect();
-        collect_parallel_slots(slots, &names)
+/// Runs `jobs`, each a kernel variant on an evaluation's board, over
+/// `available_parallelism()` worker threads (at most one per job), each
+/// on its own simulator instance, in one round that starts the longest
+/// variants first. Results come back in plan order, each equal to its
+/// [`Evaluation::run_kernel`], and on failure the error is the first
+/// one in plan order. A job that panicked reports
+/// [`NfpError::WorkerLost`].
+pub fn run_variants(jobs: &[(&Evaluation, &Kernel, Mode)]) -> Result<Vec<KernelResult>, NfpError> {
+    let threads = std::thread::available_parallelism()
+        .map(|n| n.get())
+        .unwrap_or(4)
+        .min(jobs.len().max(1));
+    let variants: Vec<(&Kernel, Mode)> = jobs.iter().map(|&(_, k, m)| (k, m)).collect();
+    let order = start_order(&variants);
+    let done = run_pool(&order, threads, |&i| {
+        let (eval, kernel, mode) = jobs[i];
+        eval.run_kernel(kernel, mode)
+    });
+    let mut slots: Vec<Option<Result<KernelResult, NfpError>>> =
+        jobs.iter().map(|_| None).collect();
+    for (&i, result) in order.iter().zip(done) {
+        slots[i] = result;
     }
+    let names: Vec<String> = variants.iter().map(|&(k, m)| variant_name(k, m)).collect();
+    collect_parallel_slots(slots, &names)
 }
 
 /// Runs `work` on every job across `threads` scoped threads, which take

@@ -43,7 +43,7 @@ pub use campaign::{
     report_campaign, run_campaign, run_campaign_parallel, CampaignConfig, CampaignResult,
     InjectionRecord,
 };
-pub use evaluation::{Evaluation, KernelResult, Mode};
+pub use evaluation::{run_variants, Evaluation, KernelResult, Mode};
 pub use reports::*;
 pub use serve::{
     submit_campaign, submit_campaign_retry, submit_campaign_with, CampaignRequest, RemoteOutcome,

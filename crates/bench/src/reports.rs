@@ -1,13 +1,13 @@
 //! Renders every table and figure of the paper as text, side by side
 //! with the paper's published numbers where applicable.
 
-use crate::evaluation::{Evaluation, KernelResult, Mode};
+use crate::evaluation::{Evaluation, KernelResult, Mode, CALIBRATION_SEED};
 use nfp_core::{
     calibrate, calibrate_class, count_classes, fold_categories, paper_table1, Classifier, Coarse,
     CostModel, ErrorSummary, Fine, NfpError, Paper,
 };
 use nfp_sim::MachineConfig;
-use nfp_testbed::{AreaModel, CacheConfig, Testbed};
+use nfp_testbed::{AreaModel, Testbed};
 use nfp_workloads::{machine_for, Kernel, KERNEL_BUDGET};
 use std::fmt::Write;
 
@@ -305,7 +305,9 @@ fn mean_abs_errors(results: &[KernelResult], what: &'static str) -> Result<(f64,
 /// `eval.calibration`; the coarse row folds the sweep's Table I counts
 /// into its one class ([`fold_categories`]); the fine row splits
 /// "Integer Arithmetic" by the multiplies and divides the testbed
-/// counted ([`Fine::split`]). No row simulates a variant again.
+/// counted ([`Fine::split`]). No row simulates a variant again, and the
+/// fine model reuses `eval.calibration`'s nine rows, so only its
+/// integer multiply and divide classes are calibrated here.
 pub fn report_ablation_categories(
     eval: &Evaluation,
     results: &[KernelResult],
@@ -351,11 +353,14 @@ pub fn report_ablation_categories(
         "Model", "classes", "energy", "time"
     )
     .unwrap();
-    let coarse = calibrate(&eval.testbed, &Coarse, 0xcafe)?.model;
+    let coarse = calibrate(&eval.testbed, &Coarse, CALIBRATION_SEED)?.model;
     out += &row("single class (coarse)", &coarse, results, fold(&Coarse))?;
     let paper = &eval.calibration.model;
     out += &row("Table I categories (paper)", paper, results, fold(&Paper))?;
-    let fine = calibrate(&eval.testbed, &Fine, 0xcafe)?.model;
+    let fine = eval
+        .calibration
+        .extended(&eval.testbed, &Fine, CALIBRATION_SEED)?
+        .model;
     out += &row("+ int mul/div split (fine)", &fine, results, |r| {
         Fine::split(&r.counts, r.totals.int_mul, r.totals.int_div)
     })?;
@@ -413,15 +418,15 @@ pub fn report_ablation_calibration(testbed: &Testbed) -> Result<String, NfpError
 }
 
 /// Extension E8: what happens to the constant-cost model when the core
-/// gains a data cache (the paper's stated future work). `cacheless` are
-/// the sweep's results for `kernels` in both modes on the paper's
-/// cacheless board; the cached row calibrates a board with a data cache
-/// and sweeps `kernels` on it. With the cache, per-access memory cost
-/// becomes history-dependent and the Eq. 1 assumption breaks down
-/// visibly.
+/// gains a data cache (the paper's stated future work). `cacheless` and
+/// `cached` are the sweep's results for the same variants on the
+/// paper's cacheless board and on a board with a data cache, each
+/// estimated with its own board's calibration. With the cache,
+/// per-access memory cost becomes history-dependent and the Eq. 1
+/// assumption breaks down visibly.
 pub fn report_cache_extension(
-    kernels: &[Kernel],
     cacheless: &[KernelResult],
+    cached: &[KernelResult],
 ) -> Result<String, NfpError> {
     let mut out = String::new();
     writeln!(
@@ -435,15 +440,9 @@ pub fn report_cache_extension(
         "Board configuration", "energy", "time"
     )
     .unwrap();
-    let board = Testbed::with_cache(CacheConfig::default());
-    let cached = Evaluation {
-        calibration: calibrate(&board, &Paper, 0xcafe)?,
-        testbed: board,
-    }
-    .run_all_parallel(kernels)?;
     for (name, results) in [
         ("cacheless (paper's config)", cacheless),
-        ("with 4 KiB D-cache", &cached),
+        ("with 4 KiB D-cache", cached),
     ] {
         let (energy, time) = mean_abs_errors(results, "cache-extension kernel errors")?;
         writeln!(

@@ -385,26 +385,47 @@ pub fn calibrate<C: Classifier>(
             what: "classifier class set",
         });
     }
-    let mut details = Vec::with_capacity(classifier.class_count());
-    let mut time_s = Vec::with_capacity(classifier.class_count());
-    let mut energy_j = Vec::with_capacity(classifier.class_count());
-    for class_idx in 0..classifier.class_count() {
-        let class = classifier.class_name(class_idx);
-        let iters = default_iters(class);
-        let cal = calibrate_class(
-            testbed,
-            class,
-            iters,
-            seed.wrapping_add(class_idx as u64 * 97),
-        )?;
-        time_s.push(cal.time_s);
-        energy_j.push(cal.energy_j);
-        details.push(cal);
+    let none = Calibration {
+        model: CostModel {
+            time_s: Vec::new(),
+            energy_j: Vec::new(),
+        },
+        details: Vec::new(),
+    };
+    none.extended(testbed, classifier, seed)
+}
+
+impl Calibration {
+    /// This calibration extended to every class of `classifier`, whose
+    /// leading classes must be this calibration's rows: only the
+    /// classes beyond them are measured, class `index` with seed
+    /// `seed + 97·index`. When this calibration is
+    /// `calibrate(testbed, base, seed)`, the result equals
+    /// `calibrate(testbed, classifier, seed)`.
+    pub fn extended<C: Classifier>(
+        &self,
+        testbed: &Testbed,
+        classifier: &C,
+        seed: u64,
+    ) -> Result<Calibration, NfpError> {
+        let mut cal = self.clone();
+        for (index, detail) in self.details.iter().enumerate() {
+            assert_eq!(
+                detail.class,
+                classifier.class_name(index),
+                "row {index} of the calibration being extended"
+            );
+        }
+        for index in self.details.len()..classifier.class_count() {
+            let class = classifier.class_name(index);
+            let class_seed = seed.wrapping_add(index as u64 * 97);
+            let detail = calibrate_class(testbed, class, default_iters(class), class_seed)?;
+            cal.model.time_s.push(detail.time_s);
+            cal.model.energy_j.push(detail.energy_j);
+            cal.details.push(detail);
+        }
+        Ok(cal)
     }
-    Ok(Calibration {
-        model: CostModel { time_s, energy_j },
-        details,
-    })
 }
 
 #[cfg(test)]
@@ -440,6 +461,24 @@ mod tests {
                 paper.energy_j[i] * 1e9
             );
         }
+    }
+
+    #[test]
+    fn fine_model_from_paper_rows_equals_a_fine_calibration() {
+        let testbed = Testbed::new();
+        let paper = calibrate(&testbed, &Paper, 0xcafe).unwrap();
+        let reused = paper.extended(&testbed, &crate::Fine, 0xcafe).unwrap();
+        let full = calibrate(&testbed, &crate::Fine, 0xcafe).unwrap();
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&reused.model.time_s), bits(&full.model.time_s));
+        assert_eq!(bits(&reused.model.energy_j), bits(&full.model.energy_j));
+        let rows = |cal: &Calibration| {
+            cal.details
+                .iter()
+                .map(|d| (d.class, d.n_test))
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(rows(&reused), rows(&full));
     }
 
     #[test]

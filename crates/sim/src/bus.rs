@@ -1,8 +1,8 @@
-//! Memory bus: a flat big-endian RAM plus memory-mapped devices.
+//! Memory bus: a flat big-endian RAM plus the memory-mapped console.
 //!
 //! The layout follows the LEON3 convention of RAM at `0x4000_0000`.
-//! Devices claim address ranges outside RAM; the built-in
-//! [`ConsoleDevice`] provides the bare-metal "UART" the workloads use
+//! The built-in [`ConsoleDevice`] claims the [`CONSOLE_BASE`] window
+//! outside RAM and provides the bare-metal "UART" the workloads use
 //! for output and result reporting.
 
 use std::fmt;
@@ -46,11 +46,6 @@ impl RamSnapshot {
     pub fn page_count(&self) -> usize {
         self.pages.len()
     }
-
-    /// Approximate heap footprint in bytes.
-    pub fn byte_size(&self) -> usize {
-        self.pages.len() * PAGE_SIZE + self.dirty.len() * 8
-    }
 }
 
 /// Access fault raised by the bus.
@@ -87,21 +82,12 @@ impl fmt::Display for BusFault {
 
 impl std::error::Error for BusFault {}
 
-/// A memory-mapped device. Accesses are word-granular; the bus performs
-/// alignment checks before dispatching.
-#[allow(clippy::len_without_is_empty)] // a zero-length device is useless
-pub trait Device {
-    /// Inclusive start of the claimed range.
-    fn base(&self) -> u32;
-    /// Length of the claimed range in bytes.
-    fn len(&self) -> u32;
-    /// Word load at `addr` (already validated to be in range).
-    fn load(&mut self, addr: u32) -> u32;
-    /// Word store at `addr`.
-    fn store(&mut self, addr: u32, value: u32);
-}
+/// Length of the console's window at [`CONSOLE_BASE`] in bytes.
+const CONSOLE_LEN: u32 = 8;
 
 /// The console/host device: text output plus a structured word stream.
+/// Accesses are word-granular; the bus performs alignment checks before
+/// dispatching.
 #[derive(Debug, Default)]
 pub struct ConsoleDevice {
     /// Accumulated text written through [`CONSOLE_TX`].
@@ -110,16 +96,13 @@ pub struct ConsoleDevice {
     pub words: Vec<u32>,
 }
 
-impl Device for ConsoleDevice {
-    fn base(&self) -> u32 {
-        CONSOLE_BASE
+impl ConsoleDevice {
+    /// Whether `addr` lies in the console's window.
+    fn claims(addr: u32) -> bool {
+        addr.wrapping_sub(CONSOLE_BASE) < CONSOLE_LEN
     }
-    fn len(&self) -> u32 {
-        8
-    }
-    fn load(&mut self, _addr: u32) -> u32 {
-        0
-    }
+
+    /// Word store at `addr`, inside the window.
     fn store(&mut self, addr: u32, value: u32) {
         if addr == CONSOLE_TX {
             self.text.push((value & 0xff) as u8 as char);
@@ -129,7 +112,7 @@ impl Device for ConsoleDevice {
     }
 }
 
-/// The system bus: RAM plus registered devices.
+/// The system bus: RAM plus the console.
 pub struct Bus {
     ram: Vec<u8>,
     ram_base: u32,
@@ -139,10 +122,8 @@ pub struct Bus {
     dirty: Vec<u64>,
     /// Boot-time images applied by [`Bus::write_bytes`], in order.
     pristine: Vec<(u32, Vec<u8>)>,
-    /// The console is built in so the run harness can read it back
-    /// without downcasting.
+    /// The console is built in so the run harness can read it back.
     pub console: ConsoleDevice,
-    devices: Vec<Box<dyn Device>>,
 }
 
 impl Bus {
@@ -160,13 +141,7 @@ impl Bus {
             dirty: vec![0; pages.div_ceil(64)],
             pristine: Vec::new(),
             console: ConsoleDevice::default(),
-            devices: Vec::new(),
         }
-    }
-
-    /// Registers an additional device.
-    pub fn add_device(&mut self, dev: Box<dyn Device>) {
-        self.devices.push(dev);
     }
 
     /// The RAM base address.
@@ -449,30 +424,21 @@ impl Bus {
         self.store32(addr + 4, value as u32)
     }
 
+    /// A load outside RAM: the console's window reads as zero.
     #[cold]
     fn device_load(&mut self, addr: u32) -> Result<u32, BusFault> {
-        if addr.wrapping_sub(self.console.base()) < self.console.len() {
-            return Ok(self.console.load(addr));
-        }
-        for dev in &mut self.devices {
-            if addr.wrapping_sub(dev.base()) < dev.len() {
-                return Ok(dev.load(addr));
-            }
+        if ConsoleDevice::claims(addr) {
+            return Ok(0);
         }
         Err(BusFault::Unmapped { addr })
     }
 
+    /// A store outside RAM: only the console's window takes it.
     #[cold]
     fn device_store(&mut self, addr: u32, value: u32) -> Result<(), BusFault> {
-        if addr.wrapping_sub(self.console.base()) < self.console.len() {
+        if ConsoleDevice::claims(addr) {
             self.console.store(addr, value);
             return Ok(());
-        }
-        for dev in &mut self.devices {
-            if addr.wrapping_sub(dev.base()) < dev.len() {
-                dev.store(addr, value);
-                return Ok(());
-            }
         }
         Err(BusFault::Unmapped { addr })
     }

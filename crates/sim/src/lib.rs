@@ -34,7 +34,7 @@ pub mod profile;
 pub(crate) mod threaded;
 
 pub use blocks::BlockCache;
-pub use bus::{Bus, ConsoleDevice, Device, RamSnapshot, RAM_BASE};
+pub use bus::{Bus, ConsoleDevice, RamSnapshot, RAM_BASE};
 pub use cpu::{Cpu, INT_REG_SPACE, NWINDOWS};
 pub use exec::{ExecInfo, NullObserver, Observer, Residue, Trap};
 pub use fault::{Fault, FaultRng, FaultSpace, FaultTarget};

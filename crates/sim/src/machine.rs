@@ -280,11 +280,6 @@ impl Checkpoint {
     pub fn instret(&self) -> u64 {
         self.instret
     }
-
-    /// Approximate heap footprint of the RAM portion in bytes.
-    pub fn ram_bytes(&self) -> usize {
-        self.ram.byte_size()
-    }
 }
 
 /// A loaded machine ready to run.

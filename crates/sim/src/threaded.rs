@@ -214,42 +214,6 @@ fn exec_sethi(cpu: &mut Cpu, op: &DecodedOp) -> Flow {
     Flow::Next
 }
 
-/// `AluOp` variants in declaration order, so `AluOp::X as u8` stored in
-/// `aux` indexes back to the variant.
-const ALU_OPS: [AluOp; 31] = [
-    AluOp::Add,
-    AluOp::AddCc,
-    AluOp::AddX,
-    AluOp::AddXCc,
-    AluOp::Sub,
-    AluOp::SubCc,
-    AluOp::SubX,
-    AluOp::SubXCc,
-    AluOp::And,
-    AluOp::AndCc,
-    AluOp::AndN,
-    AluOp::AndNCc,
-    AluOp::Or,
-    AluOp::OrCc,
-    AluOp::OrN,
-    AluOp::OrNCc,
-    AluOp::Xor,
-    AluOp::XorCc,
-    AluOp::XNor,
-    AluOp::XNorCc,
-    AluOp::Sll,
-    AluOp::Srl,
-    AluOp::Sra,
-    AluOp::UMul,
-    AluOp::UMulCc,
-    AluOp::SMul,
-    AluOp::SMulCc,
-    AluOp::UDiv,
-    AluOp::UDivCc,
-    AluOp::SDiv,
-    AluOp::SDivCc,
-];
-
 fn exec_rdy(cpu: &mut Cpu, op: &DecodedOp) -> Flow {
     let y = cpu.y;
     cpu.set(reg(op.rd), y);
@@ -409,31 +373,6 @@ fn storef_c<const DOUBLE: bool, const IMM: bool>(
     }
 }
 
-/// `FpOp` variants in declaration order (same convention as
-/// [`ALU_OPS`]), so `FpOp::X as u8` stored in `aux` indexes back.
-const FP_OPS: [FpOp; 20] = [
-    FpOp::FMovS,
-    FpOp::FNegS,
-    FpOp::FAbsS,
-    FpOp::FSqrtS,
-    FpOp::FSqrtD,
-    FpOp::FAddS,
-    FpOp::FAddD,
-    FpOp::FSubS,
-    FpOp::FSubD,
-    FpOp::FMulS,
-    FpOp::FMulD,
-    FpOp::FDivS,
-    FpOp::FDivD,
-    FpOp::FsMulD,
-    FpOp::FiToS,
-    FpOp::FiToD,
-    FpOp::FsToI,
-    FpOp::FdToI,
-    FpOp::FsToD,
-    FpOp::FdToS,
-];
-
 /// Executes an [`OpKind::Fp`] op: `aux` is the `FpOp` discriminant, and
 /// operand evenness is validated at predecode.
 ///
@@ -444,7 +383,7 @@ const FP_OPS: [FpOp; 20] = [
 fn exec_fp(cpu: &mut Cpu, op: &DecodedOp) -> Flow {
     use FpOp::*;
     let (rd, rs1, rs2) = (freg(op.rd), freg(op.rs1), freg(op.rs2));
-    match FP_OPS[op.aux as usize] {
+    match FpOp::ALL[op.aux as usize] {
         FMovS => cpu.fset(rd, cpu.fget(rs2)),
         FNegS => cpu.fset(rd, cpu.fget(rs2) ^ 0x8000_0000),
         FAbsS => cpu.fset(rd, cpu.fget(rs2) & 0x7fff_ffff),
@@ -704,7 +643,7 @@ impl<O: Observer> Retiring<'_, '_, O> {
     fn alu(&mut self, aux: u8, r: u32) {
         self.ones(r.count_ones());
         if O::LEDGER {
-            let op = ALU_OPS[aux as usize];
+            let op = AluOp::ALL[aux as usize];
             self.res.int_mul += op.is_mul() as u64;
             self.res.int_div += op.is_div() as u64;
         }
@@ -764,7 +703,7 @@ impl<O: Observer> Retiring<'_, '_, O> {
 fn fp_rs2_bits(cpu: &Cpu, op: &DecodedOp) -> Option<(Category, u64)> {
     let single = || cpu.fget(freg(op.rs2)) as u64;
     let double = || ((cpu.fget(freg(op.rs2)) as u64) << 32) | cpu.fget(freg(op.rs2 + 1)) as u64;
-    match FP_OPS.get(op.aux as usize)? {
+    match FpOp::ALL.get(op.aux as usize)? {
         FpOp::FSqrtS => Some((Category::FpuSqrt, single())),
         FpOp::FDivS => Some((Category::FpuDiv, single())),
         FpOp::FSqrtD => Some((Category::FpuSqrt, double())),
@@ -817,7 +756,7 @@ fn exec_top<O: Observer>(
         }
         OpKind::AluImm => {
             let a = cpu.get(reg(op.rs1));
-            let r = exec_alu(cpu, ALU_OPS[op.aux as usize], a, op.imm, op.pc)?;
+            let r = exec_alu(cpu, AluOp::ALL[op.aux as usize], a, op.imm, op.pc)?;
             cpu.set(reg(op.rd), r);
             rt.alu(op.aux, r);
             Flow::Next
@@ -825,7 +764,7 @@ fn exec_top<O: Observer>(
         OpKind::AluReg => {
             let a = cpu.get(reg(op.rs1));
             let b = cpu.get(reg(op.rs2));
-            let r = exec_alu(cpu, ALU_OPS[op.aux as usize], a, b, op.pc)?;
+            let r = exec_alu(cpu, AluOp::ALL[op.aux as usize], a, b, op.pc)?;
             cpu.set(reg(op.rd), r);
             rt.alu(op.aux, r);
             Flow::Next

@@ -75,14 +75,6 @@ impl Category {
             Category::FpuSqrt => "FPU Square root",
         }
     }
-
-    /// True for the three FPU categories.
-    pub fn is_fpu(self) -> bool {
-        matches!(
-            self,
-            Category::FpuArith | Category::FpuDiv | Category::FpuSqrt
-        )
-    }
 }
 
 impl fmt::Display for Category {

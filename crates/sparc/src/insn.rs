@@ -80,6 +80,42 @@ pub enum AluOp {
 }
 
 impl AluOp {
+    /// Every operation in declaration order, so `ALL[op as usize] == op`
+    /// (the simulator's predecoded ops store `op as u8`).
+    pub const ALL: [AluOp; 31] = [
+        AluOp::Add,
+        AluOp::AddCc,
+        AluOp::AddX,
+        AluOp::AddXCc,
+        AluOp::Sub,
+        AluOp::SubCc,
+        AluOp::SubX,
+        AluOp::SubXCc,
+        AluOp::And,
+        AluOp::AndCc,
+        AluOp::AndN,
+        AluOp::AndNCc,
+        AluOp::Or,
+        AluOp::OrCc,
+        AluOp::OrN,
+        AluOp::OrNCc,
+        AluOp::Xor,
+        AluOp::XorCc,
+        AluOp::XNor,
+        AluOp::XNorCc,
+        AluOp::Sll,
+        AluOp::Srl,
+        AluOp::Sra,
+        AluOp::UMul,
+        AluOp::UMulCc,
+        AluOp::SMul,
+        AluOp::SMulCc,
+        AluOp::UDiv,
+        AluOp::UDivCc,
+        AluOp::SDiv,
+        AluOp::SDivCc,
+    ];
+
     /// True for the integer multiplies (`umul`, `smul` and their `cc`
     /// forms), which the iterative LEON3 multiplier runs longer than
     /// simple ALU operations.
@@ -95,28 +131,6 @@ impl AluOp {
     pub fn is_div(self) -> bool {
         use AluOp::*;
         matches!(self, UDiv | UDivCc | SDiv | SDivCc)
-    }
-
-    /// True if the operation writes the integer condition codes.
-    pub fn sets_cc(self) -> bool {
-        use AluOp::*;
-        matches!(
-            self,
-            AddCc
-                | AddXCc
-                | SubCc
-                | SubXCc
-                | AndCc
-                | AndNCc
-                | OrCc
-                | OrNCc
-                | XorCc
-                | XNorCc
-                | UMulCc
-                | SMulCc
-                | UDivCc
-                | SDivCc
-        )
     }
 
     /// The `op3` field encoding (SPARC V8 Table F-3).
@@ -273,6 +287,31 @@ pub enum FpOp {
 }
 
 impl FpOp {
+    /// Every operation in declaration order, so `ALL[op as usize] == op`
+    /// (the simulator's predecoded ops store `op as u8`).
+    pub const ALL: [FpOp; 20] = [
+        FpOp::FMovS,
+        FpOp::FNegS,
+        FpOp::FAbsS,
+        FpOp::FSqrtS,
+        FpOp::FSqrtD,
+        FpOp::FAddS,
+        FpOp::FAddD,
+        FpOp::FSubS,
+        FpOp::FSubD,
+        FpOp::FMulS,
+        FpOp::FMulD,
+        FpOp::FDivS,
+        FpOp::FDivD,
+        FpOp::FsMulD,
+        FpOp::FiToS,
+        FpOp::FiToD,
+        FpOp::FsToI,
+        FpOp::FdToI,
+        FpOp::FsToD,
+        FpOp::FdToS,
+    ];
+
     /// The `opf` field encoding.
     pub fn opf(self) -> u16 {
         use FpOp::*;
@@ -572,24 +611,33 @@ mod tests {
 
     #[test]
     fn alu_op3_roundtrip() {
-        use AluOp::*;
-        for op in [
-            Add, AddCc, AddX, AddXCc, Sub, SubCc, SubX, SubXCc, And, AndCc, AndN, AndNCc, Or, OrCc,
-            OrN, OrNCc, Xor, XorCc, XNor, XNorCc, Sll, Srl, Sra, UMul, UMulCc, SMul, SMulCc, UDiv,
-            UDivCc, SDiv, SDivCc,
-        ] {
+        for op in AluOp::ALL {
             assert_eq!(AluOp::from_op3(op.op3()), Some(op));
         }
     }
 
     #[test]
     fn fpop_opf_roundtrip() {
-        use FpOp::*;
-        for op in [
-            FMovS, FNegS, FAbsS, FSqrtS, FSqrtD, FAddS, FAddD, FSubS, FSubD, FMulS, FMulD, FDivS,
-            FDivD, FsMulD, FiToS, FiToD, FsToI, FdToI, FsToD, FdToS,
-        ] {
+        for op in FpOp::ALL {
             assert_eq!(FpOp::from_opf(op.opf()), Some(op));
+        }
+    }
+
+    #[test]
+    fn all_tables_index_by_discriminant() {
+        // Every variant decodes from some field value, so sweeping the
+        // 6-bit op3 and 9-bit opf fields reaches each one; the
+        // predecoded `aux` byte stores `op as u8` and reads it back
+        // through `ALL`.
+        for op3 in 0..64 {
+            if let Some(op) = AluOp::from_op3(op3) {
+                assert_eq!(AluOp::ALL[op as usize], op);
+            }
+        }
+        for opf in 0..512 {
+            if let Some(op) = FpOp::from_opf(opf) {
+                assert_eq!(FpOp::ALL[op as usize], op);
+            }
         }
     }
 

@@ -446,30 +446,8 @@ fn parse_one(line: &str) -> Result<Parsed, AsmParseError> {
     }
 
     // FPU register operations (unary and binary).
-    let fpops: &[(&str, FpOp)] = &[
-        ("fmovs", FpOp::FMovS),
-        ("fnegs", FpOp::FNegS),
-        ("fabss", FpOp::FAbsS),
-        ("fsqrts", FpOp::FSqrtS),
-        ("fsqrtd", FpOp::FSqrtD),
-        ("fadds", FpOp::FAddS),
-        ("faddd", FpOp::FAddD),
-        ("fsubs", FpOp::FSubS),
-        ("fsubd", FpOp::FSubD),
-        ("fmuls", FpOp::FMulS),
-        ("fmuld", FpOp::FMulD),
-        ("fdivs", FpOp::FDivS),
-        ("fdivd", FpOp::FDivD),
-        ("fsmuld", FpOp::FsMulD),
-        ("fitos", FpOp::FiToS),
-        ("fitod", FpOp::FiToD),
-        ("fstoi", FpOp::FsToI),
-        ("fdtoi", FpOp::FdToI),
-        ("fstod", FpOp::FsToD),
-        ("fdtos", FpOp::FdToS),
-    ];
-    for &(m, op) in fpops {
-        if mnemonic == m {
+    for op in FpOp::ALL {
+        if mnemonic == op.mnemonic() {
             return if op.is_unary() {
                 ok(Instr::FpOp {
                     op,
@@ -489,40 +467,7 @@ fn parse_one(line: &str) -> Result<Parsed, AsmParseError> {
     }
 
     // ALU operations by mnemonic.
-    let alu_all = [
-        AluOp::Add,
-        AluOp::AddCc,
-        AluOp::AddX,
-        AluOp::AddXCc,
-        AluOp::Sub,
-        AluOp::SubCc,
-        AluOp::SubX,
-        AluOp::SubXCc,
-        AluOp::And,
-        AluOp::AndCc,
-        AluOp::AndN,
-        AluOp::AndNCc,
-        AluOp::Or,
-        AluOp::OrCc,
-        AluOp::OrN,
-        AluOp::OrNCc,
-        AluOp::Xor,
-        AluOp::XorCc,
-        AluOp::XNor,
-        AluOp::XNorCc,
-        AluOp::Sll,
-        AluOp::Srl,
-        AluOp::Sra,
-        AluOp::UMul,
-        AluOp::UMulCc,
-        AluOp::SMul,
-        AluOp::SMulCc,
-        AluOp::UDiv,
-        AluOp::UDivCc,
-        AluOp::SDiv,
-        AluOp::SDivCc,
-    ];
-    for op in alu_all {
+    for op in AluOp::ALL {
         if mnemonic == op.mnemonic() {
             if args.len() != 3 {
                 return err(format!("`{mnemonic}` needs 3 operands: `{line}`"));

@@ -5,32 +5,25 @@
 //! paper argues its two workloads have such high locality that "cache
 //! misses play a minor role". This module makes that argument
 //! testable: a direct-mapped data cache (write-through, no-allocate on
-//! write, like the LEON3's optional D-cache) can be composed with the
-//! [`crate::HwModel`] observer. With the cache enabled, memory cost
-//! becomes strongly context-dependent — and the constant-cost
-//! mechanistic model degrades, quantifying exactly why the paper
-//! excluded caches from its first model (extension experiment E8).
+//! write, like the LEON3's optional D-cache) that the board's one
+//! observer, [`crate::HwObserver`], runs every retired access through,
+//! in retirement order. With the cache enabled, memory cost becomes
+//! strongly context-dependent — and the constant-cost mechanistic model
+//! degrades, quantifying exactly why the paper excluded caches from its
+//! first model (extension experiment E8).
 //!
-//! The cache is the one part of the board whose state every access
-//! changes, so [`CachedHwObserver`] runs each retired access through
-//! it, in retirement order, from the simulator's memory hook. Its price
-//! stays a ledger: the cacheless [`crate::Ledger`] plus the counts of
-//! load hits and load misses, evaluated once per run.
+//! The cache's prices are consts beside the rest of the board's price
+//! table: its state decides only whether a load hits, and the
+//! observer's [`crate::Ledger`] counts load hits and misses, which
+//! [`crate::Ledger::totals`] prices once per run.
 
-use nfp_sim::{ExecInfo, Observer, Residue};
-use nfp_sparc::{Category, CategoryCounts};
-
-/// Direct-mapped cache geometry and timing.
+/// Direct-mapped cache geometry.
 #[derive(Debug, Clone)]
 pub struct CacheConfig {
     /// Number of cache lines (power of two).
     pub lines: usize,
     /// Line size in bytes (power of two).
     pub line_bytes: u32,
-    /// Load latency on a hit, in cycles (replaces the SDRAM access).
-    pub hit_cycles: u64,
-    /// Additional line-fill penalty on a miss, in cycles.
-    pub miss_fill_cycles: u64,
 }
 
 impl Default for CacheConfig {
@@ -40,11 +33,19 @@ impl Default for CacheConfig {
         CacheConfig {
             lines: 256,
             line_bytes: 16,
-            hit_cycles: 2,
-            miss_fill_cycles: 12,
         }
     }
 }
+
+/// Load latency on a hit, in cycles (replaces the SDRAM access).
+pub const HIT_CYCLES: u64 = 2;
+/// Additional line-fill penalty of a load miss, in cycles.
+pub const FILL_CYCLES: u64 = 12;
+/// Dynamic energy a load hit saves against the SDRAM access, in
+/// joules.
+pub const HIT_SAVED_J: f64 = 140.0e-9;
+/// Dynamic energy of a load miss's line fill, in joules.
+pub const FILL_J: f64 = 30.0e-9;
 
 /// Direct-mapped cache state with hit/miss accounting.
 #[derive(Debug, Clone)]
@@ -102,120 +103,13 @@ impl Cache {
             self.hits as f64 / total as f64
         }
     }
-
-    /// The geometry in use.
-    pub fn config(&self) -> &CacheConfig {
-        &self.config
-    }
-}
-
-/// Dynamic energy a load hit saves against the SDRAM access, in
-/// joules.
-pub const HIT_SAVED_J: f64 = 140.0e-9;
-/// Dynamic energy of a load miss's line fill, in joules.
-pub const FILL_J: f64 = 30.0e-9;
-
-/// An observer wrapping [`crate::HwObserver`]'s ledger with a data
-/// cache: loads that hit cost [`CacheConfig::hit_cycles`] instead of
-/// the SDRAM access; misses cost the SDRAM access plus the fill
-/// penalty. Non-memory instructions are charged exactly like the
-/// cacheless model. Like the cacheless observer it is a ledger: the
-/// cache sees every access through [`Observer::mem_access`] (or a
-/// stepped record's address), and the run's price adds the load hits
-/// and misses it counted to the cacheless ledger's.
-pub struct CachedHwObserver {
-    inner: crate::HwObserver,
-    cache: Cache,
-    load_hits: u64,
-    load_misses: u64,
-}
-
-impl CachedHwObserver {
-    /// Wraps the cacheless hardware model with a data cache.
-    pub fn new(hw: crate::HwModel, cache: CacheConfig) -> Self {
-        CachedHwObserver {
-            inner: crate::HwObserver::new(hw),
-            cache: Cache::new(cache),
-            load_hits: 0,
-            load_misses: 0,
-        }
-    }
-
-    /// The cacheless ledger underneath.
-    pub fn ledger(&self) -> &crate::Ledger {
-        self.inner.ledger()
-    }
-
-    /// Ground-truth totals with the cache adjustment applied: each load
-    /// hit credits the SDRAM access it avoided, each load miss adds the
-    /// line fill. Leakage stays that of the cacheless cycles.
-    pub fn totals(&self) -> crate::HwTotals {
-        let base = self.inner.totals();
-        let config = &self.cache.config;
-        let hits = self.load_hits as i64;
-        let misses = self.load_misses as i64;
-        // A hit replaces the SDRAM access, a load's base cycles.
-        let sdram = crate::CostClass::Load.price().cycles as i64;
-        let adjustment_cycles =
-            misses * config.miss_fill_cycles as i64 - hits * (sdram - config.hit_cycles as i64);
-        let adjustment_energy_j = misses as f64 * FILL_J - hits as f64 * HIT_SAVED_J;
-        crate::HwTotals {
-            cycles: (base.cycles as i64 + adjustment_cycles).max(0) as u64,
-            energy_j: (base.energy_j + adjustment_energy_j).max(0.0),
-            ..base
-        }
-    }
-
-    /// Cache statistics.
-    pub fn cache(&self) -> &Cache {
-        &self.cache
-    }
-
-    /// Runs one retired access through the cache; loads count as hits
-    /// or misses for the run's price.
-    #[inline(always)]
-    fn access(&mut self, addr: u32, store: bool) {
-        let hit = self.cache.access(addr, !store);
-        if !store {
-            if hit {
-                self.load_hits += 1;
-            } else {
-                self.load_misses += 1;
-            }
-        }
-    }
-}
-
-impl Observer for CachedHwObserver {
-    const LEDGER: bool = true;
-
-    fn observe(&mut self, info: &ExecInfo) {
-        self.inner.observe(info);
-        if let Some(addr) = info.mem_addr {
-            self.access(addr, info.category == Category::MemStore);
-        }
-    }
-
-    #[inline(always)]
-    fn mem_access(&mut self, addr: u32, store: bool) {
-        self.inner.mem_access(addr, store);
-        self.access(addr, store);
-    }
-
-    #[inline(always)]
-    fn fpu_operand(&mut self, category: Category, bits: u64) {
-        self.inner.fpu_operand(category, bits);
-    }
-
-    #[inline(always)]
-    fn retire_batch(&mut self, counts: &CategoryCounts, residue: &Residue) {
-        self.inner.retire_batch(counts, residue);
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::HwObserver;
+    use nfp_sim::{ExecInfo, Observer};
     use nfp_sparc::{Instr, MemSize, Operand, Reg};
 
     fn load_info(addr: u32) -> ExecInfo {
@@ -253,7 +147,6 @@ mod tests {
         let mut cache = Cache::new(CacheConfig {
             lines: 4,
             line_bytes: 16,
-            ..CacheConfig::default()
         });
         // Two addresses 4 lines apart map to the same index.
         assert!(!cache.access(0x0, true));
@@ -271,13 +164,12 @@ mod tests {
 
     #[test]
     fn cached_observer_speeds_up_hot_loops() {
-        let hw = crate::HwModel::default();
         // Cacheless baseline: 100 loads of the same word.
-        let mut plain = crate::HwObserver::new(hw.clone());
+        let mut plain = HwObserver::new(None);
         for _ in 0..100 {
             plain.observe(&load_info(0x4000_2000));
         }
-        let mut cached = CachedHwObserver::new(hw, CacheConfig::default());
+        let mut cached = HwObserver::new(Some(CacheConfig::default()));
         for _ in 0..100 {
             cached.observe(&load_info(0x4000_2000));
         }
@@ -288,14 +180,13 @@ mod tests {
             plain.totals().cycles
         );
         assert!(cached.totals().energy_j < plain.totals().energy_j);
-        assert_eq!(cached.cache().stats().0, 99);
+        assert_eq!(cached.cache().map(|c| c.stats().0), Some(99));
     }
 
     #[test]
     fn cached_observer_slows_down_streaming_misses() {
-        let hw = crate::HwModel::default();
-        let mut plain = crate::HwObserver::new(hw.clone());
-        let mut cached = CachedHwObserver::new(hw, CacheConfig::default());
+        let mut plain = HwObserver::new(None);
+        let mut cached = HwObserver::new(Some(CacheConfig::default()));
         // Strided accesses that never revisit a line.
         for i in 0..100u32 {
             plain.observe(&load_info(0x4000_0000 + i * 64));

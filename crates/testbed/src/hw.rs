@@ -1,5 +1,5 @@
-//! Detailed hardware model of the cacheless LEON3-class core, kept as
-//! an exact integer ledger.
+//! Detailed hardware model of the LEON3-class core, kept as an exact
+//! integer ledger.
 //!
 //! Cycle and energy cost of each instruction depends on *context*, the
 //! way it does on the real board:
@@ -11,15 +11,18 @@
 //!   (the paper folds them all into "Integer Arithmetic");
 //! * FPU divide/sqrt latency depends on the operand mantissa;
 //! * every instruction's energy has a data-dependent toggling term and
-//!   a static-leakage share proportional to its duration.
+//!   a static-leakage share proportional to its duration;
+//! * on E8's board with a data cache ([`crate::cache`]), a load that
+//!   hits skips the SDRAM access and one that misses fills a line.
 //!
 //! Each of those costs is a fixed price times a count. An instruction's
 //! [`CostClass`] (its Table I category, with integer multiply and
 //! divide split out and jumps split by outcome) fixes its base
 //! [`Price`]; the context adds row misses, the FPU's operand-dependent
-//! extra cycles, toggled bits and leakage on top. So the board never
-//! adds up a cost per instruction: [`HwObserver`] keeps a [`Ledger`] of
-//! integer counts, and [`Ledger::totals`] prices them once per run
+//! extra cycles, toggled bits, leakage and cache hits and misses on
+//! top. The whole price table is const. So the board never adds up a
+//! cost per instruction: [`HwObserver`] keeps a [`Ledger`] of integer
+//! counts, and [`Ledger::totals`] prices them once per run
 //! (EnergyAnalyzer's static costs times execution counts, with the
 //! context effects as a residue on top, like the inter-instruction
 //! overhead of Zotos et al.; PAPERS.md). Integer sums do not depend on
@@ -28,39 +31,24 @@
 //! one batch per superblock trace plus its memory accesses and FPU
 //! operands (traced dispatch; see [`nfp_sim::Observer`]).
 //!
-//! All parameters are chosen so that differential calibration (paper
+//! All prices are chosen so that differential calibration (paper
 //! Table II) recovers per-category costs close to the paper's Table I
 //! at the LEON3's 50 MHz clock.
 
+use crate::cache::{Cache, CacheConfig, FILL_CYCLES, FILL_J, HIT_CYCLES, HIT_SAVED_J};
 use nfp_sim::{ExecInfo, Observer, Residue};
 use nfp_sparc::{Category, CategoryCounts, Instr};
 
-/// Static configuration of the modelled hardware.
-#[derive(Debug, Clone)]
-pub struct HwModel {
-    /// Core clock in Hz (LEON3 default on the DE2-115: 50 MHz).
-    pub clock_hz: f64,
-    /// Static (leakage + idle board) power in watts, charged per cycle.
-    pub static_power_w: f64,
-    /// Energy per toggled result bit in joules (datapath activity).
-    pub toggle_j_per_bit: f64,
-    /// Extra cycles when a memory access misses the open SDRAM row.
-    pub row_miss_cycles: u64,
-    /// SDRAM row size in bytes (address bits above this select a row).
-    pub row_bytes: u32,
-}
-
-impl Default for HwModel {
-    fn default() -> Self {
-        HwModel {
-            clock_hz: 50.0e6,
-            static_power_w: 0.100,
-            toggle_j_per_bit: 0.08e-9,
-            row_miss_cycles: 3,
-            row_bytes: 1024,
-        }
-    }
-}
+/// Core clock in Hz (LEON3 default on the DE2-115: 50 MHz).
+pub const CLOCK_HZ: f64 = 50.0e6;
+/// Static (leakage + idle board) power in watts, charged per cycle.
+pub const STATIC_POWER_W: f64 = 0.100;
+/// Energy per toggled result bit in joules (datapath activity).
+pub const TOGGLE_J_PER_BIT: f64 = 0.08e-9;
+/// Extra cycles when a memory access misses the open SDRAM row.
+pub const ROW_MISS_CYCLES: u64 = 3;
+/// SDRAM row size in bytes (address bits above this select a row).
+pub const ROW_BYTES: u32 = 1024;
 
 /// Dynamic energy of an SDRAM row activate/precharge, in joules.
 pub const ROW_MISS_J: f64 = 9.0e-9;
@@ -228,6 +216,10 @@ pub struct Ledger {
     /// roots.
     fdiv_extra: u64,
     fsqrt_extra: u64,
+    /// Loads that hit and that missed the data cache; zero on a board
+    /// without one.
+    load_hits: u64,
+    load_misses: u64,
 }
 
 impl Ledger {
@@ -283,21 +275,33 @@ impl Ledger {
         ]
     }
 
-    /// Clock cycles under `model`: base cycles per class, the FPU's
-    /// extra cycles and the row-miss penalties.
-    pub fn cycles(&self, model: &HwModel) -> u64 {
+    /// Clock cycles without the cache: base cycles per class, the
+    /// FPU's extra cycles and the row-miss penalties.
+    fn sdram_cycles(&self) -> u64 {
         let base: u64 = CostClass::ALL
             .iter()
             .zip(self.class_counts())
             .map(|(class, n)| n * class.price().cycles)
             .sum();
-        base + self.fdiv_extra + self.fsqrt_extra + self.row_misses * model.row_miss_cycles
+        base + self.fdiv_extra + self.fsqrt_extra + self.row_misses * ROW_MISS_CYCLES
     }
 
-    /// Energy in joules under `model`: dynamic energy per class and per
-    /// extra cycle and row miss, toggled bits, and leakage over
-    /// [`Ledger::cycles`].
-    pub fn energy_j(&self, model: &HwModel) -> f64 {
+    /// Clock cycles: those without the cache, less the SDRAM access
+    /// each load hit replaced by [`HIT_CYCLES`], plus a line fill per
+    /// load miss, and never below zero.
+    pub fn cycles(&self) -> u64 {
+        let hits = self.load_hits as i64;
+        let misses = self.load_misses as i64;
+        let sdram = CostClass::Load.price().cycles as i64;
+        let adjustment = misses * FILL_CYCLES as i64 - hits * (sdram - HIT_CYCLES as i64);
+        (self.sdram_cycles() as i64 + adjustment).max(0) as u64
+    }
+
+    /// Energy in joules: dynamic energy per class and per extra cycle
+    /// and row miss, toggled bits, leakage over the cycles without the
+    /// cache, then the energy each load hit saved and each load miss's
+    /// line fill cost, and never below zero.
+    pub fn energy_j(&self) -> f64 {
         let dynamic: f64 = CostClass::ALL
             .iter()
             .zip(self.class_counts())
@@ -306,16 +310,17 @@ impl Ledger {
         let context = self.fdiv_extra as f64 * FDIV_EXTRA_J
             + self.fsqrt_extra as f64 * FSQRT_EXTRA_J
             + self.row_misses as f64 * ROW_MISS_J
-            + self.ones as f64 * model.toggle_j_per_bit;
-        let leakage = model.static_power_w * (self.cycles(model) as f64 / model.clock_hz);
-        dynamic + context + leakage
+            + self.ones as f64 * TOGGLE_J_PER_BIT;
+        let leakage = STATIC_POWER_W * (self.sdram_cycles() as f64 / CLOCK_HZ);
+        let cache = self.load_misses as f64 * FILL_J - self.load_hits as f64 * HIT_SAVED_J;
+        (dynamic + context + leakage + cache).max(0.0)
     }
 
-    /// The run's totals under `model`.
-    pub fn totals(&self, model: &HwModel) -> HwTotals {
+    /// The run's totals.
+    pub fn totals(&self) -> HwTotals {
         HwTotals {
-            cycles: self.cycles(model),
-            energy_j: self.energy_j(model),
+            cycles: self.cycles(),
+            energy_j: self.energy_j(),
             instret: self.counts.total(),
             row_misses: self.row_misses,
             int_mul: self.int_mul,
@@ -330,20 +335,23 @@ impl Ledger {
 /// `Machine::run_observed`, it is a ledger ([`Observer::LEDGER`]):
 /// inside the simulator's superblock traces it takes one batch per
 /// trace plus a call per memory access and FPU divide or square root,
-/// and on the step path one record per instruction.
+/// and on the step path one record per instruction. With a data cache
+/// (E8), every access also runs through the cache, in retirement
+/// order, and the ledger counts load hits and misses.
 pub struct HwObserver {
-    model: HwModel,
     ledger: Ledger,
     open_row: Option<u32>,
+    cache: Option<Cache>,
 }
 
 impl HwObserver {
-    /// Creates an observer with all counters zeroed.
-    pub fn new(model: HwModel) -> Self {
+    /// Creates an observer with all counters zeroed and, with `cache`,
+    /// an empty data cache of that geometry.
+    pub fn new(cache: Option<CacheConfig>) -> Self {
         HwObserver {
-            model,
             ledger: Ledger::default(),
             open_row: None,
+            cache: cache.map(Cache::new),
         }
     }
 
@@ -354,17 +362,17 @@ impl HwObserver {
 
     /// The totals so far, priced from the ledger.
     pub fn totals(&self) -> HwTotals {
-        self.ledger.totals(&self.model)
+        self.ledger.totals()
     }
 
-    /// The model parameters in use.
-    pub fn model(&self) -> &HwModel {
-        &self.model
+    /// The data cache, on a board that has one.
+    pub fn cache(&self) -> Option<&Cache> {
+        self.cache.as_ref()
     }
 
     /// True elapsed time in seconds at the modelled clock.
     pub fn time_s(&self) -> f64 {
-        self.ledger.cycles(&self.model) as f64 / self.model.clock_hz
+        self.ledger.cycles() as f64 / CLOCK_HZ
     }
 }
 
@@ -382,11 +390,21 @@ impl Observer for HwObserver {
     }
 
     #[inline(always)]
-    fn mem_access(&mut self, addr: u32, _store: bool) {
-        let row = addr / self.model.row_bytes;
+    fn mem_access(&mut self, addr: u32, store: bool) {
+        let row = addr / ROW_BYTES;
         if self.open_row != Some(row) {
             self.ledger.row_misses += 1;
             self.open_row = Some(row);
+        }
+        if let Some(cache) = &mut self.cache {
+            let hit = cache.access(addr, !store);
+            if !store {
+                if hit {
+                    self.ledger.load_hits += 1;
+                } else {
+                    self.ledger.load_misses += 1;
+                }
+            }
         }
     }
 
@@ -439,7 +457,7 @@ mod tests {
 
     #[test]
     fn integer_add_is_two_cycles() {
-        let mut obs = HwObserver::new(HwModel::default());
+        let mut obs = HwObserver::new(None);
         obs.observe(&info(add_instr()));
         assert_eq!(obs.totals().cycles, 2);
         assert_eq!(obs.totals().instret, 1);
@@ -468,8 +486,7 @@ mod tests {
 
     #[test]
     fn row_locality_affects_load_cost() {
-        let model = HwModel::default();
-        let mut obs = HwObserver::new(model);
+        let mut obs = HwObserver::new(None);
         let mut load = info(Instr::Load {
             size: nfp_sparc::MemSize::Word,
             signed: false,
@@ -531,19 +548,18 @@ mod tests {
 
     #[test]
     fn energy_includes_static_share_and_toggling() {
-        let model = HwModel::default();
-        let mut obs = HwObserver::new(model.clone());
+        let mut obs = HwObserver::new(None);
         let mut i = info(add_instr());
         i.result_ones = 32;
         obs.observe(&i);
         let with_toggle = obs.totals().energy_j;
-        let mut obs2 = HwObserver::new(model.clone());
+        let mut obs2 = HwObserver::new(None);
         let mut i2 = info(add_instr());
         i2.result_ones = 0;
         obs2.observe(&i2);
         let without_toggle = obs2.totals().energy_j;
         let diff = with_toggle - without_toggle;
-        assert!((diff - 32.0 * model.toggle_j_per_bit).abs() < 1e-18);
+        assert!((diff - 32.0 * TOGGLE_J_PER_BIT).abs() < 1e-18);
         // Static share: 2 cycles at 50 MHz * 0.1 W = 4 nJ.
         assert!(without_toggle > 4.0e-9);
     }
@@ -552,8 +568,7 @@ mod tests {
     fn average_costs_near_paper_table1() {
         // Sanity link to the paper: specific time of a load should be
         // near 700 ns and of an integer add near 40-45 ns.
-        let model = HwModel::default();
-        let add_t = cycles_of(&info(add_instr())) as f64 / model.clock_hz;
+        let add_t = cycles_of(&info(add_instr())) as f64 / CLOCK_HZ;
         assert!((38e-9..50e-9).contains(&add_t));
         let load = cycles_of(&info(Instr::Load {
             size: nfp_sparc::MemSize::Word,
@@ -562,7 +577,7 @@ mod tests {
             rs1: G0,
             op2: Operand::Imm(0),
         }));
-        let load_t = load as f64 / model.clock_hz;
+        let load_t = load as f64 / CLOCK_HZ;
         assert!((650e-9..750e-9).contains(&load_t));
     }
 
@@ -610,13 +625,13 @@ mod tests {
                 l
             },
         ];
-        let mut stepped = HwObserver::new(HwModel::default());
+        let mut stepped = HwObserver::new(None);
         let mut counts = CategoryCounts::new();
         for r in &records {
             stepped.observe(r);
             counts.bump(r.category);
         }
-        let mut batched = HwObserver::new(HwModel::default());
+        let mut batched = HwObserver::new(None);
         batched.mem_access(0x4000_2000, false);
         batched.retire_batch(
             &counts,

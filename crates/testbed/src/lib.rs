@@ -11,13 +11,14 @@
 //!   deliberately ignores (SDRAM row locality, taken/untaken branch
 //!   asymmetry, operand-dependent FPU divide and square-root latency,
 //!   data-dependent datapath toggling, static leakage), attached to the
-//!   functional simulator as an [`nfp_sim::Observer`]. It keeps an
-//!   exact integer [`Ledger`] of what each run retired (counts per
-//!   cost class, row misses, toggled bits, FPU extra cycles) and
-//!   prices it once per run, so traced and stepped runs give the same
-//!   totals bit for bit;
-//! * [`cache`] — the optional data cache of extension E8, a second
-//!   ledger observer;
+//!   functional simulator as one [`nfp_sim::Observer`], [`HwObserver`].
+//!   It keeps an exact integer [`Ledger`] of what each run retired
+//!   (counts per cost class, row misses, toggled bits, FPU extra
+//!   cycles, and load hits and misses on a board with a data cache)
+//!   and prices it once per run from a const price table, so traced
+//!   and stepped runs give the same totals bit for bit;
+//! * [`cache`] — the optional data cache of extension E8, which the
+//!   same observer runs every access through;
 //! * [`measure`] — the measurement chain: a power meter with finite
 //!   sampling rate, gain error and noise, and a `clock()` with tick
 //!   granularity;
@@ -36,6 +37,6 @@ pub mod hw;
 pub mod measure;
 
 pub use area::{AreaModel, Component};
-pub use cache::{Cache, CacheConfig, CachedHwObserver};
-pub use hw::{CostClass, HwModel, HwObserver, HwTotals, Ledger, Price, COST_CLASSES};
+pub use cache::{Cache, CacheConfig};
+pub use hw::{CostClass, HwObserver, HwTotals, Ledger, Price, COST_CLASSES};
 pub use measure::{MeasuredRun, Measurement, MeterConfig, Testbed};

@@ -14,8 +14,8 @@
 //! All randomness is drawn from an explicitly seeded generator so that
 //! measurements are reproducible run to run.
 
-use crate::cache::{CacheConfig, CachedHwObserver};
-use crate::hw::{HwModel, HwObserver, HwTotals};
+use crate::cache::CacheConfig;
+use crate::hw::{HwObserver, HwTotals, CLOCK_HZ};
 use nfp_sim::{Machine, RunResult, SimError};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -61,12 +61,11 @@ pub struct MeasuredRun {
     pub measurement: Measurement,
 }
 
-/// The virtual DE2-115 board: hardware model plus instruments, with an
-/// optional data cache (the paper's future-work extension, E8).
+/// The virtual DE2-115 board: the hardware model's const price table
+/// plus instruments, with an optional data cache (the paper's
+/// future-work extension, E8).
 #[derive(Debug, Clone, Default)]
 pub struct Testbed {
-    /// Hardware (cycle/energy) model.
-    pub hw: HwModel,
     /// Instrument model.
     pub meter: MeterConfig,
     /// When set, the core is synthesised with a D-cache and memory
@@ -112,18 +111,9 @@ impl Testbed {
         seed: u64,
         max_instrs: u64,
     ) -> Result<MeasuredRun, SimError> {
-        let (run, totals) = match &self.cache {
-            None => {
-                let mut observer = HwObserver::new(self.hw.clone());
-                let run = machine.run_observed(max_instrs, &mut observer)?;
-                (run, observer.totals())
-            }
-            Some(cache) => {
-                let mut observer = CachedHwObserver::new(self.hw.clone(), cache.clone());
-                let run = machine.run_observed(max_instrs, &mut observer)?;
-                (run, observer.totals())
-            }
-        };
+        let mut observer = HwObserver::new(self.cache.clone());
+        let run = machine.run_observed(max_instrs, &mut observer)?;
+        let totals = observer.totals();
         let measurement = self.measure(&totals, seed);
         Ok(MeasuredRun {
             run,
@@ -135,7 +125,7 @@ impl Testbed {
     /// Applies the instrument model to ground-truth totals.
     pub fn measure(&self, totals: &HwTotals, seed: u64) -> Measurement {
         let mut rng = StdRng::seed_from_u64(seed ^ 0x9e37_79b9_7f4a_7c15);
-        let true_time = totals.cycles as f64 / self.hw.clock_hz;
+        let true_time = totals.cycles as f64 / CLOCK_HZ;
 
         // clock(): duration = difference of two quantised tick counts
         // with a uniformly random phase.
@@ -185,7 +175,7 @@ mod tests {
         assert!(r.totals.energy_j > 0.0);
         assert_eq!(r.run.exit_code, 0);
         // The measured time is within a tick of the true time.
-        let true_t = r.totals.cycles as f64 / tb.hw.clock_hz;
+        let true_t = r.totals.cycles as f64 / CLOCK_HZ;
         assert!((r.measurement.time_s - true_t).abs() <= tb.meter.clock_tick_s);
     }
 
@@ -244,7 +234,7 @@ mod tests {
             row_misses: 0,
             ..HwTotals::default()
         };
-        let true_t = totals.cycles as f64 / tb.hw.clock_hz;
+        let true_t = totals.cycles as f64 / CLOCK_HZ;
         for seed in 0..100 {
             let m = tb.measure(&totals, seed);
             assert!((m.time_s - true_t).abs() <= tb.meter.clock_tick_s + 1e-12);

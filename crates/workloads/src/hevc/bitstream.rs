@@ -64,15 +64,6 @@ impl BitWriter {
     pub fn finish(self) -> Vec<u8> {
         self.bytes
     }
-
-    /// Bits written so far.
-    pub fn bit_len(&self) -> usize {
-        if self.fill == 0 {
-            self.bytes.len() * 8
-        } else {
-            (self.bytes.len() - 1) * 8 + self.fill as usize
-        }
-    }
 }
 
 /// MSB-first bit reader. Reads past the end yield zero bits, mirroring
@@ -131,11 +122,6 @@ impl<'a> BitReader<'a> {
         } else {
             -((v / 2) as i32)
         }
-    }
-
-    /// Current bit position.
-    pub fn bit_pos(&self) -> usize {
-        self.pos
     }
 }
 

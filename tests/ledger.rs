@@ -12,11 +12,12 @@
 use nfp_repro::cc::FloatMode;
 use nfp_repro::sim::{Dispatch, ExecInfo, Machine, Observer, TrapPolicy};
 use nfp_repro::sparc::Category;
-use nfp_repro::testbed::cache::{FILL_J, HIT_SAVED_J};
-use nfp_repro::testbed::hw::{fpu_extra_cycles, FDIV_EXTRA_J, FSQRT_EXTRA_J, ROW_MISS_J};
-use nfp_repro::testbed::{
-    Cache, CacheConfig, CachedHwObserver, CostClass, HwModel, HwObserver, COST_CLASSES,
+use nfp_repro::testbed::cache::{FILL_CYCLES, FILL_J, HIT_CYCLES, HIT_SAVED_J};
+use nfp_repro::testbed::hw::{
+    fpu_extra_cycles, CLOCK_HZ, FDIV_EXTRA_J, FSQRT_EXTRA_J, ROW_BYTES, ROW_MISS_CYCLES,
+    ROW_MISS_J, STATIC_POWER_W, TOGGLE_J_PER_BIT,
 };
+use nfp_repro::testbed::{Cache, CacheConfig, CostClass, HwObserver, COST_CLASSES};
 use nfp_repro::workloads::synth::{random_program, ProgramShape};
 use nfp_repro::workloads::{hevc_kernels, machine_for, Preset, KERNEL_BUDGET};
 use proptest::prelude::*;
@@ -26,7 +27,6 @@ use proptest::prelude::*;
 /// retirement at a time; with a cache, each load's hit credit or miss
 /// penalty likewise.
 struct Reference {
-    model: HwModel,
     cache: Option<Cache>,
     open_row: Option<u32>,
     cycles: u64,
@@ -41,7 +41,6 @@ struct Reference {
 impl Reference {
     fn new(cache: Option<CacheConfig>) -> Self {
         Reference {
-            model: HwModel::default(),
             cache: cache.map(Cache::new),
             open_row: None,
             cycles: 0,
@@ -69,9 +68,9 @@ impl Observer for Reference {
         let mut cycles = price.cycles + extra;
         let mut dynamic_j = price.dynamic_j + extra as f64 * extra_j;
         if let Some(addr) = info.mem_addr {
-            let row = addr / self.model.row_bytes;
+            let row = addr / ROW_BYTES;
             if self.open_row != Some(row) {
-                cycles += self.model.row_miss_cycles;
+                cycles += ROW_MISS_CYCLES;
                 dynamic_j += ROW_MISS_J;
                 self.row_misses += 1;
                 self.open_row = Some(row);
@@ -79,21 +78,19 @@ impl Observer for Reference {
             if let Some(cache) = &mut self.cache {
                 let load = info.category == Category::MemLoad;
                 let hit = cache.access(addr, load);
-                let config = cache.config();
                 if load && hit {
-                    let saved = CostClass::Load.price().cycles - config.hit_cycles;
+                    let saved = CostClass::Load.price().cycles - HIT_CYCLES;
                     self.adjust_cycles -= saved as i64;
                     self.adjust_j -= HIT_SAVED_J;
                 } else if load {
-                    self.adjust_cycles += config.miss_fill_cycles as i64;
+                    self.adjust_cycles += FILL_CYCLES as i64;
                     self.adjust_j += FILL_J;
                 }
             }
         }
-        let static_j = self.model.static_power_w * (cycles as f64 / self.model.clock_hz);
+        let static_j = STATIC_POWER_W * (cycles as f64 / CLOCK_HZ);
         self.cycles += cycles;
-        self.energy_j +=
-            dynamic_j + info.result_ones as f64 * self.model.toggle_j_per_bit + static_j;
+        self.energy_j += dynamic_j + info.result_ones as f64 * TOGGLE_J_PER_BIT + static_j;
         self.classes[CostClass::ALL
             .iter()
             .position(|&c| c == class)
@@ -117,34 +114,16 @@ struct Priced {
 /// Runs `machine` under `budget` with the board's ledger observer; a
 /// trap or an exhausted budget ends the run like a halt.
 fn ledger(mut machine: Machine, cache: Option<CacheConfig>, budget: u64) -> Priced {
-    let model = HwModel::default();
-    match cache {
-        None => {
-            let mut obs = HwObserver::new(model);
-            let _ = machine.run_observed(budget, &mut obs);
-            let t = obs.totals();
-            Priced {
-                cycles: t.cycles,
-                instret: t.instret,
-                row_misses: t.row_misses,
-                classes: obs.ledger().class_counts(),
-                cache: None,
-                energy_j: t.energy_j,
-            }
-        }
-        Some(config) => {
-            let mut obs = CachedHwObserver::new(model, config);
-            let _ = machine.run_observed(budget, &mut obs);
-            let t = obs.totals();
-            Priced {
-                cycles: t.cycles,
-                instret: t.instret,
-                row_misses: t.row_misses,
-                classes: obs.ledger().class_counts(),
-                cache: Some(obs.cache().stats()),
-                energy_j: t.energy_j,
-            }
-        }
+    let mut obs = HwObserver::new(cache);
+    let _ = machine.run_observed(budget, &mut obs);
+    let t = obs.totals();
+    Priced {
+        cycles: t.cycles,
+        instret: t.instret,
+        row_misses: t.row_misses,
+        classes: obs.ledger().class_counts(),
+        cache: obs.cache().map(Cache::stats),
+        energy_j: t.energy_j,
     }
 }
 

@@ -2,8 +2,9 @@
 //! calibration through workload simulation to error evaluation, at
 //! reduced workload sizes.
 
-use nfp_bench::{Evaluation, Mode};
+use nfp_bench::{run_variants, Evaluation, KernelResult, Mode};
 use nfp_repro::core::ErrorSummary;
+use nfp_repro::testbed::{CacheConfig, Testbed};
 use nfp_repro::workloads::{fse_kernels, hevc_kernels, Preset};
 
 /// One shared evaluation (calibration is the expensive part).
@@ -143,5 +144,52 @@ fn parallel_sweep_matches_sequential() {
         assert_eq!(a.estimate, b.estimate);
         assert_eq!(a.measured, b.measured);
         assert_eq!(a.totals, b.totals);
+    }
+}
+
+/// Asserts two results of the same variant agree in every field.
+fn assert_same_result(a: &KernelResult, b: &KernelResult, what: &str) {
+    assert_eq!(a.name, b.name, "{what}");
+    assert_eq!(a.base_name, b.base_name, "{what}");
+    assert_eq!(a.mode, b.mode, "{what}");
+    assert_eq!(a.counts, b.counts, "{what}: {}", a.name);
+    assert_eq!(a.estimate, b.estimate, "{what}: {}", a.name);
+    assert_eq!(a.measured, b.measured, "{what}: {}", a.name);
+    assert_eq!(a.totals, b.totals, "{what}: {}", a.name);
+    assert_eq!(a.instret, b.instret, "{what}: {}", a.name);
+}
+
+#[test]
+fn mixed_board_round_matches_each_boards_sequential_run() {
+    let paper = eval();
+    let cached = Evaluation::for_board(Testbed::with_cache(CacheConfig::default()))
+        .expect("cached-board calibration");
+    let kernels: Vec<_> = hevc_kernels(&Preset::quick())
+        .expect("kernels")
+        .into_iter()
+        .take(2)
+        .collect();
+    // Both boards' jobs interleaved in one round, as `repro` plans E8.
+    let jobs: Vec<(&Evaluation, _, Mode)> = kernels
+        .iter()
+        .flat_map(|k| Mode::BOTH.map(|m| [(paper, k, m), (&cached, k, m)]))
+        .flatten()
+        .collect();
+    let mixed = run_variants(&jobs).expect("mixed round");
+    assert_eq!(mixed.len(), jobs.len());
+    let on = |board: &Evaluation| -> Vec<&KernelResult> {
+        jobs.iter()
+            .zip(&mixed)
+            .filter(|((eval, ..), _)| std::ptr::eq(*eval, board))
+            .map(|(_, r)| r)
+            .collect()
+    };
+    for (board, what) in [(paper, "paper's board"), (&cached, "cached board")] {
+        let sequential = board.run_all(&kernels).expect("sequential");
+        let round = on(board);
+        assert_eq!(round.len(), sequential.len(), "{what}");
+        for (a, b) in round.into_iter().zip(&sequential) {
+            assert_same_result(a, b, what);
+        }
     }
 }
