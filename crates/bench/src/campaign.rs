@@ -10,9 +10,16 @@
 //!
 //! Replays do not re-execute from reset: the runner takes a ladder of
 //! [`nfp_sim::Checkpoint`]s along the golden path and rewinds to the
-//! nearest one at or before each injection point, so a campaign costs
-//! roughly `N × (golden / 2·checkpoints + survival tail)` instructions
-//! instead of `N × golden`.
+//! nearest one at or before each injection point. Nor do masked replays
+//! run to the end: a replay that reaches a later rung in exactly the
+//! golden run's state there ([`Machine::rejoins`]) would finish as the
+//! golden run does, so it stops, classified [`Outcome::Masked`]. A
+//! campaign costs roughly `N × (golden / 2·checkpoints + tail)`
+//! instructions instead of `N × golden`. The tail runs from the
+//! injection point to the first rung the replay rejoins (within
+//! `golden / checkpoints` when that is the next one), or, for a replay
+//! that rejoins none, to its own halt, trap or watchdog expiry: half the
+//! golden run on average for one that halts.
 //!
 //! Campaigns run with [`TrapPolicy::Recover`]: window overflow and
 //! underflow spill and fill through the bare-metal handler model, and
@@ -26,14 +33,14 @@
 
 use crate::evaluation::{collect_parallel_slots, run_pool, Mode};
 use nfp_core::{NfpError, Outcome, VulnerabilityReport};
-use nfp_sim::fault::{inject, plan, undo};
+use nfp_sim::fault::{inject, plan, undo, Undo};
 use nfp_sim::machine::TrapPolicy;
 use nfp_sim::{
     Checkpoint, Dispatch, Fault, FaultSpace, FaultTarget, Machine, RunResult, SimError, Watchdog,
 };
 use nfp_sparc::Category;
 use nfp_workloads::{machine_for, Kernel, KERNEL_BUDGET};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Campaign parameters.
 #[derive(Debug, Clone)]
@@ -133,8 +140,20 @@ pub(crate) struct CampaignRig {
     golden: GoldenOutput,
     pub(crate) golden_instret: u64,
     golden_recovered_traps: u64,
+    /// [`nfp_sim::Cpu::window_ops`] at the golden run's halt, for
+    /// [`Machine::rejoins`].
+    golden_window_ops: u64,
     pub(crate) budget: u64,
     escalation: u32,
+}
+
+/// How a replay ended.
+enum Replay {
+    /// It reached a rung of the ladder in the golden run's state there,
+    /// so it would have finished as the golden run did.
+    Rejoined,
+    /// It ran to its own end: a halt, a trap or watchdog expiry.
+    Ran(Result<RunResult, SimError>),
 }
 
 /// Merges possibly-overlapping address ranges into a sorted disjoint
@@ -210,6 +229,7 @@ impl CampaignRig {
             },
             golden_instret,
             golden_recovered_traps: run.recovered_traps,
+            golden_window_ops: probe.cpu.window_ops(),
             // Soft replay ceiling: twice the golden length plus
             // slack. The watchdog may escalate past it once (see
             // [`CampaignConfig::escalation`]) before declaring a hang.
@@ -246,25 +266,87 @@ impl CampaignRig {
         soft: u64,
         wall: Option<Duration>,
     ) -> Result<RunResult, SimError> {
-        let deadline = wall.map(|d| std::time::Instant::now() + d);
-        let mut tier = 0;
+        let deadline = wall.map(|d| Instant::now() + d);
+        let limit = self.machine.instret().saturating_add(soft);
+        self.escalate(soft, limit, deadline)
+    }
+
+    /// [`CampaignRig::run_escalating`]'s tiers, the first ending at
+    /// instret `limit`, each later one `soft` instructions on.
+    fn escalate(
+        &mut self,
+        soft: u64,
+        mut limit: u64,
+        deadline: Option<Instant>,
+    ) -> Result<RunResult, SimError> {
+        let mut tier = 1;
         loop {
-            let before = self.machine.instret();
             let run = self.machine.run_watchdog(&Watchdog {
-                max_instrs: soft,
-                wall: deadline.map(|d| d.saturating_duration_since(std::time::Instant::now())),
+                max_instrs: limit - self.machine.instret(),
+                wall: remaining(deadline),
             });
-            tier += 1;
             match run {
                 Err(SimError::WatchdogExpired { .. })
-                    // Wall expiry retires fewer than `soft` instructions;
-                    // escalating would hand a hung replay a fresh
-                    // deadline, so only budget expiry escalates.
-                    if tier < self.escalation
-                        && self.machine.instret().wrapping_sub(before) >= soft => {}
+                    // Wall expiry stops short of `limit`; escalating
+                    // would hand a hung replay a fresh deadline, so
+                    // only budget expiry escalates.
+                    if tier < self.escalation && self.machine.instret() >= limit =>
+                {
+                    tier += 1;
+                    limit = limit.saturating_add(soft);
+                }
                 other => return other,
             }
         }
+    }
+
+    /// Replays the fault-injected machine from the injection point,
+    /// under [`CampaignRig::run_escalating`]'s budget and deadline. A
+    /// replay that executes the golden image first runs to each later
+    /// rung of the ladder in turn, and stops at the first whose state it
+    /// matches ([`Machine::rejoins`]). The instructions it runs to the
+    /// rungs count against the first tier.
+    fn replay(&mut self, soft: u64, wall: Option<Duration>, golden_image: bool) -> Replay {
+        let deadline = wall.map(|d| Instant::now() + d);
+        let limit = self.machine.instret().saturating_add(soft);
+        if golden_image {
+            let start = self.machine.instret();
+            // Every rung lies before the golden halt, so inside `limit`.
+            for cp in self.checkpoints.iter().filter(|cp| cp.instret() > start) {
+                let run = self.machine.run_watchdog(&Watchdog {
+                    max_instrs: cp.instret() - self.machine.instret(),
+                    wall: remaining(deadline),
+                });
+                match run {
+                    Err(SimError::WatchdogExpired { instret }) if instret == cp.instret() => {}
+                    ended => return Replay::Ran(ended),
+                }
+                if self.machine.rejoins(cp, self.golden_window_ops) {
+                    return Replay::Rejoined;
+                }
+            }
+        }
+        Replay::Ran(self.escalate(soft, limit, deadline))
+    }
+
+    /// Classifies a replay that ran to its own end against the golden
+    /// run.
+    fn classify(&self, run: Result<RunResult, SimError>) -> Result<Outcome, NfpError> {
+        Ok(match run {
+            Ok(r) => {
+                let matches = r.exit_code == self.golden.exit_code
+                    && r.words == self.golden.words
+                    && r.text == self.golden.text;
+                if matches {
+                    Outcome::Masked
+                } else {
+                    Outcome::Sdc
+                }
+            }
+            Err(SimError::Trap(_)) | Err(SimError::UnknownSoftTrap { .. }) => Outcome::Trap,
+            Err(SimError::WatchdogExpired { .. }) => Outcome::Hang,
+            Err(e) => return Err(e.into()),
+        })
     }
 
     /// Performs one injection and classifies the divergence.
@@ -282,22 +364,13 @@ impl CampaignRig {
         };
         let armed = inject(&mut self.machine, fault)?;
         let soft = self.budget.saturating_sub(fault.at).max(1);
-        let run = self.run_escalating(soft, wall);
+        // Until its undo, a code fault's patched predecode differs from
+        // the golden image, so its replay can never rejoin.
+        let replay = self.replay(soft, wall, matches!(armed, Undo::None));
         undo(&mut self.machine, &armed)?;
-        let outcome = match run {
-            Ok(r) => {
-                let matches = r.exit_code == self.golden.exit_code
-                    && r.words == self.golden.words
-                    && r.text == self.golden.text;
-                if matches {
-                    Outcome::Masked
-                } else {
-                    Outcome::Sdc
-                }
-            }
-            Err(SimError::Trap(_)) | Err(SimError::UnknownSoftTrap { .. }) => Outcome::Trap,
-            Err(SimError::WatchdogExpired { .. }) => Outcome::Hang,
-            Err(e) => return Err(e.into()),
+        let outcome = match replay {
+            Replay::Rejoined => Outcome::Masked,
+            Replay::Ran(run) => self.classify(run)?,
         };
         Ok(InjectionRecord {
             fault: *fault,
@@ -305,6 +378,11 @@ impl CampaignRig {
             outcome,
         })
     }
+}
+
+/// What is left of a wall deadline, if one is armed.
+fn remaining(deadline: Option<Instant>) -> Option<Duration> {
+    deadline.map(|d| d.saturating_duration_since(Instant::now()))
 }
 
 /// Runs a fault-injection campaign over one kernel variant.
@@ -408,7 +486,116 @@ pub fn report_campaign(result: &CampaignResult) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use nfp_sim::FaultRng;
     use nfp_workloads::Preset;
+
+    /// The replay an early exit must agree with: seek, inject, run to
+    /// the end under the escalating watchdog, undo, classify.
+    fn full_replay(rig: &mut CampaignRig, fault: &Fault) -> InjectionRecord {
+        rig.seek(fault.at).expect("seek");
+        let category = match fault.target {
+            FaultTarget::Code { index, .. } => rig.machine.code_category(index as usize),
+            _ => rig.machine.next_category(),
+        };
+        let armed = inject(&mut rig.machine, fault).expect("inject");
+        let soft = rig.budget.saturating_sub(fault.at).max(1);
+        let run = rig.run_escalating(soft, None);
+        undo(&mut rig.machine, &armed).expect("undo");
+        InjectionRecord {
+            fault: *fault,
+            category,
+            outcome: rig.classify(run).expect("classifies"),
+        }
+    }
+
+    #[test]
+    fn replays_that_rejoin_classify_like_full_replays() {
+        let preset = Preset::quick();
+        let kernels = [
+            nfp_workloads::fse_kernels(&preset)
+                .expect("kernels")
+                .remove(0),
+            nfp_workloads::hevc_kernels(&preset)
+                .expect("kernels")
+                .remove(0),
+        ];
+        let (mut rejoined, mut replayed) = (0, 0);
+        for kernel in &kernels {
+            for mode in Mode::BOTH {
+                for dispatch in Dispatch::ALL {
+                    let cfg = CampaignConfig {
+                        injections: 8,
+                        seed: 0x4e70,
+                        dispatch,
+                        ..CampaignConfig::default()
+                    };
+                    let (mut rig, space) = CampaignRig::prepare(kernel, mode, &cfg).unwrap();
+                    for fault in plan(&space, cfg.injections, cfg.seed) {
+                        let got = rig.run_one(&fault, None).unwrap();
+                        // A replay that stopped early was left on the
+                        // rung where it rejoined.
+                        let golden_ops = rig.golden_window_ops;
+                        if rig
+                            .checkpoints
+                            .iter()
+                            .any(|cp| rig.machine.rejoins(cp, golden_ops))
+                        {
+                            rejoined += 1;
+                        }
+                        replayed += 1;
+                        let want = full_replay(&mut rig, &fault);
+                        assert_eq!(got, want, "{} {mode:?} {dispatch}", kernel.name);
+                    }
+                }
+            }
+        }
+        assert!(
+            0 < rejoined && rejoined < replayed,
+            "{rejoined} of {replayed} replays stopped early: both paths must run"
+        );
+    }
+
+    #[test]
+    fn undo_leaves_the_boot_predecode() {
+        // Rejoining assumes a rig with no code fault armed executes the
+        // boot image: after every undo, the predecode must be a fresh
+        // machine's, entry for entry.
+        let kernel = nfp_workloads::hevc_kernels(&Preset::quick())
+            .expect("kernels")
+            .remove(0);
+        let cfg = CampaignConfig {
+            checkpoints: 4,
+            ..CampaignConfig::default()
+        };
+        let (mut rig, space) = CampaignRig::prepare(&kernel, Mode::Float, &cfg).unwrap();
+        let boot = machine_for(&kernel, Mode::Float.float_mode()).unwrap();
+        // Every other fault a code flip; the rest from the plan.
+        let mut rng = FaultRng::new(0xc0de);
+        let faults: Vec<Fault> = plan(&space, 32, 0xc0de)
+            .into_iter()
+            .enumerate()
+            .map(|(i, fault)| match i % 2 {
+                0 => Fault {
+                    at: fault.at,
+                    target: FaultTarget::Code {
+                        index: rng.below(space.code_len as u64) as u32,
+                        bit: rng.below(32) as u8,
+                    },
+                },
+                _ => fault,
+            })
+            .collect();
+        for fault in &faults {
+            rig.run_one(fault, None).unwrap();
+            for index in 0..boot.code_len() {
+                assert_eq!(
+                    rig.machine.code_entry(index),
+                    boot.code_entry(index),
+                    "entry {index} after {fault}"
+                );
+            }
+        }
+    }
 
     #[test]
     fn merge_ranges_coalesces_overlaps() {

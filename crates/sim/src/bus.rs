@@ -120,7 +120,8 @@ pub struct Bus {
     /// Bulk image loads ([`Bus::write_bytes`]) are recorded as pristine
     /// overlays instead, so checkpoints only carry run-time mutations.
     dirty: Vec<u64>,
-    /// Boot-time images applied by [`Bus::write_bytes`], in order.
+    /// Boot-time images applied by [`Bus::write_bytes`], sorted by
+    /// address (they never overlap).
     pristine: Vec<(u32, Vec<u8>)>,
     /// The console is built in so the run harness can read it back.
     pub console: ConsoleDevice,
@@ -190,7 +191,8 @@ impl Bus {
             return Err(BusFault::ImageOverlap { addr, len });
         }
         self.ram[idx..idx + bytes.len()].copy_from_slice(bytes);
-        self.pristine.push((addr, bytes.to_vec()));
+        let at = self.pristine.partition_point(|&(base, _)| base < addr);
+        self.pristine.insert(at, (addr, bytes.to_vec()));
         Ok(())
     }
 
@@ -237,6 +239,57 @@ impl Bus {
             self.ram[start..start + contents.len()].copy_from_slice(contents);
         }
         self.dirty.copy_from_slice(&snap.dirty);
+    }
+
+    /// Whether RAM holds what it held when `snap` was captured from
+    /// this bus. Only pages dirty on either side are visited: a page
+    /// dirty in the snapshot is compared with its captured contents, a
+    /// page dirty only here with the boot image [`Bus::restore_ram`]
+    /// rebuilds it from, and a page clean on both sides holds that
+    /// image on both.
+    pub(crate) fn ram_matches(&self, snap: &RamSnapshot) -> bool {
+        snap.pages.iter().all(|(page, contents)| {
+            let start = page << PAGE_SHIFT;
+            self.ram[start..start + contents.len()] == contents[..]
+        }) && self
+            .dirty
+            .iter()
+            .zip(&snap.dirty)
+            .enumerate()
+            .all(|(wi, (&now, &then))| {
+                let mut bits = now & !then;
+                while bits != 0 {
+                    if !self.page_is_pristine(wi * 64 + bits.trailing_zeros() as usize) {
+                        return false;
+                    }
+                    bits &= bits - 1;
+                }
+                true
+            })
+    }
+
+    /// Whether one page holds its boot state: zeros overlaid with any
+    /// intersecting pristine images.
+    fn page_is_pristine(&self, page: usize) -> bool {
+        let start = page << PAGE_SHIFT;
+        let end = (start + PAGE_SIZE).min(self.ram.len());
+        let zeros = |bytes: &[u8]| bytes.iter().all(|&b| b == 0);
+        // The images are sorted and disjoint, so `at` only moves up.
+        let mut at = start;
+        for (addr, bytes) in &self.pristine {
+            let img_start = addr.wrapping_sub(self.ram_base) as usize;
+            let lo = img_start.max(start);
+            let hi = (img_start + bytes.len()).min(end);
+            if lo < hi {
+                if !zeros(&self.ram[at..lo])
+                    || self.ram[lo..hi] != bytes[lo - img_start..hi - img_start]
+                {
+                    return false;
+                }
+                at = hi;
+            }
+        }
+        zeros(&self.ram[at..end])
     }
 
     /// Rebuilds one page from the boot state: zeros overlaid with any
@@ -635,6 +688,35 @@ mod tests {
         assert_eq!(bus.load32(RAM_BASE + 8192).unwrap(), 0x0707_0707);
         assert_eq!(bus.load32(RAM_BASE + 4096).unwrap(), 0);
         assert!(bus.dirty_ranges().is_empty());
+    }
+
+    #[test]
+    fn ram_matches_visits_pages_dirty_on_either_side() {
+        let mut bus = Bus::with_ram(RAM_BASE, 64 * 1024);
+        // Two boot images on one page, loaded out of address order.
+        bus.write_bytes(RAM_BASE + 4096 + 64, &[5; 32]).unwrap();
+        bus.write_bytes(RAM_BASE + 4096, &[7; 16]).unwrap();
+        let clean = bus.snapshot_ram();
+        bus.store32(RAM_BASE + 8192, 1).unwrap();
+        let snap = bus.snapshot_ram();
+        assert!(bus.ram_matches(&snap));
+        // Dirty only here: compared with the boot image, zeros between
+        // the images included.
+        bus.store32(RAM_BASE + 4096 + 64, 0x0505_0505).unwrap();
+        assert!(bus.ram_matches(&snap));
+        for (addr, value) in [(RAM_BASE + 4096 + 4, 0), (RAM_BASE + 4096 + 40, 1)] {
+            let old = bus.load8(addr).unwrap();
+            bus.store8(addr, value).unwrap();
+            assert!(!bus.ram_matches(&snap), "byte at {addr:#x}");
+            bus.store8(addr, old).unwrap();
+        }
+        assert!(bus.ram_matches(&snap));
+        // Dirty in the snapshot: compared with the captured bytes, also
+        // where this bus has since been rewound past the store.
+        bus.store32(RAM_BASE + 8192, 2).unwrap();
+        assert!(!bus.ram_matches(&snap));
+        bus.restore_ram(&clean);
+        assert!(!bus.ram_matches(&snap));
     }
 
     #[test]

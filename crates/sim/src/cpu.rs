@@ -19,7 +19,7 @@ pub const INT_REG_SPACE: usize = 7 + NWINDOWS * 16;
 pub const MAX_SPILL_FRAMES: usize = 1024;
 
 /// One register window spilled to "memory" by the trap-handler model.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct SpilledWindow {
     locals: [u32; 8],
     ins: [u32; 8],
@@ -79,6 +79,9 @@ pub struct Cpu {
     /// Windows spilled by the bare-metal overflow-handler model, oldest
     /// first. Empty unless the machine runs with trap recovery enabled.
     spilled: Vec<SpilledWindow>,
+    /// Window operations so far (see [`Cpu::window_ops`]). A count, not
+    /// architectural state: `same_state` leaves it out.
+    window_ops: u64,
 }
 
 impl Default for Cpu {
@@ -103,6 +106,7 @@ impl Cpu {
             f: [0; 32],
             fcc: FccValue::Equal,
             spilled: Vec::new(),
+            window_ops: 0,
         }
     }
 
@@ -161,6 +165,7 @@ impl Cpu {
         self.depth += 1;
         self.cwp = (self.cwp + NWINDOWS - 1) % NWINDOWS;
         self.reload_cur();
+        self.window_ops += 1;
         true
     }
 
@@ -175,6 +180,7 @@ impl Cpu {
         self.depth -= 1;
         self.cwp = (self.cwp + 1) % NWINDOWS;
         self.reload_cur();
+        self.window_ops += 1;
         true
     }
 
@@ -203,6 +209,7 @@ impl Cpu {
             ins: self.ins[oldest],
         });
         self.depth -= 1;
+        self.window_ops += 1;
         true
     }
 
@@ -227,12 +234,49 @@ impl Cpu {
             false
         };
         self.depth += 1;
+        self.window_ops += 1;
         from_spill
     }
 
     /// Number of frames currently on the trap-handler spill stack.
     pub fn spilled_frames(&self) -> usize {
         self.spilled.len()
+    }
+
+    /// Window operations since reset: successful `save`s and
+    /// `restore`s, spills and fills. They are the only operations that
+    /// read or write the banks `cur` does not mirror, or the spill
+    /// stack; a run that does none leaves that state unread.
+    pub fn window_ops(&self) -> u64 {
+        self.window_ops
+    }
+
+    /// Whether `self` and `other` hold the same architectural state:
+    /// pc, npc, every register of the current window, the window
+    /// pointer and depth, the condition codes, `%y` and the FP file.
+    /// With `banks`, also the banks `cur` does not mirror and the spill
+    /// stack. The mirrored banks are compared through `cur`, which
+    /// holds their truth between rotations. [`Cpu::window_ops`] is a
+    /// count, not state, and is left out.
+    pub(crate) fn same_state(&self, other: &Cpu, banks: bool) -> bool {
+        let core = self.pc == other.pc
+            && self.npc == other.npc
+            && self.cur == other.cur
+            && self.cwp == other.cwp
+            && self.depth == other.depth
+            && self.icc == other.icc
+            && self.y == other.y
+            && self.f == other.f
+            && self.fcc == other.fcc;
+        if !core || !banks {
+            return core;
+        }
+        // Equal `cwp`, so both sides mirror the same two banks.
+        let outs = self.outs_bank();
+        (0..NWINDOWS).all(|w| {
+            (w == self.cwp || w == outs || self.ins[w] == other.ins[w])
+                && (w == self.cwp || self.locals[w] == other.locals[w])
+        }) && self.spilled == other.spilled
     }
 
     /// Reads a register by flat fault-space index (see

@@ -12,11 +12,11 @@
 //! [`Machine::restore`]: register and RAM flips are rewound by the
 //! checkpoint mechanism alone, while instruction-stream flips also
 //! patch the predecoded image and return an [`Undo`] that must be
-//! applied before the machine is reused. Code flips and undos route
-//! through [`Machine::patch_code_word`], which also invalidates the
-//! block cache, dispatch table and traces, so campaigns run safely
-//! under traced dispatch: the next run re-segments the (possibly
-//! corrupted) image.
+//! applied before the machine is reused. Code flips route through
+//! [`Machine::patch_code_word`], and undos through it and
+//! [`Machine::set_code_entry`]; both invalidate the block cache,
+//! dispatch table and traces, so campaigns run safely under traced
+//! dispatch: the next run re-segments the (possibly corrupted) image.
 
 use crate::machine::{Machine, SimError};
 use nfp_sparc::cond::FccValue;

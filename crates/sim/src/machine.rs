@@ -261,9 +261,8 @@ pub struct RunResult {
 
 /// A point-in-time capture of the full machine state, sufficient to
 /// rewind with [`Machine::restore`]. Only valid on the machine that
-/// created it (the RAM snapshot is relative to this machine's boot
-/// images, and console restoration relies on the console streams being
-/// append-only).
+/// created it, or on one loaded with the same images (the RAM snapshot
+/// is relative to the boot images).
 #[derive(Debug, Clone)]
 pub struct Checkpoint {
     cpu: Cpu,
@@ -271,14 +270,22 @@ pub struct Checkpoint {
     counts: CategoryCounts,
     trap_stats: TrapStats,
     ram: RamSnapshot,
-    console_text_len: usize,
-    console_words_len: usize,
+    /// The console's output so far. Kept whole, not as lengths: a
+    /// replay that diverged may have printed other bytes where the
+    /// captured run printed these.
+    text: String,
+    words: Vec<u32>,
 }
 
 impl Checkpoint {
     /// Instruction count at capture time.
     pub fn instret(&self) -> u64 {
         self.instret
+    }
+
+    /// [`Cpu::window_ops`] at capture time.
+    pub fn window_ops(&self) -> u64 {
+        self.cpu.window_ops()
     }
 }
 
@@ -524,24 +531,52 @@ impl Machine {
             counts: self.counts,
             trap_stats: self.trap_stats,
             ram: self.bus.snapshot_ram(),
-            console_text_len: self.bus.console.text.len(),
-            console_words_len: self.bus.console.words.len(),
+            text: self.bus.console.text.clone(),
+            words: self.bus.console.words.clone(),
         }
     }
 
-    /// Rewinds the machine to `cp`, which must have been captured from
-    /// this machine. Note this does not undo [`Machine::patch_code_word`]
-    /// effects on the *predecoded* image — callers that patch code must
-    /// patch the original word back themselves (the RAM copy is
-    /// rewound).
+    /// Rewinds the machine to `cp` (see [`Checkpoint`] for which
+    /// machines it is valid on). Note this does not undo
+    /// [`Machine::patch_code_word`] effects on the *predecoded* image —
+    /// callers that patch code must restore the original entry
+    /// themselves (the RAM copy is rewound).
     pub fn restore(&mut self, cp: &Checkpoint) {
         self.cpu = cp.cpu.clone();
         self.instret = cp.instret;
         self.counts = cp.counts;
         self.trap_stats = cp.trap_stats;
         self.bus.restore_ram(&cp.ram);
-        self.bus.console.text.truncate(cp.console_text_len);
-        self.bus.console.words.truncate(cp.console_words_len);
+        self.bus.console.text.clone_from(&cp.text);
+        self.bus.console.words.clone_from(&cp.words);
+    }
+
+    /// Whether this machine has rejoined, at `cp`, the run `cp` was
+    /// captured from: the same instruction count; the same pc, npc,
+    /// current-window registers, window pointer and depth, condition
+    /// codes, `%y` and FP registers; the same RAM contents (only pages
+    /// dirty on either side are visited); and the same console output.
+    /// The simulator is deterministic, so a machine executing the same
+    /// predecoded image as that run goes on to do exactly what the run
+    /// did after `cp`. Category counts and trap statistics are tallies
+    /// the run never reads, and are left out.
+    ///
+    /// `end_window_ops` is [`Cpu::window_ops`] where the captured run
+    /// ended. If it equals the checkpoint's, the run did no window
+    /// operation after `cp`, and the registers of the other windows
+    /// (all but the current window's ins, locals and outs), and the
+    /// spill stack, are left out too: neither machine reads them before
+    /// its next window operation, and while the two agree on everything
+    /// else, this machine does its next one when the run does, which is
+    /// never.
+    pub fn rejoins(&self, cp: &Checkpoint, end_window_ops: u64) -> bool {
+        self.instret == cp.instret
+            && self
+                .cpu
+                .same_state(&cp.cpu, cp.window_ops() != end_window_ops)
+            && self.bus.console.text == cp.text
+            && self.bus.console.words == cp.words
+            && self.bus.ram_matches(&cp.ram)
     }
 
     /// Dynamic instruction count so far.

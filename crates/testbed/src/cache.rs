@@ -47,14 +47,13 @@ pub const HIT_SAVED_J: f64 = 140.0e-9;
 /// Dynamic energy of a load miss's line fill, in joules.
 pub const FILL_J: f64 = 30.0e-9;
 
-/// Direct-mapped cache state with hit/miss accounting.
+/// Direct-mapped cache state: its tags. Hits and misses are counted
+/// by whoever asks, as the board's ledger counts load hits and misses.
 #[derive(Debug, Clone)]
 pub struct Cache {
     config: CacheConfig,
     /// Tag per line; `u64::MAX` marks an invalid line.
     tags: Vec<u64>,
-    hits: u64,
-    misses: u64,
 }
 
 impl Cache {
@@ -66,8 +65,6 @@ impl Cache {
         Cache {
             config,
             tags: vec![u64::MAX; lines],
-            hits: 0,
-            misses: 0,
         }
     }
 
@@ -78,30 +75,10 @@ impl Cache {
         let line_addr = (addr / self.config.line_bytes) as u64;
         let index = (line_addr as usize) & (self.config.lines - 1);
         let hit = self.tags[index] == line_addr;
-        if hit {
-            self.hits += 1;
-        } else {
-            self.misses += 1;
-            if is_load {
-                self.tags[index] = line_addr;
-            }
+        if !hit && is_load {
+            self.tags[index] = line_addr;
         }
         hit
-    }
-
-    /// (hits, misses) so far.
-    pub fn stats(&self) -> (u64, u64) {
-        (self.hits, self.misses)
-    }
-
-    /// Hit rate in [0, 1]; zero before any access.
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.hits as f64 / total as f64
-        }
     }
 }
 
@@ -138,8 +115,6 @@ mod tests {
         assert!(cache.access(0x4000_1000, true));
         assert!(cache.access(0x4000_1004, true)); // same 16-byte line
         assert!(!cache.access(0x4000_1010, true)); // next line
-        assert_eq!(cache.stats(), (2, 2));
-        assert!((cache.hit_rate() - 0.5).abs() < 1e-12);
     }
 
     #[test]
@@ -180,7 +155,8 @@ mod tests {
             plain.totals().cycles
         );
         assert!(cached.totals().energy_j < plain.totals().energy_j);
-        assert_eq!(cached.cache().map(|c| c.stats().0), Some(99));
+        assert_eq!(cached.ledger().load_hits(), 99);
+        assert_eq!(cached.ledger().load_misses(), 1);
     }
 
     #[test]

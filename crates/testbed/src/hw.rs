@@ -275,6 +275,16 @@ impl Ledger {
         ]
     }
 
+    /// Loads that hit the data cache; zero on a board without one.
+    pub fn load_hits(&self) -> u64 {
+        self.load_hits
+    }
+
+    /// Loads that missed the data cache; zero on a board without one.
+    pub fn load_misses(&self) -> u64 {
+        self.load_misses
+    }
+
     /// Clock cycles without the cache: base cycles per class, the
     /// FPU's extra cycles and the row-miss penalties.
     fn sdram_cycles(&self) -> u64 {
@@ -363,11 +373,6 @@ impl HwObserver {
     /// The totals so far, priced from the ledger.
     pub fn totals(&self) -> HwTotals {
         self.ledger.totals()
-    }
-
-    /// The data cache, on a board that has one.
-    pub fn cache(&self) -> Option<&Cache> {
-        self.cache.as_ref()
     }
 
     /// True elapsed time in seconds at the modelled clock.

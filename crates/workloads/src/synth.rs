@@ -225,10 +225,11 @@ pub enum ProgramShape {
     /// operands loaded from the scratch window, `fcmpd` and FP
     /// branches (annulled or not), `cmp` and `sethi` into `%g0`,
     /// `rd`/`wr %y`, `save` and `restore` (paired, and alone so windows
-    /// over- and underflow), and `call`s of a leaf that returns with
-    /// `retl`. The scratch window's base lives in `%g4`, which no other
-    /// instruction writes, so it survives window changes. Run with the
-    /// FPU enabled.
+    /// over- and underflow), `call`s of a leaf that returns with
+    /// `retl`, and word stores of registers to the console's text and
+    /// word streams. The scratch window's base lives in `%g4` and the
+    /// console's in `%g5`, which no other instruction writes, so they
+    /// survive window changes. Run with the FPU enabled.
     Mixed,
 }
 
@@ -268,6 +269,10 @@ pub fn random_program(
     let base_reg = if mixed { Reg::g(4) } else { Reg::l(7) };
     // Prologue: scratch window base and a few seeded values.
     a.set32(scratch, base_reg);
+    let console_reg = Reg::g(5);
+    if mixed {
+        a.set32(nfp_sim::bus::CONSOLE_BASE, console_reg);
+    }
     for i in 0..4 {
         a.mov(rng.gen_range(-512i32..512), Reg::l(i));
     }
@@ -301,7 +306,7 @@ pub fn random_program(
     let branchy = shape != ProgramShape::StraightLine;
     // Only `Mixed` draws its extra rolls, so the other shapes keep
     // their exact output.
-    let rolls = if mixed { 15 } else { 10 };
+    let rolls = if mixed { 16 } else { 10 };
     let mut k = 0usize;
     while k < body {
         a.label(&format!("b{k}"));
@@ -500,6 +505,12 @@ pub fn random_program(
                     });
                 }
             },
+            // Console output: a register to the text or the word
+            // stream.
+            15 => {
+                let stream = 4 * rng.gen_range(0i32..2);
+                a.st(MemSize::Word, reg(&mut rng), console_reg, stream);
+            }
             _ => {
                 let op = ALU_OPS[rng.gen_range(0usize..ALU_OPS.len())];
                 let (rd, rs1) = (reg(&mut rng), reg(&mut rng));

@@ -34,6 +34,9 @@ struct Reference {
     /// Cache adjustment of cycles and energy.
     adjust_cycles: i64,
     adjust_j: f64,
+    /// Loads that hit and that missed the cache.
+    load_hits: u64,
+    load_misses: u64,
     row_misses: u64,
     classes: [u64; COST_CLASSES],
 }
@@ -47,6 +50,8 @@ impl Reference {
             energy_j: 0.0,
             adjust_cycles: 0,
             adjust_j: 0.0,
+            load_hits: 0,
+            load_misses: 0,
             row_misses: 0,
             classes: [0; COST_CLASSES],
         }
@@ -82,9 +87,11 @@ impl Observer for Reference {
                     let saved = CostClass::Load.price().cycles - HIT_CYCLES;
                     self.adjust_cycles -= saved as i64;
                     self.adjust_j -= HIT_SAVED_J;
+                    self.load_hits += 1;
                 } else if load {
                     self.adjust_cycles += FILL_CYCLES as i64;
                     self.adjust_j += FILL_J;
+                    self.load_misses += 1;
                 }
             }
         }
@@ -99,8 +106,8 @@ impl Observer for Reference {
 }
 
 /// What a board's pricing of one run shows: cycles, instret, row
-/// misses, instructions per cost class, cache (hits, misses), and
-/// energy.
+/// misses, instructions per cost class, cache (load hits, load misses),
+/// and energy.
 #[derive(Debug)]
 struct Priced {
     cycles: u64,
@@ -114,6 +121,7 @@ struct Priced {
 /// Runs `machine` under `budget` with the board's ledger observer; a
 /// trap or an exhausted budget ends the run like a halt.
 fn ledger(mut machine: Machine, cache: Option<CacheConfig>, budget: u64) -> Priced {
+    let cached = cache.is_some();
     let mut obs = HwObserver::new(cache);
     let _ = machine.run_observed(budget, &mut obs);
     let t = obs.totals();
@@ -122,7 +130,7 @@ fn ledger(mut machine: Machine, cache: Option<CacheConfig>, budget: u64) -> Pric
         instret: t.instret,
         row_misses: t.row_misses,
         classes: obs.ledger().class_counts(),
-        cache: obs.cache().map(Cache::stats),
+        cache: cached.then(|| (obs.ledger().load_hits(), obs.ledger().load_misses())),
         energy_j: t.energy_j,
     }
 }
@@ -136,7 +144,7 @@ fn reference(mut machine: Machine, cache: Option<CacheConfig>, budget: u64) -> P
         instret: obs.classes.iter().sum(),
         row_misses: obs.row_misses,
         classes: obs.classes,
-        cache: obs.cache.as_ref().map(Cache::stats),
+        cache: obs.cache.as_ref().map(|_| (obs.load_hits, obs.load_misses)),
         energy_j: (obs.energy_j + obs.adjust_j).max(0.0),
     }
 }
