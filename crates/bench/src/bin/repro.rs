@@ -489,16 +489,6 @@ fn run_serve_command(args: &[String]) {
     if let Some(n) = parsed(args, "--cache-cap-bytes", "a count") {
         cfg.cache_cap_bytes = n;
     }
-    if let Some(mode) = flag_value(args, "--isolation") {
-        cfg.isolation = match mode {
-            "thread" => WorkerIsolation::Thread,
-            "process" => WorkerIsolation::Process,
-            other => fail(
-                "argument parsing",
-                format!("--isolation wants 'thread' or 'process', got '{other}'"),
-            ),
-        };
-    }
     if let Some(rate) = fraction(args, "--audit-rate") {
         cfg.audit_rate = rate;
     }

@@ -288,7 +288,7 @@ pub(crate) fn collect_parallel_slots<T>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use nfp_core::{count_classes, Classifier};
+    use nfp_core::{count_classes, Classifier, Fine};
     use nfp_workloads::Preset;
 
     #[test]
@@ -351,8 +351,9 @@ mod tests {
         }
     }
 
-    /// `count_classes` for `classifier` against a `ClassCounter`, on a
-    /// fresh machine each; returns the counts and instret they agree on.
+    /// `count_classes` for `classifier` against a stepped
+    /// `ClassCounter`, on a fresh machine each; returns the counts and
+    /// instret they agree on.
     fn assert_counts_match_observer<C: Classifier + Clone>(
         kernel: &Kernel,
         mode: Mode,
@@ -366,6 +367,7 @@ mod tests {
             "{name}: counting stepped through an observer"
         );
         let mut machine = machine_for(kernel, mode.float_mode()).unwrap();
+        machine.set_dispatch(nfp_sim::Dispatch::Step);
         let mut counter = nfp_core::ClassCounter::new(classifier);
         let observed = machine.run_observed(KERNEL_BUDGET, &mut counter).unwrap();
         assert_eq!(counts, counter.counts(), "{name}");
@@ -384,11 +386,14 @@ mod tests {
             for mode in Mode::BOTH {
                 let (counts, instret) = assert_counts_match_observer(kernel, mode, Paper);
                 assert_counts_match_observer(kernel, mode, nfp_core::Coarse);
+                let (fine, _) = assert_counts_match_observer(kernel, mode, Fine);
                 // The testbed pass is the counting pass: its counts are
-                // those of an unobserved run and of a ClassCounter run.
+                // those of a ClassCounter run, and fold into Fine's.
                 let r = eval.run_kernel(kernel, mode).unwrap();
                 assert_eq!(r.counts, counts, "{}", r.name);
                 assert_eq!(r.instret, instret, "{}", r.name);
+                let (mul, div) = (r.totals.int_mul, r.totals.int_div);
+                assert_eq!(Fine.folded(&r.counts, mul, div), fine, "{}", r.name);
             }
         }
     }

@@ -3,8 +3,8 @@
 
 use crate::evaluation::{Evaluation, KernelResult, Mode, CALIBRATION_SEED};
 use nfp_core::{
-    calibrate, calibrate_class, count_classes, fold_categories, paper_table1, Classifier, Coarse,
-    CostModel, ErrorSummary, Fine, NfpError, Paper,
+    calibrate, calibrate_class, count_classes, paper_table1, Classifier, Coarse, CostModel,
+    ErrorSummary, Fine, NfpError, Paper,
 };
 use nfp_sim::MachineConfig;
 use nfp_testbed::{AreaModel, Testbed};
@@ -198,8 +198,8 @@ const FIG1_ROUNDS: usize = 5;
 /// three simulator classes run on the same kernel: the detailed
 /// hardware model ("CAS-like", defines ground truth: the pipeline's own
 /// testbed pass, [`Testbed::run`]), the ISS with the mechanistic model
-/// (this paper: a traced run whose Table I counters are read out
-/// afterwards, [`count_classes`] with [`Paper`]), and the bare ISS
+/// (this paper: a traced run counting Table I categories,
+/// [`count_classes`] with [`Paper`]), and the bare ISS
 /// (functional only). The three layers run back to back in each of
 /// five rounds, so drift in the host's speed hits all of them alike,
 /// and each reports its median speed. Timing the layers is the figure;
@@ -301,30 +301,32 @@ fn mean_abs_errors(results: &[KernelResult], what: &'static str) -> Result<(f64,
 /// granularity (1 class / the paper's 9 / 11 with mul+div split).
 ///
 /// `results` are the sweep's results, and every row prices their
-/// measurements. The paper's row is the sweep's own estimate under
-/// `eval.calibration`; the coarse row folds the sweep's Table I counts
-/// into its one class ([`fold_categories`]); the fine row splits
-/// "Integer Arithmetic" by the multiplies and divides the testbed
-/// counted ([`Fine::split`]). No row simulates a variant again, and the
-/// fine model reuses `eval.calibration`'s nine rows, so only its
-/// integer multiply and divide classes are calibrated here.
+/// measurements. Each row folds the sweep's Table I counts, with the
+/// multiplies and divides the testbed counted, into its classifier's
+/// classes ([`Classifier::fold`]), so the paper's row is the sweep's
+/// own estimate under `eval.calibration`. No row simulates a variant
+/// again, and the fine model reuses `eval.calibration`'s nine rows, so
+/// only its integer multiply and divide classes are calibrated here.
 pub fn report_ablation_categories(
     eval: &Evaluation,
     results: &[KernelResult],
 ) -> Result<String, NfpError> {
-    /// A row: every result's `counts` priced by `model`, which has a
-    /// row per class.
+    /// A row: every result's counts folded into `classifier`'s classes
+    /// and priced by `model`, which has a row per class.
     fn row(
         name: &str,
         model: &CostModel,
+        classifier: &impl Classifier,
         results: &[KernelResult],
-        counts: impl Fn(&KernelResult) -> Vec<u64>,
     ) -> Result<String, NfpError> {
         let priced: Vec<KernelResult> = results
             .iter()
-            .map(|r| KernelResult {
-                estimate: model.estimate(&counts(r)),
-                ..r.clone()
+            .map(|r| {
+                let counts = classifier.folded(&r.counts, r.totals.int_mul, r.totals.int_div);
+                KernelResult {
+                    estimate: model.estimate(&counts),
+                    ..r.clone()
+                }
             })
             .collect();
         let (energy, time) = mean_abs_errors(&priced, "ablation kernel errors")?;
@@ -335,12 +337,6 @@ pub fn report_ablation_categories(
             time * 100.0
         ))
     }
-    /// The Table I counts folded into a classifier whose classes are
-    /// unions of categories.
-    fn fold(classifier: &impl Classifier) -> impl Fn(&KernelResult) -> Vec<u64> + '_ {
-        |r| fold_categories(classifier, &r.counts).expect("classes are unions of categories")
-    }
-
     let mut out = String::new();
     writeln!(
         out,
@@ -354,16 +350,14 @@ pub fn report_ablation_categories(
     )
     .unwrap();
     let coarse = calibrate(&eval.testbed, &Coarse, CALIBRATION_SEED)?.model;
-    out += &row("single class (coarse)", &coarse, results, fold(&Coarse))?;
+    out += &row("single class (coarse)", &coarse, &Coarse, results)?;
     let paper = &eval.calibration.model;
-    out += &row("Table I categories (paper)", paper, results, fold(&Paper))?;
+    out += &row("Table I categories (paper)", paper, &Paper, results)?;
     let fine = eval
         .calibration
         .extended(&eval.testbed, &Fine, CALIBRATION_SEED)?
         .model;
-    out += &row("+ int mul/div split (fine)", &fine, results, |r| {
-        Fine::split(&r.counts, r.totals.int_mul, r.totals.int_div)
-    })?;
+    out += &row("+ int mul/div split (fine)", &fine, &Fine, results)?;
     Ok(out)
 }
 

@@ -47,7 +47,7 @@ use crate::net::{
 use crate::reports::{report_campaign_footer, CampaignFooter};
 use crate::servejournal::{load_service_journal, records_path, OpenCampaign, ServiceJournal};
 use crate::shards::{clear_range, missing_ranges_of, shard_range, ShardSpec};
-use crate::supervisor::{run_supervised, SupervisorConfig, WorkerIsolation};
+use crate::supervisor::{run_supervised, SupervisorConfig};
 use crate::worker::{render_error, tcp_connect, WorkerHello, WorkerPreset};
 use nfp_core::{HarnessCause, NfpError};
 use nfp_sim::fault::plan;
@@ -119,10 +119,6 @@ pub struct ServeConfig {
     /// speculative duplicate dispatched (first valid result wins).
     /// `None` disables speculation.
     pub straggler: Option<Duration>,
-    /// Worker isolation for the local-fallback pool.
-    pub isolation: WorkerIsolation,
-    /// Worker executable for a process-isolated local fallback.
-    pub worker_bin: Option<PathBuf>,
     /// Stop accepting connections and shut down after this many
     /// completed campaigns. `None` serves until the process dies.
     pub campaigns: Option<usize>,
@@ -165,8 +161,6 @@ impl Default for ServeConfig {
             heartbeat: Duration::from_millis(200),
             shard_retries: 2,
             straggler: None,
-            isolation: WorkerIsolation::Thread,
-            worker_bin: None,
             campaigns: None,
             journal: None,
             resume: false,
@@ -1512,14 +1506,8 @@ impl CampaignShell<'_> {
     /// The trusted tie-breaker: re-executes `shard` on the coordinator's
     /// own pool.
     fn run_local(&mut self, shard: u32) -> Result<LeaseRecords, NfpError> {
-        let cfg = &self.ctx.cfg;
         let mut sup = SupervisorConfig::new(self.req.campaign.clone());
-        sup.isolation = cfg.isolation;
-        sup.preset = cfg.preset;
-        sup.worker_bin = cfg.worker_bin.clone();
-        if sup.isolation == WorkerIsolation::Process {
-            sup.deadline = Some(Duration::from_secs(300));
-        }
+        sup.preset = self.ctx.cfg.preset;
         sup.shard = Some(ShardSpec {
             index: shard,
             count: self.hellos.len() as u32,

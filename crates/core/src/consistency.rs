@@ -9,7 +9,7 @@
 //! resembles real code rather than a homogeneous loop.
 
 use crate::calibration::Calibration;
-use crate::model::{fold_categories, Paper};
+use crate::model::{Classifier, Paper};
 use nfp_sim::{Machine, MachineConfig, SimError};
 use nfp_sparc::asm::Assembler;
 use nfp_sparc::cond::ICond;
@@ -186,8 +186,8 @@ pub fn validate(
     });
     machine.load_image(nfp_sim::RAM_BASE, &words)?;
     let measured = testbed.run(&mut machine, 0xbeef, 1_000_000_000)?;
-    let counts = fold_categories(&Paper, measured.run.counts.as_array())
-        .expect("the paper's classes are the Table I categories");
+    let hw = &measured.totals;
+    let counts = Paper.folded(measured.run.counts.as_array(), hw.int_mul, hw.int_div);
     let estimate = cal.model.estimate(&counts);
     let validation = Validation {
         time_residual: (estimate.time_s - measured.measurement.time_s)

@@ -116,12 +116,6 @@ pub enum NfpError {
         /// What made the inputs degenerate.
         reason: String,
     },
-    /// A campaign worker process died from a signal (SIGKILL by the
-    /// liveness watchdog, SIGSEGV/SIGABRT of its own accord, ...).
-    WorkerKilled {
-        /// The signal that terminated the worker, when known.
-        signal: Option<i32>,
-    },
     /// A campaign worker process violated the supervisor protocol:
     /// oversized or malformed frame, out-of-order record, or a
     /// version/config handshake mismatch.
@@ -168,23 +162,6 @@ pub enum NfpError {
         /// Why it was refused.
         reason: String,
     },
-    /// An audit re-execution of a leased injection range reached a
-    /// verdict about a worker: `pass` (the streams agreed), `convict`
-    /// (the trusted tie-breaker proved the worker lied), or
-    /// `inconclusive` (no second opinion could be obtained before the
-    /// re-dispatch budget ran out).
-    Audit {
-        /// The audited worker (peer label or worker id).
-        worker: String,
-        /// The campaign the range belongs to.
-        campaign: String,
-        /// First plan index of the audited injection range.
-        start: u64,
-        /// One past the last plan index of the audited range.
-        end: u64,
-        /// The verdict: `pass`, `convict`, or `inconclusive`.
-        verdict: String,
-    },
 }
 
 impl fmt::Display for NfpError {
@@ -221,10 +198,6 @@ impl fmt::Display for NfpError {
             NfpError::Calibration { class, reason } => {
                 write!(f, "calibration of '{class}' is degenerate: {reason}")
             }
-            NfpError::WorkerKilled { signal } => match signal {
-                Some(s) => write!(f, "campaign worker process killed by signal {s}"),
-                None => write!(f, "campaign worker process died unexpectedly"),
-            },
             NfpError::ProtocolViolation { detail } => {
                 write!(f, "campaign worker protocol violation: {detail}")
             }
@@ -248,19 +221,6 @@ impl fmt::Display for NfpError {
             }
             NfpError::Admission { client, reason } => {
                 write!(f, "campaign submission from '{client}' refused: {reason}")
-            }
-            NfpError::Audit {
-                worker,
-                campaign,
-                start,
-                end,
-                verdict,
-            } => {
-                write!(
-                    f,
-                    "audit of injections {start}..{end} of '{campaign}' returned verdict \
-                     '{verdict}' for worker {worker}"
-                )
             }
         }
     }
@@ -336,14 +296,6 @@ mod tests {
 
     #[test]
     fn worker_and_protocol_errors_display() {
-        assert_eq!(
-            NfpError::WorkerKilled { signal: Some(9) }.to_string(),
-            "campaign worker process killed by signal 9"
-        );
-        assert_eq!(
-            NfpError::WorkerKilled { signal: None }.to_string(),
-            "campaign worker process died unexpectedly"
-        );
         let shown = NfpError::ProtocolViolation {
             detail: "oversized frame".to_string(),
         }
@@ -399,24 +351,5 @@ mod tests {
         assert!(shown.contains("tenant-a"), "{shown}");
         assert!(shown.contains("refused"), "{shown}");
         assert!(shown.contains("per-client cap"), "{shown}");
-    }
-
-    #[test]
-    fn audit_errors_display_every_verdict() {
-        for verdict in ["pass", "convict", "inconclusive"] {
-            let shown = NfpError::Audit {
-                worker: "worker 81403".to_string(),
-                campaign: "fse_img00".to_string(),
-                start: 200,
-                end: 250,
-                verdict: verdict.to_string(),
-            }
-            .to_string();
-            assert!(shown.contains("audit"), "{shown}");
-            assert!(shown.contains("worker 81403"), "{shown}");
-            assert!(shown.contains("fse_img00"), "{shown}");
-            assert!(shown.contains("200..250"), "{shown}");
-            assert!(shown.contains(verdict), "{shown}");
-        }
     }
 }

@@ -11,14 +11,12 @@
 //! 2. **Count** instructions per class on the fast ISS. The simulator
 //!    commits its built-in Table I counters in every run, so the counts
 //!    are read out of a simulation that already ran (the pipeline reads
-//!    them from its one testbed pass per variant) and
-//!    [`model::fold_categories`] folds them into the classes of any
-//!    classifier whose classes are unions of Table I categories;
-//!    [`model::Fine::split`] splits integer multiply and divide out
-//!    with the counts the testbed pass also keeps. A classifier that
-//!    splits a category otherwise needs a run of its own:
-//!    [`model::count_classes`] attaches a [`model::ClassCounter`]
-//!    observer for it, which runs traced too.
+//!    them from its one testbed pass per variant), and
+//!    [`model::Classifier::fold`] folds them, with the integer multiply
+//!    and divide counts the testbed pass also keeps, into the classes
+//!    of any classifier. A run of its own is [`model::count_classes`]:
+//!    it attaches a [`model::ClassCounter`], a ledger that folds each
+//!    trace's counts the same way.
 //! 3. **Estimate** `Ê = Σ e_c·n_c`, `T̂ = Σ t_c·n_c` —
 //!    [`model::CostModel::estimate`] (Eq. 1).
 //! 4. **Evaluate** against testbed measurements with
@@ -40,7 +38,6 @@ pub use consistency::{check_structure, validate, Finding, Severity, Validation};
 pub use dse::{fpu_tradeoff, FpuTradeoff, KernelNfp};
 pub use error::{relative_error, ErrorSummary, NfpError};
 pub use model::{
-    count_classes, fold_categories, paper_table1, ClassCounter, Classifier, Coarse, CostModel,
-    Estimate, Fine, Paper,
+    count_classes, paper_table1, ClassCounter, Classifier, Coarse, CostModel, Estimate, Fine, Paper,
 };
 pub use vulnerability::{HarnessCause, Outcome, OutcomeCounts, VulnerabilityReport, OUTCOME_COUNT};

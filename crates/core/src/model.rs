@@ -10,31 +10,31 @@
 //! The simulator commits its built-in Table I counters per block in
 //! every run, observed or not, so the counts Eq. 1 prices are read out
 //! of whatever simulation already ran: the pipeline takes them from the
-//! testbed pass. [`fold_categories`] turns them into the classes of any
-//! classifier whose classes are unions of Table I categories, and
-//! [`Fine::split`] into [`Fine`]'s, with the integer multiply and
-//! divide counts the testbed's hardware ledger keeps. [`count_classes`]
-//! is a counting run of its own on a machine of its own: it folds the
-//! counters of an unobserved (traced) run where it can, and attaches a
-//! [`ClassCounter`] observer only where it cannot. Both paths run at
-//! the machine's dispatch, traced by default.
+//! testbed pass. [`Classifier::fold`] turns per-category counts, plus
+//! the integer multiply and divide counts the testbed's hardware ledger
+//! keeps, into any classifier's classes. [`count_classes`] is a
+//! counting run of its own on a machine of its own: one
+//! [`Machine::run_observed`] of a [`ClassCounter`], a ledger that
+//! folds each trace's counts the same way and runs at the machine's
+//! dispatch, traced by default.
 
-use nfp_sim::{ExecInfo, Machine, Observer, RunResult, SimError};
-use nfp_sparc::{Category, Instr, CATEGORY_COUNT};
+use nfp_sim::{ExecInfo, Machine, Observer, Residue, RunResult, SimError};
+use nfp_sparc::{Category, CategoryCounts, Instr, CATEGORY_COUNT};
 
 /// Maps instructions onto model classes. Classification must be
 /// static (a property of the decoded instruction), because the ISS
 /// counts instructions without dynamic context.
 ///
-/// A classifier whose classes are unions of Table I categories says so
-/// through [`Classifier::category_class`]; [`fold_categories`] then
-/// folds the simulator's own category counters into classes instead of
-/// observing every instruction.
+/// Every classifier here refines the Table I categories by at most the
+/// integer multiplies and divides, so it also says how to
+/// [`fold`](Classifier::fold) per-category counts into its classes: a
+/// [`ClassCounter`] folds each trace's counts instead of classifying
+/// every instruction, and a run that already counted, such as the
+/// testbed pass, folds its totals.
 ///
-/// The implementations here mark `classify` `#[inline]`: a
-/// [`ClassCounter`] calls it once per retired instruction inside the
-/// simulator's traces, where an outlined call cost about a third of a
-/// counted run's speed.
+/// The implementations here mark `classify` and `fold` `#[inline]`: a
+/// [`ClassCounter`] calls them from the simulator's run loops, in
+/// another crate, per stepped instruction and per trace.
 pub trait Classifier {
     /// Number of classes.
     fn class_count(&self) -> usize;
@@ -42,12 +42,18 @@ pub trait Classifier {
     fn classify(&self, instr: &Instr) -> usize;
     /// Human-readable class name.
     fn class_name(&self, class: usize) -> &'static str;
-    /// The class of every instruction in Table I `category`, or `None`
-    /// (the default) when instructions of one category can fall into
-    /// different classes. Where it returns `Some(c)`, `classify` must
-    /// return `c` for every instruction of that category.
-    fn category_class(&self, _category: Category) -> Option<usize> {
-        None
+    /// Adds to `into` (one entry per class) the class counts of
+    /// instructions with `per_category` counts (indexed like
+    /// [`Category::ALL`]), of which `int_mul` are integer multiplies and
+    /// `int_div` integer divides ([`nfp_sparc::AluOp::is_mul`],
+    /// [`nfp_sparc::AluOp::is_div`]). Must agree with `classify`.
+    fn fold(&self, per_category: &[u64], int_mul: u64, int_div: u64, into: &mut [u64]);
+
+    /// [`Classifier::fold`] into zeroed counts.
+    fn folded(&self, per_category: &[u64], int_mul: u64, int_div: u64) -> Vec<u64> {
+        let mut counts = vec![0; self.class_count()];
+        self.fold(per_category, int_mul, int_div, &mut counts);
+        counts
     }
 }
 
@@ -66,8 +72,11 @@ impl Classifier for Paper {
     fn class_name(&self, class: usize) -> &'static str {
         Category::ALL[class].name()
     }
-    fn category_class(&self, category: Category) -> Option<usize> {
-        Some(category.index())
+    #[inline]
+    fn fold(&self, per_category: &[u64], _int_mul: u64, _int_div: u64, into: &mut [u64]) {
+        for (count, &n) in into.iter_mut().zip(per_category) {
+            *count += n;
+        }
     }
 }
 
@@ -87,31 +96,17 @@ impl Classifier for Coarse {
     fn class_name(&self, _class: usize) -> &'static str {
         "Any instruction"
     }
-    fn category_class(&self, _category: Category) -> Option<usize> {
-        Some(0)
+    #[inline]
+    fn fold(&self, per_category: &[u64], _int_mul: u64, _int_div: u64, into: &mut [u64]) {
+        into[0] += per_category.iter().sum::<u64>();
     }
 }
 
 /// Eleven classes: Table I with integer multiply and divide split out
 /// of "Integer Arithmetic" (they have very different latencies on the
-/// iterative LEON3 units). Its classes are not unions of categories, so
-/// [`count_classes`] counts it through a [`ClassCounter`]; a run that
-/// counted its multiplies and divides, such as the testbed pass, folds
-/// into it with [`Fine::split`] instead.
+/// iterative LEON3 units).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Fine;
-
-impl Fine {
-    /// [`Fine`] counts of a run from its per-category counts (indexed
-    /// like [`Category::ALL`]) and its integer multiply and divide
-    /// counts, which "Integer Arithmetic" includes.
-    pub fn split(per_category: &[u64], int_mul: u64, int_div: u64) -> Vec<u64> {
-        let mut counts = per_category.to_vec();
-        counts[Category::IntArith.index()] -= int_mul + int_div;
-        counts.extend([int_mul, int_div]);
-        counts
-    }
-}
 
 /// Class indices of [`Fine`] beyond the paper's nine.
 pub const FINE_INT_MUL: usize = 9;
@@ -137,10 +132,21 @@ impl Classifier for Fine {
             c => Category::ALL[c].name(),
         }
     }
+    #[inline]
+    fn fold(&self, per_category: &[u64], int_mul: u64, int_div: u64, into: &mut [u64]) {
+        Paper.fold(per_category, 0, 0, into);
+        into[Category::IntArith.index()] -= int_mul + int_div;
+        into[FINE_INT_MUL] += int_mul;
+        into[FINE_INT_DIV] += int_div;
+    }
 }
 
 /// Per-class instruction counter, attachable to a simulator run as an
 /// observer (the generalisation of the ISS's built-in nine counters).
+/// It is a ledger ([`Observer::LEDGER`]): inside the simulator's traces
+/// it folds each batch's category counts and multiply and divide
+/// counts ([`Classifier::fold`]), and it classifies each stepped
+/// instruction on its own.
 pub struct ClassCounter<C: Classifier> {
     classifier: C,
     counts: Vec<u64>,
@@ -168,58 +174,37 @@ impl<C: Classifier> ClassCounter<C> {
 }
 
 impl<C: Classifier> Observer for ClassCounter<C> {
+    const LEDGER: bool = true;
+
     #[inline]
     fn observe(&mut self, info: &ExecInfo) {
         self.counts[self.classifier.classify(&info.instr)] += 1;
     }
-}
 
-/// Folds per-category counts, indexed like [`Category::ALL`], into the
-/// classes of `classifier`, or `None` when some category has no single
-/// class ([`Classifier::category_class`]).
-pub fn fold_categories<C: Classifier>(classifier: &C, per_category: &[u64]) -> Option<Vec<u64>> {
-    let mut counts = vec![0; classifier.class_count()];
-    for (&category, &n) in Category::ALL.iter().zip(per_category) {
-        counts[classifier.category_class(category)?] += n;
+    #[inline(always)]
+    fn retire_batch(&mut self, counts: &CategoryCounts, residue: &Residue) {
+        self.classifier.fold(
+            counts.as_array(),
+            residue.int_mul,
+            residue.int_div,
+            &mut self.counts,
+        );
     }
-    Some(counts)
 }
 
 /// Runs `machine` for at most `max_instrs` instructions and counts what
-/// it retires per class of `classifier`.
-///
-/// If every Table I category maps to a class
-/// ([`Classifier::category_class`]) and the machine keeps its category
-/// counters ([`MachineConfig::count_categories`]), this is an
-/// unobserved [`Machine::run`] at the machine's dispatch (traced by
-/// default) whose [`RunResult::counts`] are folded into classes by
-/// [`fold_categories`]. Otherwise a [`ClassCounter`] is attached
-/// through [`Machine::run_observed`], which dispatches the same way and
-/// calls the counter once per retired instruction. Both give the same
-/// counts. A simulation that already ran, such as the testbed pass,
-/// needs no second run: fold its [`RunResult::counts`] instead.
-///
-/// [`MachineConfig::count_categories`]: nfp_sim::MachineConfig::count_categories
+/// it retires per class of `classifier`: one [`Machine::run_observed`]
+/// of a [`ClassCounter`], at the machine's dispatch (traced by
+/// default). A simulation that already ran, such as the testbed pass,
+/// needs no second run: [`Classifier::fold`] its counts instead.
 pub fn count_classes<C: Classifier + Clone>(
     machine: &mut Machine,
     classifier: &C,
     max_instrs: u64,
 ) -> Result<(RunResult, Vec<u64>), SimError> {
-    let folds = Category::ALL
-        .iter()
-        .all(|&c| classifier.category_class(c).is_some());
-    if !folds || !machine.config().count_categories {
-        let mut counter = ClassCounter::new(classifier.clone());
-        let run = machine.run_observed(max_instrs, &mut counter)?;
-        return Ok((run, counter.counts));
-    }
-    // The machine's counters span its whole life; count only this run,
-    // as an observer attached now would.
-    let before = *machine.counts();
-    let run = machine.run(max_instrs)?;
-    let counts = fold_categories(classifier, run.counts.diff(&before).as_array())
-        .expect("every category maps to a class");
-    Ok((run, counts))
+    let mut counter = ClassCounter::new(classifier.clone());
+    let run = machine.run_observed(max_instrs, &mut counter)?;
+    Ok((run, counter.counts))
 }
 
 /// The calibrated model: specific time and energy per class
@@ -329,9 +314,9 @@ mod tests {
     }
 
     #[test]
-    fn fine_split_moves_mul_div_out_of_integer_arithmetic() {
+    fn fine_fold_moves_mul_div_out_of_integer_arithmetic() {
         let per_category: Vec<u64> = (1..=CATEGORY_COUNT as u64).map(|n| n * 10).collect();
-        let fine = Fine::split(&per_category, 3, 2);
+        let fine = Fine.folded(&per_category, 3, 2);
         assert_eq!(fine.len(), Fine.class_count());
         assert_eq!(fine[Category::IntArith.index()], 5);
         assert_eq!((fine[FINE_INT_MUL], fine[FINE_INT_DIV]), (3, 2));
@@ -346,32 +331,51 @@ mod tests {
         assert_eq!(c.classify(&Instr::NOP), 0);
     }
 
+    /// Folding one instruction's counts (a one in its category, and in
+    /// `int_mul` or `int_div` if it is one) gives a one in its class.
+    fn assert_fold_agrees(classifier: &dyn Classifier, instr: &Instr) {
+        let mut per_category = [0; CATEGORY_COUNT];
+        per_category[instr.category().index()] = 1;
+        let (mul, div) = match instr {
+            Instr::Alu { op, .. } => (op.is_mul(), op.is_div()),
+            _ => (false, false),
+        };
+        let mut want = vec![0; classifier.class_count()];
+        want[classifier.classify(instr)] = 1;
+        let got = classifier.folded(&per_category, mul as u64, div as u64);
+        assert_eq!(got, want, "{instr:?}");
+    }
+
     #[test]
-    fn category_classes_agree_with_classify() {
-        for (i, &cat) in Category::ALL.iter().enumerate() {
-            assert_eq!(Paper.category_class(cat), Some(i), "{cat}");
-            assert_eq!(Coarse.category_class(cat), Some(0), "{cat}");
-            assert_eq!(Fine.category_class(cat), None, "{cat}");
-        }
-        for instr in [add(), mul(), Instr::NOP] {
-            let cat = instr.category();
-            assert_eq!(Paper.category_class(cat), Some(Paper.classify(&instr)));
-            assert_eq!(Coarse.category_class(cat), Some(Coarse.classify(&instr)));
+    fn folds_agree_with_classify() {
+        let div = Instr::Alu {
+            op: AluOp::SDiv,
+            rd: Reg::o(0),
+            rs1: Reg::o(1),
+            op2: Operand::Imm(3),
+        };
+        for instr in [add(), mul(), div, Instr::NOP] {
+            for classifier in [&Paper as &dyn Classifier, &Coarse, &Fine] {
+                assert_fold_agrees(classifier, &instr);
+            }
         }
     }
 
     #[test]
-    fn fold_categories_sums_categories_into_classes() {
+    fn fold_adds_categories_into_classes() {
         let per_category: Vec<u64> = (1..=CATEGORY_COUNT as u64).collect();
+        assert_eq!(Paper.folded(&per_category, 0, 0), per_category);
         assert_eq!(
-            fold_categories(&Paper, &per_category),
-            Some(per_category.clone())
+            Coarse.folded(&per_category, 0, 0),
+            vec![per_category.iter().sum::<u64>()]
         );
+        // Folding adds to what is there.
+        let mut twice = Paper.folded(&per_category, 0, 0);
+        Paper.fold(&per_category, 0, 0, &mut twice);
         assert_eq!(
-            fold_categories(&Coarse, &per_category),
-            Some(vec![per_category.iter().sum()])
+            twice,
+            per_category.iter().map(|n| 2 * n).collect::<Vec<_>>()
         );
-        assert_eq!(fold_categories(&Fine, &per_category), None);
     }
 
     #[test]

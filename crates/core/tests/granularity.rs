@@ -3,11 +3,11 @@
 //! sensibly on a known workload.
 
 use nfp_core::{calibrate, count_classes, ClassCounter, Classifier, Coarse, Fine, Paper};
-use nfp_sim::{Machine, MachineConfig, RAM_BASE};
+use nfp_sim::{Dispatch, Machine, MachineConfig, Observer, PcHistogram, RAM_BASE};
 use nfp_sparc::asm::Assembler;
 use nfp_sparc::cond::ICond;
 use nfp_sparc::{AluOp, Instr, Operand, Reg};
-use nfp_testbed::Testbed;
+use nfp_testbed::{HwObserver, Testbed};
 
 /// A multiply-heavy loop: the class where Paper and Fine disagree.
 fn mul_loop(iters: u32) -> Vec<u32> {
@@ -27,8 +27,11 @@ fn mul_loop(iters: u32) -> Vec<u32> {
     a.finish().unwrap()
 }
 
+/// The reference counts: a `ClassCounter` classifying every stepped
+/// instruction.
 fn counts_for<C: Classifier + Copy>(classifier: C, words: &[u32]) -> Vec<u64> {
     let mut machine = Machine::boot(words);
+    machine.set_dispatch(Dispatch::Step);
     let mut counter = ClassCounter::new(classifier);
     machine.run_observed(100_000_000, &mut counter).unwrap();
     counter.counts().to_vec()
@@ -133,10 +136,10 @@ fn class_counter_matches_builtin_category_counters() {
     let _ = Instr::NOP; // keep the import meaningful under cfg changes
 }
 
-/// `count_classes` on `machine`, checked against a `ClassCounter` run
-/// of the same words; asserts the counting run retired inside traces,
-/// which both of its paths (folded built-in counters, or the observer)
-/// now do under the default dispatch.
+/// `count_classes` on `machine`, checked against a stepped
+/// `ClassCounter` run of the same words; asserts the counting run
+/// retired inside traces, as the counter, a ledger, does under the
+/// default dispatch.
 fn assert_counted_traced<C: Classifier + Copy>(mut machine: Machine, classifier: C, words: &[u32]) {
     let (run, counts) = count_classes(&mut machine, &classifier, 10_000_000).unwrap();
     assert_eq!(counts, counts_for(classifier, words));
@@ -149,16 +152,13 @@ fn assert_counted_traced<C: Classifier + Copy>(mut machine: Machine, classifier:
 }
 
 #[test]
-fn count_classes_runs_traced_with_or_without_a_category_mapping() {
+fn count_classes_runs_traced_for_every_classifier() {
     let words = mul_loop(500);
-    // Paper and Coarse fold the built-in counters of a traced run.
     assert_counted_traced(Machine::boot(&words), Paper, &words);
     assert_counted_traced(Machine::boot(&words), Coarse, &words);
-    // Fine splits Integer Arithmetic, so it needs the observer, which
-    // runs traced too.
     assert_counted_traced(Machine::boot(&words), Fine, &words);
-    // Without built-in counters there is nothing to fold: observe
-    // rather than report zeros.
+    // The counter folds the traces' own counts, so it needs none of
+    // the machine's built-in counters.
     let mut uncounted = Machine::new(MachineConfig {
         count_categories: false,
         ..MachineConfig::default()
@@ -174,4 +174,25 @@ fn count_classes_counts_only_its_own_run() {
     machine.run_until(1_000).unwrap();
     let (run, counts) = count_classes(&mut machine, &Paper, 10_000_000).unwrap();
     assert_eq!(counts.iter().sum::<u64>(), run.instret - 1_000);
+}
+
+/// Instructions a `run_observed` of `obs` on `words` retired inside
+/// traces, under the default (traced) dispatch.
+fn traced_with<O: Observer>(words: &[u32], obs: &mut O) -> u64 {
+    let mut machine = Machine::boot(words);
+    machine.run_observed(10_000_000, obs).unwrap();
+    machine.dispatch_stats().traced
+}
+
+#[test]
+fn only_ledgers_run_traced() {
+    let words = mul_loop(500);
+    let mut histogram = PcHistogram::new(RAM_BASE, words.len());
+    assert_eq!(
+        traced_with(&words, &mut histogram),
+        0,
+        "a record observer steps"
+    );
+    assert!(traced_with(&words, &mut ClassCounter::new(Fine)) > 0);
+    assert!(traced_with(&words, &mut HwObserver::new(None)) > 0);
 }

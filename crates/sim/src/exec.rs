@@ -6,11 +6,11 @@
 //! state and advancing the `pc`/`npc` pair (SPARC's delay-slot
 //! architecture). An [`Observer`] receives an [`ExecInfo`] record per
 //! retired instruction, while the plain ISS runs with the zero-cost
-//! [`NullObserver`]. `step` builds the reference records; traced
-//! dispatch builds the same records inside its superblock interpreter
-//! (`threaded.rs`) or, for a ledger observer such as the detailed
-//! hardware model in `nfp-testbed`, hands it batch sums and per-event
-//! hooks that add up to the same counts (see [`Observer`]).
+//! [`NullObserver`]. `step` builds every record there is; traced
+//! dispatch runs only a ledger observer, such as the detailed hardware
+//! model in `nfp-testbed`, and hands it, inside its superblock
+//! interpreter (`threaded.rs`), batch sums and per-event hooks that add
+//! up to the same counts (see [`Observer`]).
 
 use crate::bus::{Bus, BusFault};
 use crate::cpu::Cpu;
@@ -152,13 +152,13 @@ impl ExecInfo {
 /// [`TrapPolicy::Recover`](crate::TrapPolicy::Recover) is observed
 /// when its retry retires), nor is an annulled delay slot, nor a
 /// misaligned access the recovery model skips (which still counts in
-/// `instret`). [`Dispatch::Step`](crate::Dispatch::Step) and
-/// [`Dispatch::Traced`](crate::Dispatch::Traced) hand a record
-/// observer identical records.
+/// `instret`).
 ///
-/// A ledger observer ([`Observer::LEDGER`]) needs only what a
-/// record's category does not fix. Instructions retired on the step
-/// path still reach it as records through [`Observer::observe`].
+/// Records come only from stepping: a record observer always steps,
+/// under either [`Dispatch`](crate::Dispatch). Only a ledger observer
+/// ([`Observer::LEDGER`]), which needs only what a record's category
+/// does not fix, runs traced. Instructions retired on the step path
+/// still reach it as records through [`Observer::observe`].
 /// Instructions retired inside a superblock trace or a straight-line
 /// run reach it as two kinds of call:
 ///
@@ -173,13 +173,15 @@ impl ExecInfo {
 /// stepping builds for the same instructions, so a ledger that prices
 /// both the same way gets the same integers under either dispatch.
 pub trait Observer {
-    /// Whether this observer takes ledger hooks instead of a record
-    /// per instruction inside traces. Fixed per type, so the traced
-    /// interpreter is compiled for one protocol or the other.
+    /// Whether this observer is a ledger: it runs inside traces and
+    /// takes their sums and hooks there, where any other observer
+    /// steps. Fixed per type, so the traced interpreter carries the
+    /// ledger's bookkeeping only where a ledger runs.
     const LEDGER: bool = false;
 
-    /// Called after each instruction's architectural effects complete;
-    /// for a ledger, only for instructions retired on the step path.
+    /// Called after each stepped instruction's architectural effects
+    /// complete: for every retired instruction unless the observer is a
+    /// ledger running traced.
     fn observe(&mut self, info: &ExecInfo);
 
     /// Ledger hook: a load (`store == false`) or store at `addr`

@@ -11,7 +11,7 @@ use crate::bus::{Bus, BusFault, RamSnapshot, RAM_BASE};
 use crate::cpu::Cpu;
 use crate::exec::{step, ExecError, NullObserver, Observer, StepOut, Trap};
 use crate::threaded::{
-    build_table, build_trace, run_tops, DecodedOp, Observed, TraceCache, TraceHalt, TraceSlot,
+    build_table, build_trace, run_tops, DecodedOp, TraceCache, TraceHalt, TraceSlot,
 };
 use nfp_sparc::{decode, Category, CategoryCounts, Instr};
 use std::time::{Duration, Instant};
@@ -42,9 +42,8 @@ pub enum TrapPolicy {
 
 /// How the run loop executes instructions, observed
 /// ([`Machine::run_observed`]) or not. Both modes are bit-identical,
-/// down to every [`ExecInfo`](crate::ExecInfo) an [`Observer`]
-/// receives (enforced by the differential suites); they differ only in
-/// speed.
+/// down to what an [`Observer`] sums (enforced by the differential
+/// suites); they differ only in speed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Dispatch {
     /// Architectural reference: fetch, match, and account one
@@ -56,8 +55,9 @@ pub enum Dispatch {
     /// dispatcher. Straight-line runs outside a trace go through the
     /// table one predecoded op per instruction, matched on its kind
     /// tag; block-ending instructions outside a trace fall back to the
-    /// step path (DESIGN.md §13). Every path reports each retired
-    /// instruction to an attached observer.
+    /// step path (DESIGN.md §13). An attached observer runs traced
+    /// only if it is a ledger ([`Observer::LEDGER`]); a record observer
+    /// steps.
     #[default]
     Traced,
 }
@@ -99,13 +99,13 @@ pub struct MachineConfig {
     pub count_categories: bool,
     /// Trap handling policy (see [`TrapPolicy`]).
     pub trap_policy: TrapPolicy,
-    /// Execution strategy of every run, observed or not (see
-    /// [`Dispatch`]). Both modes are bit-identical, so this is a local
-    /// speed choice that no result depends on; the step path remains
-    /// the reference, and traced dispatch uses it at block-ending
-    /// instructions outside a trace, in delay slots, outside the
-    /// loaded image, and to re-present instructions after a mid-block
-    /// trap.
+    /// Execution strategy of every run but one with a record observer,
+    /// which steps (see [`Dispatch`]). Both modes are bit-identical, so
+    /// this is a local speed choice that no result depends on; the step
+    /// path remains the reference, and traced dispatch uses it at
+    /// block-ending instructions outside a trace, in delay slots,
+    /// outside the loaded image, and to re-present instructions after a
+    /// mid-block trap.
     pub dispatch: Dispatch,
 }
 
@@ -623,20 +623,21 @@ impl Machine {
     /// instructions have executed, without an observer (fast path,
     /// dispatched per [`MachineConfig::dispatch`]).
     pub fn run(&mut self, max_instrs: u64) -> Result<RunResult, SimError> {
-        self.run_inner(max_instrs, None, false, &mut NullObserver)
+        self.run_inner(max_instrs, None, false, true, &mut NullObserver)
     }
 
-    /// Runs with a per-instruction [`Observer`] (the detailed hardware
-    /// model attaches here), dispatched per [`MachineConfig::dispatch`]
-    /// like [`Machine::run`]. The observer receives one
-    /// [`ExecInfo`](crate::ExecInfo) per retired instruction, the same
-    /// records in the same order under either dispatch mode.
+    /// Runs with an [`Observer`] attached (the detailed hardware model
+    /// attaches here). A ledger ([`Observer::LEDGER`]) is dispatched per
+    /// [`MachineConfig::dispatch`] like [`Machine::run`], and gets the
+    /// same sums under either mode. Records come only from stepping: a
+    /// record observer always steps, and receives one
+    /// [`ExecInfo`](crate::ExecInfo) per retired instruction.
     pub fn run_observed<O: Observer>(
         &mut self,
         max_instrs: u64,
         obs: &mut O,
     ) -> Result<RunResult, SimError> {
-        self.run_inner(max_instrs, None, false, obs)
+        self.run_inner(max_instrs, None, false, O::LEDGER, obs)
     }
 
     /// Runs under a [`Watchdog`]: budget or deadline expiry yields
@@ -645,7 +646,7 @@ impl Machine {
     /// than a harness misconfiguration.
     pub fn run_watchdog(&mut self, wd: &Watchdog) -> Result<RunResult, SimError> {
         let deadline = wd.wall.map(|d| Instant::now() + d);
-        self.run_inner(wd.max_instrs, deadline, true, &mut NullObserver)
+        self.run_inner(wd.max_instrs, deadline, true, true, &mut NullObserver)
     }
 
     /// Replays execution until the dynamic instruction count reaches
@@ -659,7 +660,7 @@ impl Machine {
         if target <= self.instret {
             return Ok(());
         }
-        match self.run_inner(target - self.instret, None, false, &mut NullObserver) {
+        match self.run_inner(target - self.instret, None, false, true, &mut NullObserver) {
             Err(SimError::BudgetExhausted { .. }) => Ok(()),
             Ok(_) => Err(SimError::HaltedEarly {
                 instret: self.instret,
@@ -668,18 +669,21 @@ impl Machine {
         }
     }
 
+    /// The run loop; `may_trace` says whether `obs` may run traced,
+    /// when the machine's dispatch is [`Dispatch::Traced`].
     fn run_inner<O: Observer>(
         &mut self,
         max_instrs: u64,
         deadline: Option<Instant>,
         watchdog: bool,
+        may_trace: bool,
         obs: &mut O,
     ) -> Result<RunResult, SimError> {
         let counting = self.config.count_categories;
         let fpu = self.config.fpu_enabled;
         let recover = self.config.trap_policy == TrapPolicy::Recover;
         let limit = self.instret.saturating_add(max_instrs);
-        let traced = self.config.dispatch == Dispatch::Traced;
+        let traced = may_trace && self.config.dispatch == Dispatch::Traced;
         if traced && self.fast.is_none() && !self.code.is_empty() {
             self.fast = Some(FastPath::build(&self.code, self.code_base, fpu));
         }
@@ -736,15 +740,7 @@ impl Machine {
                         }
                         if let TraceSlot::Present(trace) = fast.traces.slot(idx) {
                             if (trace.len() as u64) <= limit - self.instret {
-                                let halt = trace.run(
-                                    &mut self.cpu,
-                                    &mut self.bus,
-                                    &mut Observed {
-                                        obs: &mut *obs,
-                                        code: &self.code,
-                                        base: self.code_base,
-                                    },
-                                );
+                                let halt = trace.run(&mut self.cpu, &mut self.bus, obs);
                                 let retired = halt.retired(trace.len());
                                 // (pc/npc to set, error)
                                 let (state, err) = match halt {
@@ -793,11 +789,7 @@ impl Machine {
                             end,
                             &mut self.cpu,
                             &mut self.bus,
-                            &mut Observed {
-                                obs: &mut *obs,
-                                code: &self.code,
-                                base: self.code_base,
-                            },
+                            obs,
                         );
                         let j = idx + done;
                         // Commit the completed prefix [idx, j) in one
@@ -1329,26 +1321,68 @@ mod tests {
         assert_eq!(r.exit_code, 9);
     }
 
-    /// Folds every field of every observed record, in order, into one
-    /// hash, plus a count.
+    /// A ledger that folds what it is told into one digest: category
+    /// counts, [`Residue`](crate::Residue) sums, and an ordered hash of
+    /// the memory-access and FPU-operand events. A stepped record maps
+    /// onto the same digest the way the testbed's hardware ledger maps
+    /// it, so a traced run must match the step reference event by
+    /// event.
     #[derive(Default)]
     struct Fingerprint {
-        hasher: std::collections::hash_map::DefaultHasher,
-        count: u64,
+        counts: CategoryCounts,
+        sums: [u64; 4],
+        events: std::collections::hash_map::DefaultHasher,
     }
 
     impl Observer for Fingerprint {
+        const LEDGER: bool = true;
+
         fn observe(&mut self, info: &crate::ExecInfo) {
-            use std::hash::Hash;
-            info.hash(&mut self.hasher);
-            self.count += 1;
+            let (mul, div) = match info.instr {
+                Instr::Alu { op, .. } => (op.is_mul(), op.is_div()),
+                _ => (false, false),
+            };
+            let residue = crate::Residue {
+                ones: info.result_ones as u64,
+                untaken: (info.branch_taken == Some(false)) as u64,
+                int_mul: mul as u64,
+                int_div: div as u64,
+            };
+            let mut one = CategoryCounts::new();
+            one.bump(info.category);
+            self.retire_batch(&one, &residue);
+            if let Some(addr) = info.mem_addr {
+                self.mem_access(addr, info.category == Category::MemStore);
+            }
+            if let Some(bits) = info.fpu_rs2_bits {
+                self.fpu_operand(info.category, bits);
+            }
+        }
+
+        fn mem_access(&mut self, addr: u32, store: bool) {
+            std::hash::Hash::hash(&(addr, store), &mut self.events);
+        }
+
+        fn fpu_operand(&mut self, category: Category, bits: u64) {
+            std::hash::Hash::hash(&(category, bits), &mut self.events);
+        }
+
+        fn retire_batch(&mut self, counts: &CategoryCounts, r: &crate::Residue) {
+            self.counts = self.counts.merged(counts);
+            for (sum, n) in self
+                .sums
+                .iter_mut()
+                .zip([r.ones, r.untaken, r.int_mul, r.int_div])
+            {
+                *sum += n;
+            }
         }
     }
 
     impl Fingerprint {
-        fn value(&self) -> (u64, u64) {
+        fn value(&self) -> (CategoryCounts, [u64; 4], u64) {
             use std::hash::Hasher;
-            (self.hasher.finish(), self.count)
+            (self.counts, self.sums, self.events.finish())
         }
     }
 
@@ -1357,7 +1391,7 @@ mod tests {
     /// dispatch without and with one — and asserts every observable of
     /// the traced runs agrees with the reference: the run/error result,
     /// retired-instruction count, category counters, full CPU state,
-    /// RAM contents, and the observed record stream.
+    /// RAM contents, and the ledger's digest.
     fn assert_modes_agree(words: &[u32], policy: TrapPolicy, budget: u64) {
         let observe = |dispatch: Dispatch, observed: bool| {
             let mut m = Machine::boot(words);
@@ -1387,7 +1421,7 @@ mod tests {
             assert_eq!(stepped.3, fast.3, "CPU state diverged");
             assert_eq!(stepped.4, fast.4, "RAM contents diverged");
             if observed {
-                assert_eq!(stepped.5, fast.5, "observed records diverged");
+                assert_eq!(stepped.5, fast.5, "ledger digests diverged");
             }
         }
     }
@@ -1578,7 +1612,7 @@ mod tests {
     }
 
     #[test]
-    fn observed_records_match_step_on_every_op_kind() {
+    fn ledger_sums_match_step_on_every_op_kind() {
         let words = every_op_kind_program();
         for policy in [TrapPolicy::Abort, TrapPolicy::Recover] {
             assert_modes_agree(&words, policy, 100_000);
@@ -1586,12 +1620,21 @@ mod tests {
                 assert_modes_agree(&words, policy, budget);
             }
         }
-        // The loop body really does retire inside superblocks.
+        // The loop body really does retire inside superblocks under the
+        // ledger, while a record observer steps every instruction.
         let mut m = Machine::boot(&words);
         m.set_trap_policy(TrapPolicy::Recover);
         m.run_observed(100_000, &mut Fingerprint::default())
             .unwrap();
         assert!(m.dispatch_stats().traced > 100, "{:?}", m.dispatch_stats());
+        let mut m = Machine::boot(&words);
+        m.set_trap_policy(TrapPolicy::Recover);
+        let mut hist = crate::PcHistogram::new(RAM_BASE, words.len());
+        let r = m.run_observed(100_000, &mut hist).unwrap();
+        let stats = m.dispatch_stats();
+        assert_eq!((stats.traced, stats.batched), (0, 0), "{stats:?}");
+        assert_eq!(hist.total(), stats.stepped);
+        assert_eq!(r.instret - r.recovered_traps, stats.stepped);
     }
 
     #[test]

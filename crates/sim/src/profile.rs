@@ -3,12 +3,12 @@
 //! bounded execution tracer for debugging.
 //!
 //! Attach them with
-//! [`Machine::run_observed`](crate::Machine::run_observed). Observed
-//! runs dispatch per
-//! [`MachineConfig::dispatch`](crate::MachineConfig::dispatch) like
-//! unobserved ones: superblock traces hand the observer the same
-//! [`ExecInfo`] stream the step path does (see [`Observer`]), so a
-//! profile costs a call per instruction, not a slower interpreter.
+//! [`Machine::run_observed`](crate::Machine::run_observed). They read
+//! every [`ExecInfo`] record, and records come only from stepping, so
+//! a profiled run steps whatever
+//! [`MachineConfig::dispatch`](crate::MachineConfig::dispatch) says
+//! (see [`Observer`]): these are debugging tools, and run at the step
+//! path's speed.
 
 use crate::exec::{ExecInfo, Observer};
 use nfp_sparc::disasm;
@@ -168,11 +168,28 @@ mod tests {
         assert_eq!(hottest[0].1, 100);
     }
 
+    /// A ledger that counts what retires.
+    #[derive(Default)]
+    struct Retired(u64);
+
+    impl Observer for Retired {
+        const LEDGER: bool = true;
+
+        fn observe(&mut self, _info: &ExecInfo) {
+            self.0 += 1;
+        }
+
+        fn retire_batch(&mut self, counts: &nfp_sparc::CategoryCounts, _: &crate::Residue) {
+            self.0 += counts.total();
+        }
+    }
+
     #[test]
     fn observers_see_every_instruction_despite_batched_dispatch() {
-        // Dispatch defaults to traced, and observed runs retire inside
-        // traces too: a histogram that missed batched instructions
-        // would undercount silently.
+        // Dispatch defaults to traced, but a histogram reads records,
+        // so its run steps: one that ran traced would see nothing of
+        // the loop. A ledger on the same program runs the loop traced
+        // and still counts every retirement.
         let words = loop_program(25);
         let mut m = Machine::boot(&words);
         assert_eq!(
@@ -184,7 +201,16 @@ mod tests {
         let r = m.run_observed(100_000, &mut hist).unwrap();
         assert_eq!(hist.total(), r.instret, "one observation per retirement");
         assert_eq!(hist.count_at(RAM_BASE + 8), 25);
-        assert!(m.dispatch_stats().traced > 0, "the loop ran traced");
+        assert_eq!(
+            m.dispatch_stats().stepped,
+            r.instret,
+            "the histogram stepped"
+        );
+        let mut m = Machine::boot(&words);
+        let mut ledger = Retired::default();
+        let r = m.run_observed(100_000, &mut ledger).unwrap();
+        assert_eq!(ledger.0, r.instret);
+        assert!(m.dispatch_stats().traced > 0, "the ledger ran traced");
     }
 
     #[test]

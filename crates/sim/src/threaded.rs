@@ -27,12 +27,11 @@
 //! with it every fault-injection code flip and undo) drops it, and the
 //! next run rebuilds from the patched stream.
 //!
-//! Observers run inside this interpreter: the run loops are generic
-//! over the [`Observer`], and each retired op hands a record observer
-//! the [`ExecInfo`] `exec::step` would build — the image entry at the
-//! op's pc plus the operand-dependent fields the op's arm records. A
-//! ledger observer ([`Observer::LEDGER`]) instead gets the fields'
-//! sums, kept in loop locals and committed once per trace or run with
+//! Only ledgers ([`Observer::LEDGER`]) run inside this interpreter,
+//! besides unobserved runs; a record observer always steps. The run
+//! loops are generic over the [`Observer`], and a ledger gets the sums
+//! of the [`ExecInfo`](crate::ExecInfo) fields `exec::step` would
+//! build, kept in loop locals and committed once per trace or run with
 //! the retired ops' prefix-sum category counts, and a hook per memory
 //! access and per FPU divide or square root (DESIGN.md §13). Under
 //! [`NullObserver`](crate::NullObserver) all of that bookkeeping is
@@ -43,7 +42,7 @@ use std::collections::HashSet;
 use crate::blocks::{leaders, BlockCache};
 use crate::bus::Bus;
 use crate::cpu::Cpu;
-use crate::exec::{compare, exec_alu, fault_to_trap, ExecError, ExecInfo, Observer, Residue, Trap};
+use crate::exec::{compare, exec_alu, fault_to_trap, ExecError, Observer, Residue, Trap};
 use nfp_sparc::cond::FccValue;
 use nfp_sparc::{
     AluOp, Category, CategoryCounts, FCond, FReg, FpOp, ICond, Instr, MemSize, Operand, Reg,
@@ -564,76 +563,22 @@ fn stub_err(op: &DecodedOp) -> ExecError {
     }
 }
 
-/// An [`Observer`] plus the predecoded image that the ops' pcs index:
-/// everything traced dispatch needs to hand a record observer the
-/// [`ExecInfo`] `exec::step` builds for the same retirement.
-pub(crate) struct Observed<'a, O> {
-    pub obs: &'a mut O,
-    pub code: &'a [(Instr, Category)],
-    pub base: u32,
-}
-
-/// The operand-dependent fields of an op's [`ExecInfo`].
-#[derive(Default)]
-struct Effect {
-    mem_addr: Option<u32>,
-    branch_taken: Option<bool>,
-    fpu_rs2_bits: Option<u64>,
-    result_ones: u32,
-}
-
-impl<O: Observer> Observed<'_, O> {
-    /// Reports the op at `pc` as retired to a record observer.
-    /// `instr` and `category` come from the image entry, so a guard or
-    /// an in-trace `ba`/`call` reports its branch. Everything here is
-    /// pure and panic-free, so for
-    /// [`NullObserver`](crate::NullObserver) it is dead code.
-    #[inline(always)]
-    fn retire(&mut self, pc: u32, fx: Effect) {
-        let idx = pc.wrapping_sub(self.base) as usize / 4;
-        if let Some(&(instr, category)) = self.code.get(idx) {
-            self.obs.observe(&ExecInfo {
-                pc,
-                instr,
-                category,
-                mem_addr: fx.mem_addr,
-                branch_taken: fx.branch_taken,
-                fpu_rs2_bits: fx.fpu_rs2_bits,
-                result_ones: fx.result_ones,
-            });
-        }
-    }
-
-    /// Hands a ledger observer one trace's or straight-line run's
-    /// batch: the category counts of its retired ops, which `counts`
-    /// reads from prefix sums, and the residue its loop kept.
-    #[inline(always)]
-    fn commit(&mut self, counts: impl FnOnce() -> CategoryCounts, res: &Residue) {
-        if O::LEDGER {
-            self.obs.retire_batch(&counts(), res);
-        }
-    }
-}
-
-/// One op's retirement as its arm in [`exec_top`] reports it: into the
-/// [`Effect`] of the record a record observer gets or, for a ledger
-/// ([`Observer::LEDGER`]), into the loop's [`Residue`] and the ledger's
-/// per-event hooks. The choice is a constant of the observer type, so
-/// each type's loop carries only its own bookkeeping.
-struct Retiring<'r, 'a, O> {
-    obs: &'r mut Observed<'a, O>,
+/// One op's retirement as its arm in [`exec_top`] reports it to a
+/// ledger ([`Observer::LEDGER`]): into the loop's [`Residue`] and the
+/// ledger's per-event hooks. Every method is guarded by the observer
+/// type's constant, so under [`NullObserver`](crate::NullObserver) the
+/// loop carries none of it.
+struct Retiring<'r, O> {
+    obs: &'r mut O,
     res: &'r mut Residue,
-    fx: Effect,
 }
 
-impl<O: Observer> Retiring<'_, '_, O> {
+impl<O: Observer> Retiring<'_, O> {
     /// A result value with `ones` set bits.
     #[inline(always)]
     fn ones(&mut self, ones: u32) {
         if O::LEDGER {
             self.res.ones += ones as u64;
-        } else {
-            self.fx.result_ones = ones;
         }
     }
 
@@ -653,11 +598,8 @@ impl<O: Observer> Retiring<'_, '_, O> {
     #[inline(always)]
     fn mem(&mut self, (addr, v): (u32, u64), store: bool) {
         if O::LEDGER {
-            self.obs.obs.mem_access(addr, store);
+            self.obs.mem_access(addr, store);
             self.res.ones += v.count_ones() as u64;
-        } else {
-            self.fx.mem_addr = Some(addr);
-            self.fx.result_ones = v.count_ones();
         }
     }
 
@@ -666,8 +608,6 @@ impl<O: Observer> Retiring<'_, '_, O> {
     fn branch(&mut self, taken: bool) {
         if O::LEDGER {
             self.res.untaken += !taken as u64;
-        } else {
-            self.fx.branch_taken = Some(taken);
         }
     }
 
@@ -675,22 +615,21 @@ impl<O: Observer> Retiring<'_, '_, O> {
     /// their operand (an FP op cannot fail once it runs).
     #[inline(always)]
     fn fp(&mut self, cpu: &Cpu, op: &DecodedOp) {
-        let Some((category, bits)) = fp_rs2_bits(cpu, op) else {
-            return;
-        };
         if O::LEDGER {
-            self.obs.obs.fpu_operand(category, bits);
-        } else {
-            self.fx.fpu_rs2_bits = Some(bits);
+            if let Some((category, bits)) = fp_rs2_bits(cpu, op) {
+                self.obs.fpu_operand(category, bits);
+            }
         }
     }
+}
 
-    /// The op at `pc` retired.
-    #[inline(always)]
-    fn retire(self, pc: u32) {
-        if !O::LEDGER {
-            self.obs.retire(pc, self.fx);
-        }
+/// Hands a ledger one trace's or straight-line run's batch: the
+/// category counts of its retired ops, which `counts` reads from prefix
+/// sums, and the residue its loop kept.
+#[inline(always)]
+fn commit<O: Observer>(obs: &mut O, counts: impl FnOnce() -> CategoryCounts, res: &Residue) {
+    if O::LEDGER {
+        obs.retire_batch(&counts(), res);
     }
 }
 
@@ -712,7 +651,7 @@ fn fp_rs2_bits(cpu: &Cpu, op: &DecodedOp) -> Option<(Category, u64)> {
     }
 }
 
-/// Executes one predecoded op and reports it to the observer once it
+/// Executes one predecoded op and, for a ledger, reports it once it
 /// retires. This match is the only place a predecoded op executes: each
 /// arm is the op's semantics, inlined at the dispatch site except for
 /// the FP arithmetic ([`exec_fp`]).
@@ -724,23 +663,19 @@ fn fp_rs2_bits(cpu: &Cpu, op: &DecodedOp) -> Option<(Category, u64)> {
 /// its own branch target (DESIGN.md §13).
 ///
 /// What each arm reports ([`Retiring`]) is what `exec_linear` puts in
-/// the op's [`ExecInfo`]: computed results and loaded or stored values
-/// for `result_ones` (even into `%g0`), effective addresses, guard
-/// outcomes, and `fsqrt`/`fdiv` operands. An op that errors reports
-/// nothing.
+/// the op's [`ExecInfo`](crate::ExecInfo): computed results and loaded
+/// or stored values for `result_ones` (even into `%g0`), effective
+/// addresses, guard outcomes, and `fsqrt`/`fdiv` operands. An op that
+/// errors reports nothing.
 #[inline(always)]
 fn exec_top<O: Observer>(
     op: &DecodedOp,
     cpu: &mut Cpu,
     bus: &mut Bus,
-    obs: &mut Observed<'_, O>,
+    obs: &mut O,
     res: &mut Residue,
 ) -> Result<Flow, ExecError> {
-    let mut rt = Retiring {
-        obs,
-        res,
-        fx: Effect::default(),
-    };
+    let mut rt = Retiring { obs, res };
     let flow = match op.kind {
         OpKind::Nop => {
             rt.ones(op.imm.count_ones());
@@ -912,16 +847,15 @@ fn exec_top<O: Observer>(
         }
         OpKind::Stub => return Err(stub_err(op)),
     };
-    rt.retire(op.pc);
     Ok(flow)
 }
 
 /// Runs the straight-line slice `[start, end)` of the dispatch table
-/// until every op retires or one errors out, reporting each retired op
-/// to `obs`; a ledger gets the batch's counts from `blocks`' prefix
-/// sums. Returns the retired-op count and the stopping error, if any.
-/// Outlined from the machine run loop for the same register-allocation
-/// reason as [`Trace::run`], once per observer type.
+/// until every op retires or one errors out; a ledger `obs` gets the
+/// batch's counts from `blocks`' prefix sums. Returns the retired-op
+/// count and the stopping error, if any. Outlined from the machine
+/// run loop for the same register-allocation reason as [`Trace::run`],
+/// once per observer type.
 #[inline(never)]
 pub(crate) fn run_tops<O: Observer>(
     table: &[DecodedOp],
@@ -930,16 +864,16 @@ pub(crate) fn run_tops<O: Observer>(
     end: usize,
     cpu: &mut Cpu,
     bus: &mut Bus,
-    obs: &mut Observed<'_, O>,
+    obs: &mut O,
 ) -> (usize, Option<ExecError>) {
     let mut res = Residue::default();
     for (k, op) in table[start..end].iter().enumerate() {
         if let Err(e) = exec_top(op, cpu, bus, obs, &mut res) {
-            obs.commit(|| blocks.range_counts(start, start + k), &res);
+            commit(obs, || blocks.range_counts(start, start + k), &res);
             return (k, Some(e));
         }
     }
-    obs.commit(|| blocks.range_counts(start, end), &res);
+    commit(obs, || blocks.range_counts(start, end), &res);
     (end - start, None)
 }
 
@@ -1262,23 +1196,17 @@ impl Trace {
         self.prefix[k]
     }
 
-    /// Executes the trace, reporting each retired op to `obs`; a
-    /// ledger gets the retired ops' counts from the trace's prefix
-    /// sums. The caller commits instret/counts/pc/npc from the
-    /// returned halt; this loop touches only cpu/bus state and the
-    /// observer.
+    /// Executes the trace; a ledger `obs` gets the retired ops' counts
+    /// from the trace's prefix sums. The caller commits
+    /// instret/counts/pc/npc from the returned halt; this loop touches
+    /// only cpu/bus state and the observer.
     ///
     /// Deliberately not inlined, once per observer type: the loop body
     /// carries the whole inline-dispatch match, and folding that into
     /// the machine's (large) run loop measurably degrades its register
     /// allocation.
     #[inline(never)]
-    pub fn run<O: Observer>(
-        &self,
-        cpu: &mut Cpu,
-        bus: &mut Bus,
-        obs: &mut Observed<'_, O>,
-    ) -> TraceHalt {
+    pub fn run<O: Observer>(&self, cpu: &mut Cpu, bus: &mut Bus, obs: &mut O) -> TraceHalt {
         let mut res = Residue::default();
         for (k, op) in self.ops.iter().enumerate() {
             match exec_top(op, cpu, bus, obs, &mut res) {
@@ -1294,13 +1222,8 @@ impl Trace {
 
     /// Commits a ledger's batch for the ops retired before `halt`.
     #[inline(always)]
-    fn halt<O: Observer>(
-        &self,
-        obs: &mut Observed<'_, O>,
-        res: &Residue,
-        halt: TraceHalt,
-    ) -> TraceHalt {
-        obs.commit(|| self.prefix[halt.retired(self.len())], res);
+    fn halt<O: Observer>(&self, obs: &mut O, res: &Residue, halt: TraceHalt) -> TraceHalt {
+        commit(obs, || self.prefix[halt.retired(self.len())], res);
         halt
     }
 }

@@ -3,40 +3,90 @@
 //! dispatch — superblock traces over the threaded dispatch table, with
 //! its straight-line fallback — must be bit-identical to
 //! per-instruction stepping: category counters, dynamic instruction
-//! count, exit status, CPU registers, and RAM contents. With an
-//! observer attached, both modes must also hand it the same record
-//! stream.
+//! count, exit status, CPU registers, and RAM contents. With a ledger
+//! observer attached, traces must also hand it what the step path's
+//! records add up to, event by event.
 //!
 //! CI runs this file a second time with `PROPTEST_CASES` elevated.
 
 use nfp_cc::FloatMode;
 use nfp_sim::fault::{inject, plan, undo, FaultSpace};
 use nfp_sim::machine::TrapPolicy;
-use nfp_sim::{Dispatch, ExecInfo, Machine, Observer, RAM_BASE};
+use nfp_sim::{Dispatch, ExecInfo, Machine, Observer, Residue, RAM_BASE};
+use nfp_sparc::{Category, CategoryCounts, Instr};
 use nfp_workloads::synth::{random_program, ProgramShape};
 use nfp_workloads::{fse_kernels, hevc_kernels, machine_for, Preset, KERNEL_BUDGET};
 use proptest::prelude::*;
 use std::hash::{Hash, Hasher};
 
-/// Folds every field of every observed record, in order, into one
-/// hash, plus a count.
+/// A ledger that folds what it is told into one digest: category
+/// counts, [`Residue`] sums, and an ordered hash of the memory-access
+/// and FPU-operand events. A stepped record maps onto the same digest
+/// the way `HwObserver::observe` maps it, so a traced run must match
+/// the step reference event by event.
 #[derive(Default)]
 struct Fingerprint {
-    hasher: std::collections::hash_map::DefaultHasher,
-    count: u64,
+    counts: CategoryCounts,
+    sums: [u64; 4],
+    events: std::collections::hash_map::DefaultHasher,
 }
 
 impl Observer for Fingerprint {
+    const LEDGER: bool = true;
+
     fn observe(&mut self, info: &ExecInfo) {
-        info.hash(&mut self.hasher);
-        self.count += 1;
+        let (mul, div) = match info.instr {
+            Instr::Alu { op, .. } => (op.is_mul(), op.is_div()),
+            _ => (false, false),
+        };
+        let residue = Residue {
+            ones: info.result_ones as u64,
+            untaken: (info.branch_taken == Some(false)) as u64,
+            int_mul: mul as u64,
+            int_div: div as u64,
+        };
+        let mut one = CategoryCounts::new();
+        one.bump(info.category);
+        self.retire_batch(&one, &residue);
+        if let Some(addr) = info.mem_addr {
+            self.mem_access(addr, info.category == Category::MemStore);
+        }
+        if let Some(bits) = info.fpu_rs2_bits {
+            self.fpu_operand(info.category, bits);
+        }
+    }
+
+    fn mem_access(&mut self, addr: u32, store: bool) {
+        (addr, store).hash(&mut self.events);
+    }
+
+    fn fpu_operand(&mut self, category: Category, bits: u64) {
+        (category, bits).hash(&mut self.events);
+    }
+
+    fn retire_batch(&mut self, counts: &CategoryCounts, r: &Residue) {
+        self.counts = self.counts.merged(counts);
+        for (sum, n) in self
+            .sums
+            .iter_mut()
+            .zip([r.ones, r.untaken, r.int_mul, r.int_div])
+        {
+            *sum += n;
+        }
+    }
+}
+
+impl Fingerprint {
+    /// The digest, rendered for comparison.
+    fn digest(&self) -> String {
+        format!("{:?} {:?} {}", self.counts, self.sums, self.events.finish())
     }
 }
 
 /// What one run of a machine shows: the result, instret, category
-/// counts, CPU state, RAM, and — for an observed run — the
-/// fingerprint of the records the observer saw.
-type Observation = (String, u64, String, String, String, Option<(u64, u64)>);
+/// counts, CPU state, RAM, and — for an observed run — the digest of
+/// what the ledger was told.
+type Observation = (String, u64, String, String, String, Option<String>);
 
 /// Runs `m` under `budget` and folds everything observable about the
 /// final machine state into a comparable tuple, with a [`Fingerprint`]
@@ -57,12 +107,12 @@ fn observe(mut m: Machine, dispatch: Dispatch, observed: bool, budget: u64) -> O
         format!("{:?}", m.counts()),
         format!("{:?}", m.cpu),
         format!("{:?}", m.bus.snapshot_ram()),
-        observed.then(|| (fp.hasher.finish(), fp.count)),
+        observed.then(|| fp.digest()),
     )
 }
 
 /// The three runs every comparison makes: the observed stepping
-/// reference, then traced dispatch without and with the observer.
+/// reference, then traced dispatch without and with the ledger.
 const RUNS: [(Dispatch, bool); 3] = [
     (Dispatch::Step, true),
     (Dispatch::Traced, false),
@@ -70,7 +120,7 @@ const RUNS: [(Dispatch, bool); 3] = [
 ];
 
 /// Asserts a traced observation matches the stepping reference; the
-/// fingerprints are compared when the traced run was observed.
+/// digests are compared when the traced run was observed.
 fn assert_matches_reference(reference: &Observation, traced: &Observation, what: &str) {
     assert_eq!(reference.0, traced.0, "{what}: run result diverged");
     assert_eq!(reference.1, traced.1, "{what}: instret diverged");
@@ -78,7 +128,7 @@ fn assert_matches_reference(reference: &Observation, traced: &Observation, what:
     assert_eq!(reference.3, traced.3, "{what}: CPU state diverged");
     assert_eq!(reference.4, traced.4, "{what}: RAM diverged");
     if traced.5.is_some() {
-        assert_eq!(reference.5, traced.5, "{what}: observed records diverged");
+        assert_eq!(reference.5, traced.5, "{what}: ledger digests diverged");
     }
 }
 
@@ -128,8 +178,8 @@ fn assert_synthetic_agrees(
     let [reference, mut traced, observed] = RUNS.map(|(dispatch, observed)| {
         observe(boot_synthetic(words, policy), dispatch, observed, budget)
     });
-    // The unobserved run has no records to compare.
-    traced.5 = reference.5;
+    // The unobserved run has no digest to compare.
+    traced.5 = reference.5.clone();
     prop_assert_eq!(&reference, &traced, "traced diverged from step");
     prop_assert_eq!(
         &reference,
@@ -179,8 +229,8 @@ proptest! {
 
     /// Random programs mixing FP arithmetic, `%g0` destinations, the Y
     /// register, register windows and calls into the branchy shape:
-    /// every field an observer reads must come out of a trace exactly
-    /// as stepping builds it, under both trap policies.
+    /// every sum and event a ledger reads must come out of a trace
+    /// exactly as stepping's records add up, under both trap policies.
     #[test]
     fn mixed_programs_agree(body in 4usize..120, seed in 0u64..10_000) {
         let words = random_program(body, seed, ProgramShape::Mixed).expect("program");
@@ -209,7 +259,7 @@ proptest! {
             fp: true,
         };
         let faults = plan(&space, 1, fault_seed);
-        // The second half runs with or without an observer.
+        // The second half runs with or without the ledger.
         let observe_faulted = |(dispatch, observed): (Dispatch, bool)| {
             let mut m = boot_synthetic(&words, TrapPolicy::Recover);
             m.set_dispatch(dispatch);
@@ -238,11 +288,11 @@ proptest! {
                 format!("{:?}", m.counts()),
                 format!("{:?}", m.cpu),
                 format!("{:?}", m.bus.snapshot_ram()),
-                observed.then(|| (fp.hasher.finish(), fp.count)),
+                observed.then(|| fp.digest()),
             )
         };
         let [reference, mut traced, observed] = RUNS.map(observe_faulted);
-        traced.6 = reference.6;
+        traced.6 = reference.6.clone();
         prop_assert_eq!(&reference, &traced, "traced diverged from step");
         prop_assert_eq!(&reference, &observed, "observed traced run diverged from step");
     }

@@ -5,11 +5,14 @@
 //! was priced before it kept a ledger. On random programs of every
 //! shape, under both dispatch modes and on both boards, the two must
 //! agree: every integer exactly, energy within 1e-9 relative (the
-//! reference sums it in f64 one instruction at a time).
+//! reference sums it in f64 one instruction at a time). The same
+//! programs check the other ledger, the class counter: folding traced
+//! batches must give the counts of classifying every stepped record.
 //!
 //! CI runs this file a second time with `PROPTEST_CASES` elevated.
 
 use nfp_repro::cc::FloatMode;
+use nfp_repro::core::{ClassCounter, Classifier, Coarse, Fine, Paper};
 use nfp_repro::sim::{Dispatch, ExecInfo, Machine, Observer, TrapPolicy};
 use nfp_repro::sparc::Category;
 use nfp_repro::testbed::cache::{FILL_CYCLES, FILL_J, HIT_CYCLES, HIT_SAVED_J};
@@ -187,13 +190,35 @@ fn boot(words: &[u32], policy: TrapPolicy, dispatch: Dispatch) -> Machine {
     m
 }
 
+/// A class counter's counts of a run under the proptest's budget; a
+/// trap or an exhausted budget ends the run like a halt.
+fn class_counts<C: Classifier>(classifier: C, mut machine: Machine) -> Vec<u64> {
+    let mut counter = ClassCounter::new(classifier);
+    let _ = machine.run_observed(5_000, &mut counter);
+    counter.counts().to_vec()
+}
+
+/// Asserts a traced class counter counts what a stepped one does.
+fn assert_classes_agree<C: Classifier + Copy>(
+    classifier: C,
+    words: &[u32],
+    policy: TrapPolicy,
+    what: &str,
+) -> Result<(), TestCaseError> {
+    let got = class_counts(classifier, boot(words, policy, Dispatch::Traced));
+    let want = class_counts(classifier, boot(words, policy, Dispatch::Step));
+    prop_assert_eq!(got, want, "{}: class counts", what);
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::default())]
 
     /// Random programs of every shape, including `Mixed` (FP divides
     /// and square roots, `%y`, register windows, calls), under both
     /// trap policies: the ledger of a stepped and of a traced run
-    /// equals per-instruction pricing on both boards.
+    /// equals per-instruction pricing on both boards, and a traced
+    /// class counter counts what a stepped one does.
     #[test]
     fn ledger_equals_per_instruction_pricing(
         shape in 0usize..SHAPES.len(),
@@ -212,6 +237,10 @@ proptest! {
                 assert_agrees(&got, &want, &what)?;
             }
         }
+        let what = format!("{shape:?} {policy:?}");
+        assert_classes_agree(Paper, &words, policy, &what)?;
+        assert_classes_agree(Coarse, &words, policy, &what)?;
+        assert_classes_agree(Fine, &words, policy, &what)?;
     }
 }
 
