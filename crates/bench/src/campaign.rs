@@ -36,7 +36,8 @@ use nfp_core::{NfpError, Outcome, VulnerabilityReport};
 use nfp_sim::fault::{inject, plan, undo, Undo};
 use nfp_sim::machine::TrapPolicy;
 use nfp_sim::{
-    Checkpoint, Dispatch, Fault, FaultSpace, FaultTarget, Machine, RunResult, SimError, Watchdog,
+    Checkpoint, Dispatch, DispatchStats, Fault, FaultSpace, FaultTarget, Machine, RunResult,
+    SimError, Watchdog,
 };
 use nfp_sparc::Category;
 use nfp_workloads::{machine_for, Kernel, KERNEL_BUDGET};
@@ -122,31 +123,6 @@ impl CampaignResult {
     }
 }
 
-/// The golden run's observable outputs, used for classification.
-#[derive(Debug, Clone, PartialEq, Eq)]
-struct GoldenOutput {
-    exit_code: u32,
-    words: Vec<u32>,
-    text: String,
-}
-
-/// A campaign-ready machine: positioned at reset, recovery enabled,
-/// with its checkpoint ladder and the golden reference attached.
-/// `pub(crate)` so the [`crate::supervisor`] worker pool can replay
-/// individual plan entries and sabotage replays for its test hooks.
-pub(crate) struct CampaignRig {
-    pub(crate) machine: Machine,
-    checkpoints: Vec<Checkpoint>,
-    golden: GoldenOutput,
-    pub(crate) golden_instret: u64,
-    golden_recovered_traps: u64,
-    /// [`nfp_sim::Cpu::window_ops`] at the golden run's halt, for
-    /// [`Machine::rejoins`].
-    golden_window_ops: u64,
-    pub(crate) budget: u64,
-    escalation: u32,
-}
-
 /// How a replay ended.
 enum Replay {
     /// It reached a rung of the ladder in the golden run's state there,
@@ -177,71 +153,96 @@ fn fresh_machine(kernel: &Kernel, mode: Mode, cfg: &CampaignConfig) -> Result<Ma
     Ok(m)
 }
 
-impl CampaignRig {
-    /// Runs the golden pass and builds the checkpoint ladder. Returns
-    /// the rig plus the fault space learned from the golden run (code
-    /// extent and every RAM range the kernel loads or touches).
+/// A campaign's golden reference: the fault-free run, the checkpoint
+/// ladder along it, and the fault plan. [`Golden::prepare`] builds it
+/// once per campaign per process; every replay slot shares it
+/// read-only. A replay rig is only a loaded machine
+/// ([`Golden::machine`]): a [`Checkpoint`] is valid on any machine
+/// loaded with the same images, and [`Golden::seek`] restores a rung
+/// before every replay.
+pub(crate) struct Golden {
+    pub(crate) kernel: Kernel,
+    pub(crate) mode: Mode,
+    pub(crate) campaign: CampaignConfig,
+    /// The fault plan, sampled from the fault space the golden run
+    /// spans (code extent and every RAM range the kernel loads or
+    /// touches).
+    pub(crate) faults: Vec<Fault>,
+    checkpoints: Vec<Checkpoint>,
+    /// The fault-free run a replay is classified against.
+    run: RunResult,
+    /// [`nfp_sim::Cpu::window_ops`] at the golden run's halt, for
+    /// [`Machine::rejoins`].
+    window_ops: u64,
+    /// The ladder run's dispatch counters, which the footers print.
+    pub(crate) dispatch: DispatchStats,
+}
+
+impl Golden {
+    /// Runs the golden pass, plans the faults over what it touched, and
+    /// builds the checkpoint ladder along a second pass.
     pub(crate) fn prepare(
         kernel: &Kernel,
         mode: Mode,
         cfg: &CampaignConfig,
-    ) -> Result<(Self, FaultSpace), NfpError> {
+    ) -> Result<Golden, NfpError> {
+        let name = || format!("{}_{}", kernel.name, mode.suffix());
         // Golden pass: learn length, outputs, and the RAM footprint.
         let mut probe = fresh_machine(kernel, mode, cfg)?;
         let run = probe.run(KERNEL_BUDGET)?;
         if run.exit_code != 0 {
             return Err(NfpError::KernelFailed {
-                kernel: format!("{}_{}", kernel.name, mode.suffix()),
+                kernel: name(),
                 exit_code: run.exit_code,
             });
         }
         if run.words != kernel.expected_words {
-            return Err(NfpError::OutputMismatch {
-                kernel: format!("{}_{}", kernel.name, mode.suffix()),
-            });
+            return Err(NfpError::OutputMismatch { kernel: name() });
         }
-        let golden_instret = run.instret;
         let mut ram_ranges = probe.bus.pristine_ranges();
         ram_ranges.extend(probe.bus.dirty_ranges());
         let space = FaultSpace {
-            max_instret: golden_instret.saturating_sub(1),
+            max_instret: run.instret.saturating_sub(1),
             code_len: probe.code_len() as u32,
             ram_ranges: merge_ranges(ram_ranges),
             fp: probe.config().fpu_enabled,
         };
 
         // Checkpoint ladder along a fresh replay of the same path.
-        let mut machine = fresh_machine(kernel, mode, cfg)?;
+        let mut ladder = fresh_machine(kernel, mode, cfg)?;
         let steps = cfg.checkpoints.max(1) as u64;
-        let mut checkpoints = Vec::with_capacity(cfg.checkpoints);
-        for i in 0..steps {
-            machine.run_until(golden_instret * i / steps)?;
-            checkpoints.push(machine.checkpoint());
-        }
-
-        let rig = CampaignRig {
-            machine,
+        let checkpoints = (0..steps)
+            .map(|i| {
+                ladder.run_until(run.instret * i / steps)?;
+                Ok(ladder.checkpoint())
+            })
+            .collect::<Result<_, NfpError>>()?;
+        Ok(Golden {
+            kernel: kernel.clone(),
+            mode,
+            campaign: cfg.clone(),
+            faults: plan(&space, cfg.injections, cfg.seed),
             checkpoints,
-            golden: GoldenOutput {
-                exit_code: run.exit_code,
-                words: run.words,
-                text: run.text,
-            },
-            golden_instret,
-            golden_recovered_traps: run.recovered_traps,
-            golden_window_ops: probe.cpu.window_ops(),
-            // Soft replay ceiling: twice the golden length plus
-            // slack. The watchdog may escalate past it once (see
-            // [`CampaignConfig::escalation`]) before declaring a hang.
-            budget: 2 * golden_instret + 10_000,
-            escalation: cfg.escalation.max(1),
-        };
-        Ok((rig, space))
+            window_ops: probe.cpu.window_ops(),
+            run,
+            dispatch: ladder.dispatch_stats(),
+        })
     }
 
-    /// Rewinds to the nearest checkpoint at or before `at` and replays
-    /// up to it.
-    pub(crate) fn seek(&mut self, at: u64) -> Result<(), NfpError> {
+    /// Dynamic instruction count of the golden run.
+    pub(crate) fn instret(&self) -> u64 {
+        self.run.instret
+    }
+
+    /// A replay rig: the kernel loaded afresh, with recovery enabled
+    /// and the campaign's dispatch.
+    pub(crate) fn machine(&self) -> Result<Machine, NfpError> {
+        fresh_machine(&self.kernel, self.mode, &self.campaign)
+    }
+
+    /// Rewinds `m` to the nearest rung at or before `at` and replays up
+    /// to it.
+    pub(crate) fn seek(&self, m: &mut Machine, at: u64) -> Result<(), NfpError> {
         let cp = self
             .checkpoints
             .iter()
@@ -250,39 +251,46 @@ impl CampaignRig {
             .ok_or(NfpError::Empty {
                 what: "checkpoint ladder",
             })?;
-        self.machine.restore(cp);
-        self.machine.run_until(at)?;
+        m.restore(cp);
+        m.run_until(at)?;
         Ok(())
     }
 
-    /// Runs the fault-injected machine under the escalating watchdog:
-    /// one soft instruction budget, then (if the soft budget — not a
-    /// wall deadline — expired) up to `escalation − 1` more, then
-    /// expiry stands and the replay is a hang. The wall deadline spans
-    /// the *whole* escalating run, not one tier: escalation grants a
-    /// hung replay more instructions, never more time.
-    pub(crate) fn run_escalating(
-        &mut self,
-        soft: u64,
-        wall: Option<Duration>,
-    ) -> Result<RunResult, SimError> {
-        let deadline = wall.map(|d| Instant::now() + d);
-        let limit = self.machine.instret().saturating_add(soft);
-        self.escalate(soft, limit, deadline)
+    /// The first tier of a replay from `m`'s instret, the injection
+    /// point: its soft budget (what is left of twice the golden length
+    /// plus slack; see [`CampaignConfig::escalation`]), the instret it
+    /// ends at, and the wall deadline of the whole replay.
+    fn first_tier(&self, m: &Machine) -> (u64, u64, Option<Instant>) {
+        let ceiling = 2 * self.instret() + 10_000;
+        let soft = ceiling.saturating_sub(m.instret()).max(1);
+        let deadline = self.campaign.wall.map(|d| Instant::now() + d);
+        (soft, m.instret().saturating_add(soft), deadline)
     }
 
-    /// [`CampaignRig::run_escalating`]'s tiers, the first ending at
-    /// instret `limit`, each later one `soft` instructions on.
+    /// Runs the fault-injected `m` under the escalating watchdog: one
+    /// soft instruction budget, then (if the soft budget — not a wall
+    /// deadline — expired) up to `escalation − 1` more, then expiry
+    /// stands and the replay is a hang. The wall deadline spans the
+    /// *whole* escalating run, not one tier: escalation grants a hung
+    /// replay more instructions, never more time.
+    pub(crate) fn run_escalating(&self, m: &mut Machine) -> Result<RunResult, SimError> {
+        let (soft, limit, deadline) = self.first_tier(m);
+        self.escalate(m, soft, limit, deadline)
+    }
+
+    /// [`Golden::run_escalating`]'s tiers, the first ending at instret
+    /// `limit`, each later one `soft` instructions on.
     fn escalate(
-        &mut self,
+        &self,
+        m: &mut Machine,
         soft: u64,
         mut limit: u64,
         deadline: Option<Instant>,
     ) -> Result<RunResult, SimError> {
         let mut tier = 1;
         loop {
-            let run = self.machine.run_watchdog(&Watchdog {
-                max_instrs: limit - self.machine.instret(),
+            let run = m.run_watchdog(&Watchdog {
+                max_instrs: limit - m.instret(),
                 wall: remaining(deadline),
             });
             match run {
@@ -290,7 +298,7 @@ impl CampaignRig {
                     // Wall expiry stops short of `limit`; escalating
                     // would hand a hung replay a fresh deadline, so
                     // only budget expiry escalates.
-                    if tier < self.escalation && self.machine.instret() >= limit =>
+                    if tier < self.campaign.escalation.max(1) && m.instret() >= limit =>
                 {
                     tier += 1;
                     limit = limit.saturating_add(soft);
@@ -300,33 +308,32 @@ impl CampaignRig {
         }
     }
 
-    /// Replays the fault-injected machine from the injection point,
-    /// under [`CampaignRig::run_escalating`]'s budget and deadline. A
-    /// replay that executes the golden image first runs to each later
-    /// rung of the ladder in turn, and stops at the first whose state it
-    /// matches ([`Machine::rejoins`]). The instructions it runs to the
-    /// rungs count against the first tier.
-    fn replay(&mut self, soft: u64, wall: Option<Duration>, golden_image: bool) -> Replay {
-        let deadline = wall.map(|d| Instant::now() + d);
-        let limit = self.machine.instret().saturating_add(soft);
+    /// Replays the fault-injected `m` from the injection point, under
+    /// [`Golden::run_escalating`]'s budget and deadline. A replay that
+    /// executes the golden image first runs to each later rung of the
+    /// ladder in turn, and stops at the first whose state it matches
+    /// ([`Machine::rejoins`]). The instructions it runs to the rungs
+    /// count against the first tier.
+    fn replay(&self, m: &mut Machine, golden_image: bool) -> Replay {
+        let (soft, limit, deadline) = self.first_tier(m);
         if golden_image {
-            let start = self.machine.instret();
+            let start = m.instret();
             // Every rung lies before the golden halt, so inside `limit`.
             for cp in self.checkpoints.iter().filter(|cp| cp.instret() > start) {
-                let run = self.machine.run_watchdog(&Watchdog {
-                    max_instrs: cp.instret() - self.machine.instret(),
+                let run = m.run_watchdog(&Watchdog {
+                    max_instrs: cp.instret() - m.instret(),
                     wall: remaining(deadline),
                 });
                 match run {
                     Err(SimError::WatchdogExpired { instret }) if instret == cp.instret() => {}
                     ended => return Replay::Ran(ended),
                 }
-                if self.machine.rejoins(cp, self.golden_window_ops) {
+                if m.rejoins(cp, self.window_ops) {
                     return Replay::Rejoined;
                 }
             }
         }
-        Replay::Ran(self.escalate(soft, limit, deadline))
+        Replay::Ran(self.escalate(m, soft, limit, deadline))
     }
 
     /// Classifies a replay that ran to its own end against the golden
@@ -334,9 +341,10 @@ impl CampaignRig {
     fn classify(&self, run: Result<RunResult, SimError>) -> Result<Outcome, NfpError> {
         Ok(match run {
             Ok(r) => {
-                let matches = r.exit_code == self.golden.exit_code
-                    && r.words == self.golden.words
-                    && r.text == self.golden.text;
+                let golden = &self.run;
+                let matches = r.exit_code == golden.exit_code
+                    && r.words == golden.words
+                    && r.text == golden.text;
                 if matches {
                     Outcome::Masked
                 } else {
@@ -349,25 +357,24 @@ impl CampaignRig {
         })
     }
 
-    /// Performs one injection and classifies the divergence.
+    /// Performs one injection on `m` and classifies the divergence.
     pub(crate) fn run_one(
-        &mut self,
+        &self,
+        m: &mut Machine,
         fault: &Fault,
-        wall: Option<Duration>,
     ) -> Result<InjectionRecord, NfpError> {
-        self.seek(fault.at)?;
+        self.seek(m, fault.at)?;
         // Attribute the injection to the instruction about to execute;
         // code faults are attributed to the instruction they corrupt.
         let category = match fault.target {
-            FaultTarget::Code { index, .. } => self.machine.code_category(index as usize),
-            _ => self.machine.next_category(),
+            FaultTarget::Code { index, .. } => m.code_category(index as usize),
+            _ => m.next_category(),
         };
-        let armed = inject(&mut self.machine, fault)?;
-        let soft = self.budget.saturating_sub(fault.at).max(1);
+        let armed = inject(m, fault)?;
         // Until its undo, a code fault's patched predecode differs from
         // the golden image, so its replay can never rejoin.
-        let replay = self.replay(soft, wall, matches!(armed, Undo::None));
-        undo(&mut self.machine, &armed)?;
+        let replay = self.replay(m, matches!(armed, Undo::None));
+        undo(m, &armed)?;
         let outcome = match replay {
             Replay::Rejoined => Outcome::Masked,
             Replay::Ran(run) => self.classify(run)?,
@@ -377,6 +384,21 @@ impl CampaignRig {
             category,
             outcome,
         })
+    }
+
+    /// The campaign result over `records`, tallied per category.
+    pub(crate) fn assemble(&self, records: Vec<InjectionRecord>) -> CampaignResult {
+        let mut report = VulnerabilityReport::new();
+        for r in &records {
+            report.record(r.category, r.outcome);
+        }
+        CampaignResult {
+            name: format!("{}_{}", self.kernel.name, self.mode.suffix()),
+            golden_instret: self.instret(),
+            golden_recovered_traps: self.run.recovered_traps,
+            report,
+            records,
+        }
     }
 }
 
@@ -391,27 +413,25 @@ pub fn run_campaign(
     mode: Mode,
     cfg: &CampaignConfig,
 ) -> Result<CampaignResult, NfpError> {
-    let (mut rig, space) = CampaignRig::prepare(kernel, mode, cfg)?;
-    let faults = plan(&space, cfg.injections, cfg.seed);
-    let mut records = Vec::with_capacity(faults.len());
-    for fault in &faults {
-        records.push(rig.run_one(fault, cfg.wall)?);
-    }
-    Ok(assemble(kernel, mode, &rig, records))
+    let golden = Golden::prepare(kernel, mode, cfg)?;
+    let mut m = golden.machine()?;
+    let records = golden.faults.iter().map(|f| golden.run_one(&mut m, f));
+    Ok(golden.assemble(records.collect::<Result<_, _>>()?))
 }
 
 /// Like [`run_campaign`] but sweeping injections across worker threads.
-/// Each worker replays the golden run on its own machine and processes
-/// a contiguous chunk of the (deterministic) fault plan; the merged
-/// result is identical to the sequential campaign's. A chunk whose
-/// worker panicked reports [`NfpError::WorkerLost`] naming the chunk.
+/// Each worker replays a contiguous chunk of the (deterministic) fault
+/// plan on a machine of its own, against the one golden reference the
+/// campaign prepares; the merged result is identical to the sequential
+/// campaign's. A chunk whose worker panicked reports
+/// [`NfpError::WorkerLost`] naming the chunk.
 pub fn run_campaign_parallel(
     kernel: &Kernel,
     mode: Mode,
     cfg: &CampaignConfig,
 ) -> Result<CampaignResult, NfpError> {
-    let (rig, space) = CampaignRig::prepare(kernel, mode, cfg)?;
-    let faults = plan(&space, cfg.injections, cfg.seed);
+    let golden = Golden::prepare(kernel, mode, cfg)?;
+    let faults = &golden.faults;
     let workers = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(4)
@@ -432,30 +452,11 @@ pub fn run_campaign_parallel(
         .collect();
     // One chunk per thread.
     let done = run_pool(&chunks, chunks.len(), |chunk| {
-        let (mut rig, _) = CampaignRig::prepare(kernel, mode, cfg)?;
-        chunk.iter().map(|f| rig.run_one(f, cfg.wall)).collect()
+        let mut m = golden.machine()?;
+        chunk.iter().map(|f| golden.run_one(&mut m, f)).collect()
     });
     let records: Vec<Vec<InjectionRecord>> = collect_parallel_slots(done, &names)?;
-    Ok(assemble(kernel, mode, &rig, records.concat()))
-}
-
-pub(crate) fn assemble(
-    kernel: &Kernel,
-    mode: Mode,
-    rig: &CampaignRig,
-    records: Vec<InjectionRecord>,
-) -> CampaignResult {
-    let mut report = VulnerabilityReport::new();
-    for r in &records {
-        report.record(r.category, r.outcome);
-    }
-    CampaignResult {
-        name: format!("{}_{}", kernel.name, mode.suffix()),
-        golden_instret: rig.golden_instret,
-        golden_recovered_traps: rig.golden_recovered_traps,
-        report,
-        records,
-    }
+    Ok(golden.assemble(records.concat()))
 }
 
 /// Renders a campaign as a vulnerability table with a header line.
@@ -491,20 +492,19 @@ mod tests {
 
     /// The replay an early exit must agree with: seek, inject, run to
     /// the end under the escalating watchdog, undo, classify.
-    fn full_replay(rig: &mut CampaignRig, fault: &Fault) -> InjectionRecord {
-        rig.seek(fault.at).expect("seek");
+    fn full_replay(golden: &Golden, m: &mut Machine, fault: &Fault) -> InjectionRecord {
+        golden.seek(m, fault.at).expect("seek");
         let category = match fault.target {
-            FaultTarget::Code { index, .. } => rig.machine.code_category(index as usize),
-            _ => rig.machine.next_category(),
+            FaultTarget::Code { index, .. } => m.code_category(index as usize),
+            _ => m.next_category(),
         };
-        let armed = inject(&mut rig.machine, fault).expect("inject");
-        let soft = rig.budget.saturating_sub(fault.at).max(1);
-        let run = rig.run_escalating(soft, None);
-        undo(&mut rig.machine, &armed).expect("undo");
+        let armed = inject(m, fault).expect("inject");
+        let run = golden.run_escalating(m);
+        undo(m, &armed).expect("undo");
         InjectionRecord {
             fault: *fault,
             category,
-            outcome: rig.classify(run).expect("classifies"),
+            outcome: golden.classify(run).expect("classifies"),
         }
     }
 
@@ -529,21 +529,23 @@ mod tests {
                         dispatch,
                         ..CampaignConfig::default()
                     };
-                    let (mut rig, space) = CampaignRig::prepare(kernel, mode, &cfg).unwrap();
-                    for fault in plan(&space, cfg.injections, cfg.seed) {
-                        let got = rig.run_one(&fault, None).unwrap();
+                    let golden = Golden::prepare(kernel, mode, &cfg).unwrap();
+                    // A rig that ran neither the golden pass nor the
+                    // ladder pass.
+                    let mut m = golden.machine().unwrap();
+                    for fault in &golden.faults {
+                        let got = golden.run_one(&mut m, fault).unwrap();
                         // A replay that stopped early was left on the
                         // rung where it rejoined.
-                        let golden_ops = rig.golden_window_ops;
-                        if rig
+                        if golden
                             .checkpoints
                             .iter()
-                            .any(|cp| rig.machine.rejoins(cp, golden_ops))
+                            .any(|cp| m.rejoins(cp, golden.window_ops))
                         {
                             rejoined += 1;
                         }
                         replayed += 1;
-                        let want = full_replay(&mut rig, &fault);
+                        let want = full_replay(&golden, &mut m, fault);
                         assert_eq!(got, want, "{} {mode:?} {dispatch}", kernel.name);
                     }
                 }
@@ -564,21 +566,26 @@ mod tests {
             .expect("kernels")
             .remove(0);
         let cfg = CampaignConfig {
+            injections: 32,
+            seed: 0xc0de,
             checkpoints: 4,
             ..CampaignConfig::default()
         };
-        let (mut rig, space) = CampaignRig::prepare(&kernel, Mode::Float, &cfg).unwrap();
+        let golden = Golden::prepare(&kernel, Mode::Float, &cfg).unwrap();
+        // A rig that ran neither the golden pass nor the ladder pass.
+        let mut m = golden.machine().unwrap();
         let boot = machine_for(&kernel, Mode::Float.float_mode()).unwrap();
         // Every other fault a code flip; the rest from the plan.
         let mut rng = FaultRng::new(0xc0de);
-        let faults: Vec<Fault> = plan(&space, 32, 0xc0de)
-            .into_iter()
+        let faults: Vec<Fault> = golden
+            .faults
+            .iter()
             .enumerate()
-            .map(|(i, fault)| match i % 2 {
+            .map(|(i, &fault)| match i % 2 {
                 0 => Fault {
                     at: fault.at,
                     target: FaultTarget::Code {
-                        index: rng.below(space.code_len as u64) as u32,
+                        index: rng.below(boot.code_len() as u64) as u32,
                         bit: rng.below(32) as u8,
                     },
                 },
@@ -586,10 +593,10 @@ mod tests {
             })
             .collect();
         for fault in &faults {
-            rig.run_one(fault, None).unwrap();
+            golden.run_one(&mut m, fault).unwrap();
             for index in 0..boot.code_len() {
                 assert_eq!(
-                    rig.machine.code_entry(index),
+                    m.code_entry(index),
                     boot.code_entry(index),
                     "entry {index} after {fault}"
                 );
@@ -661,8 +668,7 @@ mod tests {
         let par = run_campaign_parallel(&kernels[0], Mode::Float, &cfg).unwrap();
         assert_eq!(seq.report, par.report);
         assert_eq!(seq.records.len(), par.records.len());
-        for (x, y) in seq.records.iter().zip(&par.records) {
-            assert_eq!(x.outcome, y.outcome);
-        }
+        // Whole records: fault, category and outcome.
+        assert_eq!(seq.records, par.records);
     }
 }

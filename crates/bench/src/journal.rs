@@ -32,16 +32,14 @@
 //! {"fin":1,"records":7,"range_start":200,"range_end":207,"digest":2539470383,"crc":3254945397}
 //! ```
 
-use crate::campaign::{CampaignConfig, InjectionRecord};
+use crate::campaign::{Golden, InjectionRecord};
 use crate::crc::{crc32, crc32_finish, crc32_update, CRC_INIT};
-use crate::evaluation::Mode;
 use crate::flatjson::{parse_flat, Obj};
 use crate::identity::{self, Field, Identity};
 use crate::shards::{shard_range, ShardSpec};
 use nfp_core::{NfpError, Outcome};
 use nfp_sim::{Fault, FaultTarget};
 use nfp_sparc::Category;
-use nfp_workloads::Kernel;
 use std::fs::{File, OpenOptions};
 use std::io::{BufRead, BufReader, BufWriter, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
@@ -72,18 +70,13 @@ pub(crate) struct JournalHeader {
 const JOURNAL_KIND: &str = "nfp-campaign-journal";
 
 impl JournalHeader {
-    pub(crate) fn bind(
-        kernel: &Kernel,
-        mode: Mode,
-        cfg: &CampaignConfig,
-        golden_instret: u64,
-        shard: Option<ShardSpec>,
-    ) -> Self {
+    pub(crate) fn bind(golden: &Golden, shard: Option<ShardSpec>) -> Self {
         let spec = shard.unwrap_or(ShardSpec { index: 0, count: 1 });
+        let cfg = &golden.campaign;
         let (start, end) = shard_range(cfg.injections, spec.index, spec.count);
         JournalHeader {
-            id: Identity::of(&kernel.name, mode, cfg),
-            golden_instret,
+            id: Identity::of(&golden.kernel.name, golden.mode, cfg),
+            golden_instret: golden.instret(),
             shard_index: spec.index,
             shard_count: spec.count.max(1),
             range_start: start as u64,
@@ -839,6 +832,7 @@ impl CampaignJournal {
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
+    use crate::evaluation::Mode;
     use crate::net::HB_FRAME;
     use crate::worker::{render_error, render_ready};
     use std::fmt::Debug;

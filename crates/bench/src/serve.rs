@@ -34,7 +34,7 @@
 use crate::backoff::{backoff_delay, TICK};
 use crate::book::{Action, Event, Policy, ShardBook, Why};
 use crate::cache::ResultCache;
-use crate::campaign::{assemble, report_campaign, CampaignConfig, CampaignRig, InjectionRecord};
+use crate::campaign::{report_campaign, CampaignConfig, Golden, InjectionRecord};
 use crate::evaluation::Mode;
 use crate::flatjson::{esc, parse_flat, Obj};
 use crate::identity::Identity;
@@ -47,12 +47,11 @@ use crate::net::{
 use crate::reports::{report_campaign_footer, CampaignFooter};
 use crate::servejournal::{load_service_journal, records_path, OpenCampaign, ServiceJournal};
 use crate::shards::{clear_range, missing_ranges_of, shard_range, ShardSpec};
-use crate::supervisor::{run_supervised, SupervisorConfig};
+use crate::supervisor::{supervise, SupervisorConfig};
 use crate::worker::{render_error, tcp_connect, WorkerHello, WorkerPreset};
 use nfp_core::{HarnessCause, NfpError};
-use nfp_sim::fault::plan;
 use nfp_sim::Fault;
-use nfp_workloads::{all_kernels, Kernel};
+use nfp_workloads::all_kernels;
 use std::collections::{BTreeSet, HashMap, VecDeque};
 use std::io::ErrorKind;
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -1318,8 +1317,9 @@ fn sweep_finished_records(journal: &Path, finished: &BTreeSet<u64>) {
 /// and the trusted local pool.
 struct CampaignShell<'a> {
     ctx: &'a Ctx,
-    kernel: &'a Kernel,
-    req: &'a CampaignRequest,
+    /// The campaign's trust anchor, which the local pool replays
+    /// against too.
+    golden: &'a Golden,
     label: &'a str,
     cid: Option<u64>,
     /// Each shard's lease hello; its header names the shard's range.
@@ -1506,13 +1506,13 @@ impl CampaignShell<'_> {
     /// The trusted tie-breaker: re-executes `shard` on the coordinator's
     /// own pool.
     fn run_local(&mut self, shard: u32) -> Result<LeaseRecords, NfpError> {
-        let mut sup = SupervisorConfig::new(self.req.campaign.clone());
+        let mut sup = SupervisorConfig::new(self.golden.campaign.clone());
         sup.preset = self.ctx.cfg.preset;
         sup.shard = Some(ShardSpec {
             index: shard,
             count: self.hellos.len() as u32,
         });
-        let out = run_supervised(self.kernel, self.req.mode, &sup)
+        let out = supervise(self.golden, &sup)
             .inspect_err(|e| eprintln!("serve: local arbitration of shard {shard} failed: {e}"))?;
         self.kills += out.kills;
         self.respawns += out.respawns;
@@ -1554,8 +1554,8 @@ fn drive_campaign(
         ));
     };
     let campaign = &req.campaign;
-    let (rig, space) = CampaignRig::prepare(kernel, req.mode, campaign)?;
-    let faults = Arc::new(plan(&space, campaign.injections, campaign.seed));
+    let golden = Golden::prepare(kernel, req.mode, campaign)?;
+    let faults = Arc::new(golden.faults.clone());
     // No shard count asks for one shard per live peer; a resumed submit
     // carries the count its first run resolved.
     let wanted = match req.shards {
@@ -1565,7 +1565,7 @@ fn drive_campaign(
     let count = wanted.min(campaign.injections.max(1) as u32).max(1);
 
     let mut slots: Slots = vec![None; faults.len()];
-    let bind = |shard| JournalHeader::bind(kernel, req.mode, campaign, rig.golden_instret, shard);
+    let bind = |shard| JournalHeader::bind(&golden, shard);
     // A journaled run is bound to a campaign id: a fresh one for a new
     // submit, journaled once the golden run bound it, or the journaled
     // one on a resume.
@@ -1575,7 +1575,7 @@ fn drive_campaign(
             let cid = ctx.next_cid.fetch_add(1, Ordering::SeqCst);
             let mut resolved = req.clone();
             resolved.shards = count;
-            journal.submit(cid, &resolved, rig.golden_instret)?;
+            journal.submit(cid, &resolved, golden.instret())?;
             Some(cid)
         }
         (
@@ -1586,12 +1586,12 @@ fn drive_campaign(
                 ..
             },
         ) => {
-            if rig.golden_instret != *golden_instret {
+            if golden.instret() != *golden_instret {
                 let _ = journal.fin(*cid);
                 return fatal(format!(
                     "resumed campaign {cid} bound golden instret {golden_instret} but this \
                      coordinator's rig ran {} — stale journal",
-                    rig.golden_instret
+                    golden.instret()
                 ));
             }
             Some(*cid)
@@ -1674,8 +1674,7 @@ fn drive_campaign(
     let (events, ev_rx) = mpsc::channel::<Event<LeaseRecords>>();
     let mut shell = CampaignShell {
         ctx,
-        kernel,
-        req,
+        golden: &golden,
         label: &label,
         cid: durable_cid,
         hellos,
@@ -1790,7 +1789,7 @@ fn drive_campaign(
         audits_passed: tally.passed,
         workers_convicted: tally.convicted,
         ranges_invalidated: tally.invalidated,
-        dispatch: Some(rig.machine.dispatch_stats()),
+        dispatch: Some(golden.dispatch),
         cache_hits: ctx.cache_hits.load(Ordering::SeqCst),
         cache_misses: ctx.cache_misses.load(Ordering::SeqCst),
         submits_deduped: ctx.submits_deduped.load(Ordering::SeqCst),
@@ -1798,7 +1797,7 @@ fn drive_campaign(
         restarts: ctx.restarts,
     };
     let records = shell.slots.into_iter().flatten().map(|(rec, _)| rec);
-    let result = assemble(kernel, req.mode, &rig, records.collect());
+    let result = golden.assemble(records.collect());
     eprintln!("serve: campaign '{}' for {label} assembled", result.name);
     Ok(DriveOutcome {
         live_notes,

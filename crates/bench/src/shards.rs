@@ -23,18 +23,18 @@
 //! a speculative duplicate of an attempt running past the straggler
 //! deadline, a loss, or with [`ShardConfig::allow_partial`] an explicit
 //! missing range — while the shell runs one supervised attempt thread
-//! per dispatch and quarantines failed journals. [`merge_journals`]
+//! per dispatch and quarantines failed journals, all against one golden
+//! reference it prepares. [`merge_journals`]
 //! then re-validates *everything* and rejects binding mismatches, CRC
 //! failures, range gaps/overlaps, and duplicate records with typed
 //! [`NfpError`]s.
 
 use crate::book::{Action, Event, Policy, ShardBook, Why};
-use crate::campaign::{assemble, CampaignConfig, CampaignResult, CampaignRig, InjectionRecord};
+use crate::campaign::{CampaignConfig, CampaignResult, Golden, InjectionRecord};
 use crate::evaluation::Mode;
 use crate::journal::{journal_err, load_journal, quarantine, read_journal, JournalHeader};
-use crate::supervisor::{run_supervised, SupervisorConfig, SupervisorOutcome};
+use crate::supervisor::{supervise, SupervisorConfig, SupervisorOutcome};
 use nfp_core::NfpError;
-use nfp_sim::fault::plan;
 use nfp_workloads::Kernel;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -155,7 +155,7 @@ pub struct ShardOutcome {
     /// Injection ranges absent from the merged result (only ever
     /// non-empty with [`ShardConfig::allow_partial`]).
     pub missing_ranges: Vec<(u64, u64)>,
-    /// Simulator dispatch counters from the merge's golden run.
+    /// Simulator dispatch counters from the golden reference.
     pub dispatch: nfp_sim::DispatchStats,
 }
 
@@ -216,6 +216,7 @@ pub fn run_sharded(
     }
     let campaign = &cfg.supervisor.campaign;
     let count = cfg.shards;
+    let golden = Arc::new(Golden::prepare(kernel, mode, campaign)?);
 
     let (tx, rx) = mpsc::channel::<(u32, u32, PathBuf, Result<SupervisorOutcome, NfpError>)>();
     let cancelled: Vec<Arc<AtomicBool>> = (0..count).map(|_| Arc::default()).collect();
@@ -279,14 +280,14 @@ pub fn run_sharded(
                     // race (and attempts outlasting an error return) die
                     // quietly when their send fails or their shard
                     // settled before they began.
-                    let (kernel, tx) = (kernel.clone(), tx.clone());
+                    let (golden, tx) = (Arc::clone(&golden), tx.clone());
                     let cancelled = Arc::clone(&cancelled[shard as usize]);
                     std::thread::spawn(move || {
                         if let Some(d) = stall {
                             std::thread::sleep(d);
                         }
                         if !cancelled.load(Ordering::Relaxed) {
-                            let outcome = run_supervised(&kernel, mode, &sup);
+                            let outcome = supervise(&golden, &sup);
                             let _ = tx.send((shard, attempt, journal, outcome));
                         }
                     });
@@ -358,7 +359,7 @@ pub fn run_sharded(
     }
 
     let paths: Vec<PathBuf> = done.into_iter().flatten().collect();
-    let merged = merge_journals(kernel, mode, campaign, &paths, cfg.allow_partial)?;
+    let merged = merge(&golden, &paths, cfg.allow_partial)?;
     let tally = book.tally();
     Ok(ShardOutcome {
         result: merged.result,
@@ -439,8 +440,17 @@ pub fn merge_journals(
     paths: &[PathBuf],
     allow_partial: bool,
 ) -> Result<MergeOutcome, NfpError> {
-    let (rig, space) = CampaignRig::prepare(kernel, mode, campaign)?;
-    let faults = plan(&space, campaign.injections, campaign.seed);
+    let golden = Golden::prepare(kernel, mode, campaign)?;
+    merge(&golden, paths, allow_partial)
+}
+
+/// [`merge_journals`] against a prepared reference.
+fn merge(
+    golden: &Golden,
+    paths: &[PathBuf],
+    allow_partial: bool,
+) -> Result<MergeOutcome, NfpError> {
+    let faults = &golden.faults;
     let mut slots: Vec<Option<(InjectionRecord, u32)>> = vec![None; faults.len()];
     let mut shard_count: Option<u32> = None;
     let mut seen: Vec<Option<PathBuf>> = Vec::new();
@@ -485,10 +495,7 @@ pub fn merge_journals(
         // other binding field fails the loader's header check with the
         // field named.
         let expected = JournalHeader::bind(
-            kernel,
-            mode,
-            campaign,
-            rig.golden_instret,
+            golden,
             Some(ShardSpec {
                 index: claimed.shard_index,
                 count: claimed.shard_count,
@@ -498,7 +505,7 @@ pub fn merge_journals(
         // Stream the records into the shared slot table. The loader
         // verifies per-record CRCs, fault-plan agreement, in-range
         // indices, duplicates, and the shard summary's count/digest.
-        let loaded = load_journal(path, &expected, &faults, &mut slots).map_err(as_merge_error)?;
+        let loaded = load_journal(path, &expected, faults, &mut slots).map_err(as_merge_error)?;
         if loaded.fin.is_none() && !allow_partial {
             return Err(merge_err(
                 "journal lacks its shard summary record — the shard never completed \
@@ -520,8 +527,8 @@ pub fn merge_journals(
     }
     let records: Vec<InjectionRecord> = slots.into_iter().flatten().map(|(r, _)| r).collect();
     Ok(MergeOutcome {
-        dispatch: rig.machine.dispatch_stats(),
-        result: assemble(kernel, mode, &rig, records),
+        dispatch: golden.dispatch,
+        result: golden.assemble(records),
         shards: shard_count.unwrap_or(0),
         missing_ranges: missing,
     })

@@ -19,13 +19,14 @@
 //!   merged result is identical to an uninterrupted campaign.
 //! * **Panic isolation** — each replay runs under
 //!   [`std::panic::catch_unwind`] on its worker. A panicking replay is
-//!   retried once on a freshly prepared rig (the panicked rig may hold
-//!   a half-armed fault); a second panic quarantines the injection as
-//!   [`Outcome::HarnessFault`] with its full fault spec logged, and
+//!   retried once on a fresh machine that replays against the
+//!   campaign's one shared golden reference (the panicked machine may
+//!   hold a half-armed fault); a second panic quarantines the injection
+//!   as [`Outcome::HarnessFault`] with its full fault spec logged, and
 //!   the campaign carries on. Harness faults are excluded from the
 //!   vulnerability quotient — they measure the harness, not the
-//!   kernel. A worker that cannot even rebuild its rig retires, and
-//!   the remaining workers absorb its share of the plan: the pool
+//!   kernel. A worker that cannot even load a fresh machine retires,
+//!   and the remaining workers absorb its share of the plan: the pool
 //!   degrades in parallelism, never in coverage.
 //! * **Process isolation** — [`WorkerIsolation::Process`] moves each
 //!   replay slot into a `repro worker` subprocess that speaks the lease
@@ -47,15 +48,14 @@
 //!   byte-compatible with thread mode.
 //!
 use crate::backoff::{backoff_sleep, TICK};
-use crate::campaign::{assemble, CampaignConfig, CampaignResult, CampaignRig, InjectionRecord};
+use crate::campaign::{CampaignConfig, CampaignResult, Golden, InjectionRecord};
 use crate::evaluation::Mode;
 use crate::journal::{CampaignJournal, JournalHeader};
 use crate::net::{drive_lease, parse_join, worker_silence, Failure, LeaseEnd, Link};
 use crate::shards::ShardSpec;
 use crate::worker::{WorkerHello, WorkerPreset};
 use nfp_core::{HarnessCause, NfpError, Outcome};
-use nfp_sim::fault::plan;
-use nfp_sim::{DispatchStats, Fault, SimError};
+use nfp_sim::{DispatchStats, Fault, Machine, SimError};
 use nfp_workloads::Kernel;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
@@ -212,9 +212,9 @@ pub struct SupervisorOutcome {
     /// Worker processes respawned after a kill, death, or failed
     /// spawn.
     pub respawns: usize,
-    /// Simulator dispatch counters from the golden run (the replay
-    /// workers run on their own rigs; the golden run is the
-    /// deterministic reference every mode shares).
+    /// Simulator dispatch counters from the golden reference's ladder
+    /// run (the replay workers run on machines of their own; the
+    /// reference is what every mode shares).
     pub dispatch: DispatchStats,
 }
 
@@ -263,21 +263,19 @@ pub(crate) fn quarantine_record(fault: Fault) -> InjectionRecord {
 /// hang that must flow through the escalating watchdog — or the wall
 /// deadline — and classify as [`Outcome::Hang`].
 pub(crate) fn replay_spinning(
-    rig: &mut CampaignRig,
+    golden: &Golden,
+    m: &mut Machine,
     fault: &Fault,
-    wall: Option<Duration>,
 ) -> Result<InjectionRecord, NfpError> {
-    rig.seek(fault.at)?;
-    let category = rig.machine.next_category();
-    let pc = rig.machine.cpu.pc;
-    let index = pc.wrapping_sub(rig.machine.code_base()) as usize / 4;
+    golden.seek(m, fault.at)?;
+    let category = m.next_category();
+    let index = m.cpu.pc.wrapping_sub(m.code_base()) as usize / 4;
     // `ba .` with a nop in its delay slot: a two-word self-loop.
-    let old_branch = rig.machine.patch_code_word(index, 0x1080_0000)?;
-    let old_slot = rig.machine.patch_code_word(index + 1, 0x0100_0000)?;
-    let soft = rig.budget.saturating_sub(fault.at).max(1);
-    let run = rig.run_escalating(soft, wall);
-    rig.machine.patch_code_word(index, old_branch)?;
-    rig.machine.patch_code_word(index + 1, old_slot)?;
+    let old_branch = m.patch_code_word(index, 0x1080_0000)?;
+    let old_slot = m.patch_code_word(index + 1, 0x0100_0000)?;
+    let run = golden.run_escalating(m);
+    m.patch_code_word(index, old_branch)?;
+    m.patch_code_word(index + 1, old_slot)?;
     let outcome = match run {
         Err(SimError::WatchdogExpired { .. }) => Outcome::Hang,
         Err(SimError::Trap(_)) | Err(SimError::UnknownSoftTrap { .. }) => Outcome::Trap,
@@ -296,35 +294,35 @@ pub(crate) enum Replayed {
     /// The replay classified the injection.
     Record(InjectionRecord),
     /// The replay panicked on its last attempt: quarantine the
-    /// injection. `text` is the panic payload; `rig_lost` means the rig
-    /// could not be rebuilt after the panic, so the caller has none to
-    /// go on with.
+    /// injection. `text` is the panic payload; `rig_lost` means no
+    /// fresh machine could be loaded after the panic, so the caller has
+    /// none to go on with.
     Panicked { text: String, rig_lost: bool },
 }
 
-/// Replays one injection under `catch_unwind` — the panic policy every
-/// replay slot shares, the supervisor's worker threads and the lease
-/// executor of a worker process alike. A panic rebuilds the rig (the
-/// panicked one may hold a half-armed fault or a mid-seek machine) and
-/// retries once; a second panic gives up so the caller can quarantine.
-/// `replay` gets the 1-based attempt number. Returns the verdict with
-/// the attempts it took; `Err` is the replay's own error, which no
-/// retry would change.
+/// Replays one injection on `m` under `catch_unwind` — the panic policy
+/// every replay slot shares, the supervisor's worker threads and the
+/// lease executor of a worker process alike. A panic replaces `m` with
+/// a fresh machine on `golden`'s shared ladder (the panicked one may
+/// hold a half-armed fault or a mid-seek state) and retries once; a
+/// second panic gives up so the caller can quarantine. `replay` gets
+/// the 1-based attempt number. Returns the verdict with the attempts it
+/// took; `Err` is the replay's own error, which no retry would change.
 pub(crate) fn replay_guarded(
-    rig: &mut CampaignRig,
-    mut replay: impl FnMut(&mut CampaignRig, u32) -> Result<InjectionRecord, NfpError>,
-    mut rebuild: impl FnMut() -> Result<CampaignRig, NfpError>,
+    golden: &Golden,
+    m: &mut Machine,
+    mut replay: impl FnMut(&mut Machine, u32) -> Result<InjectionRecord, NfpError>,
 ) -> Result<(Replayed, u32), NfpError> {
     let mut attempts = 0;
     loop {
         attempts += 1;
-        match catch_unwind(AssertUnwindSafe(|| replay(rig, attempts))) {
+        match catch_unwind(AssertUnwindSafe(|| replay(m, attempts))) {
             Ok(run) => return run.map(|record| (Replayed::Record(record), attempts)),
             Err(payload) => {
                 let text = panic_text(payload);
-                let rig_lost = match catch_unwind(AssertUnwindSafe(&mut rebuild)) {
+                let rig_lost = match catch_unwind(|| golden.machine()) {
                     Ok(Ok(fresh)) => {
-                        *rig = fresh;
+                        *m = fresh;
                         false
                     }
                     _ => true,
@@ -425,7 +423,8 @@ struct WorkerProc {
 /// Why a slot got no result out of a worker process.
 enum Lost {
     /// Deterministic — every respawn would hit it again, so the whole
-    /// campaign fails (mirrors a thread worker's rig-prepare error).
+    /// campaign fails (mirrors a thread worker that cannot load its
+    /// machine).
     Fatal(NfpError),
     /// This process is gone (and reaped) but a respawn may well
     /// succeed. The flag records whether the supervisor itself put the
@@ -752,7 +751,6 @@ pub fn run_supervised(
     mode: Mode,
     cfg: &SupervisorConfig,
 ) -> Result<SupervisorOutcome, NfpError> {
-    let campaign = &cfg.campaign;
     if let Some(spec) = cfg.shard {
         if spec.count == 0 || spec.index >= spec.count {
             return Err(NfpError::Workload {
@@ -761,9 +759,18 @@ pub fn run_supervised(
             });
         }
     }
-    let (rig, space) = CampaignRig::prepare(kernel, mode, campaign)?;
-    let faults = plan(&space, campaign.injections, campaign.seed);
-    let header = JournalHeader::bind(kernel, mode, campaign, rig.golden_instret, cfg.shard);
+    supervise(&Golden::prepare(kernel, mode, &cfg.campaign)?, cfg)
+}
+
+/// [`run_supervised`] against `cfg.campaign`'s prepared reference, for
+/// a valid shard: the sharded runner and the coordinator's local pool
+/// prepare a campaign once and supervise it many times.
+pub(crate) fn supervise(
+    golden: &Golden,
+    cfg: &SupervisorConfig,
+) -> Result<SupervisorOutcome, NfpError> {
+    let faults = &golden.faults;
+    let header = JournalHeader::bind(golden, cfg.shard);
     let range = header.range();
 
     let mut slots: Vec<Option<(InjectionRecord, u32)>> = vec![None; faults.len()];
@@ -782,7 +789,7 @@ pub fn run_supervised(
         (None, false) => None,
         (Some(path), false) => Some(CampaignJournal::create(path, &header)?),
         (Some(path), true) => {
-            let (journal, loaded) = CampaignJournal::resume(path, &header, &faults, &mut slots)?;
+            let (journal, loaded) = CampaignJournal::resume(path, &header, faults, &mut slots)?;
             resumed = loaded.restored;
             for (index, slot) in slots.iter().enumerate() {
                 let Some((rec, _)) = slot else { continue };
@@ -860,12 +867,12 @@ pub fn run_supervised(
     std::thread::scope(|scope| {
         for slot in 0..workers {
             let tx = tx.clone();
-            let (claims, stop, faults) = (&claims, &stop, &faults);
+            let (claims, stop) = (&claims, &stop);
             if let Some(bin) = process_bin.as_deref() {
                 let ctx = SlotCtx {
                     bin,
                     hello: &hello,
-                    seed: campaign.seed,
+                    seed: golden.campaign.seed,
                     deadline: cfg.deadline,
                     heartbeat: cfg.heartbeat,
                     max_respawns: cfg.max_respawns,
@@ -880,8 +887,8 @@ pub fn run_supervised(
                 continue;
             }
             scope.spawn(move || {
-                let mut rig = match CampaignRig::prepare(kernel, mode, campaign) {
-                    Ok((r, _)) => r,
+                let mut m = match golden.machine() {
+                    Ok(m) => m,
                     Err(error) => {
                         let _ = tx.send(Msg::Fatal { error });
                         return;
@@ -889,23 +896,19 @@ pub fn run_supervised(
                 };
                 while let Some((index, _)) = claims.take(stop) {
                     let fault = faults[index];
-                    let replayed = replay_guarded(
-                        &mut rig,
-                        |rig, attempt| {
-                            if cfg
-                                .test_panic_at
-                                .is_some_and(|(i, n)| i == index && attempt <= n)
-                            {
-                                panic!("supervisor test hook: forced panic on injection {index}");
-                            }
-                            if cfg.test_spin_at == Some(index) {
-                                replay_spinning(rig, &fault, campaign.wall)
-                            } else {
-                                rig.run_one(&fault, campaign.wall)
-                            }
-                        },
-                        || CampaignRig::prepare(kernel, mode, campaign).map(|(fresh, _)| fresh),
-                    );
+                    let replayed = replay_guarded(golden, &mut m, |m, attempt| {
+                        if cfg
+                            .test_panic_at
+                            .is_some_and(|(i, n)| i == index && attempt <= n)
+                        {
+                            panic!("supervisor test hook: forced panic on injection {index}");
+                        }
+                        if cfg.test_spin_at == Some(index) {
+                            replay_spinning(golden, m, &fault)
+                        } else {
+                            golden.run_one(m, &fault)
+                        }
+                    });
                     let (msg, retire) = match replayed {
                         Ok((Replayed::Record(record), attempts)) => {
                             let msg = Msg::Done {
@@ -1023,8 +1026,8 @@ pub fn run_supervised(
             .collect::<Result<_, _>>()?
     };
     Ok(SupervisorOutcome {
-        dispatch: rig.machine.dispatch_stats(),
-        result: assemble(kernel, mode, &rig, records),
+        dispatch: golden.dispatch,
+        result: golden.assemble(records),
         quarantined,
         resumed,
         completed,

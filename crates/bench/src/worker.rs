@@ -23,7 +23,9 @@
 //! stdout, one injection per lease, and exits when stdin closes.
 //!
 //! The hello carries the journal header's binding fields, so the worker
-//! rebuilds the *same* deterministic rig the other side would have used;
+//! prepares the *same* deterministic golden reference the other side
+//! would have used, once per campaign, and replays on a machine of its
+//! own (a panicking replay retries on a fresh one);
 //! `ready` echoes the golden instruction count as a cross-check,
 //! records are journal-identical lines with their CRC, and the fin's
 //! plan-order digest seals the range. The receiving side runs every
@@ -35,7 +37,7 @@
 //! [`WorkerIsolation::Process`]: crate::supervisor::WorkerIsolation::Process
 
 use crate::backoff::{backoff_sleep, splitmix64};
-use crate::campaign::{CampaignConfig, CampaignRig, InjectionRecord};
+use crate::campaign::{Golden, InjectionRecord};
 use crate::flatjson::{esc, parse_flat, Obj};
 use crate::journal::{fin_line, record_line, FinRecord, JournalHeader};
 use crate::net::{
@@ -43,8 +45,7 @@ use crate::net::{
 };
 use crate::supervisor::{quarantine_record, replay_guarded, replay_spinning, Replayed};
 use nfp_core::{NfpError, Outcome};
-use nfp_sim::fault::plan;
-use nfp_sim::Fault;
+use nfp_sim::Machine;
 use nfp_workloads::Preset;
 use std::io::{Read, Write};
 use std::net::{TcpStream, ToSocketAddrs};
@@ -204,20 +205,19 @@ impl Drop for Alive {
     }
 }
 
-/// The deterministic campaign state a hello names. A worker keeps it
-/// between leases: rebuilding rig and plan costs a golden run, so
+/// The deterministic campaign state a hello names: the golden
+/// reference and a replay machine. A worker keeps it between leases:
+/// preparing the reference costs a golden run and a ladder run, so
 /// consecutive leases of the same campaign reuse them.
 struct LeaseRig {
     header: JournalHeader,
     preset: WorkerPreset,
-    campaign: CampaignConfig,
-    rig: CampaignRig,
-    faults: Vec<Fault>,
+    golden: Golden,
+    machine: Machine,
 }
 
 fn build_rig(hello: &WorkerHello) -> Result<LeaseRig, NfpError> {
     let id = &hello.header.id;
-    let campaign = id.config();
     let kernels = nfp_workloads::all_kernels(&hello.preset.build())?;
     let kernel = kernels
         .iter()
@@ -229,14 +229,12 @@ fn build_rig(hello: &WorkerHello) -> Result<LeaseRig, NfpError> {
                 hello.preset.name()
             ))
         })?;
-    let (rig, space) = CampaignRig::prepare(kernel, id.mode, &campaign)?;
-    let faults = plan(&space, campaign.injections, campaign.seed);
+    let golden = Golden::prepare(kernel, id.mode, &id.config())?;
     Ok(LeaseRig {
         header: hello.header.clone(),
         preset: hello.preset,
-        campaign,
-        rig,
-        faults,
+        machine: golden.machine()?,
+        golden,
     })
 }
 
@@ -579,31 +577,33 @@ fn execute_lease<W: Write>(
         );
         *cache = Some(build_rig(hello).map_err(LeaseFail::Fatal)?);
     }
-    let c = cache.as_mut().expect("rig built above");
-    if c.rig.golden_instret != hello.header.golden_instret {
+    let LeaseRig {
+        golden, machine, ..
+    } = cache.as_mut().expect("rig built above");
+    if golden.instret() != hello.header.golden_instret {
         return Err(LeaseFail::Fatal(violation(format!(
             "golden instruction count mismatch: coordinator expects {}, this worker's rig ran {} \
              — preset or kernel registry skew between the two binaries",
-            hello.header.golden_instret, c.rig.golden_instret
+            hello.header.golden_instret,
+            golden.instret()
         ))));
     }
     let (start, end) = hello.header.range();
-    if start > end || end > c.faults.len() {
+    if start > end || end > golden.faults.len() {
         return Err(LeaseFail::Fatal(violation(format!(
             "lease range {start}..{end} does not fit the {}-injection plan",
-            c.faults.len()
+            golden.faults.len()
         ))));
     }
     let send_or = |frame: &str, what: &str| {
         send(writer, frame).map_err(|e| LeaseFail::Send(format!("{what}: {e}")))
     };
-    send_or(&render_ready(c.rig.golden_instret), "send ready")?;
+    send_or(&render_ready(golden.instret()), "send ready")?;
 
-    let wall = c.campaign.wall;
     let mut slots: Vec<Option<(InjectionRecord, u32)>> = vec![None; end - start];
     for (slot, (index, &fault)) in slots
         .iter_mut()
-        .zip((start..end).zip(&c.faults[start..end]))
+        .zip((start..end).zip(&golden.faults[start..end]))
     {
         if hello.abort_at == Some(index as u64) {
             // Test hook: die the way a heap-corrupting harness bug
@@ -611,17 +611,13 @@ fn execute_lease<W: Write>(
             std::process::abort();
         }
         let spin = hello.spin_at == Some(index as u64);
-        let (replayed, attempts) = replay_guarded(
-            &mut c.rig,
-            |rig, _| {
-                if spin {
-                    replay_spinning(rig, &fault, wall)
-                } else {
-                    rig.run_one(&fault, wall)
-                }
-            },
-            || build_rig(hello).map(|fresh| fresh.rig),
-        )
+        let (replayed, attempts) = replay_guarded(golden, machine, |m, _| {
+            if spin {
+                replay_spinning(golden, m, &fault)
+            } else {
+                golden.run_one(m, &fault)
+            }
+        })
         .map_err(LeaseFail::Fatal)?;
         let record = match replayed {
             Replayed::Record(record) => record,
@@ -667,7 +663,7 @@ fn falsify(mut record: InjectionRecord) -> InjectionRecord {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use nfp_sim::FaultTarget;
+    use nfp_sim::{Fault, FaultTarget};
     use nfp_sparc::Category;
 
     fn hello() -> WorkerHello {

@@ -623,7 +623,7 @@ impl Machine {
     /// instructions have executed, without an observer (fast path,
     /// dispatched per [`MachineConfig::dispatch`]).
     pub fn run(&mut self, max_instrs: u64) -> Result<RunResult, SimError> {
-        self.run_inner(max_instrs, None, false, true, &mut NullObserver)
+        self.run_inner::<true, _>(max_instrs, None, false, &mut NullObserver)
     }
 
     /// Runs with an [`Observer`] attached (the detailed hardware model
@@ -637,7 +637,13 @@ impl Machine {
         max_instrs: u64,
         obs: &mut O,
     ) -> Result<RunResult, SimError> {
-        self.run_inner(max_instrs, None, false, O::LEDGER, obs)
+        // Decided per observer type, so a record observer's run loop
+        // carries no trace code.
+        if O::LEDGER {
+            self.run_inner::<true, O>(max_instrs, None, false, obs)
+        } else {
+            self.run_inner::<false, O>(max_instrs, None, false, obs)
+        }
     }
 
     /// Runs under a [`Watchdog`]: budget or deadline expiry yields
@@ -646,7 +652,7 @@ impl Machine {
     /// than a harness misconfiguration.
     pub fn run_watchdog(&mut self, wd: &Watchdog) -> Result<RunResult, SimError> {
         let deadline = wd.wall.map(|d| Instant::now() + d);
-        self.run_inner(wd.max_instrs, deadline, true, true, &mut NullObserver)
+        self.run_inner::<true, _>(wd.max_instrs, deadline, true, &mut NullObserver)
     }
 
     /// Replays execution until the dynamic instruction count reaches
@@ -660,7 +666,7 @@ impl Machine {
         if target <= self.instret {
             return Ok(());
         }
-        match self.run_inner(target - self.instret, None, false, true, &mut NullObserver) {
+        match self.run_inner::<true, _>(target - self.instret, None, false, &mut NullObserver) {
             Err(SimError::BudgetExhausted { .. }) => Ok(()),
             Ok(_) => Err(SimError::HaltedEarly {
                 instret: self.instret,
@@ -669,21 +675,21 @@ impl Machine {
         }
     }
 
-    /// The run loop; `may_trace` says whether `obs` may run traced,
-    /// when the machine's dispatch is [`Dispatch::Traced`].
-    fn run_inner<O: Observer>(
+    /// The run loop; `MAY_TRACE` says whether `obs` may run traced,
+    /// when the machine's dispatch is [`Dispatch::Traced`]. Without it
+    /// the loop only steps, and its trace code is not compiled in.
+    fn run_inner<const MAY_TRACE: bool, O: Observer>(
         &mut self,
         max_instrs: u64,
         deadline: Option<Instant>,
         watchdog: bool,
-        may_trace: bool,
         obs: &mut O,
     ) -> Result<RunResult, SimError> {
         let counting = self.config.count_categories;
         let fpu = self.config.fpu_enabled;
         let recover = self.config.trap_policy == TrapPolicy::Recover;
         let limit = self.instret.saturating_add(max_instrs);
-        let traced = may_trace && self.config.dispatch == Dispatch::Traced;
+        let traced = MAY_TRACE && self.config.dispatch == Dispatch::Traced;
         if traced && self.fast.is_none() && !self.code.is_empty() {
             self.fast = Some(FastPath::build(&self.code, self.code_base, fpu));
         }
@@ -710,7 +716,9 @@ impl Machine {
                     wall_check_at = self.instret + WALL_CHECK_INTERVAL;
                 }
             }
-            if traced {
+            // `MAY_TRACE` first: a false constant drops the branch, and
+            // the trace loops' instances for `O` with it.
+            if MAY_TRACE && traced {
                 let pc = self.cpu.pc;
                 let idx = pc.wrapping_sub(self.code_base) as usize / 4;
                 // Batch only from a sequential state (npc = pc + 4)

@@ -226,12 +226,19 @@ pub enum ProgramShape {
     /// branches (annulled or not), `cmp` and `sethi` into `%g0`,
     /// `rd`/`wr %y`, `save` and `restore` (paired, and alone so windows
     /// over- and underflow), `call`s of a leaf that returns with
-    /// `retl`, and word stores of registers to the console's text and
-    /// word streams. The scratch window's base lives in `%g4` and the
-    /// console's in `%g5`, which no other instruction writes, so they
-    /// survive window changes. Run with the FPU enabled.
+    /// `retl`, word stores of registers to the console's text and
+    /// word streams, and word stores and loads of the eight data words
+    /// that end the image, after its code: the predecode
+    /// covers them, so a code fault can land on a word the program has
+    /// overwritten. The scratch window's base lives in `%g4`, the
+    /// console's in `%g5` and the data words' in `%g6`, which no other
+    /// instruction writes, so they survive window changes. Run with the
+    /// FPU enabled.
     Mixed,
 }
+
+/// Data words at the end of a [`ProgramShape::Mixed`] image.
+const DATA_WORDS: usize = 8;
 
 /// Generates a deterministic pseudo-random SPARC V8 program of roughly
 /// `body` instructions for differential testing of simulator execution
@@ -269,9 +276,11 @@ pub fn random_program(
     let base_reg = if mixed { Reg::g(4) } else { Reg::l(7) };
     // Prologue: scratch window base and a few seeded values.
     a.set32(scratch, base_reg);
-    let console_reg = Reg::g(5);
+    let (console_reg, data_reg) = (Reg::g(5), Reg::g(6));
     if mixed {
         a.set32(nfp_sim::bus::CONSOLE_BASE, console_reg);
+        a.sethi_hi("data", data_reg);
+        a.or_lo("data", data_reg);
     }
     for i in 0..4 {
         a.mov(rng.gen_range(-512i32..512), Reg::l(i));
@@ -306,7 +315,7 @@ pub fn random_program(
     let branchy = shape != ProgramShape::StraightLine;
     // Only `Mixed` draws its extra rolls, so the other shapes keep
     // their exact output.
-    let rolls = if mixed { 16 } else { 10 };
+    let rolls = if mixed { 18 } else { 10 };
     let mut k = 0usize;
     while k < body {
         a.label(&format!("b{k}"));
@@ -511,6 +520,15 @@ pub fn random_program(
                 let stream = 4 * rng.gen_range(0i32..2);
                 a.st(MemSize::Word, reg(&mut rng), console_reg, stream);
             }
+            // A data word inside the image, overwritten or read back.
+            16 | 17 => {
+                let off = 4 * rng.gen_range(0..DATA_WORDS as i32);
+                if roll == 16 {
+                    a.st(MemSize::Word, reg(&mut rng), data_reg, off);
+                } else {
+                    a.ld(MemSize::Word, false, data_reg, off, reg(&mut rng));
+                }
+            }
             _ => {
                 let op = ALU_OPS[rng.gen_range(0usize..ALU_OPS.len())];
                 let (rd, rs1) = (reg(&mut rng), reg(&mut rng));
@@ -546,6 +564,10 @@ pub fn random_program(
         a.alu(AluOp::Xor, Reg::o(1), Operand::Reg(Reg::o(2)), Reg::o(3));
         a.retl();
         a.alu(AluOp::Add, Reg::o(0), 1, Reg::o(0));
+        a.label("data");
+        for _ in 0..DATA_WORDS {
+            a.word(rng.next_u64() as u32);
+        }
     }
     a.finish().map_err(|e| nfp_core::NfpError::Workload {
         what: format!("synthetic program (seed {seed:#x})"),
