@@ -432,14 +432,9 @@ fn run_merge_command(args: &[String], preset: &Preset) {
     }
     let (name, mode, campaign) =
         peek_campaign(&paths[0]).unwrap_or_else(|e| fail("journal inspection", e));
-    let kernels = all_kernels(preset).unwrap_or_else(|e| fail("kernel registry", e));
-    let kernel = kernels.iter().find(|k| k.name == name).unwrap_or_else(|| {
-        fail(
-            "kernel selection",
-            format!("the journal names kernel '{name}', which this preset does not provide"),
-        )
-    });
-    let outcome = merge_journals(kernel, mode, &campaign, &paths, allow_partial)
+    let kernel =
+        nfp_workloads::kernel(preset, &name).unwrap_or_else(|e| fail("kernel selection", e));
+    let outcome = merge_journals(&kernel, mode, &campaign, &paths, allow_partial)
         .unwrap_or_else(|e| fail("journal merge", e));
     eprint!(
         "{}",

@@ -13,13 +13,21 @@
 //! nearest one at or before each injection point. Nor do masked replays
 //! run to the end: a replay that reaches a later rung in exactly the
 //! golden run's state there ([`Machine::rejoins`]) would finish as the
-//! golden run does, so it stops, classified [`Outcome::Masked`]. A
-//! campaign costs roughly `N × (golden / 2·checkpoints + tail)`
-//! instructions instead of `N × golden`. The tail runs from the
-//! injection point to the first rung the replay rejoins (within
-//! `golden / checkpoints` when that is the next one), or, for a replay
-//! that rejoins none, to its own halt, trap or watchdog expiry: half the
-//! golden run on average for one that halts.
+//! golden run does, so it stops, classified [`Outcome::Masked`]. Nor
+//! are faults replayed at all whose location the golden run never
+//! reads at or after the injection point: until the flipped bit is
+//! read, a replay runs the golden run's instructions on its values, so
+//! it would halt as the golden run does ([`nfp_sim::reads`]). A stepped
+//! pass records those last reads, once per process that replays. A
+//! campaign costs roughly `2 × golden` traced instructions and one
+//! stepped recording pass to prepare, plus `N × golden / 2·checkpoints`
+//! to seek to the injection points (code faults never read again skip
+//! that too), plus a tail for each fault whose location is read again,
+//! instead of `N × golden`. The tail runs from the injection point to
+//! the first rung the replay rejoins (within `golden / checkpoints`
+//! when that is the next one), or, for a replay that rejoins none, to
+//! its own halt, trap or watchdog expiry: half the golden run on
+//! average for one that halts.
 //!
 //! Campaigns run with [`TrapPolicy::Recover`]: window overflow and
 //! underflow spill and fill through the bare-metal handler model, and
@@ -36,11 +44,12 @@ use nfp_core::{NfpError, Outcome, VulnerabilityReport};
 use nfp_sim::fault::{inject, plan, undo, Undo};
 use nfp_sim::machine::TrapPolicy;
 use nfp_sim::{
-    Checkpoint, Dispatch, DispatchStats, Fault, FaultSpace, FaultTarget, Machine, RunResult,
-    SimError, Watchdog,
+    Checkpoint, Dispatch, DispatchStats, Fault, FaultSpace, FaultTarget, LastReads, Machine,
+    RunResult, SimError, Watchdog,
 };
 use nfp_sparc::Category;
 use nfp_workloads::{machine_for, Kernel, KERNEL_BUDGET};
+use std::sync::OnceLock;
 use std::time::{Duration, Instant};
 
 /// Campaign parameters.
@@ -154,7 +163,8 @@ fn fresh_machine(kernel: &Kernel, mode: Mode, cfg: &CampaignConfig) -> Result<Ma
 }
 
 /// A campaign's golden reference: the fault-free run, the checkpoint
-/// ladder along it, and the fault plan. [`Golden::prepare`] builds it
+/// ladder along it, the fault plan, and when the run last reads each
+/// location a fault can hit. [`Golden::prepare`] builds it
 /// once per campaign per process; every replay slot shares it
 /// read-only. A replay rig is only a loaded machine
 /// ([`Golden::machine`]): a [`Checkpoint`] is valid on any machine
@@ -171,6 +181,9 @@ pub(crate) struct Golden {
     checkpoints: Vec<Checkpoint>,
     /// The fault-free run a replay is classified against.
     run: RunResult,
+    /// The last instruction index at which the golden run reads each
+    /// location a fault can hit ([`Golden::reads`]).
+    reads: OnceLock<Result<LastReads, NfpError>>,
     /// [`nfp_sim::Cpu::window_ops`] at the golden run's halt, for
     /// [`Machine::rejoins`].
     window_ops: u64,
@@ -225,6 +238,7 @@ impl Golden {
             checkpoints,
             window_ops: probe.cpu.window_ops(),
             run,
+            reads: OnceLock::new(),
             dispatch: ladder.dispatch_stats(),
         })
     }
@@ -232,6 +246,23 @@ impl Golden {
     /// Dynamic instruction count of the golden run.
     pub(crate) fn instret(&self) -> u64 {
         self.run.instret
+    }
+
+    /// The last instruction index at which the golden run reads each
+    /// location a fault can hit. A third pass records it, stepped
+    /// ([`Machine::run_recording`]), the first time a replay asks: once
+    /// per campaign in a process that replays, never in one that only
+    /// plans (a coordinator).
+    fn reads(&self) -> Result<&LastReads, NfpError> {
+        self.reads
+            .get_or_init(|| {
+                let mut m = self.machine()?;
+                let mut reads = LastReads::new(&m);
+                m.run_recording(KERNEL_BUDGET, &mut reads)?;
+                Ok(reads)
+            })
+            .as_ref()
+            .map_err(Clone::clone)
     }
 
     /// A replay rig: the kernel loaded afresh, with recovery enabled
@@ -357,27 +388,44 @@ impl Golden {
         })
     }
 
-    /// Performs one injection on `m` and classifies the divergence.
+    /// Performs one injection on `m` and classifies the divergence. A
+    /// fault on a location the golden run never reads at or after the
+    /// injection point is masked without being injected: until the
+    /// flipped bit is read, the replay runs the golden run's
+    /// instructions on its values, so it halts as the golden run does.
     pub(crate) fn run_one(
         &self,
         m: &mut Machine,
         fault: &Fault,
     ) -> Result<InjectionRecord, NfpError> {
-        self.seek(m, fault.at)?;
+        let unread = self.reads()?.never_read(fault);
         // Attribute the injection to the instruction about to execute;
-        // code faults are attributed to the instruction they corrupt.
+        // code faults are attributed to the instruction they corrupt,
+        // so an unread one needs no seek.
         let category = match fault.target {
-            FaultTarget::Code { index, .. } => m.code_category(index as usize),
-            _ => m.next_category(),
+            FaultTarget::Code { index, .. } => {
+                if !unread {
+                    self.seek(m, fault.at)?;
+                }
+                m.code_category(index as usize)
+            }
+            _ => {
+                self.seek(m, fault.at)?;
+                m.next_category()
+            }
         };
-        let armed = inject(m, fault)?;
-        // Until its undo, a code fault's patched predecode differs from
-        // the golden image, so its replay can never rejoin.
-        let replay = self.replay(m, matches!(armed, Undo::None));
-        undo(m, &armed)?;
-        let outcome = match replay {
-            Replay::Rejoined => Outcome::Masked,
-            Replay::Ran(run) => self.classify(run)?,
+        let outcome = if unread {
+            Outcome::Masked
+        } else {
+            let armed = inject(m, fault)?;
+            // Until its undo, a code fault's patched predecode differs
+            // from the golden image, so its replay can never rejoin.
+            let replay = self.replay(m, matches!(armed, Undo::None));
+            undo(m, &armed)?;
+            match replay {
+                Replay::Rejoined => Outcome::Masked,
+                Replay::Ran(run) => self.classify(run)?,
+            }
         };
         Ok(InjectionRecord {
             fault: *fault,
@@ -520,6 +568,8 @@ mod tests {
                 .remove(0),
         ];
         let (mut rejoined, mut replayed) = (0, 0);
+        // Faults classified without a replay, per target kind.
+        let mut unread = [0; 7];
         for kernel in &kernels {
             for mode in Mode::BOTH {
                 for dispatch in Dispatch::ALL {
@@ -533,18 +583,39 @@ mod tests {
                     // A rig that ran neither the golden pass nor the
                     // ladder pass.
                     let mut m = golden.machine().unwrap();
-                    for fault in &golden.faults {
+                    // The plan, then one fault of every kind at the
+                    // golden run's last instruction, the exit `ta`,
+                    // which reads only `%o0` and its own code index.
+                    let last = golden.instret() - 1;
+                    let end = [
+                        FaultTarget::IntReg { index: 0, bit: 0 },
+                        FaultTarget::FpReg { index: 0, bit: 0 },
+                        FaultTarget::Icc { bit: 0 },
+                        FaultTarget::YReg { bit: 0 },
+                        FaultTarget::Fcc { bit: 0 },
+                        FaultTarget::Ram {
+                            addr: m.code_base(),
+                            bit: 0,
+                        },
+                        FaultTarget::Code { index: 0, bit: 0 },
+                    ]
+                    .map(|target| Fault { at: last, target });
+                    for fault in golden.faults.iter().chain(&end) {
                         let got = golden.run_one(&mut m, fault).unwrap();
-                        // A replay that stopped early was left on the
-                        // rung where it rejoined.
-                        if golden
-                            .checkpoints
-                            .iter()
-                            .any(|cp| m.rejoins(cp, golden.window_ops))
-                        {
-                            rejoined += 1;
+                        if golden.reads().unwrap().never_read(fault) {
+                            unread[kind(fault.target)] += 1;
+                        } else {
+                            // A replay that stopped early was left on
+                            // the rung where it rejoined.
+                            if golden
+                                .checkpoints
+                                .iter()
+                                .any(|cp| m.rejoins(cp, golden.window_ops))
+                            {
+                                rejoined += 1;
+                            }
+                            replayed += 1;
                         }
-                        replayed += 1;
                         let want = full_replay(&golden, &mut m, fault);
                         assert_eq!(got, want, "{} {mode:?} {dispatch}", kernel.name);
                     }
@@ -555,6 +626,23 @@ mod tests {
             0 < rejoined && rejoined < replayed,
             "{rejoined} of {replayed} replays stopped early: both paths must run"
         );
+        assert!(
+            unread.iter().all(|&n| n > 0),
+            "faults classified without a replay, per target kind: {unread:?}"
+        );
+    }
+
+    /// A target kind's index, in [`FaultTarget`]'s declaration order.
+    fn kind(target: FaultTarget) -> usize {
+        match target {
+            FaultTarget::IntReg { .. } => 0,
+            FaultTarget::FpReg { .. } => 1,
+            FaultTarget::Icc { .. } => 2,
+            FaultTarget::YReg { .. } => 3,
+            FaultTarget::Fcc { .. } => 4,
+            FaultTarget::Ram { .. } => 5,
+            FaultTarget::Code { .. } => 6,
+        }
     }
 
     #[test]

@@ -51,7 +51,6 @@ use crate::supervisor::{supervise, SupervisorConfig};
 use crate::worker::{render_error, tcp_connect, WorkerHello, WorkerPreset};
 use nfp_core::{HarnessCause, NfpError};
 use nfp_sim::Fault;
-use nfp_workloads::all_kernels;
 use std::collections::{BTreeSet, HashMap, VecDeque};
 use std::io::ErrorKind;
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -1545,16 +1544,9 @@ fn drive_campaign(
     let fatal = |detail: String| Err(DriveFail::Fatal(detail));
     // Plan the campaign. The golden run here is the trust anchor every
     // remote result must re-derive (golden handshake, CRCs, digests).
-    let kernels = all_kernels(&ctx.cfg.preset.build())?;
-    let Some(kernel) = kernels.iter().find(|k| k.name == req.kernel) else {
-        return fatal(format!(
-            "kernel '{}' is not in the {} preset",
-            req.kernel,
-            ctx.cfg.preset.name()
-        ));
-    };
+    let kernel = nfp_workloads::kernel(&ctx.cfg.preset.build(), &req.kernel)?;
     let campaign = &req.campaign;
-    let golden = Golden::prepare(kernel, req.mode, campaign)?;
+    let golden = Golden::prepare(&kernel, req.mode, campaign)?;
     let faults = Arc::new(golden.faults.clone());
     // No shard count asks for one shard per live peer; a resumed submit
     // carries the count its first run resolved.

@@ -218,18 +218,8 @@ struct LeaseRig {
 
 fn build_rig(hello: &WorkerHello) -> Result<LeaseRig, NfpError> {
     let id = &hello.header.id;
-    let kernels = nfp_workloads::all_kernels(&hello.preset.build())?;
-    let kernel = kernels
-        .iter()
-        .find(|k| k.name == id.kernel)
-        .ok_or_else(|| {
-            violation(format!(
-                "hello names kernel {:?}, which the {} preset does not contain",
-                id.kernel,
-                hello.preset.name()
-            ))
-        })?;
-    let golden = Golden::prepare(kernel, id.mode, &id.config())?;
+    let kernel = nfp_workloads::kernel(&hello.preset.build(), &id.kernel)?;
+    let golden = Golden::prepare(&kernel, id.mode, &id.config())?;
     Ok(LeaseRig {
         header: hello.header.clone(),
         preset: hello.preset,

@@ -18,6 +18,31 @@ pub const INT_REG_SPACE: usize = 7 + NWINDOWS * 16;
 /// before this.
 pub const MAX_SPILL_FRAMES: usize = 1024;
 
+/// [`FLAT`]'s entry for `%g0`, which has no flat index.
+const NO_FLAT: u8 = u8::MAX;
+
+/// [`Cpu::flat_index`] as a table: the flat index of each register
+/// number, per current window.
+const FLAT: [[u8; 32]; NWINDOWS] = {
+    let mut table = [[NO_FLAT; 32]; NWINDOWS];
+    let mut cwp = 0;
+    while cwp < NWINDOWS {
+        let outs = (cwp + NWINDOWS - 1) % NWINDOWS;
+        let mut n = 1;
+        while n < 32 {
+            table[cwp][n] = match n {
+                1..=7 => n - 1,
+                8..=15 => 7 + outs * 16 + (n - 8),
+                16..=23 => 7 + cwp * 16 + 8 + (n - 16),
+                _ => 7 + cwp * 16 + (n - 24),
+            } as u8;
+            n += 1;
+        }
+        cwp += 1;
+    }
+    table
+};
+
 /// One register window spilled to "memory" by the trap-handler model.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct SpilledWindow {
@@ -277,6 +302,23 @@ impl Cpu {
             (w == self.cwp || w == outs || self.ins[w] == other.ins[w])
                 && (w == self.cwp || self.locals[w] == other.locals[w])
         }) && self.spilled == other.spilled
+    }
+
+    /// The flat fault-space index (see [`Cpu::flat_get`]) that `r`
+    /// names in the current window, or `None` for `%g0`: the outs are
+    /// the ins of the window a `save` would rotate to.
+    #[inline]
+    pub fn flat_index(&self, r: Reg) -> Option<usize> {
+        match FLAT[self.cwp][r.num() as usize & 31] {
+            NO_FLAT => None,
+            index => Some(index as usize),
+        }
+    }
+
+    /// The window whose banks the overflow handler spills next
+    /// ([`Cpu::window_spill`]): the oldest active one.
+    pub(crate) fn oldest_window(&self) -> usize {
+        (self.cwp + self.depth) % NWINDOWS
     }
 
     /// Reads a register by flat fault-space index (see

@@ -31,6 +31,7 @@ pub mod exec;
 pub mod fault;
 pub mod machine;
 pub mod profile;
+pub mod reads;
 pub(crate) mod threaded;
 
 pub use blocks::BlockCache;
@@ -43,3 +44,4 @@ pub use machine::{
     TrapPolicy, TrapStats, Watchdog,
 };
 pub use profile::{PcHistogram, Tracer};
+pub use reads::{LastReads, Loc, ReadSink};

@@ -10,6 +10,7 @@ use crate::blocks::BlockCache;
 use crate::bus::{Bus, BusFault, RamSnapshot, RAM_BASE};
 use crate::cpu::Cpu;
 use crate::exec::{step, ExecError, NullObserver, Observer, StepOut, Trap};
+use crate::reads::{unit_reads, window_fixed, Image, LastReads};
 use crate::threaded::{
     build_table, build_trace, run_tops, DecodedOp, TraceCache, TraceHalt, TraceSlot,
 };
@@ -673,6 +674,68 @@ impl Machine {
             }),
             Err(e) => Err(e),
         }
+    }
+
+    /// Runs like [`Machine::run`], but under [`Dispatch::Step`], noting
+    /// in `last` what each instruction index reads of the locations a
+    /// fault can hit (see [`crate::reads`]): afterwards `last` holds, for
+    /// each, the last index at which the run read it. An index is a
+    /// retired instruction or a trap the recovery model absorbed. The
+    /// run goes in batches, each one [`Machine::run`], so the run loop is
+    /// the plain one: the next index, then, while control flows straight
+    /// on inside the image, each following instruction whose reads the
+    /// state before the batch fixes: no load, `save`, `restore` or
+    /// `t<cond>`. An index a batch
+    /// does not reach, the run having ended before it, is noted as read
+    /// all the same.
+    pub fn run_recording(
+        &mut self,
+        max_instrs: u64,
+        last: &mut LastReads,
+    ) -> Result<RunResult, SimError> {
+        let dispatch = std::mem::replace(&mut self.config.dispatch, Dispatch::Step);
+        let image = Image::of(self);
+        let limit = self.instret.saturating_add(max_instrs);
+        let end = loop {
+            let left = limit.saturating_sub(self.instret);
+            if left == 0 {
+                break Err(SimError::BudgetExhausted { limit: max_instrs });
+            }
+            let (pc, at) = (self.cpu.pc, self.instret);
+            let mut batch = 1;
+            match image
+                .index(pc)
+                .filter(|_| self.cpu.npc == pc.wrapping_add(4))
+            {
+                Some(first) => {
+                    for (i, &(instr, _)) in self.code[first as usize..].iter().enumerate() {
+                        let n = i as u64;
+                        if n > 0 && !window_fixed(&instr) {
+                            break;
+                        }
+                        let pc = pc.wrapping_add(4 * i as u32);
+                        unit_reads(image, pc, &self.cpu, &instr, &mut last.at(at + n));
+                        batch = n + 1;
+                        let moves = matches!(instr, Instr::Save { .. } | Instr::Restore { .. });
+                        if batch == left || instr.ends_block() || moves {
+                            break;
+                        }
+                    }
+                }
+                // A fetch that traps reads nothing.
+                None => {
+                    if let Ok((instr, _)) = self.fetch(pc) {
+                        unit_reads(image, pc, &self.cpu, &instr, &mut last.at(at));
+                    }
+                }
+            }
+            match self.run(batch) {
+                Err(SimError::BudgetExhausted { .. }) => {}
+                end => break end,
+            }
+        };
+        self.config.dispatch = dispatch;
+        end
     }
 
     /// The run loop; `MAY_TRACE` says whether `obs` may run traced,

@@ -11,7 +11,7 @@
 
 use crate::fse;
 use crate::hevc::{self, Config};
-use crate::pixels::fnv1a;
+use crate::pixels::{fnv1a, Image};
 use crate::synth::{loss_mask, test_image, test_sequence, Scene};
 use nfp_cc::{compile, CompileOptions, FloatMode, Program};
 use nfp_core::NfpError;
@@ -98,28 +98,7 @@ pub fn hevc_kernels(preset: &Preset) -> Result<Vec<Kernel>, NfpError> {
         let frames = test_sequence(scene, preset.video_w, preset.video_h, preset.frames);
         for config in Config::ALL {
             for qp in QPS {
-                let name = format!("hevc_{}_{}_qp{}", scene.name(), config.name(), qp);
-                let encoded = hevc::encode(&frames, config, qp)?;
-                let decoded = hevc::decode(&encoded.bytes).map_err(|e| NfpError::Workload {
-                    what: name.clone(),
-                    reason: format!("own bitstream does not decode: {e}"),
-                })?;
-                let mut all_bytes = Vec::new();
-                for f in &decoded.frames {
-                    all_bytes.extend_from_slice(&f.data);
-                }
-                let activity_bits = decoded.activity.to_bits();
-                kernels.push(Kernel {
-                    name,
-                    workload: Workload::Hevc,
-                    input: hevc::minic::input_blob(&encoded.bytes),
-                    expected_words: vec![
-                        fnv1a(&all_bytes),
-                        (activity_bits >> 32) as u32,
-                        activity_bits as u32,
-                    ],
-                    seed,
-                });
+                kernels.push(hevc_kernel(&frames, scene, config, qp, seed)?);
                 seed += 1;
             }
         }
@@ -127,31 +106,72 @@ pub fn hevc_kernels(preset: &Preset) -> Result<Vec<Kernel>, NfpError> {
     Ok(kernels)
 }
 
+fn hevc_name(scene: Scene, config: Config, qp: u32) -> String {
+    format!("hevc_{}_{}_qp{}", scene.name(), config.name(), qp)
+}
+
+/// One HEVC kernel: `frames` (the scene's sequence) encoded under
+/// `config` at `qp`, with the registry's measurement seed.
+fn hevc_kernel(
+    frames: &[Image],
+    scene: Scene,
+    config: Config,
+    qp: u32,
+    seed: u64,
+) -> Result<Kernel, NfpError> {
+    let name = hevc_name(scene, config, qp);
+    let encoded = hevc::encode(frames, config, qp)?;
+    let decoded = hevc::decode(&encoded.bytes).map_err(|e| NfpError::Workload {
+        what: name.clone(),
+        reason: format!("own bitstream does not decode: {e}"),
+    })?;
+    let mut all_bytes = Vec::new();
+    for f in &decoded.frames {
+        all_bytes.extend_from_slice(&f.data);
+    }
+    let activity_bits = decoded.activity.to_bits();
+    Ok(Kernel {
+        name,
+        workload: Workload::Hevc,
+        input: hevc::minic::input_blob(&encoded.bytes),
+        expected_words: vec![
+            fnv1a(&all_bytes),
+            (activity_bits >> 32) as u32,
+            activity_bits as u32,
+        ],
+        seed,
+    })
+}
+
 /// Builds the 24 FSE kernels (24 images with individual masks).
 pub fn fse_kernels(preset: &Preset) -> Result<Vec<Kernel>, NfpError> {
-    let mut kernels = Vec::with_capacity(24);
-    for i in 0..24u64 {
-        let img = test_image(preset.fse_size, preset.fse_size, i);
-        let mask = loss_mask(preset.fse_size, preset.fse_size, preset.fse_blocks, i);
-        // The lost samples carry arbitrary content in a real error
-        // pattern; zero them like the simulated program's input.
-        let mut lost = img.clone();
-        for (p, &m) in lost.data.iter_mut().zip(&mask) {
-            if m {
-                *p = 0;
-            }
+    Ok((0..FSE_KERNELS).map(|i| fse_kernel(preset, i)).collect())
+}
+
+/// FSE kernels in the registry.
+const FSE_KERNELS: u64 = 24;
+
+/// FSE kernel `i`: image `i` with its own loss mask.
+fn fse_kernel(preset: &Preset, i: u64) -> Kernel {
+    let img = test_image(preset.fse_size, preset.fse_size, i);
+    let mask = loss_mask(preset.fse_size, preset.fse_size, preset.fse_blocks, i);
+    // The lost samples carry arbitrary content in a real error
+    // pattern; zero them like the simulated program's input.
+    let mut lost = img.clone();
+    for (p, &m) in lost.data.iter_mut().zip(&mask) {
+        if m {
+            *p = 0;
         }
-        let mut concealed = lost.clone();
-        fse::conceal(&mut concealed, &mask, preset.fse_iters as usize);
-        kernels.push(Kernel {
-            name: format!("fse_img{i:02}"),
-            workload: Workload::Fse,
-            input: fse::minic::input_blob(&lost, &mask, preset.fse_iters),
-            expected_words: vec![fnv1a(&concealed.data)],
-            seed: 2000 + i,
-        });
     }
-    Ok(kernels)
+    let mut concealed = lost.clone();
+    fse::conceal(&mut concealed, &mask, preset.fse_iters as usize);
+    Kernel {
+        name: format!("fse_img{i:02}"),
+        workload: Workload::Fse,
+        input: fse::minic::input_blob(&lost, &mask, preset.fse_iters),
+        expected_words: vec![fnv1a(&concealed.data)],
+        seed: 2000 + i,
+    }
 }
 
 /// All 60 kernels of the evaluation (each is later run in float and
@@ -160,6 +180,32 @@ pub fn all_kernels(preset: &Preset) -> Result<Vec<Kernel>, NfpError> {
     let mut v = hevc_kernels(preset)?;
     v.extend(fse_kernels(preset)?);
     Ok(v)
+}
+
+/// The kernel named `name`, exactly as [`all_kernels`] builds it, built
+/// alone: only its own input is synthesised. An error if no kernel of
+/// the evaluation has that name.
+pub fn kernel(preset: &Preset, name: &str) -> Result<Kernel, NfpError> {
+    if let Some(i) = (0..FSE_KERNELS).find(|i| name == format!("fse_img{i:02}")) {
+        return Ok(fse_kernel(preset, i));
+    }
+    let mut seed = 1000u64;
+    for scene in Scene::ALL {
+        for config in Config::ALL {
+            for qp in QPS {
+                if name == hevc_name(scene, config, qp) {
+                    let frames =
+                        test_sequence(scene, preset.video_w, preset.video_h, preset.frames);
+                    return hevc_kernel(&frames, scene, config, qp, seed);
+                }
+                seed += 1;
+            }
+        }
+    }
+    Err(NfpError::Workload {
+        what: name.to_string(),
+        reason: "no kernel of the evaluation has this name".to_string(),
+    })
 }
 
 /// The compiled workload program for a (workload, float-mode) pair.
@@ -234,6 +280,18 @@ mod tests {
         names.sort();
         names.dedup();
         assert_eq!(names.len(), kernels.len());
+    }
+
+    #[test]
+    fn a_kernel_built_alone_is_its_registry_entry() {
+        let preset = Preset::quick();
+        for k in all_kernels(&preset).expect("all kernels") {
+            let alone = kernel(&preset, &k.name).expect("a registry name");
+            assert_eq!(format!("{alone:?}"), format!("{k:?}"), "{}", k.name);
+        }
+        for name in ["fse_img24", "fse_img1", "hevc_nosuch", ""] {
+            assert!(kernel(&preset, name).is_err(), "{name:?}");
+        }
     }
 
     #[test]

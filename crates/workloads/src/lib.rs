@@ -13,7 +13,7 @@ pub mod pixels;
 pub mod synth;
 
 pub use kernels::{
-    all_kernels, fse_kernels, hevc_kernels, machine_for, program, Kernel, Preset, Workload,
+    all_kernels, fse_kernels, hevc_kernels, kernel, machine_for, program, Kernel, Preset, Workload,
     INPUT_BASE, KERNEL_BUDGET, OUTPUT_BASE, QPS,
 };
 pub use pixels::{fnv1a, psnr, Image};
