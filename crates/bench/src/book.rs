@@ -7,34 +7,18 @@
 //! in-process sharded runner (`shards`). Their shells feed it
 //! [`Event`]s, each stamped with the current instant as a [`Duration`]
 //! since the shell's epoch, and carry out the [`Action`]s that come back,
-//! in order. The book reads no clock, does no I/O and prints nothing, so
-//! a seeded test drives it through thousands of schedules.
+//! in order. Every attempt of either runner, a remote lease or a local
+//! supervised run, returns its range's checked records
+//! ([`LeaseRecords`]), which the book holds for a second opinion,
+//! compares, and accepts into the shell's report. The book reads no
+//! clock, does no I/O and prints nothing, so a seeded test drives it
+//! through thousands of schedules.
 
 use crate::backoff::{backoff_delay, splitmix64};
 use crate::journal::LeaseRecords;
 use crate::shards::shard_range;
 use nfp_core::NfpError;
-use std::path::PathBuf;
 use std::time::Duration;
-
-/// What one attempt hands back for its range.
-pub(crate) trait Stream {
-    /// Whether two streams for the same range agree.
-    fn agrees(&self, other: &Self) -> bool;
-}
-
-impl Stream for LeaseRecords {
-    fn agrees(&self, other: &Self) -> bool {
-        streams_match(self, other)
-    }
-}
-
-/// The sharded runner audits nothing: its journal paths never meet.
-impl Stream for PathBuf {
-    fn agrees(&self, other: &Self) -> bool {
-        self == other
-    }
-}
 
 /// The deterministic, seed-driven audit sampler: whether `shard` of a
 /// campaign seeded `seed` gets a second opinion. A pure function, so a
@@ -82,7 +66,7 @@ pub(crate) struct Policy {
 
 /// What a shell tells the book about attempt `attempt` of `shard`.
 #[derive(Debug, Clone)]
-pub(crate) enum Event<S> {
+pub(crate) enum Event {
     /// The attempt started; its straggler clock runs from here.
     Leased { shard: u32, attempt: u32 },
     /// The attempt returned a validated stream. `wid` names its producer
@@ -92,7 +76,7 @@ pub(crate) enum Event<S> {
         attempt: u32,
         wid: u64,
         banned: bool,
-        stream: S,
+        stream: LeaseRecords,
     },
     /// The attempt failed; `detail` names the loss if it was the last.
     Failed {
@@ -106,7 +90,7 @@ pub(crate) enum Event<S> {
     /// The trusted pool re-executed `shard`.
     Arbitrated {
         shard: u32,
-        truth: Result<S, NfpError>,
+        truth: Result<LeaseRecords, NfpError>,
     },
 }
 
@@ -123,7 +107,7 @@ pub(crate) enum Why {
 
 /// What the book tells a shell to do.
 #[derive(Debug, Clone, PartialEq)]
-pub(crate) enum Action<S> {
+pub(crate) enum Action {
     /// Start attempt `attempt` of `shard`; worker `exclude` must not
     /// take it.
     Dispatch {
@@ -137,7 +121,7 @@ pub(crate) enum Action<S> {
     Accept {
         shard: u32,
         producer: Option<u64>,
-        stream: S,
+        stream: LeaseRecords,
     },
     /// Withdraw every attempt of `shard` that has not started.
     Cancel { shard: u32 },
@@ -191,7 +175,7 @@ enum Phase {
 
 /// One shard's lifecycle.
 #[derive(Default)]
-struct Shard<S> {
+struct Shard {
     phase: Phase,
     /// Failed attempts charged against the budget (fresh after an
     /// invalidation).
@@ -207,15 +191,15 @@ struct Shard<S> {
     producer: Option<u64>,
     sampled: bool,
     /// Streams held back for a second opinion, with their producers.
-    held: Vec<(u64, S)>,
+    held: Vec<(u64, LeaseRecords)>,
     /// When the first held stream arrived.
     since: Duration,
 }
 
 /// The per-shard scheduler of one campaign; see the module docs.
-pub(crate) struct ShardBook<S> {
+pub(crate) struct ShardBook {
     policy: Policy,
-    shards: Vec<Shard<S>>,
+    shards: Vec<Shard>,
     /// Workers this book convicted: nothing they return is accepted,
     /// whatever their parole.
     convicted: Vec<u64>,
@@ -223,13 +207,13 @@ pub(crate) struct ShardBook<S> {
     local_only: bool,
     failed: bool,
     tally: Tally,
-    out: Vec<Action<S>>,
+    out: Vec<Action>,
 }
 
-impl<S: Stream + Default> ShardBook<S> {
+impl ShardBook {
     /// A book over `done.len()` shards, `done[i]` marking shards already
     /// complete (restored from disk), and its first dispatches.
-    pub(crate) fn open(policy: Policy, done: &[bool]) -> (Self, Vec<Action<S>>) {
+    pub(crate) fn open(policy: Policy, done: &[bool]) -> (Self, Vec<Action>) {
         let shards = done
             .iter()
             .zip(0..)
@@ -277,7 +261,7 @@ impl<S: Stream + Default> ShardBook<S> {
     }
 
     /// Takes in one event at instant `now`; returns the actions to run.
-    pub(crate) fn on(&mut self, now: Duration, event: Event<S>) -> Vec<Action<S>> {
+    pub(crate) fn on(&mut self, now: Duration, event: Event) -> Vec<Action> {
         match event {
             _ if self.failed => {}
             Event::Leased { shard, attempt } => {
@@ -308,7 +292,14 @@ impl<S: Stream + Default> ShardBook<S> {
         self.shards.len() as u32
     }
 
-    fn returned(&mut self, now: Duration, shard: u32, attempt: u32, by: (u64, bool), stream: S) {
+    fn returned(
+        &mut self,
+        now: Duration,
+        shard: u32,
+        attempt: u32,
+        by: (u64, bool),
+        stream: LeaseRecords,
+    ) {
         let (wid, banned) = by;
         let convict = wid != 0 && self.convicted.contains(&wid);
         let t = &mut self.shards[shard as usize];
@@ -345,7 +336,7 @@ impl<S: Stream + Default> ShardBook<S> {
             Some(&(first, _)) if producer == Some(first) => {}
             Some(_) => {
                 let (w1, first) = t.held.remove(0);
-                if first.agrees(&stream) {
+                if streams_match(&first, &stream) {
                     self.tally.passed += 1;
                     self.verdict(shard, w1, "pass");
                     self.accept(shard, (w1 != 0).then_some(w1), first);
@@ -434,7 +425,7 @@ impl<S: Stream + Default> ShardBook<S> {
         }
     }
 
-    fn arbitrated(&mut self, shard: u32, truth: Result<S, NfpError>) {
+    fn arbitrated(&mut self, shard: u32, truth: Result<LeaseRecords, NfpError>) {
         let t = &mut self.shards[shard as usize];
         if t.phase != Phase::Arbitrating {
             return;
@@ -446,7 +437,7 @@ impl<S: Stream + Default> ShardBook<S> {
         };
         let mut again = Vec::new();
         for (wid, stream) in held {
-            if stream.agrees(&truth) {
+            if streams_match(&stream, &truth) {
                 self.tally.passed += 1;
                 self.verdict(shard, wid, "pass");
             } else {
@@ -513,7 +504,7 @@ impl<S: Stream + Default> ShardBook<S> {
         });
     }
 
-    fn accept(&mut self, shard: u32, producer: Option<u64>, stream: S) {
+    fn accept(&mut self, shard: u32, producer: Option<u64>, stream: LeaseRecords) {
         let t = &mut self.shards[shard as usize];
         t.phase = Phase::Done;
         t.producer = producer;
@@ -604,7 +595,7 @@ mod tests {
         }
     }
 
-    fn dispatch(shard: u32, attempt: u32, exclude: Option<u64>, why: Why) -> Action<LeaseRecords> {
+    fn dispatch(shard: u32, attempt: u32, exclude: Option<u64>, why: Why) -> Action {
         Action::Dispatch {
             shard,
             attempt,
@@ -613,7 +604,7 @@ mod tests {
         }
     }
 
-    fn returned(shard: u32, attempt: u32, wid: u64, stream: LeaseRecords) -> Event<LeaseRecords> {
+    fn returned(shard: u32, attempt: u32, wid: u64, stream: LeaseRecords) -> Event {
         Event::Returned {
             shard,
             attempt,
@@ -623,7 +614,7 @@ mod tests {
         }
     }
 
-    fn failed(shard: u32, attempt: u32) -> Event<LeaseRecords> {
+    fn failed(shard: u32, attempt: u32) -> Event {
         Event::Failed {
             shard,
             attempt,
@@ -631,7 +622,7 @@ mod tests {
         }
     }
 
-    const TICK: Event<LeaseRecords> = Event::Tick { stranded: false };
+    const TICK: Event = Event::Tick { stranded: false };
 
     #[test]
     fn audit_sampler_is_deterministic_and_rate_faithful() {
@@ -664,16 +655,16 @@ mod tests {
         let ok = |i: usize| record(i, Outcome::Masked);
         let a: LeaseRecords = vec![(0, ok(0), 1), (1, ok(1), 1)];
         let b: LeaseRecords = vec![(0, ok(0), 3), (1, ok(1), 2)];
-        assert!(a.agrees(&b));
+        assert!(streams_match(&a, &b));
         // The trusted pool's truth for the wrong range is no match.
         let shifted: LeaseRecords = vec![(1, ok(0), 1), (2, ok(1), 1)];
-        assert!(!b.agrees(&shifted));
+        assert!(!streams_match(&b, &shifted));
         // A flipped outcome is exactly what it must catch.
         let c: LeaseRecords = vec![(0, ok(0), 1), (1, record(1, Outcome::Sdc), 1)];
-        assert!(!a.agrees(&c));
+        assert!(!streams_match(&a, &c));
         // As is a silently shortened stream.
         let d: LeaseRecords = vec![(0, ok(0), 1)];
-        assert!(!a.agrees(&d));
+        assert!(!streams_match(&a, &d));
     }
 
     #[test]
@@ -902,7 +893,7 @@ mod tests {
         count: u32,
         workers: u64,
         liar: Option<u64>,
-        book: ShardBook<LeaseRecords>,
+        book: ShardBook,
         now: Duration,
         /// Dispatched attempts nobody took: (shard, attempt, exclude).
         queue: Vec<(u32, u32, Option<u64>)>,
@@ -914,8 +905,8 @@ mod tests {
         /// The hub's blacklist: parole ends at the instant, doubling
         /// per strike.
         parole: BTreeMap<u64, (u32, Duration)>,
-        fed: Vec<(Duration, Event<LeaseRecords>)>,
-        actions: Vec<Action<LeaseRecords>>,
+        fed: Vec<(Duration, Event)>,
+        actions: Vec<Action>,
         done: Vec<bool>,
         lost: Vec<bool>,
         producer: Vec<Option<u64>>,
@@ -983,7 +974,7 @@ mod tests {
                 || self.running.iter().any(|r| r.1 == shard && r.3)
         }
 
-        fn feed(&mut self, event: Event<LeaseRecords>) -> Result<(), TestCaseError> {
+        fn feed(&mut self, event: Event) -> Result<(), TestCaseError> {
             let returner = match &event {
                 Event::Returned { wid, .. } => Some(*wid),
                 _ => None,
@@ -1008,11 +999,7 @@ mod tests {
             Ok(())
         }
 
-        fn apply(
-            &mut self,
-            action: &Action<LeaseRecords>,
-            returner: Option<u64>,
-        ) -> Result<(), TestCaseError> {
+        fn apply(&mut self, action: &Action, returner: Option<u64>) -> Result<(), TestCaseError> {
             match action {
                 Action::Dispatch {
                     shard,
@@ -1050,7 +1037,10 @@ mod tests {
                         prop_assert!(!self.banned.contains(wid), "accepted banned worker {wid}");
                     }
                     if self.policy.audit_rate >= 1.0 {
-                        prop_assert!(stream.agrees(&self.truth(*shard)), "shard {shard}: a lie");
+                        prop_assert!(
+                            streams_match(stream, &self.truth(*shard)),
+                            "shard {shard}: a lie"
+                        );
                     }
                     self.done[s] = true;
                     self.producer[s] = *producer;

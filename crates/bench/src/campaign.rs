@@ -39,7 +39,7 @@
 //! seed, same kernel, same counts — the basis for the campaign
 //! regression test.
 
-use crate::evaluation::{collect_parallel_slots, run_pool, Mode};
+use crate::evaluation::Mode;
 use nfp_core::{NfpError, Outcome, VulnerabilityReport};
 use nfp_sim::fault::{inject, plan, undo, Undo};
 use nfp_sim::machine::TrapPolicy;
@@ -467,46 +467,6 @@ pub fn run_campaign(
     Ok(golden.assemble(records.collect::<Result<_, _>>()?))
 }
 
-/// Like [`run_campaign`] but sweeping injections across worker threads.
-/// Each worker replays a contiguous chunk of the (deterministic) fault
-/// plan on a machine of its own, against the one golden reference the
-/// campaign prepares; the merged result is identical to the sequential
-/// campaign's. A chunk whose worker panicked reports
-/// [`NfpError::WorkerLost`] naming the chunk.
-pub fn run_campaign_parallel(
-    kernel: &Kernel,
-    mode: Mode,
-    cfg: &CampaignConfig,
-) -> Result<CampaignResult, NfpError> {
-    let golden = Golden::prepare(kernel, mode, cfg)?;
-    let faults = &golden.faults;
-    let workers = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(4)
-        .min(faults.len().max(1));
-    let chunk_len = faults.len().div_ceil(workers.max(1)).max(1);
-    let chunks: Vec<&[Fault]> = faults.chunks(chunk_len).collect();
-    let names: Vec<String> = chunks
-        .iter()
-        .enumerate()
-        .map(|(i, chunk)| {
-            format!(
-                "campaign chunk {i} of {}_{} ({} injections)",
-                kernel.name,
-                mode.suffix(),
-                chunk.len()
-            )
-        })
-        .collect();
-    // One chunk per thread.
-    let done = run_pool(&chunks, chunks.len(), |chunk| {
-        let mut m = golden.machine()?;
-        chunk.iter().map(|f| golden.run_one(&mut m, f)).collect()
-    });
-    let records: Vec<Vec<InjectionRecord>> = collect_parallel_slots(done, &names)?;
-    Ok(golden.assemble(records.concat()))
-}
-
 /// Renders a campaign as a vulnerability table with a header line.
 pub fn report_campaign(result: &CampaignResult) -> String {
     use std::fmt::Write;
@@ -753,7 +713,7 @@ mod tests {
             ..CampaignConfig::default()
         };
         let seq = run_campaign(&kernels[0], Mode::Float, &cfg).unwrap();
-        let par = run_campaign_parallel(&kernels[0], Mode::Float, &cfg).unwrap();
+        let par = crate::run_campaign_parallel(&kernels[0], Mode::Float, &cfg).unwrap();
         assert_eq!(seq.report, par.report);
         assert_eq!(seq.records.len(), par.records.len());
         // Whole records: fault, category and outcome.

@@ -40,8 +40,7 @@ pub mod supervisor;
 pub mod worker;
 
 pub use campaign::{
-    report_campaign, run_campaign, run_campaign_parallel, CampaignConfig, CampaignResult,
-    InjectionRecord,
+    report_campaign, run_campaign, CampaignConfig, CampaignResult, InjectionRecord,
 };
 pub use evaluation::{run_variants, Evaluation, KernelResult, Mode};
 pub use reports::*;
@@ -54,6 +53,7 @@ pub use shards::{
     ShardOutcome, ShardSpec,
 };
 pub use supervisor::{
-    run_supervised, QuarantineEntry, SupervisorConfig, SupervisorOutcome, WorkerIsolation,
+    run_campaign_parallel, run_supervised, QuarantineEntry, SupervisorConfig, SupervisorOutcome,
+    WorkerIsolation,
 };
 pub use worker::{run_worker, run_worker_connect, run_worker_connect_with, LiePlan, WorkerPreset};

@@ -5,23 +5,26 @@
 //! Reads time out mid-frame, peers vanish mid-byte, and a hostile (or
 //! merely broken) peer can claim an absurd length. So the wire carries
 //! `[u32 big-endian length][flat-JSON payload]` frames capped at 64 KiB,
-//! and [`FrameReader`] keeps partial state across read timeouts: a
-//! deadline firing mid-frame is an [`Recv::Idle`] tick, never a
-//! desynchronized stream.
+//! and the frame reader keeps partial state across read timeouts: a
+//! deadline firing mid-frame is an idle tick, never a desynchronized
+//! stream.
 //!
 //! Every malformation — oversized length prefix, truncated stream,
 //! non-UTF-8 payload — is a typed [`NfpError::ProtocolViolation`];
 //! transport failures are typed [`NfpError::Net`]. Nothing here
 //! panics, and nothing blocks past the socket's configured timeout.
 //!
-//! A [`Link`] carries one conversation's frames over a socket or a
-//! child's pipes, with a liveness clock (a beat and a silence limit,
-//! set per conversation) ticking every [`READ_TICK`]. [`drive_lease`]
-//! runs one lease over a link under the one liveness rule of DESIGN.md
-//! §11: silence ends the lease when it outlasts the link's limit,
-//! counted from the later of the hello and the last frame, and so does
-//! a deadline counted from the hello. Every way a conversation breaks
-//! is a [`Failure`] typed by its [`HarnessCause`].
+//! A [`Link`] is the only code that reads frames, writes heartbeats or
+//! judges silence, at both ends of every lease: one conversation's
+//! frames over a socket or a pair of pipes, a beat thread that sends a
+//! heartbeat whenever a beat has passed since the link last sent a
+//! frame, whatever its owner is busy with, and reads that judge the
+//! other side's silence every [`READ_TICK`]. [`drive_lease`] runs one
+//! lease over a link under the one liveness rule of DESIGN.md §11:
+//! silence ends the lease when it outlasts the link's limit, counted
+//! from the later of the hello and the last frame, and so does a
+//! deadline counted from the hello. Every way a conversation breaks is a
+//! [`Failure`] typed by its [`HarnessCause`].
 
 use crate::flatjson::{esc, parse_flat, Obj};
 use crate::journal::{LeaseCheck, LeaseRecords, Step};
@@ -31,7 +34,8 @@ use nfp_sim::Fault;
 use std::io::{ErrorKind, Read, Write};
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc;
+use std::sync::{mpsc, Arc, Mutex, MutexGuard, PoisonError};
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 /// Maximum frame payload: no legitimate hello, record, or report chunk
@@ -48,7 +52,7 @@ pub(crate) fn violation(detail: impl Into<String>) -> NfpError {
 
 /// One poll of a [`FrameReader`].
 #[derive(Debug)]
-pub(crate) enum Recv {
+enum Recv {
     /// A complete frame payload.
     Frame(String),
     /// The read deadline fired; partial frame state (if any) is
@@ -60,7 +64,7 @@ pub(crate) enum Recv {
 
 /// Incremental frame decoder: survives read timeouts mid-frame and
 /// converts every way a stream can lie into a typed error.
-pub(crate) struct FrameReader {
+struct FrameReader {
     /// Peer label for [`NfpError::Net`] messages.
     peer: String,
     hdr: [u8; 4],
@@ -70,7 +74,7 @@ pub(crate) struct FrameReader {
 }
 
 impl FrameReader {
-    pub(crate) fn new(peer: impl Into<String>) -> Self {
+    fn new(peer: impl Into<String>) -> Self {
         FrameReader {
             peer: peer.into(),
             hdr: [0; 4],
@@ -83,7 +87,7 @@ impl FrameReader {
     /// Polls the stream once. With a read timeout configured on `r`
     /// this returns within one timeout window: a frame, an idle tick,
     /// a clean EOF, or a typed error.
-    pub(crate) fn recv(&mut self, r: &mut impl Read) -> Result<Recv, NfpError> {
+    fn recv(&mut self, r: &mut impl Read) -> Result<Recv, NfpError> {
         loop {
             if self.hdr_got < 4 {
                 match r.read(&mut self.hdr[self.hdr_got..]) {
@@ -163,7 +167,7 @@ impl FrameReader {
 /// flushes, so a writer killed mid-stream leaves whole frames behind. An
 /// oversized payload is refused before a byte hits the wire — the
 /// receiver would only reject it anyway.
-pub(crate) fn write_frame(w: &mut impl Write, payload: &str) -> std::io::Result<()> {
+fn write_frame(w: &mut impl Write, payload: &str) -> std::io::Result<()> {
     if payload.len() > MAX_FRAME {
         return Err(std::io::Error::new(
             ErrorKind::InvalidInput,
@@ -250,7 +254,7 @@ pub(crate) fn parse_join(line: &str) -> Result<JoinFrame, NfpError> {
 /// Coordinator → peer/client: "shutting down / lease stream over".
 pub(crate) const BYE_FRAME: &str = "{\"kind\":\"bye\"}";
 
-/// Bidirectional liveness tick.
+/// Bidirectional liveness tick, written only by a link's beat thread.
 pub(crate) const HB_FRAME: &str = "{\"kind\":\"hb\"}";
 
 /// Coordinator → client: a progress/footer line for the client's
@@ -297,7 +301,7 @@ pub(crate) const WRITE_TIMEOUT: Duration = Duration::from_secs(5);
 /// Readies a connected socket for framed conversation: no Nagle delay,
 /// reads that return within a [`READ_TICK`], writes bounded by
 /// [`WRITE_TIMEOUT`]. Every socket of the crate is set up here.
-pub(crate) fn tick_socket(stream: &TcpStream) -> std::io::Result<()> {
+fn tick_socket(stream: &TcpStream) -> std::io::Result<()> {
     let _ = stream.set_nodelay(true);
     stream.set_read_timeout(Some(READ_TICK))?;
     stream.set_write_timeout(Some(WRITE_TIMEOUT))
@@ -317,6 +321,9 @@ pub(crate) fn worker_silence(heartbeat: Duration) -> Duration {
 pub(crate) struct Failure {
     pub(crate) cause: HarnessCause,
     pub(crate) detail: String,
+    /// The stream ended on a frame boundary: a dead worker to the side
+    /// that leases, the end of its input to a worker.
+    pub(crate) ended: bool,
 }
 
 impl Failure {
@@ -324,6 +331,7 @@ impl Failure {
         Failure {
             cause,
             detail: detail.into(),
+            ended: false,
         }
     }
 
@@ -345,21 +353,61 @@ impl From<NfpError> for Failure {
     }
 }
 
-/// One conversation's frames over a socket or a child's pipes, with its
+/// One conversation's frames over a socket or a pair of pipes, with its
 /// liveness clock.
 pub(crate) struct Link {
     /// One read of at most a [`READ_TICK`].
     recv: Box<dyn FnMut() -> Result<Recv, NfpError> + Send>,
-    /// Where this side's frames go.
-    tx: Box<dyn Write + Send>,
-    /// Heartbeat interval towards the other side; `None` sends none.
-    beat: Option<Duration>,
+    /// Where this side's frames go, shared with the beat thread.
+    out: Arc<Mutex<Out>>,
+    /// The beat thread and the channel that retunes it; dropping the
+    /// channel stops it.
+    beat: Option<(mpsc::Sender<Duration>, JoinHandle<()>)>,
     /// How long the other side may say nothing; `None` waits for ever.
     silence: Option<Duration>,
     /// When the other side last sent a frame (or the clock restarted).
     heard: Instant,
+}
+
+/// A link's write side: every frame goes out under its lock, so a
+/// heartbeat never interleaves bytes into another frame.
+struct Out {
+    tx: Box<dyn Write + Send>,
     /// When this side last sent a frame.
     sent: Instant,
+}
+
+impl Out {
+    /// Writes one frame; returns when it went out.
+    fn send(&mut self, frame: &str) -> std::io::Result<Instant> {
+        write_frame(&mut self.tx, frame)?;
+        self.sent = Instant::now();
+        Ok(self.sent)
+    }
+}
+
+/// Locks `m`, recovering the guard if a holder panicked.
+pub(crate) fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// A link's beat thread: a heartbeat whenever `beat` has passed since
+/// the link last sent a frame, until a write fails or the link drops
+/// `retune`, on which a new beat arrives.
+fn beat_thread(out: &Mutex<Out>, mut beat: Duration, retune: &mpsc::Receiver<Duration>) {
+    loop {
+        let wait = beat.saturating_sub(lock(out).sent.elapsed());
+        match retune.recv_timeout(wait) {
+            Ok(next) => beat = next,
+            Err(mpsc::RecvTimeoutError::Timeout) => {
+                let mut out = lock(out);
+                if out.sent.elapsed() >= beat && out.send(HB_FRAME).is_err() {
+                    return;
+                }
+            }
+            Err(mpsc::RecvTimeoutError::Disconnected) => return,
+        }
+    }
 }
 
 impl Link {
@@ -370,11 +418,13 @@ impl Link {
         let now = Instant::now();
         Link {
             recv: Box::new(recv),
-            tx: Box::new(tx),
+            out: Arc::new(Mutex::new(Out {
+                tx: Box::new(tx),
+                sent: now,
+            })),
             beat: None,
             silence: None,
             heard: now,
-            sent: now,
         }
     }
 
@@ -385,10 +435,10 @@ impl Link {
         Ok(Link::over(move || reader.recv(&mut from), stream))
     }
 
-    /// A link over a child's pipes. Blocking pipe reads carry no
-    /// timeout, so a detached thread frames `from` into a channel: it
-    /// exits at the end of the stream, after a framing error (which it
-    /// passes on), or once the link is gone.
+    /// A link over pipes. Blocking pipe reads carry no timeout, so a
+    /// detached thread frames `from` into a channel: it exits at the end
+    /// of the stream, after a framing error (which it passes on), or
+    /// once the link is gone.
     pub(crate) fn pipes(
         mut from: impl Read + Send + 'static,
         to: impl Write + Send + 'static,
@@ -407,29 +457,47 @@ impl Link {
     }
 
     /// Sets the conversation's beat and silence limit, and restarts the
-    /// clock.
+    /// clock. A beat (at least a millisecond) starts the link's one beat
+    /// thread, or retunes it; `None` stops it.
     pub(crate) fn pace(&mut self, beat: Option<Duration>, silence: Option<Duration>) {
-        self.beat = beat;
         self.silence = silence;
         self.heard = Instant::now();
-        self.sent = self.heard;
-    }
-
-    /// Sends one frame; any frame stands in for a due heartbeat.
-    pub(crate) fn send(&mut self, frame: &str) -> std::io::Result<()> {
-        write_frame(&mut self.tx, frame)?;
-        self.sent = Instant::now();
-        Ok(())
-    }
-
-    /// One tick: a heartbeat when one is due, then one read of at most
-    /// [`READ_TICK`]. `Ok(None)` is a quiet tick within the silence
-    /// limit.
-    pub(crate) fn poll(&mut self) -> Result<Option<String>, Failure> {
-        if self.beat.is_some_and(|beat| self.sent.elapsed() >= beat) {
-            self.send(HB_FRAME)
-                .map_err(|e| Failure::lost(format!("heartbeat write failed: {e}")))?;
+        lock(&self.out).sent = self.heard;
+        let Some(beat) = beat.map(|b| b.max(Duration::from_millis(1))) else {
+            return self.unbeat();
+        };
+        match &self.beat {
+            Some((retune, _)) => {
+                let _ = retune.send(beat);
+            }
+            None => {
+                let (retune, rx) = mpsc::channel();
+                let out = Arc::clone(&self.out);
+                let thread = std::thread::spawn(move || beat_thread(&out, beat, &rx));
+                self.beat = Some((retune, thread));
+            }
         }
+    }
+
+    /// Stops the beat thread and waits for it: a beat never outlives its
+    /// link, nor holds a dead peer's socket open.
+    fn unbeat(&mut self) {
+        if let Some((retune, thread)) = self.beat.take() {
+            drop(retune);
+            let _ = thread.join();
+        }
+    }
+
+    /// Sends one frame, which stands in for a due heartbeat; returns
+    /// when it went out.
+    pub(crate) fn send(&self, frame: &str) -> std::io::Result<Instant> {
+        lock(&self.out).send(frame)
+    }
+
+    /// One read of at most [`READ_TICK`]. `Ok(None)` is a quiet tick
+    /// within the silence limit; the end of the stream on a frame
+    /// boundary is an [`ended`](Failure::ended) failure.
+    pub(crate) fn poll(&mut self) -> Result<Option<String>, Failure> {
         match (self.recv)()? {
             Recv::Frame(frame) => {
                 self.heard = Instant::now();
@@ -442,7 +510,10 @@ impl Link {
                 )),
                 _ => Ok(None),
             },
-            Recv::Eof => Err(Failure::lost("the stream ended")),
+            Recv::Eof => Err(Failure {
+                ended: true,
+                ..Failure::lost("the stream ended")
+            }),
         }
     }
 
@@ -468,6 +539,12 @@ impl Link {
             )),
             _ => Ok(()),
         }
+    }
+}
+
+impl Drop for Link {
+    fn drop(&mut self) {
+        self.unbeat();
     }
 }
 
@@ -503,9 +580,9 @@ pub(crate) fn drive_lease(
     deadline: Option<Duration>,
     stop: &AtomicBool,
 ) -> Result<LeaseEnd, Failure> {
-    link.send(&render_hello(hello))
+    let leased = link
+        .send(&render_hello(hello))
         .map_err(|e| Failure::lost(format!("lease write failed: {e}")))?;
-    let leased = link.sent;
     link.heard = leased;
     let mut check = LeaseCheck::new(&hello.header, faults);
     while !stop.load(Ordering::Relaxed) {
@@ -922,9 +999,77 @@ mod tests {
             let f = failure(drive(&mut link, Some(300), false));
             assert_eq!(f.cause, HarnessCause::DeadlineExceeded);
             let frames = sink.frames();
-            assert_eq!(frames[0], render_hello(&hello()));
-            assert!(frames[1..].iter().all(|f| f == HB_FRAME), "{frames:?}");
-            assert_eq!(frames.len() > 1, beat.is_some(), "{frames:?}");
+            let (beats, rest): (Vec<_>, Vec<_>) = frames.iter().partition(|f| *f == HB_FRAME);
+            assert_eq!(rest, [&render_hello(&hello())], "{frames:?}");
+            assert_eq!(!beats.is_empty(), beat.is_some(), "{frames:?}");
         }
+    }
+
+    #[test]
+    fn a_retune_reaches_a_waiting_beat() {
+        // Each hello retunes a worker's beat: the new beat takes effect
+        // at once, even from a beat that would never come due.
+        let (mut link, _tx, sink) = scripted(Some(u64::MAX), None);
+        link.pace(Some(Duration::from_millis(5)), None);
+        let until = Instant::now() + Duration::from_secs(2);
+        while !sink.frames().iter().any(|f| f == HB_FRAME) {
+            assert!(Instant::now() < until, "no beat after the retune");
+            std::thread::sleep(Duration::from_millis(5));
+        }
+    }
+
+    /// Both ends of a loopback connection.
+    fn loopback() -> (Link, Link) {
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let near = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (far, _) = listener.accept().unwrap();
+        (
+            Link::tcp(near, "near").unwrap(),
+            Link::tcp(far, "far").unwrap(),
+        )
+    }
+
+    #[test]
+    fn a_link_that_never_polls_keeps_beating() {
+        let (mut busy, mut peer) = loopback();
+        busy.pace(Some(Duration::from_millis(20)), None);
+        peer.pace(None, Some(Duration::from_millis(200)));
+        // `busy` stands for a worker deep in a replay: it never polls
+        // while fifty of its beats come due.
+        let until = Instant::now() + Duration::from_secs(1);
+        let mut beats = 0;
+        while Instant::now() < until {
+            match peer.poll() {
+                Ok(Some(frame)) => {
+                    assert_eq!(frame, HB_FRAME);
+                    beats += 1;
+                }
+                Ok(None) => {}
+                Err(f) => panic!("judged silent after {beats} beats: {}", f.detail),
+            }
+        }
+        assert!(beats >= 10, "only {beats} beats in a second");
+    }
+
+    #[test]
+    fn a_dropped_link_takes_its_beat_along() {
+        let (mut gone, mut peer) = loopback();
+        gone.pace(Some(Duration::from_millis(5)), None);
+        peer.pace(None, Some(Duration::from_secs(1)));
+        while peer.poll().expect("beats arrive").is_none() {}
+        drop(gone);
+        // Beats already on the wire drain; then the stream must end. A
+        // beat thread outliving its link would hold the socket open and
+        // go on writing.
+        let until = Instant::now() + Duration::from_secs(2);
+        let f = loop {
+            assert!(Instant::now() < until, "beats outlived their link");
+            match peer.poll() {
+                Ok(Some(frame)) => assert_eq!(frame, HB_FRAME),
+                Ok(None) => {}
+                Err(f) => break f,
+            }
+        };
+        assert!(f.ended, "{}: {}", f.cause, f.detail);
     }
 }

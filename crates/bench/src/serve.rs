@@ -40,14 +40,14 @@ use crate::flatjson::{esc, parse_flat, Obj};
 use crate::identity::Identity;
 use crate::journal::{quarantine, CampaignJournal, JournalHeader, LeaseRecords};
 use crate::net::{
-    drive_lease, frame_kind, parse_join, render_note, render_reject, render_report_chunk,
+    drive_lease, frame_kind, lock, parse_join, render_note, render_reject, render_report_chunk,
     violation, worker_silence, Failure, JoinFrame, LeaseEnd, Link, BYE_FRAME, END_FRAME,
     NET_VERSION,
 };
 use crate::reports::{report_campaign_footer, CampaignFooter};
 use crate::servejournal::{load_service_journal, records_path, OpenCampaign, ServiceJournal};
 use crate::shards::{clear_range, missing_ranges_of, shard_range, ShardSpec};
-use crate::supervisor::{supervise, SupervisorConfig};
+use crate::supervisor::{supervise_lease, SupervisorConfig};
 use crate::worker::{render_error, tcp_connect, WorkerHello, WorkerPreset};
 use nfp_core::{HarnessCause, NfpError};
 use nfp_sim::Fault;
@@ -76,10 +76,6 @@ const CLIENT_SILENCE: Duration = Duration::from_secs(60);
 /// a chunk (quotes, backslashes, newlines), so this stays far from
 /// [`crate::net::MAX_FRAME`].
 const REPORT_CHUNK: usize = 8 * 1024;
-
-fn lock<'a, T>(m: &'a Mutex<T>) -> std::sync::MutexGuard<'a, T> {
-    m.lock().unwrap_or_else(PoisonError::into_inner)
-}
 
 /// One leased-record slot table, indexed by plan position.
 type Slots = Vec<Option<(InjectionRecord, u32)>>;
@@ -211,7 +207,7 @@ struct Lease {
     attempt: u32,
     /// Where the lease's start, return or failure goes: the owning
     /// campaign's shard book.
-    events: mpsc::Sender<Event<LeaseRecords>>,
+    events: mpsc::Sender<Event>,
     /// Set by the owning campaign when the shard no longer needs this
     /// lease (completed elsewhere, campaign over): peers skip it.
     abandoned: Arc<AtomicBool>,
@@ -1324,7 +1320,7 @@ struct CampaignShell<'a> {
     /// Each shard's lease hello; its header names the shard's range.
     hellos: Vec<WorkerHello>,
     faults: Arc<Vec<Fault>>,
-    events: mpsc::Sender<Event<LeaseRecords>>,
+    events: mpsc::Sender<Event>,
     /// Per-shard cancellation flag, shared with the shard's leases.
     abandoned: Vec<Arc<AtomicBool>>,
     slots: Slots,
@@ -1380,11 +1376,7 @@ impl CampaignShell<'_> {
 
     /// Carries out the book's actions in order. An arbitration runs at
     /// once, and what the book makes of it is carried out before the rest.
-    fn execute(
-        &mut self,
-        book: &mut ShardBook<LeaseRecords>,
-        actions: Vec<Action<LeaseRecords>>,
-    ) -> Result<(), DriveFail> {
+    fn execute(&mut self, book: &mut ShardBook, actions: Vec<Action>) -> Result<(), DriveFail> {
         let label = self.label;
         for action in actions {
             match action {
@@ -1511,13 +1503,13 @@ impl CampaignShell<'_> {
             index: shard,
             count: self.hellos.len() as u32,
         });
-        let out = supervise(self.golden, &sup)
+        let leased = supervise_lease(self.golden, &sup)
             .inspect_err(|e| eprintln!("serve: local arbitration of shard {shard} failed: {e}"))?;
-        self.kills += out.kills;
-        self.respawns += out.respawns;
-        let start = self.hellos[shard as usize].header.range().0;
-        let records = out.result.records.into_iter().enumerate();
-        Ok(records.map(|(k, rec)| (start + k, rec, 1)).collect())
+        self.kills += leased.kills;
+        self.respawns += leased.respawns;
+        leased.records.ok_or_else(|| NfpError::WorkerLost {
+            job: format!("local arbitration of shard {shard}"),
+        })
     }
 }
 
@@ -1663,7 +1655,7 @@ fn drive_campaign(
         patience: ctx.cfg.peer_grace.max(Duration::from_secs(2)),
     };
     let (mut book, first) = ShardBook::open(policy, &done);
-    let (events, ev_rx) = mpsc::channel::<Event<LeaseRecords>>();
+    let (events, ev_rx) = mpsc::channel::<Event>();
     let mut shell = CampaignShell {
         ctx,
         golden: &golden,
@@ -2238,11 +2230,7 @@ mod tests {
         assert!(!hub.banned(11));
     }
 
-    fn lease_to(
-        shard: u32,
-        exclude: Option<u64>,
-        events: &mpsc::Sender<Event<LeaseRecords>>,
-    ) -> Lease {
+    fn lease_to(shard: u32, exclude: Option<u64>, events: &mpsc::Sender<Event>) -> Lease {
         Lease {
             hello: WorkerHello {
                 header: JournalHeader {
@@ -2278,7 +2266,7 @@ mod tests {
     #[test]
     fn audit_leases_wait_for_a_disjoint_worker() {
         let hub = Hub::default();
-        let (tx, _rx) = mpsc::channel::<Event<LeaseRecords>>();
+        let (tx, _rx) = mpsc::channel::<Event>();
         hub.push_lease(lease_to(0, Some(7), &tx));
         hub.push_lease(lease_to(1, None, &tx));
         // The producer itself asks first: it must not be handed its own

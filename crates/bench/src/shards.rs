@@ -24,16 +24,18 @@
 //! deadline, a loss, or with [`ShardConfig::allow_partial`] an explicit
 //! missing range — while the shell runs one supervised attempt thread
 //! per dispatch and quarantines failed journals, all against one golden
-//! reference it prepares. [`merge_journals`]
-//! then re-validates *everything* and rejects binding mismatches, CRC
-//! failures, range gaps/overlaps, and duplicate records with typed
-//! [`NfpError`]s.
+//! reference it prepares. Each attempt hands back its range's records,
+//! as a remote lease does; the shell assembles the report from the
+//! accepted ones. [`merge_journals`] assembles one from journals written
+//! elsewhere: it re-validates *everything* and rejects binding
+//! mismatches, CRC failures, range gaps/overlaps, and duplicate records
+//! with typed [`NfpError`]s.
 
 use crate::book::{Action, Event, Policy, ShardBook, Why};
 use crate::campaign::{CampaignConfig, CampaignResult, Golden, InjectionRecord};
 use crate::evaluation::Mode;
 use crate::journal::{journal_err, load_journal, quarantine, read_journal, JournalHeader};
-use crate::supervisor::{supervise, SupervisorConfig, SupervisorOutcome};
+use crate::supervisor::{supervise_lease, Leased, SupervisorConfig};
 use nfp_core::NfpError;
 use nfp_workloads::Kernel;
 use std::path::{Path, PathBuf};
@@ -185,8 +187,9 @@ fn spec_journal_path(base: &Path, index: u32, count: u32) -> PathBuf {
     base.with_extension(format!("shard{index}of{count}.spec.jsonl"))
 }
 
-/// Runs a campaign as `cfg.shards` independent supervised sub-campaigns
-/// and merges their journals. Shards whose canonical journals already
+/// Runs a campaign as `cfg.shards` independent supervised sub-campaigns,
+/// each journaled, and assembles the report from the records their
+/// accepted attempts return. Shards whose canonical journals already
 /// exist are resumed (a complete journal short-circuits immediately),
 /// so re-running the orchestrator after a crash — or after chaos —
 /// repairs the campaign instead of redoing it.
@@ -218,7 +221,7 @@ pub fn run_sharded(
     let count = cfg.shards;
     let golden = Arc::new(Golden::prepare(kernel, mode, campaign)?);
 
-    let (tx, rx) = mpsc::channel::<(u32, u32, PathBuf, Result<SupervisorOutcome, NfpError>)>();
+    let (tx, rx) = mpsc::channel::<(u32, u32, PathBuf, Result<Leased, NfpError>)>();
     let cancelled: Vec<Arc<AtomicBool>> = (0..count).map(|_| Arc::default()).collect();
     let policy = Policy {
         seed: campaign.seed,
@@ -229,9 +232,9 @@ pub fn run_sharded(
         audit_rate: 0.0,
         patience: Duration::ZERO,
     };
-    let (mut book, mut actions) = ShardBook::<PathBuf>::open(policy, &vec![false; count as usize]);
+    let (mut book, mut actions) = ShardBook::open(policy, &vec![false; count as usize]);
     let clock = Instant::now();
-    let mut done: Vec<Option<PathBuf>> = vec![None; count as usize];
+    let mut slots: Vec<Option<(InjectionRecord, u32)>> = vec![None; golden.faults.len()];
     let (mut kills, mut respawns) = (0, 0);
     loop {
         for action in actions {
@@ -287,7 +290,7 @@ pub fn run_sharded(
                             std::thread::sleep(d);
                         }
                         if !cancelled.load(Ordering::Relaxed) {
-                            let outcome = supervise(&golden, &sup);
+                            let outcome = supervise_lease(&golden, &sup);
                             let _ = tx.send((shard, attempt, journal, outcome));
                         }
                     });
@@ -295,7 +298,11 @@ pub fn run_sharded(
                     // out its backoff deadline in the book.
                     book.on(clock.elapsed(), Event::Leased { shard, attempt });
                 }
-                Action::Accept { shard, stream, .. } => done[shard as usize] = Some(stream),
+                Action::Accept { stream, .. } => {
+                    for (i, rec, attempts) in stream {
+                        slots[i] = Some((rec, attempts));
+                    }
+                }
                 Action::Cancel { shard } => {
                     cancelled[shard as usize].store(true, Ordering::Relaxed)
                 }
@@ -315,15 +322,26 @@ pub fn run_sharded(
             // A late loser of a speculation race.
             Ok((shard, ..)) if book.settled(shard) => Vec::new(),
             Ok((shard, attempt, path, outcome)) => {
-                let failure = match outcome {
-                    Ok(o) => {
-                        kills += o.kills;
-                        respawns += o.respawns;
-                        // Interrupted mid-run with a valid journal on
-                        // disk (the simulated-SIGKILL hook).
-                        o.aborted
-                            .then(|| "interrupted on every attempt".to_string())
-                    }
+                let failed = |detail| Event::Failed {
+                    shard,
+                    attempt,
+                    detail,
+                };
+                let event = match outcome.map(|leased| {
+                    kills += leased.kills;
+                    respawns += leased.respawns;
+                    leased.records
+                }) {
+                    Ok(Some(stream)) => Event::Returned {
+                        shard,
+                        attempt,
+                        wid: 0,
+                        banned: false,
+                        stream,
+                    },
+                    // Interrupted mid-run with a valid journal on disk
+                    // (the simulated-SIGKILL hook).
+                    Ok(None) => failed("interrupted on every attempt".to_string()),
                     Err(e) => {
                         // A lost/torn/corrupt attempt: move the journal
                         // aside (evidence, and a clean path for the
@@ -333,22 +351,8 @@ pub fn run_sharded(
                             |q| format!("journal quarantined to {}", q.display()),
                         );
                         eprintln!("shards: shard {shard} attempt failed ({e}); {aside}");
-                        Some(e.to_string())
+                        failed(e.to_string())
                     }
-                };
-                let event = match failure {
-                    None => Event::Returned {
-                        shard,
-                        attempt,
-                        wid: 0,
-                        banned: false,
-                        stream: path,
-                    },
-                    Some(detail) => Event::Failed {
-                        shard,
-                        attempt,
-                        detail,
-                    },
                 };
                 book.on(clock.elapsed(), event)
             }
@@ -358,18 +362,19 @@ pub fn run_sharded(
         actions.extend(book.on(clock.elapsed(), Event::Tick { stranded: false }));
     }
 
-    let paths: Vec<PathBuf> = done.into_iter().flatten().collect();
-    let merged = merge(&golden, &paths, cfg.allow_partial)?;
+    // Only a lost shard, under `allow_partial`, leaves a range empty.
+    let missing_ranges = missing_ranges_of(&slots);
+    let records = slots.into_iter().flatten().map(|(rec, _)| rec);
     let tally = book.tally();
     Ok(ShardOutcome {
-        result: merged.result,
+        result: golden.assemble(records.collect()),
         shards: cfg.shards,
         kills,
         respawns,
         shard_retries: tally.redispatched,
         speculated: tally.speculated,
-        missing_ranges: merged.missing_ranges,
-        dispatch: merged.dispatch,
+        missing_ranges,
+        dispatch: golden.dispatch,
     })
 }
 
@@ -441,15 +446,6 @@ pub fn merge_journals(
     allow_partial: bool,
 ) -> Result<MergeOutcome, NfpError> {
     let golden = Golden::prepare(kernel, mode, campaign)?;
-    merge(&golden, paths, allow_partial)
-}
-
-/// [`merge_journals`] against a prepared reference.
-fn merge(
-    golden: &Golden,
-    paths: &[PathBuf],
-    allow_partial: bool,
-) -> Result<MergeOutcome, NfpError> {
     let faults = &golden.faults;
     let mut slots: Vec<Option<(InjectionRecord, u32)>> = vec![None; faults.len()];
     let mut shard_count: Option<u32> = None;
@@ -495,7 +491,7 @@ fn merge(
         // other binding field fails the loader's header check with the
         // field named.
         let expected = JournalHeader::bind(
-            golden,
+            &golden,
             Some(ShardSpec {
                 index: claimed.shard_index,
                 count: claimed.shard_count,

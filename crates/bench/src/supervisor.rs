@@ -50,8 +50,8 @@
 use crate::backoff::{backoff_sleep, TICK};
 use crate::campaign::{CampaignConfig, CampaignResult, Golden, InjectionRecord};
 use crate::evaluation::Mode;
-use crate::journal::{CampaignJournal, JournalHeader};
-use crate::net::{drive_lease, parse_join, worker_silence, Failure, LeaseEnd, Link};
+use crate::journal::{CampaignJournal, JournalHeader, LeaseRecords};
+use crate::net::{drive_lease, lock, parse_join, worker_silence, Failure, LeaseEnd, Link};
 use crate::shards::ShardSpec;
 use crate::worker::{WorkerHello, WorkerPreset};
 use nfp_core::{HarnessCause, NfpError, Outcome};
@@ -102,10 +102,10 @@ pub struct SupervisorConfig {
     /// handshake cross-checks the golden instruction count to catch a
     /// mismatch.
     pub preset: WorkerPreset,
-    /// Heartbeat emission interval for worker processes. Workers
-    /// heartbeat from a side thread, rig builds and replays included,
-    /// so a silence of ten intervals (at least 2 s) at any point of a
-    /// lease means the worker is dead, frozen or wedged.
+    /// Heartbeat emission interval for worker processes. A worker's link
+    /// beats from its own thread, rig builds and replays included, so a
+    /// silence of ten intervals (at least 2 s) at any point of a lease
+    /// means the worker is dead, frozen or wedged.
     pub heartbeat: Duration,
     /// Per-injection wall deadline for worker processes, counted from
     /// the lease's hello, so it also covers a fresh worker's rig build.
@@ -376,7 +376,7 @@ impl Claims {
     /// `stop` is raised or the run owes nothing. While another slot
     /// holds a claim it may yet hand back, this waits.
     fn take(&self, stop: &AtomicBool) -> Option<(usize, u32)> {
-        let mut s = self.state.lock().unwrap_or_else(PoisonError::into_inner);
+        let mut s = lock(&self.state);
         while !stop.load(Ordering::Relaxed) {
             if let Some(claim) = s.todo.pop() {
                 s.held += 1;
@@ -396,7 +396,7 @@ impl Claims {
 
     /// The slot's claim is finished: its record went upstream.
     fn done(&self) {
-        let mut s = self.state.lock().unwrap_or_else(PoisonError::into_inner);
+        let mut s = lock(&self.state);
         s.held -= 1;
         self.settled.notify_all();
     }
@@ -405,7 +405,7 @@ impl Claims {
     /// finished. Once no live slot is left, returns how many injections
     /// the run still owes.
     fn retire(&self, unfinished: Option<(usize, u32)>) -> Option<usize> {
-        let mut s = self.state.lock().unwrap_or_else(PoisonError::into_inner);
+        let mut s = lock(&self.state);
         s.held -= 1;
         s.live -= 1;
         s.todo.extend(unfinished);
@@ -742,10 +742,22 @@ fn retire_slot(
     }
 }
 
+/// Like [`crate::run_campaign`] but sweeping injections across worker
+/// threads: [`run_supervised`] without a journal, one thread per core,
+/// each replaying on a machine of its own against the campaign's one
+/// golden reference; the result is the sequential campaign's. A replay
+/// that panics is retried once on a fresh machine, then quarantined as
+/// [`Outcome::HarnessFault`], and the campaign carries on.
+pub fn run_campaign_parallel(
+    kernel: &Kernel,
+    mode: Mode,
+    cfg: &CampaignConfig,
+) -> Result<CampaignResult, NfpError> {
+    Ok(run_supervised(kernel, mode, &SupervisorConfig::new(cfg.clone()))?.result)
+}
+
 /// Runs a supervised campaign: journaling, resume, panic isolation, and
 /// graceful pool degradation around the plain deterministic campaign.
-/// Without a journal or hooks this is behaviourally
-/// [`crate::run_campaign_parallel`] with per-replay panic isolation.
 pub fn run_supervised(
     kernel: &Kernel,
     mode: Mode,
@@ -760,6 +772,30 @@ pub fn run_supervised(
         }
     }
     supervise(&Golden::prepare(kernel, mode, &cfg.campaign)?, cfg)
+}
+
+/// One supervised run of a shard as a lease: its range's records in plan
+/// order, each counted as one attempt (`None`: the `test_abort_after`
+/// hook cut the run short), and the worker processes it SIGKILLed and
+/// respawned.
+pub(crate) struct Leased {
+    pub(crate) records: Option<LeaseRecords>,
+    pub(crate) kills: usize,
+    pub(crate) respawns: usize,
+}
+
+/// [`supervise`] as one lease of `cfg.shard`: how every attempt of the
+/// sharded runner and every arbitration of the coordinator returns its
+/// records.
+pub(crate) fn supervise_lease(golden: &Golden, cfg: &SupervisorConfig) -> Result<Leased, NfpError> {
+    let out = supervise(golden, cfg)?;
+    let start = cfg.shard.map_or(0, |s| s.range(golden.faults.len()).0);
+    let records = out.result.records.into_iter().enumerate();
+    Ok(Leased {
+        records: (!out.aborted).then(|| records.map(|(k, rec)| (start + k, rec, 1)).collect()),
+        kills: out.kills,
+        respawns: out.respawns,
+    })
 }
 
 /// [`run_supervised`] against `cfg.campaign`'s prepared reference, for

@@ -14,8 +14,9 @@
 //! worker → peer   {"kind":"error","detail":"..."}                 fatal, then exit
 //! ```
 //!
-//! Every message is one length-prefixed flat-JSON frame (the crate's
-//! `net` module), and one session loop serves it over two transports:
+//! Every message is one length-prefixed flat-JSON frame, and one session
+//! serves it over a link of the crate's `net` module on either of two
+//! transports:
 //! `repro worker --connect ADDR` joins a remote coordinator over TCP
 //! ([`run_worker_connect`], DESIGN.md §14) and reconnects with backoff;
 //! plain `repro worker` ([`run_worker`]) serves the supervisor's
@@ -31,8 +32,10 @@
 //! plan-order digest seals the range. The receiving side runs every
 //! frame through the one lease checker, next to the journal codec in
 //! the crate's `journal` module.
-//! Heartbeats come from a side thread and continue through replays, so
-//! only a frozen or dead worker ever goes silent.
+//! The link beats every heartbeat the last hello named (200 ms before the
+//! first), from its own thread, through rig builds and replays, so only
+//! a frozen or dead worker ever goes silent; over TCP it also drops a
+//! coordinator silent for ten seconds, and the worker reconnects.
 //!
 //! [`WorkerIsolation::Process`]: crate::supervisor::WorkerIsolation::Process
 
@@ -40,18 +43,14 @@ use crate::backoff::{backoff_sleep, splitmix64};
 use crate::campaign::{Golden, InjectionRecord};
 use crate::flatjson::{esc, parse_flat, Obj};
 use crate::journal::{fin_line, record_line, FinRecord, JournalHeader};
-use crate::net::{
-    render_join, tick_socket, violation, write_frame, FrameReader, JoinFrame, Recv, HB_FRAME,
-};
+use crate::net::{render_join, violation, JoinFrame, Link};
 use crate::supervisor::{quarantine_record, replay_guarded, replay_spinning, Replayed};
 use nfp_core::{NfpError, Outcome};
 use nfp_sim::Machine;
 use nfp_workloads::Preset;
-use std::io::{Read, Write};
 use std::net::{TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Workload preset a worker process rebuilds its kernel registry from.
 /// Carried by name in the hello frame ([`Preset`] itself is a bag of
@@ -176,34 +175,14 @@ pub(crate) fn render_error(detail: &str) -> String {
 /// attempt (and backs off).
 const CONNECT_TIMEOUT: Duration = Duration::from_secs(5);
 
-/// How long the worker tolerates total coordinator silence while idle
-/// before it drops the connection and reconnects. The coordinator
-/// heartbeats idle peers every few hundred milliseconds, so this is an
-/// order of magnitude of slack.
+/// How long a TCP worker tolerates total coordinator silence before it
+/// drops the connection and reconnects. The coordinator heartbeats its
+/// peers every few hundred milliseconds, so this is an order of
+/// magnitude of slack.
 const COORD_SILENCE: Duration = Duration::from_secs(10);
 
 /// Heartbeat interval before the first lease names one.
-const DEFAULT_HEARTBEAT_MS: u64 = 200;
-
-/// Writes one frame to the shared write side. Whole frames go out
-/// under the lock so the heartbeat thread can never interleave bytes
-/// into a record.
-fn send<W: Write>(writer: &Mutex<W>, frame: &str) -> std::io::Result<()> {
-    let mut w = writer
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner);
-    write_frame(&mut *w, frame)
-}
-
-/// Clears the heartbeat thread's liveness flag on every session exit
-/// path, so a stale thread never keeps writing into a dead stream.
-struct Alive(Arc<AtomicBool>);
-
-impl Drop for Alive {
-    fn drop(&mut self) {
-        self.0.store(false, Ordering::Relaxed);
-    }
-}
+const DEFAULT_HEARTBEAT: Duration = Duration::from_millis(200);
 
 /// The deterministic campaign state a hello names: the golden
 /// reference and a replay machine. A worker keeps it between leases:
@@ -294,23 +273,23 @@ fn fresh_wid() -> u64 {
 /// code — 0 once stdin closes, 1 after a fatal error, which the worker
 /// first reports in an `error` frame.
 pub fn run_worker() -> i32 {
-    let writer = match stdout_file() {
-        Ok(out) => Arc::new(Mutex::new(out)),
+    let out = match stdout_file() {
+        Ok(out) => out,
         Err(e) => {
             eprintln!("worker: cannot open stdout: {e}");
             return 1;
         }
     };
+    let mut link = Link::pipes(std::io::stdin(), out, "stdin");
     let join = JoinFrame {
         preset: WorkerPreset::Quick,
         reconnects: 0,
         wid: fresh_wid(),
     };
-    let mut stdin = std::io::stdin().lock();
-    match session(&mut stdin, &writer, "stdin", &join, None, None, &mut None) {
+    match session(&mut link, &join, None, None, &mut None) {
         Ok(SessionEnd::Bye | SessionEnd::Closed { .. }) => 0,
         Ok(SessionEnd::Lost { detail, .. }) => {
-            let _ = send(&writer, &render_error(&detail));
+            let _ = link.send(&render_error(&detail));
             1
         }
         Err(_) => 1,
@@ -424,12 +403,12 @@ fn connect_session(
     cache: &mut Option<LeaseRig>,
 ) -> Result<SessionEnd, NfpError> {
     let lost = |detail: String| Ok(SessionEnd::Lost { leases: 0, detail });
-    let mut stream = match tcp_connect(addr) {
+    let stream = match tcp_connect(addr) {
         Ok(s) => s,
         Err(detail) => return lost(detail),
     };
-    let writer = match tick_socket(&stream).and_then(|()| stream.try_clone()) {
-        Ok(w) => Arc::new(Mutex::new(w)),
+    let mut link = match Link::tcp(stream, addr) {
+        Ok(link) => link,
         Err(e) => return lost(format!("socket setup: {e}")),
     };
     let join = JoinFrame {
@@ -437,74 +416,36 @@ fn connect_session(
         reconnects,
         wid,
     };
-    session(
-        &mut stream,
-        &writer,
-        addr,
-        &join,
-        Some(COORD_SILENCE),
-        lies,
-        cache,
-    )
+    session(&mut link, &join, Some(COORD_SILENCE), lies, cache)
 }
 
-/// The lease session over any transport: send the join, heartbeat from
-/// a side thread, then serve leases until the input ends, the peer says
-/// goodbye, or something fails. `silence` bounds how long the peer may
-/// say nothing at all; blocking pipe reads never time out, so the piped
-/// worker passes `None`. `Err` is fatal, and the peer has been told in
-/// an `error` frame.
-fn session<W: Write + Send + 'static>(
-    input: &mut impl Read,
-    writer: &Arc<Mutex<W>>,
-    peer: &str,
+/// The lease session over either transport: send the join, then serve
+/// leases until the input ends, the peer says goodbye, or something
+/// fails. The link beats every heartbeat the last hello named and drops
+/// a peer silent for longer than `silence`; the piped worker passes
+/// `None`, since its peer may stay quiet between leases for as long as
+/// it likes. `Err` is fatal, and the peer has been told in an `error`
+/// frame.
+fn session(
+    link: &mut Link,
     join: &JoinFrame,
     silence: Option<Duration>,
     lies: Option<LiePlan>,
     cache: &mut Option<LeaseRig>,
 ) -> Result<SessionEnd, NfpError> {
     let lost = |leases: u64, detail: String| Ok(SessionEnd::Lost { leases, detail });
-    if let Err(e) = send(writer, &render_join(join)) {
+    if let Err(e) = link.send(&render_join(join)) {
         return lost(0, format!("send join: {e}"));
     }
-
-    // The heartbeat keeps beating *through* replays: the peer's idle
-    // limit must only ever see a frozen or dead worker (SIGSTOP, death,
-    // scheduler starvation), never a slow replay.
-    let alive = Arc::new(AtomicBool::new(true));
-    let hb_ms = Arc::new(AtomicU64::new(DEFAULT_HEARTBEAT_MS));
-    {
-        let (alive, hb_ms, writer) = (Arc::clone(&alive), Arc::clone(&hb_ms), Arc::clone(writer));
-        std::thread::spawn(move || {
-            while alive.load(Ordering::Relaxed) {
-                std::thread::sleep(Duration::from_millis(hb_ms.load(Ordering::Relaxed).max(1)));
-                if !alive.load(Ordering::Relaxed) || send(&writer, HB_FRAME).is_err() {
-                    break;
-                }
-            }
-        });
-    }
-    let _alive = Alive(Arc::clone(&alive));
-
-    let mut reader = FrameReader::new(peer);
+    link.pace(Some(DEFAULT_HEARTBEAT), silence);
     let mut leases = 0u64;
-    let mut idle = Instant::now();
     loop {
-        let line = match reader.recv(input) {
-            Err(e) => return lost(leases, e.to_string()),
-            Ok(Recv::Eof) => return Ok(SessionEnd::Closed { leases }),
-            Ok(Recv::Idle) => match silence {
-                Some(limit) if idle.elapsed() > limit => {
-                    return lost(
-                        leases,
-                        format!("coordinator silent for {}s while idle", limit.as_secs()),
-                    )
-                }
-                _ => continue,
-            },
-            Ok(Recv::Frame(line)) => line,
+        let line = match link.poll() {
+            Ok(Some(line)) => line,
+            Ok(None) => continue,
+            Err(f) if f.ended => return Ok(SessionEnd::Closed { leases }),
+            Err(f) => return lost(leases, f.detail),
         };
-        idle = Instant::now();
         let Some(obj) = parse_flat(&line).map(Obj) else {
             return lost(
                 leases,
@@ -517,19 +458,17 @@ fn session<W: Write + Send + 'static>(
             Some("hello") => {
                 let outcome = match parse_hello(&line) {
                     Ok(hello) => {
-                        hb_ms.store(hello.heartbeat_ms.max(1), Ordering::Relaxed);
-                        execute_lease(&hello, cache, lies, writer)
+                        let beat = Duration::from_millis(hello.heartbeat_ms);
+                        link.pace(Some(beat), silence);
+                        execute_lease(&hello, cache, lies, link)
                     }
                     Err(e) => Err(LeaseFail::Fatal(e)),
                 };
                 match outcome {
-                    Ok(()) => {
-                        leases += 1;
-                        idle = Instant::now();
-                    }
+                    Ok(()) => leases += 1,
                     Err(LeaseFail::Send(detail)) => return lost(leases, detail),
                     Err(LeaseFail::Fatal(e)) => {
-                        let _ = send(writer, &render_error(&e.to_string()));
+                        let _ = link.send(&render_error(&e.to_string()));
                         return Err(e);
                     }
                 }
@@ -548,11 +487,11 @@ fn session<W: Write + Send + 'static>(
 /// binding changed, cross-check the golden count, replay the leased
 /// range in plan order, and stream journal-identical record lines
 /// followed by a digest-carrying fin.
-fn execute_lease<W: Write>(
+fn execute_lease(
     hello: &WorkerHello,
     cache: &mut Option<LeaseRig>,
     lies: Option<LiePlan>,
-    writer: &Mutex<W>,
+    link: &Link,
 ) -> Result<(), LeaseFail> {
     let stale = !cache
         .as_ref()
@@ -585,8 +524,9 @@ fn execute_lease<W: Write>(
             golden.faults.len()
         ))));
     }
-    let send_or = |frame: &str, what: &str| {
-        send(writer, frame).map_err(|e| LeaseFail::Send(format!("{what}: {e}")))
+    let send_or = |frame: &str, what: &str| match link.send(frame) {
+        Ok(_) => Ok(()),
+        Err(e) => Err(LeaseFail::Send(format!("{what}: {e}"))),
     };
     send_or(&render_ready(golden.instret()), "send ready")?;
 
@@ -704,7 +644,7 @@ mod tests {
             other => panic!("expected ProtocolViolation, got {other:?}"),
         }
         // A frame that is not a hello at all is also a violation.
-        assert!(parse_hello(HB_FRAME).is_err());
+        assert!(parse_hello(crate::net::HB_FRAME).is_err());
     }
 
     #[test]

@@ -13,11 +13,11 @@ use nfp_bench::{
 };
 use nfp_core::NfpError;
 use nfp_workloads::{all_kernels, Kernel, Preset};
-use std::io::Write;
-use std::net::TcpStream;
+use std::io::{Read, Write};
+use std::net::{Shutdown, TcpListener, TcpStream};
 use std::process::{Child, Command, Stdio};
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 fn quick_kernel() -> Kernel {
     all_kernels(&Preset::quick())
@@ -178,6 +178,79 @@ fn sigstopped_worker_is_revoked_and_the_report_survives() {
     signal(&wedged, "-CONT");
     signal(&wedged, "-KILL");
     let _ = wedged.wait();
+}
+
+/// Copies one direction of a relayed connection until either end
+/// closes; returns when `marker` first passed through.
+fn pump(mut from: TcpStream, mut to: TcpStream, marker: &'static [u8]) -> Option<Instant> {
+    let (mut seen, mut window, mut buf) = (None, Vec::new(), [0u8; 4096]);
+    while let Ok(n @ 1..) = from.read(&mut buf) {
+        window.extend_from_slice(&buf[..n]);
+        if seen.is_none() && window.windows(marker.len()).any(|w| w == marker) {
+            seen = Some(Instant::now());
+        }
+        window.drain(..window.len().saturating_sub(marker.len()));
+        if to.write_all(&buf[..n]).is_err() {
+            break;
+        }
+    }
+    let _ = to.shutdown(Shutdown::Both);
+    seen
+}
+
+/// A relay for one worker connection to the coordinator at `addr`.
+/// Returns its address, and a handle yielding how long the first lease
+/// lasted: from its hello reaching the worker to its fin leaving it.
+fn spawn_lease_timer(addr: &str) -> (String, JoinHandle<Option<Duration>>) {
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind the relay");
+    let relay = listener.local_addr().expect("relay addr").to_string();
+    let addr = addr.to_string();
+    let handle = std::thread::spawn(move || {
+        let (worker, _) = listener.accept().expect("the worker connects");
+        let coordinator = TcpStream::connect(&addr).expect("connect to the coordinator");
+        let (w, c) = (
+            worker.try_clone().unwrap(),
+            coordinator.try_clone().unwrap(),
+        );
+        let down = std::thread::spawn(move || pump(c, w, b"\"kind\":\"hello\""));
+        let fin = pump(worker, coordinator, b"\"fin\":1");
+        let hello = down.join().expect("relay down");
+        Some(fin? - hello?)
+    });
+    (relay, handle)
+}
+
+#[test]
+fn a_lease_longer_than_the_silence_limit_keeps_its_worker() {
+    // 100 ms heartbeats put the coordinator's silence limit at its 2 s
+    // floor. One worker takes the single shard, and its lease (a rig
+    // build with nothing but beats to show for it, then the whole plan,
+    // about half of whose faults replay) outlasts that limit: 2000
+    // injections measured a 5.1 s lease on a 2-core x86-64 box. The
+    // coordinator must judge silence from the worker's last frame,
+    // never from the hello.
+    let injections = 2000;
+    let reference = reference_report(injections);
+    let (addr, server) = spawn_server(serve_config(100));
+    let (relay, timer) = spawn_lease_timer(&addr);
+    let worker = spawn_worker_thread(&relay);
+    let outcome = submit_campaign(&addr, &request(injections, 1)).expect("remote campaign");
+    assert_eq!(outcome.report, reference, "remote report diverged");
+    let summary = server.join().expect("server thread");
+    assert_eq!(summary.peers_retired, 0, "{summary:?}");
+    assert!(
+        !outcome.notes.iter().any(|n| n.contains("leases revoked")),
+        "{:?}",
+        outcome.notes
+    );
+    assert_eq!(worker.join().expect("worker"), 0);
+    let lease = timer.join().expect("relay").expect("the relay saw a lease");
+    eprintln!("lease lasted {}ms", lease.as_millis());
+    assert!(
+        lease > Duration::from_secs(2),
+        "the lease took {}ms, inside the 2 s silence limit: it proves nothing",
+        lease.as_millis()
+    );
 }
 
 #[test]

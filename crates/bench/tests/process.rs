@@ -144,7 +144,10 @@ fn hung_worker_is_sigkilled_respawned_and_quarantined() {
 
     let mut cfg = process_supervisor(wedge);
     cfg.test_spin_at = Some(3);
-    cfg.deadline = Some(Duration::from_millis(1500));
+    // Past the 2 s silence limit of the default 200 ms heartbeat: a
+    // wedged replay that stopped the beat would end as a heartbeat
+    // timeout before the deadline could fire.
+    cfg.deadline = Some(Duration::from_millis(3000));
     let outcome = run_supervised(&k, Mode::Float, &cfg).unwrap();
 
     assert!(outcome.process_isolation);
