@@ -272,8 +272,8 @@ pub(crate) fn run_pool<J: Sync, T: Send>(
 
 /// Drains the per-job result slots of [`run_pool`] in plan order. An
 /// empty slot (its job panicked, or its worker died) reports
-/// [`NfpError::WorkerLost`] naming the job (a kernel variant, a
-/// campaign chunk), so an operator knows exactly which job to rerun.
+/// [`NfpError::WorkerLost`] naming the job (a kernel variant), so an
+/// operator knows exactly which job to rerun.
 pub(crate) fn collect_parallel_slots<T>(
     slots: Vec<Option<Result<T, NfpError>>>,
     names: &[String],

@@ -1503,7 +1503,7 @@ impl CampaignShell<'_> {
             index: shard,
             count: self.hellos.len() as u32,
         });
-        let leased = supervise_lease(self.golden, &sup)
+        let leased = supervise_lease(self.golden, &sup, &AtomicBool::new(false))
             .inspect_err(|e| eprintln!("serve: local arbitration of shard {shard} failed: {e}"))?;
         self.kills += leased.kills;
         self.respawns += leased.respawns;

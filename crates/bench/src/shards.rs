@@ -26,10 +26,13 @@
 //! per dispatch and quarantines failed journals, all against one golden
 //! reference it prepares. Each attempt hands back its range's records,
 //! as a remote lease does; the shell assembles the report from the
-//! accepted ones. [`merge_journals`] assembles one from journals written
-//! elsewhere: it re-validates *everything* and rejects binding
-//! mismatches, CRC failures, range gaps/overlaps, and duplicate records
-//! with typed [`NfpError`]s.
+//! accepted ones and leaves one journal per settled shard at its
+//! canonical path, the accepted attempt's: a speculative winner's is
+//! renamed over it, and a losing attempt takes no more claims once the
+//! book cancels its shard. [`merge_journals`] assembles one from
+//! journals written elsewhere: it re-validates *everything* and rejects
+//! binding mismatches, CRC failures, range gaps/overlaps, and duplicate
+//! records with typed [`NfpError`]s.
 
 use crate::book::{Action, Event, Policy, ShardBook, Why};
 use crate::campaign::{CampaignConfig, CampaignResult, Golden, InjectionRecord};
@@ -236,6 +239,9 @@ pub fn run_sharded(
     let clock = Instant::now();
     let mut slots: Vec<Option<(InjectionRecord, u32)>> = vec![None; golden.faults.len()];
     let (mut kills, mut respawns) = (0, 0);
+    // The journal of the attempt whose stream the book saw last, which
+    // is the stream it accepts: this runner holds none for an audit.
+    let mut returned = PathBuf::new();
     loop {
         for action in actions {
             match action {
@@ -280,9 +286,10 @@ pub fn run_sharded(
                     };
                     // Attempts run on detached threads so a wedged shard
                     // can never hang the runner: losers of a speculation
-                    // race (and attempts outlasting an error return) die
-                    // quietly when their send fails or their shard
-                    // settled before they began.
+                    // race take no more claims once the book cancels
+                    // their shard, and they (and attempts outlasting an
+                    // error return) die quietly when their send fails or
+                    // their shard settled before they began.
                     let (golden, tx) = (Arc::clone(&golden), tx.clone());
                     let cancelled = Arc::clone(&cancelled[shard as usize]);
                     std::thread::spawn(move || {
@@ -290,7 +297,7 @@ pub fn run_sharded(
                             std::thread::sleep(d);
                         }
                         if !cancelled.load(Ordering::Relaxed) {
-                            let outcome = supervise_lease(&golden, &sup);
+                            let outcome = supervise_lease(&golden, &sup, &cancelled);
                             let _ = tx.send((shard, attempt, journal, outcome));
                         }
                     });
@@ -298,9 +305,19 @@ pub fn run_sharded(
                     // out its backoff deadline in the book.
                     book.on(clock.elapsed(), Event::Leased { shard, attempt });
                 }
-                Action::Accept { stream, .. } => {
+                Action::Accept { shard, stream, .. } => {
                     for (i, rec, attempts) in stream {
                         slots[i] = Some((rec, attempts));
+                    }
+                    // One journal per settled shard, the winner's, at the
+                    // canonical path. A loser still writing keeps only
+                    // its old, unlinked file.
+                    let spec = spec_journal_path(&base, shard, count);
+                    if returned == spec {
+                        std::fs::rename(&spec, shard_journal_path(&base, shard, count))
+                            .map_err(|e| journal_err(&spec, format!("cannot promote: {e}")))?;
+                    } else {
+                        let _ = std::fs::remove_file(&spec);
                     }
                 }
                 Action::Cancel { shard } => {
@@ -332,13 +349,16 @@ pub fn run_sharded(
                     respawns += leased.respawns;
                     leased.records
                 }) {
-                    Ok(Some(stream)) => Event::Returned {
-                        shard,
-                        attempt,
-                        wid: 0,
-                        banned: false,
-                        stream,
-                    },
+                    Ok(Some(stream)) => {
+                        returned = path;
+                        Event::Returned {
+                            shard,
+                            attempt,
+                            wid: 0,
+                            banned: false,
+                            stream,
+                        }
+                    }
                     // Interrupted mid-run with a valid journal on disk
                     // (the simulated-SIGKILL hook).
                     Ok(None) => failed("interrupted on every attempt".to_string()),

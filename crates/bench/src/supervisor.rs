@@ -17,20 +17,18 @@
 //! * **Resume** — [`SupervisorConfig::resume`] replays the journal,
 //!   marks its injections complete, and runs only the remainder. The
 //!   merged result is identical to an uninterrupted campaign.
-//! * **Panic isolation** — each replay runs under
-//!   [`std::panic::catch_unwind`] on its worker. A panicking replay is
-//!   retried once on a fresh machine that replays against the
-//!   campaign's one shared golden reference (the panicked machine may
-//!   hold a half-armed fault); a second panic quarantines the injection
-//!   as [`Outcome::HarnessFault`] with its full fault spec logged, and
-//!   the campaign carries on. Harness faults are excluded from the
-//!   vulnerability quotient — they measure the harness, not the
-//!   kernel. A worker that cannot even load a fresh machine retires,
-//!   and the remaining workers absorb its share of the plan: the pool
-//!   degrades in parallelism, never in coverage.
+//! * **Panic isolation** — every replay in a process, a worker thread's
+//!   and a `repro worker`'s alike, runs through one executor under
+//!   [`std::panic::catch_unwind`]. A panicking replay is retried once on
+//!   a fresh machine that replays against the campaign's one shared
+//!   golden reference (the panicked machine may hold a half-armed
+//!   fault); a second panic quarantines the injection as
+//!   [`Outcome::HarnessFault`] with its full fault spec logged, and the
+//!   campaign carries on. Harness faults are excluded from the
+//!   vulnerability quotient — they measure the harness, not the kernel.
 //! * **Process isolation** — [`WorkerIsolation::Process`] moves each
-//!   replay slot into a `repro worker` subprocess that speaks the lease
-//!   protocol of [`crate::worker`] over its stdin and stdout, one
+//!   replay slot's rig into a `repro worker` subprocess that speaks the
+//!   lease protocol of [`crate::worker`] over its stdin and stdout, one
 //!   injection per lease, driven by the lease driver the remote
 //!   coordinator uses (the crate's `net` module). Threads cannot
 //!   survive an `abort()`, a segfault, or a replay that wedges inside
@@ -42,10 +40,17 @@
 //!   panic-isolation semantics, lifted to process granularity. A worker
 //!   lost before its join fails no lease. Respawns back off
 //!   exponentially (capped, with deterministic seeded jitter so wall
-//!   clocks never leak into results); a slot that keeps crash-looping
-//!   retires and hands its claim back, and the pool degrades in
-//!   parallelism, never in coverage. Journals and reports are
+//!   clocks never leak into results). Journals and reports are
 //!   byte-compatible with thread mode.
+//! * **One slot loop** — thread and process slots run the same loop and
+//!   differ only in their rig, a machine in this process or a worker
+//!   subprocess, set up on demand, which runs one attempt at a claim.
+//!   The loop claims plan indices, counts attempts, files quarantines,
+//!   charges the respawn budget (only process rigs fail) and retires a
+//!   slot whose rig cannot go on: a worker that keeps crash-looping, or
+//!   a thread that loads no fresh machine after a panic. A retiring
+//!   slot hands its claim back, and the pool degrades in parallelism,
+//!   never in coverage.
 //!
 use crate::backoff::{backoff_sleep, TICK};
 use crate::campaign::{CampaignConfig, CampaignResult, Golden, InjectionRecord};
@@ -250,7 +255,7 @@ fn panic_text(payload: Box<dyn std::any::Any + Send>) -> String {
 /// The quarantine record for an injection whose replay panicked twice.
 /// Category attribution comes from the replay that panicked, so it is
 /// untrusted and left empty.
-pub(crate) fn quarantine_record(fault: Fault) -> InjectionRecord {
+fn quarantine_record(fault: Fault) -> InjectionRecord {
     InjectionRecord {
         fault,
         category: None,
@@ -262,7 +267,7 @@ pub(crate) fn quarantine_record(fault: Fault) -> InjectionRecord {
 /// the injection point (the `test_spin_at` hook): a guaranteed genuine
 /// hang that must flow through the escalating watchdog — or the wall
 /// deadline — and classify as [`Outcome::Hang`].
-pub(crate) fn replay_spinning(
+fn replay_spinning(
     golden: &Golden,
     m: &mut Machine,
     fault: &Fault,
@@ -289,46 +294,55 @@ pub(crate) fn replay_spinning(
     })
 }
 
-/// How [`replay_guarded`] ended.
-pub(crate) enum Replayed {
-    /// The replay classified the injection.
-    Record(InjectionRecord),
-    /// The replay panicked on its last attempt: quarantine the
-    /// injection. `text` is the panic payload; `rig_lost` means no
-    /// fresh machine could be loaded after the panic, so the caller has
-    /// none to go on with.
-    Panicked { text: String, rig_lost: bool },
-}
+/// A settled injection: its record, the attempts it took, and the
+/// panic text when a second panic quarantined it.
+pub(crate) type Settled = (InjectionRecord, u32, Option<String>);
 
-/// Replays one injection on `m` under `catch_unwind` — the panic policy
-/// every replay slot shares, the supervisor's worker threads and the
-/// lease executor of a worker process alike. A panic replaces `m` with
-/// a fresh machine on `golden`'s shared ladder (the panicked one may
-/// hold a half-armed fault or a mid-seek state) and retries once; a
-/// second panic gives up so the caller can quarantine. `replay` gets
-/// the 1-based attempt number. Returns the verdict with the attempts it
-/// took; `Err` is the replay's own error, which no retry would change.
+/// Replays injection `index` of `golden`'s plan on `m` under
+/// `catch_unwind`: the one executor of every replay in this process, a
+/// thread slot's claims and a worker process's leases alike. `m` is
+/// loaded first if it is `None`. A panic replaces `m` with a fresh
+/// machine on `golden`'s shared ladder (the panicked one may hold a
+/// half-armed fault or a mid-seek state) and retries once; a second
+/// panic quarantines the injection. When no fresh machine loads, the
+/// first panic quarantines it and leaves `m` `None`: the caller has no
+/// rig to go on with. The test hooks name plan indices: `spin_at` is
+/// replayed over a patched self-loop, and the first `panic_at.1`
+/// attempts at `panic_at.0` panic ([`SupervisorConfig::test_spin_at`],
+/// [`SupervisorConfig::test_panic_at`]). `Err` is the replay's own
+/// error, or a failed first load, which no retry would change.
 pub(crate) fn replay_guarded(
     golden: &Golden,
-    m: &mut Machine,
-    mut replay: impl FnMut(&mut Machine, u32) -> Result<InjectionRecord, NfpError>,
-) -> Result<(Replayed, u32), NfpError> {
+    m: &mut Option<Machine>,
+    index: usize,
+    spin_at: Option<u64>,
+    panic_at: Option<(usize, u32)>,
+) -> Result<Settled, NfpError> {
+    let fault = golden.faults[index];
     let mut attempts = 0;
     loop {
+        let machine = match m {
+            Some(machine) => machine,
+            None => m.insert(golden.machine()?),
+        };
         attempts += 1;
-        match catch_unwind(AssertUnwindSafe(|| replay(m, attempts))) {
-            Ok(run) => return run.map(|record| (Replayed::Record(record), attempts)),
+        let run = catch_unwind(AssertUnwindSafe(|| {
+            if panic_at.is_some_and(|(i, n)| i == index && attempts <= n) {
+                panic!("supervisor test hook: forced panic on injection {index}");
+            }
+            if spin_at == Some(index as u64) {
+                replay_spinning(golden, machine, &fault)
+            } else {
+                golden.run_one(machine, &fault)
+            }
+        }));
+        match run {
+            Ok(run) => return run.map(|record| (record, attempts, None)),
             Err(payload) => {
-                let text = panic_text(payload);
-                let rig_lost = match catch_unwind(|| golden.machine()) {
-                    Ok(Ok(fresh)) => {
-                        *m = fresh;
-                        false
-                    }
-                    _ => true,
-                };
-                if rig_lost || attempts >= 2 {
-                    return Ok((Replayed::Panicked { text, rig_lost }, attempts));
+                *m = catch_unwind(|| golden.machine()).ok().and_then(Result::ok);
+                if m.is_none() || attempts >= 2 {
+                    let text = panic_text(payload);
+                    return Ok((quarantine_record(fault), attempts, Some(text)));
                 }
             }
         }
@@ -336,13 +350,13 @@ pub(crate) fn replay_guarded(
 }
 
 // ---------------------------------------------------------------------
-// The process-isolated worker pool.
+// The replay slots.
 // ---------------------------------------------------------------------
 
 /// The plan indices a run owes, shared by its slots, one claim per slot
-/// at a time. A process slot that retires hands its claim back with the
-/// leases it has failed, and another slot finishes it: a claim is lost
-/// only when no slot is left to take it.
+/// at a time. A slot that retires hands its claim back with the leases
+/// it has failed, and another slot finishes it: a claim is lost only
+/// when no slot is left to take it.
 struct Claims {
     state: Mutex<ClaimState>,
     /// Signalled whenever a claim is finished or handed back.
@@ -355,7 +369,7 @@ struct ClaimState {
     todo: Vec<(usize, u32)>,
     /// Claims a slot is working on.
     held: usize,
-    /// Process slots that have not retired.
+    /// Slots that have not retired.
     live: usize,
 }
 
@@ -373,11 +387,11 @@ impl Claims {
     }
 
     /// The next claim and the leases it has failed so far; `None` once
-    /// `stop` is raised or the run owes nothing. While another slot
-    /// holds a claim it may yet hand back, this waits.
-    fn take(&self, stop: &AtomicBool) -> Option<(usize, u32)> {
+    /// `stop` or `cancel` is raised or the run owes nothing. While
+    /// another slot holds a claim it may yet hand back, this waits.
+    fn take(&self, stop: &AtomicBool, cancel: &AtomicBool) -> Option<(usize, u32)> {
         let mut s = lock(&self.state);
-        while !stop.load(Ordering::Relaxed) {
+        while !stop.load(Ordering::Relaxed) && !cancel.load(Ordering::Relaxed) {
             if let Some(claim) = s.todo.pop() {
                 s.held += 1;
                 return Some(claim);
@@ -401,9 +415,9 @@ impl Claims {
         self.settled.notify_all();
     }
 
-    /// Retires a process slot, handing back its claim unless it is
-    /// finished. Once no live slot is left, returns how many injections
-    /// the run still owes.
+    /// Retires a slot, handing back its claim unless it is finished.
+    /// Once no live slot is left, returns how many injections the run
+    /// still owes.
     fn retire(&self, unfinished: Option<(usize, u32)>) -> Option<usize> {
         let mut s = lock(&self.state);
         s.held -= 1;
@@ -420,11 +434,11 @@ struct WorkerProc {
     link: Link,
 }
 
-/// Why a slot got no result out of a worker process.
+/// Why an attempt settled nothing.
 enum Lost {
-    /// Deterministic — every respawn would hit it again, so the whole
-    /// campaign fails (mirrors a thread worker that cannot load its
-    /// machine).
+    /// Deterministic — every retry would hit it again, so the whole
+    /// campaign fails: a replay error, a machine that does not load,
+    /// a worker that does not match this supervisor or reports an error.
     Fatal(NfpError),
     /// This process is gone (and reaped) but a respawn may well
     /// succeed. The flag records whether the supervisor itself put the
@@ -509,12 +523,12 @@ impl WorkerProc {
     }
 }
 
-/// Spawns one worker process and waits for its join under the worker
-/// silence limit. The worker speaks first, so a complete first frame
-/// that is not a current-version join means the binary does not match
-/// this supervisor: a deterministic failure, like a golden-count
-/// mismatch.
-fn spawn_worker(bin: &Path, silence: Duration, stop: &AtomicBool) -> Result<WorkerProc, Lost> {
+/// Spawns one worker process and waits for its join under the silence
+/// limit of a worker beating every `heartbeat`. The worker speaks
+/// first, so a complete first frame that is not a current-version join
+/// means the binary does not match this supervisor: a deterministic
+/// failure, like a golden-count mismatch.
+fn spawn_worker(bin: &Path, heartbeat: Duration, stop: &AtomicBool) -> Result<WorkerProc, Lost> {
     let mut child = Command::new(bin)
         .arg("worker")
         .stdin(Stdio::piped())
@@ -530,7 +544,7 @@ fn spawn_worker(bin: &Path, silence: Duration, stop: &AtomicBool) -> Result<Work
         return Err(Lost::Failed(Failure::lost(detail), true));
     };
     let mut link = Link::pipes(stdout, stdin, "worker process");
-    link.pace(None, Some(silence));
+    link.pace(None, Some(worker_silence(heartbeat)));
     let mut w = WorkerProc { child, link };
     let frame = match w.link.next(stop) {
         Ok(Some(frame)) => frame,
@@ -555,23 +569,22 @@ fn spawn_worker(bin: &Path, silence: Duration, stop: &AtomicBool) -> Result<Work
 }
 
 /// Leases injection `index` to a live worker: one hello for the range
-/// `index..index+1`, driven by [`drive_lease`] under the slot's
-/// deadline. Returns the record and the attempts the worker reported
-/// for it.
-fn lease_one(
-    w: &mut WorkerProc,
-    ctx: &SlotCtx,
-    index: usize,
-) -> Result<(InjectionRecord, u32), Lost> {
-    let mut hello = ctx.hello.clone();
+/// `index..index+1`, driven by [`drive_lease`] under the run's
+/// deadline. A worker retries a panicking replay itself and quarantines
+/// it after a second panic, so its record settles the injection.
+fn lease_one(w: &mut WorkerProc, pool: &Pool, index: usize) -> Result<Settled, Lost> {
+    let mut hello = pool.hello.clone();
     hello.header.range_start = index as u64;
     hello.header.range_end = index as u64 + 1;
-    match drive_lease(&mut w.link, &hello, ctx.faults, ctx.deadline, ctx.stop) {
+    let faults = &pool.golden.faults;
+    match drive_lease(&mut w.link, &hello, faults, pool.cfg.deadline, &pool.stop) {
         Ok(LeaseEnd::Fin(mut records)) => {
             let (_, record, attempts) = records
                 .pop()
                 .expect("a checked fin seals its one-injection range");
-            Ok((record, attempts))
+            let panicked = (record.outcome == Outcome::HarnessFault)
+                .then(|| "the replay panicked twice in the worker process".to_string());
+            Ok((record, attempts, panicked))
         }
         Ok(LeaseEnd::Stopped) => Err(Lost::Stopped),
         Ok(LeaseEnd::Error(reason)) => {
@@ -585,153 +598,166 @@ fn lease_one(
     }
 }
 
-/// Everything one process slot borrows from [`run_supervised`].
-struct SlotCtx<'a> {
-    bin: &'a Path,
-    hello: &'a WorkerHello,
-    seed: u64,
-    deadline: Option<Duration>,
-    heartbeat: Duration,
-    max_respawns: u32,
-    slot: usize,
-    claims: &'a Claims,
-    faults: &'a [Fault],
-    stop: &'a AtomicBool,
-    kills: &'a AtomicUsize,
-    respawns: &'a AtomicUsize,
+/// Everything the slots of one run share.
+struct Pool<'a> {
+    golden: &'a Golden,
+    cfg: &'a SupervisorConfig,
+    /// The worker binary under process isolation; `None` runs every
+    /// slot on a machine in this process.
+    bin: Option<PathBuf>,
+    /// The lease every worker is sent, its range set per injection.
+    hello: WorkerHello,
+    claims: Claims,
+    /// The run's own stop: a fatal error, a failed journal write or the
+    /// abort hook.
+    stop: AtomicBool,
+    /// The caller's stop: once raised, the slots take no more claims.
+    /// The run never raises it, so a retry of a shard that stopped for
+    /// its own reasons starts with it clear.
+    cancel: &'a AtomicBool,
+    kills: AtomicUsize,
+    respawns: AtomicUsize,
 }
 
-/// Drives one process slot: claims plan indices, leases each to a
-/// (re)spawned worker, and reports results upstream. Per injection:
-/// retry once on a fresh process, quarantine after a second failed
-/// lease. A failed spawn, or a worker lost before its join, fails no
-/// lease; like every process failure it charges the slot's respawn
-/// budget. More than `max_respawns` *consecutive* failures retire the
-/// slot, handing back a claim that has not failed two leases, and the
-/// remaining slots absorb its share of the plan; any successful
-/// injection resets the count.
-fn drive_process_slot(ctx: &SlotCtx, tx: &mpsc::Sender<Msg>) {
-    let silence = worker_silence(ctx.heartbeat);
-    let mut proc: Option<WorkerProc> = None;
-    let mut consecutive: u32 = 0;
+/// What one slot replays on, set up on demand: a machine in this
+/// process (boxed, as a machine is large), or a `repro worker`
+/// subprocess of this binary.
+enum Rig<'a> {
+    Thread(Box<Option<Machine>>),
+    Process(&'a Path, Option<WorkerProc>),
+}
 
-    'plan: while let Some((index, mut attempts)) = ctx.claims.take(ctx.stop) {
-        // Each pass either spawns a worker or leases `index` to the
-        // live one. Two failed leases quarantine the injection — the
-        // panic-isolation retry policy at process granularity.
-        let verdict: Result<(InjectionRecord, u32), Failure> = 'attempt: loop {
-            let lost = match proc.as_mut() {
-                None => {
-                    if consecutive > 0 {
-                        ctx.respawns.fetch_add(1, Ordering::Relaxed);
-                        backoff_sleep(ctx.seed, ctx.slot, consecutive, ctx.stop);
-                        if ctx.stop.load(Ordering::Relaxed) {
-                            break 'plan;
-                        }
-                    }
-                    match spawn_worker(ctx.bin, silence, ctx.stop) {
-                        Ok(w) => {
-                            proc = Some(w);
-                            continue 'attempt;
-                        }
-                        Err(lost) => lost,
-                    }
+impl Rig<'_> {
+    /// Runs one attempt at injection `index`, counting it in `attempts`
+    /// once the injection is in the rig's hands. A thread rig runs the
+    /// executor; a process rig spawns a worker if it has none, then
+    /// leases it the injection.
+    fn attempt(&mut self, pool: &Pool, index: usize, attempts: &mut u32) -> Result<Settled, Lost> {
+        match self {
+            Rig::Thread(m) => {
+                *attempts += 1;
+                let (spin_at, panic_at) = (pool.hello.spin_at, pool.cfg.test_panic_at);
+                replay_guarded(pool.golden, m, index, spin_at, panic_at).map_err(Lost::Fatal)
+            }
+            Rig::Process(bin, proc) => {
+                let w = match proc {
+                    Some(w) => w,
+                    None => proc.insert(spawn_worker(bin, pool.cfg.heartbeat, &pool.stop)?),
+                };
+                *attempts += 1;
+                let leased = lease_one(w, pool, index);
+                if let Err(Lost::Failed(..)) = leased {
+                    *proc = None;
                 }
-                Some(w) => {
-                    attempts += 1;
-                    match lease_one(w, ctx, index) {
-                        Ok(done) => break 'attempt Ok(done),
-                        Err(lost) => lost,
-                    }
+                leased
+            }
+        }
+    }
+
+    /// Why the rig can take no further claim: a thread rig that loaded
+    /// no fresh machine after a panic.
+    fn spent(&self) -> Option<Failure> {
+        let detail = "no fresh machine loaded after a panic";
+        matches!(self, Rig::Thread(m) if m.is_none())
+            .then(|| Failure::new(HarnessCause::Panic, detail))
+    }
+}
+
+/// Drives one replay slot, thread or process alike: claims plan
+/// indices, runs attempts at each on the slot's [`Rig`], and reports
+/// results upstream. A failed lease costs the injection one attempt,
+/// and a second one quarantines it; a failed spawn, or a worker lost
+/// before its join, fails no lease. Every rig failure charges the
+/// slot's respawn budget, and the respawn backs off; thread rigs never
+/// fail. More than `max_respawns` *consecutive* failures retire the
+/// slot, handing back a claim not yet settled, and the remaining slots
+/// absorb its share of the plan; any settled injection resets the
+/// count. A spent rig retires its slot after handing over its record.
+fn drive_slot(pool: &Pool, slot: usize, tx: &mpsc::Sender<Msg>) {
+    let mut rig = match pool.bin.as_deref() {
+        Some(bin) => Rig::Process(bin, None),
+        None => Rig::Thread(Box::new(None)),
+    };
+    let mut consecutive: u32 = 0;
+    'plan: while let Some((index, mut attempts)) = pool.claims.take(&pool.stop, pool.cancel) {
+        let (record, attempts, quarantine, retiring) = loop {
+            if consecutive > 0 {
+                pool.respawns.fetch_add(1, Ordering::Relaxed);
+                backoff_sleep(pool.golden.campaign.seed, slot, consecutive, &pool.stop);
+                if pool.stop.load(Ordering::Relaxed) {
+                    break 'plan;
                 }
-            };
-            match lost {
-                Lost::Stopped => break 'plan,
-                Lost::Fatal(error) => {
+            }
+            let f = match rig.attempt(pool, index, &mut attempts) {
+                Ok((record, rig_attempts, panicked)) => {
+                    consecutive = 0;
+                    // The rig's own retries add to the slot's.
+                    let attempts = attempts.saturating_add(rig_attempts.saturating_sub(1));
+                    let quarantine = panicked.map(|text| (HarnessCause::Panic, text));
+                    break (record, attempts, quarantine, rig.spent());
+                }
+                Err(Lost::Stopped) => break 'plan,
+                Err(Lost::Fatal(error)) => {
                     let _ = tx.send(Msg::Fatal { error });
                     return;
                 }
-                Lost::Failed(f, killed) => {
+                Err(Lost::Failed(f, killed)) => {
                     if killed {
-                        ctx.kills.fetch_add(1, Ordering::Relaxed);
+                        pool.kills.fetch_add(1, Ordering::Relaxed);
                     }
-                    proc = None;
-                    consecutive += 1;
-                    if attempts >= 2 {
-                        break 'attempt Err(f);
-                    }
-                    if consecutive > ctx.max_respawns {
-                        retire_slot(ctx, tx, Some((index, attempts)), consecutive, &f);
-                        break 'plan;
-                    }
+                    f
                 }
+            };
+            consecutive += 1;
+            let retire = consecutive > pool.cfg.max_respawns;
+            if attempts >= 2 {
+                let record = quarantine_record(pool.golden.faults[index]);
+                let quarantine = Some((f.cause, f.detail.clone()));
+                break (record, attempts, quarantine, retire.then_some(f));
+            }
+            if retire {
+                retire_slot(pool, slot, tx, Some((index, attempts)), &f);
+                break 'plan;
             }
         };
-
-        let (msg, retiring) = match verdict {
-            Ok((record, worker_attempts)) => {
-                consecutive = 0;
-                // A worker retries a panicking replay itself and
-                // quarantines it after a second panic; its attempts
-                // beyond the first add to the slot's.
-                let quarantine = (record.outcome == Outcome::HarnessFault).then(|| {
-                    (
-                        HarnessCause::Panic,
-                        "the replay panicked twice in the worker process".to_string(),
-                    )
-                });
-                let attempts = attempts.saturating_add(worker_attempts.saturating_sub(1));
-                let msg = Msg::Done {
-                    index,
-                    record,
-                    attempts,
-                    quarantine,
-                };
-                (msg, None)
-            }
-            Err(f) => {
-                let msg = Msg::Done {
-                    index,
-                    record: quarantine_record(ctx.faults[index]),
-                    attempts,
-                    quarantine: Some((f.cause, f.detail.clone())),
-                };
-                (msg, (consecutive > ctx.max_respawns).then_some(f))
-            }
+        let msg = Msg::Done {
+            index,
+            record,
+            attempts,
+            quarantine,
         };
         let sent = tx.send(msg).is_ok();
         match retiring {
             Some(last) => {
-                retire_slot(ctx, tx, None, consecutive, &last);
+                retire_slot(pool, slot, tx, None, &last);
                 break;
             }
-            None => ctx.claims.done(),
+            None => pool.claims.done(),
         }
         if !sent {
             break;
         }
     }
-    if let Some(w) = proc.take() {
+    if let Rig::Process(_, Some(w)) = rig {
         shutdown(w);
     }
 }
 
-/// Retires a process slot after `consecutive` failures, handing back
-/// `unfinished`. When no slot is left to finish the plan, the run fails
-/// naming the `last` failure.
+/// Retires a slot after its rig failed for the `last` time, handing
+/// back `unfinished`. When no slot is left to finish the plan, the run
+/// fails naming that failure.
 fn retire_slot(
-    ctx: &SlotCtx,
+    pool: &Pool,
+    slot: usize,
     tx: &mpsc::Sender<Msg>,
     unfinished: Option<(usize, u32)>,
-    consecutive: u32,
     last: &Failure,
 ) {
     eprintln!(
-        "supervisor: worker slot {} retired after {consecutive} consecutive process failures; \
-         remaining slots absorb its share",
-        ctx.slot
+        "supervisor: worker slot {slot} retired ({}: {}); remaining slots absorb its share",
+        last.cause, last.detail
     );
-    if let Some(owed @ 1..) = ctx.claims.retire(unfinished) {
+    if let Some(owed @ 1..) = pool.claims.retire(unfinished) {
         let job = format!(
             "{owed} injections: every worker slot retired, the last after {}: {}",
             last.cause, last.detail
@@ -771,7 +797,11 @@ pub fn run_supervised(
             });
         }
     }
-    supervise(&Golden::prepare(kernel, mode, &cfg.campaign)?, cfg)
+    supervise(
+        &Golden::prepare(kernel, mode, &cfg.campaign)?,
+        cfg,
+        &AtomicBool::new(false),
+    )
 }
 
 /// One supervised run of a shard as a lease: its range's records in plan
@@ -787,8 +817,12 @@ pub(crate) struct Leased {
 /// [`supervise`] as one lease of `cfg.shard`: how every attempt of the
 /// sharded runner and every arbitration of the coordinator returns its
 /// records.
-pub(crate) fn supervise_lease(golden: &Golden, cfg: &SupervisorConfig) -> Result<Leased, NfpError> {
-    let out = supervise(golden, cfg)?;
+pub(crate) fn supervise_lease(
+    golden: &Golden,
+    cfg: &SupervisorConfig,
+    cancel: &AtomicBool,
+) -> Result<Leased, NfpError> {
+    let out = supervise(golden, cfg, cancel)?;
     let start = cfg.shard.map_or(0, |s| s.range(golden.faults.len()).0);
     let records = out.result.records.into_iter().enumerate();
     Ok(Leased {
@@ -800,10 +834,13 @@ pub(crate) fn supervise_lease(golden: &Golden, cfg: &SupervisorConfig) -> Result
 
 /// [`run_supervised`] against `cfg.campaign`'s prepared reference, for
 /// a valid shard: the sharded runner and the coordinator's local pool
-/// prepare a campaign once and supervise it many times.
+/// prepare a campaign once and supervise it many times. Once `cancel`
+/// is raised the slots take no more claims, and a run cut short that
+/// way fails with the injections it still owes.
 pub(crate) fn supervise(
     golden: &Golden,
     cfg: &SupervisorConfig,
+    cancel: &AtomicBool,
 ) -> Result<SupervisorOutcome, NfpError> {
     let faults = &golden.faults;
     let header = JournalHeader::bind(golden, cfg.shard);
@@ -855,7 +892,7 @@ pub(crate) fn supervise(
     // Process isolation: resolve and probe the worker binary up front,
     // falling back to thread isolation when subprocesses are
     // unavailable (no binary, or an environment that cannot fork).
-    let process_bin: Option<PathBuf> = match cfg.isolation {
+    let bin: Option<PathBuf> = match cfg.isolation {
         WorkerIsolation::Thread => None,
         WorkerIsolation::Process => {
             let bin = cfg
@@ -882,18 +919,23 @@ pub(crate) fn supervise(
             }
         }
     };
-    let hello = WorkerHello {
-        header: header.clone(),
-        preset: cfg.preset,
-        heartbeat_ms: (cfg.heartbeat.as_millis() as u64).max(1),
-        spin_at: cfg.test_spin_at.map(|i| i as u64),
-        abort_at: cfg.test_worker_abort_at.map(|i| i as u64),
+    let pool = Pool {
+        golden,
+        cfg,
+        bin,
+        hello: WorkerHello {
+            header: header.clone(),
+            preset: cfg.preset,
+            heartbeat_ms: (cfg.heartbeat.as_millis() as u64).max(1),
+            spin_at: cfg.test_spin_at.map(|i| i as u64),
+            abort_at: cfg.test_worker_abort_at.map(|i| i as u64),
+        },
+        claims: Claims::new(&pending, workers),
+        stop: AtomicBool::new(false),
+        cancel,
+        kills: AtomicUsize::new(0),
+        respawns: AtomicUsize::new(0),
     };
-    let kills = AtomicUsize::new(0);
-    let respawns = AtomicUsize::new(0);
-
-    let claims = Claims::new(&pending, workers);
-    let stop = AtomicBool::new(false);
     let (tx, rx) = mpsc::channel::<Msg>();
 
     let mut fatal: Option<NfpError> = None;
@@ -902,81 +944,8 @@ pub(crate) fn supervise(
 
     std::thread::scope(|scope| {
         for slot in 0..workers {
-            let tx = tx.clone();
-            let (claims, stop) = (&claims, &stop);
-            if let Some(bin) = process_bin.as_deref() {
-                let ctx = SlotCtx {
-                    bin,
-                    hello: &hello,
-                    seed: golden.campaign.seed,
-                    deadline: cfg.deadline,
-                    heartbeat: cfg.heartbeat,
-                    max_respawns: cfg.max_respawns,
-                    slot,
-                    claims,
-                    faults,
-                    stop,
-                    kills: &kills,
-                    respawns: &respawns,
-                };
-                scope.spawn(move || drive_process_slot(&ctx, &tx));
-                continue;
-            }
-            scope.spawn(move || {
-                let mut m = match golden.machine() {
-                    Ok(m) => m,
-                    Err(error) => {
-                        let _ = tx.send(Msg::Fatal { error });
-                        return;
-                    }
-                };
-                while let Some((index, _)) = claims.take(stop) {
-                    let fault = faults[index];
-                    let replayed = replay_guarded(golden, &mut m, |m, attempt| {
-                        if cfg
-                            .test_panic_at
-                            .is_some_and(|(i, n)| i == index && attempt <= n)
-                        {
-                            panic!("supervisor test hook: forced panic on injection {index}");
-                        }
-                        if cfg.test_spin_at == Some(index) {
-                            replay_spinning(golden, m, &fault)
-                        } else {
-                            golden.run_one(m, &fault)
-                        }
-                    });
-                    let (msg, retire) = match replayed {
-                        Ok((Replayed::Record(record), attempts)) => {
-                            let msg = Msg::Done {
-                                index,
-                                record,
-                                attempts,
-                                quarantine: None,
-                            };
-                            (msg, false)
-                        }
-                        Ok((Replayed::Panicked { text, rig_lost }, attempts)) => {
-                            let msg = Msg::Done {
-                                index,
-                                record: quarantine_record(fault),
-                                attempts,
-                                quarantine: Some((HarnessCause::Panic, text)),
-                            };
-                            // With no rig to continue with, hand the
-                            // quarantined record over and retire; the
-                            // surviving workers drain the rest of the
-                            // plan.
-                            (msg, rig_lost)
-                        }
-                        Err(error) => (Msg::Fatal { error }, false),
-                    };
-                    let sent = tx.send(msg).is_ok();
-                    claims.done();
-                    if !sent || retire {
-                        return;
-                    }
-                }
-            });
+            let (pool, tx) = (&pool, tx.clone());
+            scope.spawn(move || drive_slot(pool, slot, &tx));
         }
         drop(tx);
 
@@ -993,7 +962,7 @@ pub(crate) fn supervise(
                     if let Some(journal) = journal.as_mut() {
                         if let Err(e) = journal.append(&slots, (index, index + 1)) {
                             fatal = Some(e);
-                            stop.store(true, Ordering::Relaxed);
+                            pool.stop.store(true, Ordering::Relaxed);
                             break;
                         }
                     }
@@ -1012,13 +981,13 @@ pub(crate) fn supervise(
                     written += 1;
                     if cfg.test_abort_after == Some(written) {
                         aborted = true;
-                        stop.store(true, Ordering::Relaxed);
+                        pool.stop.store(true, Ordering::Relaxed);
                         break;
                     }
                 }
                 Msg::Fatal { error } => {
                     fatal = Some(error);
-                    stop.store(true, Ordering::Relaxed);
+                    pool.stop.store(true, Ordering::Relaxed);
                     break;
                 }
             }
@@ -1068,8 +1037,8 @@ pub(crate) fn supervise(
         resumed,
         completed,
         aborted,
-        process_isolation: process_bin.is_some(),
-        kills: kills.load(Ordering::Relaxed),
-        respawns: respawns.load(Ordering::Relaxed),
+        process_isolation: pool.bin.is_some(),
+        kills: pool.kills.load(Ordering::Relaxed),
+        respawns: pool.respawns.load(Ordering::Relaxed),
     })
 }

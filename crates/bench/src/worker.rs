@@ -26,7 +26,8 @@
 //! The hello carries the journal header's binding fields, so the worker
 //! prepares the *same* deterministic golden reference the other side
 //! would have used, once per campaign, and replays on a machine of its
-//! own (a panicking replay retries on a fresh one);
+//! own through the executor a supervisor thread slot runs (a panicking
+//! replay retries once on a fresh machine, then is quarantined);
 //! `ready` echoes the golden instruction count as a cross-check,
 //! records are journal-identical lines with their CRC, and the fin's
 //! plan-order digest seals the range. The receiving side runs every
@@ -44,7 +45,7 @@ use crate::campaign::{Golden, InjectionRecord};
 use crate::flatjson::{esc, parse_flat, Obj};
 use crate::journal::{fin_line, record_line, FinRecord, JournalHeader};
 use crate::net::{render_join, violation, JoinFrame, Link};
-use crate::supervisor::{quarantine_record, replay_guarded, replay_spinning, Replayed};
+use crate::supervisor::replay_guarded;
 use nfp_core::{NfpError, Outcome};
 use nfp_sim::Machine;
 use nfp_workloads::Preset;
@@ -192,7 +193,7 @@ struct LeaseRig {
     header: JournalHeader,
     preset: WorkerPreset,
     golden: Golden,
-    machine: Machine,
+    machine: Option<Machine>,
 }
 
 fn build_rig(hello: &WorkerHello) -> Result<LeaseRig, NfpError> {
@@ -202,7 +203,7 @@ fn build_rig(hello: &WorkerHello) -> Result<LeaseRig, NfpError> {
     Ok(LeaseRig {
         header: hello.header.clone(),
         preset: hello.preset,
-        machine: golden.machine()?,
+        machine: Some(golden.machine()?),
         golden,
     })
 }
@@ -531,36 +532,23 @@ fn execute_lease(
     send_or(&render_ready(golden.instret()), "send ready")?;
 
     let mut slots: Vec<Option<(InjectionRecord, u32)>> = vec![None; end - start];
-    for (slot, (index, &fault)) in slots
-        .iter_mut()
-        .zip((start..end).zip(&golden.faults[start..end]))
-    {
+    for (slot, index) in slots.iter_mut().zip(start..end) {
         if hello.abort_at == Some(index as u64) {
             // Test hook: die the way a heap-corrupting harness bug
             // would — no unwinding, no goodbye frame.
             std::process::abort();
         }
-        let spin = hello.spin_at == Some(index as u64);
-        let (replayed, attempts) = replay_guarded(golden, machine, |m, _| {
-            if spin {
-                replay_spinning(golden, m, &fault)
-            } else {
-                golden.run_one(m, &fault)
-            }
-        })
-        .map_err(LeaseFail::Fatal)?;
-        let record = match replayed {
-            Replayed::Record(record) => record,
-            Replayed::Panicked { rig_lost: true, .. } => {
-                return Err(LeaseFail::Fatal(violation(format!(
-                    "replay of injection {index} panicked and the rig could not be rebuilt"
-                ))))
-            }
-            Replayed::Panicked { .. } => {
-                eprintln!("worker: quarantined injection {index} after {attempts} attempts");
-                quarantine_record(fault)
-            }
-        };
+        let (record, attempts, panicked) =
+            replay_guarded(golden, machine, index, hello.spin_at, None)
+                .map_err(LeaseFail::Fatal)?;
+        if machine.is_none() {
+            return Err(LeaseFail::Fatal(violation(format!(
+                "replay of injection {index} panicked and the rig could not be rebuilt"
+            ))));
+        }
+        if panicked.is_some() {
+            eprintln!("worker: quarantined injection {index} after {attempts} attempts");
+        }
         let record = match lies {
             // The lie happens *before* the record line, the slot fill,
             // and therefore the fin digest: the saboteur's CRC, stream,

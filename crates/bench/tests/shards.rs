@@ -238,6 +238,16 @@ fn straggling_shard_is_speculated_and_first_valid_result_wins() {
     assert!(outcome.speculated >= 1, "no speculation happened");
     assert!(outcome.missing_ranges.is_empty());
     assert_identical(&outcome.result, &baseline);
+
+    // Each settled shard leaves one journal, the winner's, at its
+    // canonical path, and the set merges to the same report.
+    let paths: Vec<PathBuf> = (0..2).map(|i| shard_journal_path(&base, i, 2)).collect();
+    let merged = merge_journals(&k, Mode::Float, &campaign(24), &paths, false).unwrap();
+    assert_identical(&merged.result, &baseline);
+    for i in 0..2 {
+        let spec = base.with_extension(format!("shard{i}of2.spec.jsonl"));
+        assert!(!spec.exists(), "{} left behind", spec.display());
+    }
     scrub(&base, 2);
 }
 

@@ -169,6 +169,36 @@ fn panicking_replay_is_retried_then_quarantined() {
 }
 
 #[test]
+fn thread_slots_never_charge_the_respawn_budget() {
+    let k = kernel();
+    let baseline = run_supervised(&k, Mode::Float, &supervisor(campaign(48))).unwrap();
+
+    // A quarantined panic is no rig failure: a lone thread slot with no
+    // respawn budget at all files the quarantine and finishes the plan.
+    let mut lone = SupervisorConfig::new(campaign(48));
+    lone.workers = Some(1);
+    lone.max_respawns = 0;
+    lone.test_panic_at = Some((5, 2));
+    let out = run_supervised(&k, Mode::Float, &lone).unwrap();
+    assert_eq!(out.completed, 48);
+    assert_eq!(out.quarantined.len(), 1);
+    assert_eq!(out.quarantined[0].index, 5);
+    assert_eq!(out.quarantined[0].cause, HarnessCause::Panic);
+    assert_eq!(out.result.records[5].outcome, Outcome::HarnessFault);
+    for (i, (got, want)) in out
+        .result
+        .records
+        .iter()
+        .zip(&baseline.result.records)
+        .enumerate()
+    {
+        if i != 5 {
+            assert_eq!(got, want, "record {i} diverged around the quarantine");
+        }
+    }
+}
+
+#[test]
 fn wall_deadline_classifies_spin_as_hang() {
     let k = kernel();
     let baseline = run_supervised(&k, Mode::Float, &supervisor(campaign(48))).unwrap();
